@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .lattices import Lattice
+from .lattices import Lattice, coord_solver
 from .scalars import RingSpec
 
 
@@ -91,15 +91,6 @@ class WeightDatum:
 
     def ideal_below(self, lam) -> tuple:
         return tuple(m for m in self.Lambda if self.leq(m, lam))
-
-    def restrict(self, labels) -> "WeightDatum":
-        labels = tuple(labels)
-        return WeightDatum(
-            labels,
-            tuple(l for l in self.Lambda if l in labels),
-            frozenset((a, b) for (a, b) in self.less if a in labels and b in labels),
-            {l: self.idempotents[l] for l in labels},
-        )
 
 
 class StructureAlgebra:
@@ -413,7 +404,7 @@ class StructureAlgebra:
         not closed under multiplication or misses the unit when required.
         """
         basis = [list(r) for r in rows]
-        coords = self._coord_solver(basis)
+        coords = self.coord_solver(basis)
         unit_c = coords(list(self.unit)) if require_unit else None
         if require_unit and unit_c is None:
             raise AlgebraError("subalgebra does not contain the unit")
@@ -435,28 +426,44 @@ class StructureAlgebra:
                                 labels or [f"s{i}" for i in range(n)],
                                 unit_c, sc, None, None), basis
 
-    def _coord_solver(self, basis):
+    def coord_solver(self, basis):
+        """lattices.coord_solver at this algebra's level."""
+        return coord_solver(basis, self.fld,
+                            self.ring if self.level == "O" else None)
+
+    def weight_idempotent(self, labels):
+        """The sum of the weight idempotents e_nu over the given labels."""
+        e = self.zero_vec()
+        for lbl in labels:
+            e = [a + b for a, b in zip(e, self.weights.idempotents[lbl])]
+        return e
+
+    def ideal_generated(self, e):
+        """A e A: a Lattice at level O, rref rows at field level."""
+        ebj = [self.mul(list(e), self.basis_vec(j)) for j in range(self.rank)]
+        rows = [self.mul(self.basis_vec(i), ebj[j])
+                for i in range(self.rank) for j in range(self.rank) if any(ebj[j])]
         if self.level == "O":
-            lat = Lattice.from_rows(self.ring, self.rank, basis)
-            mat = [lat.coords(b) for b in basis]
-            inv = linalg.invert(mat, self.fld)
+            return Lattice.from_rows(self.ring, self.rank, rows)
+        return linalg.rref(rows, self.fld)[0]
 
-            def coords(v):
-                c = lat.coords(v)
-                if c is None:
-                    return None
-                return linalg.mat_vec(linalg.transpose(inv), c, self.fld)
-        else:
-            ech, piv = linalg.rref(basis, self.fld)
-            red = [linalg.coords_in_row_space(b, ech, piv) for b in basis]
-            inv = linalg.invert(red, self.fld)
+    def quotient_by_labels(self, labels):
+        """A / A e A for e the sum of e_nu over `labels`, with the weight datum
+        restricted to the other labels and carried along.
 
-            def coords(v):
-                c = linalg.coords_in_row_space(v, ech, piv)
-                if c is None:
-                    return None
-                return linalg.mat_vec(linalg.transpose(inv), c, self.fld)
-        return coords
+        Returns (quotient_algebra, lift_rows) as quotient_by_ideal does.
+        """
+        w = self.weights
+        ideal = self.ideal_generated(self.weight_idempotent(labels))
+        quot, lifts, project = self.quotient_by_ideal(ideal)
+        keep = tuple(x for x in w.X if x not in labels)
+        quot.weights = WeightDatum(
+            keep,
+            tuple(x for x in w.Lambda if x not in labels),
+            frozenset((a, b) for (a, b) in w.less
+                      if a not in labels and b not in labels),
+            {lbl: tuple(project(list(w.idempotents[lbl]))) for lbl in keep})
+        return quot, lifts
 
     def quotient_by_ideal(self, ideal):
         """Quotient algebra by a two-sided ideal.

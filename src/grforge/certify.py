@@ -22,9 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg, radicals
-from .algebra import AlgebraError, StructureAlgebra, WeightDatum
-from .lattices import Lattice, quotient_free_basis, saturate_rows
-from .modules import ModuleRep, regular_module, weight_simples
+from .algebra import AlgebraError, StructureAlgebra
+from .lattices import Lattice, pure_closure, quotient_free_basis, saturate_rows
+from .modules import (
+    ModuleRep,
+    find_iso,
+    hom_equations,
+    regular_module,
+    weight_simples,
+)
 
 
 class CertifyError(AlgebraError):
@@ -206,7 +212,7 @@ def generic_simples(alg):
     for lbl, mod in out:
         key = None
         for lbl2, mod2 in uniq:
-            if mod2.rank == mod.rank and _iso_exists(mod, mod2):
+            if find_iso(mod, mod2, integral=False) is not None:
                 key = lbl2
                 break
         if key is None:
@@ -228,39 +234,6 @@ def _corner_minpoly(alg, e, x):
             return [-c for c in sol] + [fld.one]
         flats.append(list(cur))
         cur = alg.mul(cur, x)
-
-
-def _iso_exists(m1: ModuleRep, m2: ModuleRep):
-    fld = m1.fld
-    if m1.rank != m2.rank:
-        return False
-    # solve the full hom space and look for an invertible element
-    n = m1.rank
-    rows = []
-    for i in range(m1.algebra.rank):
-        a_s, a_d = m1.acts[i], m2.acts[i]
-        for r in range(n):
-            for c in range(n):
-                row = [fld.zero] * (n * n)
-                for t in range(n):
-                    if a_s[t][c]:
-                        row[r * n + t] = row[r * n + t] + a_s[t][c]
-                    if a_d[r][t]:
-                        row[t * n + c] = row[t * n + c] - a_d[r][t]
-                rows.append(row)
-    ker = linalg.kernel_right(rows, fld)
-    for v in ker:
-        h = [[v[r * n + c] for c in range(n)] for r in range(n)]
-        if linalg.invert(h, fld) is not None:
-            return True
-    # small random combinations
-    if len(ker) > 1:
-        for a in range(2, 5):
-            v = [x + fld.of(a) * y for x, y in zip(ker[0], ker[1])]
-            h = [[v[r * n + c] for c in range(n)] for r in range(n)]
-            if linalg.invert(h, fld) is not None:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +405,6 @@ class ChainCertificate:
         return "\n".join(lines)
 
 
-def _ideal_generated(alg, e):
-    """Rows spanning A e A."""
-    rows = []
-    ebj = [alg.mul(list(e), alg.basis_vec(j)) for j in range(alg.rank)]
-    for i in range(alg.rank):
-        for j in range(alg.rank):
-            if any(ebj[j]):
-                rows.append(alg.mul(alg.basis_vec(i), ebj[j]))
-    return rows
-
-
 def _corner_simple_modules(alg, e, e_basis, corner, labels):
     """Simple modules of the corner e A_K e through the weight simples."""
     ak = alg.base_change("K") if alg.level == "O" else alg
@@ -472,15 +434,14 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
         return HeredityStep(tuple(labels), False,
                             {"idempotent": False}, tuple(e))
     verdicts["idempotent"] = True
-    rows = _ideal_generated(alg, e)
+    J = alg.ideal_generated(e)
     if alg.level == "O":
         ring = alg.ring
-        J = Lattice.from_rows(ring, alg.rank, rows)
         if J.rank == 0:
             return HeredityStep(tuple(labels), False,
                                 {"nonzero": False}, tuple(e))
         full = Lattice.full(ring, alg.rank)
-        closure = pure_closure_of(J, full)
+        closure = pure_closure(J, full)
         _, torsion = quotient_free_basis(closure, J)
         verdicts["free_quotient"] = not torsion
         if torsion:
@@ -495,7 +456,6 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
         J2 = Lattice.from_rows(ring, alg.rank, sq_rows)
         verdicts["idempotent_ideal"] = J2 == J
     else:
-        J, _ = linalg.rref(rows, alg.fld)
         if not J:
             return HeredityStep(tuple(labels), False,
                                 {"nonzero": False}, tuple(e))
@@ -516,7 +476,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
     else:
         cbasis, _ = linalg.rref(corner_rows, alg.fld)
     corner, _ = alg.subalgebra_on(cbasis, require_unit=False)
-    ccoords = alg._coord_solver(cbasis)
+    ccoords = alg.coord_solver(cbasis)
     corner.unit = tuple(ccoords(e))
     if alg.level == "O":
         cmods = _corner_simple_modules(alg, e, cbasis, corner.base_change("K"),
@@ -548,12 +508,6 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
                         witness, detail)
 
 
-def pure_closure_of(lat, full):
-    from .lattices import pure_closure
-
-    return pure_closure(lat, full)
-
-
 def _recognize_matrix_field(corner, alg, e, cbasis, labels):
     """Field-level split test: corner ≅ (+) M_n over the field itself."""
     try:
@@ -574,16 +528,6 @@ def _recognize_matrix_field(corner, alg, e, cbasis, labels):
         return MatrixAlgebraWitness(False, str(exc))
 
 
-def _corner_to_alg(cbasis, vec, alg):
-    out = [alg.fld.zero] * alg.rank
-    for c, row in zip(vec, cbasis):
-        if c:
-            for t in range(alg.rank):
-                if row[t]:
-                    out[t] = out[t] + c * row[t]
-    return out
-
-
 def _mult_map_bijective(alg, e, cbasis, witness, J):
     """Rank count and exact image equality for Ae (x)_{eAe} eA -> J."""
     fld = alg.fld
@@ -593,7 +537,7 @@ def _mult_map_bijective(alg, e, cbasis, witness, J):
     total = 0
     prod_rows = []
     for bi in sorted(blocks):
-        f = _corner_to_alg(cbasis, witness.units[(bi, 0, 0)], alg)
+        f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, fld.zero)
         left_rows = [alg.mul(alg.mul(alg.basis_vec(i), e), f)
                      for i in range(alg.rank)]
         right_rows = [alg.mul(f, alg.mul(e, alg.basis_vec(i)))
@@ -629,7 +573,7 @@ def _endo_block_sizes(alg, e, cbasis, witness):
         blocks.setdefault(bi, 0)
     sizes = []
     for bi in sorted(blocks):
-        f = _corner_to_alg(cbasis, witness.units[(bi, 0, 0)], alg)
+        f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, alg.fld.zero)
         right_rows = [alg.mul(f, alg.mul(e, alg.basis_vec(i)))
                       for i in range(alg.rank)]
         if alg.level == "O":
@@ -649,19 +593,7 @@ def _endo_direct_check(alg, J, expected_sizes):
     fld = alg.fld
     mod = regular_module(alg).restrict_to(J)
     n = mod.rank
-    sys_rows = []
-    for i in range(alg.rank):
-        a = mod.acts[i]
-        for r in range(n):
-            for c in range(n):
-                row = [fld.zero] * (n * n)
-                for t in range(n):
-                    if a[t][c]:
-                        row[r * n + t] = row[r * n + t] + a[t][c]
-                    if a[r][t]:
-                        row[t * n + c] = row[t * n + c] - a[r][t]
-                sys_rows.append(row)
-    ker = linalg.kernel_right(sys_rows, fld)
+    ker = linalg.kernel_right(hom_equations(mod, mod), fld)
     if len(ker) != sum(s * s for s in expected_sizes):
         return False
     # endomorphisms restricted to the lattice: saturate and build the algebra
@@ -729,12 +661,8 @@ def certify_qha(alg: StructureAlgebra, order=None) -> ChainCertificate:
             batch = [lam]
         else:
             batch = sorted(w.maximal(remaining), key=str)
-        cw = cur.weights
-        fld = cur.fld
-        e = [fld.zero] * cur.rank
-        for lam in batch:
-            e = [a + b for a, b in zip(e, cw.idempotents[lam])]
-        step = is_split_heredity_ideal(cur, e, tuple(batch))
+        step = is_split_heredity_ideal(cur, cur.weight_idempotent(batch),
+                                       tuple(batch))
         steps.append(step)
         if not step.ok:
             return ChainCertificate(False, steps,
@@ -744,24 +672,8 @@ def certify_qha(alg: StructureAlgebra, order=None) -> ChainCertificate:
         if not remaining:
             break
         # pass to the quotient algebra, transporting the weight datum
-        rows = _ideal_generated(cur, e)
-        if cur.level == "O":
-            J = Lattice.from_rows(cur.ring, cur.rank, rows)
-        else:
-            J, _ = linalg.rref(rows, fld)
-        quot, lifts, project = cur.quotient_by_ideal(J)
-        new_labels = tuple(x for x in cw.X if x not in batch)
-        idems = {lbl: tuple(project(list(cw.idempotents[lbl])))
-                 for lbl in new_labels}
-        quot.weights = WeightDatum(
-            new_labels,
-            tuple(x for x in cw.Lambda if x not in batch),
-            frozenset((a, b) for (a, b) in cw.less
-                      if a not in batch and b not in batch),
-            idems)
-        cur = quot
-    cert = ChainCertificate(True, steps)
-    return cert
+        cur, _ = cur.quotient_by_labels(batch)
+    return ChainCertificate(True, steps)
 
 
 def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
@@ -771,21 +683,16 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
     base-change-injectivity route, ideal idempotency by two-sided membership,
     and the corner witness by re-checking the stored matrix-unit identities.
     """
-    w = alg.weights
     cur = alg
     for step in cert.steps:
-        cw = cur.weights
         fld = cur.fld
-        e = [fld.zero] * cur.rank
-        for lam in step.labels:
-            e = [a + b for a, b in zip(e, cw.idempotents[lam])]
+        e = cur.weight_idempotent(step.labels)
         if cur.mul(e, e) != e:
             return False
         if tuple(e) != step.e_vector:
             return False
-        rows = _ideal_generated(cur, e)
+        J = cur.ideal_generated(e)
         if cur.level == "O":
-            J = Lattice.from_rows(cur.ring, cur.rank, rows)
             if J.rank != step.ideal_rank:
                 return False
             # purity via residue ranks (Lemma 2.3(b) only)
@@ -802,10 +709,8 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
             J2 = Lattice.from_rows(cur.ring, cur.rank, gens2)
             if (J2 == J) != step.verdicts.get("idempotent_ideal"):
                 return False
-        else:
-            J, _ = linalg.rref(rows, fld)
-            if len(J) != step.ideal_rank:
-                return False
+        elif len(J) != step.ideal_rank:
+            return False
         if step.corner is not None and step.corner.ok:
             # stored corner matrix units must verify inside the corner algebra
             corner_rows = [cur.mul(e, cur.mul(cur.basis_vec(i), e))
@@ -815,8 +720,8 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
                           Lattice.from_rows(cur.ring, cur.rank, corner_rows).rows]
             else:
                 cbasis, _ = linalg.rref(corner_rows, fld)
-            units = {key: _corner_to_alg(cbasis, v, cur) if len(v) == len(cbasis)
-                     else list(v)
+            units = {key: linalg.combine(v, cbasis, fld.zero)
+                     if len(v) == len(cbasis) else list(v)
                      for key, v in step.corner.units.items()}
             for (b1, i, j), u in units.items():
                 for (b2, k, l), v in units.items():
@@ -835,16 +740,5 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
         if not step.ok:
             return True  # failing certificates agree once the failure is hit
         if step is not cert.steps[-1]:
-            quot, lifts, project = cur.quotient_by_ideal(
-                J if cur.level != "O" else J)
-            new_labels = tuple(x for x in cw.X if x not in step.labels)
-            idems = {lbl: tuple(project(list(cw.idempotents[lbl])))
-                     for lbl in new_labels}
-            quot.weights = WeightDatum(
-                new_labels,
-                tuple(x for x in cw.Lambda if x not in step.labels),
-                frozenset((a, b) for (a, b) in cw.less
-                          if a not in step.labels and b not in step.labels),
-                idems)
-            cur = quot
+            cur, _ = cur.quotient_by_labels(step.labels)
     return cert.ok

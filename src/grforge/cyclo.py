@@ -215,10 +215,6 @@ class Series:
     def coeffs_in_O(self) -> bool:
         return all(self.ring.valuation(v) >= 0 for v in self.c.values())
 
-    def max_denominator_valuation(self):
-        vals = [self.ring.valuation(v) for v in self.c.values()]
-        return min(vals) if vals else 0
-
     def __repr__(self):
         return f"Series({len(self.c)} terms, order {self.order})"
 

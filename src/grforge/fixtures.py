@@ -213,10 +213,6 @@ def perturb(alg: StructureAlgebra, seed: int, count: int = 1):
 # Laurent polynomials over Z (generic quantum parameter)
 # ---------------------------------------------------------------------------
 
-def _lp(d=None):
-    return dict(d) if d else {}
-
-
 def _lp_add(a, b):
     out = dict(a)
     for e, c in b.items():
@@ -233,10 +229,6 @@ def _lp_mul(a, b):
             e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
-
-
-def _lp_scale(a, c):
-    return {e: c * x for e, x in a.items()} if c else {}
 
 
 def _lp_div(a, b):
@@ -724,12 +716,7 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
         coef = linalg.solve_right(mat, target, fld)
         if coef is None:
             return {"blocked": False, "reason": "character system unsolvable"}
-        e = [fld.zero] * alg.rank
-        for c, zb in zip(coef, center):
-            if c:
-                for s in range(alg.rank):
-                    if zb[s]:
-                        e[s] = e[s] + c * zb[s]
+        e = linalg.combine(coef, center, fld.zero)
         # Newton-tighten inside the (commutative) center if needed
         for _ in range(alg.rank.bit_length() + 2):
             sq = ak.mul(e, e)

@@ -292,16 +292,8 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
         for s in range(len(rchain)):
             lhs = lattice_intersection(r_lat,
                                        chain[min(m1 + s, len(chain) - 1)])
-            rows = []
             rl = rchain[min(s, len(rchain) - 1)]
-            for rr in rl.rows:
-                v = [cur.fld.zero] * cur.rank
-                for c, base in zip(rr, r_lat.rows):
-                    if c:
-                        for t in range(cur.rank):
-                            if base[t]:
-                                v[t] = v[t] + c * base[t]
-                rows.append(v)
+            rows = [linalg.combine(rr, r_lat.rows, cur.fld.zero) for rr in rl.rows]
             rhs = Lattice.from_rows(alg.ring, cur.rank, rows)
             if lhs != rhs:
                 shift_ok = False
@@ -334,7 +326,7 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
                 for rr in grb_delta.lattice.rows:
                     v = [delta.fld.zero] * big.rank
                     # lift graded row to Delta coordinates copy j
-                    lift = _graded_row_to_module(gd, list(rr))
+                    lift = linalg.combine(rr, gd.lifts, delta.fld.zero)
                     for t in range(delta.rank):
                         v[j * delta.rank + t] = lift[t]
                     img = linalg.mat_vec(h, v, cur.fld)
@@ -361,19 +353,6 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
                     stages[b].label, "ordering property violated "
                     f"({stages[a].label!r} below {stages[b].label!r})")
     return stages
-
-
-def _graded_row_to_module(gd: GradedModule, row):
-    """Map a graded-coordinate row back to base-module coordinates via lifts."""
-    fld = gd.base_module.fld
-    v = [fld.zero] * gd.base_module.rank
-    for i, c in enumerate(row):
-        if c:
-            lift = gd.lifts[i]
-            for t in range(gd.base_module.rank):
-                if lift[t]:
-                    v[t] = v[t] + c * lift[t]
-    return v
 
 
 def graded_section_multiset(stages):

@@ -12,18 +12,12 @@ All entries live in K (Fraction or Cyc); membership in O means valuation >= 0.
 
 from __future__ import annotations
 
+from . import linalg
 from .scalars import RingSpec
 
 
 class LatticeError(ValueError):
     pass
-
-
-def _first_nonzero(row):
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
 
 
 def _pi_power(ring, e: int):
@@ -192,8 +186,6 @@ class Lattice:
         self._check_compatible(other)
         if self.rank == 0 or other.rank == 0:
             return Lattice.zero(self.ring, self.ambient)
-        from . import linalg
-
         field = self.ring.field_K
         stacked = [list(r) for r in self.rows] + [list(r) for r in other.rows]
         ker = linalg.kernel_left(stacked, field)
@@ -201,16 +193,8 @@ class Lattice:
             return Lattice.zero(self.ring, self.ambient)
         # O-kernel = saturation of the cleared K-kernel inside O^(r1+r2)
         kerlat = saturate_rows(self.ring, len(stacked), ker)
-        gens = []
-        r1 = self.rank
-        for z in kerlat.rows:
-            v = [self.ring.zero()] * self.ambient
-            for i in range(r1):
-                if z[i]:
-                    for j in range(self.ambient):
-                        if self.rows[i][j]:
-                            v[j] = v[j] + z[i] * self.rows[i][j]
-            gens.append(v)
+        zero = self.ring.zero()
+        gens = [linalg.combine(z, self.rows, zero) for z in kerlat.rows]
         return Lattice.from_rows(self.ring, self.ambient, gens)
 
     def saturation(self) -> "Lattice":
@@ -359,7 +343,7 @@ def pure_closure(n: Lattice, m: Lattice) -> Lattice:
         return Lattice.zero(n.ring, n.ambient)
     coords = _coords_matrix(n, m)
     sat = saturate_rows(n.ring, m.rank, coords)
-    gens = [_from_coords(c, m) for c in sat.rows]
+    gens = [linalg.combine(c, m.rows, n.ring.zero()) for c in sat.rows]
     return Lattice.from_rows(n.ring, n.ambient, gens)
 
 
@@ -374,8 +358,6 @@ def is_pure(n: Lattice, m: Lattice) -> bool:
     a = pure_closure(n, m) == n
     if n.rank == 0:
         return True
-    from . import linalg
-
     coords = _coords_matrix(n, m)
     fk = n.ring.field_k
     red = [[n.ring.residue(x) for x in row] for row in coords]
@@ -398,7 +380,8 @@ def quotient_free_basis(m: Lattice, n: Lattice):
     coords = _coords_matrix(n, m)
     vals, track = smith_track(ring, m.rank, coords)
     torsion = sorted(v for v in vals if v > 0)
-    free_lifts = [_from_coords(c, m) for c in track[len(vals):]]
+    free_lifts = [linalg.combine(c, m.rows, ring.zero())
+                  for c in track[len(vals):]]
     return free_lifts, torsion
 
 
@@ -412,19 +395,35 @@ def _coords_matrix(n: Lattice, m: Lattice):
     return out
 
 
-def _from_coords(coords, m: Lattice):
-    ring = m.ring
-    v = [ring.zero()] * m.ambient
-    for c, row in zip(coords, m.rows):
-        if c:
-            for j in range(m.ambient):
-                if row[j]:
-                    v[j] = v[j] + c * row[j]
-    return v
-
-
 def _require_sub(n: Lattice, m: Lattice):
     n._check_compatible(m)
     for r in n.rows:
         if not m.contains_vector(r):
             raise LatticeError("N is not contained in M")
+
+
+def coord_solver(rows, fld, ring=None):
+    """Coordinates in the basis `rows` (independent): v -> c with
+    v = sum c[i] rows[i], or None when there is no such c.
+
+    With `ring` (level O) c must lie in O: v must lie in the O-lattice the
+    rows span.  Without it, in their span over `fld`.
+    """
+    rows = [list(r) for r in rows]
+    if ring is not None:
+        lat = Lattice.from_rows(ring, len(rows[0]) if rows else 0, rows)
+        reduce = lat.coords
+    else:
+        ech, piv = linalg.rref(rows, fld)
+
+        def reduce(v):
+            return linalg.coords_in_row_space(v, ech, piv)
+    inv_t = linalg.transpose(linalg.invert([reduce(r) for r in rows], fld))
+
+    def coords(v):
+        c = reduce(list(v))
+        if c is None:
+            return None
+        return linalg.mat_vec(inv_t, c, fld)
+
+    return coords

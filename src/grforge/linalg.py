@@ -17,11 +17,6 @@ def identity(field, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def zeros(field, r, c):
-    z = field.zero
-    return [[z] * c for _ in range(r)]
-
-
 def mat_mul(a, b, field):
     n, m = len(a), len(b[0])
     inner = len(b)
@@ -52,20 +47,16 @@ def mat_vec(a, v, field):
     return out
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * a for a in v]
-
-
-def is_zero_vec(v):
-    return not any(v)
+def combine(coeffs, rows, zero):
+    """The vector sum_i coeffs[i] * rows[i]; zero coefficients and entries
+    are skipped.  The length is that of the rows (0 for no rows)."""
+    v = [zero] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coeffs, rows):
+        if c:
+            for t, x in enumerate(row):
+                if x:
+                    v[t] = v[t] + c * x
+    return v
 
 
 def transpose(m):
@@ -271,34 +262,3 @@ def charpoly(a, field):
                     cur[i + m_ + 1] = cur[i + m_ + 1] - coef * c
         polys.append(cur)
     return polys[n]
-
-
-def minpoly(a, field):
-    """Minimal polynomial of a square matrix, monic, lowest-degree-first."""
-    n = len(a)
-    flats = []
-    cur = identity(field, n)
-    while True:
-        flat = [x for row in cur for x in row]
-        if flats:
-            sol = solve_right(transpose(flats), flat, field)
-        else:
-            sol = None
-        if sol is not None:
-            return [-c for c in sol] + [field.one]
-        flats.append(flat)
-        cur = mat_mul(cur, a, field)
-
-
-def poly_eval_matrix(coeffs, a, field):
-    """Evaluate a polynomial (lowest-degree-first) at a matrix."""
-    n = len(a)
-    out = zeros(field, n, n)
-    pw = identity(field, n)
-    for c in coeffs:
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = out[i][j] + c * pw[i][j]
-        pw = mat_mul(pw, a, field)
-    return out

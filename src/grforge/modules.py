@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra, WeightDatum
-from .lattices import Lattice, pure_closure, quotient_free_basis
+from .lattices import Lattice, pure_closure, quotient_free_basis, saturate_rows
 
 
 class ModuleError(AlgebraError):
@@ -154,7 +154,7 @@ class ModuleRep:
         if not rows:
             return ModuleRep(self.algebra, 0,
                              [[] for _ in range(self.algebra.rank)], self.name + "|0")
-        coords = self._coords_fn(rows)
+        coords = self.algebra.coord_solver(rows)
         acts = []
         for i in range(self.algebra.rank):
             cols = []
@@ -203,44 +203,6 @@ class ModuleRep:
             acts.append(linalg.transpose(cols))
         out = ModuleRep(self.algebra, len(lifts), acts, self.name + "/sub")
         return out, project, lifts
-
-    def _coords_fn(self, rows):
-        fld = self.fld
-        if self.level == "O":
-            lat = Lattice.from_rows(self.algebra.ring, self.rank, rows)
-            mat = [lat.coords(list(b)) for b in rows]
-            inv = linalg.invert(mat, fld)
-
-            def coords(v):
-                c = lat.coords(list(v))
-                if c is None:
-                    return None
-                out = [fld.zero] * len(rows)
-                for idx in range(len(rows)):
-                    s = fld.zero
-                    for jdx in range(len(rows)):
-                        if c[jdx] and inv[jdx][idx]:
-                            s = s + c[jdx] * inv[jdx][idx]
-                    out[idx] = s
-                return out
-        else:
-            ech, piv = linalg.rref([list(r) for r in rows], fld)
-            red = [linalg.coords_in_row_space(list(b), ech, piv) for b in rows]
-            inv = linalg.invert(red, fld)
-
-            def coords(v):
-                c = linalg.coords_in_row_space(list(v), ech, piv)
-                if c is None:
-                    return None
-                out = [fld.zero] * len(rows)
-                for idx in range(len(rows)):
-                    s = fld.zero
-                    for jdx in range(len(rows)):
-                        if c[jdx] and inv[jdx][idx]:
-                            s = s + c[jdx] * inv[jdx][idx]
-                    out[idx] = s
-                return out
-        return coords
 
 
 def _sample_pairs(n, count=400):
@@ -400,23 +362,7 @@ def head_module(mod: ModuleRep, rad_rows):
 def _endo_dim_is_one(mod: ModuleRep):
     if mod.rank == 0:
         return False
-    fld = mod.fld
-    rows = []
-    for i in range(mod.algebra.rank):
-        a = mod.acts[i]
-        # h a - a h = 0, unknown h flattened row-major
-        n = mod.rank
-        for r in range(n):
-            for c in range(n):
-                row = [fld.zero] * (n * n)
-                for t in range(n):
-                    if a[t][c]:
-                        row[r * n + t] = row[r * n + t] + a[t][c]
-                    if a[r][t]:
-                        row[t * n + c] = row[t * n + c] - a[r][t]
-                rows.append(row)
-    ker = linalg.kernel_right(rows, fld)
-    return len(ker) == 1
+    return len(linalg.kernel_right(hom_equations(mod, mod), mod.fld)) == 1
 
 
 def head_info(mod: ModuleRep, rad_rows, simples):
@@ -528,22 +474,18 @@ def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
 # hom spaces and Delta-filtrations
 # ---------------------------------------------------------------------------
 
-def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
-    """The module homomorphism src -> dst sending each generator to its image.
+def hom_equations(src: ModuleRep, dst: ModuleRep):
+    """Linear equations h . a_src - a_dst . h = 0 for every algebra basis
+    element, one row per (basis element, r, c).
 
-    `gens` must generate src, so the hom (h, as a dst.rank x src.rank matrix
-    on column coordinates) is unique if it exists; returns None when no such
-    homomorphism exists.  Equivariance is re-verified exactly.
+    The unknown h is a dst.rank x src.rank matrix on column coordinates,
+    flattened row-major: h[r][c] at index r * src.rank + c.  The kernel of
+    the rows is Hom_A(src, dst).
     """
     fld = src.fld
-    n_a = src.algebra.rank
-    rows = []
-    rhs = []
     ns, nd = src.rank, dst.rank
-    # unknown h (nd x ns), flattened row-major: h[r][c] at index r*ns + c
-    for i in range(n_a):
-        a_s = src.acts[i]
-        a_d = dst.acts[i]
+    rows = []
+    for a_s, a_d in zip(src.acts, dst.acts):
         for r in range(nd):
             for c in range(ns):
                 row = [fld.zero] * (nd * ns)
@@ -556,7 +498,60 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
                     if a_d[r][t]:
                         row[t * ns + c] = row[t * ns + c] - a_d[r][t]
                 rows.append(row)
-                rhs.append(fld.zero)
+    return rows
+
+
+def find_iso(src: ModuleRep, dst: ModuleRep, integral: bool):
+    """An equivariant isomorphism src -> dst (a dst.rank x src.rank matrix on
+    column coordinates), or None when the search finds none.
+
+    Candidates from the hom space, in order: its kernel basis, then
+    ker[0] + a ker[1] for a = 2, 3, 4.  With `integral` (level O) the kernel
+    is first saturated in O^(n*n), the combinations are cands[0] + a cands[i]
+    for a = 2, 3, and a candidate must have a unit determinant.  The search
+    is not exhaustive: None does not prove that no isomorphism exists.
+    """
+    if src.rank != dst.rank:
+        return None
+    n = src.rank
+    if n == 0:
+        return []
+    fld = src.fld
+    ker = linalg.kernel_right(hom_equations(src, dst), fld)
+    if integral:
+        ring = src.algebra.ring
+        if not ker:
+            return None
+        cands = [list(r) for r in saturate_rows(ring, n * n, ker).rows]
+        combos = cands + [[x + fld.of(a) * y for x, y in zip(cands[0], cands[i])]
+                          for a in range(2, 4) for i in range(1, len(cands))]
+    else:
+        combos = list(ker)
+        if len(ker) > 1:
+            combos += [[x + fld.of(a) * y for x, y in zip(ker[0], ker[1])]
+                       for a in range(2, 5)]
+    for v in combos:
+        h = [[v[r * n + c] for c in range(n)] for r in range(n)]
+        if integral:
+            d = linalg.det(h, fld)
+            if d and ring.valuation(d) == 0:
+                return h
+        elif linalg.invert(h, fld) is not None:
+            return h
+    return None
+
+
+def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
+    """The module homomorphism src -> dst sending each generator to its image.
+
+    `gens` must generate src, so the hom (h, as a dst.rank x src.rank matrix
+    on column coordinates) is unique if it exists; returns None when no such
+    homomorphism exists.  Equivariance is re-verified exactly.
+    """
+    fld = src.fld
+    ns, nd = src.rank, dst.rank
+    rows = hom_equations(src, dst)
+    rhs = [fld.zero] * len(rows)
     for g, img in zip(gens, images):
         for r in range(nd):
             row = [fld.zero] * (nd * ns)
@@ -569,10 +564,9 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     if sol is None:
         return None
     h = [[sol[r * ns + c] for c in range(ns)] for r in range(nd)]
-    for i in range(n_a):
-        lhs = linalg.mat_mul(h, src.acts[i], fld)
-        rhs_m = linalg.mat_mul(dst.acts[i], h, fld)
-        assert lhs == rhs_m, "hom solve returned a non-equivariant map"
+    for a_s, a_d in zip(src.acts, dst.acts):
+        assert linalg.mat_mul(h, a_s, fld) == linalg.mat_mul(a_d, h, fld), \
+            "hom solve returned a non-equivariant map"
     return h
 
 
@@ -692,34 +686,15 @@ def delta_filtration(mod: ModuleRep, standards=None):
             quot, project, lifts = cur.quotient_by(sub)
             sub_rows = sub
         # record the stage in original coordinates
-        orig_rows = []
-        for r in sub_rows:
-            v = [mod.fld.zero] * mod.rank
-            for c, lift in zip(r, to_original):
-                if c:
-                    for t in range(mod.rank):
-                        if lift[t]:
-                            v[t] = v[t] + c * lift[t]
-            orig_rows.append(v)
-        peeled_original.extend(orig_rows)
+        zero = mod.fld.zero
+        peeled_original.extend(linalg.combine(r, to_original, zero)
+                               for r in sub_rows)
         stages.append(FiltrationStage(lam, d, h, list(peeled_original)))
-        to_original = [
-            _combine(lift, to_original, mod) for lift in lifts
-        ]
+        to_original = [linalg.combine(lift, to_original, zero) for lift in lifts]
         cur = quot
     if cur.rank:
         raise FiltrationFailure(None, "peeling did not terminate")
     return stages
-
-
-def _combine(coeffs, rows, mod):
-    v = [mod.fld.zero] * mod.rank
-    for c, row in zip(coeffs, rows):
-        if c:
-            for t in range(mod.rank):
-                if row[t]:
-                    v[t] = v[t] + c * row[t]
-    return v
 
 
 def section_multiset(stages):
@@ -754,7 +729,7 @@ def morita_reduce(alg: StructureAlgebra):
     else:
         basis, _ = linalg.rref(rows, alg.fld)
     sub, sub_basis = alg.subalgebra_on(basis, require_unit=False)
-    coords = alg._coord_solver(sub_basis)
+    coords = alg.coord_solver(sub_basis)
     idems = {}
     for lam in w.Lambda:
         c = coords(list(w.idempotents[lam]))

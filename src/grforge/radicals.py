@@ -312,13 +312,7 @@ def split_semisimple(alg, modules, require_cover=True):
     for idx, (vec, label, acts) in enumerate(chars):
         # chi_b(e) = sum_s coef_s chi_b(z_s): solve mat . coef = delta_idx
         target = [fld.one if t == idx else fld.zero for t in range(m)]
-        coef = linalg.mat_vec(inv, target, fld)
-        e = [fld.zero] * alg.rank
-        for c, zb in zip(coef, z):
-            if c:
-                for j in range(alg.rank):
-                    if zb[j]:
-                        e[j] = e[j] + c * zb[j]
+        e = linalg.combine(linalg.mat_vec(inv, target, fld), z, fld.zero)
         if alg.mul(e, e) != e:
             raise NonSplitError("central idempotent solve failed")
         dim = len(acts[0])
@@ -373,13 +367,7 @@ def block_matrix_units(alg, block: Block):
             sol = linalg.solve_right(flat_t, target, fld)
             if sol is None:
                 raise NonSplitError("module action is not surjective on the block")
-            vec = [fld.zero] * alg.rank
-            for c, row in zip(sol, sub):
-                if c:
-                    for t in range(alg.rank):
-                        if row[t]:
-                            vec[t] = vec[t] + c * row[t]
-            units[(i, j)] = vec
+            units[(i, j)] = linalg.combine(sol, sub, fld.zero)
     _verify_matrix_units(alg, units, d, e)
     block.matrix_units = units
     return units
@@ -440,13 +428,7 @@ def lift_matrix_units(alg, quot, lifts, project, blocks):
     fld = alg.fld
 
     def lift_vec(qv):
-        v = [fld.zero] * alg.rank
-        for c, row in zip(qv, lifts):
-            if c:
-                for t in range(alg.rank):
-                    if row[t]:
-                        v[t] = v[t] + c * row[t]
-        return v
+        return linalg.combine(qv, lifts, fld.zero)
 
     # 1. lift all diagonal units to orthogonal idempotents, sequentially
     diag = {}
@@ -618,12 +600,7 @@ def _malcev_enlarge(alg, s_rows, contain, rad):
         sol = linalg.solve_right(big, big_rhs, fld)
         if sol is None:
             raise AlgebraError("Malcev correction unsolvable (is S0 semisimple?)")
-        h = [fld.zero] * alg.rank
-        for c, hb in zip(sol, basis_m):
-            if c:
-                for t in range(alg.rank):
-                    if hb[t]:
-                        h[t] = h[t] + c * hb[t]
+        h = linalg.combine(sol, basis_m, fld.zero)
         one_minus = [a - b for a, b in zip(alg.unit, h)]
         inv = _unit_inverse(alg, one_minus)
         s_rows = [alg.mul(inv, alg.mul(list(s), one_minus)) for s in s_ech]
@@ -664,15 +641,7 @@ def subalgebra_radical_check(alg, a_rows, b_rows=None):
     def sub_and_rad(rows, name):
         sub, basis = alg.subalgebra_on([list(r) for r in rows], labels=None)
         rad = radical_field(sub)
-        amb = []
-        for c in rad:
-            v = [fld.zero] * alg.rank
-            for x, row in zip(c, basis):
-                if x:
-                    for t in range(alg.rank):
-                        if row[t]:
-                            v[t] = v[t] + x * row[t]
-            amb.append(v)
+        amb = [linalg.combine(c, basis, fld.zero) for c in rad]
         amb, _ = linalg.rref(amb, fld)
         return amb
 
@@ -691,15 +660,7 @@ def subalgebra_radical_check(alg, a_rows, b_rows=None):
         if not r1 or not r2:
             return []
         ker = linalg.kernel_left(r1 + r2, fld)
-        out = []
-        for z in ker:
-            v = [fld.zero] * alg.rank
-            for c, row in zip(z[: len(r1)], r1):
-                if c:
-                    for t in range(alg.rank):
-                        if row[t]:
-                            v[t] = v[t] + c * row[t]
-            out.append(v)
+        out = [linalg.combine(z, r1, fld.zero) for z in ker]
         out, _ = linalg.rref(out, fld)
         return out
 

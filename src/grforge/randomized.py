@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 
-from . import forced, tightness
-from .lattices import Lattice, pure_closure
-from .modules import ModuleRep, regular_module
+from . import forced, linalg, tightness
+from .lattices import pure_closure
+from .modules import direct_sum_module, regular_module
 
 
 def primitivity_campaign(alg, mods, trials: int, seed: int):
@@ -31,15 +31,13 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
         rows = mod.weight_space_rows(lam)
         if not rows:
             continue
-        v = [fld.zero] * mod.rank
-        for r in rows:
+        coeffs = []
+        for _ in rows:
             c = rng.randint(-2, 2)
             if rng.random() < 0.25:
                 c *= alg.ring.p
-            if c:
-                for t in range(mod.rank):
-                    if r[t]:
-                        v[t] = v[t] + fld.of(c) * r[t]
+            coeffs.append(fld.of(c))
+        v = linalg.combine(coeffs, rows, fld.zero)
         stats["trials"] += 1
         rep = forced.primitivity_test(mod, v, lam)
         if rep.primitive:
@@ -69,7 +67,7 @@ def prop52_campaign(alg, datum, trials: int, seed: int,
     reg = regular_module(sub)
     while stats["trials"] < trials:
         copies = rng.randint(1, max_copies)
-        big = _direct_sum(reg, copies)
+        big = direct_sum_module(reg, copies)
         ngens = rng.randint(1, copies + 1)
         gens = []
         for _ in range(ngens):
@@ -97,31 +95,3 @@ def prop52_campaign(alg, datum, trials: int, seed: int,
         stats["agreements" if agree else "disagreements"] += 1
         stats["tight" if verdicts["tight"] else "not_tight"] += 1
     return stats
-
-
-def _direct_sum(mod: ModuleRep, copies: int) -> ModuleRep:
-    from .modules import direct_sum_module
-
-    return direct_sum_module(mod, copies)
-
-
-def lattice_purity_campaign(ring, trials: int, seed: int, max_rank: int = 6):
-    """Random sublattice pairs; is_pure cross-checks its two routes inside."""
-    from .lattices import is_pure
-
-    rng = random.Random(seed)
-    done = 0
-    pure_count = 0
-    while done < trials:
-        amb = rng.randint(1, max_rank)
-        m = Lattice.full(ring, amb)
-        nrows = [[ring.of(rng.randint(-9, 9)) for _ in range(amb)]
-                 for _ in range(rng.randint(0, amb))]
-        if rng.random() < 0.5:
-            pi = ring.uniformizer
-            nrows = [[pi * x for x in r] for r in nrows]
-        n = Lattice.from_rows(ring, amb, nrows)
-        if is_pure(n, m):
-            pure_count += 1
-        done += 1
-    return {"trials": done, "pure": pure_count}

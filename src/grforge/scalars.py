@@ -433,9 +433,6 @@ class RingSpec:
             v += 1
         return v
 
-    def in_O(self, x) -> bool:
-        return self.valuation(x) >= 0
-
     def is_unit(self, x) -> bool:
         """Unit of O: valuation zero (element must lie in O)."""
         v = self.valuation(x)
@@ -465,13 +462,6 @@ class RingSpec:
             den //= p
         s = sum(ints) % p
         return Fp(p, s * pow(den % p, -1, p))
-
-    def residue_vector(self, xs):
-        return [self.residue(x) for x in xs]
-
-    def lift_residue(self, r: Fp):
-        """Canonical lift of a residue to O (an integer in 0..p-1)."""
-        return self.of(r.v)
 
     # -- canonical residues mod pi^a (used for Hermite normal forms) -----------
     def canonical_mod(self, x, a: int):

@@ -19,6 +19,7 @@ from .modules import (
     FiltrationFailure,
     ModuleRep,
     delta_filtration,
+    find_iso,
     head_info,
     is_lambda_standard,
     regular_module,
@@ -61,58 +62,6 @@ class SuiteResult:
         self.falsification = self.hypotheses_ok and not all(
             bool(v) for v in self.conclusions.values())
         return self
-
-
-def _module_iso_exists(m1: ModuleRep, m2: ModuleRep, integral: bool):
-    """Explicit equivariant isomorphism search (unimodular at level O)."""
-    if m1.rank != m2.rank:
-        return False
-    if m1.rank == 0:
-        return True
-    fld = m1.fld
-    n = m1.rank
-    rows = []
-    for i in range(m1.algebra.rank):
-        a_s, a_d = m1.acts[i], m2.acts[i]
-        for r in range(n):
-            for c in range(n):
-                row = [fld.zero] * (n * n)
-                for t in range(n):
-                    if a_s[t][c]:
-                        row[r * n + t] = row[r * n + t] + a_s[t][c]
-                    if a_d[r][t]:
-                        row[t * n + c] = row[t * n + c] - a_d[r][t]
-                rows.append(row)
-    ker = linalg.kernel_right(rows, fld)
-    if integral:
-        ring = m1.algebra.ring
-        from .lattices import saturate_rows
-
-        if not ker:
-            return False
-        sat = saturate_rows(ring, n * n, ker)
-        cands = [list(r) for r in sat.rows]
-        combos = list(cands)
-        for a in range(2, 4):
-            for i in range(1, len(cands)):
-                combos.append([x + fld.of(a) * y for x, y in zip(cands[0], cands[i])])
-        for v in combos:
-            h = [[v[r * n + c] for c in range(n)] for r in range(n)]
-            d = linalg.det(h, fld)
-            if d and ring.valuation(d) == 0:
-                return True
-        return False
-    for v in ker:
-        h = [[v[r * n + c] for c in range(n)] for r in range(n)]
-        if linalg.invert(h, fld) is not None:
-            return True
-    if len(ker) > 1:
-        for a in range(2, 5):
-            v = [x + fld.of(a) * y for x, y in zip(ker[0], ker[1])]
-            h = [[v[r * n + c] for c in range(n)] for r in range(n)]
-            if linalg.invert(h, fld) is not None:
-                return True
-    return False
 
 
 def _nonzero(table):
@@ -180,7 +129,7 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
         d_of_gr = standard_module(grk.algebra, lam)
         delta_k = standard_module(ak, lam)
         gr_of_d = gr_module(grk, delta_k)
-        if not _module_iso_exists(d_of_gr, gr_of_d.module, integral=False):
+        if find_iso(d_of_gr, gr_of_d.module, integral=False) is None:
             grk_std_match = False
             res.notes.setdefault("grK_std_mismatch", []).append(str(lam))
     res.hypotheses["grK_standards_are_gr_deltas"] = grk_std_match
@@ -207,7 +156,7 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
         for lam in w.Lambda:
             std_gr = standard_module(gr.algebra, lam)
             gr_delta = gr_module(gr, sp[lam]["Delta"])
-            if not _module_iso_exists(std_gr, gr_delta.module, integral=True):
+            if find_iso(std_gr, gr_delta.module, integral=True) is None:
                 match = False
                 res.notes.setdefault("gr_std_mismatch", []).append(str(lam))
                 continue
@@ -244,7 +193,8 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
         if nu not in w.ideal_below(lam):
             for r in _weight_rows_ambient(reg, galg, nu, p_rows):
                 kill.append(r)
-    t_rows = _stable_span(reg, galg, kill)
+    t_sub = reg.submodule_generated(kill)
+    t_rows = t_sub.rows if isinstance(t_sub, Lattice) else t_sub
     table = {}
     top = gr.top_grade
     for nu in w.X:
@@ -263,35 +213,6 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
 def _weight_rows_ambient(reg, galg, nu, ambient_rows):
     e = list(galg.weights.idempotents[nu])
     return [reg.act(e, list(r)) for r in ambient_rows]
-
-
-def _stable_span(reg, galg, rows):
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    if galg.level == "O":
-        lat = Lattice.from_rows(galg.ring, galg.rank, rows)
-        while True:
-            new = []
-            for i in range(galg.rank):
-                for r in lat.rows:
-                    wv = reg.act_basis(i, list(r))
-                    if not lat.contains_vector(wv):
-                        new.append(wv)
-            if not new:
-                return [list(r) for r in lat.rows]
-            lat = lat.add(Lattice.from_rows(galg.ring, galg.rank, new))
-    ech, piv = linalg.rref(rows, galg.fld)
-    while True:
-        new = []
-        for i in range(galg.rank):
-            for r in ech:
-                wv = reg.act_basis(i, list(r))
-                if any(linalg.in_row_space(wv, ech, piv)):
-                    new.append(wv)
-        if not new:
-            return ech
-        ech, piv = linalg.rref(ech + new, galg.fld)
 
 
 def _grade_weight_rank(reg, galg, gr, rows, enu, m):
@@ -361,8 +282,8 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     tab2 = tuple(t2.get(m, 0) for m in range(top + 1))
     res.conclusions["gradewise_ranks_equal"] = tab1 == tab2
     res.notes["ranks"] = {"gr_of_truncation": tab1, "truncation_of_gr": tab2}
-    res.conclusions["explicit_iso"] = _module_iso_exists(
-        gr_of_trunc.module, trunc_of_gr, integral=(alg.level == "O"))
+    res.conclusions["explicit_iso"] = find_iso(
+        gr_of_trunc.module, trunc_of_gr, integral=(alg.level == "O")) is not None
     # Remark: ungraded section multisets agree between the plain and graded
     # Delta-filtrations
     try:
@@ -431,7 +352,7 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
     for lam in w.Lambda:
         d_of_gr = standard_module(gr.algebra, lam)
         gr_of_d = gr_module(gr, standard_module(alg_field, lam))
-        if not _module_iso_exists(d_of_gr, gr_of_d.module, integral=False):
+        if find_iso(d_of_gr, gr_of_d.module, integral=False) is None:
             std_ok = False
             res.notes.setdefault("std_mismatch", []).append(str(lam))
     res.conclusions["gr_deltas_standard"] = std_ok
@@ -439,19 +360,21 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
     pim_ok = True
     rad_rows = radicals.radical_field(alg_field)
     simples = weight_simples(alg_field, rad_rows)
+    # the truncated graded algebra (gr B)_Gamma and lifts of its basis
+    galg_gamma, lifts = gr.algebra.quotient_by_labels(
+        [nu for nu in w.Lambda if nu not in gamma])
     for g in gamma:
         p = weight_projective(alg_field, g)
         info = head_info(p, rad_rows, simples)
         p_gamma, _, _ = truncate_to_ideal(p, gamma)
         gr_pg = gr_module(gr, p_gamma)
-        # the corresponding object over the truncated graded algebra
-        galg_gamma = _truncated_algebra(gr.algebra, gamma)
+        # gr_pg is killed by the truncation ideal, so (gr B)_Gamma acts on it
+        # through the lifts
         ungraded = ModuleRep(galg_gamma, gr_pg.module.rank,
-                             _restrict_acts(gr_pg.module, gr.algebra,
-                                            galg_gamma))
+                             [gr_pg.module.act_matrix(list(x)) for x in lifts])
         target = weight_projective(galg_gamma, g)
         tgt_trunc, _, _ = truncate_to_ideal(target, gamma)
-        if not _module_iso_exists(ungraded, tgt_trunc, integral=False):
+        if find_iso(ungraded, tgt_trunc, integral=False) is None:
             pim_ok = False
             res.notes.setdefault("pim_mismatch", []).append(str(g))
     res.conclusions["gr_truncated_pims"] = pim_ok
@@ -462,52 +385,8 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
             gr_of_t = gr_module(gr, truncate_to_ideal(m, gamma)[0])
             grm = gr_module(gr, m)
             t_of_gr, _, _ = truncate_to_ideal(grm.module, gamma)
-            if not _module_iso_exists(gr_of_t.module, t_of_gr, integral=False):
+            if find_iso(gr_of_t.module, t_of_gr, integral=False) is None:
                 eq_ok = False
                 res.notes.setdefault("cor72_mismatch", []).append(str(name))
         res.conclusions["truncation_commutes"] = eq_ok
     return res.finalize()
-
-
-def _truncated_algebra(galg: StructureAlgebra, gamma):
-    """The quotient algebra B_Gamma = B / (ideal generated by e_nu, nu not in
-    Gamma), carrying the restricted weight datum."""
-    w = galg.weights
-    kill = [nu for nu in w.Lambda if nu not in gamma]
-    fld = galg.fld
-    e = [fld.zero] * galg.rank
-    for nu in kill:
-        e = [a + b for a, b in zip(e, w.idempotents[nu])]
-    if not any(e):
-        galg._lift_rows = [galg.basis_vec(i) for i in range(galg.rank)]
-        return galg
-    rows = certify._ideal_generated(galg, e)
-    if galg.level == "O":
-        J = Lattice.from_rows(galg.ring, galg.rank, rows)
-    else:
-        J, _ = linalg.rref(rows, fld)
-    quot, lifts, project = galg.quotient_by_ideal(J)
-    quot._lift_rows = lifts
-    keep = tuple(nu for nu in w.X if nu not in kill)
-    from .algebra import WeightDatum
-
-    quot.weights = WeightDatum(
-        keep, tuple(nu for nu in w.Lambda if nu in gamma),
-        frozenset((a, b) for (a, b) in w.less if a in keep and b in keep),
-        {nu: tuple(project(list(w.idempotents[nu]))) for nu in keep})
-    return quot
-
-
-def _restrict_acts(mod: ModuleRep, big_alg, quot_alg):
-    """Reinterpret a module killed by the truncation ideal as a module over
-    the truncated algebra (action through any lifts of its basis)."""
-    # quotient algebras built by quotient_by_ideal act through their lifts;
-    # here the module action of a lift is the action of its image, so the
-    # original action matrices restricted to quotient basis lifts suffice
-    lifts = getattr(quot_alg, "_lift_rows", None)
-    if lifts is None:
-        raise AlgebraError("truncated algebra lacks lift bookkeeping")
-    acts = []
-    for lift in lifts:
-        acts.append(mod.act_matrix(list(lift)))
-    return acts

@@ -8,16 +8,26 @@ right, so only the inclusion <= is tested, up to the nilpotency degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
-from . import certify, linalg, radicals
+from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .graded import gr_algebra, gr_module, module_rad_chain, radical_rows_K
-from .lattices import Lattice, is_pure, lattice_intersection, saturate_rows
+from .lattices import (
+    Lattice,
+    coord_solver,
+    is_pure,
+    lattice_intersection,
+    quotient_free_basis,
+    saturate_rows,
+)
 from .modules import (
     ModuleRep,
     head_info,
     hom_with_generator_images,
+    is_lambda_standard,
+    regular_module,
     standard_and_projectives,
     standard_module,
     weight_projective,
@@ -51,7 +61,7 @@ class GradedSubalgebraDatum:
                 problems.append("subalgebra basis is not independent")
             elif not is_pure(lat, Lattice.full(alg.ring, alg.rank)):
                 problems.append("subalgebra is not O-pure in the ambient algebra")
-        coords = _coords_fn(alg, rows)
+        coords = coord_solver(rows, alg.fld)
         if coords(list(alg.unit)) is None:
             problems.append("subalgebra does not contain the identity")
         for i, a in enumerate(rows):
@@ -74,28 +84,6 @@ class GradedSubalgebraDatum:
         sub, _ = alg.subalgebra_on([list(r) for r in self.rows])
         sub.datum_grades = self.grades
         return sub
-
-
-def _coords_fn(alg, rows):
-    fld = alg.fld
-    ech, piv = linalg.rref([list(r) for r in rows], fld)
-    red = [linalg.coords_in_row_space(list(b), ech, piv) for b in rows]
-    inv = linalg.invert(red, fld)
-
-    def coords(v):
-        c = linalg.coords_in_row_space(list(v), ech, piv)
-        if c is None:
-            return None
-        out = [fld.zero] * len(rows)
-        for idx in range(len(rows)):
-            s = fld.zero
-            for jdx in range(len(rows)):
-                if c[jdx] and inv[jdx][idx]:
-                    s = s + c[jdx] * inv[jdx][idx]
-            out[idx] = s
-        return out
-
-    return coords
 
 
 def module_over_subalgebra(alg, rows, mod: ModuleRep, sub=None) -> ModuleRep:
@@ -261,7 +249,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     notes["c1"] = reasons1
     # (2) rad A_K = (rad a_K) A_K = A_K (rad a_K)
     rad_a = radicals.radical_field(subk)
-    rad_amb = [_combine_rows(c, sub_rows, alg) for c in rad_a]
+    rad_amb = [linalg.combine(c, sub_rows, alg.fld.zero) for c in rad_a]
     rad_A = radical_rows_K(alg)
     left = []
     right = []
@@ -302,7 +290,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
             # multiplicativity of the action grading
             for (ga, rows_a) in sub_grade_rows.items():
                 for c in rows_a:
-                    amb = _combine_rows(c, sub_rows, alg)
+                    amb = linalg.combine(c, sub_rows, alg.fld.zero)
                     for (gm, rows_m) in piece.items():
                         for v in rows_m:
                             img = dk.act(amb, list(v))
@@ -342,7 +330,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
         ech_w, piv_w = linalg.rref([list(r) for r in wedd], ak.fld)
         contains = all(
             not any(linalg.in_row_space(
-                _combine_rows(c, sub_rows, alg), ech_w, piv_w))
+                linalg.combine(c, sub_rows, alg.fld.zero), ech_w, piv_w))
             for c in sub_grade_rows.get(0, []))
         contains = contains and all(
             not any(linalg.in_row_space(list(w.idempotents[nu]), ech_w, piv_w))
@@ -366,7 +354,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                     f"grade {g}: a ∩ a_K,{g} differs from a_{g}")
         # sum of grades >= r equals the integral radical power of the subalgebra
         sub_chain = _sub_rad_chain(sub, rad_a)
-        coords = _coords_fn(alg, sub_rows)
+        coords = coord_solver(sub_rows, alg.fld)
         for r in range(1, len(sub_chain) - 1):
             rows_ge = []
             for g, rows_g in grade_rows.items():
@@ -406,16 +394,6 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     return out, notes
 
 
-def _combine_rows(coeffs, rows, alg):
-    v = [alg.fld.zero] * alg.rank
-    for c, row in zip(coeffs, rows):
-        if c:
-            for t in range(alg.rank):
-                if row[t]:
-                    v[t] = v[t] + c * row[t]
-    return v
-
-
 # ---------------------------------------------------------------------------
 # field-level PIMs and E_K(lam)
 # ---------------------------------------------------------------------------
@@ -448,8 +426,6 @@ def field_pim(alg_field, lam):
                 break
         if f is None:
             raise TightnessError(f"no block labeled {lam!r}")
-    from .modules import regular_module
-
     reg = regular_module(alg_field)
     sub = reg.submodule_generated([list(f)])
     mod = reg.restrict_to(sub)
@@ -467,7 +443,7 @@ def e_k_lambda(alg_field, lam):
     pim, f = field_pim(alg_field, lam)
     delta = standard_module(alg_field, lam)
     # generator of the pim in its own coordinates
-    coords = _coords_fn_rows(pim, pim.ambient_rows)
+    coords = coord_solver(pim.ambient_rows, pim.fld)
     gen = coords(f)
     if gen is None:
         raise TightnessError("pim generator lost in restriction")
@@ -487,37 +463,11 @@ def e_k_lambda(alg_field, lam):
         raise TightnessError(
             f"no surjection P_K({lam!r}) -> Delta_K({lam!r}) found "
             "(weight datum corrupted?)")
-    ker = linalg.kernel_right([list(r) for r in _as_rows(h)], delta.fld)
+    ker = linalg.kernel_right([list(r) for r in h], delta.fld)
     # kernel of h as a map on column coordinates: solve h x = 0
     ker_rows, _ = linalg.rref(ker, delta.fld)
     assert len(ker_rows) == pim.rank - delta.rank
     return pim, ker_rows, h
-
-
-def _as_rows(h):
-    return h
-
-
-def _coords_fn_rows(mod, rows):
-    fld = mod.fld
-    ech, piv = linalg.rref([list(r) for r in rows], fld)
-    red = [linalg.coords_in_row_space(list(b), ech, piv) for b in rows]
-    inv = linalg.invert(red, fld)
-
-    def coords(v):
-        c = linalg.coords_in_row_space(list(v), ech, piv)
-        if c is None:
-            return None
-        out = [fld.zero] * len(rows)
-        for idx in range(len(rows)):
-            s = fld.zero
-            for jdx in range(len(rows)):
-                if c[jdx] and inv[jdx][idx]:
-                    s = s + c[jdx] * inv[jdx][idx]
-            out[idx] = s
-        return out
-
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +566,6 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
         res.hypotheses["dagger_full_in_pim"] = dagger.rank == pimK.rank
     if v is None or p0_rows is None:
         # default degree-0 part: the depth-0 stratum of the lam-weight space
-        from .lattices import quotient_free_basis
-
         wlat = Lattice.from_rows(alg.ring, dagger.rank,
                                  [list(r) for r in dagger.weight_space_rows(lam)])
         chain0 = module_rad_chain(dagger)
@@ -707,13 +655,12 @@ def _h2_stability(alg, datum, lam, dagger, p0_rows):
     return True
 
 
-_LS_CACHE = {}
+# keyed by the algebra object itself (StructureAlgebra hashes by identity):
+# an entry goes away with its algebra, so a later algebra never sees it
+_LS_CACHE = weakref.WeakKeyDictionary()
 
 
 def is_lambda_standard_cached(alg):
-    from .modules import is_lambda_standard
-
-    key = id(alg)
-    if key not in _LS_CACHE:
-        _LS_CACHE[key] = is_lambda_standard(alg)
-    return _LS_CACHE[key]
+    if alg not in _LS_CACHE:
+        _LS_CACHE[alg] = is_lambda_standard(alg)
+    return _LS_CACHE[alg]

@@ -89,7 +89,8 @@ class TestThm55Composite:
                 res = tightness.thm_53_pipeline(
                     z5, datum, lam, delta_gradings={"1": [0], "2": [0, 1]})
                 assert res.hypotheses_ok and res.ok
-            trunc = suites._truncated_algebra(z5, gamma)
+            trunc, _ = z5.quotient_by_labels(
+                [nu for nu in z5.weights.Lambda if nu not in gamma])
             gr_t = graded.gr_algebra(trunc)
             cert = certify.certify_qha(gr_t.algebra)
             assert cert.ok, gamma
@@ -97,5 +98,5 @@ class TestThm55Composite:
             for lam in gamma:
                 std = modules.standard_module(gr_t.algebra, lam)
                 gr_d = graded.gr_module(gr_t, spt[lam]["Delta"])
-                assert suites._module_iso_exists(std, gr_d.module,
-                                                 integral=True), (gamma, lam)
+                assert modules.find_iso(std, gr_d.module,
+                                        integral=True) is not None, (gamma, lam)

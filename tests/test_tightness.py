@@ -158,3 +158,20 @@ class TestProp52:
                                                      DELTA_GRADINGS)
         assert conds["c5_integral_grading"]
         assert "c5" not in notes
+
+
+class TestLambdaStandardCache:
+    def test_entry_dies_with_its_algebra(self):
+        # a cache keyed by id() would keep the entry, and hand its verdict to
+        # the next algebra that happens to get the same id
+        import gc
+
+        from grforge import fixtures
+
+        before = len(tightness._LS_CACHE)
+        alg = fixtures.build_z5(3)
+        assert tightness.is_lambda_standard_cached(alg)["ok"]
+        assert len(tightness._LS_CACHE) == before + 1
+        del alg
+        gc.collect()
+        assert len(tightness._LS_CACHE) == before
