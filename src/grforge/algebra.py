@@ -447,14 +447,17 @@ class StructureAlgebra:
             return Lattice.from_rows(self.ring, self.rank, rows)
         return linalg.rref(rows, self.fld)[0]
 
-    def quotient_by_labels(self, labels):
+    def quotient_by_labels(self, labels, ideal=None):
         """A / A e A for e the sum of e_nu over `labels`, with the weight datum
         restricted to the other labels and carried along.
 
-        Returns (quotient_algebra, lift_rows) as quotient_by_ideal does.
+        `ideal` is A e A when the caller has already built it with
+        `ideal_generated`; otherwise it is built here.  Returns
+        (quotient_algebra, lift_rows) as quotient_by_ideal does.
         """
         w = self.weights
-        ideal = self.ideal_generated(self.weight_idempotent(labels))
+        if ideal is None:
+            ideal = self.ideal_generated(self.weight_idempotent(labels))
         quot, lifts, project = self.quotient_by_ideal(ideal)
         keep = tuple(x for x in w.X if x not in labels)
         quot.weights = WeightDatum(

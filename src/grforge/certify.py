@@ -387,6 +387,8 @@ class HeredityStep:
     ideal_rank: int = 0
     corner: MatrixAlgebraWitness | None = None
     detail: dict = field(default_factory=dict)
+    # J = A e A as built for the checks, so the chain can quotient by it
+    ideal: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -505,7 +507,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
     ok = all(v for v in verdicts.values() if isinstance(v, bool))
     jrank = J.rank if hasattr(J, "rank") else len(J)
     return HeredityStep(tuple(labels), ok, verdicts, tuple(e), jrank,
-                        witness, detail)
+                        witness, detail, J)
 
 
 def _recognize_matrix_field(corner, alg, e, cbasis, labels):
@@ -672,7 +674,7 @@ def certify_qha(alg: StructureAlgebra, order=None) -> ChainCertificate:
         if not remaining:
             break
         # pass to the quotient algebra, transporting the weight datum
-        cur, _ = cur.quotient_by_labels(batch)
+        cur, _ = cur.quotient_by_labels(batch, step.ideal)
     return ChainCertificate(True, steps)
 
 
@@ -740,5 +742,6 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
         if not step.ok:
             return True  # failing certificates agree once the failure is hit
         if step is not cert.steps[-1]:
-            cur, _ = cur.quotient_by_labels(step.labels)
+            # the quotient reuses this check's own J, never the prover's
+            cur, _ = cur.quotient_by_labels(step.labels, J)
     return cert.ok

@@ -27,7 +27,7 @@ def _pi_power(ring, e: int):
         for _ in range(e):
             out = out * pi
     else:
-        inv = ring.one() / pi
+        inv = ring.pi_inv
         for _ in range(-e):
             out = out * inv
     return out

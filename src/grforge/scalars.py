@@ -8,14 +8,21 @@ Two flavors are supported:
 where zeta is a primitive p-th root of unity and the maximal ideal of O is
 generated by the uniformizer pi (pi = p in the rational flavor, pi = zeta - 1
 in the cyclotomic flavor).  All arithmetic is exact: rationals are stored as
-reduced ``Fraction`` values, cyclotomic numbers as coefficient vectors of
-length p-1 over Q reduced modulo the p-th cyclotomic polynomial.
+reduced ``Fraction`` values, cyclotomic numbers (``Cyc``) as an integer
+coefficient tuple ``n`` of length p-1 reduced modulo the p-th cyclotomic
+polynomial, over one positive common denominator ``d`` with gcd(n, d) = 1.
+Ring operations run on Python ints; the inverse goes through the norm.
+
+A ``RingSpec`` builds its field handles, the uniformizer and its inverse once
+and keeps them, so hot loops that ask for ``ring.field_K`` or divide by pi do
+not rebuild them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 INF = math.inf
@@ -41,50 +48,75 @@ def is_odd_prime(p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class Cyc:
-    """Element of Q(zeta_p), stored on the power basis 1, zeta, ..., zeta^(p-2)."""
+    """Element of Q(zeta_p) on the power basis 1, zeta, ..., zeta^(p-2).
 
-    __slots__ = ("p", "c")
+    Stored as ``n / d``: ``n`` is a tuple of p-1 Python ints and ``d`` a
+    positive int with gcd(n_0, ..., n_(p-2), d) = 1, so every element has
+    exactly one representation and ``==``/``hash`` compare ``(p, n, d)``.
+    A rational element hashes like its ``Fraction`` value.  ``c`` gives the
+    coefficients as ``Fraction`` values.
+    """
+
+    __slots__ = ("p", "n", "d")
 
     def __init__(self, p: int, coeffs):
-        self.p = p
-        c = list(coeffs)
+        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
         if len(c) != p - 1:
             raise ScalarError(f"need {p - 1} coefficients, got {len(c)}")
-        self.c = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in c)
+        # reduced fractions over their lcm denominator share no common factor
+        d = math.lcm(*(x.denominator for x in c))
+        self.p = p
+        self.n = tuple(x.numerator * (d // x.denominator) for x in c)
+        self.d = d
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
     def of(p: int, a) -> "Cyc":
-        return Cyc(p, [a] + [0] * (p - 2))
+        a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+        return _cyc(p, (a.numerator,) + (0,) * (p - 2), a.denominator)
 
     @staticmethod
     def zeta_pow(p: int, e: int) -> "Cyc":
         """zeta^e reduced to the power basis."""
         e %= p
         if e < p - 1:
-            c = [0] * (p - 1)
-            c[e] = 1
-            return Cyc(p, c)
+            n = [0] * (p - 1)
+            n[e] = 1
+            return _cyc(p, tuple(n), 1)
         # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        return Cyc(p, [-1] * (p - 1))
+        return _cyc(p, (-1,) * (p - 1), 1)
+
+    @property
+    def c(self):
+        """The power-basis coefficients as a tuple of ``Fraction`` values."""
+        d = self.d
+        return tuple(Fraction(a, d) for a in self.n)
 
     # -- ring operations ------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyc(self.p, [a + b for a, b in zip(self.c, other.c)])
+        da, db = self.d, other.d
+        if da == db:
+            return _reduced(self.p, [a + b for a, b in zip(self.n, other.n)], da)
+        return _reduced(self.p, [a * db + b * da for a, b in zip(self.n, other.n)],
+                        da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.p, [-a for a in self.c])
+        return _cyc(self.p, tuple(-a for a in self.n), self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyc(self.p, [a - b for a, b in zip(self.c, other.c)])
+        da, db = self.d, other.d
+        if da == db:
+            return _reduced(self.p, [a - b for a, b in zip(self.n, other.n)], da)
+        return _reduced(self.p, [a * db - b * da for a, b in zip(self.n, other.n)],
+                        da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -96,28 +128,8 @@ class Cyc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.p
-        n = p - 1
-        a, b = self.c, other.c
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        # fold exponents >= p-1: zeta^p = 1, zeta^(p-1) = -(1+...+zeta^(p-2))
-        out = conv[:n]
-        for e in range(n, 2 * n - 1):
-            x = conv[e]
-            if not x:
-                continue
-            r = e % p
-            if r == n:
-                for t in range(n):
-                    out[t] -= x
-            else:
-                out[r] += x
-        return Cyc(p, out)
+        return _reduced(self.p, _mul_int(self.n, other.n, self.p),
+                        self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -134,53 +146,25 @@ class Cyc:
         return other / self
 
     def inverse(self) -> "Cyc":
-        """Inverse via extended Euclid on the power-basis polynomial and phi_p."""
+        """Inverse through the norm: for y = d x in Z[zeta], the product P of
+        the conjugates sigma_k(y), k = 2..p-1, has y P = N(y) rational, so
+        1/x = d P / N(y).  Each sigma_k: zeta -> zeta^k permutes coefficients.
+        """
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        p = self.p
-        # phi_p(v) = v^(p-1) + ... + 1
-        phi = [Fraction(1)] * p
-        a = list(self.c)
-        # extended gcd of a and phi in Q[v]
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(f):
-            for i in range(len(f) - 1, -1, -1):
-                if f[i]:
-                    return i
-            return -1
-
-        def sub_scaled(f, g, coef, shift):
-            out = list(f)
-            while len(out) < len(g) + shift:
-                out.append(Fraction(0))
-            for i, gi in enumerate(g):
-                if gi:
-                    out[i + shift] -= coef * gi
-            return out
-
-        while deg(r1) > 0:
-            while deg(r0) >= deg(r1):
-                d0, d1 = deg(r0), deg(r1)
-                coef = r0[d0] / r1[d1]
-                r0 = sub_scaled(r0, r1, coef, d0 - d1)
-                s0 = sub_scaled(s0, s1, coef, d0 - d1)
-                if deg(r0) < 0:
-                    break
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        if deg(r1) != 0:
-            raise ScalarError("element not invertible mod phi_p")
-        lead = r1[0]
-        inv = [x / lead for x in s1]
-        inv += [Fraction(0)] * (p - 1 - len(inv))
-        # reduce degree < p-1 is automatic (gcd cofactor has degree < deg phi - 1)
-        return Cyc(p, inv[: p - 1])
+        p, y = self.p, self.n
+        prod = _conjugate(y, 2, p)
+        for k in range(3, p):
+            prod = _mul_int(prod, _conjugate(y, k, p), p)
+        norm = _mul_int(y, prod, p)
+        # Q(zeta) is totally imaginary, so N(y) is a positive rational
+        if any(norm[1:]) or norm[0] <= 0:
+            raise ScalarError("norm is not a positive rational")
+        return _reduced(p, [self.d * a for a in prod], norm[0])
 
     # -- misc -----------------------------------------------------------------
     def _coerce(self, other) -> "Cyc":
-        if isinstance(other, Cyc):
+        if type(other) is Cyc:
             if other.p != self.p:
                 raise ScalarError("mixed cyclotomic moduli")
             return other
@@ -189,15 +173,23 @@ class Cyc:
         return NotImplemented
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.n)
 
     def __eq__(self, other):
+        if type(other) is Cyc:
+            return self.p == other.p and self.d == other.d and self.n == other.n
         if isinstance(other, (int, Fraction)):
-            other = Cyc.of(self.p, other)
-        return isinstance(other, Cyc) and self.p == other.p and self.c == other.c
+            n = self.n
+            return (n[0] == other.numerator and self.d == other.denominator
+                    and not any(n[1:]))
+        return False
 
     def __hash__(self):
-        return hash((self.p, self.c))
+        n = self.n
+        if any(n[1:]):
+            return hash((self.p, n, self.d))
+        # rational: agree with int and Fraction, which compare equal
+        return hash(n[0]) if self.d == 1 else hash(Fraction(n[0], self.d))
 
     def __repr__(self):
         terms = []
@@ -205,6 +197,52 @@ class Cyc:
             if a:
                 terms.append(f"{a}" if i == 0 else f"{a}*z^{i}")
         return "Cyc(" + (" + ".join(terms) if terms else "0") + ")"
+
+
+def _cyc(p: int, n: tuple, d: int) -> Cyc:
+    """A Cyc from an already normalized (n, d)."""
+    x = object.__new__(Cyc)
+    x.p = p
+    x.n = n
+    x.d = d
+    return x
+
+
+def _reduced(p: int, n: list, d: int) -> Cyc:
+    """The Cyc n / d for an int list n and a positive int d."""
+    if d != 1:
+        g = math.gcd(d, *n)
+        if g != 1:
+            n = [a // g for a in n]
+            d //= g
+    return _cyc(p, tuple(n), d)
+
+
+def _mul_int(a, b, p: int) -> list:
+    """Product of two integer power-basis vectors, reduced mod phi_p."""
+    m = p - 1
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                conv[j] += ai * bj
+    # fold exponents >= p-1: zeta^p = 1, zeta^(p-1) = -(1+...+zeta^(p-2))
+    out = conv[:m]
+    top = conv[m]
+    if top:
+        out = [x - top for x in out]
+    for e in range(p, 2 * m - 1):
+        out[e - p] += conv[e]
+    return out
+
+
+def _conjugate(y, k: int, p: int) -> list:
+    """sigma_k(y) for zeta -> zeta^k, on integer power-basis coefficients."""
+    full = [0] * p
+    for i, a in enumerate(y):
+        full[i * k % p] += a
+    top = full[p - 1]
+    return [x - top for x in full[:p - 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +420,27 @@ class RingSpec:
         if not is_odd_prime(self.p):
             raise ScalarError(f"p must be an odd prime, got {self.p}")
 
-    # -- fields ---------------------------------------------------------------
-    @property
+    # -- fields (built once per RingSpec) -------------------------------------
+    @cached_property
     def field_K(self):
         return RatField() if self.flavor == RATIONAL else CycField(self.p)
 
-    @property
+    @cached_property
     def field_k(self):
         return PrimeField(self.p)
 
-    @property
+    @cached_property
     def uniformizer(self):
         if self.flavor == RATIONAL:
             return Fraction(self.p)
         return Cyc.zeta_pow(self.p, 1) - 1
+
+    @cached_property
+    def pi_inv(self):
+        """1 / uniformizer, in K."""
+        if self.flavor == RATIONAL:
+            return Fraction(1, self.p)
+        return self.uniformizer.inverse()
 
     def zero(self):
         return self.field_K.zero
@@ -409,27 +454,26 @@ class RingSpec:
     # -- valuation / residue ----------------------------------------------------
     def valuation(self, x):
         """Discrete valuation on K, normalized so v(pi) = 1; v(0) = +inf."""
+        p = self.p
         if self.flavor == RATIONAL:
             x = Fraction(x)
             if x == 0:
                 return INF
-            return _int_val(x.numerator, self.p) - _int_val(x.denominator, self.p)
+            return _int_val(x.numerator, p) - _int_val(x.denominator, p)
         if isinstance(x, (int, Fraction)):
-            x = Cyc.of(self.p, x)
+            x = Cyc.of(p, x)
         if not x:
             return INF
-        # split off the rational denominator: x = y / den with y in Z[zeta]
-        den = 1
-        for a in x.c:
-            den = den * a.denominator // math.gcd(den, a.denominator)
-        y = Cyc(self.p, [int(a * den) for a in x.c])
-        v = -(self.p - 1) * _int_val(den, self.p)
+        # x = y / d with y in Z[zeta]; v(d) = (p-1) v_p(d)
+        v = -(p - 1) * _int_val(x.d, p)
+        y = _cyc(p, x.n, 1)
         # y is divisible by (zeta - 1) in Z[zeta] iff y(1) = 0 in F_p;
         # repeated exact division computes the valuation
-        pi_inv = (Cyc.zeta_pow(self.p, 1) - 1).inverse()
-        while sum(int(a) for a in y.c) % self.p == 0:
+        pi_inv = self.pi_inv
+        while sum(y.n) % p == 0:
             y = y * pi_inv
-            assert all(a.denominator == 1 for a in y.c), "inexact pi-division"
+            if y.d != 1:
+                raise ScalarError(f"inexact pi-division of {x!r}")
             v += 1
         return v
 
@@ -441,27 +485,21 @@ class RingSpec:
         return v == 0
 
     def residue(self, x) -> Fp:
-        """Residue map O -> k = F_p.  Cyclotomic flavor sends zeta to 1."""
-        if self.valuation(x) < 0:
-            raise ScalarError("residue undefined: element not in O")
+        """Residue map O -> k = F_p.  Cyclotomic flavor sends zeta to 1.
+
+        For x = n / d in lowest terms, x lies in O iff p does not divide d:
+        if p | d, then p does not divide every n_i, so v(n) < p - 1 = v(p)
+        and v(x) < 0.  Then zeta -> 1 sends x to sum(n) / d.
+        """
         p = self.p
-        if self.flavor == RATIONAL:
+        if isinstance(x, Cyc):
+            num, den = sum(x.n), x.d
+        else:
             x = Fraction(x)
-            return Fp(p, x.numerator * pow(x.denominator, -1, p))
-        if isinstance(x, (int, Fraction)):
-            x = Cyc.of(p, x)
-        den = 1
-        for a in x.c:
-            den = den * a.denominator // math.gcd(den, a.denominator)
-        ints = [int(a * den) for a in x.c]
-        while den % p == 0:
-            # v(x) >= 0 forces v(y) >= p-1, and (zeta-1)^(p-1) Z[zeta] = p Z[zeta],
-            # so the integral part is exactly divisible by p
-            assert all(c % p == 0 for c in ints), "valuation bookkeeping broken"
-            ints = [c // p for c in ints]
-            den //= p
-        s = sum(ints) % p
-        return Fp(p, s * pow(den % p, -1, p))
+            num, den = x.numerator, x.denominator
+        if den % p == 0:
+            raise ScalarError("residue undefined: element not in O")
+        return Fp(p, num * pow(den, -1, p))
 
     # -- canonical residues mod pi^a (used for Hermite normal forms) -----------
     def canonical_mod(self, x, a: int):
@@ -472,14 +510,14 @@ class RingSpec:
         """
         if a <= 0:
             return self.zero()
-        pi = self.uniformizer
+        pi, pi_inv = self.uniformizer, self.pi_inv
         r = x
         out = self.zero()
         pw = self.one()
         for _ in range(a):
             d = self.residue(r).v
             out = out + pw * d
-            r = (r - d) / pi
+            r = (r - d) * pi_inv
             pw = pw * pi
         return out
 

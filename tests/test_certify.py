@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,29 @@ class TestChains:
         assert cert.steps[0].labels == ("2",)
         assert cert.steps[0].verdicts["free_quotient"] is False
         assert certify.verify_chain(z5s, cert)
+
+    @pytest.mark.parametrize("level", ["O", "K", "k"])
+    def test_one_ideal_build_per_step(self, z5, z5_K, z5_k, monkeypatch, level):
+        alg = {"O": z5, "K": z5_K, "k": z5_k}[level]
+        builds = []
+        orig = StructureAlgebra.ideal_generated
+
+        def counted(self, e):
+            builds.append(tuple(e))
+            return orig(self, e)
+
+        monkeypatch.setattr(StructureAlgebra, "ideal_generated", counted)
+        cert = certify.certify_qha(alg)
+        assert cert.ok and len(builds) == len(cert.steps) == 2
+        builds.clear()
+        assert certify.verify_chain(alg, cert)
+        assert len(builds) == len(cert.steps)
+
+    def test_verify_chain_ignores_prover_ideal(self, z5):
+        # the checker quotients by the ideal it built itself
+        cert = certify.certify_qha(z5)
+        cert.steps = [dataclasses.replace(s, ideal=object()) for s in cert.steps]
+        assert certify.verify_chain(z5, cert)
 
     def test_gr_z5_tight_case(self, gr_z5):
         cert = certify.certify_qha(gr_z5.algebra)

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grforge import scalars
 from grforge.scalars import (
     CYCLOTOMIC,
     RATIONAL,
@@ -193,3 +196,230 @@ def test_scalar_serialization_roundtrip():
     ]:
         s = ring.format_scalar(val)
         assert ring.parse_scalar(s) == val
+
+
+def test_no_assert_in_scalars():
+    # `python -O` strips asserts; every scalar check must raise explicitly
+    tree = ast.parse(inspect.getsource(scalars))
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+def test_rational_cyc_hashes_like_its_value():
+    assert Cyc.of(5, 2) == 2
+    assert 2 in {Cyc.of(5, 2)}
+    assert Fraction(-3, 4) in {Cyc.of(7, Fraction(-3, 4))}
+    assert Cyc.of(3, Fraction(1, 2)) in {Fraction(1, 2)}
+    assert {Cyc.of(5, 0): "zero"}[0] == "zero"
+
+
+def test_field_handles_are_cached():
+    for ring in (R3, C3, C5, C7):
+        assert ring.field_K is ring.field_K
+        assert ring.field_k is ring.field_k
+        assert ring.uniformizer is ring.uniformizer
+        assert ring.pi_inv is ring.pi_inv
+        assert ring.uniformizer * ring.pi_inv == 1
+
+
+def test_c_is_read_only():
+    x = Cyc(5, [1, Fraction(1, 2), 0, -3])
+    assert x.c == (1, Fraction(1, 2), 0, -3)
+    assert (x.n, x.d) == ((2, 1, 0, -6), 2)
+    with pytest.raises(AttributeError):
+        x.c = (0, 0, 0, 0)
+
+
+# -- Fraction-list reference for the cyclotomic kernel ------------------------
+#
+# Elements of Q(zeta_p) as lists of p-1 Fractions on the power basis.  The
+# inverse solves the multiplication matrix and the valuation reads v_p of its
+# determinant (the norm; p is totally ramified), so neither shares a route
+# with the kernel's norm-by-conjugates inverse or its pi-division loop.
+
+def ref_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def ref_mul(a, b):
+    n = len(a)
+    p = n + 1
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            e = (i + j) % p
+            if e == p - 1:  # zeta^(p-1) = -(1 + ... + zeta^(p-2))
+                out = [t - x * y for t in out]
+            else:
+                out[e] += x * y
+    return out
+
+
+def ref_unit(n, e):
+    return [Fraction(int(i == e)) for i in range(n)]
+
+
+def ref_mult_matrix(a):
+    """Rows are the coefficients of a * zeta^j, j = 0..p-2 (its transpose is
+    the matrix of multiplication by a)."""
+    return [ref_mul(a, ref_unit(len(a), j)) for j in range(len(a))]
+
+
+def ref_solve_det(rows, rhs):
+    """(x, det) with x . rows = rhs, by Gauss-Jordan over Q; x is None for a
+    singular system."""
+    n = len(rows)
+    m = [[rows[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None, Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        m[col] = [inv * t for t in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                c = m[r][col]
+                m[r] = [t - c * u for t, u in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)], det
+
+
+def ref_inverse(a):
+    x, _ = ref_solve_det(ref_mult_matrix(a), ref_unit(len(a), 0))
+    return x
+
+
+def ref_valuation(a):
+    if not any(a):
+        return math.inf
+    p = len(a) + 1
+    _, det = ref_solve_det(ref_mult_matrix(a), ref_unit(len(a), 0))
+    return _vp(det.numerator, p) - _vp(det.denominator, p)
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def ref_residue(a):
+    """zeta -> 1 on O; None outside O."""
+    p = len(a) + 1
+    if ref_valuation(a) < 0:
+        return None
+    s = sum(a)
+    return s.numerator * pow(s.denominator, -1, p) % p
+
+
+def ref_canonical_mod(a, k):
+    n = len(a)
+    pi = ref_sub(ref_unit(n, 1), ref_unit(n, 0))
+    pi_inv = ref_inverse(pi)
+    r, out, pw = list(a), [Fraction(0)] * n, ref_unit(n, 0)
+    for _ in range(k):
+        d = ref_residue(r)
+        out = ref_add(out, [d * t for t in pw])
+        r = ref_mul(ref_sub(r, [Fraction(d)] + [Fraction(0)] * (n - 1)), pi_inv)
+        pw = ref_mul(pw, pi)
+    return out
+
+
+PRIMES = (3, 5, 7, 11)
+coeff = st.one_of(st.integers(-60, 60), small_fracs)
+
+
+@st.composite
+def cyc_lists(draw, p=None):
+    p = p if p is not None else draw(st.sampled_from(PRIMES))
+    zero = st.just(Fraction(0))
+    cs = draw(st.lists(st.one_of(coeff, zero), min_size=p - 1, max_size=p - 1))
+    return [Fraction(x) for x in cs]
+
+
+@st.composite
+def cyc_pairs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return draw(cyc_lists(p)), draw(cyc_lists(p))
+
+
+def ring_of(a):
+    return RingSpec(CYCLOTOMIC, len(a) + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ab=cyc_pairs())
+def test_kernel_ring_ops_match_reference(ab):
+    a, b = ab
+    p = len(a) + 1
+    x, y = Cyc(p, a), Cyc(p, b)
+    assert list((x + y).c) == ref_add(a, b)
+    assert list((x - y).c) == ref_sub(a, b)
+    assert list((x * y).c) == ref_mul(a, b)
+    assert list((-x).c) == [-t for t in a]
+    if any(b):
+        assert list(y.inverse().c) == ref_inverse(b)
+        assert list((x / y).c) == ref_mul(a, ref_inverse(b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ab=cyc_pairs())
+def test_kernel_eq_hash_match_reference(ab):
+    a, b = ab
+    p = len(a) + 1
+    x, y = Cyc(p, a), Cyc(p, b)
+    assert (x == y) == (a == b)
+    assert bool(x) == any(a)
+    # halving often keeps the numerator vector and changes only d
+    half = Cyc(p, [t / 2 for t in a])
+    assert (x == half) == (not any(a))
+    assert x == Cyc(p, list(a)) and hash(x) == hash(Cyc(p, list(a)))
+    # the same value reached by arithmetic is the same key
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x) and z in {x}
+    if not any(a[1:]):
+        assert x == a[0] and hash(x) == hash(a[0]) and a[0] in {x}
+    else:
+        assert x != a[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=cyc_lists(), k=st.integers(0, 4))
+def test_kernel_valuation_residue_match_reference(a, k):
+    p = len(a) + 1
+    ring = ring_of(a)
+    # scale by pi^k so that positive valuations occur
+    x, ref = Cyc(p, a), a
+    pi = ref_sub(ref_unit(p - 1, 1), ref_unit(p - 1, 0))
+    for _ in range(k):
+        x, ref = x * ring.uniformizer, ref_mul(ref, pi)
+    assert ring.valuation(x) == ref_valuation(ref)
+    want = ref_residue(ref)
+    if want is None:
+        with pytest.raises(ScalarError):
+            ring.residue(x)
+    else:
+        assert ring.residue(x) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=cyc_lists(), k=st.integers(0, 3))
+def test_kernel_canonical_mod_matches_reference(a, k):
+    p = len(a) + 1
+    ring = ring_of(a)
+    # clear every denominator so that x lies in O
+    x = Cyc(p, a)
+    x = x * x.d
+    assert list(ring.canonical_mod(x, k).c) == ref_canonical_mod(list(x.c), k)

@@ -1,6 +1,30 @@
+import hashlib
+import json
+
 import pytest
 
-from grforge import modules, suites
+from grforge import files, fixtures, modules, suites
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_qschur_golden_digests():
+    # pinned before the integer-vector Cyc kernel replaced the Fraction one:
+    # the document and the report's stable portion must stay byte-identical
+    alg = fixtures.build_qschur(2, 5)
+    doc = files.algebra_to_doc(alg)
+    assert _sha256(json.dumps(doc, sort_keys=True)) == \
+        "c476d26fcfa889dfbcd1fe796dd7c87d4a2ceba40dda8575cf37026ade78d891"
+    res = suites.thm_417_suite(alg)
+    report = files.suite_report(
+        "thm417", "qschur-n2-d2@5",
+        {"hypotheses": res.hypotheses, "conclusions": res.conclusions,
+         "falsification": not res.falsification},
+        res.notes, input_hash="")
+    assert _sha256(files.canonical_json(files.stable_portion(report))) == \
+        "52523f486bdaeaa2e123bf6e46599f00952a4edbbb9e0bf11967305462e54b66"
 
 
 class TestThm417:
