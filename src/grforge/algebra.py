@@ -93,8 +93,20 @@ class WeightDatum:
         return tuple(m for m in self.Lambda if self.leq(m, lam))
 
 
+# the attributes that define an algebra: each is set once, in the constructor
+_DEFINING = frozenset(("ring", "level", "rank", "labels", "unit", "sc",
+                       "weights", "generators"))
+
+
 class StructureAlgebra:
-    """Finite free algebra by structure constants, at level O, K, or k."""
+    """Finite free algebra by structure constants, at level O, K, or k.
+
+    An algebra is immutable after construction: reassigning a defining
+    attribute raises AlgebraError.  So objects derived from it (base changes,
+    radical, multiplication matrices, modules, verdicts) are memoized on it by
+    `_derived` and live exactly as long as it does.  Annotations such as
+    `source_hash`, `metadata` and `blocks_info` stay writable.
+    """
 
     def __init__(self, ring: RingSpec, level: str, rank: int, labels, unit, sc,
                  weights: WeightDatum | None = None, generators: dict | None = None):
@@ -108,8 +120,26 @@ class StructureAlgebra:
         self.sc = sc  # dict (i, j) -> dict t -> scalar
         self.weights = weights
         self.generators = generators  # optional: label -> coordinate tuple
-        self._left_mats = None
-        self._right_mats = None
+        self._memo = {}
+
+    def __setattr__(self, name, value):
+        if name in _DEFINING and name in self.__dict__:
+            raise AlgebraError(f"an algebra is immutable: cannot reassign {name!r}")
+        object.__setattr__(self, name, value)
+
+    def _derived(self, build, *args):
+        """build(self, *args), computed on the first request and memoized.
+
+        The memo is keyed by (build, *args), so `build` must be a module-level
+        function, never a closure made per call.  No entry may refer back to
+        this algebra: the reference cycle would keep both alive until the
+        cyclic garbage collector ran.  So modules are kept as (rank, acts, name).
+        """
+        key = (build, *args)
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
 
     # -- scalars ---------------------------------------------------------------
     @property
@@ -143,32 +173,10 @@ class StructureAlgebra:
 
     def left_mult_matrix(self, i):
         """Matrix of left multiplication by b_i on column coordinates."""
-        if self._left_mats is None:
-            self._left_mats = [None] * self.rank
-        if self._left_mats[i] is None:
-            z = self.fld.zero
-            m = [[z] * self.rank for _ in range(self.rank)]
-            for j in range(self.rank):
-                row = self.sc.get((i, j))
-                if row:
-                    for t, v in row.items():
-                        m[t][j] = v
-            self._left_mats[i] = m
-        return self._left_mats[i]
+        return self._derived(_mult_matrices, "left")[i]
 
     def right_mult_matrix(self, j):
-        if self._right_mats is None:
-            self._right_mats = [None] * self.rank
-        if self._right_mats[j] is None:
-            z = self.fld.zero
-            m = [[z] * self.rank for _ in range(self.rank)]
-            for i in range(self.rank):
-                row = self.sc.get((i, j))
-                if row:
-                    for t, v in row.items():
-                        m[t][i] = v
-            self._right_mats[j] = m
-        return self._right_mats[j]
+        return self._derived(_mult_matrices, "right")[j]
 
     def left_mult_of(self, x):
         """Matrix of left multiplication by the element with coordinates x."""
@@ -367,46 +375,27 @@ class StructureAlgebra:
 
     # -- base change -----------------------------------------------------------------
     def base_change(self, level: str) -> "StructureAlgebra":
-        """Reinterpret over K, or reduce modulo pi to k."""
+        """Reinterpret over K, or reduce modulo pi to k; built once per level."""
         if self.level != "O":
             raise AlgebraError("base change starts from the integral level")
-        if level == "K":
-            return StructureAlgebra(self.ring, "K", self.rank, self.labels,
-                                    self.unit, self.sc, self.weights, self.generators)
-        if level != "k":
+        if level not in ("K", "k"):
             raise AlgebraError(f"cannot base change to {level!r}")
-        red = self.ring.residue
-        sc = {}
-        for (i, j), row in self.sc.items():
-            nr = {t: red(v) for t, v in row.items()}
-            nr = {t: v for t, v in nr.items() if v}
-            if nr:
-                sc[(i, j)] = nr
-        unit = tuple(red(v) for v in self.unit)
-        weights = None
-        if self.weights is not None:
-            weights = WeightDatum(
-                self.weights.X, self.weights.Lambda, self.weights.less,
-                {lbl: tuple(red(x) for x in v)
-                 for lbl, v in self.weights.idempotents.items()})
-        gens = None
-        if self.generators:
-            gens = {lbl: tuple(red(x) for x in v) for lbl, v in self.generators.items()}
-        return StructureAlgebra(self.ring, "k", self.rank, self.labels, unit, sc,
-                                weights, gens)
+        return self._derived(_base_change, level)
 
     # -- subquotients -----------------------------------------------------------------
-    def subalgebra_on(self, rows, labels=None, require_unit=True):
+    def subalgebra_on(self, rows, labels=None, unit=None):
         """The algebra structure on an O-lattice / subspace closed under product.
 
         `rows` are coordinate vectors forming a basis (lattice canonical rows at
-        level O, any independent rows at field level).  Raises if the span is
-        not closed under multiplication or misses the unit when required.
+        level O, any independent rows at field level).  `unit` is the element
+        (in this algebra's coordinates) that serves as the unit of the
+        subalgebra, by default the unit of this algebra.  Raises if the span is
+        not closed under multiplication or misses that unit.
         """
         basis = [list(r) for r in rows]
         coords = self.coord_solver(basis)
-        unit_c = coords(list(self.unit)) if require_unit else None
-        if require_unit and unit_c is None:
+        unit_c = coords(list(self.unit if unit is None else unit))
+        if unit_c is None:
             raise AlgebraError("subalgebra does not contain the unit")
         sc = {}
         n = len(basis)
@@ -420,8 +409,6 @@ class StructureAlgebra:
                 row = {t: v for t, v in enumerate(c) if v}
                 if row:
                     sc[(i, j)] = row
-        if not require_unit:
-            unit_c = [self.fld.zero] * n
         return StructureAlgebra(self.ring, self.level, n,
                                 labels or [f"s{i}" for i in range(n)],
                                 unit_c, sc, None, None), basis
@@ -460,13 +447,14 @@ class StructureAlgebra:
             ideal = self.ideal_generated(self.weight_idempotent(labels))
         quot, lifts, project = self.quotient_by_ideal(ideal)
         keep = tuple(x for x in w.X if x not in labels)
-        quot.weights = WeightDatum(
+        weights = WeightDatum(
             keep,
             tuple(x for x in w.Lambda if x not in labels),
             frozenset((a, b) for (a, b) in w.less
                       if a not in labels and b not in labels),
             {lbl: tuple(project(list(w.idempotents[lbl]))) for lbl in keep})
-        return quot, lifts
+        return StructureAlgebra(quot.ring, quot.level, quot.rank, quot.labels,
+                                quot.unit, quot.sc, weights), lifts
 
     def quotient_by_ideal(self, ideal):
         """Quotient algebra by a two-sided ideal.
@@ -515,3 +503,42 @@ class StructureAlgebra:
         quot = StructureAlgebra(self.ring, self.level, m,
                                 [f"q{i}" for i in range(m)], unit_c, sc)
         return quot, lifts, project
+
+
+def _mult_matrices(alg, side):
+    """The left (side "left") or right multiplication matrices of all b_i."""
+    z = alg.fld.zero
+    n = alg.rank
+    mats = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in alg.sc.items():
+        for t, v in row.items():
+            if side == "left":
+                mats[i][t][j] = v
+            else:
+                mats[j][t][i] = v
+    return mats
+
+
+def _base_change(alg, level):
+    if level == "K":
+        return StructureAlgebra(alg.ring, "K", alg.rank, alg.labels,
+                                alg.unit, alg.sc, alg.weights, alg.generators)
+    red = alg.ring.residue
+    sc = {}
+    for (i, j), row in alg.sc.items():
+        nr = {t: red(v) for t, v in row.items()}
+        nr = {t: v for t, v in nr.items() if v}
+        if nr:
+            sc[(i, j)] = nr
+    unit = tuple(red(v) for v in alg.unit)
+    weights = None
+    if alg.weights is not None:
+        weights = WeightDatum(
+            alg.weights.X, alg.weights.Lambda, alg.weights.less,
+            {lbl: tuple(red(x) for x in v)
+             for lbl, v in alg.weights.idempotents.items()})
+    gens = None
+    if alg.generators:
+        gens = {lbl: tuple(red(x) for x in v) for lbl, v in alg.generators.items()}
+    return StructureAlgebra(alg.ring, "k", alg.rank, alg.labels, unit, sc,
+                            weights, gens)

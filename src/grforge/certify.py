@@ -477,9 +477,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
                   Lattice.from_rows(alg.ring, alg.rank, corner_rows).rows]
     else:
         cbasis, _ = linalg.rref(corner_rows, alg.fld)
-    corner, _ = alg.subalgebra_on(cbasis, require_unit=False)
-    ccoords = alg.coord_solver(cbasis)
-    corner.unit = tuple(ccoords(e))
+    corner, _ = alg.subalgebra_on(cbasis, unit=e)
     if alg.level == "O":
         cmods = _corner_simple_modules(alg, e, cbasis, corner.base_change("K"),
                                        labels)

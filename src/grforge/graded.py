@@ -25,24 +25,19 @@ class GradingError(AlgebraError):
 # radical chains
 # ---------------------------------------------------------------------------
 
-def radical_rows_K(alg: StructureAlgebra):
-    """Radical of A_K (rows over K) for a level-O algebra, cached."""
-    if not hasattr(alg, "_rad_rows_K"):
-        ak = alg.base_change("K") if alg.level == "O" else alg
-        alg._rad_rows_K = radicals.radical_field(ak)
-    return alg._rad_rows_K
-
-
 def algebra_rad_chain(alg: StructureAlgebra):
-    """[r~ad^0 A, r~ad^1 A, ..., 0] as Lattices (level O)."""
+    """[r~ad^0 A, r~ad^1 A, ..., 0] as Lattices (level O), built once per
+    algebra."""
     if alg.level != "O":
         raise GradingError("integral radical chain needs a level-O algebra")
-    if hasattr(alg, "_rad_chain"):
-        return alg._rad_chain
+    return alg._derived(_algebra_radical_chain)
+
+
+def _algebra_radical_chain(alg):
     ring = alg.ring
     n = alg.rank
     ak = alg.base_change("K")
-    rad = radical_rows_K(alg)
+    rad = radicals.radical_field(ak)
     chain = [Lattice.full(ring, n)]
     cur = [list(r) for r in rad]
     while cur:
@@ -53,7 +48,6 @@ def algebra_rad_chain(alg: StructureAlgebra):
                 nxt.append(ak.mul(v, list(w)))
         cur, _ = linalg.rref(nxt, ak.fld)
     chain.append(Lattice.zero(ring, n))
-    alg._rad_chain = chain
     return chain
 
 
@@ -68,8 +62,8 @@ def module_rad_chain(mod: ModuleRep):
     if mod.level != "O":
         raise GradingError("integral module chain needs a level-O module")
     ring = mod.algebra.ring
-    rad = radical_rows_K(mod.algebra)
     modK = mod.base_change("K")
+    rad = radicals.radical_field(modK.algebra)
     chain = [Lattice.full(ring, mod.rank)]
     cur = [modK.basis_vec(i) for i in range(mod.rank)]
     while True:
@@ -87,8 +81,7 @@ def module_rad_chain(mod: ModuleRep):
 
 def field_rad_chain_rows(alg_field, mod: ModuleRep | None = None):
     """Radical series as row bases at field level (algebra or module)."""
-    rad = radicals.radical_field(alg_field) if not hasattr(alg_field, "_rad_rows_K") \
-        else alg_field._rad_rows_K
+    rad = radicals.radical_field(alg_field)
     fld = alg_field.fld
     if mod is None:
         chain = [[alg_field.basis_vec(i) for i in range(alg_field.rank)]]

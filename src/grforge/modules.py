@@ -224,17 +224,25 @@ def regular_module(alg: StructureAlgebra) -> ModuleRep:
 
 
 def weight_projective(alg: StructureAlgebra, lam) -> ModuleRep:
-    """The module A e_lam (a PIM when the datum is basic, else a multiple)."""
+    """The module A e_lam (a PIM when the datum is basic, else a multiple),
+    built once per algebra and weight."""
+    return ModuleRep(alg, *alg._derived(_weight_projective, lam))
+
+
+def _weight_projective(alg, lam):
     w = alg.weights
     if w is None:
         raise ModuleError("no weight datum")
     reg = regular_module(alg)
     e = list(w.idempotents[lam])
-    cols = [reg.act(alg.basis_vec(i), e) for i in range(alg.rank)]
-    sub = reg.submodule_generated(cols)
+    # A e is spanned by the b_i e; restrict_to raises if it were not stable
+    cols = [reg.act_basis(i, e) for i in range(alg.rank)]
+    if alg.level == "O":
+        sub = Lattice.from_rows(alg.ring, alg.rank, cols)
+    else:
+        sub, _ = linalg.rref(cols, alg.fld)
     mod = reg.restrict_to(sub)
-    mod.name = f"P({lam})"
-    return mod
+    return mod.rank, mod.acts, f"P({lam})"
 
 
 def truncate_to_ideal(mod: ModuleRep, gamma):
@@ -269,14 +277,18 @@ def truncate_to_ideal(mod: ModuleRep, gamma):
 
 
 def standard_module(alg: StructureAlgebra, lam) -> ModuleRep:
-    """Delta(lam): the weight projective truncated below lam."""
+    """Delta(lam): the weight projective truncated below lam, built once per
+    algebra and weight."""
+    return ModuleRep(alg, *alg._derived(_standard_module, lam))
+
+
+def _standard_module(alg, lam):
     w = alg.weights
     pe = weight_projective(alg, lam)
     delta, torsion, _ = truncate_to_ideal(pe, w.ideal_below(lam))
     if torsion:
         raise ModuleError(f"standard module at {lam!r} is not O-free: {torsion}")
-    delta.name = f"Delta({lam})"
-    return delta
+    return delta.rank, delta.acts, f"Delta({lam})"
 
 
 def standard_and_projectives(alg: StructureAlgebra):
@@ -320,19 +332,24 @@ def standard_and_projectives(alg: StructureAlgebra):
 # field-level: simples, heads, composition multiplicities
 # ---------------------------------------------------------------------------
 
-def weight_simples(alg: StructureAlgebra, rad=None):
+def weight_simples(alg: StructureAlgebra):
     """Candidate simple modules L(lam) = head of Delta(lam) at field level.
 
     Returns list of (label, module) sorted by label; each head is verified to
-    have one-dimensional endomorphism ring (absolute irreducibility).
+    have one-dimensional endomorphism ring (absolute irreducibility).  Built
+    once per algebra.
     """
+    return [(lam, ModuleRep(alg, *parts))
+            for lam, parts in alg._derived(_weight_simples)]
+
+
+def _weight_simples(alg):
     if alg.level == "O":
         raise ModuleError("weight_simples expects a field-level algebra")
     w = alg.weights
     if w is None:
         raise ModuleError("no weight datum")
-    if rad is None:
-        rad = radicals.radical_field(alg)
+    rad = radicals.radical_field(alg)
     out = []
     for lam in w.Lambda:
         delta = standard_module(alg, lam)
@@ -340,8 +357,7 @@ def weight_simples(alg: StructureAlgebra, rad=None):
         if not _endo_dim_is_one(head):
             raise radicals.NonSplitError(
                 f"head of Delta({lam!r}) is not absolutely irreducible")
-        head.name = f"L({lam})"
-        out.append((lam, head))
+        out.append((lam, (head.rank, head.acts, f"L({lam})")))
     return out
 
 
@@ -728,7 +744,8 @@ def morita_reduce(alg: StructureAlgebra):
         basis = [list(r) for r in lat.rows]
     else:
         basis, _ = linalg.rref(rows, alg.fld)
-    sub, sub_basis = alg.subalgebra_on(basis, require_unit=False)
+    sub, sub_basis = alg.subalgebra_on(
+        basis, unit=alg.weight_idempotent(w.Lambda))
     coords = alg.coord_solver(sub_basis)
     idems = {}
     for lam in w.Lambda:
@@ -736,15 +753,12 @@ def morita_reduce(alg: StructureAlgebra):
         if c is None:
             raise ModuleError("weight idempotent escaped the Morita cut")
         idems[lam] = tuple(c)
-    unit = [alg.fld.zero] * sub.rank
-    for lam in w.Lambda:
-        unit = [a + b for a, b in zip(unit, idems[lam])]
-    sub.unit = tuple(unit)
-    sub.weights = WeightDatum(tuple(w.Lambda), tuple(w.Lambda),
-                              frozenset((a, b) for (a, b) in w.less
-                                        if a in w.Lambda and b in w.Lambda),
-                              idems)
-    return sub
+    weights = WeightDatum(tuple(w.Lambda), tuple(w.Lambda),
+                          frozenset((a, b) for (a, b) in w.less
+                                    if a in w.Lambda and b in w.Lambda),
+                          idems)
+    return StructureAlgebra(sub.ring, sub.level, sub.rank, sub.labels,
+                            sub.unit, sub.sc, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +770,13 @@ def is_lambda_standard(alg: StructureAlgebra):
 
     For a level-O algebra the primes are (0) = K and (pi) = k; a field-level
     algebra is checked at its own prime.  Reports every failure with a
-    witness; `ok` is True iff no failure was found.
+    witness; `ok` is True iff no failure was found.  Computed once per
+    algebra.
     """
+    return alg._derived(_is_lambda_standard)
+
+
+def _is_lambda_standard(alg):
     w = alg.weights
     if w is None:
         raise ModuleError("missing weight datum")
@@ -769,7 +788,7 @@ def is_lambda_standard(alg: StructureAlgebra):
     for prime, af in prime_algs:
         try:
             rad = radicals.radical_field(af)
-            simples = weight_simples(af, rad)
+            simples = weight_simples(af)
         except (radicals.NonSplitError, ModuleError) as exc:
             failures.append({"prime": prime, "kind": "simples", "witness": str(exc)})
             continue

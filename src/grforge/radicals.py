@@ -115,8 +115,14 @@ def trace_gram(alg):
     return g
 
 
-def radical_field(alg: StructureAlgebra, verify: bool = True):
-    """Basis rows of the Jacobson radical of a field-level algebra."""
+def radical_field(alg: StructureAlgebra):
+    """Basis rows of the Jacobson radical of a field-level algebra, computed
+    once per algebra.  The result is checked to be a nilpotent ideal, and in
+    characteristic 0 the trace form must be nondegenerate on the quotient."""
+    return alg._derived(_radical_field)
+
+
+def _radical_field(alg):
     if alg.level == "O":
         raise AlgebraError("radical_field expects a K- or k-level algebra")
     fld = alg.fld
@@ -127,16 +133,15 @@ def radical_field(alg: StructureAlgebra, verify: bool = True):
         rad = kernel
     else:
         rad = _radical_char_p(alg, kernel)
-    if verify:
-        if not is_ideal(alg, rad):
-            raise AlgebraError("radical candidate is not an ideal")
-        if not is_nilpotent_subspace(alg, rad):
-            raise AlgebraError("radical candidate is not nilpotent")
-        if fld.char == 0:
-            # Dickson: quotient trace form must be nondegenerate
-            quot, _, _ = alg.quotient_by_ideal(rad)
-            if quot.rank and linalg.det(trace_gram(quot), fld) == fld.zero:
-                raise AlgebraError("trace form degenerate on the quotient")
+    if not is_ideal(alg, rad):
+        raise AlgebraError("radical candidate is not an ideal")
+    if not is_nilpotent_subspace(alg, rad):
+        raise AlgebraError("radical candidate is not nilpotent")
+    if fld.char == 0:
+        # Dickson: quotient trace form must be nondegenerate
+        quot, _, _ = alg.quotient_by_ideal(rad)
+        if quot.rank and linalg.det(trace_gram(quot), fld) == fld.zero:
+            raise AlgebraError("trace form degenerate on the quotient")
     return rad
 
 

@@ -36,7 +36,7 @@ def graded_head_context(gr: GradedAlgebra):
     """Radical and simples of (gr A)_k, for judging heads of graded modules."""
     galgk = gr.algebra.base_change("k")
     radk = radicals.radical_field(galgk)
-    simples = weight_simples(galgk, radk)
+    simples = weight_simples(galgk)
     return galgk, radk, simples
 
 
@@ -359,7 +359,7 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
     # gr(P(g)_Gamma) is a PIM for (gr B)_Gamma
     pim_ok = True
     rad_rows = radicals.radical_field(alg_field)
-    simples = weight_simples(alg_field, rad_rows)
+    simples = weight_simples(alg_field)
     # the truncated graded algebra (gr B)_Gamma and lifts of its basis
     galg_gamma, lifts = gr.algebra.quotient_by_labels(
         [nu for nu in w.Lambda if nu not in gamma])

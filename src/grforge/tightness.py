@@ -8,12 +8,12 @@ right, so only the inclusion <= is tested, up to the nilpotency degree.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
-from .graded import gr_algebra, gr_module, module_rad_chain, radical_rows_K
+from .graded import algebra_rad_chain, gr_algebra, gr_module, module_rad_chain
 from .lattices import (
     Lattice,
     coord_solver,
@@ -28,7 +28,6 @@ from .modules import (
     hom_with_generator_images,
     is_lambda_standard,
     regular_module,
-    standard_and_projectives,
     standard_module,
     weight_projective,
     weight_simples,
@@ -80,11 +79,6 @@ class GradedSubalgebraDatum:
             raise TightnessError("; ".join(sorted(set(problems))))
         return True
 
-    def subalgebra(self, alg) -> StructureAlgebra:
-        sub, _ = alg.subalgebra_on([list(r) for r in self.rows])
-        sub.datum_grades = self.grades
-        return sub
-
 
 def module_over_subalgebra(alg, rows, mod: ModuleRep, sub=None) -> ModuleRep:
     """Reinterpret a module over the ambient algebra as a module over the
@@ -117,50 +111,24 @@ def is_tight_core(sub: StructureAlgebra, submod: ModuleRep):
         raise TightnessError("tightness is an integral-level notion")
     if submod.rank == 0:
         return True, None
-    subk = sub.base_change("K")
-    rad_sub = radicals.radical_field(subk)
-    degree = radicals.nilpotency_degree(subk, rad_sub)
-    sub_chain = _sub_rad_chain(sub, rad_sub)
-    ring = sub.ring
-    modK = submod.base_change("K")
-    lhs_rows = [modK.basis_vec(i) for i in range(submod.rank)]
+    sub_chain = algebra_rad_chain(sub)
+    degree = len(sub_chain) - 1  # nilpotency degree of rad a_K
+    mod_chain = module_rad_chain(submod)
     for r in range(1, degree + 1):
-        nxt = []
-        for rr in rad_sub:
-            for v in lhs_rows:
-                nxt.append(modK.act(list(rr), list(v)))
-        lhs_rows, _ = linalg.rref(nxt, modK.fld)
-        lhs = saturate_rows(ring, submod.rank, lhs_rows) if lhs_rows \
-            else Lattice.zero(ring, submod.rank)
+        lhs = mod_chain[min(r, len(mod_chain) - 1)]
         rr_lat = sub_chain[min(r, len(sub_chain) - 1)]
         prod = []
         for c in rr_lat.rows:
             for i in range(submod.rank):
                 prod.append(submod.act(list(c), submod.basis_vec(i)))
-        rhs = Lattice.from_rows(ring, submod.rank, prod)
+        rhs = Lattice.from_rows(sub.ring, submod.rank, prod)
         if not rhs.contains_lattice(lhs):
-            assert lhs.contains_lattice(rhs), \
-                "right side not contained in left (impossible)"
+            if not lhs.contains_lattice(rhs):
+                raise TightnessError(
+                    f"(r~ad^{r} a) M is not inside r~ad^{r} M: the radical "
+                    "chains of the subalgebra and the module disagree")
             return False, r
     return True, None
-
-
-def _sub_rad_chain(sub: StructureAlgebra, rad_rows):
-    """[r~ad^0 a, r~ad^1 a, ..., 0] as lattices in sub coordinates."""
-    ring = sub.ring
-    n = sub.rank
-    subk = sub.base_change("K")
-    chain = [Lattice.full(ring, n)]
-    cur = [list(r) for r in rad_rows]
-    while cur:
-        chain.append(saturate_rows(ring, n, cur))
-        nxt = []
-        for v in cur:
-            for w in rad_rows:
-                nxt.append(subk.mul(list(v), list(w)))
-        cur, _ = linalg.rref(nxt, subk.fld)
-    chain.append(Lattice.zero(ring, n))
-    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +152,7 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
         reasons.append("graded pieces do not span")
     # grade 0 semisimple
     zero_rows = [list(r) for r in grade_rows.get(0, [])]
-    sub0, _ = alg_field.subalgebra_on(zero_rows, require_unit=True)
+    sub0, _ = alg_field.subalgebra_on(zero_rows)
     if radicals.radical_field(sub0):
         reasons.append("grade-0 part is not semisimple")
     # generation: pieces of grade r >= 1 equal (grade 1)^r
@@ -250,7 +218,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     # (2) rad A_K = (rad a_K) A_K = A_K (rad a_K)
     rad_a = radicals.radical_field(subk)
     rad_amb = [linalg.combine(c, sub_rows, alg.fld.zero) for c in rad_a]
-    rad_A = radical_rows_K(alg)
+    rad_A = radicals.radical_field(ak)
     left = []
     right = []
     for r in rad_amb:
@@ -264,7 +232,6 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
         [list(r) for r in lech] == [list(r) for r in ech_ra]
         and [list(r) for r in rech] == [list(r) for r in ech_ra])
     # (3) graded a_K-structure on each Delta_K(lam), generated by degree 0
-    sp = standard_and_projectives(ak)
     ok3 = True
     ok4 = True
     wedd = datum.wedderburn
@@ -282,7 +249,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
         notes["c3"] = "no graded Delta structure supplied"
     else:
         for lam in w.Lambda:
-            dk = sp[lam]["Delta"]
+            dk = standard_module(ak, lam)
             grades = delta_gradings[lam]
             piece = {}
             for i, g in enumerate(grades):
@@ -353,7 +320,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                 notes.setdefault("c5", []).append(
                     f"grade {g}: a ∩ a_K,{g} differs from a_{g}")
         # sum of grades >= r equals the integral radical power of the subalgebra
-        sub_chain = _sub_rad_chain(sub, rad_a)
+        sub_chain = algebra_rad_chain(sub)
         coords = coord_solver(sub_rows, alg.fld)
         for r in range(1, len(sub_chain) - 1):
             rows_ge = []
@@ -402,7 +369,7 @@ def field_pim(alg_field, lam):
     """P(lam) over a field: A f for a lifted primitive idempotent f of the
     lam-block.  Returns (module, f_vector)."""
     rad = radicals.radical_field(alg_field)
-    simples = weight_simples(alg_field, rad)
+    simples = weight_simples(alg_field)
     if not rad:
         blocks = radicals.split_semisimple(alg_field, simples)
         for blk in blocks:
@@ -466,7 +433,10 @@ def e_k_lambda(alg_field, lam):
     ker = linalg.kernel_right([list(r) for r in h], delta.fld)
     # kernel of h as a map on column coordinates: solve h x = 0
     ker_rows, _ = linalg.rref(ker, delta.fld)
-    assert len(ker_rows) == pim.rank - delta.rank
+    if len(ker_rows) != pim.rank - delta.rank:
+        raise TightnessError(
+            f"kernel of P_K({lam!r}) -> Delta_K({lam!r}) has rank "
+            f"{len(ker_rows)}, not {pim.rank - delta.rank}")
     return pim, ker_rows, h
 
 
@@ -494,20 +464,11 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
     grade_idx = {}
     for i, g in enumerate(datum.grades):
         grade_idx.setdefault(g, []).append(i)
-    subk = sub.base_change("K")
-    rad_sub = radicals.radical_field(subk)
-    degree = radicals.nilpotency_degree(subk, rad_sub)
-    modK = submod.base_change("K")
+    degree = len(algebra_rad_chain(sub)) - 1  # nilpotency degree of rad a_K
+    mod_chain = module_rad_chain(submod)
     ok2 = True
-    lhs_rows = [modK.basis_vec(i) for i in range(submod.rank)]
     for r in range(1, degree + 1):
-        nxt = []
-        for rr in rad_sub:
-            for v in lhs_rows:
-                nxt.append(modK.act(list(rr), list(v)))
-        lhs_rows, _ = linalg.rref(nxt, modK.fld)
-        radr = saturate_rows(ring, submod.rank, lhs_rows) if lhs_rows \
-            else Lattice.zero(ring, submod.rank)
+        radr = mod_chain[min(r, len(mod_chain) - 1)]
         prod = []
         for g, idxs in grade_idx.items():
             if g >= r:
@@ -556,7 +517,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
         res.notes["conditions_notes"] = cond_notes
     for key, val in conditions.items():
         res.hypotheses[key] = bool(val) if val is not None else True
-    ls = is_lambda_standard_cached(alg)
+    ls = is_lambda_standard(alg)
     res.hypotheses["lambda_standard"] = ls["ok"]
     # the dagger lattice
     if dagger is None:
@@ -655,12 +616,6 @@ def _h2_stability(alg, datum, lam, dagger, p0_rows):
     return True
 
 
-# keyed by the algebra object itself (StructureAlgebra hashes by identity):
-# an entry goes away with its algebra, so a later algebra never sees it
-_LS_CACHE = weakref.WeakKeyDictionary()
-
-
-def is_lambda_standard_cached(alg):
-    if alg not in _LS_CACHE:
-        _LS_CACHE[alg] = is_lambda_standard(alg)
-    return _LS_CACHE[alg]
+# kept for the benchmark's LsCacheGuard: the verdict now lives in the algebra's memo
+_LS_CACHE = MappingProxyType({})
+is_lambda_standard_cached = is_lambda_standard

@@ -36,7 +36,7 @@ def sp_z5(z5):
 @pytest.fixture(scope="session")
 def z5_simples_k(z5_k):
     rad = radicals.radical_field(z5_k)
-    return rad, modules.weight_simples(z5_k, rad)
+    return rad, modules.weight_simples(z5_k)
 
 
 @pytest.fixture(scope="session")

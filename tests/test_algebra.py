@@ -1,8 +1,15 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from grforge.algebra import StructureAlgebra, ValidationError, WeightDatum
+from grforge import algebra, fixtures, graded, modules, radicals, suites
+from grforge.algebra import (
+    AlgebraError,
+    StructureAlgebra,
+    ValidationError,
+    WeightDatum,
+)
 from grforge.scalars import RATIONAL, RingSpec
 
 
@@ -97,3 +104,54 @@ def test_quotient_by_nonpure_ideal_rejected(z5):
     lat = Lattice.from_rows(z5.ring, 5, rows)
     with pytest.raises(Exception):
         z5.quotient_by_ideal(lat)
+
+
+# the private builder behind each memoized derived object
+MEMO_BUILDERS = [
+    (algebra, "_base_change"),
+    (algebra, "_mult_matrices"),
+    (radicals, "_radical_field"),
+    (graded, "_algebra_radical_chain"),
+    (modules, "_weight_projective"),
+    (modules, "_standard_module"),
+    (modules, "_weight_simples"),
+    (modules, "_is_lambda_standard"),
+]
+
+
+class TestDerivedMemo:
+    def test_each_derived_object_is_built_once_per_algebra(self, monkeypatch):
+        builds = Counter()
+        algebras = []  # keeps every algebra alive, so no id() is reused
+
+        def counting(name, build):
+            def counted(alg, *args):
+                algebras.append(alg)
+                builds[(id(alg), name, args)] += 1
+                return build(alg, *args)
+            return counted
+
+        for mod, name in MEMO_BUILDERS:
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        alg = fixtures.build_qschur(2, 5)
+        res = suites.thm_417_suite(alg)
+        assert res.hypotheses_ok and not res.falsification
+        assert {name for _, name, _ in builds} == \
+            {name for _, name in MEMO_BUILDERS}
+        repeated = {key: n for key, n in builds.items() if n != 1}
+        assert not repeated
+
+    def test_base_change_is_memoized(self, z5):
+        assert z5.base_change("K") is z5.base_change("K")
+        assert z5.base_change("k") is z5.base_change("k")
+        assert z5.base_change("K") is not z5.base_change("k")
+
+    def test_defining_attributes_are_fixed(self, z5):
+        alg = StructureAlgebra(z5.ring, "O", 5, None, z5.unit, z5.sc, z5.weights)
+        for name in ("weights", "unit", "sc"):
+            with pytest.raises(AlgebraError):
+                setattr(alg, name, getattr(alg, name))
+        assert alg.unit == z5.unit and alg.weights is z5.weights
+        alg.source_hash = "annotation"
+        alg.metadata = {"fixture": "z5"}
+        assert alg.source_hash == "annotation"

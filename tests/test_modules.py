@@ -267,7 +267,7 @@ class TestEq31Decomposition:
         # dim L_K(mu)_lam; checked via head isotypic dimensions
         zK = z5.base_change("K")
         radK = radicals.radical_field(zK)
-        simples = weight_simples(zK, radK)
+        simples = weight_simples(zK)
         table = {lam: {mu: len(m.weight_space_rows(mu)) for mu in ("1", "2")}
                  for lam, m in simples}
         for lam in ("1", "2"):

@@ -79,7 +79,7 @@ class TestSplitting:
         from grforge.modules import weight_simples
 
         rad = radicals.radical_field(z5_K)
-        simples = weight_simples(z5_K, rad)
+        simples = weight_simples(z5_K)
         quot, lifts, _ = z5_K.quotient_by_ideal(rad)
         qmods = radicals.quotient_modules(z5_K, lifts, simples)
         blocks = radicals.split_semisimple(quot, qmods)

@@ -162,16 +162,45 @@ class TestProp52:
 
 class TestLambdaStandardCache:
     def test_entry_dies_with_its_algebra(self):
-        # a cache keyed by id() would keep the entry, and hand its verdict to
-        # the next algebra that happens to get the same id
-        import gc
+        # the verdict lives in the algebra's own memo, so nothing outlives it
+        import weakref
 
         from grforge import fixtures
 
-        before = len(tightness._LS_CACHE)
         alg = fixtures.build_z5(3)
         assert tightness.is_lambda_standard_cached(alg)["ok"]
-        assert len(tightness._LS_CACHE) == before + 1
+        modules.standard_and_projectives(alg)  # memoizes modules as well
+        probe = weakref.ref(alg)
         del alg
-        gc.collect()
-        assert len(tightness._LS_CACHE) == before
+        # no memo entry points back at its algebra: no reference cycle, so
+        # the last reference frees it without the cyclic collector
+        assert probe() is None
+        assert not tightness._LS_CACHE
+
+    def test_new_algebra_gets_its_own_verdict(self, monkeypatch):
+        # a cache keyed by id() could hand a dead algebra's verdict to a new
+        # algebra at the same address; each algebra must compute its own
+        from grforge import fixtures
+        from grforge.algebra import StructureAlgebra, WeightDatum
+
+        computed = []
+        build = modules._is_lambda_standard
+
+        def counted(alg):
+            computed.append(id(alg))
+            return build(alg)
+
+        monkeypatch.setattr(modules, "_is_lambda_standard", counted)
+        z5 = fixtures.build_z5(3)
+        w = z5.weights
+        ring, unit, sc = z5.ring, z5.unit, z5.sc
+        assert tightness.is_lambda_standard_cached(z5)["ok"]
+        assert tightness.is_lambda_standard_cached(z5)["ok"]
+        assert len(computed) == 1
+        del z5
+        # weight "2" outside Lambda: two simples for one weight
+        short = StructureAlgebra(ring, "O", 5, None, unit, sc,
+                                 WeightDatum(w.X, ("1",), frozenset(),
+                                             w.idempotents))
+        assert not tightness.is_lambda_standard_cached(short)["ok"]
+        assert computed[1:] == [id(short)]
