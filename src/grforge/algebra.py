@@ -13,9 +13,10 @@ a distinguished subset Lambda of the labels, and a partial order on Lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import linalg
-from .lattices import Lattice, coord_solver
+from .lattices import coord_solver, quotient_projection, span_of
 from .scalars import RingSpec
 
 
@@ -294,33 +295,9 @@ class StructureAlgebra:
 
     def _spans_with_unit(self, gens):
         """Do unit and generators generate the algebra (as O-lattice / space)?"""
-        if self.level == "k":
-            fld = self.fld
-            span, piv = linalg.rref([list(self.unit)] + gens, fld)
-            while True:
-                grew = False
-                for g in gens:
-                    for b in list(span):
-                        w = self.mul(g, b)
-                        rem = linalg.in_row_space(w, span, piv)
-                        if any(rem):
-                            span, piv = linalg.rref(span + [w], fld)
-                            grew = True
-                if not grew:
-                    break
-            return len(span) == self.rank
-        lat = Lattice.from_rows(self.ring, self.rank, [list(self.unit)] + gens)
-        while True:
-            new_rows = []
-            for g in gens:
-                for b in lat.rows:
-                    w = self.mul(g, list(b))
-                    if not lat.contains_vector(w):
-                        new_rows.append(w)
-            if not new_rows:
-                break
-            lat = lat.add(Lattice.from_rows(self.ring, self.rank, new_rows))
-        return lat == Lattice.full(self.ring, self.rank)
+        span = self.stable_span([list(self.unit)] + gens,
+                                [partial(self.mul, g) for g in gens])
+        return span == self.span([self.basis_vec(i) for i in range(self.rank)])
 
     def _assoc_sampled(self):
         problems = []
@@ -418,6 +395,28 @@ class StructureAlgebra:
         return coord_solver(basis, self.fld,
                             self.ring if self.level == "O" else None)
 
+    def span(self, rows, ambient=None):
+        """The span of `rows` in the free module of rank `ambient` (default
+        this algebra's rank) at this algebra's level: a canonical Lattice at
+        O, a linalg.Subspace at K and k.  A span passes through unchanged."""
+        return span_of(rows, self.rank if ambient is None else ambient,
+                       self.fld, self.ring if self.level == "O" else None)
+
+    def stable_span(self, vectors, maps, ambient=None):
+        """The smallest span (see `span`) that contains the vectors and is
+        mapped into itself by each of the linear maps."""
+        span = self.span(vectors, ambient)
+        while True:
+            new = []
+            for f in maps:
+                for r in span.rows:
+                    w = f(r)
+                    if not span.contains_vector(w):
+                        new.append(w)
+            if not new:
+                return span
+            span = self.span(list(span.rows) + new, span.ambient)
+
     def weight_idempotent(self, labels):
         """The sum of the weight idempotents e_nu over the given labels."""
         e = self.zero_vec()
@@ -426,13 +425,11 @@ class StructureAlgebra:
         return e
 
     def ideal_generated(self, e):
-        """A e A: a Lattice at level O, rref rows at field level."""
+        """A e A as a span (see `span`)."""
         ebj = [self.mul(list(e), self.basis_vec(j)) for j in range(self.rank)]
-        rows = [self.mul(self.basis_vec(i), ebj[j])
-                for i in range(self.rank) for j in range(self.rank) if any(ebj[j])]
-        if self.level == "O":
-            return Lattice.from_rows(self.ring, self.rank, rows)
-        return linalg.rref(rows, self.fld)[0]
+        return self.span([self.mul(self.basis_vec(i), ebj[j])
+                          for i in range(self.rank) for j in range(self.rank)
+                          if any(ebj[j])])
 
     def quotient_by_labels(self, labels, ideal=None):
         """A / A e A for e the sum of e_nu over `labels`, with the weight datum
@@ -459,37 +456,15 @@ class StructureAlgebra:
     def quotient_by_ideal(self, ideal):
         """Quotient algebra by a two-sided ideal.
 
-        `ideal` is a Lattice at level O (must be pure, else the quotient is
-        not O-free) or a list of row vectors at field level.  Returns
+        `ideal` is a span (see `span`) or rows spanning one; at level O it
+        must be pure, else the quotient is not O-free.  Returns
         (quotient_algebra, lift_rows, project): lift_rows are coordinate
         vectors of chosen basis lifts; project sends an element vector to its
         quotient coordinates.
         """
-        from .lattices import quotient_free_basis
-
-        fld = self.fld
-        if self.level == "O":
-            full = Lattice.full(self.ring, self.rank)
-            free, torsion = quotient_free_basis(full, ideal)
-            if torsion:
-                raise AlgebraError("ideal is not pure; quotient is not O-free")
-            lifts = [list(r) for r in free]
-            irows = [list(r) for r in ideal.rows]
-        else:
-            raw = [list(r) for r in ideal]
-            irows, piv = linalg.rref(raw, fld) if raw else ([], [])
-            pivset = set(piv)
-            lifts = [self.basis_vec(j) for j in range(self.rank) if j not in pivset]
-        stack = irows + lifts
-        inv_t = linalg.invert(linalg.transpose(stack), fld)
-        if inv_t is None:
-            raise AlgebraError("ideal basis plus lifts do not span")
-        nideal = len(irows)
-
-        def project(v):
-            c = linalg.mat_vec(inv_t, list(v), fld)
-            return c[nideal:]
-
+        lifts, torsion, project = quotient_projection(self.span(ideal), self.fld)
+        if torsion:
+            raise AlgebraError("ideal is not pure; quotient is not O-free")
         m = len(lifts)
         sc = {}
         for i in range(m):

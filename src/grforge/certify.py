@@ -48,26 +48,23 @@ def restricted_module(sub: StructureAlgebra, sub_basis, mod: ModuleRep, cut=None
     basis element of `sub`; `cut` is an optional idempotent vector whose image
     subspace carries the restricted action (defaults to all of M).
     """
-    fld = mod.fld
     if cut is None:
         rows = [mod.basis_vec(i) for i in range(mod.rank)]
     else:
         rows = [mod.act(list(cut), mod.basis_vec(i)) for i in range(mod.rank)]
-    ech, piv = linalg.rref(rows, fld)
-    if not ech:
+    span = mod.span(rows)
+    if not span.rank:
         return ModuleRep(sub, 0, [[] for _ in range(sub.rank)])
     acts = []
     for bvec in sub_basis:
         cols = []
-        for r in ech:
-            img = mod.act(list(bvec), list(r))
-            c = linalg.coords_in_row_space(img, ech, piv)
+        for r in span.rows:
+            c = span.coords(mod.act(list(bvec), list(r)))
             if c is None:
                 raise CertifyError("cut subspace is not stable under the subalgebra")
-        # coords_in_row_space returns rref-coordinates; ech is the basis
             cols.append(c)
         acts.append(linalg.transpose(cols))
-    return ModuleRep(sub, len(ech), acts)
+    return ModuleRep(sub, span.rank, acts)
 
 
 def _poly_roots(fld, coeffs):
@@ -202,9 +199,7 @@ def generic_simples(alg):
             raise radicals.NonSplitError(
                 "idempotent refinement stalled (non-rational eigenvalues "
                 "or a non-split block)")
-        col = reg.submodule_generated([e])
-        sub = col if not isinstance(col, Lattice) else col.rows
-        mod = reg.restrict_to(sub)
+        mod = reg.restrict_to(reg.submodule_generated([e]))
         out.append((f"blk{idx}", mod))
     # distinct simples only
     seen = []
@@ -437,11 +432,11 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
                             {"idempotent": False}, tuple(e))
     verdicts["idempotent"] = True
     J = alg.ideal_generated(e)
+    if J.rank == 0:
+        return HeredityStep(tuple(labels), False,
+                            {"nonzero": False}, tuple(e))
     if alg.level == "O":
         ring = alg.ring
-        if J.rank == 0:
-            return HeredityStep(tuple(labels), False,
-                                {"nonzero": False}, tuple(e))
         full = Lattice.full(ring, alg.rank)
         closure = pure_closure(J, full)
         _, torsion = quotient_free_basis(closure, J)
@@ -451,32 +446,13 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
             detail["torsion_witnesses"] = [
                 [ring.format_scalar(x) for x in r]
                 for r in closure.rows if not J.contains_vector(r)]
-        sq_rows = []
-        for a in J.rows:
-            for b in J.rows:
-                sq_rows.append(alg.mul(list(a), list(b)))
-        J2 = Lattice.from_rows(ring, alg.rank, sq_rows)
-        verdicts["idempotent_ideal"] = J2 == J
     else:
-        if not J:
-            return HeredityStep(tuple(labels), False,
-                                {"nonzero": False}, tuple(e))
         verdicts["free_quotient"] = True
-        sq = []
-        for a in J:
-            for b in J:
-                sq.append(alg.mul(list(a), list(b)))
-        J2, _ = linalg.rref(sq, alg.fld)
-        verdicts["idempotent_ideal"] = [list(r) for r in J2] == [list(r) for r in J]
+    J2 = alg.span([alg.mul(list(a), list(b)) for a in J.rows for b in J.rows])
+    verdicts["idempotent_ideal"] = J2 == J
     # corner algebra e A e
-    corner_rows = []
-    for i in range(alg.rank):
-        corner_rows.append(alg.mul(e, alg.mul(alg.basis_vec(i), e)))
-    if alg.level == "O":
-        cbasis = [list(r) for r in
-                  Lattice.from_rows(alg.ring, alg.rank, corner_rows).rows]
-    else:
-        cbasis, _ = linalg.rref(corner_rows, alg.fld)
+    cbasis = alg.span([alg.mul(e, alg.mul(alg.basis_vec(i), e))
+                       for i in range(alg.rank)]).rows
     corner, _ = alg.subalgebra_on(cbasis, unit=e)
     if alg.level == "O":
         cmods = _corner_simple_modules(alg, e, cbasis, corner.base_change("K"),
@@ -496,15 +472,14 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
         verdicts["endo_matrix"] = r_sizes is not None
         detail["endo_block_sizes"] = r_sizes
         if (alg.level == "O" and r_sizes is not None
-                and (J.rank if hasattr(J, "rank") else len(J)) <= endo_direct_limit):
+                and J.rank <= endo_direct_limit):
             direct = _endo_direct_check(alg, J, r_sizes)
             detail["endo_direct_crosscheck"] = \
                 "inconclusive" if direct is None else direct
             if direct is False:
                 verdicts["endo_matrix"] = False
     ok = all(v for v in verdicts.values() if isinstance(v, bool))
-    jrank = J.rank if hasattr(J, "rank") else len(J)
-    return HeredityStep(tuple(labels), ok, verdicts, tuple(e), jrank,
+    return HeredityStep(tuple(labels), ok, verdicts, tuple(e), J.rank,
                         witness, detail, J)
 
 
@@ -542,28 +517,13 @@ def _mult_map_bijective(alg, e, cbasis, witness, J):
                      for i in range(alg.rank)]
         right_rows = [alg.mul(f, alg.mul(e, alg.basis_vec(i)))
                       for i in range(alg.rank)]
-        if alg.level == "O":
-            llat = Lattice.from_rows(alg.ring, alg.rank, left_rows)
-            rlat = Lattice.from_rows(alg.ring, alg.rank, right_rows)
-            lrank, rrank = llat.rank, rlat.rank
-            lrows, rrows = llat.rows, rlat.rows
-        else:
-            lrows, _ = linalg.rref(left_rows, fld)
-            rrows, _ = linalg.rref(right_rows, fld)
-            lrank, rrank = len(lrows), len(rrows)
+        left, right = alg.span(left_rows), alg.span(right_rows)
         # the block contributes d copies: rank(Ae f) * rank(f eA)
-        total += lrank * rrank
-        for a in lrows:
-            for b in rrows:
+        total += left.rank * right.rank
+        for a in left.rows:
+            for b in right.rows:
                 prod_rows.append(alg.mul(list(a), list(b)))
-    jrank = J.rank if hasattr(J, "rank") else len(J)
-    if total != jrank:
-        return False
-    if alg.level == "O":
-        img = Lattice.from_rows(alg.ring, alg.rank, prod_rows)
-        return img == J
-    img, _ = linalg.rref(prod_rows, fld)
-    return [list(r) for r in img] == [list(r) for r in J]
+    return total == J.rank and alg.span(prod_rows) == J
 
 
 def _endo_block_sizes(alg, e, cbasis, witness):
@@ -574,13 +534,8 @@ def _endo_block_sizes(alg, e, cbasis, witness):
     sizes = []
     for bi in sorted(blocks):
         f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, alg.fld.zero)
-        right_rows = [alg.mul(f, alg.mul(e, alg.basis_vec(i)))
-                      for i in range(alg.rank)]
-        if alg.level == "O":
-            r = Lattice.from_rows(alg.ring, alg.rank, right_rows).rank
-        else:
-            r = linalg.rank(right_rows, alg.fld)
-        sizes.append(r)
+        sizes.append(alg.span([alg.mul(f, alg.mul(e, alg.basis_vec(i)))
+                               for i in range(alg.rank)]).rank)
     return tuple(sizes)
 
 
@@ -601,17 +556,16 @@ def _endo_direct_check(alg, J, expected_sizes):
     basis = [list(r) for r in sat.rows]
     m = len(basis)
     sc = {}
-    lat = Lattice.from_rows(alg.ring, n * n, basis)
     matb = [[[b[r * n + c] for c in range(n)] for r in range(n)] for b in basis]
     ident = linalg.identity(fld, n)
-    unit_c = lat.coords([ident[r][c] for r in range(n) for c in range(n)])
+    unit_c = sat.coords([ident[r][c] for r in range(n) for c in range(n)])
     if unit_c is None:
         return False
     for i in range(m):
         for j in range(m):
             prod = linalg.mat_mul(matb[i], matb[j], fld)
             flat = [prod[r][c] for r in range(n) for c in range(n)]
-            c0 = lat.coords(flat)
+            c0 = sat.coords(flat)
             if c0 is None:
                 return False
             row = {t: v for t, v in enumerate(c0) if v}
@@ -625,10 +579,9 @@ def _endo_direct_check(alg, J, expected_sizes):
     seen_dims = []
     for i in range(n):
         sub = jmod.submodule_generated([jmod.basis_vec(i)])
-        ech = sub if not isinstance(sub, Lattice) else sub.rows
-        if not ech:
+        if not sub.rank:
             continue
-        smod = jmod.restrict_to(ech)
+        smod = jmod.restrict_to(sub)
         cands.append((f"v{i}", smod))
         seen_dims.append(smod.rank)
     try:
@@ -692,9 +645,9 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
         if tuple(e) != step.e_vector:
             return False
         J = cur.ideal_generated(e)
+        if J.rank != step.ideal_rank:
+            return False
         if cur.level == "O":
-            if J.rank != step.ideal_rank:
-                return False
             # purity via residue ranks (Lemma 2.3(b) only)
             red = [[cur.ring.residue(x) for x in r] for r in J.rows]
             pure = linalg.rank(red, cur.ring.field_k) == J.rank
@@ -705,21 +658,14 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
                 for b in J.rows:
                     if not J.contains_vector(cur.mul(list(a), list(b))):
                         return False
-            gens2 = [cur.mul(list(a), list(b)) for a in J.rows for b in J.rows]
-            J2 = Lattice.from_rows(cur.ring, cur.rank, gens2)
+            J2 = cur.span([cur.mul(list(a), list(b))
+                           for a in J.rows for b in J.rows])
             if (J2 == J) != step.verdicts.get("idempotent_ideal"):
                 return False
-        elif len(J) != step.ideal_rank:
-            return False
         if step.corner is not None and step.corner.ok:
             # stored corner matrix units must verify inside the corner algebra
-            corner_rows = [cur.mul(e, cur.mul(cur.basis_vec(i), e))
-                           for i in range(cur.rank)]
-            if cur.level == "O":
-                cbasis = [list(r) for r in
-                          Lattice.from_rows(cur.ring, cur.rank, corner_rows).rows]
-            else:
-                cbasis, _ = linalg.rref(corner_rows, fld)
+            cbasis = cur.span([cur.mul(e, cur.mul(cur.basis_vec(i), e))
+                               for i in range(cur.rank)]).rows
             units = {key: linalg.combine(v, cbasis, fld.zero)
                      if len(v) == len(cbasis) else list(v)
                      for key, v in step.corner.units.items()}

@@ -207,11 +207,6 @@ def _datum_from(args, alg):
     return tightness.GradedSubalgebraDatum(rows, tuple(dd["grades"]), wedd)
 
 
-def _delta_gradings_from(args, alg):
-    meta = getattr(alg, "metadata", {}) or {}
-    return meta.get("delta_gradings")
-
-
 def cmd_verify(args):
     t0 = time.time()
     suite = args.suite
@@ -229,29 +224,28 @@ def cmd_verify(args):
         return EXIT_OK if files.report_passed(doc) else EXIT_CHECK_FAILED
     alg = _load_algebra(args.algebra)
     fixture_id = Path(args.algebra).stem
+    delta_gradings = (getattr(alg, "metadata", {}) or {}).get("delta_gradings")
     if suite == "thm417":
         res = suites.thm_417_suite(alg)
         verdicts = {"hypotheses": res.hypotheses, "conclusions": res.conclusions,
                     "falsification": not res.falsification}
         _print_suite(res)
-        doc = _emit_report(args, suite, fixture_id, verdicts, res.notes, t0,
-                           alg.source_hash)
-        return EXIT_OK if not res.falsification and res.hypotheses_ok \
-            else (EXIT_CHECK_FAILED if res.falsification else EXIT_OK)
+        _emit_report(args, suite, fixture_id, verdicts, res.notes, t0,
+                     alg.source_hash)
+        return EXIT_CHECK_FAILED if res.falsification else EXIT_OK
     if suite == "cor416":
         mod = _pick_module(args, alg)
         gamma = args.gamma.split(",") if args.gamma else list(alg.weights.Lambda)
         res = suites.cor_416_check(alg, mod, gamma)
         _print_suite(res)
-        doc = _emit_report(args, suite, fixture_id,
-                           {"hypotheses": res.hypotheses,
-                            "conclusions": res.conclusions}, res.notes, t0,
-                           alg.source_hash)
+        _emit_report(args, suite, fixture_id,
+                     {"hypotheses": res.hypotheses,
+                      "conclusions": res.conclusions}, res.notes, t0,
+                     alg.source_hash)
         return EXIT_CHECK_FAILED if res.falsification else EXIT_OK
     if suite == "conds51":
         datum = _datum_from(args, alg)
-        conds, notes = tightness.conditions_51_check(
-            alg, datum, _delta_gradings_from(args, alg))
+        conds, notes = tightness.conditions_51_check(alg, datum, delta_gradings)
         for k in sorted(conds):
             print(f"  {k}: {conds[k]}")
         doc = _emit_report(args, suite, fixture_id, conds, notes, t0,
@@ -261,16 +255,14 @@ def cmd_verify(args):
         datum = _datum_from(args, alg)
         lams = args.lam.split(",") if args.lam else list(alg.weights.Lambda)
         bad = False
-        fals = False
         all_verdicts = {}
         for lam in lams:
             res = tightness.thm_53_pipeline(
-                alg, datum, lam, delta_gradings=_delta_gradings_from(args, alg))
+                alg, datum, lam, delta_gradings=delta_gradings)
             print(f"weight {lam}:")
             _print_suite(res)
             all_verdicts[lam] = {"hypotheses": res.hypotheses,
                                  "conclusions": res.conclusions}
-            fals = fals or res.falsification
             bad = bad or res.falsification
         _emit_report(args, suite, fixture_id, all_verdicts, None, t0,
                      alg.source_hash)

@@ -9,6 +9,7 @@ gen -> serialize -> load -> serialize is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from importlib import resources
@@ -16,7 +17,7 @@ from importlib import resources
 import jsonschema
 
 from . import __version__
-from .algebra import StructureAlgebra, ValidationError, WeightDatum
+from .algebra import StructureAlgebra, WeightDatum
 from .modules import ModuleRep
 from .scalars import RingSpec
 
@@ -35,15 +36,21 @@ def content_hash(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def _schema(name):
+@functools.cache
+def _validator(name):
+    """The validator of a package schema, read and checked once per name."""
     with resources.files("grforge.schemas").joinpath(name).open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_schema(doc, name):
-    try:
-        jsonschema.validate(doc, _schema(name))
-    except jsonschema.ValidationError as exc:
+    """Validate doc against a package schema; the error reported is the one
+    jsonschema.validate would raise."""
+    exc = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path)
         raise DocumentError(f"schema violation at /{path}: {exc.message}") from exc
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from . import linalg
 from .algebra import AlgebraError
 from .graded import GradedAlgebra, GradedModule, gr_module, module_rad_chain
-from .lattices import Lattice, is_pure, lattice_intersection, saturate_rows
+from .lattices import (
+    Lattice,
+    is_pure,
+    lattice_intersection,
+    quotient_free_basis,
+    saturate_rows,
+)
 from .modules import (
     FiltrationFailure,
     ModuleRep,
@@ -36,7 +42,7 @@ class ForcedError(AlgebraError):
 # ---------------------------------------------------------------------------
 
 def n_prime_lattice(mod: ModuleRep, lam):
-    """The pure lattice N ∩ N'_K(lam) (level O) and its K-span rows."""
+    """The pure lattice N ∩ N'_K(lam) (level O) and the subspace N'_K(lam)."""
     w = mod.algebra.weights
     if w is None or lam not in w.Lambda:
         raise ForcedError(f"{lam!r} is not a weight in Lambda")
@@ -45,13 +51,10 @@ def n_prime_lattice(mod: ModuleRep, lam):
     for mu in w.Lambda:
         if w.lt(lam, mu):
             gens.extend(list(r) for r in modK.weight_space_rows(mu))
-    rows = modK.submodule_generated(gens) if gens else []
+    span = modK.submodule_generated(gens)
     if mod.level != "O":
-        return rows, rows
-    ring = mod.algebra.ring
-    lat = saturate_rows(ring, mod.rank, [list(r) for r in rows]) if rows \
-        else Lattice.zero(ring, mod.rank)
-    return lat, rows
+        return span, span
+    return saturate_rows(mod.algebra.ring, mod.rank, span.rows), span
 
 
 @dataclass
@@ -75,7 +78,7 @@ def primitivity_test(mod: ModuleRep, v, lam) -> PrimitivityReport:
     v = list(v)
     if mod.act(e, v) != v:
         raise ForcedError("vector is not a lam-weight vector")
-    nprime, nprime_rows = n_prime_lattice(mod, lam)
+    nprime, nprime_K = n_prime_lattice(mod, lam)
     full = mod.full_lattice()
     detail = {}
     if not any(v):
@@ -84,7 +87,7 @@ def primitivity_test(mod: ModuleRep, v, lam) -> PrimitivityReport:
     if in_nprime:
         primitive = False
     else:
-        with_v = nprime.add(Lattice.from_rows(alg.ring, mod.rank, [v]))
+        with_v = nprime.add(mod.span([v]))
         primitive = is_pure(with_v, full)
     # strong primitivity at the unique filtration depth of v
     chain = module_rad_chain(mod)
@@ -93,13 +96,12 @@ def primitivity_test(mod: ModuleRep, v, lam) -> PrimitivityReport:
         depth += 1
     grade = depth
     f_rows = [list(r) for r in chain[min(grade + 1, len(chain) - 1)].rows]
-    f_rows += [list(r) for r in nprime_rows]
-    f_lat = saturate_rows(alg.ring, mod.rank, f_rows) if f_rows \
-        else Lattice.zero(alg.ring, mod.rank)
+    f_rows += [list(r) for r in nprime_K.rows]
+    f_lat = saturate_rows(alg.ring, mod.rank, f_rows)
     if f_lat.contains_vector(v):
         strongly = False
     else:
-        with_v = f_lat.add(Lattice.from_rows(alg.ring, mod.rank, [v]))
+        with_v = f_lat.add(mod.span([v]))
         strongly = is_pure(with_v, full)
     if strongly and not primitive:
         raise ForcedError("strong primitivity without primitivity (Prop 4.4(c))")
@@ -108,14 +110,13 @@ def primitivity_test(mod: ModuleRep, v, lam) -> PrimitivityReport:
         # footnote-7 necessary condition: lam is maximal among mu with
         # (N_K / N'_K(lam))_mu != 0
         modK = mod.base_change("K")
-        quot, _, _ = modK.quotient_by([list(r) for r in nprime_rows])
+        quot, _, _ = modK.quotient_by(nprime_K)
         maximality = len(quot.weight_space_rows(lam)) > 0
         for mu in w.Lambda:
             if w.lt(lam, mu) and len(quot.weight_space_rows(mu)):
                 maximality = False
                 detail["violating_weight"] = mu
-    return PrimitivityReport(tuple(v), lam, primitive, strongly,
-                             grade if (primitive or strongly) else grade,
+    return PrimitivityReport(tuple(v), lam, primitive, strongly, grade,
                              maximality, detail)
 
 
@@ -137,12 +138,11 @@ def gr_b(grmod: GradedModule, name="grA") -> GrB:
         raise ForcedError("gr_b is an integral-level computation")
     alg = mod.algebra
     w = alg.weights
-    ring = alg.ring
     chain = grmod.chain
     gens = []
     strata = []
     for lam in w.Lambda:
-        nprime, nprime_rows = n_prime_lattice(mod, lam)
+        nprime, _ = n_prime_lattice(mod, lam)
         # quotient of N by the pure lattice N ∩ N'_K(lam), with its filtration
         quot, project, _ = mod.quotient_by(nprime)
         qchain = module_rad_chain(quot)
@@ -162,21 +162,16 @@ def gr_b(grmod: GradedModule, name="grA") -> GrB:
                        for t in range(grmod.module.rank)]
                 if any(row):
                     gens.append(row)
-    if not gens:
-        return GrB(Lattice.zero(ring, grmod.module.rank), strata, name)
-    lat = grmod.module.submodule_generated(gens)
-    return GrB(lat, strata, name)
+    return GrB(grmod.module.submodule_generated(gens), strata, name)
 
 
 def _weight_sublattice(mod: ModuleRep, e, lat: Lattice) -> Lattice:
     """e . L for an idempotent e and an action-stable lattice L."""
-    rows = [mod.act(e, list(r)) for r in lat.rows]
-    return Lattice.from_rows(mod.algebra.ring, mod.rank, rows)
+    return mod.span([mod.act(e, list(r)) for r in lat.rows])
 
 
 def gr_b_equals_gr(grb: GrB, grmod: GradedModule) -> bool:
-    return grb.lattice == Lattice.full(grmod.base_module.algebra.ring,
-                                       grmod.module.rank)
+    return grb.lattice == grmod.module.full_lattice()
 
 
 def lemma_4_9_check(gralg: GradedAlgebra, lam, standards, simples_k, radk):
@@ -251,8 +246,6 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
         while m1 + 1 < len(chain) and \
                 chain[m1 + 1].contains_lattice(wlat):
             m1 += 1
-        from .lattices import quotient_free_basis
-
         deeper = lattice_intersection(wlat, chain[min(m1 + 1, len(chain) - 1)])
         stratum_lifts, tors = quotient_free_basis(wlat, deeper)
         checks["stratum_pure"] = not tors
@@ -280,7 +273,7 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
                         raise FiltrationFailure(lam, "witness leaves the lattice")
         r_lat = cur.submodule_generated([list(r) for r in stratum_lifts])
         checks["R_is_delta_power"] = (
-            Lattice.from_rows(alg.ring, cur.rank, img_rows) == r_lat)
+            cur.span(img_rows) == r_lat)
         checks["R_pure"] = is_pure(r_lat, cur.full_lattice())
         if not (checks["witness_injective"] and checks["R_is_delta_power"]
                 and checks["R_pure"] and checks["stratum_pure"]):
@@ -294,8 +287,7 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
                                        chain[min(m1 + s, len(chain) - 1)])
             rl = rchain[min(s, len(rchain) - 1)]
             rows = [linalg.combine(rr, r_lat.rows, cur.fld.zero) for rr in rl.rows]
-            rhs = Lattice.from_rows(alg.ring, cur.rank, rows)
-            if lhs != rhs:
+            if lhs != cur.span(rows):
                 shift_ok = False
                 break
         checks["depth_shift_identity"] = shift_ok
@@ -313,7 +305,7 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
                        for t in range(grN.module.rank)]
                 if any(row):
                     gsharp_rows.append(row)
-        gsharp = Lattice.from_rows(alg.ring, grN.module.rank, gsharp_rows)
+        gsharp = grN.module.span(gsharp_rows)
         section = lattice_intersection(grb.lattice, gsharp)
         standard = section == gsharp
         kind = "standard" if standard else "prestandard"
@@ -335,7 +327,7 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
                     row = [sym[t] if grN.grades[t] == dpt else cur.fld.zero
                            for t in range(grN.module.rank)]
                     emb_rows.append(row)
-            emb = Lattice.from_rows(alg.ring, grN.module.rank, emb_rows)
+            emb = grN.module.span(emb_rows)
             checks["sandwich_lower"] = section.contains_lattice(emb)
             checks["sandwich_upper"] = gsharp.contains_lattice(section)
             if not (checks["sandwich_lower"] and checks["sandwich_upper"]):

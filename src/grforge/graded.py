@@ -132,8 +132,7 @@ def _adapted_lifts_field(fld, chain):
     lifts = []
     grades = []
     for m in range(len(chain) - 1):
-        sub_ech, sub_piv = linalg.rref([list(r) for r in chain[m + 1]], fld)
-        cur_ech, cur_piv = linalg.rref([list(r) for r in sub_ech], fld)
+        cur_ech, cur_piv = linalg.rref([list(r) for r in chain[m + 1]], fld)
         for row in chain[m]:
             rem = linalg.in_row_space(list(row), cur_ech, cur_piv)
             if any(rem):

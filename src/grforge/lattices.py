@@ -171,6 +171,11 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
 
+    def quotient_lifts(self):
+        """(free_lifts, torsion_vals) of O^ambient / self; see
+        quotient_free_basis."""
+        return quotient_free_basis(Lattice.full(self.ring, self.ambient), self)
+
     # -- lattice arithmetic -------------------------------------------------------
     def add(self, other: "Lattice") -> "Lattice":
         self._check_compatible(other)
@@ -362,7 +367,8 @@ def is_pure(n: Lattice, m: Lattice) -> bool:
     fk = n.ring.field_k
     red = [[n.ring.residue(x) for x in row] for row in coords]
     b = linalg.rank(red, fk) == n.rank
-    assert a == b, "purity cross-check disagreement (Lemma 2.3 routes)"
+    if a != b:
+        raise LatticeError("purity cross-check disagreement (Lemma 2.3 routes)")
     return a
 
 
@@ -402,6 +408,38 @@ def _require_sub(n: Lattice, m: Lattice):
             raise LatticeError("N is not contained in M")
 
 
+def span_of(rows, ambient: int, fld, ring=None):
+    """The span of `rows` in the free module of rank `ambient`: a canonical
+    Lattice over O when `ring` is given, else a linalg.Subspace over `fld`.
+    A Lattice or Subspace passes through unchanged."""
+    if isinstance(rows, (Lattice, linalg.Subspace)):
+        return rows
+    if ring is not None:
+        return Lattice.from_rows(ring, ambient, rows)
+    return linalg.Subspace.from_rows(fld, ambient, rows)
+
+
+def quotient_projection(span, fld):
+    """The free quotient of the ambient module by a Lattice or Subspace.
+
+    Returns (lifts, torsion_vals, project): the lifts map to a basis of the
+    free part of the quotient, torsion_vals are the elementary divisors of
+    its torsion (empty iff the span is pure; always empty over a field), and
+    project(v) gives the coordinates of the image of v in that basis.
+    """
+    lifts, torsion = span.quotient_lifts()
+    stack = [list(r) for r in span.rows] + lifts
+    inv_t = linalg.invert(linalg.transpose(stack), fld)
+    if inv_t is None:
+        raise LatticeError("span basis plus lifts do not span")
+    ns = span.rank
+
+    def project(v):
+        return linalg.mat_vec(inv_t, list(v), fld)[ns:]
+
+    return lifts, torsion, project
+
+
 def coord_solver(rows, fld, ring=None):
     """Coordinates in the basis `rows` (independent): v -> c with
     v = sum c[i] rows[i], or None when there is no such c.
@@ -410,14 +448,7 @@ def coord_solver(rows, fld, ring=None):
     rows span.  Without it, in their span over `fld`.
     """
     rows = [list(r) for r in rows]
-    if ring is not None:
-        lat = Lattice.from_rows(ring, len(rows[0]) if rows else 0, rows)
-        reduce = lat.coords
-    else:
-        ech, piv = linalg.rref(rows, fld)
-
-        def reduce(v):
-            return linalg.coords_in_row_space(v, ech, piv)
+    reduce = span_of(rows, len(rows[0]) if rows else 0, fld, ring).coords
     inv_t = linalg.transpose(linalg.invert([reduce(r) for r in rows], fld))
 
     def coords(v):

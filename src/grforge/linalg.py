@@ -139,6 +139,64 @@ def coords_in_row_space(v, ech, pivots):
     return cs
 
 
+class Subspace:
+    """A subspace of F^ambient in canonical form: its rref rows and pivots.
+
+    The field-level counterpart of lattices.Lattice, with the same protocol
+    (`rows`, `rank`, `contains_vector`, `contains_lattice`, `coords`, `add`,
+    ==).  Two subspaces are equal iff their rref rows are equal.
+    """
+
+    __slots__ = ("fld", "ambient", "rows", "pivots")
+
+    def __init__(self, fld, ambient: int, rows, pivots):
+        self.fld = fld
+        self.ambient = ambient
+        self.rows = rows      # rref rows, pivot columns increasing
+        self.pivots = pivots
+
+    @staticmethod
+    def from_rows(fld, ambient: int, rows) -> "Subspace":
+        return Subspace(fld, ambient, *rref(rows, fld))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, Subspace) and self.fld == other.fld
+                and self.ambient == other.ambient and self.rows == other.rows)
+
+    def __repr__(self):
+        return f"Subspace(rank {self.rank} in F^{self.ambient})"
+
+    def reduce(self, vec):
+        return in_row_space(vec, self.rows, self.pivots)
+
+    def contains_vector(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+    def coords(self, vec):
+        """Coordinates of vec in the rref basis, or None if vec is outside."""
+        return coords_in_row_space(vec, self.rows, self.pivots)
+
+    def contains_lattice(self, other) -> bool:
+        return all(self.contains_vector(r) for r in other.rows)
+
+    def add(self, other) -> "Subspace":
+        return Subspace.from_rows(self.fld, self.ambient,
+                                  self.rows + list(other.rows))
+
+    def quotient_lifts(self):
+        """(lifts, torsion): the unit vectors off the pivot columns, which
+        lift a basis of F^ambient / self, and no torsion."""
+        z, o = self.fld.zero, self.fld.one
+        pivots = set(self.pivots)
+        lifts = [[o if t == j else z for t in range(self.ambient)]
+                 for j in range(self.ambient) if j not in pivots]
+        return lifts, []
+
+
 def solve_right(a, b, field):
     """One solution x of a x = b (column vector), or None."""
     n, m = len(a), len(a[0])

@@ -2,16 +2,25 @@
 
 A ModuleRep of rank m stores one m x m action matrix per algebra basis
 element, acting on column coordinates; module elements are coordinate rows in
-O^m (level O) or F^m (levels K, k).  Submodules at level O are Lattices in
-the module's own coordinates (the module lattice itself is O^m); at field
-level they are row-space bases.
+O^m (level O) or F^m (levels K, k).  Submodules are spans in the module's own
+coordinates (see `StructureAlgebra.span`): Lattices in O^m at level O (the
+module lattice itself is O^m), linalg.Subspaces of F^m at field level.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra, WeightDatum
-from .lattices import Lattice, pure_closure, quotient_free_basis, saturate_rows
+from .lattices import (
+    Lattice,
+    is_pure,
+    pure_closure,
+    quotient_free_basis,
+    quotient_projection,
+    saturate_rows,
+)
 
 
 class ModuleError(AlgebraError):
@@ -66,6 +75,11 @@ class ModuleRep:
     def full_lattice(self):
         return Lattice.full(self.algebra.ring, self.rank)
 
+    def span(self, rows):
+        """The span of `rows` in the module's coordinates (see
+        `StructureAlgebra.span`)."""
+        return self.algebra.span(rows, self.rank)
+
     # -- validation ----------------------------------------------------------------
     def validate(self, sample_limit: int = 12):
         alg = self.algebra
@@ -111,46 +125,18 @@ class ModuleRep:
             raise ModuleError("no weight datum")
         e = list(w.idempotents[nu])
         imgs = [self.act(e, self.basis_vec(i)) for i in range(self.rank)]
-        if self.level == "O":
-            return list(Lattice.from_rows(self.algebra.ring, self.rank, imgs).rows)
-        ech, _ = linalg.rref(imgs, self.fld)
-        return ech
+        return list(self.span(imgs).rows)
 
     # -- submodules -------------------------------------------------------------------
     def submodule_generated(self, vectors):
-        """Smallest action-stable span containing the vectors.
-
-        Returns a Lattice (level O) or a list of basis rows (field level).
-        """
-        vecs = [list(v) for v in vectors if any(v)]
-        if self.level == "O":
-            ring = self.algebra.ring
-            lat = Lattice.from_rows(ring, self.rank, vecs)
-            while True:
-                new = []
-                for i in range(self.algebra.rank):
-                    for r in lat.rows:
-                        w = self.act_basis(i, r)
-                        if not lat.contains_vector(w):
-                            new.append(w)
-                if not new:
-                    return lat
-                lat = lat.add(Lattice.from_rows(ring, self.rank, new))
-        ech, piv = linalg.rref(vecs, self.fld)
-        while True:
-            new = []
-            for i in range(self.algebra.rank):
-                for r in ech:
-                    w = self.act_basis(i, list(r))
-                    if any(linalg.in_row_space(w, ech, piv)):
-                        new.append(w)
-            if not new:
-                return ech
-            ech, piv = linalg.rref(ech + new, self.fld)
+        """Smallest action-stable span (see `span`) containing the vectors."""
+        return self.algebra.stable_span(
+            vectors, [partial(self.act_basis, i) for i in range(self.algebra.rank)],
+            self.rank)
 
     def restrict_to(self, sub) -> "ModuleRep":
-        """Module structure on an action-stable sublattice / subspace."""
-        rows = list(sub.rows) if isinstance(sub, Lattice) else [list(r) for r in sub]
+        """Module structure on an action-stable span, or on the span of rows."""
+        rows = [list(r) for r in self.span(sub).rows]
         if not rows:
             return ModuleRep(self.algebra, 0,
                              [[] for _ in range(self.algebra.rank)], self.name + "|0")
@@ -168,35 +154,14 @@ class ModuleRep:
         return ModuleRep(self.algebra, len(rows), acts, self.name + "|sub")
 
     def quotient_by(self, sub):
-        """Quotient module; at level O `sub` must be pure (O-free quotient).
+        """Quotient module by an action-stable span, or by the span of rows;
+        at level O the span must be pure (O-free quotient).
 
         Returns (module, project, lift_rows).
         """
-        fld = self.fld
-        if self.level == "O":
-            full = self.full_lattice()
-            free, torsion = quotient_free_basis(full, sub)
-            if torsion:
-                raise ModuleError("quotient has torsion; sublattice not pure")
-            lifts = [list(r) for r in free]
-            irows = [list(r) for r in sub.rows]
-        else:
-            raw = [list(r) for r in sub]
-            irows, piv = linalg.rref(raw, fld) if raw else ([], [])
-            pivset = set(piv)
-            lifts = [self.basis_vec(j) for j in range(self.rank) if j not in pivset]
-        stack = irows + lifts
-        if not stack:
-            proj = ModuleRep(self.algebra, 0, [[] for _ in range(self.algebra.rank)])
-            return proj, (lambda v: []), []
-        inv_t = linalg.invert(linalg.transpose(stack), fld)
-        if inv_t is None:
-            raise ModuleError("sub basis plus lifts do not span")
-        ns = len(irows)
-
-        def project(v):
-            return linalg.mat_vec(inv_t, list(v), fld)[ns:]
-
+        lifts, torsion, project = quotient_projection(self.span(sub), self.fld)
+        if torsion:
+            raise ModuleError("quotient has torsion; sublattice not pure")
         acts = []
         for i in range(self.algebra.rank):
             cols = [project(self.act_basis(i, lift)) for lift in lifts]
@@ -236,12 +201,7 @@ def _weight_projective(alg, lam):
     reg = regular_module(alg)
     e = list(w.idempotents[lam])
     # A e is spanned by the b_i e; restrict_to raises if it were not stable
-    cols = [reg.act_basis(i, e) for i in range(alg.rank)]
-    if alg.level == "O":
-        sub = Lattice.from_rows(alg.ring, alg.rank, cols)
-    else:
-        sub, _ = linalg.rref(cols, alg.fld)
-    mod = reg.restrict_to(sub)
+    mod = reg.restrict_to([reg.act_basis(i, e) for i in range(alg.rank)])
     return mod.rank, mod.acts, f"P({lam})"
 
 
@@ -262,18 +222,15 @@ def truncate_to_ideal(mod: ModuleRep, gamma):
     gens = []
     for nu in kill:
         gens.extend(list(r) for r in mod.weight_space_rows(nu))
+    sub = mod.submodule_generated(gens)
+    torsion = []
     if mod.level == "O":
-        ring = mod.algebra.ring
-        sub = mod.submodule_generated(gens) if gens else Lattice.zero(ring, mod.rank)
         closed = pure_closure(sub, mod.full_lattice())
-        _, torsion = quotient_free_basis(closed, sub) if sub.rank else ([], [])
-        quot, project, _ = mod.quotient_by(closed)
-        quot.name = f"{mod.name}|{gamma}"
-        return quot, torsion, project
-    sub = mod.submodule_generated(gens) if gens else []
+        _, torsion = quotient_free_basis(closed, sub)
+        sub = closed
     quot, project, _ = mod.quotient_by(sub)
     quot.name = f"{mod.name}|{gamma}"
-    return quot, [], project
+    return quot, torsion, project
 
 
 def standard_module(alg: StructureAlgebra, lam) -> ModuleRep:
@@ -362,14 +319,11 @@ def _weight_simples(alg):
 
 
 def head_module(mod: ModuleRep, rad_rows):
-    """M / (rad A) M at field level: (module, project, sub_rows)."""
+    """M / (rad A) M at field level: (module, project, (rad A) M)."""
     if mod.level == "O":
         raise ModuleError("head is a field-level notion here")
-    gens = []
-    for r in rad_rows:
-        for i in range(mod.rank):
-            gens.append(mod.act(list(r), mod.basis_vec(i)))
-    sub, _ = linalg.rref(gens, mod.fld)
+    sub = mod.span([mod.act(list(r), mod.basis_vec(i))
+                    for r in rad_rows for i in range(mod.rank)])
     quot, project, _ = mod.quotient_by(sub)
     quot.name = f"head({mod.name})"
     return quot, project, sub
@@ -472,15 +426,15 @@ def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
         for (lbl, z, d) in blocks:
             zmat = head.act_matrix(list(z))
             tr_rank = linalg.rank(zmat, head.fld)
-            assert tr_rank % d == 0
+            if tr_rank % d:
+                raise ModuleError(
+                    f"block {lbl!r} acts on a head with rank {tr_rank}, "
+                    f"not a multiple of {d}")
             counts[lbl] += tr_rank // d
         # descend to rad * cur
-        gens = []
-        for r in rad_rows:
-            for i in range(cur.rank):
-                gens.append(cur.act(list(r), cur.basis_vec(i)))
-        sub, _ = linalg.rref(gens, cur.fld)
-        if len(sub) == cur.rank:
+        sub = cur.span([cur.act(list(r), cur.basis_vec(i))
+                        for r in rad_rows for i in range(cur.rank)])
+        if sub.rank == cur.rank:
             raise ModuleError("radical series does not descend")
         cur = cur.restrict_to(sub)
     return counts
@@ -581,8 +535,8 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
         return None
     h = [[sol[r * ns + c] for c in range(ns)] for r in range(nd)]
     for a_s, a_d in zip(src.acts, dst.acts):
-        assert linalg.mat_mul(h, a_s, fld) == linalg.mat_mul(a_d, h, fld), \
-            "hom solve returned a non-equivariant map"
+        if linalg.mat_mul(h, a_s, fld) != linalg.mat_mul(a_d, h, fld):
+            raise ModuleError("hom solve returned a non-equivariant map")
     return h
 
 
@@ -681,30 +635,17 @@ def delta_filtration(mod: ModuleRep, standards=None):
         if linalg.rank(img_rows, cur.fld) != big.rank:
             raise FiltrationFailure(lam, "peeled map is not injective")
         sub = cur.submodule_generated(wrows)
-        if mod.level == "O":
-            img_lat = Lattice.from_rows(alg.ring, cur.rank, img_rows)
-            if img_lat != sub:
-                raise FiltrationFailure(
-                    lam, "peeled submodule is not a standard power",
-                    {"expected_rank": big.rank, "got_rank": sub.rank})
-            from .lattices import is_pure
-
-            if not is_pure(sub, cur.full_lattice()):
-                raise FiltrationFailure(lam, "peeled submodule is not pure")
-            quot, project, lifts = cur.quotient_by(sub)
-            sub_rows = list(sub.rows)
-        else:
-            ech, _ = linalg.rref(img_rows, cur.fld)
-            sub_ech, _ = linalg.rref([list(r) for r in sub], cur.fld) \
-                if not isinstance(sub, Lattice) else (None, None)
-            if [list(r) for r in ech] != [list(r) for r in sub_ech]:
-                raise FiltrationFailure(lam, "peeled submodule is not a standard power")
-            quot, project, lifts = cur.quotient_by(sub)
-            sub_rows = sub
+        if cur.span(img_rows) != sub:
+            raise FiltrationFailure(
+                lam, "peeled submodule is not a standard power",
+                {"expected_rank": big.rank, "got_rank": sub.rank})
+        if mod.level == "O" and not is_pure(sub, cur.full_lattice()):
+            raise FiltrationFailure(lam, "peeled submodule is not pure")
+        quot, project, lifts = cur.quotient_by(sub)
         # record the stage in original coordinates
         zero = mod.fld.zero
         peeled_original.extend(linalg.combine(r, to_original, zero)
-                               for r in sub_rows)
+                               for r in sub.rows)
         stages.append(FiltrationStage(lam, d, h, list(peeled_original)))
         to_original = [linalg.combine(lift, to_original, zero) for lift in lifts]
         cur = quot
@@ -739,13 +680,8 @@ def morita_reduce(alg: StructureAlgebra):
             em = list(w.idempotents[mu])
             for i in range(alg.rank):
                 rows.append(alg.mul(el, alg.mul(alg.basis_vec(i), em)))
-    if alg.level == "O":
-        lat = Lattice.from_rows(alg.ring, alg.rank, rows)
-        basis = [list(r) for r in lat.rows]
-    else:
-        basis, _ = linalg.rref(rows, alg.fld)
     sub, sub_basis = alg.subalgebra_on(
-        basis, unit=alg.weight_idempotent(w.Lambda))
+        alg.span(rows).rows, unit=alg.weight_idempotent(w.Lambda))
     coords = alg.coord_solver(sub_basis)
     idems = {}
     for lam in w.Lambda:

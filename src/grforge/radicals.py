@@ -31,45 +31,27 @@ class NonSplitError(AlgebraError):
 # subspace helpers (field level)
 # ---------------------------------------------------------------------------
 
-def span_basis(alg, rows):
-    ech, piv = linalg.rref([list(r) for r in rows], alg.fld)
-    return ech, piv
-
-
-def subspace_contains(ech, piv, v):
-    return not any(linalg.in_row_space(list(v), ech, piv))
-
-
 def is_ideal(alg, rows) -> bool:
-    ech, piv = span_basis(alg, rows)
-    for v in ech:
+    span = alg.span(rows)
+    for v in span.rows:
         for i in range(alg.rank):
             b = alg.basis_vec(i)
-            if not subspace_contains(ech, piv, alg.mul(b, list(v))):
+            if not span.contains_vector(alg.mul(b, list(v))):
                 return False
-            if not subspace_contains(ech, piv, alg.mul(list(v), b)):
+            if not span.contains_vector(alg.mul(list(v), b)):
                 return False
     return True
 
 
 def is_nilpotent_subspace(alg, rows) -> bool:
-    """Does the span generate a nilpotent multiplicative system?"""
-    ech, piv = span_basis(alg, rows)
-    cur = ech
-    for _ in range(alg.rank + 1):
-        if not cur:
-            return True
-        nxt = []
-        for v in cur:
-            for w in ech:
-                nxt.append(alg.mul(list(v), list(w)))
-        cur, _ = linalg.rref(nxt, alg.fld)
-    return False
+    """Does the span generate a nilpotent multiplicative system?  Its
+    (rank + 1)-th power is 0 iff some power is."""
+    return not subspace_power(alg, rows, alg.rank + 1)
 
 
 def subspace_power(alg, rows, n):
     """Span of n-fold products (n >= 1) of the given spanning set."""
-    ech, piv = span_basis(alg, rows)
+    ech = alg.span(rows).rows
     cur = ech
     for _ in range(n - 1):
         nxt = []
@@ -500,29 +482,28 @@ def wedderburn_complement(alg, modules, contain=None, rad=None):
     for blk in blocks:
         block_matrix_units(quot, blk)
     units = lift_matrix_units(alg, quot, lifts, project, blocks)
-    s_rows, _ = linalg.rref([list(v) for v in units.values()], fld)
+    s_rows = alg.span(list(units.values())).rows
     if contain is not None:
         s_rows = _malcev_enlarge(alg, s_rows, contain, rad)
     _verify_complement(alg, s_rows, rad)
     if contain is not None:
-        ech, piv = linalg.rref([list(r) for r in s_rows], fld)
+        span = alg.span(s_rows)
         for s0 in contain:
-            assert subspace_contains(ech, piv, list(s0)), \
+            assert span.contains_vector(list(s0)), \
                 "complement does not contain the requested subalgebra"
     return s_rows
 
 
 def _verify_complement(alg, s_rows, rad):
-    fld = alg.fld
-    ech, piv = linalg.rref([list(r) for r in s_rows], fld)
-    assert len(ech) + len(rad) == alg.rank, "complement has wrong dimension"
-    both, _ = linalg.rref([list(r) for r in s_rows] + [list(r) for r in rad], fld)
-    assert len(both) == alg.rank, "complement meets the radical"
-    for a in ech:
-        for b in ech:
-            assert subspace_contains(ech, piv, alg.mul(list(a), list(b))), \
+    span = alg.span(s_rows)
+    assert span.rank + len(rad) == alg.rank, "complement has wrong dimension"
+    both = alg.span([list(r) for r in s_rows] + [list(r) for r in rad])
+    assert both.rank == alg.rank, "complement meets the radical"
+    for a in span.rows:
+        for b in span.rows:
+            assert span.contains_vector(alg.mul(list(a), list(b))), \
                 "complement is not closed under multiplication"
-    assert subspace_contains(ech, piv, list(alg.unit))
+    assert span.contains_vector(list(alg.unit))
 
 
 def quotient_modules(alg, lifts, modules):
@@ -546,10 +527,10 @@ def _malcev_enlarge(alg, s_rows, contain, rad):
     replace S by (1-h)^(-1) S (1-h); the defect moves into J^(2m).
     """
     fld = alg.fld
-    s0_rows, _ = linalg.rref([list(r) for r in contain], fld)
+    s0_rows = alg.span(contain).rows
     max_rounds = alg.rank.bit_length() + 3
     for _ in range(max_rounds):
-        s_ech, _ = linalg.rref([list(r) for r in s_rows], fld)
+        s_ech = alg.span(s_rows).rows
         full = [list(r) for r in s_ech] + [list(r) for r in rad]
         inv_t = linalg.invert(linalg.transpose(full), fld)
         assert inv_t is not None
@@ -572,22 +553,16 @@ def _malcev_enlarge(alg, s_rows, contain, rad):
         # defect depth: largest m with all deltas in J^m
         m = 1
         while True:
-            nxt = subspace_power(alg, rad, m + 1)
-            ech_n, piv_n = linalg.rref([list(r) for r in nxt], fld)
-            if nxt and all(subspace_contains(ech_n, piv_n, d) for d in deltas):
+            nxt = alg.span(subspace_power(alg, rad, m + 1))
+            if nxt.rank and all(nxt.contains_vector(d) for d in deltas):
                 m += 1
             else:
                 break
-        basis_m, _ = linalg.rref(
-            [list(r) for r in subspace_power(alg, rad, m)], fld)
-        ech_1, piv_1 = linalg.rref([list(r) for r in rad], fld)
-        assert all(subspace_contains(ech_1, piv_1, d) for d in deltas), \
+        basis_m = subspace_power(alg, rad, m)
+        rad_span = alg.span(rad)
+        assert all(rad_span.contains_vector(d) for d in deltas), \
             "Malcev defect lies outside the radical"
-        j2m = subspace_power(alg, rad, 2 * m)
-        q_ech, q_piv = linalg.rref([list(r) for r in j2m], fld)
-
-        def mod_j2m(v):
-            return linalg.in_row_space(list(v), q_ech, q_piv)
+        mod_j2m = alg.span(subspace_power(alg, rad, 2 * m)).reduce
 
         # unknown h over basis_m; equations h sig - sig h = delta mod J^(2m)
         big = []

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from . import certify, forced, linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .graded import GradedAlgebra, gr_algebra, gr_module
-from .lattices import Lattice
 from .modules import (
     FiltrationFailure,
     ModuleRep,
@@ -72,7 +71,6 @@ def _graded_piece_weight_ranks(gmod, weights):
     """rank of e_nu applied to each grade piece (grade, nu) -> rank."""
     mod = gmod.module
     out = {}
-    ring = mod.algebra.ring if mod.level == "O" else None
     for nu in weights.X:
         e = list(weights.idempotents[nu])
         img = [mod.act(e, mod.basis_vec(i)) for i in range(mod.rank)]
@@ -194,18 +192,15 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
             for r in _weight_rows_ambient(reg, galg, nu, p_rows):
                 kill.append(r)
     t_sub = reg.submodule_generated(kill)
-    t_rows = t_sub.rows if isinstance(t_sub, Lattice) else t_sub
     table = {}
     top = gr.top_grade
     for nu in w.X:
         enu = list(w.idempotents[nu])
         for m in range(top + 1):
             pr = _grade_weight_rank(reg, galg, gr, p_rows, enu, m)
-            tr = _grade_weight_rank(reg, galg, gr, t_rows, enu, m)
+            tr = _grade_weight_rank(reg, galg, gr, t_sub.rows, enu, m)
             table[(m, nu)] = pr - tr
-    if sum(table.values()) != pemod.rank - linalg.rank(
-            [list(r) for r in t_rows] or [[galg.fld.zero] * galg.rank],
-            galg.fld):
+    if sum(table.values()) != pemod.rank - t_sub.rank:
         return None
     return table
 
@@ -309,19 +304,14 @@ def _truncation_grade_table(grn, gamma):
     for nu in w.Lambda:
         if nu not in gamma:
             kill.extend(list(r) for r in mod.weight_space_rows(nu))
-    sub = mod.submodule_generated(kill) if kill else None
+    sub = mod.submodule_generated(kill)
     out = {}
     for m in range(grn.top_grade + 1):
-        total_m = grn.grade_rank(m)
-        if sub is None:
-            out[m] = total_m
-            continue
-        rows = sub.rows if hasattr(sub, "rows") else sub
         proj = []
-        for r in rows:
+        for r in sub.rows:
             proj.append([r[t] if grn.grades[t] == m else mod.fld.zero
                          for t in range(mod.rank)])
-        out[m] = total_m - linalg.rank(proj, mod.fld)
+        out[m] = grn.grade_rank(m) - linalg.rank(proj, mod.fld)
     return {m: r for m, r in out.items() if r or m <= grn.top_grade}
 
 

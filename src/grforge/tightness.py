@@ -9,6 +9,7 @@ right, so only the inclusion <= is tested, up to the nilpotency degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 
 from . import linalg, radicals
@@ -121,7 +122,7 @@ def is_tight_core(sub: StructureAlgebra, submod: ModuleRep):
         for c in rr_lat.rows:
             for i in range(submod.rank):
                 prod.append(submod.act(list(c), submod.basis_vec(i)))
-        rhs = Lattice.from_rows(sub.ring, submod.rank, prod)
+        rhs = submod.span(prod)
         if not rhs.contains_lattice(lhs):
             if not lhs.contains_lattice(rhs):
                 raise TightnessError(
@@ -143,7 +144,6 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
     equivalent condition rad^r = sum of grades >= r.
     """
     reasons = []
-    fld = alg_field.fld
     grades = sorted(grade_rows)
     if any(g < 0 for g in grades):
         reasons.append("negative grades")
@@ -157,15 +157,14 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
         reasons.append("grade-0 part is not semisimple")
     # generation: pieces of grade r >= 1 equal (grade 1)^r
     one_rows = [list(r) for r in grade_rows.get(1, [])]
-    power = one_rows
+    power = alg_field.span(one_rows)
     for g in range(2, max(grades) + 1 if grades else 0):
         nxt = []
-        for v in power:
+        for v in power.rows:
             for w in one_rows:
                 nxt.append(alg_field.mul(list(v), list(w)))
-        power, _ = linalg.rref(nxt, fld)
-        expect, _ = linalg.rref([list(r) for r in grade_rows.get(g, [])], fld)
-        if [list(r) for r in power] != [list(r) for r in expect]:
+        power = alg_field.span(nxt)
+        if power != alg_field.span(grade_rows.get(g, [])):
             reasons.append(f"grade {g} is not (grade 1)^{g}")
     # rad^r = sum of grades >= r
     rad = radicals.radical_field(alg_field)
@@ -174,10 +173,8 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
         for g in grades:
             if g >= r:
                 pos.extend(list(x) for x in grade_rows[g])
-        pos_ech, _ = linalg.rref(pos, fld)
         radr = radicals.radical_power_rows(alg_field, rad, r)
-        radr, _ = linalg.rref(radr, fld)
-        if [list(x) for x in pos_ech] != [list(x) for x in radr]:
+        if alg_field.span(pos) != alg_field.span(radr):
             reasons.append(f"rad^{r} differs from the sum of grades >= {r}")
             break
     return (not reasons), reasons
@@ -225,24 +222,15 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
         for i in range(alg.rank):
             left.append(ak.mul(list(r), ak.basis_vec(i)))
             right.append(ak.mul(ak.basis_vec(i), list(r)))
-    ech_ra, piv_ra = linalg.rref([list(r) for r in rad_A], ak.fld)
-    lech, _ = linalg.rref(left, ak.fld)
-    rech, _ = linalg.rref(right, ak.fld)
-    out["c2_radical_generation"] = (
-        [list(r) for r in lech] == [list(r) for r in ech_ra]
-        and [list(r) for r in rech] == [list(r) for r in ech_ra])
+    rad_span = ak.span(rad_A)
+    out["c2_radical_generation"] = (ak.span(left) == rad_span
+                                    and ak.span(right) == rad_span)
     # (3) graded a_K-structure on each Delta_K(lam), generated by degree 0
     ok3 = True
     ok4 = True
-    wedd = datum.wedderburn
+    wedd, why = _wedderburn_rows(alg, datum)
     if wedd is None:
-        try:
-            mods = weight_simples(ak)
-            idem_rows = [list(w.idempotents[nu]) for nu in w.X]
-            wedd = radicals.wedderburn_complement(ak, mods, contain=idem_rows)
-        except (radicals.NonSplitError, AlgebraError) as exc:
-            notes["wedderburn"] = str(exc)
-            wedd = None
+        notes["wedderburn"] = why
     if delta_gradings is None:
         out["c3_delta_generated_in_degree_0"] = None
         out["c4_degree0_stability"] = None
@@ -261,47 +249,31 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                     for (gm, rows_m) in piece.items():
                         for v in rows_m:
                             img = dk.act(amb, list(v))
-                            target = piece.get(ga + gm, [])
-                            ech_t, piv_t = linalg.rref(
-                                [list(r) for r in target], dk.fld)
-                            if any(linalg.in_row_space(img, ech_t, piv_t)):
+                            target = dk.span(piece.get(ga + gm, []))
+                            if not target.contains_vector(img):
                                 ok3 = False
             # generation by degree 0
-            zero = piece.get(0, [])
-            span = [list(r) for r in zero]
-            ech_s, piv_s = linalg.rref(span, dk.fld)
-            while True:
-                new = []
-                for c in sub_rows:
-                    for v in ech_s:
-                        img = dk.act(list(c), list(v))
-                        if any(linalg.in_row_space(img, ech_s, piv_s)):
-                            new.append(img)
-                if not new:
-                    break
-                ech_s, piv_s = linalg.rref(ech_s + new, dk.fld)
-            if len(ech_s) != dk.rank:
+            zero = dk.span(piece.get(0, []))
+            gen = ak.stable_span(zero, [partial(dk.act, c) for c in sub_rows],
+                                 dk.rank)
+            if gen.rank != dk.rank:
                 ok3 = False
             # (4) degree-0 part stable under the Wedderburn complement
             if wedd is not None:
-                ech_z, piv_z = linalg.rref([list(r) for r in zero], dk.fld)
                 for s in wedd:
-                    for v in ech_z:
-                        img = dk.act(list(s), list(v))
-                        if any(linalg.in_row_space(img, ech_z, piv_z)):
+                    for v in zero.rows:
+                        if not zero.contains_vector(dk.act(list(s), list(v))):
                             ok4 = False
         out["c3_delta_generated_in_degree_0"] = ok3
         out["c4_degree0_stability"] = ok4 if wedd is not None else None
     # (4) continued: A_K0 contains a_K0 and all idempotents
     if wedd is not None:
-        ech_w, piv_w = linalg.rref([list(r) for r in wedd], ak.fld)
+        wspan = ak.span(wedd)
         contains = all(
-            not any(linalg.in_row_space(
-                linalg.combine(c, sub_rows, alg.fld.zero), ech_w, piv_w))
+            wspan.contains_vector(linalg.combine(c, sub_rows, alg.fld.zero))
             for c in sub_grade_rows.get(0, []))
         contains = contains and all(
-            not any(linalg.in_row_space(list(w.idempotents[nu]), ech_w, piv_w))
-            for nu in w.X)
+            wspan.contains_vector(list(w.idempotents[nu])) for nu in w.X)
         out["c4_complement_contains"] = contains
     else:
         out["c4_complement_contains"] = None
@@ -310,9 +282,9 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     ok5 = True
     if alg.level == "O":
         ring = alg.ring
-        full_sub = Lattice.from_rows(ring, alg.rank, sub_rows)
+        full_sub = alg.span(sub_rows)
         for g, rows_g in grade_rows.items():
-            piece = Lattice.from_rows(ring, alg.rank, [list(r) for r in rows_g])
+            piece = alg.span(rows_g)
             span_k = saturate_rows(ring, alg.rank, [list(r) for r in rows_g])
             meet = lattice_intersection(full_sub, span_k)
             if meet != piece:
@@ -327,9 +299,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
             for g, rows_g in grade_rows.items():
                 if g >= r:
                     rows_ge.extend(coords(list(x)) for x in rows_g)
-            lat_ge = Lattice.from_rows(ring, sub.rank, rows_ge) if rows_ge \
-                else Lattice.zero(ring, sub.rank)
-            if lat_ge != sub_chain[r]:
+            if sub.span(rows_ge) != sub_chain[r]:
                 ok5 = False
                 notes.setdefault("c5", []).append(
                     f"sum of grades >= {r} differs from r~ad^{r} a")
@@ -345,14 +315,12 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                         f"element of grade {g} has symbol depth {gr_sub.depth(c)}")
                 else:
                     symbols.append(gr_sub.symbol(c))
-            got = Lattice.from_rows(ring, sub.rank, symbols) if symbols \
-                else Lattice.zero(ring, sub.rank)
+            got = sub.span(symbols)
             want_rows = [
                 [gr_sub.algebra.fld.one if i == t else gr_sub.algebra.fld.zero
                  for t in range(sub.rank)]
                 for i in range(sub.rank) if gr_sub.grades[i] == g]
-            want = Lattice.from_rows(ring, sub.rank, want_rows) if want_rows \
-                else Lattice.zero(ring, sub.rank)
+            want = sub.span(want_rows)
             if got != want:
                 ok5 = False
                 notes.setdefault("c5", []).append(
@@ -397,7 +365,7 @@ def field_pim(alg_field, lam):
     sub = reg.submodule_generated([list(f)])
     mod = reg.restrict_to(sub)
     mod.name = f"P_K({lam})"
-    mod.ambient_rows = sub if not isinstance(sub, Lattice) else list(sub.rows)
+    mod.ambient_rows = list(sub.rows)
     mod.generator_ambient = list(f)
     return mod, list(f)
 
@@ -460,7 +428,6 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
         submod = module_over_subalgebra(alg, sub_rows, mod, sub)
     tight, first_fail = is_tight_core(sub, submod)
     # (ii): grades in subalgebra coordinates (datum order = sub basis order)
-    ring = alg.ring
     grade_idx = {}
     for i, g in enumerate(datum.grades):
         grade_idx.setdefault(g, []).append(i)
@@ -475,9 +442,7 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
                 for bi in idxs:
                     for i in range(submod.rank):
                         prod.append(submod.act_basis(bi, submod.basis_vec(i)))
-        sum_lat = Lattice.from_rows(ring, submod.rank, prod) if prod \
-            else Lattice.zero(ring, submod.rank)
-        if sum_lat != radr:
+        if submod.span(prod) != radr:
             ok2 = False
             break
     # (iii) gr M over gr a generated by degree 0
@@ -485,9 +450,8 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
     gm = gr_module(gr_sub, submod)
     zero_rows = [gm.module.basis_vec(i) for i in range(gm.module.rank)
                  if gm.grades[i] == 0]
-    gen = gm.module.submodule_generated(zero_rows) if zero_rows \
-        else Lattice.zero(ring, gm.module.rank)
-    ok3 = gen == Lattice.full(ring, gm.module.rank) if gm.module.rank else True
+    ok3 = (gm.module.submodule_generated(zero_rows)
+           == gm.module.full_lattice())
     return {"tight": tight, "first_failing_r": first_fail,
             "sum_formula": ok2, "generated_in_degree_0": ok3}
 
@@ -525,13 +489,12 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
         ak = alg.base_change("K")
         pimK, _ = field_pim(ak, lam)
         res.hypotheses["dagger_full_in_pim"] = dagger.rank == pimK.rank
+    # r~ad^1 dagger: a module chain runs from the module down to 0
+    rad_part = module_rad_chain(dagger)[1]
     if v is None or p0_rows is None:
         # default degree-0 part: the depth-0 stratum of the lam-weight space
-        wlat = Lattice.from_rows(alg.ring, dagger.rank,
-                                 [list(r) for r in dagger.weight_space_rows(lam)])
-        chain0 = module_rad_chain(dagger)
-        deeper = lattice_intersection(wlat, chain0[1] if len(chain0) > 1
-                                      else Lattice.zero(alg.ring, dagger.rank))
+        wlat = dagger.span(dagger.weight_space_rows(lam))
+        deeper = lattice_intersection(wlat, rad_part)
         lifts, tors = quotient_free_basis(wlat, deeper)
         if tors:
             raise TightnessError("weight space stratum is not pure; supply v")
@@ -547,10 +510,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
         dagger.act(e, v) == list(v)
         and dagger.submodule_generated([v]) == dagger.full_lattice())
     # (ii) dagger = P0 (+) (dagger ∩ rad P_K) with K P0 + E_K stable
-    ring = alg.ring
-    chain = module_rad_chain(dagger)
-    rad_part = chain[1] if len(chain) > 1 else Lattice.zero(ring, dagger.rank)
-    p0 = Lattice.from_rows(ring, dagger.rank, p0_rows)
+    p0 = dagger.span(p0_rows)
     direct = p0.add(rad_part) == dagger.full_lattice() and \
         lattice_intersection(p0, rad_part).rank == 0
     res.hypotheses["h2_direct_sum"] = direct
@@ -587,15 +547,9 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
 def _h2_stability(alg, datum, lam, dagger, p0_rows):
     """K.P0 + E_K(lam) must be stable under the Wedderburn complement."""
     ak = alg.base_change("K")
-    w = alg.weights
-    wedd = datum.wedderburn
+    wedd, _ = _wedderburn_rows(alg, datum)
     if wedd is None:
-        try:
-            mods = weight_simples(ak)
-            idem_rows = [list(w.idempotents[nu]) for nu in w.X]
-            wedd = radicals.wedderburn_complement(ak, mods, contain=idem_rows)
-        except (radicals.NonSplitError, AlgebraError):
-            return False
+        return False
     # E_K inside dagger coordinates: kernel of the surjection onto Delta_K
     daggerK = dagger.base_change("K")
     deltaK = standard_module(ak, lam)
@@ -606,14 +560,28 @@ def _h2_stability(alg, datum, lam, dagger, p0_rows):
     if h is None:
         return False
     ker = linalg.kernel_right([list(r) for r in h], deltaK.fld)
-    span = [list(r) for r in ker] + [list(r) for r in p0_rows]
-    ech, piv = linalg.rref(span, deltaK.fld)
+    span = daggerK.span([list(r) for r in ker] + [list(r) for r in p0_rows])
     for s in wedd:
-        for r in ech:
-            img = daggerK.act(list(s), list(r))
-            if any(linalg.in_row_space(img, ech, piv)):
+        for r in span.rows:
+            if not span.contains_vector(daggerK.act(list(s), list(r))):
                 return False
     return True
+
+
+def _wedderburn_rows(alg, datum):
+    """(rows, None) spanning the datum's Wedderburn complement of A_K, or else
+    one built to contain every weight idempotent; (None, reason) when the
+    splitting fails."""
+    if datum.wedderburn is not None:
+        return datum.wedderburn, None
+    ak = alg.base_change("K")
+    w = alg.weights
+    try:
+        return radicals.wedderburn_complement(
+            ak, weight_simples(ak),
+            contain=[list(w.idempotents[nu]) for nu in w.X]), None
+    except (radicals.NonSplitError, AlgebraError) as exc:
+        return None, str(exc)
 
 
 # kept for the benchmark's LsCacheGuard: the verdict now lives in the algebra's memo

@@ -1,5 +1,7 @@
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from grforge import cli, files, modules
@@ -29,6 +31,33 @@ class TestDocuments:
         with pytest.raises(files.DocumentError) as exc:
             files.doc_to_algebra({"schema": "grforge/v1/algebra", "rank": 1})
         assert "schema violation" in str(exc.value)
+
+    def test_schema_read_and_checked_once(self, z5_doc):
+        files._validator.cache_clear()
+        for _ in range(3):
+            files.doc_to_algebra(z5_doc)
+        info = files._validator.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.pop("rank"),
+        lambda d: d.update(rank="five"),
+        # two violations each, and the first one found is not the best match
+        lambda d: (d["ring"].update(p=2), d["structure_constants"][0].pop()),
+        lambda d: d.update(unit=[None], basis_labels=[1]),
+    ])
+    def test_schema_error_is_the_one_jsonschema_reports(self, z5_doc, mutate):
+        doc = json.loads(files.canonical_json(z5_doc))
+        mutate(doc)
+        schema = json.loads(resources.files("grforge.schemas")
+                            .joinpath("algebra.json").read_text())
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(doc, schema)
+        path = "/".join(str(p) for p in ref.value.absolute_path)
+        with pytest.raises(files.DocumentError) as got:
+            files.doc_to_algebra(doc)
+        assert str(got.value) == \
+            f"schema violation at /{path}: {ref.value.message}"
 
     def test_bad_scalar_rejected(self, z5_doc):
         doc = json.loads(files.canonical_json(z5_doc))

@@ -1,6 +1,6 @@
 """Property tests of the shared exact helpers against slower references:
-linalg.combine, lattices.coord_solver, modules.hom_equations and
-modules.find_iso."""
+linalg.combine, linalg.Subspace, lattices.coord_solver, modules.hom_equations
+and modules.find_iso."""
 
 from fractions import Fraction
 
@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from grforge import linalg, modules
 from grforge.lattices import Lattice, coord_solver
 from grforge.modules import ModuleRep, find_iso, hom_equations
-from grforge.scalars import CYCLOTOMIC, RATIONAL, RingSpec
+from grforge.scalars import CYCLOTOMIC, RATIONAL, Cyc, CycField, RingSpec
 
 R3 = RingSpec(RATIONAL, 3)
 R5 = RingSpec(RATIONAL, 5)
 C3 = RingSpec(CYCLOTOMIC, 3)
+C5 = RingSpec(CYCLOTOMIC, 5)
 
 small = st.integers(-3, 3)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -83,6 +84,109 @@ def test_integral_coord_solver_matches_lattice_coords(ring, data):
     if got is not None:
         assert all(ring.valuation(c) >= 0 for c in got if c)
         assert linalg.combine(got, rows, fld.zero) == v
+
+
+# ---------------------------------------------------------------------------
+# linalg.Subspace against bare rref rows
+# ---------------------------------------------------------------------------
+
+SPAN_FIELDS = {"Q": R5.field_K, "F_5": R5.field_k, "Q(zeta_5)": C5.field_K}
+
+
+def draw_scalar(data, fld):
+    """A small scalar; over Q(zeta) a full combination of the powers of zeta,
+    zero a quarter of the time."""
+    if isinstance(fld, CycField) and data.draw(st.integers(0, 3)):
+        return Cyc(fld.p, [data.draw(small) for _ in range(fld.p - 1)])
+    return fld.of(data.draw(small))
+
+
+def draw_rows(data, fld, n):
+    """Up to 4 rows of length n; some are combinations of earlier rows, so
+    the rank is often below the row count."""
+    rows = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if rows and data.draw(st.booleans()):
+            rows.append(linalg.combine([draw_scalar(data, fld) for _ in rows],
+                                       rows, fld.zero))
+        else:
+            rows.append([draw_scalar(data, fld) for _ in range(n)])
+    return rows
+
+
+def draw_member_or_not(data, fld, rows, n):
+    if rows and data.draw(st.booleans()):
+        return linalg.combine([draw_scalar(data, fld) for _ in rows], rows,
+                              fld.zero)
+    return [draw_scalar(data, fld) for _ in range(n)]
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(SPAN_FIELDS)), st.data())
+def test_subspace_matches_rref_reference(kind, data):
+    fld = SPAN_FIELDS[kind]
+    n = data.draw(st.integers(1, 4))
+    rows = draw_rows(data, fld, n)
+    span = linalg.Subspace.from_rows(fld, n, rows)
+    ech, piv = linalg.rref(rows, fld)
+    assert (span.rows, span.pivots, span.rank) == (ech, piv, len(ech))
+    v = draw_member_or_not(data, fld, rows, n)
+    inside = not any(linalg.in_row_space(v, ech, piv))
+    assert span.contains_vector(v) == inside
+    c = span.coords(v)
+    assert c == linalg.coords_in_row_space(v, ech, piv)
+    assert (c is not None) == inside
+    if c is not None:
+        # combine of no rows is the empty vector
+        back = linalg.combine(c, span.rows, fld.zero) or [fld.zero] * n
+        assert back == v
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(SPAN_FIELDS)), st.data())
+def test_subspace_equality_and_add_match_reference(kind, data):
+    fld = SPAN_FIELDS[kind]
+    n = data.draw(st.integers(1, 4))
+    rows1 = draw_rows(data, fld, n)
+    # the second span is often the first one on another generating set
+    rows2 = [draw_member_or_not(data, fld, rows1, n)
+             for _ in range(data.draw(st.integers(0, 4)))]
+    s1 = linalg.Subspace.from_rows(fld, n, rows1)
+    s2 = linalg.Subspace.from_rows(fld, n, rows2)
+    ref1, ref2 = linalg.rref(rows1, fld)[0], linalg.rref(rows2, fld)[0]
+    assert (s1 == s2) == (ref1 == ref2)
+    total = s1.add(s2)
+    assert total.rows == linalg.rref(rows1 + rows2, fld)[0]
+    assert total.contains_lattice(s1) and total.contains_lattice(s2)
+    assert s1.contains_lattice(s2) == (total.rank == s1.rank)
+    assert s1.contains_lattice(s2) == all(
+        not any(linalg.in_row_space(r, ref1, s1.pivots)) for r in rows2)
+    # the quotient lifts complete a basis of F^n
+    lifts, torsion = s1.quotient_lifts()
+    assert torsion == []
+    assert linalg.rank(list(s1.rows) + lifts, fld) == n
+
+
+def test_span_picks_the_level(z5):
+    """StructureAlgebra.span: a Lattice at O, a Subspace at K and k; spans
+    pass through; ideal_generated returns the same kind, canonically."""
+    for alg, kind in ((z5, Lattice), (z5.base_change("K"), linalg.Subspace),
+                      (z5.base_change("k"), linalg.Subspace)):
+        span = alg.span([alg.basis_vec(0), alg.basis_vec(1), alg.basis_vec(0)])
+        assert type(span) is kind and span.rank == 2
+        assert alg.span(span) is span
+        ideal = alg.ideal_generated(alg.weight_idempotent(["2"]))
+        assert type(ideal) is kind
+        assert alg.span([list(r) for r in reversed(ideal.rows)]) == ideal
+
+
+def test_quotient_takes_rows_or_span(z5_K):
+    from grforge import radicals
+
+    rad = radicals.radical_field(z5_K)
+    by_rows, lifts1, _ = z5_K.quotient_by_ideal(rad)
+    by_span, lifts2, _ = z5_K.quotient_by_ideal(z5_K.span(rad))
+    assert (by_rows.sc, by_rows.unit, lifts1) == (by_span.sc, by_span.unit, lifts2)
 
 
 def _modules(alg, sp):

@@ -2,9 +2,10 @@
 
 Every private function must be used somewhere in the package: a `_name` is
 not part of the public API, so a definition that nothing in src/grforge
-references (outside its own def line) is dead code.  And no check may rest
+references (outside its own def line) is dead code.  No check may rest
 on an `assert`, which `python -O` strips, outside the modules that still
-have some.
+have some.  And no module but `lattices` asks which kind of span it holds:
+spans come from `StructureAlgebra.span`.
 """
 
 import ast
@@ -33,7 +34,7 @@ def test_every_private_function_is_referenced():
 
 
 # modules whose remaining asserts have not yet become explicit raises
-ASSERT_ALLOWLIST = {"cyclo", "fixtures", "lattices", "modules", "radicals"}
+ASSERT_ALLOWLIST = {"cyclo", "fixtures", "radicals"}
 
 
 def test_no_assert_outside_allowlist():
@@ -45,3 +46,29 @@ def test_no_assert_outside_allowlist():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"asserts outside the allowlist: {found}"
+
+
+def _span_probe(node):
+    """`isinstance(x, ...Lattice...)` or `hasattr(x, "rank" | "rows")`."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and len(node.args) == 2):
+        return False
+    kind = node.args[1]
+    if node.func.id == "isinstance":
+        names = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "Lattice"
+                   for n in names)
+    if node.func.id == "hasattr":
+        return isinstance(kind, ast.Constant) and kind.value in ("rank", "rows")
+    return False
+
+
+def test_no_span_kind_probes_outside_lattices():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem == "lattices":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _span_probe(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"span-kind probes outside lattices.py: {found}"
