@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import linalg
-from .lattices import coord_solver, quotient_projection, span_of
+from .lattices import coord_solver, quotient_projection, saturate_rows, span_of
 from .scalars import RingSpec
 
 
@@ -359,6 +359,12 @@ class StructureAlgebra:
             raise AlgebraError(f"cannot base change to {level!r}")
         return self._derived(_base_change, level)
 
+    def field_algebra(self) -> "StructureAlgebra":
+        """The algebra over a field behind this one: A_K at level O, the
+        algebra itself at K and k.  Radicals and their powers are computed
+        there; `pure_span` brings such a subspace back to this level."""
+        return self if self._span_ring is None else self.base_change("K")
+
     # -- subquotients -----------------------------------------------------------------
     def subalgebra_on(self, rows, labels=None, unit=None):
         """The algebra structure on an O-lattice / subspace closed under product.
@@ -390,17 +396,30 @@ class StructureAlgebra:
                                 labels or [f"s{i}" for i in range(n)],
                                 unit_c, sc, None, None), basis
 
+    @property
+    def _span_ring(self):
+        """The ring O whose lattices are this algebra's spans at level O;
+        None at K and k, where spans are subspaces."""
+        return self.ring if self.level == "O" else None
+
     def coord_solver(self, basis):
         """lattices.coord_solver at this algebra's level."""
-        return coord_solver(basis, self.fld,
-                            self.ring if self.level == "O" else None)
+        return coord_solver(basis, self.fld, self._span_ring)
 
     def span(self, rows, ambient=None):
         """The span of `rows` in the free module of rank `ambient` (default
         this algebra's rank) at this algebra's level: a canonical Lattice at
         O, a linalg.Subspace at K and k.  A span passes through unchanged."""
         return span_of(rows, self.rank if ambient is None else ambient,
-                       self.fld, self.ring if self.level == "O" else None)
+                       self.fld, self._span_ring)
+
+    def pure_span(self, space):
+        """A subspace over `field_algebra()`'s field, brought to this level:
+        the pure Lattice O^n ∩ space at level O (it depends only on the
+        subspace, not on its rows), the subspace itself at K and k."""
+        if self._span_ring is None:
+            return space
+        return saturate_rows(self.ring, space.ambient, space.rows)
 
     def stable_span(self, vectors, maps, ambient=None):
         """The smallest span (see `span`) that contains the vectors and is

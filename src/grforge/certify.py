@@ -404,7 +404,7 @@ class ChainCertificate:
 
 def _corner_simple_modules(alg, e, e_basis, corner, labels):
     """Simple modules of the corner e A_K e through the weight simples."""
-    ak = alg.base_change("K") if alg.level == "O" else alg
+    ak = alg.field_algebra()
     if alg.weights is None:
         return None
     try:
@@ -632,9 +632,10 @@ def certify_qha(alg: StructureAlgebra, order=None) -> ChainCertificate:
 def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
     """Independent re-verification of an emitted chain certificate.
 
-    Walks the recorded strip order from scratch; purity is judged only by the
-    base-change-injectivity route, ideal idempotency by two-sided membership,
-    and the corner witness by re-checking the stored matrix-unit identities.
+    Walks the recorded strip order from scratch; purity (level O) is judged
+    only by the base-change-injectivity route, ideal idempotency at every
+    level by J^2 == J as spans, and the corner witness by re-checking the
+    stored matrix-unit identities.
     """
     cur = alg
     for step in cert.steps:
@@ -653,15 +654,10 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
             pure = linalg.rank(red, cur.ring.field_k) == J.rank
             if pure != step.verdicts.get("free_quotient"):
                 return False
-            # J^2 = J by membership both ways
-            for a in J.rows:
-                for b in J.rows:
-                    if not J.contains_vector(cur.mul(list(a), list(b))):
-                        return False
-            J2 = cur.span([cur.mul(list(a), list(b))
-                           for a in J.rows for b in J.rows])
-            if (J2 == J) != step.verdicts.get("idempotent_ideal"):
-                return False
+        J2 = cur.span([cur.mul(list(a), list(b))
+                       for a in J.rows for b in J.rows])
+        if (J2 == J) != step.verdicts.get("idempotent_ideal"):
+            return False
         if step.corner is not None and step.corner.ok:
             # stored corner matrix units must verify inside the corner algebra
             cbasis = cur.span([cur.mul(e, cur.mul(cur.basis_vec(i), e))

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__, certify, cyclo, files, fixtures, forced, modules
 from . import randomized, suites, tightness
 from .algebra import AlgebraError, ValidationError
+from .graded import gr_algebra
 from .scalars import ScalarError
 
 EXIT_OK = 0
@@ -170,8 +171,6 @@ def cmd_certify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gr(args):
-    from .graded import gr_algebra
-
     alg = _load_algebra(args.algebra)
     gr = gr_algebra(alg)
     meta = {"fixture": f"gr({Path(args.algebra).stem})",
@@ -355,8 +354,6 @@ def cmd_filtration(args):
     print("sections bottom-to-top:",
           [(str(s.label), s.copies) for s in stages])
     if args.graded:
-        from .graded import gr_algebra
-
         gr = gr_algebra(alg)
         sp = modules.standard_and_projectives(alg)
         gstages = forced.gr_delta_filtration(mod, gr, sp)

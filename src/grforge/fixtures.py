@@ -19,6 +19,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra, WeightDatum
 from .lattices import Lattice
 from .scalars import CYCLOTOMIC, RATIONAL, Cyc, RingSpec
@@ -665,8 +666,6 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
     block lists its highest weights; degrades gracefully when the central
     idempotents do not lie in the integral form.
     """
-    from . import linalg, radicals
-
     ring = alg.ring
     ak = alg.base_change("K")
     fld = ak.fld

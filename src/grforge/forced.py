@@ -29,6 +29,7 @@ from .modules import (
     FiltrationFailure,
     ModuleRep,
     direct_sum_module,
+    head_info,
     hom_with_generator_images,
 )
 
@@ -180,8 +181,6 @@ def lemma_4_9_check(gralg: GradedAlgebra, lam, standards, simples_k, radk):
     Returns (simple_head, grb_equals_gr) after asserting the biconditional.
     Callers are expected to have verified Hypothesis 4.7(1) (TQHA) already.
     """
-    from .modules import head_info
-
     delta = standards[lam]["Delta"] if isinstance(standards[lam], dict) \
         else standards[lam]
     gd = gr_module(gralg, delta)

@@ -176,6 +176,10 @@ class Lattice:
         quotient_free_basis."""
         return quotient_free_basis(Lattice.full(self.ring, self.ambient), self)
 
+    def lifts_over(self, sub: "Lattice"):
+        """(free_lifts, torsion_vals) of self / sub; see quotient_free_basis."""
+        return quotient_free_basis(self, sub)
+
     # -- lattice arithmetic -------------------------------------------------------
     def add(self, other: "Lattice") -> "Lattice":
         self._check_compatible(other)

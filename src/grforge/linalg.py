@@ -144,7 +144,8 @@ class Subspace:
 
     The field-level counterpart of lattices.Lattice, with the same protocol
     (`rows`, `rank`, `contains_vector`, `contains_lattice`, `coords`, `add`,
-    ==).  Two subspaces are equal iff their rref rows are equal.
+    `quotient_lifts`, `lifts_over`, ==).  Two subspaces are equal iff their
+    rref rows are equal.
     """
 
     __slots__ = ("fld", "ambient", "rows", "pivots")
@@ -194,6 +195,20 @@ class Subspace:
         pivots = set(self.pivots)
         lifts = [[o if t == j else z for t in range(self.ambient)]
                  for j in range(self.ambient) if j not in pivots]
+        return lifts, []
+
+    def lifts_over(self, sub):
+        """(lifts, torsion) of self / sub for a subspace sub of self: each
+        row of self in turn, reduced modulo sub and the lifts kept so far,
+        is kept when the remainder is nonzero.  No torsion."""
+        cur = sub
+        lifts = []
+        for row in self.rows:
+            rem = cur.reduce(row)
+            if any(rem):
+                lifts.append(rem)
+                cur = Subspace.from_rows(self.fld, self.ambient,
+                                         cur.rows + [rem])
         return lifts, []
 
 

@@ -50,18 +50,20 @@ def is_nilpotent_subspace(alg, rows) -> bool:
 
 
 def subspace_power(alg, rows, n):
-    """Span of n-fold products (n >= 1) of the given spanning set."""
-    ech = alg.span(rows).rows
-    cur = ech
-    for _ in range(n - 1):
-        nxt = []
-        for v in cur:
-            for w in ech:
-                nxt.append(alg.mul(list(v), list(w)))
-        cur, _ = linalg.rref(nxt, alg.fld)
-        if not cur:
-            break
-    return cur
+    """Basis rows of the span of n-fold products (n >= 1) of the given
+    spanning set."""
+    return _subspace_powers(alg, rows, n)[-1].rows
+
+
+def _subspace_powers(alg, rows, n):
+    """[S, S^2, ..., S^n] for S the span of the rows, cut after the first
+    power that is 0."""
+    base = alg.span(rows)
+    powers = [base]
+    while len(powers) < n and powers[-1].rank:
+        powers.append(alg.span([alg.mul(list(v), list(w))
+                                for v in powers[-1].rows for w in base.rows]))
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +184,16 @@ def _fr_stage(alg, basis_rows, power):
     return out
 
 
-def radical_power_rows(alg, rad_rows, n):
-    """Basis of rad^n as a subspace (n >= 0; n = 0 gives the full space)."""
-    if n == 0:
-        return [alg.basis_vec(i) for i in range(alg.rank)]
-    return subspace_power(alg, rad_rows, n)
+def radical_chain(alg: StructureAlgebra):
+    """[rad^0, rad^1, ..., 0] of a field-level algebra as linalg.Subspaces,
+    built once per algebra.  rad^0 is the whole algebra, and len(chain) - 1
+    is the nilpotency degree: the least L with rad^L = 0."""
+    return alg._derived(_radical_chain)
 
 
-def nilpotency_degree(alg, rad_rows) -> int:
-    """Least L with rad^L = 0."""
-    cur, _ = linalg.rref(rad_rows, alg.fld)
-    deg = 1
-    base = cur
-    while cur:
-        nxt = []
-        for v in cur:
-            for w in base:
-                nxt.append(alg.mul(list(v), list(w)))
-        cur, _ = linalg.rref(nxt, alg.fld)
-        deg += 1
-    return deg
+def _radical_chain(alg):
+    whole = alg.span([alg.basis_vec(i) for i in range(alg.rank)])
+    return [whole] + _subspace_powers(alg, radical_field(alg), alg.rank + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +476,7 @@ def wedderburn_complement(alg, modules, contain=None, rad=None):
     units = lift_matrix_units(alg, quot, lifts, project, blocks)
     s_rows = alg.span(list(units.values())).rows
     if contain is not None:
-        s_rows = _malcev_enlarge(alg, s_rows, contain, rad)
+        s_rows = _malcev_enlarge(alg, s_rows, contain)
     _verify_complement(alg, s_rows, rad)
     if contain is not None:
         span = alg.span(s_rows)
@@ -519,7 +511,7 @@ def quotient_modules(alg, lifts, modules):
     return out
 
 
-def _malcev_enlarge(alg, s_rows, contain, rad):
+def _malcev_enlarge(alg, s_rows, contain):
     """Conjugate the complement S so that it contains the subalgebra S0.
 
     Stagewise Malcev correction: with the defect of S0 against S inside J^m,
@@ -527,6 +519,9 @@ def _malcev_enlarge(alg, s_rows, contain, rad):
     replace S by (1-h)^(-1) S (1-h); the defect moves into J^(2m).
     """
     fld = alg.fld
+    chain = radical_chain(alg)
+    top = len(chain) - 1  # J^top = 0
+    rad = chain[1].rows
     s0_rows = alg.span(contain).rows
     max_rounds = alg.rank.bit_length() + 3
     for _ in range(max_rounds):
@@ -552,17 +547,13 @@ def _malcev_enlarge(alg, s_rows, contain, rad):
             return s_ech
         # defect depth: largest m with all deltas in J^m
         m = 1
-        while True:
-            nxt = alg.span(subspace_power(alg, rad, m + 1))
-            if nxt.rank and all(nxt.contains_vector(d) for d in deltas):
-                m += 1
-            else:
-                break
-        basis_m = subspace_power(alg, rad, m)
-        rad_span = alg.span(rad)
-        assert all(rad_span.contains_vector(d) for d in deltas), \
+        while m + 1 < top and all(chain[m + 1].contains_vector(d)
+                                  for d in deltas):
+            m += 1
+        basis_m = chain[m].rows
+        assert all(chain[1].contains_vector(d) for d in deltas), \
             "Malcev defect lies outside the radical"
-        mod_j2m = alg.span(subspace_power(alg, rad, 2 * m)).reduce
+        mod_j2m = chain[min(2 * m, top)].reduce
 
         # unknown h over basis_m; equations h sig - sig h = delta mod J^(2m)
         big = []

@@ -60,8 +60,7 @@ def prop52_campaign(alg, datum, trials: int, seed: int,
     number of tight/non-tight draws (both classes should occur).
     """
     rng = random.Random(seed)
-    sub_rows = [list(r) for r in datum.rows]
-    sub, _ = alg.subalgebra_on(sub_rows)
+    sub = tightness.subalgebra_of(alg, datum.rows)
     stats = {"trials": 0, "agreements": 0, "disagreements": 0,
              "tight": 0, "not_tight": 0}
     reg = regular_module(sub)

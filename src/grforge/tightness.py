@@ -33,6 +33,7 @@ from .modules import (
     weight_projective,
     weight_simples,
 )
+from .suites import SuiteResult, graded_head_context
 
 
 class TightnessError(AlgebraError):
@@ -81,13 +82,24 @@ class GradedSubalgebraDatum:
         return True
 
 
-def module_over_subalgebra(alg, rows, mod: ModuleRep, sub=None) -> ModuleRep:
+def subalgebra_of(alg: StructureAlgebra, rows) -> StructureAlgebra:
+    """The subalgebra on the basis `rows` (ambient coordinates, in this
+    order), built once per algebra and rows: it is kept in the ambient
+    algebra's memo, keyed by the rows as tuples."""
+    return alg._derived(_subalgebra_of, tuple(tuple(r) for r in rows))
+
+
+def _subalgebra_of(alg, rows):
+    sub, _ = alg.subalgebra_on([list(r) for r in rows])
+    return sub
+
+
+def module_over_subalgebra(alg, rows, mod: ModuleRep) -> ModuleRep:
     """Reinterpret a module over the ambient algebra as a module over the
     subalgebra spanned by `rows` (the action simply restricts)."""
-    if sub is None:
-        sub, _ = alg.subalgebra_on([list(r) for r in rows])
     acts = [mod.act_matrix(list(r)) for r in rows]
-    return ModuleRep(sub, mod.rank, acts, mod.name + "|sub")
+    return ModuleRep(subalgebra_of(alg, rows), mod.rank, acts,
+                     mod.name + "|sub")
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +113,19 @@ def is_tight(alg, sub_rows, mod: ModuleRep):
     ambient coordinates; M is a module over the ambient algebra and is
     restricted to a internally.
     """
-    sub, _ = alg.subalgebra_on([list(r) for r in sub_rows])
-    submod = module_over_subalgebra(alg, sub_rows, mod, sub)
-    return is_tight_core(sub, submod)
+    submod = module_over_subalgebra(alg, sub_rows, mod)
+    return is_tight_core(submod, module_rad_chain(submod))
 
 
-def is_tight_core(sub: StructureAlgebra, submod: ModuleRep):
-    """Tightness of a module given directly over the subalgebra."""
+def is_tight_core(submod: ModuleRep, mod_chain):
+    """Tightness of a module given directly over the subalgebra, from its
+    radical chain (graded.module_rad_chain)."""
     if submod.level != "O":
         raise TightnessError("tightness is an integral-level notion")
     if submod.rank == 0:
         return True, None
-    sub_chain = algebra_rad_chain(sub)
+    sub_chain = algebra_rad_chain(submod.algebra)
     degree = len(sub_chain) - 1  # nilpotency degree of rad a_K
-    mod_chain = module_rad_chain(submod)
     for r in range(1, degree + 1):
         lhs = mod_chain[min(r, len(mod_chain) - 1)]
         rr_lat = sub_chain[min(r, len(sub_chain) - 1)]
@@ -151,8 +162,7 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
     if total != alg_field.rank:
         reasons.append("graded pieces do not span")
     # grade 0 semisimple
-    zero_rows = [list(r) for r in grade_rows.get(0, [])]
-    sub0, _ = alg_field.subalgebra_on(zero_rows)
+    sub0 = subalgebra_of(alg_field, grade_rows.get(0, []))
     if radicals.radical_field(sub0):
         reasons.append("grade-0 part is not semisimple")
     # generation: pieces of grade r >= 1 equal (grade 1)^r
@@ -167,14 +177,13 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
         if power != alg_field.span(grade_rows.get(g, [])):
             reasons.append(f"grade {g} is not (grade 1)^{g}")
     # rad^r = sum of grades >= r
-    rad = radicals.radical_field(alg_field)
+    chain = radicals.radical_chain(alg_field)
     for r in range(1, (max(grades) + 2) if grades else 1):
         pos = []
         for g in grades:
             if g >= r:
                 pos.extend(list(x) for x in grade_rows[g])
-        radr = radicals.radical_power_rows(alg_field, rad, r)
-        if alg_field.span(pos) != alg_field.span(radr):
+        if alg_field.span(pos) != chain[min(r, len(chain) - 1)]:
             reasons.append(f"rad^{r} differs from the sum of grades >= {r}")
             break
     return (not reasons), reasons
@@ -200,7 +209,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     grade_rows = {}
     for r, g in zip(sub_rows, datum.grades):
         grade_rows.setdefault(g, []).append(r)
-    sub, _ = alg.subalgebra_on(sub_rows)
+    sub = subalgebra_of(alg, sub_rows)
     subk = sub.base_change("K")
     sub_grade_rows = {}
     idx = 0
@@ -415,24 +424,30 @@ def e_k_lambda(alg_field, lam):
 def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
                      over_sub: bool = False):
     """(i) tight; (ii) sum_{i>=r} a_i M = r~ad^r M; (iii) gr M generated in
-    degree 0.  All three computed independently; returns the dict.
+    degree 0; returns the dict.
+
+    The three criteria are tested independently of each other: (i) against
+    the products (r~ad^r a) M, (ii) against the graded pieces of a, (iii) on
+    gr M as a gr a-module.  The radical chain of M is one shared input, built
+    once; computing it again per criterion gave the same chain and so never
+    made the verdicts more independent.
 
     With over_sub=True, `mod` is already a module over the subalgebra; its
     basis order must match datum.rows.
     """
-    sub_rows = [list(r) for r in datum.rows]
-    sub, _ = alg.subalgebra_on(sub_rows)
+    sub = subalgebra_of(alg, datum.rows)
     if over_sub:
         submod = ModuleRep(sub, mod.rank, mod.acts, mod.name)
     else:
-        submod = module_over_subalgebra(alg, sub_rows, mod, sub)
-    tight, first_fail = is_tight_core(sub, submod)
+        submod = module_over_subalgebra(alg, datum.rows, mod)
+    gm = gr_module(gr_algebra(sub), submod)
+    mod_chain = gm.chain
+    tight, first_fail = is_tight_core(submod, mod_chain)
     # (ii): grades in subalgebra coordinates (datum order = sub basis order)
     grade_idx = {}
     for i, g in enumerate(datum.grades):
         grade_idx.setdefault(g, []).append(i)
     degree = len(algebra_rad_chain(sub)) - 1  # nilpotency degree of rad a_K
-    mod_chain = module_rad_chain(submod)
     ok2 = True
     for r in range(1, degree + 1):
         radr = mod_chain[min(r, len(mod_chain) - 1)]
@@ -446,8 +461,6 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
             ok2 = False
             break
     # (iii) gr M over gr a generated by degree 0
-    gr_sub = gr_algebra(sub)
-    gm = gr_module(gr_sub, submod)
     zero_rows = [gm.module.basis_vec(i) for i in range(gm.module.rank)
                  if gm.grades[i] == 0]
     ok3 = (gm.module.submodule_generated(zero_rows)
@@ -471,8 +484,6 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     lam-weight generator; p0_rows to the lam-weight space.  Divergence between
     a verified hypothesis set and a failed conclusion is a falsification.
     """
-    from .suites import SuiteResult
-
     res = SuiteResult("thm53")
     w = alg.weights
     datum.validate(alg)
@@ -530,8 +541,6 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     if fail_d is not None:
         res.notes["delta_first_failing_r"] = fail_d
     # conclusion 2: head(gr Delta(lam) mod pi) = L(lam)
-    from .suites import graded_head_context
-
     gr = gr_algebra(alg)
     gd = gr_module(gr, delta)
     _, gradk, gsimples_k = graded_head_context(gr)

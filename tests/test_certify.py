@@ -91,6 +91,18 @@ class TestChains:
         cert.steps = [dataclasses.replace(s, ideal=object()) for s in cert.steps]
         assert certify.verify_chain(z5, cert)
 
+    @pytest.mark.parametrize("level", ["O", "K", "k"])
+    def test_flipped_idempotency_verdict_rejected(self, z5, level):
+        # J^2 = J is re-checked at every level, not only at O
+        alg = z5 if level == "O" else z5.base_change(level)
+        cert = certify.certify_qha(alg)
+        assert cert.ok and certify.verify_chain(alg, cert)
+        step = cert.steps[0]
+        verdicts = dict(step.verdicts,
+                        idempotent_ideal=not step.verdicts["idempotent_ideal"])
+        cert.steps[0] = dataclasses.replace(step, verdicts=verdicts)
+        assert not certify.verify_chain(alg, cert)
+
     def test_gr_z5_tight_case(self, gr_z5):
         cert = certify.certify_qha(gr_z5.algebra)
         assert cert.ok

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from grforge import graded, modules, radicals
 from grforge.fixtures import build_z5s
 from grforge.lattices import Lattice
@@ -14,6 +16,27 @@ class TestRadicalPowerLattice:
         assert r2.rank == 1
         assert graded.radical_power_lattice(z5, 3).rank == 0
         assert graded.radical_power_lattice(z5, 99).rank == 0
+
+
+class TestOneFiltration:
+    @pytest.mark.parametrize("level", ["O", "K", "k"])
+    def test_algebra_chain_is_the_regular_module_chain(self, z5, qschur23,
+                                                      level):
+        # r~ad^n A is r~ad^n of the regular module, at every level; over a
+        # field both are the chain of radical powers
+        for alg in (z5, qschur23):
+            a = alg if level == "O" else alg.base_change(level)
+            chain = graded.algebra_rad_chain(a)
+            assert chain == graded.module_rad_chain(modules.regular_module(a))
+            if level != "O":
+                assert chain == radicals.radical_chain(a)
+            assert chain[0].rank == a.rank and chain[-1].rank == 0
+
+    def test_integral_chain_saturates_the_field_chain(self, z5):
+        chain_K = radicals.radical_chain(z5.base_change("K"))
+        for lat, space in zip(graded.algebra_rad_chain(z5), chain_K):
+            assert lat.rank == space.rank
+            assert space.contains_lattice(lat)
 
 
 class TestGrAlgebra:

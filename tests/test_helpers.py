@@ -1,6 +1,6 @@
 """Property tests of the shared exact helpers against slower references:
-linalg.combine, linalg.Subspace, lattices.coord_solver, modules.hom_equations
-and modules.find_iso."""
+linalg.combine, linalg.Subspace (with lifts_over), Lattice.lifts_over,
+lattices.coord_solver, modules.hom_equations and modules.find_iso."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grforge import linalg, modules
-from grforge.lattices import Lattice, coord_solver
+from grforge.lattices import Lattice, coord_solver, is_pure, quotient_free_basis
 from grforge.modules import ModuleRep, find_iso, hom_equations
 from grforge.scalars import CYCLOTOMIC, RATIONAL, Cyc, CycField, RingSpec
 
@@ -165,6 +165,68 @@ def test_subspace_equality_and_add_match_reference(kind, data):
     lifts, torsion = s1.quotient_lifts()
     assert torsion == []
     assert linalg.rank(list(s1.rows) + lifts, fld) == n
+
+
+# ---------------------------------------------------------------------------
+# lifts_over: the quotient of two nested spans
+# ---------------------------------------------------------------------------
+
+def remainder_lifts_reference(fld, big_rows, small_rows):
+    """The field-level adapted-lift loop of graded as it stood before
+    Subspace.lifts_over, kept verbatim: the gr structure constants over a
+    field depend on which lifts it picks."""
+    lifts = []
+    cur_ech, cur_piv = linalg.rref([list(r) for r in small_rows], fld)
+    for row in big_rows:
+        rem = linalg.in_row_space(list(row), cur_ech, cur_piv)
+        if any(rem):
+            lifts.append(rem)
+            cur_ech, cur_piv = linalg.rref(cur_ech + [rem], fld)
+    return lifts
+
+
+def draw_inside(data, fld, rows, scalar):
+    """Fewer combinations of the rows than there are rows (one for a single
+    row, none for no rows), so the span is often a proper nonzero part."""
+    count = data.draw(st.integers(0, max(len(rows) - 1, 1))) if rows else 0
+    return [linalg.combine([scalar() for _ in rows], rows, fld.zero)
+            for _ in range(count)]
+
+
+LATTICE_RINGS = {"Q": R5, "Q(zeta_5)": C5}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SPAN_FIELDS)), st.data())
+def test_lifts_over_nested_spans(kind, data):
+    fld = SPAN_FIELDS[kind]
+    n = data.draw(st.integers(1, 4))
+    s_rows = draw_rows(data, fld, n)
+    t_rows = draw_inside(data, fld, s_rows, lambda: draw_scalar(data, fld))
+    big = linalg.Subspace.from_rows(fld, n, s_rows)
+    small = linalg.Subspace.from_rows(fld, n, t_rows)
+    lifts, torsion = big.lifts_over(small)
+    assert torsion == []
+    assert len(lifts) == big.rank - small.rank
+    assert small.add(linalg.Subspace.from_rows(fld, n, lifts)) == big
+    assert lifts == remainder_lifts_reference(fld, big.rows, small.rows)
+    if kind not in LATTICE_RINGS:
+        return
+    # over O: the same call on lattices is quotient_free_basis; N is drawn
+    # with coefficients in O, so it often has torsion in M
+    ring = LATTICE_RINGS[kind]
+    m_lat = Lattice.from_rows(ring, n, s_rows)
+    p = fld.of(ring.p)
+    n_lat = Lattice.from_rows(ring, n, draw_inside(
+        data, fld, list(m_lat.rows),
+        lambda: draw_scalar(data, fld) * (p if data.draw(st.booleans())
+                                          else fld.one)))
+    free, tors = m_lat.lifts_over(n_lat)
+    assert (free, tors) == quotient_free_basis(m_lat, n_lat)
+    assert len(free) == m_lat.rank - n_lat.rank
+    assert (not tors) == is_pure(n_lat, m_lat)
+    k_span = linalg.Subspace.from_rows(fld, n, list(n_lat.rows) + free)
+    assert k_span == linalg.Subspace.from_rows(fld, n, list(m_lat.rows))
 
 
 def test_span_picks_the_level(z5):

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from grforge import modules, tightness
+from grforge import fixtures, graded, modules, radicals, randomized, tightness
+from grforge.algebra import StructureAlgebra
 from grforge.lattices import Lattice
 
 
@@ -158,6 +159,55 @@ class TestProp52:
                                                      DELTA_GRADINGS)
         assert conds["c5_integral_grading"]
         assert "c5" not in notes
+
+
+class TestBuiltOnce:
+    def test_campaign_builds_the_subalgebra_once(self, monkeypatch):
+        # every trial draws a new module over the same subalgebra
+        calls = []
+        subalgebra_on = StructureAlgebra.subalgebra_on
+
+        def counted(alg, *args, **kwargs):
+            calls.append(alg)
+            return subalgebra_on(alg, *args, **kwargs)
+
+        radical_builds = []
+        radical_field = radicals._radical_field
+
+        def counted_radical(alg):
+            radical_builds.append(alg)
+            return radical_field(alg)
+
+        monkeypatch.setattr(StructureAlgebra, "subalgebra_on", counted)
+        monkeypatch.setattr(radicals, "_radical_field", counted_radical)
+        z5 = fixtures.build_z5(3)  # a fresh algebra: an empty memo
+        stats = randomized.prop52_campaign(z5, path_datum(z5), 20, seed=1)
+        assert stats["trials"] == 20 and stats["disagreements"] == 0
+        assert len(calls) == 1
+        # the radical of the subalgebra's K-form, once for all trials
+        assert len(radical_builds) == 1
+
+    def test_prop52_builds_the_module_chain_once(self, z5, sp_z5,
+                                                 monkeypatch):
+        calls = []
+        module_rad_chain = graded.module_rad_chain
+
+        def counted(mod):
+            calls.append(mod)
+            return module_rad_chain(mod)
+
+        monkeypatch.setattr(graded, "module_rad_chain", counted)
+        monkeypatch.setattr(tightness, "module_rad_chain", counted)
+        v = tightness.prop_52_verdicts(z5, path_datum(z5), sp_z5["1"]["P"])
+        assert v["tight"] and v["sum_formula"] and v["generated_in_degree_0"]
+        assert len(calls) == 1
+
+    def test_subalgebra_is_kept_by_rows(self, z5):
+        rows = path_datum(z5).rows
+        sub = tightness.subalgebra_of(z5, rows)
+        assert tightness.subalgebra_of(z5, [tuple(r) for r in rows]) is sub
+        other = tightness.subalgebra_of(z5, list(reversed(rows)))
+        assert other is not sub and other.rank == sub.rank
 
 
 class TestLambdaStandardCache:
