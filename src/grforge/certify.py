@@ -207,7 +207,7 @@ def generic_simples(alg):
     for lbl, mod in out:
         key = None
         for lbl2, mod2 in uniq:
-            if find_iso(mod, mod2, integral=False) is not None:
+            if find_iso(mod, mod2) is not None:
                 key = lbl2
                 break
         if key is None:

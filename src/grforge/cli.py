@@ -2,7 +2,9 @@
 
 Subcommands: gen, certify, gr, verify, filtration.  Exit codes: 0 all checks
 pass, 1 a verified hypothesis or conclusion check failed, 2 malformed input
-or internal error.  GRFORGE_SEED fixes the seeds of randomized suites.
+or internal error.  certify, every verify suite and filtration take their
+code from the report they emit, by one rule: 0 iff files.report_passed.
+GRFORGE_SEED fixes the seeds of randomized suites.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import __version__, certify, cyclo, files, fixtures, forced, modules
 from . import randomized, suites, tightness
 from .algebra import AlgebraError, ValidationError
 from .graded import gr_algebra
-from .scalars import ScalarError
+from .scalars import InternalCheckError, ScalarError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,13 +49,15 @@ def _load_algebra(path):
 
 
 def _emit_report(args, suite, fixture_id, verdicts, witnesses, t0, input_hash=""):
+    """Build the report (written to --report if given) and return its exit
+    code: EXIT_OK iff files.report_passed."""
     doc = files.suite_report(suite, fixture_id, verdicts, witnesses,
                              wall_clock=round(time.time() - t0, 3),
                              input_hash=input_hash)
     if getattr(args, "report", None):
         Path(args.report).write_text(json.dumps(doc, indent=2, sort_keys=True))
         print(f"report written to {args.report}")
-    return doc
+    return EXIT_OK if files.report_passed(doc) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +164,9 @@ def cmd_certify(args):
             "corner_blocks": list(s.corner.block_sizes) if s.corner else None,
         } for s in cert.steps],
     }
-    _emit_report(args, "certify", Path(args.algebra).stem,
-                 {"certified": cert.ok, "checker_agrees": checker},
-                 witnesses, t0, alg.source_hash)
-    return EXIT_OK if (cert.ok and checker) else EXIT_CHECK_FAILED
+    return _emit_report(args, "certify", Path(args.algebra).stem,
+                        {"certified": cert.ok, "checker_agrees": checker},
+                        witnesses, t0, alg.source_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -218,55 +221,42 @@ def cmd_verify(args):
         allv.update(comult)
         for k in sorted(allv):
             print(f"  {k}: {'pass' if allv[k] else 'FAIL'}")
-        doc = _emit_report(args, "appendix2", f"{args.type}@p{args.p}",
-                           allv, None, t0)
-        return EXIT_OK if files.report_passed(doc) else EXIT_CHECK_FAILED
+        return _emit_report(args, "appendix2", f"{args.type}@p{args.p}",
+                            allv, None, t0)
     alg = _load_algebra(args.algebra)
     fixture_id = Path(args.algebra).stem
     delta_gradings = (getattr(alg, "metadata", {}) or {}).get("delta_gradings")
     if suite == "thm417":
         res = suites.thm_417_suite(alg)
+        _print_suite(res)
         verdicts = {"hypotheses": res.hypotheses, "conclusions": res.conclusions,
                     "falsification": not res.falsification}
-        _print_suite(res)
-        _emit_report(args, suite, fixture_id, verdicts, res.notes, t0,
-                     alg.source_hash)
-        return EXIT_CHECK_FAILED if res.falsification else EXIT_OK
-    if suite == "cor416":
+        witnesses = res.notes
+    elif suite == "cor416":
         mod = _pick_module(args, alg)
         gamma = args.gamma.split(",") if args.gamma else list(alg.weights.Lambda)
         res = suites.cor_416_check(alg, mod, gamma)
         _print_suite(res)
-        _emit_report(args, suite, fixture_id,
-                     {"hypotheses": res.hypotheses,
-                      "conclusions": res.conclusions}, res.notes, t0,
-                     alg.source_hash)
-        return EXIT_CHECK_FAILED if res.falsification else EXIT_OK
-    if suite == "conds51":
+        verdicts = {"hypotheses": res.hypotheses, "conclusions": res.conclusions}
+        witnesses = res.notes
+    elif suite == "conds51":
         datum = _datum_from(args, alg)
-        conds, notes = tightness.conditions_51_check(alg, datum, delta_gradings)
-        for k in sorted(conds):
-            print(f"  {k}: {conds[k]}")
-        doc = _emit_report(args, suite, fixture_id, conds, notes, t0,
-                           alg.source_hash)
-        return EXIT_OK if files.report_passed(doc) else EXIT_CHECK_FAILED
-    if suite == "thm53":
+        verdicts, witnesses = tightness.conditions_51_check(alg, datum,
+                                                            delta_gradings)
+        for k in sorted(verdicts):
+            print(f"  {k}: {verdicts[k]}")
+    elif suite == "thm53":
         datum = _datum_from(args, alg)
         lams = args.lam.split(",") if args.lam else list(alg.weights.Lambda)
-        bad = False
-        all_verdicts = {}
+        verdicts, witnesses = {}, None
         for lam in lams:
             res = tightness.thm_53_pipeline(
                 alg, datum, lam, delta_gradings=delta_gradings)
             print(f"weight {lam}:")
             _print_suite(res)
-            all_verdicts[lam] = {"hypotheses": res.hypotheses,
-                                 "conclusions": res.conclusions}
-            bad = bad or res.falsification
-        _emit_report(args, suite, fixture_id, all_verdicts, None, t0,
-                     alg.source_hash)
-        return EXIT_CHECK_FAILED if bad else EXIT_OK
-    if suite == "appendix1":
+            verdicts[lam] = {"hypotheses": res.hypotheses,
+                             "conclusions": res.conclusions}
+    elif suite == "appendix1":
         level = args.level
         af = alg.base_change(level)
         gamma = args.gamma.split(",") if args.gamma else list(alg.weights.Lambda)
@@ -274,38 +264,32 @@ def cmd_verify(args):
         extra = [(f"Delta({l})", sp[l]["Delta"]) for l in af.weights.Lambda]
         res = suites.field_case_suite(af, gamma, extra_modules=extra)
         _print_suite(res)
-        _emit_report(args, suite, f"{fixture_id}@{level}",
-                     {"hypotheses": res.hypotheses,
-                      "conclusions": res.conclusions}, res.notes, t0,
-                     alg.source_hash)
-        return EXIT_CHECK_FAILED if res.falsification else EXIT_OK
-    if suite == "prop52":
+        fixture_id = f"{fixture_id}@{level}"
+        verdicts = {"hypotheses": res.hypotheses, "conclusions": res.conclusions}
+        witnesses = res.notes
+    elif suite == "prop52":
         datum = _datum_from(args, alg)
-        stats = randomized.prop52_campaign(alg, datum, args.trials,
-                                           _seed(args.seed))
-        print(f"  {stats}")
-        _emit_report(args, suite, fixture_id,
-                     {"agreements": stats["agreements"],
-                      "no_disagreements": stats["disagreements"] == 0},
-                     stats, t0, alg.source_hash)
-        return EXIT_OK if stats["disagreements"] == 0 else EXIT_CHECK_FAILED
-    if suite == "primitivity":
+        witnesses = randomized.prop52_campaign(alg, datum, args.trials,
+                                               _seed(args.seed))
+        print(f"  {witnesses}")
+        verdicts = {"agreements": witnesses["agreements"],
+                    "no_disagreements": witnesses["disagreements"] == 0}
+    elif suite == "primitivity":
         sp = modules.standard_and_projectives(alg)
         mods = []
         for lam in alg.weights.Lambda:
             mods.extend([sp[lam]["P"], sp[lam]["Delta"]])
-        stats = randomized.primitivity_campaign(alg, mods, args.trials,
-                                                _seed(args.seed))
-        print(f"  {stats}")
-        ok = (stats["implication_violations"] == 0
-              and stats["maximality_violations"] == 0)
-        _emit_report(args, suite, fixture_id,
-                     {"implication_holds": stats["implication_violations"] == 0,
-                      "maximality_holds": stats["maximality_violations"] == 0},
-                     stats, t0, alg.source_hash)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    print(f"unknown suite {suite!r}", file=sys.stderr)
-    return EXIT_MALFORMED
+        witnesses = randomized.primitivity_campaign(alg, mods, args.trials,
+                                                    _seed(args.seed))
+        print(f"  {witnesses}")
+        verdicts = {
+            "implication_holds": witnesses["implication_violations"] == 0,
+            "maximality_holds": witnesses["maximality_violations"] == 0}
+    else:
+        print(f"unknown suite {suite!r}", file=sys.stderr)
+        return EXIT_MALFORMED
+    return _emit_report(args, suite, fixture_id, verdicts, witnesses, t0,
+                        alg.source_hash)
 
 
 def _pick_module(args, alg):
@@ -338,6 +322,7 @@ def _print_suite(res):
 def cmd_filtration(args):
     t0 = time.time()
     alg = _load_algebra(args.algebra)
+    fixture_id = Path(args.algebra).stem
     if args.module:
         with open(args.module) as fh:
             mod = files.doc_to_module(json.load(fh), alg)
@@ -347,19 +332,12 @@ def cmd_filtration(args):
         stages = modules.delta_filtration(mod)
     except modules.FiltrationFailure as exc:
         print(f"no Delta-filtration: {exc}")
-        _emit_report(args, "filtration", Path(args.algebra).stem,
-                     {"filtered": False}, {"reason": str(exc)}, t0,
-                     alg.source_hash)
-        return EXIT_CHECK_FAILED
+        return _emit_report(args, "filtration", fixture_id, {"filtered": False},
+                            {"reason": str(exc)}, t0, alg.source_hash)
     print("sections bottom-to-top:",
           [(str(s.label), s.copies) for s in stages])
-    if args.graded:
-        gr = gr_algebra(alg)
-        sp = modules.standard_and_projectives(alg)
-        gstages = forced.gr_delta_filtration(mod, gr, sp)
-        print("graded sections:",
-              [(str(s.label), s.copies, s.shift, s.kind) for s in gstages])
     ring = alg.ring
+    verdicts = {"filtered": True}
     witnesses = {
         "sections": {str(k): v for k, v in
                      modules.section_multiset(stages).items()},
@@ -372,9 +350,21 @@ def cmd_filtration(args):
                                  for row in s.sub_rows_original],
         } for s in stages],
     }
-    _emit_report(args, "filtration", Path(args.algebra).stem,
-                 {"filtered": True}, witnesses, t0, alg.source_hash)
-    return EXIT_OK
+    if args.graded:
+        try:
+            gstages = forced.gr_delta_filtration(mod, gr_algebra(alg))
+        except modules.FiltrationFailure as exc:
+            print(f"no graded Delta-filtration: {exc}")
+            verdicts["graded_filtered"] = False
+            witnesses["graded_reason"] = str(exc)
+        else:
+            gsections = [(str(s.label), s.copies, s.shift, s.kind)
+                         for s in gstages]
+            print("graded sections:", gsections)
+            verdicts["graded_filtered"] = True
+            witnesses["graded_sections"] = gsections
+    return _emit_report(args, "filtration", fixture_id, verdicts, witnesses, t0,
+                        alg.source_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +442,9 @@ def main(argv=None):
         return EXIT_MALFORMED
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import CYCLOTOMIC, Cyc, RingSpec
+from .scalars import CYCLOTOMIC, Cyc, InternalCheckError, RingSpec
 
 
 class CycloError(ValueError):
@@ -65,7 +65,8 @@ class RootDatum:
     def d_alpha(self, beta) -> int:
         """(beta, beta) / (alpha_0, alpha_0) where alpha_0 is a short root."""
         val = self.pairing(beta, beta)
-        assert val % 2 == 0
+        if val % 2:
+            raise InternalCheckError(f"root {beta} has odd squared length {val}")
         d = val // 2
         if d not in (1, 2, 3):
             raise CycloError(f"root {beta} has invalid length ratio {d}")
@@ -240,7 +241,8 @@ def unit_u_alpha(p: int, d: int):
         u = u + Cyc.zeta_pow(p, e)
     lhs = Cyc.zeta_pow(p, d) - 1
     pi = z - 1
-    assert lhs == u * pi, "the unit identity fails"
+    if lhs != u * pi:
+        raise InternalCheckError("the unit identity fails")
     return u, ring.is_unit(u), ring.residue(u)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra, WeightDatum
 from .lattices import Lattice
-from .scalars import CYCLOTOMIC, RATIONAL, Cyc, RingSpec
+from .scalars import CYCLOTOMIC, RATIONAL, Cyc, InternalCheckError, RingSpec
 
 # basis order for the zigzag fixtures
 _Z5_LABELS = ("e1", "e2", "alpha", "beta", "gamma")
@@ -353,7 +353,8 @@ def _op_divided_power(op, i):
         ncol = {}
         for dst, val in col.items():
             q = _lp_div(val, fact)
-            assert q is not None, "divided power is not integral"
+            if q is None:
+                raise InternalCheckError("divided power is not integral")
             if q:
                 ncol[dst] = q
         if ncol:
@@ -371,7 +372,8 @@ def _cartan_binomial_diag(words, wt, t):
             num = _lp_mul(num, _quantum_int(m - s + 1))
         den = _quantum_factorial(t)
         q = _lp_div(num, den)
-        assert q is not None, "Cartan binomial is not integral"
+        if q is None:
+            raise InternalCheckError("Cartan binomial is not integral")
         if q:
             out[w] = {w: q}
     return out
@@ -460,7 +462,8 @@ def build_qschur(d: int, p: int):
         for j in range(rank):
             prod = sparse_times_flat(mats[i], basis[j])
             coords = lat.coords(prod)
-            assert coords is not None, "algebra not closed (bug)"
+            if coords is None:
+                raise InternalCheckError("algebra not closed")
             row = {t: v for t, v in enumerate(coords) if v}
             if row:
                 sc[(i, j)] = row
@@ -490,7 +493,8 @@ def build_qschur(d: int, p: int):
     gen_coords = {}
     for name, g in gens.items():
         c = lat.coords(flat(g))
-        assert c is not None
+        if c is None:
+            raise InternalCheckError(f"generator {name} is not in the algebra")
         gen_coords[name] = tuple(c)
     alg = StructureAlgebra(ring, "O", rank, [f"x{i}" for i in range(rank)],
                            tuple(unit), sc, weights, generators=gen_coords)

@@ -18,19 +18,13 @@ from dataclasses import dataclass, field
 from . import linalg
 from .algebra import AlgebraError
 from .graded import GradedAlgebra, GradedModule, gr_module, module_rad_chain
-from .lattices import (
-    Lattice,
-    is_pure,
-    lattice_intersection,
-    quotient_free_basis,
-    saturate_rows,
-)
+from .lattices import Lattice, is_pure, quotient_free_basis, saturate_rows
 from .modules import (
     FiltrationFailure,
     ModuleRep,
-    direct_sum_module,
     head_info,
-    hom_with_generator_images,
+    peel_standard_power,
+    standard_module,
 )
 
 
@@ -158,9 +152,7 @@ def gr_b(grmod: GradedModule, name="grA") -> GrB:
             strata.append((lam, i))
             wlat = _weight_sublattice(mod, e, chain[i])
             for r in wlat.rows:
-                sym = grmod.full_coords(list(r))
-                row = [sym[t] if grmod.grades[t] == i else mod.fld.zero
-                       for t in range(grmod.module.rank)]
+                row = grmod.component(r, i)
                 if any(row):
                     gens.append(row)
     return GrB(grmod.module.submodule_generated(gens), strata, name)
@@ -175,15 +167,13 @@ def gr_b_equals_gr(grb: GrB, grmod: GradedModule) -> bool:
     return grb.lattice == grmod.module.full_lattice()
 
 
-def lemma_4_9_check(gralg: GradedAlgebra, lam, standards, simples_k, radk):
+def lemma_4_9_check(gralg: GradedAlgebra, lam, simples_k, radk):
     """Both sides of: gr Delta(lam) has simple head iff gr^b = gr.
 
-    Returns (simple_head, grb_equals_gr) after asserting the biconditional.
+    Returns (simple_head, grb_equals_gr) after checking the biconditional.
     Callers are expected to have verified Hypothesis 4.7(1) (TQHA) already.
     """
-    delta = standards[lam]["Delta"] if isinstance(standards[lam], dict) \
-        else standards[lam]
-    gd = gr_module(gralg, delta)
+    gd = gr_module(gralg, standard_module(gralg.base, lam))
     gdk = gd.module.base_change("k")
     info = head_info(gdk, radk, simples_k)
     simple_head = info["is_simple"]
@@ -209,19 +199,19 @@ class GradedStage:
     checks: dict
 
 
-def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
+def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra,
                         order_override=None):
     """Peel gr^b N along the proof of the main filtration lemma.
 
     Per stage: lam maximal with nonzero weight space (override list wins),
     m1 the depth of the weight space, R = A . (depth-m1 weight stratum).
-    Verifies R ≅ Delta(lam)^d (exact witness), purity, the depth-shift
-    identity  R ∩ r~ad^(m1+s) N = r~ad^s R,  and whether the graded section
+    Verifies R ≅ Delta(lam)^d (`peel_standard_power`: exact witness,
+    purity), that the stratum is pure, the depth-shift identity
+    R ∩ r~ad^(m1+s) N = r~ad^s R,  and whether the graded section
     gr^b N ∩ gr# R equals all of gr# R (standard) or is a verified
     prestandard sandwich.  Recurses on N/R.
     """
-    alg = mod.algebra
-    w = alg.weights
+    w = mod.algebra.weights
     stages = []
     cur = mod
     guard = 0
@@ -245,45 +235,19 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
         while m1 + 1 < len(chain) and \
                 chain[m1 + 1].contains_lattice(wlat):
             m1 += 1
-        deeper = lattice_intersection(wlat, chain[min(m1 + 1, len(chain) - 1)])
+        deeper = wlat.intersection(chain[min(m1 + 1, len(chain) - 1)])
         stratum_lifts, tors = quotient_free_basis(wlat, deeper)
-        checks["stratum_pure"] = not tors
         d = len(stratum_lifts)
-        delta = standards[lam]["Delta"] if isinstance(standards[lam], dict) \
-            else standards[lam]
-        vlam = list(delta.weight_space_rows(lam)[0])
-        big = direct_sum_module(delta, d)
-        gens, images = [], []
-        for j, srow in enumerate(stratum_lifts):
-            g = [delta.fld.zero] * big.rank
-            for t in range(delta.rank):
-                g[j * delta.rank + t] = vlam[t]
-            gens.append(g)
-            images.append(list(srow))
-        h = hom_with_generator_images(big, cur, gens, images)
-        if h is None:
-            raise FiltrationFailure(lam, "no homomorphism extends the stratum basis")
-        img_rows = [[h[r][c] for r in range(cur.rank)] for c in range(big.rank)]
-        checks["witness_injective"] = linalg.rank(img_rows, cur.fld) == big.rank
-        if alg.level == "O":
-            for row in h:
-                for x in row:
-                    if x and alg.ring.valuation(x) < 0:
-                        raise FiltrationFailure(lam, "witness leaves the lattice")
-        r_lat = cur.submodule_generated([list(r) for r in stratum_lifts])
-        checks["R_is_delta_power"] = (
-            cur.span(img_rows) == r_lat)
-        checks["R_pure"] = is_pure(r_lat, cur.full_lattice())
-        if not (checks["witness_injective"] and checks["R_is_delta_power"]
-                and checks["R_pure"] and checks["stratum_pure"]):
-            raise FiltrationFailure(lam, "graded peeling hypothesis fails", checks)
+        h, r_lat = peel_standard_power(cur, lam, [list(r) for r in stratum_lifts])
+        checks["stratum_pure"] = not tors
+        if tors:
+            raise FiltrationFailure(lam, "weight stratum is not pure", checks)
         # depth-shift identity: R ∩ r~ad^(m1+s) N = r~ad^s R for all s
         rmod = cur.restrict_to(r_lat)
         rchain = module_rad_chain(rmod)
         shift_ok = True
         for s in range(len(rchain)):
-            lhs = lattice_intersection(r_lat,
-                                       chain[min(m1 + s, len(chain) - 1)])
+            lhs = r_lat.intersection(chain[min(m1 + s, len(chain) - 1)])
             rl = rchain[min(s, len(rchain) - 1)]
             rows = [linalg.combine(rr, r_lat.rows, cur.fld.zero) for rr in rl.rows]
             if lhs != cur.span(rows):
@@ -297,35 +261,28 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
         grb = gr_b(grN)
         gsharp_rows = []
         for n in range(len(chain) - 1):
-            inter = lattice_intersection(r_lat, chain[n])
-            for rr in inter.rows:
-                sym = grN.full_coords(list(rr))
-                row = [sym[t] if grN.grades[t] == n else cur.fld.zero
-                       for t in range(grN.module.rank)]
+            for rr in r_lat.intersection(chain[n]).rows:
+                row = grN.component(rr, n)
                 if any(row):
                     gsharp_rows.append(row)
         gsharp = grN.module.span(gsharp_rows)
-        section = lattice_intersection(grb.lattice, gsharp)
+        section = grb.lattice.intersection(gsharp)
         standard = section == gsharp
         kind = "standard" if standard else "prestandard"
         if not standard:
             # sandwich: image of gr^b Delta(lam)^d inside the section
+            delta = standard_module(mod.algebra, lam)
             gd = gr_module(gralg, delta)
             grb_delta = gr_b(gd)
+            zero = cur.fld.zero
             emb_rows = []
             for j in range(d):
                 for rr in grb_delta.lattice.rows:
-                    v = [delta.fld.zero] * big.rank
-                    # lift graded row to Delta coordinates copy j
-                    lift = linalg.combine(rr, gd.lifts, delta.fld.zero)
-                    for t in range(delta.rank):
-                        v[j * delta.rank + t] = lift[t]
-                    img = linalg.mat_vec(h, v, cur.fld)
-                    sym = grN.full_coords(img)
-                    dpt = grN.depth(img)
-                    row = [sym[t] if grN.grades[t] == dpt else cur.fld.zero
-                           for t in range(grN.module.rank)]
-                    emb_rows.append(row)
+                    # lift graded row to Delta coordinates, copy j
+                    lift = linalg.combine(rr, gd.lifts, zero)
+                    v = [zero] * (j * delta.rank) + lift \
+                        + [zero] * ((d - 1 - j) * delta.rank)
+                    emb_rows.append(grN.symbol(linalg.mat_vec(h, v, cur.fld)))
             emb = grN.module.span(emb_rows)
             checks["sandwich_lower"] = section.contains_lattice(emb)
             checks["sandwich_upper"] = gsharp.contains_lattice(section)
@@ -344,10 +301,3 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra, standards,
                     stages[b].label, "ordering property violated "
                     f"({stages[a].label!r} below {stages[b].label!r})")
     return stages
-
-
-def graded_section_multiset(stages):
-    out = {}
-    for st in stages:
-        out[st.label] = out.get(st.label, 0) + st.copies
-    return out

@@ -122,6 +122,14 @@ class AdaptedBasis:
     def grade_ranks(self):
         return tuple(self.grade_rank(m) for m in range(self.top_grade + 1))
 
+    def grade_part_rank(self, rows, m):
+        """Rank of the grade-m parts of `rows`, given in adapted (gr)
+        coordinates."""
+        zero = self._fld.zero
+        return linalg.rank([[v if g == m else zero
+                             for g, v in zip(self.grades, r)] for r in rows],
+                           self._fld)
+
     def full_coords(self, x):
         return linalg.mat_vec(self._inv0, list(x), self._fld)
 

@@ -341,10 +341,6 @@ def smith_track(ring: RingSpec, ambient: int, rows):
 # the spec-level operations
 # ---------------------------------------------------------------------------
 
-def lattice_intersection(l1: Lattice, l2: Lattice) -> Lattice:
-    return l1.intersection(l2)
-
-
 def pure_closure(n: Lattice, m: Lattice) -> Lattice:
     """M intersect K.N: the smallest pure sublattice of M containing N."""
     _require_sub(n, m)

@@ -422,7 +422,7 @@ def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
     guard = 0
     while cur.rank and guard <= mod.rank + 1:
         guard += 1
-        head, _, _ = head_module(cur, rad_rows)
+        head, _, sub = head_module(cur, rad_rows)
         for (lbl, z, d) in blocks:
             zmat = head.act_matrix(list(z))
             tr_rank = linalg.rank(zmat, head.fld)
@@ -432,8 +432,6 @@ def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
                     f"not a multiple of {d}")
             counts[lbl] += tr_rank // d
         # descend to rad * cur
-        sub = cur.span([cur.act(list(r), cur.basis_vec(i))
-                        for r in rad_rows for i in range(cur.rank)])
         if sub.rank == cur.rank:
             raise ModuleError("radical series does not descend")
         cur = cur.restrict_to(sub)
@@ -471,15 +469,15 @@ def hom_equations(src: ModuleRep, dst: ModuleRep):
     return rows
 
 
-def find_iso(src: ModuleRep, dst: ModuleRep, integral: bool):
+def find_iso(src: ModuleRep, dst: ModuleRep):
     """An equivariant isomorphism src -> dst (a dst.rank x src.rank matrix on
     column coordinates), or None when the search finds none.
 
     Candidates from the hom space, in order: its kernel basis, then
-    ker[0] + a ker[1] for a = 2, 3, 4.  With `integral` (level O) the kernel
-    is first saturated in O^(n*n), the combinations are cands[0] + a cands[i]
-    for a = 2, 3, and a candidate must have a unit determinant.  The search
-    is not exhaustive: None does not prove that no isomorphism exists.
+    ker[0] + a ker[1] for a = 2, 3, 4.  At level O the kernel is first
+    saturated in O^(n*n), the combinations are cands[0] + a cands[i] for
+    a = 2, 3, and a candidate must have a unit determinant.  The search is
+    not exhaustive: None does not prove that no isomorphism exists.
     """
     if src.rank != dst.rank:
         return None
@@ -487,6 +485,7 @@ def find_iso(src: ModuleRep, dst: ModuleRep, integral: bool):
     if n == 0:
         return []
     fld = src.fld
+    integral = src.level == "O"
     ker = linalg.kernel_right(hom_equations(src, dst), fld)
     if integral:
         ring = src.algebra.ring
@@ -578,26 +577,65 @@ class FiltrationFailure(Exception):
         super().__init__(f"delta filtration fails at {label!r}: {reason}")
 
 
-def delta_filtration(mod: ModuleRep, standards=None):
+def peel_standard_power(cur: ModuleRep, lam, rows):
+    """Embed Delta(lam)^d onto the submodule generated by the d lam-weight
+    vectors `rows` (the one peeling step of the plain and graded
+    Delta-filtrations).
+
+    Returns (h, sub): the witness h, a cur.rank x (d * rank Delta(lam))
+    matrix sending the generator of the j-th copy to rows[j], and the
+    submodule sub = A . rows, its image.  Raises FiltrationFailure naming
+    the first check that fails: Delta(lam)_lam has rank 1, a homomorphism
+    extends the rows, (at O) it has no entry outside O, it is injective,
+    its image is sub, (at O) sub is pure.
+    """
+    alg = cur.algebra
+    delta = standard_module(alg, lam)
+    top = delta.weight_space_rows(lam)
+    if len(top) != 1:
+        raise FiltrationFailure(lam, "standard module weight space not rank 1")
+    d = len(rows)
+    big = direct_sum_module(delta, d)
+    zero = cur.fld.zero
+    gens = [[zero] * (j * delta.rank) + list(top[0])
+            + [zero] * ((d - 1 - j) * delta.rank) for j in range(d)]
+    h = hom_with_generator_images(big, cur, gens, rows)
+    if h is None:
+        raise FiltrationFailure(lam, "no homomorphism extends the weight basis")
+    integral = cur.level == "O"
+    if integral and any(x and alg.ring.valuation(x) < 0 for row in h for x in row):
+        raise FiltrationFailure(lam, "witness map does not preserve the lattice")
+    img_rows = linalg.transpose(h)
+    if linalg.rank(img_rows, cur.fld) != big.rank:
+        raise FiltrationFailure(lam, "peeled map is not injective")
+    sub = cur.submodule_generated(rows)
+    if cur.span(img_rows) != sub:
+        raise FiltrationFailure(
+            lam, "peeled submodule is not a standard power",
+            {"expected_rank": big.rank, "got_rank": sub.rank})
+    if integral and not is_pure(sub, cur.full_lattice()):
+        raise FiltrationFailure(lam, "peeled submodule is not pure")
+    return h, sub
+
+
+def delta_filtration(mod: ModuleRep):
     """Greedy bottom-up Delta-filtration with exact isomorphism witnesses.
 
     Peels A . (lam-weight space) for lam maximal (lexicographically least on
-    ties) among weights with nonzero weight space, verifies the peeled piece
-    is Delta(lam)^d and pure, and recurses on the quotient.  Returns the list
-    of FiltrationStage bottom-to-top; raises FiltrationFailure with a witness
-    when the module has no such filtration.
+    ties) among weights with nonzero weight space (`peel_standard_power`),
+    and recurses on the quotient.  Returns the list of FiltrationStage
+    bottom-to-top; raises FiltrationFailure with a witness when the module
+    has no such filtration.
     """
-    alg = mod.algebra
-    w = alg.weights
+    w = mod.algebra.weights
     if w is None:
         raise ModuleError("no weight datum")
-    if standards is None:
-        standards = {lam: standard_module(alg, lam) for lam in w.Lambda}
     stages = []
     cur = mod
     # lifts of current-quotient basis vectors, in original coordinates
     to_original = [mod.basis_vec(i) for i in range(mod.rank)]
     peeled_original = []  # accumulated generators of the peeled chain
+    zero = mod.fld.zero
     guard = 0
     while cur.rank and guard <= mod.rank + 1:
         guard += 1
@@ -606,47 +644,12 @@ def delta_filtration(mod: ModuleRep, standards=None):
             raise FiltrationFailure(None, "nonzero module with no Lambda-weights")
         lam = sorted(w.maximal(cand), key=str)[0]
         wrows = [list(r) for r in cur.weight_space_rows(lam)]
-        d = len(wrows)
-        delta = standards[lam]
-        if len(delta.weight_space_rows(lam)) != 1:
-            raise FiltrationFailure(lam, "standard module weight space not rank 1")
-        vlam = list(delta.weight_space_rows(lam)[0])
-        big = direct_sum_module(delta, d)
-        gens = []
-        images = []
-        for j in range(d):
-            g = [delta.fld.zero] * big.rank
-            for t in range(delta.rank):
-                g[j * delta.rank + t] = vlam[t]
-            gens.append(g)
-            images.append(wrows[j])
-        h = hom_with_generator_images(big, cur, gens, images)
-        if h is None:
-            raise FiltrationFailure(lam, "no homomorphism extends the weight basis")
-        if mod.level == "O":
-            for row in h:
-                for x in row:
-                    if x and alg.ring.valuation(x) < 0:
-                        raise FiltrationFailure(
-                            lam, "witness map does not preserve the lattice")
-        img_rows = [
-            [h[r][c] for r in range(cur.rank)] for c in range(big.rank)
-        ]
-        if linalg.rank(img_rows, cur.fld) != big.rank:
-            raise FiltrationFailure(lam, "peeled map is not injective")
-        sub = cur.submodule_generated(wrows)
-        if cur.span(img_rows) != sub:
-            raise FiltrationFailure(
-                lam, "peeled submodule is not a standard power",
-                {"expected_rank": big.rank, "got_rank": sub.rank})
-        if mod.level == "O" and not is_pure(sub, cur.full_lattice()):
-            raise FiltrationFailure(lam, "peeled submodule is not pure")
+        h, sub = peel_standard_power(cur, lam, wrows)
         quot, project, lifts = cur.quotient_by(sub)
         # record the stage in original coordinates
-        zero = mod.fld.zero
         peeled_original.extend(linalg.combine(r, to_original, zero)
                                for r in sub.rows)
-        stages.append(FiltrationStage(lam, d, h, list(peeled_original)))
+        stages.append(FiltrationStage(lam, len(wrows), h, list(peeled_original)))
         to_original = [linalg.combine(lift, to_original, zero) for lift in lifts]
         cur = quot
     if cur.rank:

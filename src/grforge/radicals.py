@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import AlgebraError, StructureAlgebra
+from .scalars import InternalCheckError
 
 
 class NonSplitError(AlgebraError):
@@ -392,7 +393,8 @@ def _corner_inverse(alg, e, x):
         if not any(term):
             break
         out = [a + b for a, b in zip(out, term)]
-    assert alg.mul(out, x) == list(e), "corner inverse failed"
+    if alg.mul(out, x) != list(e):
+        raise InternalCheckError("corner inverse failed")
     return out
 
 
@@ -420,7 +422,8 @@ def lift_matrix_units(alg, quot, lifts, project, blocks):
             e = _newton_idempotent(alg, y)
             diag[(bi, i)] = e
             done = [a + b for a, b in zip(done, e)]
-    assert done == list(alg.unit), "lifted idempotents do not sum to 1"
+    if done != list(alg.unit):
+        raise InternalCheckError("lifted idempotents do not sum to 1")
 
     # 2. lift off-diagonal units within each block and correct exactly
     units = {}
@@ -434,9 +437,11 @@ def lift_matrix_units(alg, quot, lifts, project, blocks):
             v = alg.mul(ei, alg.mul(lift_vec(blk.matrix_units[(i, 0)]), e1))
             uv = alg.mul(u, v)  # = e1 - j with j nilpotent in e1 A e1
             w = alg.mul(v, _corner_inverse(alg, e1, uv))
-            assert alg.mul(u, w) == e1
-            fi = alg.mul(w, u)
-            assert fi == ei, "corner idempotent drifted during lifting"
+            if alg.mul(u, w) != e1:
+                raise InternalCheckError("lifted matrix unit is not invertible")
+            if alg.mul(w, u) != ei:
+                raise InternalCheckError(
+                    "corner idempotent drifted during lifting")
             units[(bi, 0, i)] = u
             units[(bi, i, 0)] = w
             units[(bi, i, i)] = ei
@@ -452,7 +457,8 @@ def lift_matrix_units(alg, quot, lifts, project, blocks):
                 expect = list(units[(bi, i, l)])
             else:
                 expect = [fld.zero] * alg.rank
-            assert prod == expect, "lifted matrix unit relations fail"
+            if prod != expect:
+                raise InternalCheckError("lifted matrix unit relations fail")
     return units
 
 
@@ -481,21 +487,26 @@ def wedderburn_complement(alg, modules, contain=None, rad=None):
     if contain is not None:
         span = alg.span(s_rows)
         for s0 in contain:
-            assert span.contains_vector(list(s0)), \
-                "complement does not contain the requested subalgebra"
+            if not span.contains_vector(list(s0)):
+                raise InternalCheckError(
+                    "complement does not contain the requested subalgebra")
     return s_rows
 
 
 def _verify_complement(alg, s_rows, rad):
     span = alg.span(s_rows)
-    assert span.rank + len(rad) == alg.rank, "complement has wrong dimension"
+    if span.rank + len(rad) != alg.rank:
+        raise InternalCheckError("complement has wrong dimension")
     both = alg.span([list(r) for r in s_rows] + [list(r) for r in rad])
-    assert both.rank == alg.rank, "complement meets the radical"
+    if both.rank != alg.rank:
+        raise InternalCheckError("complement meets the radical")
     for a in span.rows:
         for b in span.rows:
-            assert span.contains_vector(alg.mul(list(a), list(b))), \
-                "complement is not closed under multiplication"
-    assert span.contains_vector(list(alg.unit))
+            if not span.contains_vector(alg.mul(list(a), list(b))):
+                raise InternalCheckError(
+                    "complement is not closed under multiplication")
+    if not span.contains_vector(list(alg.unit)):
+        raise InternalCheckError("complement does not contain the unit")
 
 
 def quotient_modules(alg, lifts, modules):
@@ -528,7 +539,8 @@ def _malcev_enlarge(alg, s_rows, contain):
         s_ech = alg.span(s_rows).rows
         full = [list(r) for r in s_ech] + [list(r) for r in rad]
         inv_t = linalg.invert(linalg.transpose(full), fld)
-        assert inv_t is not None
+        if inv_t is None:
+            raise InternalCheckError("complement plus radical is not a basis")
 
         def decompose(v):
             c = linalg.mat_vec(inv_t, list(v), fld)
@@ -551,8 +563,8 @@ def _malcev_enlarge(alg, s_rows, contain):
                                   for d in deltas):
             m += 1
         basis_m = chain[m].rows
-        assert all(chain[1].contains_vector(d) for d in deltas), \
-            "Malcev defect lies outside the radical"
+        if not all(chain[1].contains_vector(d) for d in deltas):
+            raise InternalCheckError("Malcev defect lies outside the radical")
         mod_j2m = chain[min(2 * m, top)].reduce
 
         # unknown h over basis_m; equations h sig - sig h = delta mod J^(2m)
@@ -573,23 +585,9 @@ def _malcev_enlarge(alg, s_rows, contain):
             raise AlgebraError("Malcev correction unsolvable (is S0 semisimple?)")
         h = linalg.combine(sol, basis_m, fld.zero)
         one_minus = [a - b for a, b in zip(alg.unit, h)]
-        inv = _unit_inverse(alg, one_minus)
+        inv = _corner_inverse(alg, alg.unit, one_minus)
         s_rows = [alg.mul(inv, alg.mul(list(s), one_minus)) for s in s_ech]
     raise AlgebraError("Malcev iteration did not converge")
-
-
-def _unit_inverse(alg, x):
-    """Inverse of a unit of the form 1 - h with h nilpotent."""
-    h = [a - b for a, b in zip(alg.unit, x)]
-    out = list(alg.unit)
-    term = list(alg.unit)
-    for _ in range(alg.rank + 1):
-        term = alg.mul(term, h)
-        if not any(term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-    assert alg.mul(out, x) == list(alg.unit)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ class ScalarError(ValueError):
     pass
 
 
+class InternalCheckError(Exception):
+    """An internal consistency check failed: a bug, never a verdict.
+
+    It is not an AlgebraError, so no handler that turns algebra errors into
+    verdicts or notes can catch it; the command line exits 2.
+    """
+
+
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False

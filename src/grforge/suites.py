@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import certify, forced, linalg, radicals
+from . import certify, forced, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .graded import GradedAlgebra, gr_algebra, gr_module
 from .modules import (
@@ -75,12 +75,7 @@ def _graded_piece_weight_ranks(gmod, weights):
         e = list(weights.idempotents[nu])
         img = [mod.act(e, mod.basis_vec(i)) for i in range(mod.rank)]
         for m in range(gmod.top_grade + 1):
-            # project onto the grade-m coordinates
-            proj = []
-            for r in img:
-                proj.append([r[t] if gmod.grades[t] == m else mod.fld.zero
-                             for t in range(mod.rank)])
-            out[(m, nu)] = linalg.rank(proj, mod.fld)
+            out[(m, nu)] = gmod.grade_part_rank(img, m)
     return out
 
 
@@ -127,7 +122,7 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
         d_of_gr = standard_module(grk.algebra, lam)
         delta_k = standard_module(ak, lam)
         gr_of_d = gr_module(grk, delta_k)
-        if find_iso(d_of_gr, gr_of_d.module, integral=False) is None:
+        if find_iso(d_of_gr, gr_of_d.module) is None:
             grk_std_match = False
             res.notes.setdefault("grK_std_mismatch", []).append(str(lam))
     res.hypotheses["grK_standards_are_gr_deltas"] = grk_std_match
@@ -154,7 +149,7 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
         for lam in w.Lambda:
             std_gr = standard_module(gr.algebra, lam)
             gr_delta = gr_module(gr, sp[lam]["Delta"])
-            if find_iso(std_gr, gr_delta.module, integral=True) is None:
+            if find_iso(std_gr, gr_delta.module) is None:
                 match = False
                 res.notes.setdefault("gr_std_mismatch", []).append(str(lam))
                 continue
@@ -197,8 +192,9 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
     for nu in w.X:
         enu = list(w.idempotents[nu])
         for m in range(top + 1):
-            pr = _grade_weight_rank(reg, galg, gr, p_rows, enu, m)
-            tr = _grade_weight_rank(reg, galg, gr, t_sub.rows, enu, m)
+            pr = gr.grade_part_rank([reg.act(enu, list(r)) for r in p_rows], m)
+            tr = gr.grade_part_rank([reg.act(enu, list(r)) for r in t_sub.rows],
+                                    m)
             table[(m, nu)] = pr - tr
     if sum(table.values()) != pemod.rank - t_sub.rank:
         return None
@@ -208,15 +204,6 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
 def _weight_rows_ambient(reg, galg, nu, ambient_rows):
     e = list(galg.weights.idempotents[nu])
     return [reg.act(e, list(r)) for r in ambient_rows]
-
-
-def _grade_weight_rank(reg, galg, gr, rows, enu, m):
-    proj = []
-    for r in rows:
-        cut = reg.act(enu, list(r))
-        proj.append([cut[t] if gr.grades[t] == m else galg.fld.zero
-                     for t in range(galg.rank)])
-    return linalg.rank(proj, galg.fld) if proj else 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +222,8 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     res.hypotheses["gamma_is_ideal"] = w.is_ideal(gamma)
     if not res.hypotheses["gamma_is_ideal"]:
         return res.finalize()
-    sp = standard_and_projectives(alg)
     try:
-        stages = delta_filtration(mod, {l: sp[l]["Delta"] for l in w.Lambda})
+        stages = delta_filtration(mod)
         res.hypotheses["delta_filtration"] = True
         res.notes["sections"] = section_multiset(stages)
     except FiltrationFailure as exc:
@@ -250,7 +236,7 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     for nu, count in res.notes["sections"].items():
         if not count:
             continue
-        gd = gr_module(gr, sp[nu]["Delta"])
+        gd = gr_module(gr, standard_module(alg, nu))
         info = head_info(gd.module.base_change("k"), gradk, gsimples_k)
         if not info["is_simple"]:
             heads_ok = False
@@ -278,13 +264,13 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     res.conclusions["gradewise_ranks_equal"] = tab1 == tab2
     res.notes["ranks"] = {"gr_of_truncation": tab1, "truncation_of_gr": tab2}
     res.conclusions["explicit_iso"] = find_iso(
-        gr_of_trunc.module, trunc_of_gr, integral=(alg.level == "O")) is not None
+        gr_of_trunc.module, trunc_of_gr) is not None
     # Remark: ungraded section multisets agree between the plain and graded
     # Delta-filtrations
     try:
-        gstages = forced.gr_delta_filtration(mod, gr, sp)
+        gstages = forced.gr_delta_filtration(mod, gr)
         res.conclusions["section_multisets_agree"] = (
-            forced.graded_section_multiset(gstages) == res.notes["sections"])
+            section_multiset(gstages) == res.notes["sections"])
         res.notes["graded_sections"] = [
             (str(s.label), s.copies, s.shift, s.kind) for s in gstages]
         res.conclusions["all_sections_standard"] = all(
@@ -307,11 +293,7 @@ def _truncation_grade_table(grn, gamma):
     sub = mod.submodule_generated(kill)
     out = {}
     for m in range(grn.top_grade + 1):
-        proj = []
-        for r in sub.rows:
-            proj.append([r[t] if grn.grades[t] == m else mod.fld.zero
-                         for t in range(mod.rank)])
-        out[m] = grn.grade_rank(m) - linalg.rank(proj, mod.fld)
+        out[m] = grn.grade_rank(m) - grn.grade_part_rank(sub.rows, m)
     return {m: r for m, r in out.items() if r or m <= grn.top_grade}
 
 
@@ -342,7 +324,7 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
     for lam in w.Lambda:
         d_of_gr = standard_module(gr.algebra, lam)
         gr_of_d = gr_module(gr, standard_module(alg_field, lam))
-        if find_iso(d_of_gr, gr_of_d.module, integral=False) is None:
+        if find_iso(d_of_gr, gr_of_d.module) is None:
             std_ok = False
             res.notes.setdefault("std_mismatch", []).append(str(lam))
     res.conclusions["gr_deltas_standard"] = std_ok
@@ -364,7 +346,7 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
                              [gr_pg.module.act_matrix(list(x)) for x in lifts])
         target = weight_projective(galg_gamma, g)
         tgt_trunc, _, _ = truncate_to_ideal(target, gamma)
-        if find_iso(ungraded, tgt_trunc, integral=False) is None:
+        if find_iso(ungraded, tgt_trunc) is None:
             pim_ok = False
             res.notes.setdefault("pim_mismatch", []).append(str(g))
     res.conclusions["gr_truncated_pims"] = pim_ok
@@ -375,7 +357,7 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
             gr_of_t = gr_module(gr, truncate_to_ideal(m, gamma)[0])
             grm = gr_module(gr, m)
             t_of_gr, _, _ = truncate_to_ideal(grm.module, gamma)
-            if find_iso(gr_of_t.module, t_of_gr, integral=False) is None:
+            if find_iso(gr_of_t.module, t_of_gr) is None:
                 eq_ok = False
                 res.notes.setdefault("cor72_mismatch", []).append(str(name))
         res.conclusions["truncation_commutes"] = eq_ok

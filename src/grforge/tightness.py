@@ -19,7 +19,6 @@ from .lattices import (
     Lattice,
     coord_solver,
     is_pure,
-    lattice_intersection,
     quotient_free_basis,
     saturate_rows,
 )
@@ -92,6 +91,17 @@ def subalgebra_of(alg: StructureAlgebra, rows) -> StructureAlgebra:
 def _subalgebra_of(alg, rows):
     sub, _ = alg.subalgebra_on([list(r) for r in rows])
     return sub
+
+
+def gr_subalgebra_of(alg: StructureAlgebra, rows):
+    """gr of `subalgebra_of(alg, rows)`, built once and kept in the ambient
+    algebra's memo next to the subalgebra (it refers to the subalgebra, not
+    back to the ambient algebra)."""
+    return alg._derived(_gr_subalgebra_of, tuple(tuple(r) for r in rows))
+
+
+def _gr_subalgebra_of(alg, rows):
+    return gr_algebra(subalgebra_of(alg, rows))
 
 
 def module_over_subalgebra(alg, rows, mod: ModuleRep) -> ModuleRep:
@@ -295,7 +305,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
         for g, rows_g in grade_rows.items():
             piece = alg.span(rows_g)
             span_k = saturate_rows(ring, alg.rank, [list(r) for r in rows_g])
-            meet = lattice_intersection(full_sub, span_k)
+            meet = full_sub.intersection(span_k)
             if meet != piece:
                 ok5 = False
                 notes.setdefault("c5", []).append(
@@ -313,7 +323,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                 notes.setdefault("c5", []).append(
                     f"sum of grades >= {r} differs from r~ad^{r} a")
         # symbol map a -> gr a is a graded isomorphism
-        gr_sub = gr_algebra(sub)
+        gr_sub = gr_subalgebra_of(alg, sub_rows)
         for g, rows_g in grade_rows.items():
             symbols = []
             for x in rows_g:
@@ -440,7 +450,7 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
         submod = ModuleRep(sub, mod.rank, mod.acts, mod.name)
     else:
         submod = module_over_subalgebra(alg, datum.rows, mod)
-    gm = gr_module(gr_algebra(sub), submod)
+    gm = gr_module(gr_subalgebra_of(alg, datum.rows), submod)
     mod_chain = gm.chain
     tight, first_fail = is_tight_core(submod, mod_chain)
     # (ii): grades in subalgebra coordinates (datum order = sub basis order)
@@ -505,7 +515,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     if v is None or p0_rows is None:
         # default degree-0 part: the depth-0 stratum of the lam-weight space
         wlat = dagger.span(dagger.weight_space_rows(lam))
-        deeper = lattice_intersection(wlat, rad_part)
+        deeper = wlat.intersection(rad_part)
         lifts, tors = quotient_free_basis(wlat, deeper)
         if tors:
             raise TightnessError("weight space stratum is not pure; supply v")
@@ -523,7 +533,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     # (ii) dagger = P0 (+) (dagger ∩ rad P_K) with K P0 + E_K stable
     p0 = dagger.span(p0_rows)
     direct = p0.add(rad_part) == dagger.full_lattice() and \
-        lattice_intersection(p0, rad_part).rank == 0
+        p0.intersection(rad_part).rank == 0
     res.hypotheses["h2_direct_sum"] = direct
     stab = _h2_stability(alg, datum, lam, dagger, p0_rows)
     res.hypotheses["h2_degree0_stable"] = stab

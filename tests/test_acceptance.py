@@ -22,7 +22,7 @@ from grforge import (
     suites,
     tightness,
 )
-from grforge.lattices import Lattice, is_pure, lattice_intersection, pure_closure
+from grforge.lattices import Lattice, is_pure, pure_closure
 from grforge.scalars import CYCLOTOMIC, RATIONAL, RingSpec
 
 
@@ -80,7 +80,7 @@ def test_criterion_1_lattice_kernel():
                      for _ in range(amb)]
             l1 = Lattice.from_rows(ring, amb, rows1)
             l2 = Lattice.from_rows(ring, amb, rows2)
-            got = lattice_intersection(l1, l2)
+            got = l1.intersection(l2)
             for row in got.rows:
                 assert inline_member(ring, l1, row)
                 assert inline_member(ring, l2, row)

@@ -4,7 +4,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from grforge import cli, files, modules
+from grforge import cli, files, modules, suites
+from grforge.algebra import AlgebraError
+from grforge.scalars import InternalCheckError
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,26 @@ class TestCLI:
         assert cli.main(["certify", str(bad)]) == 2
         missing = tmp_path / "missing.json"
         assert cli.main(["certify", str(missing)]) == 2
+
+    @pytest.mark.parametrize("suite", ["thm417", "appendix1"])
+    def test_failed_report_exits_1(self, tmp_path, suite):
+        # z5s@3 is not quasi-hereditary over O: the report does not pass
+        cli.main(["gen", "z5s", "--p", "3", "-o", str(tmp_path)])
+        rep = tmp_path / "report.json"
+        code = cli.main(["verify", suite, str(tmp_path / "z5s@3.alg.json"),
+                         "--report", str(rep)])
+        assert not files.report_passed(json.loads(rep.read_text()))
+        assert code == 1
+
+    def test_internal_check_error_exits_2(self, tmp_path, monkeypatch):
+        def broken(alg):
+            raise InternalCheckError("lifted idempotents do not sum to 1")
+
+        assert not issubclass(InternalCheckError, AlgebraError)
+        monkeypatch.setattr(suites, "thm_417_suite", broken)
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        assert cli.main(["verify", "thm417",
+                         str(tmp_path / "z5@3.alg.json")]) == 2
 
     def test_appendix2_cli(self):
         assert cli.main(["verify", "appendix2", "--p", "5", "--type", "A1",

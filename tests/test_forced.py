@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from grforge import forced, graded, modules
+from grforge.algebra import StructureAlgebra, WeightDatum
 from grforge.lattices import Lattice
 
 
@@ -101,52 +102,71 @@ class TestLemma49:
 
         _, gradk, gsimples = graded_head_context(gr_z5)
         for lam in ("1", "2"):
-            simple, equal = forced.lemma_4_9_check(
-                gr_z5, lam, sp_z5, gsimples, gradk)
+            simple, equal = forced.lemma_4_9_check(gr_z5, lam, gsimples, gradk)
             assert simple and equal
 
     def test_qschur_biconditional(self, qschur33):
         from grforge.suites import graded_head_context
 
         gr = graded.gr_algebra(qschur33)
-        sp = modules.standard_and_projectives(qschur33)
         _, gradk, gsimples = graded_head_context(gr)
         for lam in qschur33.weights.Lambda:
-            simple, equal = forced.lemma_4_9_check(gr, lam, sp, gsimples, gradk)
+            simple, equal = forced.lemma_4_9_check(gr, lam, gsimples, gradk)
             assert simple == equal  # the biconditional itself
 
 
 class TestGradedDeltaFiltration:
     def test_p1(self, z5, gr_z5, sp_z5):
-        stages = forced.gr_delta_filtration(sp_z5["1"]["P"], gr_z5, sp_z5)
+        stages = forced.gr_delta_filtration(sp_z5["1"]["P"], gr_z5)
         assert [(s.label, s.copies, s.shift, s.kind) for s in stages] == [
             ("2", 1, 1, "standard"), ("1", 1, 0, "standard")]
 
     def test_delta2_single_section(self, z5, gr_z5, sp_z5):
-        stages = forced.gr_delta_filtration(sp_z5["2"]["Delta"], gr_z5, sp_z5)
+        stages = forced.gr_delta_filtration(sp_z5["2"]["Delta"], gr_z5)
         assert [(s.label, s.copies, s.shift) for s in stages] == [("2", 1, 0)]
 
     def test_regular_module(self, z5, gr_z5, sp_z5):
-        stages = forced.gr_delta_filtration(
-            modules.regular_module(z5), gr_z5, sp_z5)
-        assert forced.graded_section_multiset(stages) == {"2": 2, "1": 1}
+        stages = forced.gr_delta_filtration(modules.regular_module(z5), gr_z5)
+        assert modules.section_multiset(stages) == {"2": 2, "1": 1}
         shifts = sorted((str(s.label), s.shift) for s in stages)
         assert shifts == [("1", 0), ("2", 0), ("2", 1)]
 
     def test_multiset_matches_ungraded(self, z5, gr_z5, sp_z5):
         for lam in ("1", "2"):
             m = sp_z5[lam]["P"]
-            g = forced.gr_delta_filtration(m, gr_z5, sp_z5)
+            g = forced.gr_delta_filtration(m, gr_z5)
             u = modules.delta_filtration(m)
-            assert forced.graded_section_multiset(g) == \
-                modules.section_multiset(u)
+            assert modules.section_multiset(g) == modules.section_multiset(u)
+
+    @pytest.mark.parametrize("case", ["scaled_lattice", "one_weight"])
+    def test_fails_like_the_plain_filtration(self, z5, gr_z5, sp_z5, case):
+        # both filtrations stop at the one shared peeling step, at the same
+        # weight and for the same reason
+        if case == "scaled_lattice":
+            # span{3e2, beta} in Delta(2)
+            n = sp_z5["2"]["Delta"].restrict_to(
+                Lattice.from_rows(z5.ring, 2, [[F(3), F(0)], [F(0), F(1)]]))
+            gr, expect = gr_z5, ("2", "peeled submodule is not pure")
+        else:
+            # one weight whose idempotent is the unit: Delta(a)_a = A
+            one = StructureAlgebra(
+                z5.ring, "O", z5.rank, z5.labels, z5.unit, z5.sc,
+                WeightDatum.build(["a"], ["a"], [], {"a": z5.unit}))
+            n = modules.regular_module(one)
+            gr = graded.gr_algebra(one)
+            expect = ("a", "standard module weight space not rank 1")
+        with pytest.raises(modules.FiltrationFailure) as plain:
+            modules.delta_filtration(n)
+        with pytest.raises(modules.FiltrationFailure) as graded_:
+            forced.gr_delta_filtration(n, gr)
+        got = [(e.value.label, e.value.reason) for e in (plain, graded_)]
+        assert got == [expect] * 2
 
     def test_order_override(self, z5, gr_z5, sp_z5):
         from grforge.modules import direct_sum_module
 
         m = direct_sum_module(sp_z5["2"]["Delta"], 1)
-        stages = forced.gr_delta_filtration(m, gr_z5, sp_z5,
-                                            order_override=["2"])
+        stages = forced.gr_delta_filtration(m, gr_z5, order_override=["2"])
         assert len(stages) == 1
 
 

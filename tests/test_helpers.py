@@ -291,7 +291,7 @@ def test_find_iso_recovers_a_base_change(z5_module_sets, level, data):
     mod = mods[data.draw(st.integers(0, len(mods) - 1))]
     integral = level == "O"
     other = draw_base_change(data, mod, integral)
-    h = find_iso(mod, other, integral=integral)
+    h = find_iso(mod, other)
     assert h is not None
     assert equivariant(h, mod, other)
     assert linalg.invert(h, mod.fld) is not None
@@ -314,5 +314,5 @@ def test_hom_equation_kernel_is_equivariant(z5_module_sets, level, data):
 
 def test_find_iso_rank_zero_and_mismatch(z5, sp_z5):
     zero = sp_z5["1"]["P"].restrict_to([])
-    assert find_iso(zero, zero, integral=True) == []
-    assert find_iso(sp_z5["1"]["P"], sp_z5["2"]["P"], integral=True) is None
+    assert find_iso(zero, zero) == []
+    assert find_iso(sp_z5["1"]["P"], sp_z5["2"]["P"]) is None

@@ -8,7 +8,6 @@ from grforge.lattices import (
     Lattice,
     LatticeError,
     is_pure,
-    lattice_intersection,
     pure_closure,
     quotient_free_basis,
     saturate_rows,
@@ -99,15 +98,15 @@ class TestIntersection:
         l1 = lat(R3, 2, [[3, 0], [0, 1]])
         l2 = lat(R3, 2, [[1, 1]])
         expect = lat(R3, 2, [[3, 3]])
-        assert lattice_intersection(l1, l2) == expect
+        assert l1.intersection(l2) == expect
 
     def test_idempotent(self):
         l = lat(R3, 3, [[1, 2, 0], [0, 3, 3]])
-        assert lattice_intersection(l, l) == l
+        assert l.intersection(l) == l
 
     def test_with_ambient(self):
         l = lat(R3, 2, [[2, 1], [0, 9]])
-        assert lattice_intersection(l, Lattice.full(R3, 2)) == l
+        assert l.intersection(Lattice.full(R3, 2)) == l
 
     def test_brute_force_oracle(self):
         rng = random.Random(20240811)
@@ -121,7 +120,7 @@ class TestIntersection:
                 rows2 = [[rng.randint(-p * p, p * p) for _ in range(amb)] for _ in range(r2)]
                 l1 = lat(ring, amb, rows1)
                 l2 = lat(ring, amb, rows2)
-                got = lattice_intersection(l1, l2)
+                got = l1.intersection(l2)
                 # soundness: every generator of got lies in both inputs
                 for row in got.rows:
                     assert inline_member(ring, l1, row)
@@ -220,14 +219,14 @@ class TestCanonicalForm:
         l1 = Lattice.from_rows(C3, 2, [[pi, C3.of(0)], [C3.of(0), C3.of(1)]])
         l2 = Lattice.from_rows(C3, 2, [[pi, pi], [C3.of(0), C3.of(1)]])
         assert l1 == l2  # pi*e1 + pi*e2 reduces mod the second generator
-        got = lattice_intersection(l1, lat(C3, 2, [[1, 1]]))
+        got = l1.intersection(lat(C3, 2, [[1, 1]]))
         assert got == Lattice.from_rows(C3, 2, [[pi, pi]])
 
     def test_rank_zero_everywhere(self):
         z = Lattice.zero(R3, 4)
         assert z.rank == 0
         assert z.add(z) == z
-        assert lattice_intersection(z, Lattice.full(R3, 4)) == z
+        assert z.intersection(Lattice.full(R3, 4)) == z
         assert saturate_rows(R3, 4, []) == z
 
 

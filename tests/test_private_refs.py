@@ -3,8 +3,8 @@
 Every private function must be used somewhere in the package: a `_name` is
 not part of the public API, so a definition that nothing in src/grforge
 references (outside its own def line) is dead code.  No check may rest
-on an `assert`, which `python -O` strips, outside the modules that still
-have some.  And no module but `lattices` asks which kind of span it holds:
+on an `assert`, which `python -O` strips: internal checks raise
+`InternalCheckError`.  And no module but `lattices` asks which kind of span it holds:
 spans come from `StructureAlgebra.span`.
 """
 
@@ -34,7 +34,7 @@ def test_every_private_function_is_referenced():
 
 
 # modules whose remaining asserts have not yet become explicit raises
-ASSERT_ALLOWLIST = {"cyclo", "fixtures", "radicals"}
+ASSERT_ALLOWLIST = set()
 
 
 def test_no_assert_outside_allowlist():

@@ -122,5 +122,5 @@ class TestThm55Composite:
             for lam in gamma:
                 std = modules.standard_module(gr_t.algebra, lam)
                 gr_d = graded.gr_module(gr_t, spt[lam]["Delta"])
-                assert modules.find_iso(std, gr_d.module,
-                                        integral=True) is not None, (gamma, lam)
+                assert modules.find_iso(std, gr_d.module) is not None, \
+                    (gamma, lam)

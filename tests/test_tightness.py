@@ -178,14 +178,25 @@ class TestBuiltOnce:
             radical_builds.append(alg)
             return radical_field(alg)
 
+        gr_builds = []
+        gr_algebra = tightness.gr_algebra
+
+        def counted_gr(alg):
+            gr_builds.append(alg)
+            return gr_algebra(alg)
+
         monkeypatch.setattr(StructureAlgebra, "subalgebra_on", counted)
         monkeypatch.setattr(radicals, "_radical_field", counted_radical)
+        monkeypatch.setattr(tightness, "gr_algebra", counted_gr)
         z5 = fixtures.build_z5(3)  # a fresh algebra: an empty memo
         stats = randomized.prop52_campaign(z5, path_datum(z5), 20, seed=1)
         assert stats["trials"] == 20 and stats["disagreements"] == 0
         assert len(calls) == 1
         # the radical of the subalgebra's K-form, once for all trials
         assert len(radical_builds) == 1
+        # gr of the subalgebra, once for all trials
+        assert len(gr_builds) == 1
+        assert gr_builds[0] is tightness.subalgebra_of(z5, path_datum(z5).rows)
 
     def test_prop52_builds_the_module_chain_once(self, z5, sp_z5,
                                                  monkeypatch):
@@ -208,6 +219,9 @@ class TestBuiltOnce:
         assert tightness.subalgebra_of(z5, [tuple(r) for r in rows]) is sub
         other = tightness.subalgebra_of(z5, list(reversed(rows)))
         assert other is not sub and other.rank == sub.rank
+        gr = tightness.gr_subalgebra_of(z5, rows)
+        assert gr.base is sub
+        assert tightness.gr_subalgebra_of(z5, [tuple(r) for r in rows]) is gr
 
 
 class TestLambdaStandardCache:
