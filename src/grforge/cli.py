@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__, certify, cyclo, files, fixtures, forced, modules
 from . import randomized, suites, tightness
 from .algebra import AlgebraError, ValidationError
-from .graded import gr_algebra
+from .graded import gr_algebra, gr_module
 from .scalars import InternalCheckError, ScalarError
 
 EXIT_OK = 0
@@ -212,6 +212,11 @@ def _datum_from(args, alg):
 def cmd_verify(args):
     t0 = time.time()
     suite = args.suite
+    if suite in ("prop52", "primitivity") and args.trials < 1:
+        # a campaign of no trials would verify nothing
+        print(f"error: --trials must be at least 1, not {args.trials}",
+              file=sys.stderr)
+        return EXIT_MALFORMED
     if suite == "appendix2":
         datum = cyclo.RootDatum.of_type(args.type)
         verdicts = cyclo.appendix_identity_suite(datum, args.p, args.order)
@@ -352,7 +357,8 @@ def cmd_filtration(args):
     }
     if args.graded:
         try:
-            gstages = forced.gr_delta_filtration(mod, gr_algebra(alg))
+            gstages = forced.gr_delta_filtration(
+                gr_module(gr_algebra(alg), mod))
         except modules.FiltrationFailure as exc:
             print(f"no graded Delta-filtration: {exc}")
             verdicts["graded_filtered"] = False

@@ -63,8 +63,14 @@ class PrimitivityReport:
     detail: dict = field(default_factory=dict)
 
 
-def primitivity_test(mod: ModuleRep, v, lam) -> PrimitivityReport:
-    """Exact primitivity and strong primitivity of a lam-weight vector."""
+def primitivity_test(mod: ModuleRep, v, lam, chain=None,
+                     n_prime=None) -> PrimitivityReport:
+    """Exact primitivity and strong primitivity of a lam-weight vector.
+
+    `chain` and `n_prime` are module_rad_chain(mod) and
+    n_prime_lattice(mod, lam); they are built here when not given, so that
+    a caller testing many vectors builds them once.
+    """
     if mod.level != "O":
         raise ForcedError("primitivity is an integral-level notion")
     alg = mod.algebra
@@ -73,7 +79,9 @@ def primitivity_test(mod: ModuleRep, v, lam) -> PrimitivityReport:
     v = list(v)
     if mod.act(e, v) != v:
         raise ForcedError("vector is not a lam-weight vector")
-    nprime, nprime_K = n_prime_lattice(mod, lam)
+    if n_prime is None:
+        n_prime = n_prime_lattice(mod, lam)
+    nprime, nprime_K = n_prime
     full = mod.full_lattice()
     detail = {}
     if not any(v):
@@ -85,7 +93,8 @@ def primitivity_test(mod: ModuleRep, v, lam) -> PrimitivityReport:
         with_v = nprime.add(mod.span([v]))
         primitive = is_pure(with_v, full)
     # strong primitivity at the unique filtration depth of v
-    chain = module_rad_chain(mod)
+    if chain is None:
+        chain = module_rad_chain(mod)
     depth = 0
     while depth + 1 < len(chain) and chain[depth + 1].contains_vector(v):
         depth += 1
@@ -199,9 +208,9 @@ class GradedStage:
     checks: dict
 
 
-def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra,
-                        order_override=None):
-    """Peel gr^b N along the proof of the main filtration lemma.
+def gr_delta_filtration(grmod: GradedModule, order_override=None):
+    """Peel gr^b N along the proof of the main filtration lemma, for
+    grmod = gr N over a graded algebra gr A.
 
     Per stage: lam maximal with nonzero weight space (override list wins),
     m1 the depth of the weight space, R = A . (depth-m1 weight stratum).
@@ -209,8 +218,11 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra,
     purity), that the stratum is pure, the depth-shift identity
     R ∩ r~ad^(m1+s) N = r~ad^s R,  and whether the graded section
     gr^b N ∩ gr# R equals all of gr# R (standard) or is a verified
-    prestandard sandwich.  Recurses on N/R.
+    prestandard sandwich.  Recurses on N/R; the first stage reads N's
+    radical chain and gr N from grmod.
     """
+    gralg = grmod.gralg
+    mod = grmod.base_module
     w = mod.algebra.weights
     stages = []
     cur = mod
@@ -228,7 +240,8 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra,
         else:
             lam = sorted(w.maximal(cand), key=str)[0]
         checks = {}
-        chain = module_rad_chain(cur)
+        grN = grmod if cur is mod else gr_module(gralg, cur)
+        chain = grN.chain
         e = list(w.idempotents[lam])
         wlat = _weight_sublattice(cur, e, chain[0])
         m1 = 0
@@ -239,6 +252,11 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra,
         stratum_lifts, tors = quotient_free_basis(wlat, deeper)
         d = len(stratum_lifts)
         h, r_lat = peel_standard_power(cur, lam, [list(r) for r in stratum_lifts])
+        # A guard that cannot fire.  wlat = e.M is pure in M: if pi x lies in
+        # e.M then pi x = e pi x, so x = e x as M is torsion-free.  Each chain
+        # step is pure (saturated).  So `deeper`, the intersection of two pure
+        # sublattices, is pure in M, hence in wlat: wlat / deeper is
+        # torsion-free and `tors` is empty.
         checks["stratum_pure"] = not tors
         if tors:
             raise FiltrationFailure(lam, "weight stratum is not pure", checks)
@@ -257,7 +275,6 @@ def gr_delta_filtration(mod: ModuleRep, gralg: GradedAlgebra,
         if not shift_ok:
             raise FiltrationFailure(lam, "depth-shift identity fails", checks)
         # graded section: gr^b N ∩ gr# R inside gr N
-        grN = gr_module(gralg, cur)
         grb = gr_b(grN)
         gsharp_rows = []
         for n in range(len(chain) - 1):

@@ -1,11 +1,16 @@
-"""Dense exact linear algebra over a field (Q, Q(zeta), or F_p).
+"""Exact linear algebra over a field (Q, Q(zeta), or F_p): dense matrices at
+the boundary, sparse rows inside.
 
 Matrices are lists of row lists; entries are Fraction, Cyc, or Fp values.
 Everything is plain Gaussian elimination with exact arithmetic; no pivot
-growth control is needed at desk scale.
+growth control is needed at desk scale.  The systems built from structure
+constants are mostly zeros, so `rref` and `mat_vec` touch only nonzero
+entries, and `charpoly` over F_p runs on plain ints mod p.
 """
 
 from __future__ import annotations
+
+from .scalars import Fp, PrimeField, ScalarError
 
 
 def mat_copy(m):
@@ -36,12 +41,15 @@ def mat_mul(a, b, field):
 
 
 def mat_vec(a, v, field):
+    """The column a v; only the nonzero entries of v are visited."""
     z = field.zero
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
     out = []
     for row in a:
         s = z
-        for x, y in zip(row, v):
-            if x and y:
+        for j, y in nonzero:
+            x = row[j]
+            if x:
                 s = s + x * y
         out.append(s)
     return out
@@ -66,45 +74,62 @@ def transpose(m):
 def rref(rows, field):
     """Reduced row echelon form.  Returns (echelon_rows, pivot_columns).
 
-    Zero rows are dropped; the result spans the same row space.
+    Zero rows are dropped; the result spans the same row space.  Rows may be
+    any iterable of equal-length sequences.
+
+    Each row is reduced as a {column: nonzero entry} dict against the pivot
+    rows found so far, which are kept fully reduced: a pivot row is zero in
+    every other pivot column, and it is stored without its pivot entry, which
+    is one.  So reducing a row needs one pass over the pivot columns where it
+    is nonzero, and a new pivot row (pivot at its first nonzero column) is
+    eliminated from the earlier pivot rows at once.  A pivot row never gains
+    an entry left of its pivot, so sorting by pivot gives the reduced row
+    echelon form, which is unique.
     """
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    out = []
-    work = rows
-    for col in range(ncols):
-        piv = None
-        for i, r in enumerate(work):
-            if r[col]:
-                piv = i
-                break
-        if piv is None:
+    ncols = 0
+    piv = {}
+    for r in rows:
+        ncols = len(r)
+        s = {j: x for j, x in enumerate(r) if x}
+        for c in s.keys() & piv.keys():
+            _sub_multiple(s, s.pop(c), piv[c])
+        if not s:
             continue
-        prow = work.pop(piv)
-        inv = field.one / prow[col]
-        prow = [inv * x for x in prow]
-        for r in work:
-            if r[col]:
-                c = r[col]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        r[j] = r[j] - c * prow[j]
-        for r in out:
-            if r[col]:
-                c = r[col]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        r[j] = r[j] - c * prow[j]
-        out.append(prow)
-        pivots.append(col)
-        work = [r for r in work if any(r)]
-        if not work:
+        col = min(s)
+        inv = field.one / s.pop(col)
+        s = {j: inv * x for j, x in s.items()}
+        for q in piv.values():
+            c = q.pop(col, None)
+            if c is not None:
+                _sub_multiple(q, c, s)
+        piv[col] = s
+        if len(piv) == ncols:
             break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [out[i] for i in order], [pivots[i] for i in order]
+    pivots = sorted(piv)
+    z, o = field.zero, field.one
+    out = []
+    for col in pivots:
+        row = [z] * ncols
+        row[col] = o
+        for j, x in piv[col].items():
+            row[j] = x
+        out.append(row)
+    return out, pivots
+
+
+def _sub_multiple(s, c, q):
+    """s -= c * q in place, for sparse rows s and q; entries that cancel are
+    removed."""
+    for j, y in q.items():
+        x = s.get(j)
+        if x is None:
+            s[j] = -(c * y)
+        else:
+            x = x - c * y
+            if x:
+                s[j] = x
+            else:
+                del s[j]
 
 
 def rank(rows, field):
@@ -249,7 +274,7 @@ def kernel_left(a, field):
 def invert(a, field):
     """Inverse matrix, or None if singular."""
     n = len(a)
-    aug = [list(a[i]) + identity(field, n)[i] for i in range(n)]
+    aug = [list(r) + e for r, e in zip(a, identity(field, n))]
     ech, pivots = rref(aug, field)
     if len(ech) < n or pivots[:n] != list(range(n)):
         return None
@@ -285,53 +310,51 @@ def det(a, field):
 
 
 def charpoly(a, field):
-    """Characteristic polynomial coefficients [c_0=1, c_1, ..., c_n] of a.
+    """Characteristic polynomial coefficients [c_0=1, c_1, ..., c_n] of a
+    square matrix over F_p (a PrimeField): det(tI - a) = t^n + c_1 t^(n-1)
+    + ... + c_n.
 
-    Computed by the Hessenberg method, which works over any exact field.
-    det(tI - a) = t^n + c_1 t^(n-1) + ... + c_n.
+    Computed by the Hessenberg method on plain ints mod p; Fp values are made
+    only for the result.  Only the char-p radical needs it: in characteristic
+    0 the radical is the kernel of the trace form.
     """
-    n = len(a)
-    h = mat_copy(a)
+    if not isinstance(field, PrimeField):
+        raise ScalarError(f"charpoly is computed over F_p only, not {field}")
+    p = field.p
+    h = [[x.v for x in r] for r in a]
+    n = len(h)
+    # similarity transforms to upper Hessenberg form
     for col in range(n - 2):
-        piv = None
-        for i in range(col + 1, n):
-            if h[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(col + 1, n) if h[i][col]), None)
         if piv is None:
             continue
         if piv != col + 1:
             h[col + 1], h[piv] = h[piv], h[col + 1]
             for r in h:
                 r[col + 1], r[piv] = r[piv], r[col + 1]
-        inv = field.one / h[col + 1][col]
+        top = h[col + 1]
+        inv = pow(top[col], -1, p)
         for i in range(col + 2, n):
             if h[i][col]:
-                c = h[i][col] * inv
-                for j in range(n):
-                    h[i][j] = h[i][j] - c * h[col + 1][j]
+                c = h[i][col] * inv % p
+                h[i] = [(x - c * y) % p for x, y in zip(h[i], top)]
                 for r in h:
-                    r[col + 1] = r[col + 1] + c * r[i]
-    # charpoly of Hessenberg matrix by the standard recurrence;
-    # p_k = charpoly of leading k x k block, stored lowest-degree-last
-    z, o = field.zero, field.one
-    polys = [[o]]
+                    r[col + 1] = (r[col + 1] + c * r[i]) % p
+    # p_k = charpoly of the leading k x k block, highest degree first
+    polys = [[1]]
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = [z] * (k + 1)
-        # t * prev
-        for i, c in enumerate(prev):
-            cur[i] = cur[i] + c
-        # - h[k-1][k-1] * prev
-        for i, c in enumerate(prev):
-            cur[i + 1] = cur[i + 1] - h[k - 1][k - 1] * c
-        prod = o
-        for m_ in range(1, k):
-            prod = prod * h[k - m_][k - m_ - 1]
-            coef = h[k - m_ - 1][k - 1] * prod
+        cur = polys[k - 1] + [0]
+        d = h[k - 1][k - 1]
+        for i, c in enumerate(polys[k - 1]):
+            cur[i + 1] -= d * c
+        prod = 1
+        for m in range(1, k):
+            prod = prod * h[k - m][k - m - 1] % p
+            if not prod:
+                break
+            coef = h[k - m - 1][k - 1] * prod % p
             if coef:
-                sub = polys[k - m_ - 1]
-                for i, c in enumerate(sub):
-                    cur[i + m_ + 1] = cur[i + m_ + 1] - coef * c
-        polys.append(cur)
-    return polys[n]
+                for i, c in enumerate(polys[k - m - 1]):
+                    cur[i + m + 1] -= coef * c
+        polys.append([c % p for c in cur])
+    return [Fp(p, c) for c in polys[n]]

@@ -165,12 +165,12 @@ def _fr_stage(alg, basis_rows, power):
     if d == 0:
         return []
     mats = [alg.left_mult_of(list(v)) for v in basis_rows]
+    # the form is symmetric, since L_x L_y and L_y L_x have one charpoly
     form = [[fld.zero] * d for _ in range(d)]
     for s in range(d):
-        for t in range(d):
+        for t in range(s, d):
             prod = linalg.mat_mul(mats[s], mats[t], fld)
-            coeffs = linalg.charpoly(prod, fld)
-            form[s][t] = coeffs[power]
+            form[s][t] = form[t][s] = linalg.charpoly(prod, fld)[power]
     ker = linalg.kernel_left(form, fld)
     out = []
     for c in ker:

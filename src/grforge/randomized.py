@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from . import forced, linalg, tightness
+from .graded import module_rad_chain
 from .lattices import pure_closure
 from .modules import direct_sum_module, regular_module
 
@@ -25,8 +26,12 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
              "implication_violations": 0, "maximality_violations": 0}
     mods = [m for m in mods if m.rank]
     fld = alg.fld
+    # each module's chain and N ∩ N'_K(lam) are built once, on first use
+    chains = {}
+    n_primes = {}
     while stats["trials"] < trials:
-        mod = mods[rng.randrange(len(mods))]
+        i = rng.randrange(len(mods))
+        mod = mods[i]
         lam = w.Lambda[rng.randrange(len(w.Lambda))]
         rows = mod.weight_space_rows(lam)
         if not rows:
@@ -39,7 +44,11 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
             coeffs.append(fld.of(c))
         v = linalg.combine(coeffs, rows, fld.zero)
         stats["trials"] += 1
-        rep = forced.primitivity_test(mod, v, lam)
+        if i not in chains:
+            chains[i] = module_rad_chain(mod)
+        if (i, lam) not in n_primes:
+            n_primes[i, lam] = forced.n_prime_lattice(mod, lam)
+        rep = forced.primitivity_test(mod, v, lam, chains[i], n_primes[i, lam])
         if rep.primitive:
             stats["primitive"] += 1
             if rep.maximality_ok is False:

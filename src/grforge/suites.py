@@ -268,7 +268,7 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     # Remark: ungraded section multisets agree between the plain and graded
     # Delta-filtrations
     try:
-        gstages = forced.gr_delta_filtration(mod, gr)
+        gstages = forced.gr_delta_filtration(grn)
         res.conclusions["section_multisets_agree"] = (
             section_multiset(gstages) == res.notes["sections"])
         res.notes["graded_sections"] = [

@@ -147,6 +147,15 @@ class TestCLI:
         assert cli.main(["verify", "prop52", alg, "--trials", "15"]) == 0
         assert cli.main(["verify", "primitivity", alg, "--trials", "40"]) == 0
 
+    @pytest.mark.parametrize("suite", ["prop52", "primitivity"])
+    def test_campaign_without_trials_is_malformed(self, tmp_path, suite):
+        # a campaign of no trials verifies nothing: a usage error, not a
+        # failed check
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        alg = str(tmp_path / "z5@3.alg.json")
+        for trials in ("0", "-1"):
+            assert cli.main(["verify", suite, alg, "--trials", trials]) == 2
+
     def test_gr_and_report_revalidates(self, tmp_path):
         cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
         alg = str(tmp_path / "z5@3.alg.json")

@@ -5,6 +5,7 @@ import pytest
 
 from grforge import forced, graded, modules
 from grforge.algebra import StructureAlgebra, WeightDatum
+from grforge.graded import gr_module
 from grforge.lattices import Lattice
 
 
@@ -74,6 +75,38 @@ class TestPrimitivity:
             if rep.primitive:
                 assert rep.maximality_ok
 
+    def test_campaign_builds_each_chain_once(self, z5, sp_z5, monkeypatch):
+        from grforge import randomized
+
+        chains, n_primes = [], []
+        module_rad_chain = graded.module_rad_chain
+        n_prime_lattice = forced.n_prime_lattice
+
+        def counted_chain(mod):
+            chains.append(mod)
+            return module_rad_chain(mod)
+
+        def counted_n_prime(mod, lam):
+            n_primes.append((mod, lam))
+            return n_prime_lattice(mod, lam)
+
+        for ns in (graded, forced, randomized):
+            monkeypatch.setattr(ns, "module_rad_chain", counted_chain,
+                                raising=False)
+        monkeypatch.setattr(forced, "n_prime_lattice", counted_n_prime)
+        mods = [sp_z5[l][k] for l in ("1", "2") for k in ("P", "Delta")]
+        stats = randomized.primitivity_campaign(z5, mods, 50, seed=1)
+        # the counts of the campaign before the chains were kept per module
+        assert stats == {"trials": 50, "primitive": 21,
+                         "strongly_primitive": 21,
+                         "implication_violations": 0,
+                         "maximality_violations": 0}
+        # one chain per module and one N ∩ N'_K(lam) per (module, weight)
+        assert len(chains) == len(mods)
+        assert all(sum(m is c for c in chains) == 1 for m in mods)
+        assert all(sum(m is c and lam == l for c, l in n_primes) == 1
+                   for m, lam in n_primes)
+
 
 class TestGrB:
     def test_delta2_full(self, gr_z5, sp_z5):
@@ -117,16 +150,18 @@ class TestLemma49:
 
 class TestGradedDeltaFiltration:
     def test_p1(self, z5, gr_z5, sp_z5):
-        stages = forced.gr_delta_filtration(sp_z5["1"]["P"], gr_z5)
+        stages = forced.gr_delta_filtration(gr_module(gr_z5, sp_z5["1"]["P"]))
         assert [(s.label, s.copies, s.shift, s.kind) for s in stages] == [
             ("2", 1, 1, "standard"), ("1", 1, 0, "standard")]
 
     def test_delta2_single_section(self, z5, gr_z5, sp_z5):
-        stages = forced.gr_delta_filtration(sp_z5["2"]["Delta"], gr_z5)
+        stages = forced.gr_delta_filtration(
+            gr_module(gr_z5, sp_z5["2"]["Delta"]))
         assert [(s.label, s.copies, s.shift) for s in stages] == [("2", 1, 0)]
 
     def test_regular_module(self, z5, gr_z5, sp_z5):
-        stages = forced.gr_delta_filtration(modules.regular_module(z5), gr_z5)
+        stages = forced.gr_delta_filtration(
+            gr_module(gr_z5, modules.regular_module(z5)))
         assert modules.section_multiset(stages) == {"2": 2, "1": 1}
         shifts = sorted((str(s.label), s.shift) for s in stages)
         assert shifts == [("1", 0), ("2", 0), ("2", 1)]
@@ -134,7 +169,7 @@ class TestGradedDeltaFiltration:
     def test_multiset_matches_ungraded(self, z5, gr_z5, sp_z5):
         for lam in ("1", "2"):
             m = sp_z5[lam]["P"]
-            g = forced.gr_delta_filtration(m, gr_z5)
+            g = forced.gr_delta_filtration(gr_module(gr_z5, m))
             u = modules.delta_filtration(m)
             assert modules.section_multiset(g) == modules.section_multiset(u)
 
@@ -158,7 +193,7 @@ class TestGradedDeltaFiltration:
         with pytest.raises(modules.FiltrationFailure) as plain:
             modules.delta_filtration(n)
         with pytest.raises(modules.FiltrationFailure) as graded_:
-            forced.gr_delta_filtration(n, gr)
+            forced.gr_delta_filtration(gr_module(gr, n))
         got = [(e.value.label, e.value.reason) for e in (plain, graded_)]
         assert got == [expect] * 2
 
@@ -166,7 +201,8 @@ class TestGradedDeltaFiltration:
         from grforge.modules import direct_sum_module
 
         m = direct_sum_module(sp_z5["2"]["Delta"], 1)
-        stages = forced.gr_delta_filtration(m, gr_z5, order_override=["2"])
+        stages = forced.gr_delta_filtration(gr_module(gr_z5, m),
+                                            order_override=["2"])
         assert len(stages) == 1
 
 

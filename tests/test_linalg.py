@@ -1,0 +1,284 @@
+"""Property tests of the sparse linalg kernels against the dense reference.
+
+`dense_rref`, `dense_mat_vec` and `dense_charpoly` are the dense kernels
+that `rref`, `mat_vec` and `charpoly` replaced, kept verbatim as the
+reference.  Kernels, solves, inverses and ranks are compared with the same
+functions run on `dense_rref`.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grforge import linalg
+from grforge.scalars import (Cyc, CycField, Fp, PrimeField, RatField,
+                             ScalarError)
+
+FIELDS = {"Q": RatField(), "F_2": PrimeField(2), "F_3": PrimeField(3),
+          "F_5": PrimeField(5), "F_7": PrimeField(7),
+          "Q(zeta_5)": CycField(5)}
+PRIME_FIELDS = ["F_2", "F_3", "F_5", "F_7"]
+SETTINGS = settings(max_examples=80, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# the dense reference
+# ---------------------------------------------------------------------------
+
+def dense_mat_vec(a, v, field):
+    z = field.zero
+    out = []
+    for row in a:
+        s = z
+        for x, y in zip(row, v):
+            if x and y:
+                s = s + x * y
+        out.append(s)
+    return out
+
+
+def dense_rref(rows, field):
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    out = []
+    work = rows
+    for col in range(ncols):
+        piv = None
+        for i, r in enumerate(work):
+            if r[col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        prow = work.pop(piv)
+        inv = field.one / prow[col]
+        prow = [inv * x for x in prow]
+        for r in work:
+            if r[col]:
+                c = r[col]
+                for j in range(col, ncols):
+                    if prow[j]:
+                        r[j] = r[j] - c * prow[j]
+        for r in out:
+            if r[col]:
+                c = r[col]
+                for j in range(col, ncols):
+                    if prow[j]:
+                        r[j] = r[j] - c * prow[j]
+        out.append(prow)
+        pivots.append(col)
+        work = [r for r in work if any(r)]
+        if not work:
+            break
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [out[i] for i in order], [pivots[i] for i in order]
+
+
+def dense_charpoly(a, field):
+    n = len(a)
+    h = linalg.mat_copy(a)
+    for col in range(n - 2):
+        piv = None
+        for i in range(col + 1, n):
+            if h[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != col + 1:
+            h[col + 1], h[piv] = h[piv], h[col + 1]
+            for r in h:
+                r[col + 1], r[piv] = r[piv], r[col + 1]
+        inv = field.one / h[col + 1][col]
+        for i in range(col + 2, n):
+            if h[i][col]:
+                c = h[i][col] * inv
+                for j in range(n):
+                    h[i][j] = h[i][j] - c * h[col + 1][j]
+                for r in h:
+                    r[col + 1] = r[col + 1] + c * r[i]
+    z, o = field.zero, field.one
+    polys = [[o]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        cur = [z] * (k + 1)
+        for i, c in enumerate(prev):
+            cur[i] = cur[i] + c
+        for i, c in enumerate(prev):
+            cur[i + 1] = cur[i + 1] - h[k - 1][k - 1] * c
+        prod = o
+        for m_ in range(1, k):
+            prod = prod * h[k - m_][k - m_ - 1]
+            coef = h[k - m_ - 1][k - 1] * prod
+            if coef:
+                sub = polys[k - m_ - 1]
+                for i, c in enumerate(sub):
+                    cur[i + m_ + 1] = cur[i + m_ + 1] - coef * c
+        polys.append(cur)
+    return polys[n]
+
+
+def on_dense_rref(fn, *args):
+    """fn(*args) with linalg.rref replaced by the dense reference."""
+    sparse = linalg.rref
+    linalg.rref = dense_rref
+    try:
+        return fn(*args)
+    finally:
+        linalg.rref = sparse
+
+
+# ---------------------------------------------------------------------------
+# draws: mostly zero entries, as in the structure-constant systems
+# ---------------------------------------------------------------------------
+
+def draw_scalar(data, fld):
+    if data.draw(st.integers(0, 9)) < 6:
+        return fld.zero
+    if isinstance(fld, CycField):
+        return Cyc(fld.p, [data.draw(st.integers(-2, 2))
+                           for _ in range(fld.p - 1)])
+    if isinstance(fld, RatField):
+        return Fraction(data.draw(st.integers(-3, 3)),
+                        data.draw(st.integers(1, 3)))
+    return fld.of(data.draw(st.integers(-3, 3)))
+
+
+def draw_rows(data, fld, nrows, ncols):
+    """nrows rows of length ncols; some are combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        if rows and data.draw(st.integers(0, 3)) == 0:
+            rows.append(linalg.combine([draw_scalar(data, fld) for _ in rows],
+                                       rows, fld.zero))
+        else:
+            rows.append([draw_scalar(data, fld) for _ in range(ncols)])
+    return rows
+
+
+def shape(data, most=6):
+    return data.draw(st.integers(0, most)), data.draw(st.integers(1, most))
+
+
+def types(rows):
+    return [[type(x) for x in r] for r in rows]
+
+
+# ---------------------------------------------------------------------------
+# rref and what is built on it
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_rref_matches_dense(kind, data):
+    fld = FIELDS[kind]
+    rows = draw_rows(data, fld, *shape(data))
+    got = linalg.rref(rows, fld)
+    want = dense_rref(rows, fld)
+    assert got == want
+    assert types(got[0]) == types(want[0])
+    assert linalg.rank(rows, fld) == len(want[0])
+    # rows given as a generator of tuples
+    assert linalg.rref((tuple(r) for r in rows), fld) == want
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_kernel_and_solve_match_dense(kind, data):
+    fld = FIELDS[kind]
+    nrows, ncols = shape(data)
+    a = draw_rows(data, fld, max(nrows, 1), ncols)
+    assert linalg.kernel_right(a, fld) == on_dense_rref(linalg.kernel_right,
+                                                        a, fld)
+    assert linalg.kernel_left(a, fld) == on_dense_rref(linalg.kernel_left,
+                                                       a, fld)
+    b = [draw_scalar(data, fld) for _ in a]
+    got = linalg.solve_right(a, b, fld)
+    assert got == on_dense_rref(linalg.solve_right, a, b, fld)
+    if got is not None:
+        assert linalg.mat_vec(a, got, fld) == b
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_invert_matches_dense(kind, data):
+    fld = FIELDS[kind]
+    n = data.draw(st.integers(1, 5))
+    a = draw_rows(data, fld, n, n)
+    if data.draw(st.booleans()):
+        # often invertible: add the identity
+        a = [[x + y for x, y in zip(r, e)]
+             for r, e in zip(a, linalg.identity(fld, n))]
+    got = linalg.invert(a, fld)
+    assert got == on_dense_rref(linalg.invert, a, fld)
+    if got is not None:
+        assert linalg.mat_mul(a, got, fld) == linalg.identity(fld, n)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_rref_edge_cases(kind):
+    fld = FIELDS[kind]
+    z, o = fld.zero, fld.one
+    assert linalg.rref([], fld) == ([], [])
+    assert linalg.rref(iter([]), fld) == ([], [])
+    assert linalg.rref([[z] * 3, [z] * 3], fld) == ([], [])
+    assert linalg.kernel_right([[z] * 2], fld) == [[o, z], [z, o]]
+    rows = [[z, z, z], [z, o, o], [z] * 3, [z, o + o, o]]
+    for given_rows in (rows, (r for r in rows)):
+        assert linalg.rref(given_rows, fld) == dense_rref(rows, fld)
+    # full rank early: the remaining rows change nothing
+    assert linalg.rref([[o, z], [z, o], [o, o]], fld) == \
+        ([[o, z], [z, o]], [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# mat_vec
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_mat_vec_matches_dense(kind, data):
+    fld = FIELDS[kind]
+    nrows, ncols = shape(data)
+    a = draw_rows(data, fld, nrows, ncols)
+    v = [draw_scalar(data, fld) for _ in range(ncols)]
+    got = linalg.mat_vec(a, v, fld)
+    want = dense_mat_vec(a, v, fld)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+# ---------------------------------------------------------------------------
+# charpoly over F_p
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.sampled_from(PRIME_FIELDS), st.data())
+def test_charpoly_matches_fp_reference(kind, data):
+    fld = FIELDS[kind]
+    n = data.draw(st.integers(0, 7))
+    a = draw_rows(data, fld, n, n)
+    got = linalg.charpoly(a, fld)
+    assert got == dense_charpoly(a, fld)
+    assert all(type(c) is Fp and c.p == fld.p for c in got)
+
+
+@SETTINGS
+@given(st.sampled_from(PRIME_FIELDS), st.data())
+def test_charpoly_of_ab_is_charpoly_of_ba(kind, data):
+    # the Friedl-Ronyai form fills one triangle on this identity
+    fld = FIELDS[kind]
+    n = data.draw(st.integers(1, 6))
+    a = draw_rows(data, fld, n, n)
+    b = draw_rows(data, fld, n, n)
+    assert linalg.charpoly(linalg.mat_mul(a, b, fld), fld) == \
+        linalg.charpoly(linalg.mat_mul(b, a, fld), fld)
+
+
+def test_charpoly_is_over_prime_fields_only():
+    with pytest.raises(ScalarError):
+        linalg.charpoly([[Fraction(1)]], RatField())

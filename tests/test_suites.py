@@ -10,21 +10,32 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# (d, p) -> sha256 of the document and of the thm417 report's stable portion.
+# qschur(2,5) was pinned before the integer-vector Cyc kernel replaced the
+# Fraction one; qschur(3,3) before the sparse rref and mat_vec and the int
+# F_3 charpoly, since it runs both F_3 Friedl-Ronyai stages.
+QSCHUR_GOLDEN = {
+    (2, 5): ("c476d26fcfa889dfbcd1fe796dd7c87d4a2ceba40dda8575cf37026ade78d891",
+             "52523f486bdaeaa2e123bf6e46599f00952a4edbbb9e0bf11967305462e54b66"),
+    (3, 3): ("8916bed240d39349fe1c568b87017d498a7e2fa7f9d109c05fbd4b39e9b9752f",
+             "2be19a4168dfac9a25a3388ebf1cf72bc4ace58b81b67e8972336958a2711fb7"),
+}
+
+
 def test_qschur_golden_digests():
-    # pinned before the integer-vector Cyc kernel replaced the Fraction one:
     # the document and the report's stable portion must stay byte-identical
-    alg = fixtures.build_qschur(2, 5)
-    doc = files.algebra_to_doc(alg)
-    assert _sha256(json.dumps(doc, sort_keys=True)) == \
-        "c476d26fcfa889dfbcd1fe796dd7c87d4a2ceba40dda8575cf37026ade78d891"
-    res = suites.thm_417_suite(alg)
-    report = files.suite_report(
-        "thm417", "qschur-n2-d2@5",
-        {"hypotheses": res.hypotheses, "conclusions": res.conclusions,
-         "falsification": not res.falsification},
-        res.notes, input_hash="")
-    assert _sha256(files.canonical_json(files.stable_portion(report))) == \
-        "52523f486bdaeaa2e123bf6e46599f00952a4edbbb9e0bf11967305462e54b66"
+    for (d, p), (doc_digest, report_digest) in QSCHUR_GOLDEN.items():
+        alg = fixtures.build_qschur(d, p)
+        doc = files.algebra_to_doc(alg)
+        assert _sha256(json.dumps(doc, sort_keys=True)) == doc_digest
+        res = suites.thm_417_suite(alg)
+        report = files.suite_report(
+            "thm417", f"qschur-n2-d{d}@{p}",
+            {"hypotheses": res.hypotheses, "conclusions": res.conclusions,
+             "falsification": not res.falsification},
+            res.notes, input_hash="")
+        assert _sha256(files.canonical_json(files.stable_portion(report))) \
+            == report_digest
 
 
 class TestThm417:
@@ -73,6 +84,33 @@ class TestCor416:
     def test_non_ideal_reported(self, z5, sp_z5):
         res = suites.cor_416_check(z5, sp_z5["1"]["P"], ("2",))
         assert res.hypotheses["gamma_is_ideal"] is False
+
+    def test_input_module_is_graded_once(self, z5, monkeypatch):
+        from grforge import forced, graded
+
+        mod = modules.regular_module(z5)
+        gr_builds, chains = [], []
+        gr_module = graded.gr_module
+        module_rad_chain = graded.module_rad_chain
+
+        def counted_gr(gralg, m):
+            gr_builds.append(m)
+            return gr_module(gralg, m)
+
+        def counted_chain(m):
+            chains.append(m)
+            return module_rad_chain(m)
+
+        for ns in (suites, forced):
+            monkeypatch.setattr(ns, "gr_module", counted_gr)
+        for ns in (graded, forced):
+            monkeypatch.setattr(ns, "module_rad_chain", counted_chain)
+        res = suites.cor_416_check(z5, mod, ("1",))
+        assert res.conclusions["section_multisets_agree"]
+        # gr N and its radical chain serve the suite and the first stage of
+        # the graded Delta-filtration
+        assert sum(m is mod for m in gr_builds) == 1
+        assert sum(m is mod for m in chains) == 1
 
 
 class TestFieldCase:
