@@ -24,34 +24,29 @@ from dataclasses import dataclass, field
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .lattices import Lattice, pure_closure, quotient_free_basis, saturate_rows
-from .modules import (
-    ModuleRep,
-    find_iso,
-    hom_equations,
-    regular_module,
-    weight_simples,
-)
+from .modules import ModuleRep, hom_equations, regular_module, weight_simples
 
 
 class CertifyError(AlgebraError):
     pass
 
 
+# ranks of J = A e A up to which End_A(J) is also solved for directly
+ENDO_DIRECT_LIMIT = 12
+
+
 # ---------------------------------------------------------------------------
 # modules over subalgebras / generic splitting without weight data
 # ---------------------------------------------------------------------------
 
-def restricted_module(sub: StructureAlgebra, sub_basis, mod: ModuleRep, cut=None):
+def restricted_module(sub: StructureAlgebra, sub_basis, mod: ModuleRep, cut):
     """The module (cut . M) over the subalgebra with given basis vectors.
 
     `sub_basis[i]` is the coordinate vector (in the big algebra) of the i-th
-    basis element of `sub`; `cut` is an optional idempotent vector whose image
-    subspace carries the restricted action (defaults to all of M).
+    basis element of `sub`; `cut` is an idempotent vector whose image
+    subspace carries the restricted action.
     """
-    if cut is None:
-        rows = [mod.basis_vec(i) for i in range(mod.rank)]
-    else:
-        rows = [mod.act(list(cut), mod.basis_vec(i)) for i in range(mod.rank)]
+    rows = [mod.act(list(cut), mod.basis_vec(i)) for i in range(mod.rank)]
     span = mod.span(rows)
     if not span.rank:
         return ModuleRep(sub, 0, [[] for _ in range(sub.rank)])
@@ -144,7 +139,9 @@ def generic_simples(alg):
 
     Splits the center by root-finding on minimal polynomials (all-residue
     search over F_p, rational candidates over characteristic zero), then
-    refines to a primitive idempotent per block.  Raises NonSplitError when a
+    refines to a primitive idempotent per block.  Returns one module per
+    primitive idempotent, so isomorphic copies recur; split_semisimple keeps
+    the first of each central character.  Raises NonSplitError when a
     minimal polynomial does not split through these routes.
     """
     fld = alg.fld
@@ -201,18 +198,7 @@ def generic_simples(alg):
                 "or a non-split block)")
         mod = reg.restrict_to(reg.submodule_generated([e]))
         out.append((f"blk{idx}", mod))
-    # distinct simples only
-    seen = []
-    uniq = []
-    for lbl, mod in out:
-        key = None
-        for lbl2, mod2 in uniq:
-            if find_iso(mod, mod2) is not None:
-                key = lbl2
-                break
-        if key is None:
-            uniq.append((lbl, mod))
-    return uniq
+    return out
 
 
 def _corner_minpoly(alg, e, x):
@@ -232,7 +218,7 @@ def _corner_minpoly(alg, e, x):
 
 
 # ---------------------------------------------------------------------------
-# matrix algebras over O
+# matrix algebras over the base ring
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -245,25 +231,31 @@ class MatrixAlgebraWitness:
     iso_rows: list | None = None    # images of E-basis in (+) M_n(O) coordinates
 
 
-def recognize_matrix_algebra_O(e_alg: StructureAlgebra, modules_K=None):
-    """Decide E ≅ (+) M_n(O) with an explicit isomorphism witness."""
-    if e_alg.level != "O":
-        raise CertifyError("recognition expects an integral algebra")
+def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
+    """Decide E ≅ (+) M_n over E's base ring, with an explicit witness.
+
+    At every level E's field algebra must be semisimple and split, through
+    `simples` (its simple modules) or else `generic_simples`.  At K and k
+    that split is the witness; at O, E must also be a maximal order.
+    """
     if e_alg.rank == 0:
         return MatrixAlgebraWitness(False, "zero algebra")
-    ring = e_alg.ring
-    ek = e_alg.base_change("K")
+    ek = e_alg.field_algebra()
     try:
         rad = radicals.radical_field(ek)
     except AlgebraError as exc:
-        return MatrixAlgebraWitness(False, f"radical failure over K: {exc}")
+        return MatrixAlgebraWitness(False, f"radical failure: {exc}")
     if rad:
-        return MatrixAlgebraWitness(False, "E_K is not semisimple")
+        return MatrixAlgebraWitness(False, "field algebra is not semisimple")
     try:
-        simples = modules_K if modules_K is not None else generic_simples(ek)
-        blocks = radicals.split_semisimple(ek, simples)
-    except radicals.NonSplitError as exc:
+        blocks, units = radicals.matrix_units(
+            ek, simples if simples is not None else generic_simples(ek))
+    except AlgebraError as exc:  # NonSplitError and any other refusal
         return MatrixAlgebraWitness(False, f"splitting failed: {exc}")
+    sizes = tuple(b.simple_dim for b in blocks)
+    if e_alg.level != "O":
+        return MatrixAlgebraWitness(True, "", sizes, 0, units, None)
+    ring = e_alg.ring
     # maximality via the reduced trace: sum of matrix traces over the blocks;
     # the reduced discriminant of (+) M_n(O) is a unit, and an order with unit
     # reduced discriminant is maximal
@@ -296,9 +288,7 @@ def recognize_matrix_algebra_O(e_alg: StructureAlgebra, modules_K=None):
     # explicit units: realize each block on the lattice E . v inside its module
     all_units = {}
     iso_rows = [[] for _ in range(e_alg.rank)]
-    sizes = []
     for bi, blk in enumerate(blocks):
-        radicals.block_matrix_units(ek, blk)
         # central idempotent must lie in the O-order
         z = blk.central_idempotent
         if any(ring.valuation(x) < 0 for x in z if x):
@@ -306,12 +296,11 @@ def recognize_matrix_algebra_O(e_alg: StructureAlgebra, modules_K=None):
                 False, "central idempotent escapes the order",
                 gram_det_valuation=val)
         d = blk.simple_dim
-        sizes.append(d)
         # lattice L = E . w inside the simple module, w the image of E_11
         acts = blk.module_acts
         mod = ModuleRep(ek, len(acts[0]), acts)
         w0 = None
-        e11 = blk.matrix_units[(0, 0)]
+        e11 = units[(bi, 0, 0)]
         for i in range(mod.rank):
             cand = mod.act(list(e11), mod.basis_vec(i))
             if any(cand):
@@ -345,11 +334,8 @@ def recognize_matrix_algebra_O(e_alg: StructureAlgebra, modules_K=None):
             flat = [x for row in coords[i] for x in row]
             iso_rows[i].extend(flat)
     # surjectivity over O: the flattened image lattice must be everything
-    total = sum(d * d for d in sizes)
-    if total != e_alg.rank:
-        return MatrixAlgebraWitness(
-            False, f"block dimensions {sizes} do not fill rank {e_alg.rank}",
-            gram_det_valuation=val)
+    # (split_semisimple checked that the block dimensions fill the rank)
+    total = e_alg.rank
     img = Lattice.from_rows(ring, total, iso_rows)
     if img != Lattice.full(ring, total):
         return MatrixAlgebraWitness(
@@ -366,7 +352,7 @@ def recognize_matrix_algebra_O(e_alg: StructureAlgebra, modules_K=None):
                 pre = linalg.mat_vec(inv, target, ek.fld)
                 all_units[(bi, i, j)] = pre
         off += d * d
-    return MatrixAlgebraWitness(True, "", tuple(sizes), 0, all_units, iso_rows)
+    return MatrixAlgebraWitness(True, "", sizes, 0, all_units, iso_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +407,7 @@ def _corner_simple_modules(alg, e, e_basis, corner, labels):
     return out or None
 
 
-def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
-                            endo_direct_limit: int = 12) -> HeredityStep:
+def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> HeredityStep:
     """Verify the footnote-4 conditions for J = A e A, with witnesses."""
     e = list(e)
     verdicts = {}
@@ -454,12 +439,8 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
     cbasis = alg.span([alg.mul(e, alg.mul(alg.basis_vec(i), e))
                        for i in range(alg.rank)]).rows
     corner, _ = alg.subalgebra_on(cbasis, unit=e)
-    if alg.level == "O":
-        cmods = _corner_simple_modules(alg, e, cbasis, corner.base_change("K"),
-                                       labels)
-        witness = recognize_matrix_algebra_O(corner, modules_K=cmods)
-    else:
-        witness = _recognize_matrix_field(corner, alg, e, cbasis, labels)
+    witness = recognize_matrix_algebra(corner, _corner_simple_modules(
+        alg, e, cbasis, corner.field_algebra(), labels))
     verdicts["corner_split"] = witness.ok
     if not witness.ok:
         detail["corner"] = witness.reason
@@ -472,7 +453,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
         verdicts["endo_matrix"] = r_sizes is not None
         detail["endo_block_sizes"] = r_sizes
         if (alg.level == "O" and r_sizes is not None
-                and J.rank <= endo_direct_limit):
+                and J.rank <= ENDO_DIRECT_LIMIT):
             direct = _endo_direct_check(alg, J, r_sizes)
             detail["endo_direct_crosscheck"] = \
                 "inconclusive" if direct is None else direct
@@ -483,35 +464,12 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",),
                         witness, detail, J)
 
 
-def _recognize_matrix_field(corner, alg, e, cbasis, labels):
-    """Field-level split test: corner ≅ (+) M_n over the field itself."""
-    try:
-        rad = radicals.radical_field(corner)
-        if rad:
-            return MatrixAlgebraWitness(False, "corner not semisimple")
-        cmods = _corner_simple_modules(alg, e, cbasis, corner, labels)
-        simples = cmods if cmods is not None else generic_simples(corner)
-        blocks = radicals.split_semisimple(corner, simples)
-        units = {}
-        for bi, blk in enumerate(blocks):
-            radicals.block_matrix_units(corner, blk)
-            for (i, j), v in blk.matrix_units.items():
-                units[(bi, i, j)] = v
-        sizes = tuple(b.simple_dim for b in blocks)
-        return MatrixAlgebraWitness(True, "", sizes, 0, units, None)
-    except (radicals.NonSplitError, AlgebraError) as exc:
-        return MatrixAlgebraWitness(False, str(exc))
-
-
 def _mult_map_bijective(alg, e, cbasis, witness, J):
     """Rank count and exact image equality for Ae (x)_{eAe} eA -> J."""
     fld = alg.fld
-    blocks = {}
-    for (bi, i, j) in witness.units:
-        blocks.setdefault(bi, max(i, j) + 1)
     total = 0
     prod_rows = []
-    for bi in sorted(blocks):
+    for bi in range(len(witness.block_sizes)):
         f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, fld.zero)
         left_rows = [alg.mul(alg.mul(alg.basis_vec(i), e), f)
                      for i in range(alg.rank)]
@@ -528,11 +486,8 @@ def _mult_map_bijective(alg, e, cbasis, witness, J):
 
 def _endo_block_sizes(alg, e, cbasis, witness):
     """Structural End_A(J) = (+) M_(r_t)(O): r_t = rank of f_t e A."""
-    blocks = {}
-    for (bi, i, j) in witness.units:
-        blocks.setdefault(bi, 0)
     sizes = []
-    for bi in sorted(blocks):
+    for bi in range(len(witness.block_sizes)):
         f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, alg.fld.zero)
         sizes.append(alg.span([alg.mul(f, alg.mul(e, alg.basis_vec(i)))
                                for i in range(alg.rank)]).rank)
@@ -576,16 +531,14 @@ def _endo_direct_check(alg, J, expected_sizes):
     endo_k = endo.base_change("K")
     jmod = ModuleRep(endo_k, n, [matb[s] for s in range(m)])
     cands = []
-    seen_dims = []
     for i in range(n):
         sub = jmod.submodule_generated([jmod.basis_vec(i)])
         if not sub.rank:
             continue
         smod = jmod.restrict_to(sub)
         cands.append((f"v{i}", smod))
-        seen_dims.append(smod.rank)
     try:
-        w = recognize_matrix_algebra_O(endo, modules_K=cands)
+        w = recognize_matrix_algebra(endo, cands)
     except (radicals.NonSplitError, AlgebraError):
         return None
     if not w.ok:

@@ -27,6 +27,10 @@ class ModuleError(AlgebraError):
     pass
 
 
+# algebra ranks up to which `validate` checks every pair of basis elements
+VALIDATE_ALL_PAIRS_LIMIT = 12
+
+
 class ModuleRep:
     def __init__(self, algebra: StructureAlgebra, rank: int, acts, name=""):
         self.algebra = algebra
@@ -81,7 +85,7 @@ class ModuleRep:
         return self.algebra.span(rows, self.rank)
 
     # -- validation ----------------------------------------------------------------
-    def validate(self, sample_limit: int = 12):
+    def validate(self):
         alg = self.algebra
         fld = self.fld
         if len(self.acts) != alg.rank:
@@ -97,8 +101,8 @@ class ModuleRep:
                         if x and alg.ring.valuation(x) < 0:
                             raise ModuleError("action entry outside O")
         n = alg.rank
-        pairs = ((i, j) for i in range(n) for j in range(n)) if n <= sample_limit \
-            else _sample_pairs(n)
+        pairs = (((i, j) for i in range(n) for j in range(n))
+                 if n <= VALIDATE_ALL_PAIRS_LIMIT else _sample_pairs(n))
         for (i, j) in pairs:
             lhs = linalg.mat_mul(self.acts[i], self.acts[j], fld)
             rhs = self.act_matrix(alg._sc_vec(i, j))

@@ -8,12 +8,16 @@ Radical algorithms:
   kernel contains the radical (L_(xy) is nilpotent for x radical), so the
   first stage whose kernel verifies as a nilpotent ideal IS the radical.
 
-Splitting a split semisimple quotient uses module characters: given enough
+Splitting a split semisimple algebra uses module characters: given enough
 simple modules to separate the blocks, central primitive idempotents come out
 of a linear solve (characters of a commutative split semisimple algebra are
-linearly independent), and matrix units are pulled back through the exact
-block action on a simple module.  No idempotent lifting over O and no
-polynomial factorization over number fields is ever attempted.
+linearly independent), and `split_semisimple` returns each block with its
+matrix units, pulled back through the exact block action on a simple module.
+`matrix_units` is the one route to units of any field algebra: it splits a
+semisimple algebra directly, and otherwise splits A/rad and lifts the units
+to exactly orthogonal ones of A (a Wedderburn complement spans them).  No
+idempotent lifting over O and no polynomial factorization over number fields
+is ever attempted.
 """
 
 from __future__ import annotations
@@ -249,12 +253,13 @@ def module_action_of(alg, acts, vec):
     return out
 
 
-def split_semisimple(alg, modules, require_cover=True):
+def split_semisimple(alg, modules):
     """Split a semisimple field algebra into matrix blocks.
 
     `modules` is a list of (label, acts) with acts the action matrices of a
     module that is expected to be simple; they must jointly separate (cover)
-    all blocks.  Returns a list of Block with verified central idempotents.
+    all blocks.  The first module of each central character names its block.
+    Returns a list of Block with verified central idempotents and matrix units.
     """
     fld = alg.fld
     z = center_rows(alg)
@@ -281,7 +286,7 @@ def split_semisimple(alg, modules, require_cover=True):
             continue
         if tuple(vec) not in {tuple(c) for (c, _, _) in chars}:
             chars.append((vec, label, acts))
-    if len(chars) != m and require_cover:
+    if len(chars) != m:
         raise NonSplitError(
             f"modules separate {len(chars)} of {m} central characters")
     blocks = []
@@ -307,15 +312,17 @@ def split_semisimple(alg, modules, require_cover=True):
     total = [fld.zero] * alg.rank
     for b in blocks:
         total = [x + y for x, y in zip(total, b.central_idempotent)]
-    if len(chars) == m and list(alg.unit) != total:
+    if list(alg.unit) != total:
         raise NonSplitError("central idempotents do not sum to 1")
     # dimension audit: sum of (dim simple)^2 must be the algebra dimension
-    if len(chars) == m and sum(b.simple_dim ** 2 for b in blocks) != alg.rank:
+    if sum(b.simple_dim ** 2 for b in blocks) != alg.rank:
         raise NonSplitError("block dimensions do not add up: not split")
+    for blk in blocks:
+        blk.matrix_units = _block_matrix_units(alg, blk)
     return blocks
 
 
-def block_matrix_units(alg, block: Block):
+def _block_matrix_units(alg, block: Block):
     """Matrix units of one block, pulled back through the simple module.
 
     The block e_b * alg acts faithfully on its simple module; units are the
@@ -348,24 +355,45 @@ def block_matrix_units(alg, block: Block):
             if sol is None:
                 raise NonSplitError("module action is not surjective on the block")
             units[(i, j)] = linalg.combine(sol, sub, fld.zero)
-    _verify_matrix_units(alg, units, d, e)
-    block.matrix_units = units
+    if not matrix_units_hold(
+            alg, {(0, i, j): u for (i, j), u in units.items()}, e):
+        raise NonSplitError("matrix unit relations fail")
     return units
 
 
-def _verify_matrix_units(alg, units, d, central):
-    fld = alg.fld
-    for (i, j) in units:
-        for (k, l) in units:
-            prod = alg.mul(list(units[(i, j)]), list(units[(k, l)]))
-            expect = list(units[(i, l)]) if j == k else [fld.zero] * alg.rank
-            if prod != expect:
-                raise NonSplitError("matrix unit relations fail")
-    total = [fld.zero] * alg.rank
-    for i in range(d):
-        total = [x + y for x, y in zip(total, units[(i, i)])]
-    if total != list(central):
-        raise NonSplitError("diagonal units do not sum to the block identity")
+def matrix_units_hold(alg, units, total) -> bool:
+    """Do the units, keyed (block, i, j), multiply as matrix units
+    (u_bij u_bkl = u_bil if j == k, else 0, and 0 across blocks), with the
+    diagonal units summing to `total`?"""
+    zero = [alg.fld.zero] * alg.rank
+    diag = zero
+    for (b, i, j), u in units.items():
+        for (c, k, l), v in units.items():
+            expect = units[(b, i, l)] if b == c and j == k else zero
+            if alg.mul(list(u), list(v)) != list(expect):
+                return False
+        if i == j:
+            diag = [x + y for x, y in zip(diag, u)]
+    return diag == list(total)
+
+
+def matrix_units(alg, modules):
+    """Blocks of alg/rad and matrix units of alg lifting theirs.
+
+    `modules` feeds the splitting (see split_semisimple).  With rad = 0 the
+    algebra is split directly; otherwise alg/rad is split and its units are
+    lifted.  Returns (blocks, units), units a dict (block_index, i, j) ->
+    coordinates in alg of exactly orthogonal units whose diagonal sums to 1;
+    read units from this dict, not from the blocks, which live in alg/rad.
+    """
+    rad = radical_field(alg)
+    if not rad:
+        blocks = split_semisimple(alg, modules)
+        return blocks, {(bi, i, j): u for bi, blk in enumerate(blocks)
+                        for (i, j), u in blk.matrix_units.items()}
+    quot, lifts, _ = alg.quotient_by_ideal(rad)
+    blocks = split_semisimple(quot, quotient_modules(alg, lifts, modules))
+    return blocks, _lift_matrix_units(alg, lifts, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +426,12 @@ def _corner_inverse(alg, e, x):
     return out
 
 
-def lift_matrix_units(alg, quot, lifts, project, blocks):
+def _lift_matrix_units(alg, lifts, blocks):
     """Lift the matrix units of the semisimple quotient to the algebra.
 
-    `quot, lifts, project` come from alg.quotient_by_ideal(rad); each Block in
-    `blocks` must already carry quotient-level matrix_units.  Returns a dict
-    (block_index, i, j) -> algebra coordinate vector of exactly orthogonal
-    lifted units spanning a Wedderburn complement.
+    `lifts` comes from alg.quotient_by_ideal(rad) and `blocks` from splitting
+    that quotient.  Returns a dict (block_index, i, j) -> algebra coordinate
+    vector of exactly orthogonal lifted units spanning a Wedderburn complement.
     """
     fld = alg.fld
 
@@ -422,8 +449,6 @@ def lift_matrix_units(alg, quot, lifts, project, blocks):
             e = _newton_idempotent(alg, y)
             diag[(bi, i)] = e
             done = [a + b for a, b in zip(done, e)]
-    if done != list(alg.unit):
-        raise InternalCheckError("lifted idempotents do not sum to 1")
 
     # 2. lift off-diagonal units within each block and correct exactly
     units = {}
@@ -449,37 +474,22 @@ def lift_matrix_units(alg, quot, lifts, project, blocks):
             for j in range(1, d):
                 if i != j:
                     units[(bi, i, j)] = alg.mul(units[(bi, i, 0)], units[(bi, 0, j)])
-    # full verification
-    for (bi, i, j) in units:
-        for (bj, k, l) in units:
-            prod = alg.mul(list(units[(bi, i, j)]), list(units[(bj, k, l)]))
-            if bi == bj and j == k:
-                expect = list(units[(bi, i, l)])
-            else:
-                expect = [fld.zero] * alg.rank
-            if prod != expect:
-                raise InternalCheckError("lifted matrix unit relations fail")
+    if not matrix_units_hold(alg, units, alg.unit):
+        raise InternalCheckError("lifted matrix unit relations fail")
     return units
 
 
-def wedderburn_complement(alg, modules, contain=None, rad=None):
+def wedderburn_complement(alg, modules, contain=None):
     """A semisimple subalgebra S with alg = S (+) rad as vector spaces.
 
     `modules` feeds the splitting of alg/rad (see split_semisimple).  With
     `contain` (rows spanning a semisimple unital subalgebra), the returned
     complement contains it, by Malcev conjugation.
     """
-    fld = alg.fld
-    if rad is None:
-        rad = radical_field(alg)
+    rad = radical_field(alg)
     if not rad:
         return [alg.basis_vec(i) for i in range(alg.rank)]
-    quot, lifts, project = alg.quotient_by_ideal(rad)
-    qmods = quotient_modules(alg, lifts, modules)
-    blocks = split_semisimple(quot, qmods)
-    for blk in blocks:
-        block_matrix_units(quot, blk)
-    units = lift_matrix_units(alg, quot, lifts, project, blocks)
+    _, units = matrix_units(alg, modules)
     s_rows = alg.span(list(units.values())).rows
     if contain is not None:
         s_rows = _malcev_enlarge(alg, s_rows, contain)

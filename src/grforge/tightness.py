@@ -355,31 +355,13 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
 def field_pim(alg_field, lam):
     """P(lam) over a field: A f for a lifted primitive idempotent f of the
     lam-block.  Returns (module, f_vector)."""
-    rad = radicals.radical_field(alg_field)
-    simples = weight_simples(alg_field)
-    if not rad:
-        blocks = radicals.split_semisimple(alg_field, simples)
-        for blk in blocks:
-            if blk.label == lam:
-                radicals.block_matrix_units(alg_field, blk)
-                f = blk.matrix_units[(0, 0)]
-                break
-        else:
-            raise TightnessError(f"no block labeled {lam!r}")
+    blocks, units = radicals.matrix_units(alg_field, weight_simples(alg_field))
+    for bi, blk in enumerate(blocks):
+        if blk.label == lam:
+            f = units[(bi, 0, 0)]
+            break
     else:
-        quot, lifts, project = alg_field.quotient_by_ideal(rad)
-        qmods = radicals.quotient_modules(alg_field, lifts, simples)
-        blocks = radicals.split_semisimple(quot, qmods)
-        for blk in blocks:
-            radicals.block_matrix_units(quot, blk)
-        units = radicals.lift_matrix_units(alg_field, quot, lifts, project, blocks)
-        f = None
-        for bi, blk in enumerate(blocks):
-            if blk.label == lam:
-                f = units[(bi, 0, 0)]
-                break
-        if f is None:
-            raise TightnessError(f"no block labeled {lam!r}")
+        raise TightnessError(f"no block labeled {lam!r}")
     reg = regular_module(alg_field)
     sub = reg.submodule_generated([list(f)])
     mod = reg.restrict_to(sub)

@@ -53,6 +53,24 @@ class TestHeredityStep:
         assert step.ok
         assert step.corner.block_sizes == (2,)
 
+    def test_endo_direct_check_can_refute(self, z5, monkeypatch):
+        # End_A(A e2 A) = M_2(O): the structural sizes (2,) agree, (1,) not
+        J = z5.ideal_generated(list(z5.weights.idempotents["2"]))
+        assert certify._endo_direct_check(z5, J, (2,)) is True
+        assert certify._endo_direct_check(z5, J, (1,)) is False
+        # (1, 1, 1, 1) has the kernel dimension 4 of (2,), so the recognizer
+        # runs, succeeds, and the block sizes refute
+        seen = []
+        recognize = certify.recognize_matrix_algebra
+
+        def spy(*args):
+            seen.append(recognize(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(certify, "recognize_matrix_algebra", spy)
+        assert certify._endo_direct_check(z5, J, (1, 1, 1, 1)) is False
+        assert [(w.ok, w.block_sizes) for w in seen] == [(True, (2,))]
+
 
 class TestChains:
     def test_z5_chain(self, z5):
@@ -183,7 +201,7 @@ class TestRecognitionEdgeCases:
         # O[x]/(x^2 - 9): an order in Q x Q but not maximal
         a = StructureAlgebra(ring, "O", 2, None, (F(1), F(0)), sc)
         a.validate()
-        w = certify.recognize_matrix_algebra_O(a)
+        w = certify.recognize_matrix_algebra(a)
         assert not w.ok
         assert w.gram_det_valuation and w.gram_det_valuation > 0
 
@@ -193,12 +211,50 @@ class TestRecognitionEdgeCases:
         sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)},
               (1, 1): {1: F(1)}}
         a = StructureAlgebra(ring, "O", 2, None, (F(1), F(0)), sc)
-        w = certify.recognize_matrix_algebra_O(a)
+        w = certify.recognize_matrix_algebra(a)
         assert w.ok and tuple(sorted(w.block_sizes)) == (1, 1)
+
+    @pytest.mark.parametrize("level", ["O", "K", "k"])
+    def test_every_level(self, level):
+        ring = RingSpec(RATIONAL, 3)
+
+        def at(a):
+            return a if level == "O" else a.base_change(level)
+
+        # O[x]/(x^2 - 9): split at K, x^2 at k, not maximal at O
+        sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)},
+              (1, 1): {0: F(9)}}
+        w = certify.recognize_matrix_algebra(
+            at(StructureAlgebra(ring, "O", 2, None, (F(1), F(0)), sc)))
+        if level == "K":
+            assert w.ok and w.block_sizes == (1, 1)
+        elif level == "k":
+            assert not w.ok and "not semisimple" in w.reason
+        else:
+            assert not w.ok and w.gram_det_valuation > 0
+        # O[x]/(x^2 - x) = O x O
+        sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)},
+              (1, 1): {1: F(1)}}
+        w = certify.recognize_matrix_algebra(
+            at(StructureAlgebra(ring, "O", 2, None, (F(1), F(0)), sc)))
+        assert w.ok and w.block_sizes == (1, 1)
+        # M2(O) (+) O without weights: generic_simples returns two
+        # isomorphic copies of the natural module, split_semisimple keeps one
+        sc = {}
+        for i in range(2):
+            for j in range(2):
+                for l in range(2):
+                    sc[(2 * i + j, 2 * j + l)] = {2 * i + l: F(1)}
+        sc[(4, 4)] = {4: F(1)}
+        a = at(StructureAlgebra(ring, "O", 5, None, (F(1), 0, 0, F(1), F(1)),
+                                sc))
+        assert len(certify.generic_simples(a.field_algebra())) == 3
+        w = certify.recognize_matrix_algebra(a)
+        assert w.ok and tuple(sorted(w.block_sizes)) == (1, 2)
 
     def test_nilpotent_rejected(self):
         ring = RingSpec(RATIONAL, 3)
         sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
         a = StructureAlgebra(ring, "O", 2, None, (F(1), F(0)), sc)
-        w = certify.recognize_matrix_algebra_O(a)
+        w = certify.recognize_matrix_algebra(a)
         assert not w.ok and "semisimple" in w.reason

@@ -74,6 +74,16 @@ class TestRadicalCharP:
         assert radicals.radical_field(a) == []
 
 
+def natural_2x2_module(fld):
+    """M_2 acting on column vectors: the basis unit E_ij of full_2x2 acts as
+    the elementary matrix."""
+    acts = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        acts.append([[fld.one if (r, c) == (i, j) else fld.zero
+                      for c in range(2)] for r in range(2)])
+    return [("nat", acts)]
+
+
 class TestSplitting:
     def test_z5_blocks_via_weight_simples(self, z5_K):
         from grforge.modules import weight_simples
@@ -85,8 +95,38 @@ class TestSplitting:
         blocks = radicals.split_semisimple(quot, qmods)
         assert sorted(b.simple_dim for b in blocks) == [1, 1]
         for blk in blocks:
-            radicals.block_matrix_units(quot, blk)
             assert set(blk.matrix_units) == {(0, 0)}
+
+    @pytest.mark.parametrize("case", ["full_2x2@K", "z5@K", "z5@k"])
+    def test_matrix_units(self, case, request):
+        # full_2x2 takes the rad = 0 branch, z5 the lifting branch
+        from grforge.modules import weight_simples
+
+        if case == "full_2x2@K":
+            alg = full_2x2().base_change("K")
+            mods, sizes = natural_2x2_module(alg.fld), [2]
+        else:
+            alg = request.getfixturevalue("z5_" + case[-1])
+            mods, sizes = weight_simples(alg), [1, 1]
+        rad = radicals.radical_field(alg)
+        assert bool(rad) == case.startswith("z5")
+        blocks, units = radicals.matrix_units(alg, mods)
+        assert sorted(b.simple_dim for b in blocks) == sizes
+        assert radicals.matrix_units_hold(alg, units, alg.unit)
+        diag = [alg.fld.zero] * alg.rank
+        for (_, i, j), u in units.items():
+            if i == j:
+                diag = [a + b for a, b in zip(diag, u)]
+        assert diag == list(alg.unit)
+        assert alg.span(list(units.values()) + list(rad)).rank == alg.rank
+        # every single flipped entry breaks the relations
+        for key, u in units.items():
+            for t in range(alg.rank):
+                bad = dict(units)
+                bad[key] = list(u)
+                bad[key][t] = bad[key][t] + alg.fld.one
+                assert not radicals.matrix_units_hold(alg, bad, alg.unit), \
+                    (key, t)
 
 
 class TestWedderburn:
@@ -108,10 +148,9 @@ class TestWedderburn:
         sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
         a = StructureAlgebra(R3, "O", 2, ["1", "x"], (F(1), F(0)), sc)
         ak = a.base_change("K")
-        rad = radicals.radical_field(ak)
         # trivial module: scalars acting through the augmentation
         triv = [[[ak.fld.one]], [[ak.fld.zero]]]
-        s = radicals.wedderburn_complement(ak, [("triv", triv)], rad=rad)
+        s = radicals.wedderburn_complement(ak, [("triv", triv)])
         assert len(s) == 1
         assert list(s[0]) == [ak.fld.one, ak.fld.zero]
 
@@ -124,7 +163,6 @@ class TestWedderburn:
         from grforge.modules import weight_simples
 
         mods = weight_simples(z5_K)
-        rad = radicals.radical_field(z5_K)
         # a conjugated copy of the idempotent span: e1' = e1 + gamma-ish
         # (1 + n) e1 (1 - n) with n = gamma nilpotent central in e1 A e1:
         # gamma central => conjugation trivial; use n = beta instead
@@ -137,7 +175,7 @@ class TestWedderburn:
         e1 = list(z5_K.weights.idempotents["1"])
         e2 = list(z5_K.weights.idempotents["2"])
         s0 = [z5_K.mul(u, z5_K.mul(e, uinv)) for e in (e1, e2)]
-        s = radicals.wedderburn_complement(z5_K, mods, contain=s0, rad=rad)
+        s = radicals.wedderburn_complement(z5_K, mods, contain=s0)
         ech, piv = linalg.rref([list(r) for r in s], fld)
         for v in s0:
             assert not any(linalg.in_row_space(v, ech, piv))
