@@ -4,7 +4,7 @@ Subcommands: gen, certify, gr, verify, filtration.  Exit codes: 0 all checks
 pass, 1 a verified hypothesis or conclusion check failed, 2 malformed input
 or internal error.  certify, every verify suite and filtration take their
 code from the report they emit, by one rule: 0 iff files.report_passed.
-GRFORGE_SEED fixes the seeds of randomized suites.
+Seeds of randomized suites: --seed, else GRFORGE_SEED, else 20240810.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_MALFORMED = 2
 
 
-def _seed(default=20240810):
+def _seed(flag):
     env = os.environ.get("GRFORGE_SEED")
-    return int(env) if env else default
+    return flag if flag is not None else int(env) if env else 20240810
 
 
 def _stem(path):

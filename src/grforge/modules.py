@@ -19,7 +19,6 @@ from .lattices import (
     pure_closure,
     quotient_free_basis,
     quotient_projection,
-    saturate_rows,
 )
 
 
@@ -473,47 +472,6 @@ def hom_equations(src: ModuleRep, dst: ModuleRep):
     return rows
 
 
-def find_iso(src: ModuleRep, dst: ModuleRep):
-    """An equivariant isomorphism src -> dst (a dst.rank x src.rank matrix on
-    column coordinates), or None when the search finds none.
-
-    Candidates from the hom space, in order: its kernel basis, then
-    ker[0] + a ker[1] for a = 2, 3, 4.  At level O the kernel is first
-    saturated in O^(n*n), the combinations are cands[0] + a cands[i] for
-    a = 2, 3, and a candidate must have a unit determinant.  The search is
-    not exhaustive: None does not prove that no isomorphism exists.
-    """
-    if src.rank != dst.rank:
-        return None
-    n = src.rank
-    if n == 0:
-        return []
-    fld = src.fld
-    integral = src.level == "O"
-    ker = linalg.kernel_right(hom_equations(src, dst), fld)
-    if integral:
-        ring = src.algebra.ring
-        if not ker:
-            return None
-        cands = [list(r) for r in saturate_rows(ring, n * n, ker).rows]
-        combos = cands + [[x + fld.of(a) * y for x, y in zip(cands[0], cands[i])]
-                          for a in range(2, 4) for i in range(1, len(cands))]
-    else:
-        combos = list(ker)
-        if len(ker) > 1:
-            combos += [[x + fld.of(a) * y for x, y in zip(ker[0], ker[1])]
-                       for a in range(2, 5)]
-    for v in combos:
-        h = [[v[r * n + c] for c in range(n)] for r in range(n)]
-        if integral:
-            d = linalg.det(h, fld)
-            if d and ring.valuation(d) == 0:
-                return h
-        elif linalg.invert(h, fld) is not None:
-            return h
-    return None
-
-
 def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     """The module homomorphism src -> dst sending each generator to its image.
 
@@ -541,6 +499,45 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
         if linalg.mat_mul(h, a_s, fld) != linalg.mat_mul(a_d, h, fld):
             raise ModuleError("hom solve returned a non-equivariant map")
     return h
+
+
+def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
+    """The hom of `hom_with_generator_images` when it is an isomorphism (at
+    level O: entries in O and a unit determinant), else None.
+
+    `gens` must generate src, so that hom is the only candidate: None proves
+    that no isomorphism sends the generators to these images.
+    """
+    if src.rank != dst.rank:
+        return None
+    if not src.rank:
+        return []
+    h = hom_with_generator_images(src, dst, gens, images)
+    if h is None:
+        return None
+    d = linalg.det(h, src.fld)
+    if not d:
+        return None
+    if src.level == "O":
+        val = src.algebra.ring.valuation
+        if val(d) or any(x and val(x) < 0 for row in h for x in row):
+            return None
+    return h
+
+
+def standard_iso(mod: ModuleRep, lam):
+    """An isomorphism Delta(lam) -> mod, or None when there is none.
+
+    An isomorphism maps Delta(lam)_lam onto mod_lam, so when both have rank
+    1 it maps the generator of Delta(lam) to the one basis row of mod_lam up
+    to a unit; scaling by that unit gives the hom tried here.  None unless
+    both weight spaces have rank 1.
+    """
+    delta = standard_module(mod.algebra, lam)
+    top, img = delta.weight_space_rows(lam), mod.weight_space_rows(lam)
+    if len(top) != 1 or len(img) != 1:
+        return None
+    return iso_with_generator_images(delta, mod, top, img)
 
 
 def direct_sum_module(mod: ModuleRep, copies: int) -> ModuleRep:

@@ -18,17 +18,19 @@ from .modules import (
     FiltrationFailure,
     ModuleRep,
     delta_filtration,
-    find_iso,
     head_info,
     is_lambda_standard,
+    iso_with_generator_images,
     regular_module,
     section_multiset,
     standard_and_projectives,
+    standard_iso,
     standard_module,
     truncate_to_ideal,
     weight_projective,
     weight_simples,
 )
+from .scalars import InternalCheckError
 
 
 def graded_head_context(gr: GradedAlgebra):
@@ -119,10 +121,8 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
         return res.finalize()
     grk_std_match = True
     for lam in w.Lambda:
-        d_of_gr = standard_module(grk.algebra, lam)
-        delta_k = standard_module(ak, lam)
-        gr_of_d = gr_module(grk, delta_k)
-        if find_iso(d_of_gr, gr_of_d.module) is None:
+        gr_of_d = gr_module(grk, standard_module(ak, lam))
+        if standard_iso(gr_of_d.module, lam) is None:
             grk_std_match = False
             res.notes.setdefault("grK_std_mismatch", []).append(str(lam))
     res.hypotheses["grK_standards_are_gr_deltas"] = grk_std_match
@@ -147,17 +147,15 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
         res.conclusions["gr_checker_agrees"] = certify.verify_chain(gr.algebra, gcert)
         match = True
         for lam in w.Lambda:
-            std_gr = standard_module(gr.algebra, lam)
             gr_delta = gr_module(gr, sp[lam]["Delta"])
-            if find_iso(std_gr, gr_delta.module) is None:
+            if standard_iso(gr_delta.module, lam) is None:
                 match = False
                 res.notes.setdefault("gr_std_mismatch", []).append(str(lam))
                 continue
             # gradewise rank comparison per weight
             t1 = _nonzero(_graded_piece_weight_ranks(gr_delta,
                                                      gr.algebra.weights))
-            std_graded = _grading_of_standard(gr, lam)
-            if std_graded is not None and _nonzero(std_graded) != t1:
+            if _nonzero(_grading_of_standard(gr, lam)) != t1:
                 match = False
                 res.notes.setdefault("gr_std_grade_mismatch", []).append(str(lam))
         res.conclusions["gr_standards_match_gradewise"] = match
@@ -173,20 +171,17 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
     where P' = (gr A) e_lam and T is its truncation submodule; both are graded
     sublattices of the graded coordinate space (e_lam is homogeneous of grade
     zero and the truncation is generated by weight spaces, hence graded).  The
-    rank of a graded sublattice in each grade is the rank of its projection.
+    rank of a graded sublattice in each grade is the rank of its projection,
+    so the table sums to rank P' - rank T; InternalCheckError if it does not.
     """
     galg = gr.algebra
     w = galg.weights
     reg = regular_module(galg)
     e = list(w.idempotents[lam])
     p_rows = [reg.act(galg.basis_vec(i), e) for i in range(galg.rank)]
-    kill = []
-    pemod = weight_projective(galg, lam)
-    for nu in w.Lambda:
-        if nu not in w.ideal_below(lam):
-            for r in _weight_rows_ambient(reg, galg, nu, p_rows):
-                kill.append(r)
-    t_sub = reg.submodule_generated(kill)
+    t_sub = reg.submodule_generated(
+        [reg.act(list(w.idempotents[nu]), list(r)) for nu in w.Lambda
+         if nu not in w.ideal_below(lam) for r in p_rows])
     table = {}
     top = gr.top_grade
     for nu in w.X:
@@ -196,14 +191,11 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
             tr = gr.grade_part_rank([reg.act(enu, list(r)) for r in t_sub.rows],
                                     m)
             table[(m, nu)] = pr - tr
-    if sum(table.values()) != pemod.rank - t_sub.rank:
-        return None
+    if sum(table.values()) != weight_projective(galg, lam).rank - t_sub.rank:
+        raise InternalCheckError(
+            f"grade table of the standard module at {lam!r} does not sum "
+            "to its rank")
     return table
-
-
-def _weight_rows_ambient(reg, galg, nu, ambient_rows):
-    e = list(galg.weights.idempotents[nu])
-    return [reg.act(e, list(r)) for r in ambient_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,8 @@ def _weight_rows_ambient(reg, galg, nu, ambient_rows):
 # ---------------------------------------------------------------------------
 
 def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
-    """gr(N_Gamma) vs (gr N)_Gamma: gradewise ranks and an explicit iso.
+    """gr(N_Gamma) vs (gr N)_Gamma: gradewise ranks, and `explicit_iso`:
+    the natural map (gr N)_Gamma -> gr(N_Gamma) is an isomorphism.
 
     Hypotheses: N has a verified Delta-filtration and every gr Delta(nu) with
     [N : Delta(nu)] != 0 has a simple head.
@@ -243,28 +236,20 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     res.hypotheses["gr_delta_simple_heads"] = heads_ok
     if not res.hypotheses_ok:
         return res.finalize()
-    # side 1: gr of the truncation
-    n_gamma, torsion, _ = truncate_to_ideal(mod, gamma)
-    res.notes["truncation_torsion"] = torsion
-    gr_of_trunc = gr_module(gr, n_gamma)
-    # side 2: truncation of the gr module over the graded algebra
     grn = gr_module(gr, mod)
-    trunc_of_gr, torsion2, _ = truncate_to_ideal(grn.module, gamma)
+    gr_of_trunc, torsion, torsion2, iso = _natural_truncation_iso(grn, gamma)
+    res.notes["truncation_torsion"] = torsion
     res.notes["graded_truncation_torsion"] = torsion2
     res.conclusions["both_torsion_free"] = not torsion and not torsion2
-    # gradewise ranks: grade table of side 1 from its gr structure; side 2
+    # gradewise ranks: of gr(N_Gamma) from its gr structure, of (gr N)_Gamma
     # from the graded sublattice structure of the killed submodule
-    t1 = {}
-    for m in range(gr_of_trunc.top_grade + 1):
-        t1[m] = gr_of_trunc.grade_rank(m)
+    t1 = gr_of_trunc.grade_ranks()
     t2 = _truncation_grade_table(grn, gamma)
-    top = max(max(t1, default=0), max(t2, default=0))
-    tab1 = tuple(t1.get(m, 0) for m in range(top + 1))
-    tab2 = tuple(t2.get(m, 0) for m in range(top + 1))
+    top = max(len(t1), len(t2))
+    tab1, tab2 = (t + (0,) * (top - len(t)) for t in (t1, t2))
     res.conclusions["gradewise_ranks_equal"] = tab1 == tab2
     res.notes["ranks"] = {"gr_of_truncation": tab1, "truncation_of_gr": tab2}
-    res.conclusions["explicit_iso"] = find_iso(
-        gr_of_trunc.module, trunc_of_gr) is not None
+    res.conclusions["explicit_iso"] = iso is not None
     # Remark: ungraded section multisets agree between the plain and graded
     # Delta-filtrations
     try:
@@ -281,20 +266,31 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     return res.finalize()
 
 
+def _natural_truncation_iso(grn, gamma):
+    """(gr(N_Gamma), torsion of N_Gamma, torsion of (gr N)_Gamma, iso) for
+    grn = gr N: iso is the natural map (gr N)_Gamma -> gr(N_Gamma) if it is
+    an isomorphism, else None.  N -> N_Gamma maps rad^g N into rad^g N_Gamma,
+    so the map sends the projected grade-g basis element of gr N to the
+    grade-g component of its projected lift."""
+    n_gamma, torsion, project = truncate_to_ideal(grn.base_module, gamma)
+    gr_of_trunc = gr_module(grn.gralg, n_gamma)
+    trunc_of_gr, torsion2, project_gr = truncate_to_ideal(grn.module, gamma)
+    gens = [project_gr(grn.module.basis_vec(i)) for i in range(grn.module.rank)]
+    images = [gr_of_trunc.component(project(lift), g)
+              for lift, g in zip(grn.lifts, grn.grades)]
+    iso = iso_with_generator_images(trunc_of_gr, gr_of_trunc.module, gens,
+                                    images)
+    return gr_of_trunc, torsion, torsion2, iso
+
+
 def _truncation_grade_table(grn, gamma):
     """Grade ranks of (gr N)_Gamma from the graded killed sublattice."""
-    galg = grn.gralg.algebra
-    w = galg.weights
     mod = grn.module
-    kill = []
-    for nu in w.Lambda:
-        if nu not in gamma:
-            kill.extend(list(r) for r in mod.weight_space_rows(nu))
-    sub = mod.submodule_generated(kill)
-    out = {}
-    for m in range(grn.top_grade + 1):
-        out[m] = grn.grade_rank(m) - grn.grade_part_rank(sub.rows, m)
-    return {m: r for m, r in out.items() if r or m <= grn.top_grade}
+    sub = mod.submodule_generated(
+        [list(r) for nu in mod.algebra.weights.Lambda if nu not in gamma
+         for r in mod.weight_space_rows(nu)])
+    return tuple(grn.grade_rank(m) - grn.grade_part_rank(sub.rows, m)
+                 for m in range(grn.top_grade + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,8 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
                      extra_modules=None) -> SuiteResult:
     """For a field QHA B with gr B a QHA: gr(P(gamma)_Gamma) is a PIM of
     (gr B)_Gamma, gr Delta(lam) is the standard module of gr B, and
-    (gr M)_Gamma = gr(M_Gamma) for supplied Delta-filtered M."""
+    (gr M)_Gamma = gr(M_Gamma) through the natural map for supplied
+    Delta-filtered M."""
     res = SuiteResult("field_case")
     if alg_field.level == "O":
         raise AlgebraError("field_case_suite expects a field-level algebra")
@@ -322,31 +319,30 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
     # gr Delta(lam) is the standard module of gr B
     std_ok = True
     for lam in w.Lambda:
-        d_of_gr = standard_module(gr.algebra, lam)
         gr_of_d = gr_module(gr, standard_module(alg_field, lam))
-        if find_iso(d_of_gr, gr_of_d.module) is None:
+        if standard_iso(gr_of_d.module, lam) is None:
             std_ok = False
             res.notes.setdefault("std_mismatch", []).append(str(lam))
     res.conclusions["gr_deltas_standard"] = std_ok
-    # gr(P(g)_Gamma) is a PIM for (gr B)_Gamma
+    # gr(P(g)_Gamma) is a PIM for (gr B)_Gamma: (gr B)_Gamma e_g -> it,
+    # e_g -> the symbol of e_g, is onto (gr M is generated in degree 0), so
+    # it is an isomorphism iff the ranks agree
     pim_ok = True
-    rad_rows = radicals.radical_field(alg_field)
-    simples = weight_simples(alg_field)
     # the truncated graded algebra (gr B)_Gamma and lifts of its basis
     galg_gamma, lifts = gr.algebra.quotient_by_labels(
         [nu for nu in w.Lambda if nu not in gamma])
     for g in gamma:
-        p = weight_projective(alg_field, g)
-        info = head_info(p, rad_rows, simples)
-        p_gamma, _, _ = truncate_to_ideal(p, gamma)
+        p_gamma, _, project = truncate_to_ideal(
+            weight_projective(alg_field, g), gamma)
         gr_pg = gr_module(gr, p_gamma)
         # gr_pg is killed by the truncation ideal, so (gr B)_Gamma acts on it
         # through the lifts
         ungraded = ModuleRep(galg_gamma, gr_pg.module.rank,
                              [gr_pg.module.act_matrix(list(x)) for x in lifts])
-        target = weight_projective(galg_gamma, g)
-        tgt_trunc, _, _ = truncate_to_ideal(target, gamma)
-        if find_iso(ungraded, tgt_trunc) is None:
+        image = gr_pg.symbol(project(_projective_generator(alg_field, g)))
+        if iso_with_generator_images(
+                weight_projective(galg_gamma, g), ungraded,
+                [_projective_generator(galg_gamma, g)], [image]) is None:
             pim_ok = False
             res.notes.setdefault("pim_mismatch", []).append(str(g))
     res.conclusions["gr_truncated_pims"] = pim_ok
@@ -354,11 +350,17 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
     if extra_modules:
         eq_ok = True
         for name, m in extra_modules:
-            gr_of_t = gr_module(gr, truncate_to_ideal(m, gamma)[0])
-            grm = gr_module(gr, m)
-            t_of_gr, _, _ = truncate_to_ideal(grm.module, gamma)
-            if find_iso(gr_of_t.module, t_of_gr) is None:
+            if _natural_truncation_iso(gr_module(gr, m), gamma)[3] is None:
                 eq_ok = False
                 res.notes.setdefault("cor72_mismatch", []).append(str(name))
         res.conclusions["truncation_commutes"] = eq_ok
     return res.finalize()
+
+
+def _projective_generator(alg: StructureAlgebra, g):
+    """e_g in the coordinates of weight_projective(alg, g), the span of the
+    b_i e_g."""
+    reg = regular_module(alg)
+    e = list(alg.weights.idempotents[g])
+    rows = reg.span([reg.act_basis(i, e) for i in range(alg.rank)]).rows
+    return alg.coord_solver(rows)(e)

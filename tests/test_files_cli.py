@@ -147,6 +147,38 @@ class TestCLI:
         assert cli.main(["verify", "prop52", alg, "--trials", "15"]) == 0
         assert cli.main(["verify", "primitivity", alg, "--trials", "40"]) == 0
 
+    def test_seedless_runs_repeat(self, tmp_path, monkeypatch):
+        # without --seed and GRFORGE_SEED a campaign uses the fixed default
+        monkeypatch.delenv("GRFORGE_SEED", raising=False)
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        alg = str(tmp_path / "z5@3.alg.json")
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.json"
+            cli.main(["verify", "primitivity", alg, "--trials", "40",
+                      "--report", str(out)])
+            reports.append(files.stable_portion(json.loads(out.read_text())))
+        assert reports[0] == reports[1]
+
+    def test_seed_flag_beats_environment(self, tmp_path, monkeypatch):
+        from grforge import randomized
+
+        seeds = []
+
+        def campaign(alg, mods, trials, seed):
+            seeds.append(seed)
+            return {"implication_violations": 0, "maximality_violations": 0}
+
+        monkeypatch.setattr(randomized, "primitivity_campaign", campaign)
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        alg = str(tmp_path / "z5@3.alg.json")
+        monkeypatch.setenv("GRFORGE_SEED", "7")
+        for extra in (["--seed", "5"], []):
+            cli.main(["verify", "primitivity", alg, "--trials", "1"] + extra)
+        monkeypatch.delenv("GRFORGE_SEED")
+        cli.main(["verify", "primitivity", alg, "--trials", "1"])
+        assert seeds == [5, 7, 20240810]
+
     @pytest.mark.parametrize("suite", ["prop52", "primitivity"])
     def test_campaign_without_trials_is_malformed(self, tmp_path, suite):
         # a campaign of no trials verifies nothing: a usage error, not a

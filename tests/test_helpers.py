@@ -1,6 +1,7 @@
 """Property tests of the shared exact helpers against slower references:
 linalg.combine, linalg.Subspace (with lifts_over), Lattice.lifts_over,
-lattices.coord_solver, modules.hom_equations and modules.find_iso."""
+lattices.coord_solver, modules.hom_equations, and the isomorphism checks
+modules.iso_with_generator_images and modules.standard_iso."""
 
 from fractions import Fraction
 
@@ -9,7 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grforge import linalg, modules
 from grforge.lattices import Lattice, coord_solver, is_pure, quotient_free_basis
-from grforge.modules import ModuleRep, find_iso, hom_equations
+from grforge.modules import (
+    ModuleRep,
+    hom_equations,
+    iso_with_generator_images,
+    standard_iso,
+)
 from grforge.scalars import CYCLOTOMIC, RATIONAL, Cyc, CycField, RingSpec
 
 R3 = RingSpec(RATIONAL, 3)
@@ -285,18 +291,19 @@ def equivariant(h, src, dst):
 
 
 @SETTINGS
-@given(st.sampled_from(["O", "k", "K"]), st.data())
-def test_find_iso_recovers_a_base_change(z5_module_sets, level, data):
-    mods = z5_module_sets[level]
-    mod = mods[data.draw(st.integers(0, len(mods) - 1))]
+@given(st.sampled_from(["O", "k", "K"]), st.sampled_from(["1", "2"]),
+       st.data())
+def test_standard_iso_recovers_a_base_change(z5, level, lam, data):
+    alg = z5 if level == "O" else z5.base_change(level)
+    delta = modules.standard_module(alg, lam)
     integral = level == "O"
-    other = draw_base_change(data, mod, integral)
-    h = find_iso(mod, other)
+    other = draw_base_change(data, delta, integral)
+    h = standard_iso(other, lam)
     assert h is not None
-    assert equivariant(h, mod, other)
-    assert linalg.invert(h, mod.fld) is not None
+    assert equivariant(h, delta, other)
+    assert linalg.invert(h, delta.fld) is not None
     if integral:
-        assert mod.algebra.ring.valuation(linalg.det(h, mod.fld)) == 0
+        assert alg.ring.valuation(linalg.det(h, delta.fld)) == 0
 
 
 @SETTINGS
@@ -312,7 +319,29 @@ def test_hom_equation_kernel_is_equivariant(z5_module_sets, level, data):
         assert equivariant(h, src, dst)
 
 
-def test_find_iso_rank_zero_and_mismatch(z5, sp_z5):
+def test_standard_iso_needs_a_unit_determinant_at_O(z5, sp_z5):
+    # span{3 e2, beta} in Delta(2) = span{e2, beta}: beta sends the generator
+    # 3 e2 to 3 beta, so the lattice is not Delta(2), though it is over K
+    fld = z5.fld
+    sub = sp_z5["2"]["Delta"].restrict_to([[fld.of(3), fld.zero],
+                                           [fld.zero, fld.one]])
+    assert standard_iso(sub, "2") is None
+    sub_K = sub.base_change("K")
+    h = standard_iso(sub_K, "2")
+    assert h is not None
+    assert equivariant(h, modules.standard_module(sub_K.algebra, "2"), sub_K)
+
+
+def test_standard_iso_rejects_a_projective(sp_z5):
+    assert standard_iso(sp_z5["1"]["P"], "1") is None
+
+
+def test_iso_with_generator_images_rank_zero_and_a_wrong_image(sp_z5):
     zero = sp_z5["1"]["P"].restrict_to([])
-    assert find_iso(zero, zero) == []
-    assert find_iso(sp_z5["1"]["P"], sp_z5["2"]["P"]) is None
+    assert iso_with_generator_images(zero, zero, [], []) == []
+    delta = sp_z5["2"]["Delta"]
+    top = delta.weight_space_rows("2")
+    assert iso_with_generator_images(delta, delta, top, top) is not None
+    for flipped in ([1, 1], [0, 0], [3, 0]):
+        image = [delta.fld.of(x) for x in flipped]
+        assert iso_with_generator_images(delta, delta, top, [image]) is None

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from grforge import files, fixtures, modules, suites
+from grforge.scalars import InternalCheckError
 
 
 def _sha256(text):
@@ -56,6 +57,16 @@ class TestThm417:
         assert res.hypotheses_ok, res.hypotheses
         assert all(res.conclusions.values()), res.conclusions
         assert not res.falsification
+
+    def test_grade_table_that_misses_rank_raises(self, monkeypatch):
+        # a graded truncation always satisfies the sum identity, so a table
+        # that breaks it is an internal fault, not a skipped comparison
+        from grforge import graded
+
+        monkeypatch.setattr(graded.GradedAlgebra, "grade_part_rank",
+                            lambda self, rows, m: 0)
+        with pytest.raises(InternalCheckError):
+            suites.thm_417_suite(fixtures.build_z5(3))
 
 
 class TestCor416:
@@ -113,6 +124,23 @@ class TestCor416:
         assert sum(m is mod for m in chains) == 1
 
 
+# Delta(1)^3 and Delta(2)^2: the direct sums that cor_416_check and, over K
+# and k, field_case_suite reported as falsifications while the iso came from
+# a search of the hom space (the identity of S^n is a sum of singular basis
+# maps)
+DIRECT_SUMS = [("1", 3), ("2", 2)]
+
+
+@pytest.mark.parametrize("lam,copies", DIRECT_SUMS)
+@pytest.mark.parametrize("gamma", [("1",), ("1", "2")])
+def test_cor416_direct_sums(z5, sp_z5, lam, copies, gamma):
+    mod = modules.direct_sum_module(sp_z5[lam]["Delta"], copies)
+    res = suites.cor_416_check(z5, mod, gamma)
+    assert res.hypotheses_ok
+    assert res.conclusions["explicit_iso"]
+    assert not res.falsification
+
+
 class TestFieldCase:
     @pytest.mark.parametrize("level", ["k", "K"])
     def test_z5_every_proper_ideal(self, z5, level):
@@ -120,6 +148,9 @@ class TestFieldCase:
         sp = modules.standard_and_projectives(b)
         extra = [(f"Delta({l})", sp[l]["Delta"]) for l in ("1", "2")]
         extra.append(("P(1)", sp["1"]["P"]))
+        extra += [(f"Delta({l})^{n}",
+                   modules.direct_sum_module(sp[l]["Delta"], n))
+                  for l, n in DIRECT_SUMS]
         for gamma in [("1",), ("1", "2")]:
             res = suites.field_case_suite(b, gamma, extra_modules=extra)
             assert res.hypotheses_ok
@@ -158,7 +189,6 @@ class TestThm55Composite:
             assert cert.ok, gamma
             spt = modules.standard_and_projectives(trunc)
             for lam in gamma:
-                std = modules.standard_module(gr_t.algebra, lam)
                 gr_d = graded.gr_module(gr_t, spt[lam]["Delta"])
-                assert modules.find_iso(std, gr_d.module) is not None, \
+                assert modules.standard_iso(gr_d.module, lam) is not None, \
                     (gamma, lam)
