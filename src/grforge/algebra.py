@@ -158,17 +158,15 @@ class StructureAlgebra:
     # -- multiplication ----------------------------------------------------------
     def mul(self, x, y):
         out = self.zero_vec()
-        sc = self.sc
+        by_left = self._derived(_sc_by_left)
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = sc.get((i, j))
-                if row:
+            for j, row in by_left[i]:
+                yj = y[j]
+                if yj:
                     c = xi * yj
-                    for t, v in row.items():
+                    for t, v in row:
                         out[t] = out[t] + c * v
         return out
 
@@ -497,6 +495,16 @@ class StructureAlgebra:
         quot = StructureAlgebra(self.ring, self.level, m,
                                 [f"q{i}" for i in range(m)], unit_c, sc)
         return quot, lifts, project
+
+
+def _sc_by_left(alg):
+    """For each i, [(j, items of sc[(i, j)])] over the nonzero rows, j
+    increasing: the products b_i b_j that `mul` may need."""
+    by_left = [[] for _ in range(alg.rank)]
+    for (i, j), row in sorted(alg.sc.items()):
+        if row:
+            by_left[i].append((j, tuple(row.items())))
+    return by_left
 
 
 def _mult_matrices(alg, side):

@@ -312,16 +312,18 @@ def det(a, field):
 def charpoly(a, field):
     """Characteristic polynomial coefficients [c_0=1, c_1, ..., c_n] of a
     square matrix over F_p (a PrimeField): det(tI - a) = t^n + c_1 t^(n-1)
-    + ... + c_n.
-
-    Computed by the Hessenberg method on plain ints mod p; Fp values are made
-    only for the result.  Only the char-p radical needs it: in characteristic
-    0 the radical is the kernel of the trace form.
+    + ... + c_n.  Only the char-p radical needs it: in characteristic 0 the
+    radical is the kernel of the trace form.
     """
     if not isinstance(field, PrimeField):
         raise ScalarError(f"charpoly is computed over F_p only, not {field}")
     p = field.p
-    h = [[x.v for x in r] for r in a]
+    return [Fp(p, c) for c in charpoly_mod_p([[x.v for x in r] for r in a], p)]
+
+
+def charpoly_mod_p(h, p):
+    """`charpoly` of a square matrix of ints in [0, p), as ints in [0, p),
+    by the Hessenberg method; h is overwritten."""
     n = len(h)
     # similarity transforms to upper Hessenberg form
     for col in range(n - 2):
@@ -357,4 +359,4 @@ def charpoly(a, field):
                 for i, c in enumerate(polys[k - m - 1]):
                     cur[i + m + 1] -= coef * c
         polys.append([c % p for c in cur])
-    return [Fp(p, c) for c in polys[n]]
+    return polys[n]

@@ -211,9 +211,10 @@ def _weight_projective(alg, lam):
 def truncate_to_ideal(mod: ModuleRep, gamma):
     """N_Gamma = N / sum of A e_nu N over nu in Lambda minus Gamma.
 
-    Returns (quotient_module, torsion_vals, project).  At level O the quotient
-    is taken by the pure closure and the elementary divisors of the discarded
-    torsion are reported.
+    Returns (quotient_module, torsion_vals, project, killed), killed the
+    submodule the weight spaces outside Gamma generate.  At level O the
+    quotient is taken by its pure closure and the elementary divisors of the
+    discarded torsion are reported.
     """
     w = mod.algebra.weights
     if w is None:
@@ -225,15 +226,14 @@ def truncate_to_ideal(mod: ModuleRep, gamma):
     gens = []
     for nu in kill:
         gens.extend(list(r) for r in mod.weight_space_rows(nu))
-    sub = mod.submodule_generated(gens)
+    killed = sub = mod.submodule_generated(gens)
     torsion = []
     if mod.level == "O":
-        closed = pure_closure(sub, mod.full_lattice())
-        _, torsion = quotient_free_basis(closed, sub)
-        sub = closed
+        sub = pure_closure(killed, mod.full_lattice())
+        _, torsion = quotient_free_basis(sub, killed)
     quot, project, _ = mod.quotient_by(sub)
     quot.name = f"{mod.name}|{gamma}"
-    return quot, torsion, project
+    return quot, torsion, project, killed
 
 
 def standard_module(alg: StructureAlgebra, lam) -> ModuleRep:
@@ -245,7 +245,7 @@ def standard_module(alg: StructureAlgebra, lam) -> ModuleRep:
 def _standard_module(alg, lam):
     w = alg.weights
     pe = weight_projective(alg, lam)
-    delta, torsion, _ = truncate_to_ideal(pe, w.ideal_below(lam))
+    delta, torsion, _, _ = truncate_to_ideal(pe, w.ideal_below(lam))
     if torsion:
         raise ModuleError(f"standard module at {lam!r} is not O-free: {torsion}")
     return delta.rank, delta.acts, f"Delta({lam})"

@@ -1,12 +1,22 @@
 """Radicals, semisimple splitting, and Wedderburn complements at field level.
 
-Radical algorithms:
+The radical of a field-level algebra comes with its proof, built once per
+algebra (`_radical_proof`): the chain [rad, rad^2, ..., 0].  A candidate is
+checked once to be an ideal, and its power chain reaching 0 is the
+nilpotency proof; `radical_field` reads the head of the chain and
+`radical_chain` puts the whole algebra in front of it.  The candidates:
 
-* char 0: the radical is the kernel of the trace form tr(L_x L_y) (Dickson).
-* char p (prime field): iterated characteristic-polynomial forms
-  B_i(x, y) = c_(p^i)(L_(xy)) on the shrinking candidate space; every stage
-  kernel contains the radical (L_(xy) is nilpotent for x radical), so the
-  first stage whose kernel verifies as a nilpotent ideal IS the radical.
+* char 0: the kernel of the trace form tr(L_x L_y) (Dickson); the trace form
+  must also be nondegenerate on the quotient.
+* char p (prime field): the trace-form kernel, then the Friedl-Ronyai stages
+  B_i(x, y) = c_(p^i)(L_(xy)) on the shrinking candidate space, p^i <= rank,
+  on ints mod p.  Every stage kernel contains the radical (L_(xy) is
+  nilpotent for x radical), so the first that is a nilpotent ideal IS the
+  radical.
+
+A power chain S, S^2, ... of any span stops early once S^(k+1) = S^k, since
+S^(k+2) = S^(k+1) S then repeats it: a span that is not nilpotent costs only
+the powers up to where they settle.
 
 Splitting a split semisimple algebra uses module characters: given enough
 simple modules to separate the blocks, central primitive idempotents come out
@@ -48,12 +58,6 @@ def is_ideal(alg, rows) -> bool:
     return True
 
 
-def is_nilpotent_subspace(alg, rows) -> bool:
-    """Does the span generate a nilpotent multiplicative system?  Its
-    (rank + 1)-th power is 0 iff some power is."""
-    return not subspace_power(alg, rows, alg.rank + 1)
-
-
 def subspace_power(alg, rows, n):
     """Basis rows of the span of n-fold products (n >= 1) of the given
     spanning set."""
@@ -61,13 +65,18 @@ def subspace_power(alg, rows, n):
 
 
 def _subspace_powers(alg, rows, n):
-    """[S, S^2, ..., S^n] for S the span of the rows, cut after the first
-    power that is 0."""
+    """[S, S^2, ..., S^m] for S the span of the rows, m <= n: cut after the
+    first power that is 0, and before the first S^(k+1) equal to S^k, since
+    S^(k+2) = S^(k+1) S then repeats S^(k+1).  The span is nilpotent iff the
+    last power is 0 (for n > rank, a nilpotent span has S^n = 0)."""
     base = alg.span(rows)
     powers = [base]
     while len(powers) < n and powers[-1].rank:
-        powers.append(alg.span([alg.mul(list(v), list(w))
-                                for v in powers[-1].rows for w in base.rows]))
+        nxt = alg.span([alg.mul(list(v), list(w))
+                        for v in powers[-1].rows for w in base.rows])
+        if nxt == powers[-1]:
+            break
+        powers.append(nxt)
     return powers
 
 
@@ -105,100 +114,80 @@ def trace_gram(alg):
 
 
 def radical_field(alg: StructureAlgebra):
-    """Basis rows of the Jacobson radical of a field-level algebra, computed
-    once per algebra.  The result is checked to be a nilpotent ideal, and in
-    characteristic 0 the trace form must be nondegenerate on the quotient."""
-    return alg._derived(_radical_field)
-
-
-def _radical_field(alg):
-    if alg.level == "O":
-        raise AlgebraError("radical_field expects a K- or k-level algebra")
-    fld = alg.fld
-    gram = trace_gram(alg)
-    kernel = linalg.kernel_left(gram, fld)
-    kernel, _ = linalg.rref(kernel, fld)
-    if fld.char == 0:
-        rad = kernel
-    else:
-        rad = _radical_char_p(alg, kernel)
-    if not is_ideal(alg, rad):
-        raise AlgebraError("radical candidate is not an ideal")
-    if not is_nilpotent_subspace(alg, rad):
-        raise AlgebraError("radical candidate is not nilpotent")
-    if fld.char == 0:
-        # Dickson: quotient trace form must be nondegenerate
-        quot, _, _ = alg.quotient_by_ideal(rad)
-        if quot.rank and linalg.det(trace_gram(quot), fld) == fld.zero:
-            raise AlgebraError("trace form degenerate on the quotient")
-    return rad
-
-
-def _radical_char_p(alg, candidate):
-    """Friedl-Ronyai stages over the prime field F_p."""
-    fld = alg.fld
-    p = fld.char
-    n = alg.rank
-    if _ideal_and_nilpotent(alg, candidate):
-        return candidate
-    stage = 1
-    power = p
-    while power <= n:
-        candidate = _fr_stage(alg, candidate, power)
-        if _ideal_and_nilpotent(alg, candidate):
-            return candidate
-        stage += 1
-        power *= p
-    # last stage (p^l <= n < p^(l+1) needs forms up to i = l)
-    candidate = _fr_stage(alg, candidate, power)
-    if _ideal_and_nilpotent(alg, candidate):
-        return candidate
-    raise AlgebraError("char-p radical iteration failed to stabilize")
-
-
-def _ideal_and_nilpotent(alg, rows):
-    # every stage kernel contains the radical, so this certifies equality
-    return is_ideal(alg, rows) and is_nilpotent_subspace(alg, rows)
-
-
-def _fr_stage(alg, basis_rows, power):
-    """Kernel of (x, y) -> charpoly coefficient c_power of L_(x y) on the span."""
-    fld = alg.fld
-    basis_rows, _ = linalg.rref(basis_rows, fld)
-    d = len(basis_rows)
-    if d == 0:
-        return []
-    mats = [alg.left_mult_of(list(v)) for v in basis_rows]
-    # the form is symmetric, since L_x L_y and L_y L_x have one charpoly
-    form = [[fld.zero] * d for _ in range(d)]
-    for s in range(d):
-        for t in range(s, d):
-            prod = linalg.mat_mul(mats[s], mats[t], fld)
-            form[s][t] = form[t][s] = linalg.charpoly(prod, fld)[power]
-    ker = linalg.kernel_left(form, fld)
-    out = []
-    for c in ker:
-        v = [fld.zero] * alg.rank
-        for ci, row in zip(c, basis_rows):
-            if ci:
-                for j in range(alg.rank):
-                    if row[j]:
-                        v[j] = v[j] + ci * row[j]
-        out.append(v)
-    out, _ = linalg.rref(out, fld)
-    return out
+    """Basis rows (rref) of the Jacobson radical of a field-level algebra:
+    the head of its proof chain."""
+    return alg._derived(_radical_proof)[0].rows
 
 
 def radical_chain(alg: StructureAlgebra):
-    """[rad^0, rad^1, ..., 0] of a field-level algebra as linalg.Subspaces,
-    built once per algebra.  rad^0 is the whole algebra, and len(chain) - 1
-    is the nilpotency degree: the least L with rad^L = 0."""
-    return alg._derived(_radical_chain)
-
-
-def _radical_chain(alg):
+    """[rad^0, rad^1, ..., 0] of a field-level algebra as linalg.Subspaces.
+    rad^0 is the whole algebra, and len(chain) - 1 is the nilpotency degree:
+    the least L with rad^L = 0."""
     whole = alg.span([alg.basis_vec(i) for i in range(alg.rank)])
-    return [whole] + _subspace_powers(alg, radical_field(alg), alg.rank + 1)
+    return [whole] + alg._derived(_radical_proof)
+
+
+def _radical_proof(alg):
+    """[rad, rad^2, ..., 0] as linalg.Subspaces, built and checked once per
+    algebra: the candidate is an ideal, and its power chain reaching 0 is
+    the nilpotency proof.  In char p a candidate that fails is replaced by
+    the next Friedl-Ronyai stage; in char 0 the trace form must also be
+    nondegenerate on the quotient (Dickson)."""
+    if alg.level == "O":
+        raise AlgebraError("radical_field expects a K- or k-level algebra")
+    fld = alg.fld
+    candidate = linalg.kernel_left(trace_gram(alg), fld)
+    power = 1
+    while True:
+        if is_ideal(alg, candidate):
+            chain = _subspace_powers(alg, candidate, alg.rank + 1)
+            if not chain[-1].rank:
+                break
+        # the stages c_(p^i) for p^i <= rank end at the radical
+        if fld.char == 0 or power * fld.char > alg.rank:
+            raise AlgebraError("radical candidate is not a nilpotent ideal")
+        power *= fld.char
+        candidate = _fr_stage(alg, candidate, power)
+    if fld.char == 0:
+        quot, _, _ = alg.quotient_by_ideal(chain[0].rows)
+        if quot.rank and linalg.det(trace_gram(quot), fld) == fld.zero:
+            raise AlgebraError("trace form degenerate on the quotient")
+    return chain
+
+
+def _fr_form(alg, basis_rows, power):
+    """The form (x, y) -> c_power of L_(x y) on the rows, an F_p matrix; the
+    products and charpolys run on ints mod p.  It is symmetric, since L_x L_y
+    and L_y L_x have one charpoly, so one triangle is computed."""
+    p = alg.fld.p
+    n = alg.rank
+    # each L_x as rows of (column, value) over its nonzero entries
+    mats = [[[(j, x.v) for j, x in enumerate(r) if x]
+             for r in alg.left_mult_of(list(v))] for v in basis_rows]
+    d = len(mats)
+    form = [[None] * d for _ in range(d)]
+    for s in range(d):
+        for t in range(s, d):
+            right = mats[t]
+            prod = []
+            for row in mats[s]:
+                out = [0] * n
+                for k, x in row:
+                    for j, y in right[k]:
+                        out[j] += x * y
+                prod.append([c % p for c in out])
+            c = linalg.charpoly_mod_p(prod, p)[power]
+            form[s][t] = form[t][s] = alg.fld.of(c)
+    return form
+
+
+def _fr_stage(alg, basis_rows, power):
+    """Kernel of the Friedl-Ronyai form c_power on the span of the rows."""
+    fld = alg.fld
+    basis_rows, _ = linalg.rref(basis_rows, fld)
+    ker = linalg.kernel_left(_fr_form(alg, basis_rows, power), fld)
+    return linalg.rref([linalg.combine(c, basis_rows, fld.zero)
+                        for c in ker], fld)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -237,14 +237,16 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
     if not res.hypotheses_ok:
         return res.finalize()
     grn = gr_module(gr, mod)
-    gr_of_trunc, torsion, torsion2, iso = _natural_truncation_iso(grn, gamma)
+    gr_of_trunc, torsion, torsion2, iso, killed = _natural_truncation_iso(
+        grn, gamma)
     res.notes["truncation_torsion"] = torsion
     res.notes["graded_truncation_torsion"] = torsion2
     res.conclusions["both_torsion_free"] = not torsion and not torsion2
     # gradewise ranks: of gr(N_Gamma) from its gr structure, of (gr N)_Gamma
     # from the graded sublattice structure of the killed submodule
     t1 = gr_of_trunc.grade_ranks()
-    t2 = _truncation_grade_table(grn, gamma)
+    t2 = tuple(grn.grade_rank(m) - grn.grade_part_rank(killed.rows, m)
+               for m in range(grn.top_grade + 1))
     top = max(len(t1), len(t2))
     tab1, tab2 = (t + (0,) * (top - len(t)) for t in (t1, t2))
     res.conclusions["gradewise_ranks_equal"] = tab1 == tab2
@@ -267,30 +269,23 @@ def cor_416_check(alg: StructureAlgebra, mod: ModuleRep, gamma) -> SuiteResult:
 
 
 def _natural_truncation_iso(grn, gamma):
-    """(gr(N_Gamma), torsion of N_Gamma, torsion of (gr N)_Gamma, iso) for
-    grn = gr N: iso is the natural map (gr N)_Gamma -> gr(N_Gamma) if it is
-    an isomorphism, else None.  N -> N_Gamma maps rad^g N into rad^g N_Gamma,
-    so the map sends the projected grade-g basis element of gr N to the
-    grade-g component of its projected lift."""
-    n_gamma, torsion, project = truncate_to_ideal(grn.base_module, gamma)
+    """(gr(N_Gamma), torsion of N_Gamma, torsion of (gr N)_Gamma, iso,
+    killed) for grn = gr N: iso is the natural map (gr N)_Gamma ->
+    gr(N_Gamma) if it is an isomorphism, else None, and killed is the
+    submodule of gr N that the truncation kills, before its pure closure.
+    N -> N_Gamma maps rad^g N into rad^g N_Gamma, so the map sends the
+    projected grade-g basis element of gr N to the grade-g component of its
+    projected lift."""
+    n_gamma, torsion, project, _ = truncate_to_ideal(grn.base_module, gamma)
     gr_of_trunc = gr_module(grn.gralg, n_gamma)
-    trunc_of_gr, torsion2, project_gr = truncate_to_ideal(grn.module, gamma)
+    trunc_of_gr, torsion2, project_gr, killed = truncate_to_ideal(
+        grn.module, gamma)
     gens = [project_gr(grn.module.basis_vec(i)) for i in range(grn.module.rank)]
     images = [gr_of_trunc.component(project(lift), g)
               for lift, g in zip(grn.lifts, grn.grades)]
     iso = iso_with_generator_images(trunc_of_gr, gr_of_trunc.module, gens,
                                     images)
-    return gr_of_trunc, torsion, torsion2, iso
-
-
-def _truncation_grade_table(grn, gamma):
-    """Grade ranks of (gr N)_Gamma from the graded killed sublattice."""
-    mod = grn.module
-    sub = mod.submodule_generated(
-        [list(r) for nu in mod.algebra.weights.Lambda if nu not in gamma
-         for r in mod.weight_space_rows(nu)])
-    return tuple(grn.grade_rank(m) - grn.grade_part_rank(sub.rows, m)
-                 for m in range(grn.top_grade + 1))
+    return gr_of_trunc, torsion, torsion2, iso, killed
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
     galg_gamma, lifts = gr.algebra.quotient_by_labels(
         [nu for nu in w.Lambda if nu not in gamma])
     for g in gamma:
-        p_gamma, _, project = truncate_to_ideal(
+        p_gamma, _, project, _ = truncate_to_ideal(
             weight_projective(alg_field, g), gamma)
         gr_pg = gr_module(gr, p_gamma)
         # gr_pg is killed by the truncation ideal, so (gr B)_Gamma acts on it

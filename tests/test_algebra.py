@@ -110,7 +110,8 @@ def test_quotient_by_nonpure_ideal_rejected(z5):
 MEMO_BUILDERS = [
     (algebra, "_base_change"),
     (algebra, "_mult_matrices"),
-    (radicals, "_radical_field"),
+    (algebra, "_sc_by_left"),
+    (radicals, "_radical_proof"),
     (graded, "_algebra_radical_chain"),
     (modules, "_weight_projective"),
     (modules, "_standard_module"),

@@ -67,15 +67,15 @@ class TestStandardsAndProjectives:
 
 class TestTruncation:
     def test_p1_truncated_to_delta1(self, z5, sp_z5):
-        q, torsion, _ = truncate_to_ideal(sp_z5["1"]["P"], ("1",))
+        q, torsion, _, _ = truncate_to_ideal(sp_z5["1"]["P"], ("1",))
         assert q.rank == 1 and torsion == []
 
     def test_gamma_equals_lambda_is_identity(self, z5, sp_z5):
-        q, torsion, _ = truncate_to_ideal(sp_z5["1"]["P"], ("1", "2"))
+        q, torsion, _, _ = truncate_to_ideal(sp_z5["1"]["P"], ("1", "2"))
         assert q.rank == sp_z5["1"]["P"].rank
 
     def test_delta2_truncated_to_zero(self, sp_z5):
-        q, torsion, _ = truncate_to_ideal(sp_z5["2"]["Delta"], ("1",))
+        q, torsion, _, _ = truncate_to_ideal(sp_z5["2"]["Delta"], ("1",))
         assert q.rank == 0
 
     def test_non_ideal_rejected(self, sp_z5):

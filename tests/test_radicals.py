@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from grforge import linalg, radicals
-from grforge.algebra import StructureAlgebra
+from grforge.algebra import AlgebraError, StructureAlgebra
 from grforge.scalars import RATIONAL, RingSpec
 
 R3 = RingSpec(RATIONAL, 3)
@@ -72,6 +72,16 @@ class TestRadicalCharP:
     def test_mixed_semisimple_char_p(self):
         a = full_2x2().base_change("k")
         assert radicals.radical_field(a) == []
+
+    def test_nilpotent_candidate_must_be_an_ideal(self, monkeypatch):
+        # a trace form whose kernel is span{E12}: nilpotent, not an ideal
+        a = full_2x2().base_change("k")
+        fld = a.fld
+        gram = [[fld.one if i == j != 1 else fld.zero for j in range(4)]
+                for i in range(4)]
+        monkeypatch.setattr(radicals, "trace_gram", lambda alg: gram)
+        with pytest.raises(AlgebraError):
+            radicals.radical_field(a)
 
 
 def natural_2x2_module(fld):

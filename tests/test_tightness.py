@@ -172,11 +172,11 @@ class TestBuiltOnce:
             return subalgebra_on(alg, *args, **kwargs)
 
         radical_builds = []
-        radical_field = radicals._radical_field
+        radical_proof = radicals._radical_proof
 
         def counted_radical(alg):
             radical_builds.append(alg)
-            return radical_field(alg)
+            return radical_proof(alg)
 
         gr_builds = []
         gr_algebra = tightness.gr_algebra
@@ -186,7 +186,7 @@ class TestBuiltOnce:
             return gr_algebra(alg)
 
         monkeypatch.setattr(StructureAlgebra, "subalgebra_on", counted)
-        monkeypatch.setattr(radicals, "_radical_field", counted_radical)
+        monkeypatch.setattr(radicals, "_radical_proof", counted_radical)
         monkeypatch.setattr(tightness, "gr_algebra", counted_gr)
         z5 = fixtures.build_z5(3)  # a fresh algebra: an empty memo
         stats = randomized.prop52_campaign(z5, path_datum(z5), 20, seed=1)
