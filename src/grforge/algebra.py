@@ -178,20 +178,10 @@ class StructureAlgebra:
         return self._derived(_mult_matrices, "right")[j]
 
     def left_mult_of(self, x):
-        """Matrix of left multiplication by the element with coordinates x."""
-        z = self.fld.zero
-        m = [[z] * self.rank for _ in range(self.rank)]
-        for i, xi in enumerate(x):
-            if xi:
-                mi = self.left_mult_matrix(i)
-                for r in range(self.rank):
-                    mir = mi[r]
-                    mr = m[r]
-                    for c in range(self.rank):
-                        if mir[c]:
-                            mr[c] = mr[c] + xi * mir[c]
-    # left_mult_of(x) @ y == mul(x, y)
-        return m
+        """Matrix of left multiplication by the element with coordinates x:
+        left_mult_of(x) applied to y is mul(x, y)."""
+        return linalg.combine_matrices(x, self._derived(_mult_matrices, "left"),
+                                       self.fld.zero)
 
     # -- validation ---------------------------------------------------------------
     def validate(self, mode: str = "auto"):
@@ -441,12 +431,20 @@ class StructureAlgebra:
             e = [a + b for a, b in zip(e, self.weights.idempotents[lbl])]
         return e
 
+    def product_span(self, xs, ys):
+        """The span (see `span`) of the products x y, x in xs, y in ys."""
+        return self.span([self.mul(x, y) for x in xs for y in ys])
+
     def ideal_generated(self, e):
         """A e A as a span (see `span`)."""
-        ebj = [self.mul(list(e), self.basis_vec(j)) for j in range(self.rank)]
-        return self.span([self.mul(self.basis_vec(i), ebj[j])
-                          for i in range(self.rank) for j in range(self.rank)
-                          if any(ebj[j])])
+        basis = [self.basis_vec(i) for i in range(self.rank)]
+        ebj = [self.mul(e, b) for b in basis]
+        return self.product_span(basis, [v for v in ebj if any(v)])
+
+    def corner(self, e):
+        """e A e as a span (see `span`): the twin of `ideal_generated`."""
+        return self.product_span(
+            [e], [self.mul(self.basis_vec(i), e) for i in range(self.rank)])
 
     def quotient_by_labels(self, labels, ideal=None):
         """A / A e A for e the sum of e_nu over `labels`, with the weight datum

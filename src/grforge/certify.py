@@ -20,6 +20,7 @@ inside a simple module, never by p-adic idempotent lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
@@ -38,29 +39,6 @@ ENDO_DIRECT_LIMIT = 12
 # ---------------------------------------------------------------------------
 # modules over subalgebras / generic splitting without weight data
 # ---------------------------------------------------------------------------
-
-def restricted_module(sub: StructureAlgebra, sub_basis, mod: ModuleRep, cut):
-    """The module (cut . M) over the subalgebra with given basis vectors.
-
-    `sub_basis[i]` is the coordinate vector (in the big algebra) of the i-th
-    basis element of `sub`; `cut` is an idempotent vector whose image
-    subspace carries the restricted action.
-    """
-    rows = [mod.act(list(cut), mod.basis_vec(i)) for i in range(mod.rank)]
-    span = mod.span(rows)
-    if not span.rank:
-        return ModuleRep(sub, 0, [[] for _ in range(sub.rank)])
-    acts = []
-    for bvec in sub_basis:
-        cols = []
-        for r in span.rows:
-            c = span.coords(mod.act(list(bvec), list(r)))
-            if c is None:
-                raise CertifyError("cut subspace is not stable under the subalgebra")
-            cols.append(c)
-        acts.append(linalg.transpose(cols))
-    return ModuleRep(sub, span.rank, acts)
-
 
 def _poly_roots(fld, coeffs):
     """Roots in the field of a monic polynomial with all roots rational-like.
@@ -188,11 +166,7 @@ def generic_simples(alg):
     reg = regular_module(alg)
     out = []
     for idx, e in enumerate(idems):
-        corner = []
-        for i in range(alg.rank):
-            corner.append(alg.mul(e, alg.mul(alg.basis_vec(i), e)))
-        cdim = linalg.rank(corner, fld)
-        if cdim != 1:
+        if alg.corner(e).rank != 1:
             raise radicals.NonSplitError(
                 "idempotent refinement stalled (non-rational eigenvalues "
                 "or a non-split block)")
@@ -260,11 +234,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     # the reduced discriminant of (+) M_n(O) is a unit, and an order with unit
     # reduced discriminant is maximal
     fldK = ek.fld
-    acts_per_block = []
-    for blk in blocks:
-        acts = [radicals.module_action_of(ek, blk.module_acts, ek.basis_vec(i))
-                for i in range(e_alg.rank)]
-        acts_per_block.append(acts)
+    acts_per_block = [blk.module_acts for blk in blocks]
     n_e = e_alg.rank
     gram = [[fldK.zero] * n_e for _ in range(n_e)]
     for i in range(n_e):
@@ -401,7 +371,9 @@ def _corner_simple_modules(alg, e, e_basis, corner, labels):
     for lam, lmod in simples:
         if lam not in labels:
             continue
-        rmod = restricted_module(corner, e_basis, lmod, cut=e)
+        cmod = ModuleRep(corner, lmod.rank,
+                         [lmod.act_matrix(b) for b in e_basis])
+        rmod = cmod.restrict_to(lmod.image([e]))
         if rmod.rank:
             out.append((lam, rmod))
     return out or None
@@ -433,27 +405,21 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
                 for r in closure.rows if not J.contains_vector(r)]
     else:
         verdicts["free_quotient"] = True
-    J2 = alg.span([alg.mul(list(a), list(b)) for a in J.rows for b in J.rows])
-    verdicts["idempotent_ideal"] = J2 == J
-    # corner algebra e A e
-    cbasis = alg.span([alg.mul(e, alg.mul(alg.basis_vec(i), e))
-                       for i in range(alg.rank)]).rows
+    verdicts["idempotent_ideal"] = alg.product_span(J.rows, J.rows) == J
+    cbasis = alg.corner(e).rows
     corner, _ = alg.subalgebra_on(cbasis, unit=e)
     witness = recognize_matrix_algebra(corner, _corner_simple_modules(
         alg, e, cbasis, corner.field_algebra(), labels))
     verdicts["corner_split"] = witness.ok
     if not witness.ok:
         detail["corner"] = witness.reason
-    # multiplication map Ae (x)_{eAe} eA -> J
-    mult_ok = None
+    # multiplication map Ae (x)_{eAe} eA -> J; End_A(J) follows structurally
     if witness.ok:
-        mult_ok = _mult_map_bijective(alg, e, cbasis, witness, J)
-        verdicts["mult_map_bijective"] = mult_ok
-        r_sizes = _endo_block_sizes(alg, e, cbasis, witness)
-        verdicts["endo_matrix"] = r_sizes is not None
+        verdicts["mult_map_bijective"], r_sizes = _mult_map_bijective(
+            alg, e, cbasis, witness, J)
+        verdicts["endo_matrix"] = True
         detail["endo_block_sizes"] = r_sizes
-        if (alg.level == "O" and r_sizes is not None
-                and J.rank <= ENDO_DIRECT_LIMIT):
+        if alg.level == "O" and J.rank <= ENDO_DIRECT_LIMIT:
             direct = _endo_direct_check(alg, J, r_sizes)
             detail["endo_direct_crosscheck"] = \
                 "inconclusive" if direct is None else direct
@@ -465,33 +431,24 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
 
 
 def _mult_map_bijective(alg, e, cbasis, witness, J):
-    """Rank count and exact image equality for Ae (x)_{eAe} eA -> J."""
-    fld = alg.fld
-    total = 0
-    prod_rows = []
-    for bi in range(len(witness.block_sizes)):
-        f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, fld.zero)
-        left_rows = [alg.mul(alg.mul(alg.basis_vec(i), e), f)
-                     for i in range(alg.rank)]
-        right_rows = [alg.mul(f, alg.mul(e, alg.basis_vec(i)))
-                      for i in range(alg.rank)]
-        left, right = alg.span(left_rows), alg.span(right_rows)
-        # the block contributes d copies: rank(Ae f) * rank(f eA)
-        total += left.rank * right.rank
-        for a in left.rows:
-            for b in right.rows:
-                prod_rows.append(alg.mul(list(a), list(b)))
-    return total == J.rank and alg.span(prod_rows) == J
+    """Rank count and exact image equality for Ae (x)_{eAe} eA -> J.
 
-
-def _endo_block_sizes(alg, e, cbasis, witness):
-    """Structural End_A(J) = (+) M_(r_t)(O): r_t = rank of f_t e A."""
-    sizes = []
+    Returns (bijective, sizes): sizes[t] is the rank of f_t e A, f_t the
+    first diagonal unit of block t, and End_A(J) = (+) M_(sizes[t])(O)."""
+    basis = [alg.basis_vec(i) for i in range(alg.rank)]
+    ae = [alg.mul(b, e) for b in basis]
+    ea = [alg.mul(e, b) for b in basis]
+    sides = []
     for bi in range(len(witness.block_sizes)):
         f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, alg.fld.zero)
-        sizes.append(alg.span([alg.mul(f, alg.mul(e, alg.basis_vec(i)))
-                               for i in range(alg.rank)]).rank)
-    return tuple(sizes)
+        sides.append((alg.product_span(ae, [f]), alg.product_span([f], ea)))
+    sizes = tuple(right.rank for _, right in sides)
+    # block t contributes d_t copies: rank(Ae f_t) * rank(f_t eA)
+    if sum(left.rank * right.rank for left, right in sides) != J.rank:
+        return False, sizes
+    image = reduce(lambda a, b: a.add(b), (
+        alg.product_span(left.rows, right.rows) for left, right in sides))
+    return image == J, sizes
 
 
 def _endo_direct_check(alg, J, expected_sizes):

@@ -19,7 +19,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import linalg, radicals
+from . import linalg
 from .algebra import AlgebraError, StructureAlgebra, WeightDatum
 from .lattices import Lattice
 from .scalars import CYCLOTOMIC, RATIONAL, Cyc, InternalCheckError, RingSpec
@@ -691,7 +691,7 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
         acts = simple_acts[lam]
         vec = []
         for zb in center:
-            m = radicals.module_action_of(ak, acts, list(zb))
+            m = linalg.combine_matrices(zb, acts, fld.zero)
             scal = m[0][0]
             ident_ok = all(
                 m[r][c] == (scal if r == c else fld.zero)

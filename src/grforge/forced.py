@@ -169,7 +169,7 @@ def gr_b(grmod: GradedModule, name="grA") -> GrB:
 
 def _weight_sublattice(mod: ModuleRep, e, lat: Lattice) -> Lattice:
     """e . L for an idempotent e and an action-stable lattice L."""
-    return mod.span([mod.act(e, list(r)) for r in lat.rows])
+    return mod.image([e], lat.rows)
 
 
 def gr_b_equals_gr(grb: GrB, grmod: GradedModule) -> bool:

@@ -128,34 +128,19 @@ class Lattice:
         return f"Lattice(rank {self.rank} in O^{self.ambient})"
 
     # -- membership -------------------------------------------------------------
-    def reduce(self, vec):
-        """Remainder of vec after O-reduction against the basis."""
-        v = list(vec)
-        ring = self.ring
-        for (row, col, pval) in zip(self.rows, self.pivots, self.pivot_vals):
-            x = v[col]
-            if not x:
-                continue
-            if ring.valuation(x) < pval:
-                continue
-            q = x / row[col]
-            for j in range(col, self.ambient):
-                if row[j]:
-                    v[j] = v[j] - q * row[j]
-        return v
-
     def contains_vector(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return self.coords(vec) is not None
 
     def coords(self, vec):
         """O-coordinates of vec in the canonical basis, or None."""
         v = list(vec)
         ring = self.ring
+        zero = ring.zero()
         cs = []
         for (row, col, pval) in zip(self.rows, self.pivots, self.pivot_vals):
             x = v[col]
             if not x:
-                cs.append(ring.zero())
+                cs.append(zero)
                 continue
             if ring.valuation(x) < pval:
                 return None

@@ -23,7 +23,7 @@ def identity(field, n):
 
 
 def mat_mul(a, b, field):
-    n, m = len(a), len(b[0])
+    n, m = len(a), len(b[0]) if b else 0
     inner = len(b)
     z = field.zero
     out = [[z] * m for _ in range(n)]
@@ -65,6 +65,22 @@ def combine(coeffs, rows, zero):
                 if x:
                     v[t] = v[t] + c * x
     return v
+
+
+def combine_matrices(coeffs, mats, zero):
+    """The matrix sum_i coeffs[i] * mats[i] of equal-shape matrices; zero
+    coefficients and entries are skipped.  The shape is that of mats[0]
+    (0 x 0 for no matrices)."""
+    nrows = len(mats[0]) if mats else 0
+    ncols = len(mats[0][0]) if nrows else 0
+    out = [[zero] * ncols for _ in range(nrows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for row, orow in zip(m, out):
+                for col, x in enumerate(row):
+                    if x:
+                        orow[col] = orow[col] + c * x
+    return out
 
 
 def transpose(m):

@@ -65,7 +65,8 @@ class ModuleRep:
         return out
 
     def act_matrix(self, x):
-        return radicals.module_action_of(self.algebra, self.acts, list(x))
+        """Action matrix of the algebra element with coordinates x."""
+        return linalg.combine_matrices(x, self.acts, self.fld.zero)
 
     def zero_vec(self):
         return [self.fld.zero] * self.rank
@@ -83,12 +84,24 @@ class ModuleRep:
         `StructureAlgebra.span`)."""
         return self.algebra.span(rows, self.rank)
 
+    def image(self, xs, vectors=None):
+        """The span (see `span`) of x v over x in xs and v in `vectors`; by
+        default v runs over the basis, which gives the span of the x M."""
+        if vectors is None:
+            vectors = [self.basis_vec(i) for i in range(self.rank)]
+        mats = [self.act_matrix(x) for x in xs]
+        return self.span([linalg.mat_vec(m, v, self.fld)
+                          for m in mats for v in vectors])
+
     # -- validation ----------------------------------------------------------------
     def validate(self):
         alg = self.algebra
         fld = self.fld
         if len(self.acts) != alg.rank:
             raise ModuleError("need one action matrix per algebra basis element")
+        if any(len(m) != self.rank or any(len(row) != self.rank for row in m)
+               for m in self.acts):
+            raise ModuleError(f"action matrices must be {self.rank} x {self.rank}")
         uid = self.act_matrix(list(alg.unit))
         ident = linalg.identity(fld, self.rank)
         if uid != ident:
@@ -126,9 +139,7 @@ class ModuleRep:
         w = self.algebra.weights
         if w is None:
             raise ModuleError("no weight datum")
-        e = list(w.idempotents[nu])
-        imgs = [self.act(e, self.basis_vec(i)) for i in range(self.rank)]
-        return list(self.span(imgs).rows)
+        return list(self.image([w.idempotents[nu]]).rows)
 
     # -- submodules -------------------------------------------------------------------
     def submodule_generated(self, vectors):
@@ -201,10 +212,10 @@ def _weight_projective(alg, lam):
     w = alg.weights
     if w is None:
         raise ModuleError("no weight datum")
-    reg = regular_module(alg)
-    e = list(w.idempotents[lam])
-    # A e is spanned by the b_i e; restrict_to raises if it were not stable
-    mod = reg.restrict_to([reg.act_basis(i, e) for i in range(alg.rank)])
+    basis = [alg.basis_vec(i) for i in range(alg.rank)]
+    # restrict_to raises if A e were not stable
+    mod = regular_module(alg).restrict_to(
+        alg.product_span(basis, [w.idempotents[lam]]))
     return mod.rank, mod.acts, f"P({lam})"
 
 
@@ -325,8 +336,7 @@ def head_module(mod: ModuleRep, rad_rows):
     """M / (rad A) M at field level: (module, project, (rad A) M)."""
     if mod.level == "O":
         raise ModuleError("head is a field-level notion here")
-    sub = mod.span([mod.act(list(r), mod.basis_vec(i))
-                    for r in rad_rows for i in range(mod.rank)])
+    sub = mod.image(rad_rows)
     quot, project, _ = mod.quotient_by(sub)
     quot.name = f"head({mod.name})"
     return quot, project, sub
@@ -677,15 +687,9 @@ def morita_reduce(alg: StructureAlgebra):
     for lam in w.Lambda:
         if not any(w.idempotents[lam]):
             raise ModuleError(f"idempotent e[{lam!r}] is zero")
-    rows = []
-    for lam in w.Lambda:
-        el = list(w.idempotents[lam])
-        for mu in w.Lambda:
-            em = list(w.idempotents[mu])
-            for i in range(alg.rank):
-                rows.append(alg.mul(el, alg.mul(alg.basis_vec(i), em)))
-    sub, sub_basis = alg.subalgebra_on(
-        alg.span(rows).rows, unit=alg.weight_idempotent(w.Lambda))
+    # the e_lam are orthogonal, so the sum of the e_lam B e_mu is e B e
+    e = alg.weight_idempotent(w.Lambda)
+    sub, sub_basis = alg.subalgebra_on(alg.corner(e).rows, unit=e)
     coords = alg.coord_solver(sub_basis)
     idems = {}
     for lam in w.Lambda:

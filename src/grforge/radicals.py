@@ -72,8 +72,7 @@ def _subspace_powers(alg, rows, n):
     base = alg.span(rows)
     powers = [base]
     while len(powers) < n and powers[-1].rank:
-        nxt = alg.span([alg.mul(list(v), list(w))
-                        for v in powers[-1].rows for w in base.rows])
+        nxt = alg.product_span(powers[-1].rows, base.rows)
         if nxt == powers[-1]:
             break
         powers.append(nxt)
@@ -225,23 +224,6 @@ class Block:
         return f"Block({self.label!r}, dim {self.simple_dim})"
 
 
-def module_action_of(alg, acts, vec):
-    """Action matrix of the element with coordinates vec."""
-    fld = alg.fld
-    dim = len(acts[0]) if acts else 0
-    out = [[fld.zero] * dim for _ in range(dim)]
-    for i, c in enumerate(vec):
-        if c:
-            mi = acts[i]
-            for r in range(dim):
-                row = mi[r]
-                orow = out[r]
-                for col in range(dim):
-                    if row[col]:
-                        orow[col] = orow[col] + c * row[col]
-    return out
-
-
 def split_semisimple(alg, modules):
     """Split a semisimple field algebra into matrix blocks.
 
@@ -262,7 +244,7 @@ def split_semisimple(alg, modules):
         vec = []
         ok = True
         for zb in z:
-            a = module_action_of(alg, acts, zb)
+            a = linalg.combine_matrices(zb, acts, fld.zero)
             scal = a[0][0]
             expect = [[scal if r == c else fld.zero for c in range(dim)]
                       for r in range(dim)]
@@ -319,20 +301,15 @@ def _block_matrix_units(alg, block: Block):
     """
     fld = alg.fld
     d = block.simple_dim
-    # subspace e A e
     e = list(block.central_idempotent)
-    rows = []
-    for i in range(alg.rank):
-        v = alg.mul(e, alg.mul(alg.basis_vec(i), e))
-        rows.append(v)
-    sub, piv = linalg.rref(rows, fld)
+    sub = alg.corner(e).rows
     if len(sub) != d * d:
         raise NonSplitError(
             f"block {block.label!r} has dimension {len(sub)}, not {d * d}")
     # action matrices of the block basis, flattened; solve for each E_ij
     flat = []
     for v in sub:
-        a = module_action_of(alg, block.module_acts, list(v))
+        a = linalg.combine_matrices(v, block.module_acts, fld.zero)
         flat.append([x for row in a for x in row])
     flat_t = linalg.transpose(flat)
     units = {}
@@ -516,7 +493,8 @@ def quotient_modules(alg, lifts, modules):
     out = []
     for label, acts in modules:
         acts = getattr(acts, "acts", acts)
-        qacts = [module_action_of(alg, acts, list(lift)) for lift in lifts]
+        qacts = [linalg.combine_matrices(lift, acts, alg.fld.zero)
+                 for lift in lifts]
         out.append((label, qacts))
     return out
 
@@ -543,12 +521,7 @@ def _malcev_enlarge(alg, s_rows, contain):
 
         def decompose(v):
             c = linalg.mat_vec(inv_t, list(v), fld)
-            sig = [fld.zero] * alg.rank
-            for coef, row in zip(c[: len(s_ech)], s_ech):
-                if coef:
-                    for t in range(alg.rank):
-                        if row[t]:
-                            sig[t] = sig[t] + coef * row[t]
+            sig = linalg.combine(c[: len(s_ech)], s_ech, fld.zero)
             delta = [a - b for a, b in zip(v, sig)]
             return sig, delta
 

@@ -538,15 +538,24 @@ class RingSpec:
         return [_fmt_frac(c) for c in x.c]
 
     def parse_scalar(self, s):
+        """The scalar a document writes as s; ScalarError if s is not one."""
         if self.flavor == RATIONAL:
             if not isinstance(s, (str, int)):
                 raise ScalarError(f"bad rational scalar {s!r}")
-            return Fraction(s)
+            return _parse_fraction(s)
         if isinstance(s, (str, int)):
-            return Cyc.of(self.p, Fraction(s))
+            return Cyc.of(self.p, _parse_fraction(s))
         if not isinstance(s, list) or len(s) != self.p - 1:
             raise ScalarError(f"bad cyclotomic scalar {s!r}")
-        return Cyc(self.p, [Fraction(t) for t in s])
+        return Cyc(self.p, [_parse_fraction(t) for t in s])
+
+
+def _parse_fraction(s) -> Fraction:
+    """Fraction(s), with ScalarError for what Fraction rejects ("x", "1/0")."""
+    try:
+        return Fraction(s)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ScalarError(f"bad scalar {s!r}: {exc}") from None
 
 
 def _fmt_frac(x: Fraction) -> str:

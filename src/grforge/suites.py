@@ -355,7 +355,6 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
 def _projective_generator(alg: StructureAlgebra, g):
     """e_g in the coordinates of weight_projective(alg, g), the span of the
     b_i e_g."""
-    reg = regular_module(alg)
     e = list(alg.weights.idempotents[g])
-    rows = reg.span([reg.act_basis(i, e) for i in range(alg.rank)]).rows
-    return alg.coord_solver(rows)(e)
+    basis = [alg.basis_vec(i) for i in range(alg.rank)]
+    return alg.coord_solver(alg.product_span(basis, [e]).rows)(e)

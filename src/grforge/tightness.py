@@ -138,12 +138,7 @@ def is_tight_core(submod: ModuleRep, mod_chain):
     degree = len(sub_chain) - 1  # nilpotency degree of rad a_K
     for r in range(1, degree + 1):
         lhs = mod_chain[min(r, len(mod_chain) - 1)]
-        rr_lat = sub_chain[min(r, len(sub_chain) - 1)]
-        prod = []
-        for c in rr_lat.rows:
-            for i in range(submod.rank):
-                prod.append(submod.act(list(c), submod.basis_vec(i)))
-        rhs = submod.span(prod)
+        rhs = submod.image(sub_chain[min(r, len(sub_chain) - 1)].rows)
         if not rhs.contains_lattice(lhs):
             if not lhs.contains_lattice(rhs):
                 raise TightnessError(
@@ -179,11 +174,7 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
     one_rows = [list(r) for r in grade_rows.get(1, [])]
     power = alg_field.span(one_rows)
     for g in range(2, max(grades) + 1 if grades else 0):
-        nxt = []
-        for v in power.rows:
-            for w in one_rows:
-                nxt.append(alg_field.mul(list(v), list(w)))
-        power = alg_field.span(nxt)
+        power = alg_field.product_span(power.rows, one_rows)
         if power != alg_field.span(grade_rows.get(g, [])):
             reasons.append(f"grade {g} is not (grade 1)^{g}")
     # rad^r = sum of grades >= r
@@ -234,16 +225,11 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     # (2) rad A_K = (rad a_K) A_K = A_K (rad a_K)
     rad_a = radicals.radical_field(subk)
     rad_amb = [linalg.combine(c, sub_rows, alg.fld.zero) for c in rad_a]
-    rad_A = radicals.radical_field(ak)
-    left = []
-    right = []
-    for r in rad_amb:
-        for i in range(alg.rank):
-            left.append(ak.mul(list(r), ak.basis_vec(i)))
-            right.append(ak.mul(ak.basis_vec(i), list(r)))
-    rad_span = ak.span(rad_A)
-    out["c2_radical_generation"] = (ak.span(left) == rad_span
-                                    and ak.span(right) == rad_span)
+    basis = [ak.basis_vec(i) for i in range(ak.rank)]
+    rad_span = ak.span(radicals.radical_field(ak))
+    out["c2_radical_generation"] = (
+        ak.product_span(rad_amb, basis) == rad_span
+        and ak.product_span(basis, rad_amb) == rad_span)
     # (3) graded a_K-structure on each Delta_K(lam), generated by degree 0
     ok3 = True
     ok4 = True
@@ -443,13 +429,9 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
     ok2 = True
     for r in range(1, degree + 1):
         radr = mod_chain[min(r, len(mod_chain) - 1)]
-        prod = []
-        for g, idxs in grade_idx.items():
-            if g >= r:
-                for bi in idxs:
-                    for i in range(submod.rank):
-                        prod.append(submod.act_basis(bi, submod.basis_vec(i)))
-        if submod.span(prod) != radr:
+        pieces = [sub.basis_vec(bi) for g, idxs in grade_idx.items() if g >= r
+                  for bi in idxs]
+        if submod.image(pieces) != radr:
             ok2 = False
             break
     # (iii) gr M over gr a generated by degree 0

@@ -216,3 +216,50 @@ class TestCLI:
         infl = tmp_path / "inflate_z5@3.alg.json"
         loaded = files.doc_to_algebra(json.loads(infl.read_text()))
         assert loaded.rank == 10
+
+    @staticmethod
+    def _z5_module_file(tmp_path, mutate):
+        """z5@3 and a module document over it (P(1), after `mutate`)."""
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        alg_path = tmp_path / "z5@3.alg.json"
+        adoc = json.loads(alg_path.read_text())
+        mod = modules.standard_and_projectives(files.doc_to_algebra(adoc))["1"]["P"]
+        mdoc = files.module_to_doc(mod, adoc)
+        mutate(mdoc)
+        mod_path = tmp_path / "mod.json"
+        mod_path.write_text(files.canonical_json(mdoc))
+        return str(alg_path), str(mod_path)
+
+    def test_unparsable_scalars_exit_2(self, tmp_path, capsys):
+        # "1/0" passes algebra.json's scalar pattern; module.json has none
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        alg_path = tmp_path / "z5@3.alg.json"
+        doc = json.loads(alg_path.read_text())
+        doc["unit"][1] = "1/0"
+        bad = tmp_path / "bad.alg.json"
+        bad.write_text(files.canonical_json(doc))
+        assert cli.main(["certify", str(bad)]) == 2
+        alg, mod = self._z5_module_file(
+            tmp_path, lambda d: d["action"][0][0].__setitem__(0, "x"))
+        assert cli.main(["filtration", alg, mod]) == 2
+        assert "bad scalar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["0", "1"])
+    def test_action_row_of_the_wrong_length_exits_2(self, tmp_path, capsys,
+                                                   entry):
+        alg, mod = self._z5_module_file(
+            tmp_path, lambda d: d["action"][1][0].append(entry))
+        assert cli.main(["filtration", alg, mod]) == 2
+        assert "3 x 3" in capsys.readouterr().err
+
+    def test_zero_module_has_an_empty_filtration(self, tmp_path):
+        def zero(doc):
+            doc["rank"] = 0
+            doc["action"] = [[] for _ in doc["action"]]
+
+        alg, mod = self._z5_module_file(tmp_path, zero)
+        loaded = files.doc_to_algebra(json.loads(open(alg).read()))
+        assert files.doc_to_module(json.loads(open(mod).read()), loaded).rank == 0
+        rep = tmp_path / "zero.json"
+        assert cli.main(["filtration", alg, mod, "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["witnesses"]["sections"] == {}

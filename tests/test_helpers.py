@@ -1,7 +1,9 @@
 """Property tests of the shared exact helpers against slower references:
 linalg.combine, linalg.Subspace (with lifts_over), Lattice.lifts_over,
-lattices.coord_solver, modules.hom_equations, and the isomorphism checks
-modules.iso_with_generator_images and modules.standard_iso."""
+lattices.coord_solver, modules.hom_equations, the isomorphism checks
+modules.iso_with_generator_images and modules.standard_iso, and the
+products of spans StructureAlgebra.product_span and corner and
+ModuleRep.image, with the action matrices behind them."""
 
 from fractions import Fraction
 
@@ -345,3 +347,177 @@ def test_iso_with_generator_images_rank_zero_and_a_wrong_image(sp_z5):
     for flipped in ([1, 1], [0, 0], [3, 0]):
         image = [delta.fld.of(x) for x in flipped]
         assert iso_with_generator_images(delta, delta, top, [image]) is None
+
+
+# ---------------------------------------------------------------------------
+# products of spans: StructureAlgebra.product_span and corner,
+# ModuleRep.image, and the matrix kernel behind act_matrix / left_mult_of
+# ---------------------------------------------------------------------------
+
+def naive_mul(alg, x, y):
+    """x y straight from the structure constants."""
+    out = alg.zero_vec()
+    for (i, j), row in alg.sc.items():
+        for t, v in row.items():
+            out[t] = out[t] + x[i] * y[j] * v
+    return out
+
+
+def naive_act(mod, x, v):
+    """x v straight from the action matrices."""
+    return [sum((x[c] * mod.acts[c][t][s] * v[s] for c in range(len(x))
+                 for s in range(mod.rank)), mod.fld.zero)
+            for t in range(mod.rank)]
+
+
+@pytest.fixture(scope="module")
+def product_algebras(z5, qschur23):
+    """z5@3 and qschur(2,3) at the levels O, K and k."""
+    return {(name, level): alg if level == "O" else alg.base_change(level)
+            for name, alg in (("z5", z5), ("qschur23", qschur23))
+            for level in ("O", "K", "k")}
+
+
+PRODUCT_CASES = [(name, level) for name in ("z5", "qschur23")
+                 for level in ("O", "K", "k")]
+
+
+def draw_element(data, alg):
+    """An element with small integer coordinates: a basis vector, a weight
+    idempotent or a random element."""
+    kind = data.draw(st.sampled_from(["basis", "idempotent", "random"]))
+    if kind == "basis":
+        return alg.basis_vec(data.draw(st.integers(0, alg.rank - 1)))
+    if kind == "idempotent":
+        return list(alg.weights.idempotents[
+            data.draw(st.sampled_from(alg.weights.X))])
+    return [alg.fld.of(data.draw(small)) for _ in range(alg.rank)]
+
+
+def draw_elements(data, alg):
+    return [draw_element(data, alg) for _ in range(data.draw(st.integers(0, 3)))]
+
+
+def draw_label_set(data, alg):
+    X = alg.weights.X
+    return [lbl for lbl in X if data.draw(st.booleans())] or [X[0]]
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_product_span_is_the_span_of_the_products(product_algebras, case, data):
+    alg = product_algebras[case]
+    xs, ys = draw_elements(data, alg), draw_elements(data, alg)
+    want = alg.span([naive_mul(alg, x, y) for x in xs for y in ys])
+    assert alg.product_span(xs, ys) == want
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_corner_is_the_span_of_e_b_e(product_algebras, case, data):
+    alg = product_algebras[case]
+    e = alg.weight_idempotent(draw_label_set(data, alg))
+    basis = [alg.basis_vec(i) for i in range(alg.rank)]
+    want = alg.span([naive_mul(alg, naive_mul(alg, e, b), e) for b in basis])
+    assert alg.corner(e) == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_corner_of_a_sum_is_the_sum_of_the_e_lam_b_e_mu(product_algebras,
+                                                          case, data):
+    """For orthogonal idempotents e_lam, e = sum e_lam gives e A e =
+    sum over lam, mu of e_lam A e_mu (the Morita cut)."""
+    alg = product_algebras[case]
+    labels = draw_label_set(data, alg)
+    idems = [list(alg.weights.idempotents[lbl]) for lbl in labels]
+    want = alg.span([naive_mul(alg, naive_mul(alg, el, alg.basis_vec(i)), em)
+                     for el in idems for em in idems for i in range(alg.rank)])
+    assert alg.corner(alg.weight_idempotent(labels)) == want
+
+
+@pytest.fixture(scope="module")
+def product_modules(product_algebras):
+    out = {}
+    for case, alg in product_algebras.items():
+        sp = modules.standard_and_projectives(alg)
+        out[case] = [modules.regular_module(alg)] + _modules(alg, sp)
+    return out
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_image_is_the_span_of_the_actions(product_modules, case, data):
+    mods = product_modules[case]
+    mod = mods[data.draw(st.integers(0, len(mods) - 1))]
+    xs = draw_elements(data, mod.algebra)
+    basis = [mod.basis_vec(i) for i in range(mod.rank)]
+    want = mod.span([naive_act(mod, x, v) for x in xs for v in basis])
+    assert mod.image(xs) == want
+    vectors = [[mod.fld.of(data.draw(small)) for _ in range(mod.rank)]
+               for _ in range(data.draw(st.integers(0, 3)))]
+    want = mod.span([naive_act(mod, x, v) for x in xs for v in vectors])
+    assert mod.image(xs, vectors) == want
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_action_matrices_combine_the_basis_actions(product_modules, case, data):
+    mods = product_modules[case]
+    mod = mods[data.draw(st.integers(0, len(mods) - 1))]
+    alg = mod.algebra
+    x = draw_element(data, alg)
+    want = linalg.transpose([naive_act(mod, x, mod.basis_vec(i))
+                             for i in range(mod.rank)])
+    assert mod.act_matrix(x) == want
+    left = alg.left_mult_of(x)
+    assert left == linalg.transpose([naive_mul(alg, x, alg.basis_vec(i))
+                                     for i in range(alg.rank)])
+
+
+def test_combine_matrices_and_mat_mul_of_empty_shapes():
+    fld = R5.field_k
+    assert linalg.combine_matrices([], [], fld.zero) == []
+    assert linalg.combine_matrices([fld.one], [[]], fld.zero) == []
+    assert linalg.mat_mul([], [], fld) == []
+
+
+def restricted_module_reference(sub, sub_basis, mod, cut):
+    """The module cut . M over the subalgebra with basis vectors `sub_basis`
+    (coordinates in mod's algebra), coordinates from the rref basis of the
+    cut subspace: the construction the corner route replaced."""
+    rows = [mod.act(list(cut), mod.basis_vec(i)) for i in range(mod.rank)]
+    span = mod.span(rows)
+    if not span.rank:
+        return ModuleRep(sub, 0, [[] for _ in range(sub.rank)])
+    acts = []
+    for bvec in sub_basis:
+        cols = [span.coords(mod.act(list(bvec), list(r))) for r in span.rows]
+        acts.append(linalg.transpose(cols))
+    return ModuleRep(sub, span.rank, acts)
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_corner_simple_modules_match_the_restricted_modules(product_algebras,
+                                                            case):
+    from grforge import certify
+
+    alg = product_algebras[case]
+    simples = modules.weight_simples(alg.field_algebra())
+    Lambda = alg.weights.Lambda
+    ranks = []
+    cuts = [((lam,), alg.weight_idempotent([lam])) for lam in Lambda]
+    cuts += [(Lambda, alg.weight_idempotent(Lambda)), (Lambda, list(alg.unit))]
+    for labels, e in cuts:
+        cbasis = alg.corner(e).rows
+        corner = alg.subalgebra_on(cbasis, unit=e)[0].field_algebra()
+        got = certify._corner_simple_modules(alg, e, cbasis, corner, labels)
+        want = [(mu, restricted_module_reference(corner, cbasis, lmod, e))
+                for mu, lmod in simples if mu in labels]
+        want = [(mu, m) for mu, m in want if m.rank] or None
+        assert [(mu, m.rank, m.acts) for mu, m in got or []] == \
+            [(mu, m.rank, m.acts) for mu, m in want or []]
+        assert (got is None) == (want is None)
+        ranks += [m.rank for _, m in got or []]
+    # the simples of z5 are one-dimensional
+    assert max(ranks) > 1 or case[0] == "z5"

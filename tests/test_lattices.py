@@ -267,3 +267,27 @@ def test_pure_closure_monotone():
         c1 = pure_closure(n1, m)
         c2 = pure_closure(n2, m)
         assert c2.contains_lattice(c1)
+
+
+def test_membership_agrees_with_the_cramer_oracle():
+    """contains_vector and coords against inline_member, on vectors that are
+    O-combinations, K-combinations with a 1/p coefficient (a pivot entry of
+    too small valuation), and free vectors."""
+    rng = random.Random(20261018)
+    for ring in (R3, R5):
+        p = ring.p
+        for _ in range(60):
+            amb = rng.randint(1, 4)
+            rows = [[rng.randint(-p * p, p * p) for _ in range(amb)]
+                    for _ in range(rng.randint(0, amb))]
+            l = lat(ring, amb, rows)
+            coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, p)))
+                      for _ in l.rows]
+            combo = [sum((c * r[j] for c, r in zip(coeffs, l.rows)), Fraction(0))
+                     for j in range(amb)]
+            free = [Fraction(rng.randint(-p, p)) for _ in range(amb)]
+            for v in (combo, free):
+                v = [ring.of(x) for x in v]
+                inside = inline_member(ring, l, v)
+                assert l.contains_vector(v) == inside, (rows, v)
+                assert (l.coords(v) is not None) == inside

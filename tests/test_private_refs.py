@@ -5,7 +5,8 @@ not part of the public API, so a definition that nothing in src/grforge
 references (outside its own def line) is dead code.  No check may rest
 on an `assert`, which `python -O` strips: internal checks raise
 `InternalCheckError`.  And no module but `lattices` asks which kind of span it holds:
-spans come from `StructureAlgebra.span`.
+spans come from `StructureAlgebra.span`.  Spans of products come from the
+product helpers, outside the modules that define them.
 """
 
 import ast
@@ -72,3 +73,49 @@ def test_no_span_kind_probes_outside_lattices():
             if _span_probe(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"span-kind probes outside lattices.py: {found}"
+
+
+# modules that define the product helpers, and the one function elsewhere
+# that keeps its own products: the independent re-checker of certificates
+PRODUCT_HELPER_MODULES = {"algebra", "modules"}
+OWN_PRODUCTS = {("certify", "verify_chain")}
+
+
+def _is_product(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("mul", "act"))
+
+
+def _spans_of_products(tree):
+    """Line numbers of `.span(...)` calls whose first argument is a
+    comprehension of `.mul(...)` or `.act(...)` products."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "span" and node.args
+                and isinstance(node.args[0], (ast.ListComp, ast.GeneratorExp))
+                and any(_is_product(n) for n in ast.walk(node.args[0].elt))):
+            yield node.lineno
+
+
+def test_products_of_spans_go_through_the_helpers():
+    """Spans of products are built by StructureAlgebra.product_span,
+    StructureAlgebra.corner and ModuleRep.image, not by hand."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem in PRODUCT_HELPER_MODULES:
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and (path.stem, node.name) in OWN_PRODUCTS):
+                exempt.update(_spans_of_products(node))
+        found += [f"{path.name}:{line}" for line in _spans_of_products(tree)
+                  if line not in exempt]
+    assert not found, f"spans of hand-rolled products: {found}"
+
+
+def test_span_of_products_check_sees_a_hand_rolled_product():
+    tree = ast.parse("def f(alg, xs, ys):\n"
+                     "    return alg.span([alg.mul(x, y) for x in xs for y in ys])\n")
+    assert list(_spans_of_products(tree)) == [2]
