@@ -32,11 +32,6 @@ class ValidationError(AlgebraError):
         super().__init__("; ".join(self.problems))
 
 
-# how many basis triples the sampled associativity check draws
-_FULL_ASSOC_LIMIT = 14
-_SAMPLED_TRIPLES = 4000
-
-
 @dataclass(frozen=True)
 class WeightDatum:
     """Orthogonal idempotents indexed by X, a weight subset Lambda, a poset."""
@@ -184,25 +179,29 @@ class StructureAlgebra:
                                        self.fld.zero)
 
     # -- validation ---------------------------------------------------------------
-    def validate(self, mode: str = "auto"):
+    def validate(self):
         """Check the algebra axioms; raises ValidationError listing failures.
 
-        mode: 'full' (all basis triples), 'generators' (exact proof through a
-        generating set), 'sampled' (deterministic sample; recorded as partial),
-        or 'auto' (full for small ranks, generators when available, else
-        sampled).  Returns a dict report.
+        Associativity is proved exactly by `representation_problems` on the
+        left multiplication matrices.  Returns a dict report that names the
+        generating set the proof went through: "generators" or "basis".
         """
-        problems = []
-        report = {"associativity": None}
         n = self.rank
-        if len(self.unit) != n:
-            problems.append("unit vector has wrong length")
+        # the proof spans the unit, the generators and their products: at
+        # level O these must be lattices, so shapes and integrality come first
+        vectors = [("unit", self.unit)] + [
+            (f"generator {name!r}", v)
+            for name, v in (self.generators or {}).items()]
+        problems = [f"{what} has wrong length"
+                    for what, v in vectors if len(v) != n]
         if self.level == "O":
-            for (i, j), row in self.sc.items():
-                for t, v in row.items():
-                    if self.ring.valuation(v) < 0:
-                        problems.append(
-                            f"structure constant c[{i},{j},{t}] outside O")
+            problems += [f"{what} has an entry outside O" for what, v in vectors
+                         if any(x and self.ring.valuation(x) < 0 for x in v)]
+            problems += [f"structure constant c[{i},{j},{t}] outside O"
+                         for (i, j), row in self.sc.items()
+                         for t, v in row.items() if self.ring.valuation(v) < 0]
+        if problems:
+            raise ValidationError(problems)
         # unit axiom
         for j in range(n):
             bj = self.basis_vec(j)
@@ -210,110 +209,44 @@ class StructureAlgebra:
                 problems.append(f"unit fails on the left at basis {j}")
             if self.mul(bj, list(self.unit)) != bj:
                 problems.append(f"unit fails on the right at basis {j}")
-        if mode == "auto":
-            if n <= _FULL_ASSOC_LIMIT:
-                mode = "full"
-            elif self.generators:
-                mode = "generators"
-            else:
-                mode = "sampled"
-        if mode == "full":
-            problems += self._assoc_full()
-            report["associativity"] = "full"
-        elif mode == "generators":
-            errs = self._assoc_generators()
-            if errs is None:
-                # generating set failed to span; fall back to the full check
-                problems += self._assoc_full()
-                report["associativity"] = "full(fallback)"
-            else:
-                problems += errs
-                report["associativity"] = "generators"
-        elif mode == "sampled":
-            problems += self._assoc_sampled()
-            report["associativity"] = f"sampled({_SAMPLED_TRIPLES})"
-        else:
-            raise AlgebraError(f"unknown validation mode {mode!r}")
+        problems += self.representation_problems(
+            self._derived(_mult_matrices, "left"), "associativity")
         if self.weights is not None:
             problems += self._check_weights()
         if problems:
             raise ValidationError(problems)
-        return report
+        return {"associativity": self._derived(_proof_generators)[0]}
 
-    def _assoc_full(self):
-        problems = []
-        n = self.rank
-        for i in range(n):
-            for j in range(n):
-                xij = self._sc_vec(i, j)
-                for key in range(n):
-                    lhs = self.mul(xij, self.basis_vec(key))
-                    rhs = self.mul(self.basis_vec(i), self._sc_vec(j, key))
-                    if lhs != rhs:
-                        problems.append(
-                            f"associativity fails at (b{i} b{j}) b{key} != b{i} (b{j} b{key})")
-                        if len(problems) > 8:
-                            return problems
-        return problems
+    def representation_problems(self, acts, what):
+        """Where rho(g) rho(b_j) = rho(g b_j) fails, for the linear map rho
+        with rho(b_i) = acts[i], g in the proof generating set and b_j in the
+        basis; each failure names g and b_j after `what`.  At most 9 are
+        listed.
 
-    def _assoc_generators(self):
-        """Exact associativity proof through a generating set.
-
-        If L_g L_x = L_(g*x) for every generator g and basis x, the set of w
-        with L_w L_x = L_(w*x) for all x is a unital subalgebra; if the
-        generators span the whole algebra the identity holds everywhere, which
-        is associativity.  Returns None if spanning fails.
+        The w with rho(w) rho(x) = rho(w x) for all x form a subalgebra, which
+        is unital when rho(1) is the identity (the caller checks that).  So
+        the identity on a generating set proves it on the whole algebra.  For
+        the left multiplication matrices it is associativity, and the closure
+        argument needs no associativity; for a module's action matrices it is
+        the module axiom, and the argument uses the associativity proved by
+        `validate`.  The generating set is the document's generators when they
+        generate the algebra with the unit, else the basis.
         """
-        gens = [list(v) for v in self.generators.values()]
-        if not self._spans_with_unit(gens):
-            return None
+        _, names, gens = self._derived(_proof_generators)
+        fld = self.fld
         problems = []
-        for name, g in self.generators.items():
-            lg = self.left_mult_of(list(g))
+        for name, g in zip(names, gens):
+            rg = linalg.combine_matrices(g, acts, fld.zero)
             for j in range(self.rank):
-                prod = self.mul(list(g), self.basis_vec(j))
-                lhs = linalg.mat_mul(lg, self.left_mult_matrix(j), self.fld)
-                rhs = self.left_mult_of(prod)
+                lhs = linalg.mat_mul(rg, acts[j], fld)
+                rhs = linalg.combine_matrices(
+                    self.mul(g, self.basis_vec(j)), acts, fld.zero)
                 if lhs != rhs:
-                    problems.append(
-                        f"associativity fails through generator {name!r} at basis {j}")
+                    problems.append(f"{what} fails through generator {name!r} "
+                                    f"at basis {self.labels[j]}")
                     if len(problems) > 8:
                         return problems
         return problems
-
-    def _spans_with_unit(self, gens):
-        """Do unit and generators generate the algebra (as O-lattice / space)?"""
-        span = self.stable_span([list(self.unit)] + gens,
-                                [partial(self.mul, g) for g in gens])
-        return span == self.span([self.basis_vec(i) for i in range(self.rank)])
-
-    def _assoc_sampled(self):
-        problems = []
-        n = self.rank
-        state = 0x9E3779B97F4A7C15
-        seen = 0
-        while seen < min(_SAMPLED_TRIPLES, n * n * n):
-            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            i = (state >> 13) % n
-            j = (state >> 29) % n
-            key = (state >> 45) % n
-            seen += 1
-            lhs = self.mul(self._sc_vec(i, j), self.basis_vec(key))
-            rhs = self.mul(self.basis_vec(i), self._sc_vec(j, key))
-            if lhs != rhs:
-                problems.append(
-                    f"associativity fails at sampled triple ({i},{j},{key})")
-                if len(problems) > 8:
-                    return problems
-        return problems
-
-    def _sc_vec(self, i, j):
-        out = self.zero_vec()
-        row = self.sc.get((i, j))
-        if row:
-            for t, v in row.items():
-                out[t] = v
-        return out
 
     def _check_weights(self):
         problems = []
@@ -503,6 +436,19 @@ def _sc_by_left(alg):
         if row:
             by_left[i].append((j, tuple(row.items())))
     return by_left
+
+
+def _proof_generators(alg):
+    """(kind, names, vectors) of the set `representation_problems` proves
+    through: the document's generators ("generators") when they and the unit
+    generate the algebra, else the basis ("basis"), which always does."""
+    if alg.generators:
+        gens = [list(v) for v in alg.generators.values()]
+        closure = alg.stable_span([list(alg.unit)] + gens,
+                                  [partial(alg.mul, g) for g in gens])
+        if closure == alg.span([alg.basis_vec(i) for i in range(alg.rank)]):
+            return "generators", tuple(alg.generators), gens
+    return "basis", alg.labels, [alg.basis_vec(i) for i in range(alg.rank)]
 
 
 def _mult_matrices(alg, side):

@@ -333,7 +333,7 @@ def appendix_identity_suite(datum: RootDatum, p: int, order: int = 8):
             * ((k + 1) * (ring.one() / (zd + 1))) \
             * ((k - 1) * (ring.one() / (zd - 1)))
         verdicts[(tag, 3)] = (br0 == rhs) and (k * br0).coeffs_in_O()
-        verdicts[(tag, "3x")] = _bracket_cleared_identity(ring, d, 0, p)
+        verdicts[(tag, "3x")] = _bracket_cleared_identity(ring, d, 0)
         # (4) [K;j] in K^{-1} S' for 1 <= j < p
         ok4 = True
         ok4x = True
@@ -348,7 +348,7 @@ def appendix_identity_suite(datum: RootDatum, p: int, order: int = 8):
                                  (zj - zjm) / (zd - zdm))
             ok4 = ok4 and (brj == term1 + term2) \
                 and (k * brj).coeffs_in_O()
-            ok4x = ok4x and _bracket_cleared_identity(ring, d, j, p)
+            ok4x = ok4x and _bracket_cleared_identity(ring, d, j)
             # (5) [K;j]^{-1} in S-hat
             brj_inv = brj.inverse()
             ok5 = ok5 and brj_inv.coeffs_in_O() and (brj * brj_inv == one)
@@ -380,68 +380,23 @@ def appendix_identity_suite(datum: RootDatum, p: int, order: int = 8):
     return verdicts
 
 
-def _bracket_cleared_identity(ring, d, j, p):
-    """Exact Laurent-polynomial check of the bracket factorizations.
+def _bracket_cleared_identity(ring, d, j):
+    """Exact polynomial check of the bracket factorizations.
 
-    With x a formal variable for K, clearing denominators in the item-(3)/(4)
-    displays gives polynomial identities in x independent of the truncation.
-    Coefficients are univariate dense lists over Q(zeta), lowest degree first,
-    representing x^(-1) * (polynomial) implicitly by a shift.
+    With x a formal variable for K, multiplying the item-(3)/(4) displays by
+    x (zeta^d - zeta^-d) clears their denominators and gives identities
+    between polynomials of degree 2 in x, independent of the truncation.  A
+    series in one variable of order 3 holds them exactly.
     """
     zd = _zeta_pow_scalar(ring, d)
     zdm = _zeta_pow_scalar(ring, -d)
     zj = _zeta_pow_scalar(ring, d * j)
     zjm = _zeta_pow_scalar(ring, -d * j)
-    one = ring.one()
-    if j == 0:
-        # (x^2 - 1)/(zeta^d - zeta^-d) * cleared: [K;0] x (zd - zdm) =
-        #   x^2 zd... direct: (x - x^{-1})  ->  multiply by x:
-        # x^2 - 1 = (x zd^... ) use the displayed product * x * (zd-zdm):
-        # lhs: (x^2 - 1);
-        # rhs: (1/zdm) * ((x+1)/(zd+1)) * ((x-1)/(zd-1)) * (zd - zdm)
-        lhs = [-(one), ring.zero(), one]  # x^2 - 1
-        factor = (zd - zdm) / (zdm * (zd + 1) * (zd - 1))
-        rhs = _poly_mul([one, one], [-(one), one])  # (x+1)(x-1)
-        rhs = [c * factor for c in rhs]
-        return _poly_eq(lhs, rhs)
-    # item (4) * x * (zd - zdm):
-    # lhs: x^2 zj - zjm
-    # rhs: (x-1)/(zd-1) * (zd - zdm)/((zd+1) zdm) * (x zj + zjm)
-    #      + x (zj - zjm)
-    lhs = [-(zjm), ring.zero(), zj]
+    x = Series.gen(ring, 1, 3, 0)
     factor = (zd - zdm) / ((zd - 1) * (zd + 1) * zdm)
-    rhs = _poly_mul([-(one), one], [zjm, zj])
-    rhs = [c * factor for c in rhs]
-    rhs = _poly_add(rhs, [ring.zero(), zj - zjm, ring.zero()])
-    return _poly_eq(lhs, rhs)
-
-
-def _poly_mul(a, b):
-    out = [a[0] * 0 for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else a[0] * 0
-        y = b[i] if i < len(b) else b[0] * 0
-        out.append(x + y)
-    return out
-
-
-def _poly_eq(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        x = a[i] if i < len(a) else a[0] * 0
-        y = b[i] if i < len(b) else b[0] * 0
-        if x != y:
-            return False
-    return True
+    # x^2 zj - zjm = (x - 1)(x zj + zjm) (zd - zdm) / ((zd - 1)(zd + 1) zdm)
+    #                + x (zj - zjm); at j = 0 (zj = zjm = 1) this is item (3)
+    return x * x * zj - zjm == (x - 1) * (x * zj + zjm) * factor + x * (zj - zjm)
 
 
 # ---------------------------------------------------------------------------

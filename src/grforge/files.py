@@ -92,7 +92,7 @@ def algebra_to_doc(alg: StructureAlgebra, metadata: dict | None = None) -> dict:
     return doc
 
 
-def doc_to_algebra(doc, validate: str = "auto") -> StructureAlgebra:
+def doc_to_algebra(doc) -> StructureAlgebra:
     validate_schema(doc, "algebra.json")
     ring = RingSpec(doc["ring"]["flavor"], doc["ring"]["p"])
     rank = doc["rank"]
@@ -120,7 +120,7 @@ def doc_to_algebra(doc, validate: str = "auto") -> StructureAlgebra:
                 for lbl, v in doc["generators"].items()}
     alg = StructureAlgebra(ring, "O", rank, doc.get("basis_labels"),
                            unit, sc, weights, gens)
-    alg.validation_report = alg.validate(mode=validate)
+    alg.validation_report = alg.validate()
     alg.metadata = doc.get("metadata", {})
     alg.source_hash = content_hash(doc)
     return alg

@@ -26,10 +26,6 @@ class ModuleError(AlgebraError):
     pass
 
 
-# algebra ranks up to which `validate` checks every pair of basis elements
-VALIDATE_ALL_PAIRS_LIMIT = 12
-
-
 class ModuleRep:
     def __init__(self, algebra: StructureAlgebra, rank: int, acts, name=""):
         self.algebra = algebra
@@ -95,6 +91,9 @@ class ModuleRep:
 
     # -- validation ----------------------------------------------------------------
     def validate(self):
+        """Check the shapes, the unit, integrality at level O and then the
+        module axiom through `StructureAlgebra.representation_problems`;
+        raises ModuleError at the first failure."""
         alg = self.algebra
         fld = self.fld
         if len(self.acts) != alg.rank:
@@ -112,14 +111,9 @@ class ModuleRep:
                     for x in row:
                         if x and alg.ring.valuation(x) < 0:
                             raise ModuleError("action entry outside O")
-        n = alg.rank
-        pairs = (((i, j) for i in range(n) for j in range(n))
-                 if n <= VALIDATE_ALL_PAIRS_LIMIT else _sample_pairs(n))
-        for (i, j) in pairs:
-            lhs = linalg.mat_mul(self.acts[i], self.acts[j], fld)
-            rhs = self.act_matrix(alg._sc_vec(i, j))
-            if lhs != rhs:
-                raise ModuleError(f"action violates structure constants at ({i},{j})")
+        problems = alg.representation_problems(self.acts, "the module axiom")
+        if problems:
+            raise ModuleError("; ".join(problems))
         return True
 
     # -- base change ----------------------------------------------------------------
@@ -182,15 +176,6 @@ class ModuleRep:
             acts.append(linalg.transpose(cols))
         out = ModuleRep(self.algebra, len(lifts), acts, self.name + "/sub")
         return out, project, lifts
-
-
-def _sample_pairs(n, count=400):
-    state = 0xA5A5A5A5
-    seen = set()
-    while len(seen) < min(count, n * n):
-        state = (state * 1103515245 + 12345) % (1 << 31)
-        seen.add(((state >> 7) % n, (state >> 17) % n))
-    return sorted(seen)
 
 
 # ---------------------------------------------------------------------------

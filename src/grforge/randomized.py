@@ -15,6 +15,9 @@ from .graded import module_rad_chain
 from .lattices import pure_closure
 from .modules import direct_sum_module, regular_module
 
+# prop52_campaign draws free modules of 1 to this many copies of the regular one
+PROP52_MAX_COPIES = 2
+
 
 def primitivity_campaign(alg, mods, trials: int, seed: int):
     """Random weight vectors across modules; asserts the implication
@@ -60,8 +63,7 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
     return stats
 
 
-def prop52_campaign(alg, datum, trials: int, seed: int,
-                    max_copies: int = 2):
+def prop52_campaign(alg, datum, trials: int, seed: int):
     """Random subalgebra lattices; the three tightness statements must agree.
 
     Draws random pure submodules of free modules over the graded subalgebra
@@ -74,7 +76,7 @@ def prop52_campaign(alg, datum, trials: int, seed: int,
              "tight": 0, "not_tight": 0}
     reg = regular_module(sub)
     while stats["trials"] < trials:
-        copies = rng.randint(1, max_copies)
+        copies = rng.randint(1, PROP52_MAX_COPIES)
         big = direct_sum_module(reg, copies)
         ngens = rng.randint(1, copies + 1)
         gens = []

@@ -572,45 +572,3 @@ def _int_val(n: int, p: int) -> int:
         n //= p
     return v
 
-
-# ---------------------------------------------------------------------------
-# level-tagged scalars (serialization surface)
-# ---------------------------------------------------------------------------
-
-LEVELS = ("K", "O", "k")
-
-
-@dataclass(frozen=True)
-class PModularScalar:
-    """One element of K, O, or k for a fixed RingSpec."""
-
-    ring: RingSpec
-    level: str
-    value: object
-
-    def __post_init__(self):
-        if self.level not in LEVELS:
-            raise ScalarError(f"bad level {self.level!r}")
-        if self.level == "O" and self.ring.valuation(self.value) < 0:
-            raise ScalarError("level-O value has negative valuation")
-        if self.level == "k" and not isinstance(self.value, Fp):
-            raise ScalarError("level-k value must be a prime-field element")
-
-
-def valuation(x: PModularScalar):
-    """v(x) with v(pi) = 1 and v(0) = +inf; rejects level-k input."""
-    if x.level == "k":
-        raise ScalarError("valuation undefined on the residue field")
-    return x.ring.valuation(x.value)
-
-
-def residue(x: PModularScalar) -> PModularScalar:
-    if x.level != "O":
-        raise ScalarError("residue requires a level-O scalar")
-    return PModularScalar(x.ring, "k", x.ring.residue(x.value))
-
-
-def is_unit(x: PModularScalar) -> bool:
-    if x.level != "O":
-        raise ScalarError("is_unit requires a level-O scalar")
-    return x.ring.is_unit(x.value)

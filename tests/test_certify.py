@@ -252,6 +252,19 @@ class TestRecognitionEdgeCases:
         w = certify.recognize_matrix_algebra(a)
         assert w.ok and tuple(sorted(w.block_sizes)) == (1, 2)
 
+    def test_simple_module_in_a_scaled_basis(self):
+        # M2(Z_(3)) with its natural module in the basis (v1, 3 v2): E21
+        # acts with an entry 1/3, so E.w leaves O^2 until w is rescaled
+        ring = RingSpec(RATIONAL, 3)
+        sc = {(2 * i + j, 2 * j + l): {2 * i + l: F(1)}
+              for i in range(2) for j in range(2) for l in range(2)}
+        a = StructureAlgebra(ring, "O", 4, ["E11", "E12", "E21", "E22"],
+                             (F(1), F(0), F(0), F(1)), sc)
+        acts = [[[F(1), F(0)], [F(0), F(0)]], [[F(0), F(3)], [F(0), F(0)]],
+                [[F(0), F(0)], [F(1, 3), F(0)]], [[F(0), F(0)], [F(0), F(1)]]]
+        w = certify.recognize_matrix_algebra(a, [("natural", acts)])
+        assert w.ok and w.block_sizes == (2,)
+
     def test_nilpotent_rejected(self):
         ring = RingSpec(RATIONAL, 3)
         sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}

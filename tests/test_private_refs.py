@@ -6,7 +6,8 @@ references (outside its own def line) is dead code.  No check may rest
 on an `assert`, which `python -O` strips: internal checks raise
 `InternalCheckError`.  And no module but `lattices` asks which kind of span it holds:
 spans come from `StructureAlgebra.span`.  Spans of products come from the
-product helpers, outside the modules that define them.
+product helpers, outside the modules that define them.  And no verdict rests
+on a sample: only the seeded campaigns and fixture generators draw at random.
 """
 
 import ast
@@ -119,3 +120,56 @@ def test_span_of_products_check_sees_a_hand_rolled_product():
     tree = ast.parse("def f(alg, xs, ys):\n"
                      "    return alg.span([alg.mul(x, y) for x in xs for y in ys])\n")
     assert list(_spans_of_products(tree)) == [2]
+
+
+# the seeded randomized campaigns and the fixture generators (perturb)
+RANDOM_MODULES = {"randomized", "fixtures"}
+
+
+def _sampling(tree):
+    """(line, what) for each identifier containing "sampl" and each import
+    of `random`."""
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.keyword) and node.arg:
+            names = [node.arg]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname or ""]
+        for name in names:
+            if "sampl" in name.lower():
+                yield node.lineno, name
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "random" for a in node.names):
+            yield node.lineno, "import random"
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "random":
+            yield node.lineno, "from random import"
+
+
+def test_no_verdict_rests_on_a_sample():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem in RANDOM_MODULES:
+            continue
+        found += [f"{path.name}:{line} {what}"
+                  for line, what in _sampling(ast.parse(path.read_text()))]
+    assert not found, f"sampling outside the campaigns: {found}"
+
+
+def test_sampling_check_sees_a_sampler_and_an_import():
+    tree = ast.parse("import random\n"
+                     "_SAMPLED = 4\n"
+                     "def _sample_pairs(n):\n"
+                     "    return random.sample(range(n), _SAMPLED)\n")
+    assert sorted(_sampling(tree)) == [
+        (1, "import random"), (2, "_SAMPLED"), (3, "_sample_pairs"),
+        (4, "_SAMPLED"), (4, "sample")]

@@ -8,12 +8,8 @@ from grforge.scalars import (
     CYCLOTOMIC,
     RATIONAL,
     Cyc,
-    PModularScalar,
     RingSpec,
     ScalarError,
-    is_unit,
-    residue,
-    valuation,
 )
 
 R3 = RingSpec(RATIONAL, 3)
@@ -92,11 +88,6 @@ class TestValuation:
         for x in samples:
             assert C5.valuation(x) == norm_valuation(C5, x)
 
-    def test_level_k_rejected(self):
-        x = PModularScalar(R3, "k", R3.residue(2))
-        with pytest.raises(ScalarError):
-            valuation(x)
-
 
 class TestResidue:
     def test_zeta_maps_to_one(self):
@@ -121,20 +112,12 @@ class TestResidue:
         r = C5.residue(x)
         assert r != 0
 
-    def test_surface_op(self):
-        s = PModularScalar(C5, "O", zeta(C5))
-        assert residue(s).value == 1
-
 
 class TestIsUnit:
     def test_examples(self):
         assert R3.is_unit(2) is True
         assert C3.is_unit(zeta(C3) - 1) is False
         assert C5.is_unit(zeta(C5) + 1) is True
-
-    def test_surface_op(self):
-        assert is_unit(PModularScalar(R3, "O", Fraction(2))) is True
-        assert is_unit(PModularScalar(C3, "O", zeta(C3) - 1)) is False
 
 
 # -- algebraic properties -----------------------------------------------------
