@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import linalg
-from .lattices import coord_solver, quotient_projection, saturate_rows, span_of
+from .lattices import (
+    coord_solver,
+    quotient_projection,
+    saturate_rows,
+    span_of,
+    stable_span,
+)
 from .scalars import RingSpec
 
 
@@ -169,14 +175,25 @@ class StructureAlgebra:
         """Matrix of left multiplication by b_i on column coordinates."""
         return self._derived(_mult_matrices, "left")[i]
 
-    def right_mult_matrix(self, j):
-        return self._derived(_mult_matrices, "right")[j]
-
     def left_mult_of(self, x):
         """Matrix of left multiplication by the element with coordinates x:
         left_mult_of(x) applied to y is mul(x, y)."""
         return linalg.combine_matrices(x, self._derived(_mult_matrices, "left"),
                                        self.fld.zero)
+
+    def right_mult_of(self, x):
+        """Matrix of right multiplication by the element with coordinates x:
+        right_mult_of(x) applied to y is mul(y, x)."""
+        return linalg.combine_matrices(x, self._derived(_mult_matrices, "right"),
+                                       self.fld.zero)
+
+    def generating_set(self):
+        """Vectors that generate the algebra with the unit: the document's
+        generators when they do, else the basis.  A condition whose
+        solutions form a unital subalgebra (commuting with a fixed x, or the
+        identity of `representation_problems`) holds on the whole algebra
+        once it holds on this set."""
+        return self._derived(_proof_generators)[2]
 
     # -- validation ---------------------------------------------------------------
     def validate(self):
@@ -343,19 +360,12 @@ class StructureAlgebra:
         return saturate_rows(self.ring, space.ambient, space.rows)
 
     def stable_span(self, vectors, maps, ambient=None):
-        """The smallest span (see `span`) that contains the vectors and is
-        mapped into itself by each of the linear maps."""
-        span = self.span(vectors, ambient)
-        while True:
-            new = []
-            for f in maps:
-                for r in span.rows:
-                    w = f(r)
-                    if not span.contains_vector(w):
-                        new.append(w)
-            if not new:
-                return span
-            span = self.span(list(span.rows) + new, span.ambient)
+        """lattices.stable_span at this algebra's level: the smallest span
+        (see `span`) that contains the vectors and is mapped into itself by
+        each of the linear maps."""
+        return stable_span(vectors, maps,
+                           self.rank if ambient is None else ambient,
+                           self.fld, self._span_ring)
 
     def weight_idempotent(self, labels):
         """The sum of the weight idempotents e_nu over the given labels."""

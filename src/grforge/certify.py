@@ -20,7 +20,9 @@ inside a simple module, never by p-adic idempotent lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
@@ -31,7 +33,13 @@ from .lattices import (
     quotient_free_basis,
     saturate_rows,
 )
-from .modules import ModuleRep, hom_equations, regular_module, weight_simples
+from .modules import (
+    ModuleError,
+    ModuleRep,
+    hom_equations,
+    regular_module,
+    weight_simples,
+)
 
 
 class CertifyError(AlgebraError):
@@ -54,8 +62,6 @@ def _poly_roots(fld, coeffs):
     Returns (roots, complete): complete means deg(poly) roots were found with
     multiplicity one each.
     """
-    from fractions import Fraction
-
     deg = len(coeffs) - 1
     roots = []
     if getattr(fld, "char", 0):
@@ -81,7 +87,7 @@ def _poly_roots(fld, coeffs):
         return [], False
     den = 1
     for f in fracs:
-        den = den * f.denominator // __import__("math").gcd(den, f.denominator)
+        den = den * f.denominator // gcd(den, f.denominator)
     ints = [int(f * den) for f in fracs]
     # strip the t^k factor so the rational-root candidates see the real
     # constant term; k > 1 means a multiple root at 0 (not squarefree)
@@ -274,7 +280,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
         d = blk.simple_dim
         # lattice L = E . w inside the simple module, w the image of E_11
         acts = blk.module_acts
-        mod = ModuleRep(ek, len(acts[0]), acts)
+        mod = ModuleRep(e_alg, len(acts[0]), acts)
         w0 = None
         e11 = units[(bi, 0, 0)]
         for i in range(mod.rank):
@@ -298,21 +304,14 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
                 False, f"module lattice has rank {lat.rank}, expected {d}",
                 gram_det_valuation=val)
         # action of E on L in the canonical basis: must be integral
-        coords = []
+        try:
+            on_lat = mod.restrict_to(lat)
+        except ModuleError:
+            return MatrixAlgebraWitness(
+                False, "order does not stabilize its own lattice",
+                gram_det_valuation=val)
         for i in range(e_alg.rank):
-            mats = []
-            for r in lat.rows:
-                img = mod.act(ek.basis_vec(i), list(r))
-                c = lat.coords(img)
-                if c is None:
-                    return MatrixAlgebraWitness(
-                        False, "order does not stabilize its own lattice",
-                        gram_det_valuation=val)
-                mats.append(c)
-            coords.append(linalg.transpose(mats))
-        for i in range(e_alg.rank):
-            flat = [x for row in coords[i] for x in row]
-            iso_rows[i].extend(flat)
+            iso_rows[i].extend(x for row in on_lat.acts[i] for x in row)
     # surjectivity over O: the flattened image lattice must be everything
     # (split_semisimple checked that the block dimensions fill the rank)
     total = e_alg.rank

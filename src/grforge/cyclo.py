@@ -11,6 +11,7 @@ verified exactly after clearing denominators, independently of N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .scalars import CYCLOTOMIC, Cyc, InternalCheckError, RingSpec
 
@@ -361,16 +362,12 @@ def appendix_identity_suite(datum: RootDatum, p: int, order: int = 8):
             c = ring.one()
             for _ in range(r):
                 c = c * (zd - 1)
-            from fractions import Fraction
-
             c = c * Fraction(1, r)
             if ring.valuation(c) < 0:
                 scalar_ok = False
         logk = Series(ring, datum.rank, order)
         term = Series.const(ring, datum.rank, order, 1)
         km1 = k - 1
-        from fractions import Fraction
-
         for r in range(1, order + 1):
             term = term * km1
             if not term.c:
@@ -413,10 +410,9 @@ def comult_check(datum: RootDatum, alpha_index: int, p: int,
     ring = RingSpec(CYCLOTOMIC, p)
     d = datum.d_simple[alpha_index]
     zd = _zeta_pow_scalar(ring, d)
-    two = 2
-    x = Series.gen(ring, two, order, 0)
-    y = Series.gen(ring, two, order, 1)
-    one = Series.const(ring, two, order, 1)
+    x = Series.gen(ring, 2, order, 0)
+    y = Series.gen(ring, 2, order, 1)
+    one = Series.const(ring, 2, order, 1)
     kx = one + x * (zd - 1)
     ky = one + y * (zd - 1)
     # Delta(K) = K (x) K; Delta(H) = (K(x)K - 1)/(zeta^d - 1)

@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
-from . import linalg
+from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra, WeightDatum
-from .lattices import Lattice
+from .lattices import stable_span
 from .scalars import CYCLOTOMIC, RATIONAL, Cyc, InternalCheckError, RingSpec
 
 # basis order for the zigzag fixtures
@@ -430,20 +431,9 @@ def build_qschur(d: int, p: int):
         return out
 
     ident = {(i, i): ring.one() for i in range(nwords)}
-    lat = Lattice.from_rows(ring, nwords * nwords, [flat(ident)])
-    frontier = list(lat.rows)
-    while frontier:
-        new = []
-        for g in gens.values():
-            for row in frontier:
-                prod = sparse_times_flat(g, list(row))
-                if not lat.contains_vector(prod):
-                    new.append(prod)
-        if not new:
-            break
-        add = Lattice.from_rows(ring, nwords * nwords, new)
-        lat = lat.add(add)
-        frontier = list(add.rows)
+    lat = stable_span([flat(ident)],
+                      [partial(sparse_times_flat, g) for g in gens.values()],
+                      nwords * nwords, ring.field_K, ring)
     rank = lat.rank
     expected = _binom(3 + d, 3)
     if rank != expected:
@@ -673,34 +663,15 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
     ring = alg.ring
     ak = alg.base_change("K")
     fld = ak.fld
-    # center: commutes with the three generators
-    rows = []
-    for gname in ("F", "K", "E"):
-        g = list(alg.generators[gname])
-        gi = g.index(ring.one())
-        li = ak.left_mult_matrix(gi)
-        ri = ak.right_mult_matrix(gi)
-        for r in range(alg.rank):
-            rows.append([li[r][c] - ri[r][c] for c in range(alg.rank)])
-    center = linalg.kernel_right(rows, fld)
-    center, _ = linalg.rref(center, fld)
-    simple_acts = {lam: _usl2_simple_acts(alg, p, lam, qint, zpow)
-                   for lam in range(p)}
+    center = radicals.center_rows(ak)
     chars = {}
     for lam in range(p):
-        acts = simple_acts[lam]
-        vec = []
-        for zb in center:
-            m = linalg.combine_matrices(zb, acts, fld.zero)
-            scal = m[0][0]
-            ident_ok = all(
-                m[r][c] == (scal if r == c else fld.zero)
-                for r in range(len(m)) for c in range(len(m)))
-            if not ident_ok:
-                return {"blocked": False,
-                        "reason": f"center acts non-scalar on L({lam})"}
-            vec.append(scal)
-        chars[lam] = tuple(vec)
+        chi = radicals.central_character(
+            center, _usl2_simple_acts(alg, p, lam, qint, zpow), fld)
+        if chi is None:
+            return {"blocked": False,
+                    "reason": f"center acts non-scalar on L({lam})"}
+        chars[lam] = tuple(chi)
     groups = {}
     for lam, v in chars.items():
         groups.setdefault(v, []).append(lam)
@@ -719,14 +690,8 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
         coef = linalg.solve_right(mat, target, fld)
         if coef is None:
             return {"blocked": False, "reason": "character system unsolvable"}
-        e = linalg.combine(coef, center, fld.zero)
-        # Newton-tighten inside the (commutative) center if needed
-        for _ in range(alg.rank.bit_length() + 2):
-            sq = ak.mul(e, e)
-            if sq == e:
-                break
-            cube = ak.mul(sq, e)
-            e = [x * 3 - y * 2 for x, y in zip(sq, cube)]
+        e = radicals._newton_idempotent(
+            ak, linalg.combine(coef, center, fld.zero))
         integral = all(ring.valuation(x) >= 0 for x in e if x)
         all_integral = all_integral and integral
         out_blocks.append({

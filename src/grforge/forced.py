@@ -41,15 +41,13 @@ def n_prime_lattice(mod: ModuleRep, lam):
     w = mod.algebra.weights
     if w is None or lam not in w.Lambda:
         raise ForcedError(f"{lam!r} is not a weight in Lambda")
-    modK = mod.base_change("K") if mod.level == "O" else mod
+    modK = mod.field_module()
     gens = []
     for mu in w.Lambda:
         if w.lt(lam, mu):
             gens.extend(list(r) for r in modK.weight_space_rows(mu))
     span = modK.submodule_generated(gens)
-    if mod.level != "O":
-        return span, span
-    return saturate_rows(mod.algebra.ring, mod.rank, span.rows), span
+    return mod.algebra.pure_span(span), span
 
 
 @dataclass

@@ -38,25 +38,16 @@ def _algebra_radical_chain(alg):
     return [alg.pure_span(s) for s in field_chain]
 
 
-def radical_power_lattice(alg: StructureAlgebra, n: int):
-    """Step n of algebra_rad_chain: the pure ideal A ∩ rad^n(A_K) at level
-    O, rad^n over a field; A itself for n = 0, eventually 0."""
-    chain = algebra_rad_chain(alg)
-    return chain[min(n, len(chain) - 1)]
-
-
 def module_rad_chain(mod: ModuleRep):
     """[r~ad^0 M, r~ad^1 M, ..., 0]: pure Lattices at level O, Subspaces at
-    K and k.  At O the actions run over K (a module's field), so rad^n M_K is
-    computed on M itself and then saturated."""
+    K and k.  At O, rad^n M_K is computed on the field module and then
+    saturated."""
     alg = mod.algebra
+    modf = mod.field_module()
     rad = radicals.radical_field(alg.field_algebra())
-    spaces = [linalg.Subspace.from_rows(
-        mod.fld, mod.rank, [mod.basis_vec(i) for i in range(mod.rank)])]
+    spaces = [modf.span([modf.basis_vec(i) for i in range(mod.rank)])]
     while True:
-        spaces.append(linalg.Subspace.from_rows(
-            mod.fld, mod.rank,
-            [mod.act(list(r), list(v)) for r in rad for v in spaces[-1].rows]))
+        spaces.append(modf.image(rad, spaces[-1].rows))
         if not spaces[-1].rank:
             return [alg.pure_span(s) for s in spaces]
 

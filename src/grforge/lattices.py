@@ -404,6 +404,26 @@ def span_of(rows, ambient: int, fld, ring=None):
     return linalg.Subspace.from_rows(fld, ambient, rows)
 
 
+def stable_span(vectors, maps, ambient: int, fld, ring=None):
+    """The smallest span (see `span_of`) that contains the vectors and is
+    mapped into itself by each of the linear maps.
+
+    Each round applies the maps only to the rows the previous round added.
+    That is exact: the rows the maps have been applied to span the current
+    span, so once the maps send them into it they send all of it.
+    """
+    span = span_of(vectors, ambient, fld, ring)
+    frontier = span.rows
+    while True:
+        new = [w for f in maps for w in map(f, frontier)
+               if not span.contains_vector(w)]
+        if not new:
+            return span
+        added = span_of(new, ambient, fld, ring)
+        span = span.add(added)
+        frontier = added.rows
+
+
 def quotient_projection(span, fld):
     """The free quotient of the ambient module by a Lattice or Subspace.
 

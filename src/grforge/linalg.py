@@ -185,8 +185,8 @@ class Subspace:
 
     The field-level counterpart of lattices.Lattice, with the same protocol
     (`rows`, `rank`, `contains_vector`, `contains_lattice`, `coords`, `add`,
-    `quotient_lifts`, `lifts_over`, ==).  Two subspaces are equal iff their
-    rref rows are equal.
+    `intersection`, `quotient_lifts`, `lifts_over`, ==).  Two subspaces are
+    equal iff their rref rows are equal.
     """
 
     __slots__ = ("fld", "ambient", "rows", "pivots")
@@ -228,6 +228,16 @@ class Subspace:
     def add(self, other) -> "Subspace":
         return Subspace.from_rows(self.fld, self.ambient,
                                   self.rows + list(other.rows))
+
+    def intersection(self, other) -> "Subspace":
+        """{v : v in self and v in other}: the combinations of self's rows
+        that the left kernel of the stacked rows gives."""
+        if not self.rank or not other.rank:
+            return Subspace(self.fld, self.ambient, [], [])
+        ker = kernel_left(self.rows + list(other.rows), self.fld)
+        return Subspace.from_rows(
+            self.fld, self.ambient,
+            [combine(z, self.rows, self.fld.zero) for z in ker])
 
     def quotient_lifts(self):
         """(lifts, torsion): the unit vectors off the pivot columns, which

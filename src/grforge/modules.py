@@ -127,6 +127,11 @@ class ModuleRep:
         acts = [[[red(x) for x in row] for row in m] for m in self.acts]
         return ModuleRep(balg, self.rank, acts, self.name + "_k")
 
+    def field_module(self) -> "ModuleRep":
+        """The module over `algebra.field_algebra()` behind this one: M_K at
+        level O, the module itself at K and k."""
+        return self.base_change("K") if self.level == "O" else self
+
     # -- weight spaces ----------------------------------------------------------------
     def weight_space_rows(self, nu):
         """Basis rows of e_nu M (a pure sublattice at level O)."""

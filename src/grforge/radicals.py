@@ -48,20 +48,9 @@ class NonSplitError(AlgebraError):
 
 def is_ideal(alg, rows) -> bool:
     span = alg.span(rows)
-    for v in span.rows:
-        for i in range(alg.rank):
-            b = alg.basis_vec(i)
-            if not span.contains_vector(alg.mul(b, list(v))):
-                return False
-            if not span.contains_vector(alg.mul(list(v), b)):
-                return False
-    return True
-
-
-def subspace_power(alg, rows, n):
-    """Basis rows of the span of n-fold products (n >= 1) of the given
-    spanning set."""
-    return _subspace_powers(alg, rows, n)[-1].rows
+    basis = [alg.basis_vec(i) for i in range(alg.rank)]
+    return (span.contains_lattice(alg.product_span(basis, span.rows))
+            and span.contains_lattice(alg.product_span(span.rows, basis)))
 
 
 def _subspace_powers(alg, rows, n):
@@ -194,16 +183,32 @@ def _fr_stage(alg, basis_rows, power):
 # ---------------------------------------------------------------------------
 
 def center_rows(alg):
+    """Basis rows (rref) of the center: the x with g x = x g for every g in
+    the algebra's generating set, which makes x central."""
     fld = alg.fld
     stacked = []
-    for i in range(alg.rank):
-        li = alg.left_mult_matrix(i)
-        ri = alg.right_mult_matrix(i)
-        for r in range(alg.rank):
-            stacked.append([li[r][c] - ri[r][c] for c in range(alg.rank)])
-    ker = linalg.kernel_right(stacked, fld)
-    ker, _ = linalg.rref(ker, fld)
-    return ker
+    for g in alg.generating_set():
+        for lrow, rrow in zip(alg.left_mult_of(g), alg.right_mult_of(g)):
+            stacked.append([a - b for a, b in zip(lrow, rrow)])
+    return linalg.rref(linalg.kernel_right(stacked, fld), fld)[0]
+
+
+def central_character(center, acts, fld):
+    """The scalars by which the center rows act on a nonzero module with
+    action matrices `acts`, or None when one of them acts as a non-scalar
+    (or the module is zero)."""
+    dim = len(acts[0]) if acts else 0
+    if not dim:
+        return None
+    chi = []
+    for zb in center:
+        a = linalg.combine_matrices(zb, acts, fld.zero)
+        scal = a[0][0]
+        if a != [[scal if r == c else fld.zero for c in range(dim)]
+                 for r in range(dim)]:
+            return None
+        chi.append(scal)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +243,9 @@ def split_semisimple(alg, modules):
     chars = []
     for label, acts in modules:
         acts = getattr(acts, "acts", acts)  # ModuleRep or raw matrices
-        dim = len(acts[0]) if acts else 0
-        if dim == 0:
-            continue
-        vec = []
-        ok = True
-        for zb in z:
-            a = linalg.combine_matrices(zb, acts, fld.zero)
-            scal = a[0][0]
-            expect = [[scal if r == c else fld.zero for c in range(dim)]
-                      for r in range(dim)]
-            if a != expect:
-                ok = False
-                break
-            vec.append(scal)
-        if not ok:
-            # not simple (or center acting non-scalar): unusable for splitting
+        vec = central_character(z, acts, fld)
+        if vec is None:
+            # zero, or not simple: unusable for splitting
             continue
         if tuple(vec) not in {tuple(c) for (c, _, _) in chars}:
             chars.append((vec, label, acts))
@@ -460,12 +452,10 @@ def wedderburn_complement(alg, modules, contain=None):
     if contain is not None:
         s_rows = _malcev_enlarge(alg, s_rows, contain)
     _verify_complement(alg, s_rows, rad)
-    if contain is not None:
-        span = alg.span(s_rows)
-        for s0 in contain:
-            if not span.contains_vector(list(s0)):
-                raise InternalCheckError(
-                    "complement does not contain the requested subalgebra")
+    if contain is not None and not alg.span(s_rows).contains_lattice(
+            alg.span(contain)):
+        raise InternalCheckError(
+            "complement does not contain the requested subalgebra")
     return s_rows
 
 
@@ -476,11 +466,8 @@ def _verify_complement(alg, s_rows, rad):
     both = alg.span([list(r) for r in s_rows] + [list(r) for r in rad])
     if both.rank != alg.rank:
         raise InternalCheckError("complement meets the radical")
-    for a in span.rows:
-        for b in span.rows:
-            if not span.contains_vector(alg.mul(list(a), list(b))):
-                raise InternalCheckError(
-                    "complement is not closed under multiplication")
+    if not span.contains_lattice(alg.product_span(span.rows, span.rows)):
+        raise InternalCheckError("complement is not closed under multiplication")
     if not span.contains_vector(list(alg.unit)):
         raise InternalCheckError("complement does not contain the unit")
 
@@ -579,46 +566,29 @@ def subalgebra_radical_check(alg, a_rows, b_rows=None):
     if b_rows is None:
         b_rows = [alg.basis_vec(i) for i in range(alg.rank)]
 
-    def sub_and_rad(rows, name):
+    def sub_and_rad(rows):
         sub, basis = alg.subalgebra_on([list(r) for r in rows], labels=None)
-        rad = radical_field(sub)
-        amb = [linalg.combine(c, basis, fld.zero) for c in rad]
-        amb, _ = linalg.rref(amb, fld)
-        return amb
+        return alg.span([linalg.combine(c, basis, fld.zero)
+                         for c in radical_field(sub)])
 
-    ech_b, piv_b = linalg.rref([list(r) for r in b_rows], fld)
-    for r in a_rows:
-        if any(linalg.in_row_space(list(r), ech_b, piv_b)):
-            raise AlgebraError("a is not contained in b")
-    rad_A = radical_field(alg) if alg.rank else []
-    rad_b = sub_and_rad(b_rows, "b")
-    rad_a = sub_and_rad(a_rows, "a")
-
-    def intersect(rows1, rows2):
-        # subspace intersection via the kernel of the stacked matrix
-        r1 = [list(r) for r in rows1]
-        r2 = [list(r) for r in rows2]
-        if not r1 or not r2:
-            return []
-        ker = linalg.kernel_left(r1 + r2, fld)
-        out = [linalg.combine(z, r1, fld.zero) for z in ker]
-        out, _ = linalg.rref(out, fld)
-        return out
-
-    b_cap_radA = intersect(b_rows, rad_A)
-    a_cap_radA = intersect(a_rows, rad_A)
-    a_cap_radb = intersect(a_rows, rad_b)
+    a_span, b_span = alg.span(a_rows), alg.span(b_rows)
+    if not b_span.contains_lattice(a_span):
+        raise AlgebraError("a is not contained in b")
+    rad_A = alg.span(radical_field(alg) if alg.rank else [])
+    rad_b = sub_and_rad(b_rows)
+    rad_a = sub_and_rad(a_rows)
+    b_cap_radA = b_span.intersection(rad_A)
+    a_cap_radA = a_span.intersection(rad_A)
+    a_cap_radb = a_span.intersection(rad_b)
     report = {
-        "dim_rad_A": len(rad_A),
-        "dim_rad_b": len(rad_b),
-        "dim_rad_a": len(rad_a),
-        "dim_b_cap_rad_A": len(b_cap_radA),
-        "dim_a_cap_rad_A": len(a_cap_radA),
-        "dim_a_cap_rad_b": len(a_cap_radb),
-        "b_identity": [list(r) for r in b_cap_radA] == [list(r) for r in rad_b],
-        "a_identity": (
-            [list(r) for r in a_cap_radA] == [list(r) for r in rad_a]
-            and [list(r) for r in a_cap_radb] == [list(r) for r in rad_a]),
+        "dim_rad_A": rad_A.rank,
+        "dim_rad_b": rad_b.rank,
+        "dim_rad_a": rad_a.rank,
+        "dim_b_cap_rad_A": b_cap_radA.rank,
+        "dim_a_cap_rad_A": a_cap_radA.rank,
+        "dim_a_cap_rad_b": a_cap_radb.rank,
+        "b_identity": b_cap_radA == rad_b,
+        "a_identity": a_cap_radA == rad_a and a_cap_radb == rad_a,
     }
     report["ok"] = report["b_identity"] and report["a_identity"]
     return report

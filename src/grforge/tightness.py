@@ -249,14 +249,12 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                 piece.setdefault(g, []).append(dk.basis_vec(i))
             # multiplicativity of the action grading
             for (ga, rows_a) in sub_grade_rows.items():
-                for c in rows_a:
-                    amb = linalg.combine(c, sub_rows, alg.fld.zero)
-                    for (gm, rows_m) in piece.items():
-                        for v in rows_m:
-                            img = dk.act(amb, list(v))
-                            target = dk.span(piece.get(ga + gm, []))
-                            if not target.contains_vector(img):
-                                ok3 = False
+                ambs = [linalg.combine(c, sub_rows, alg.fld.zero)
+                        for c in rows_a]
+                for (gm, rows_m) in piece.items():
+                    target = dk.span(piece.get(ga + gm, []))
+                    if not target.contains_lattice(dk.image(ambs, rows_m)):
+                        ok3 = False
             # generation by degree 0
             zero = dk.span(piece.get(0, []))
             gen = ak.stable_span(zero, [partial(dk.act, c) for c in sub_rows],
@@ -264,22 +262,17 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
             if gen.rank != dk.rank:
                 ok3 = False
             # (4) degree-0 part stable under the Wedderburn complement
-            if wedd is not None:
-                for s in wedd:
-                    for v in zero.rows:
-                        if not zero.contains_vector(dk.act(list(s), list(v))):
-                            ok4 = False
+            if wedd is not None and not zero.contains_lattice(
+                    dk.image(wedd, zero.rows)):
+                ok4 = False
         out["c3_delta_generated_in_degree_0"] = ok3
         out["c4_degree0_stability"] = ok4 if wedd is not None else None
     # (4) continued: A_K0 contains a_K0 and all idempotents
     if wedd is not None:
-        wspan = ak.span(wedd)
-        contains = all(
-            wspan.contains_vector(linalg.combine(c, sub_rows, alg.fld.zero))
-            for c in sub_grade_rows.get(0, []))
-        contains = contains and all(
-            wspan.contains_vector(list(w.idempotents[nu])) for nu in w.X)
-        out["c4_complement_contains"] = contains
+        out["c4_complement_contains"] = ak.span(wedd).contains_lattice(ak.span(
+            [linalg.combine(c, sub_rows, alg.fld.zero)
+             for c in sub_grade_rows.get(0, [])]
+            + [list(w.idempotents[nu]) for nu in w.X]))
     else:
         out["c4_complement_contains"] = None
     # (5) K a_r = a_K,r (by construction of the datum) plus the Prop 5.2(a)
@@ -544,11 +537,7 @@ def _h2_stability(alg, datum, lam, dagger, p0_rows):
         return False
     ker = linalg.kernel_right([list(r) for r in h], deltaK.fld)
     span = daggerK.span([list(r) for r in ker] + [list(r) for r in p0_rows])
-    for s in wedd:
-        for r in span.rows:
-            if not span.contains_vector(daggerK.act(list(s), list(r))):
-                return False
-    return True
+    return span.contains_lattice(daggerK.image(wedd, span.rows))
 
 
 def _wedderburn_rows(alg, datum):

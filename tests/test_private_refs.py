@@ -6,8 +6,9 @@ references (outside its own def line) is dead code.  No check may rest
 on an `assert`, which `python -O` strips: internal checks raise
 `InternalCheckError`.  And no module but `lattices` asks which kind of span it holds:
 spans come from `StructureAlgebra.span`.  Spans of products come from the
-product helpers, outside the modules that define them.  And no verdict rests
-on a sample: only the seeded campaigns and fixture generators draw at random.
+product helpers, outside the modules that define them, and "S is stable
+under X" is one containment of such a span in S.  And no verdict rests on a
+sample: only the seeded campaigns and fixture generators draw at random.
 """
 
 import ast
@@ -120,6 +121,38 @@ def test_span_of_products_check_sees_a_hand_rolled_product():
     tree = ast.parse("def f(alg, xs, ys):\n"
                      "    return alg.span([alg.mul(x, y) for x in xs for y in ys])\n")
     assert list(_spans_of_products(tree)) == [2]
+
+
+def _vector_tests_of_products(tree):
+    """Line numbers of `.contains_vector(...)` calls with a `.mul(...)` or
+    `.act(...)` call inside their argument."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "contains_vector"
+                and any(_is_product(n) for arg in node.args
+                        for n in ast.walk(arg))):
+            yield node.lineno
+
+
+def test_stability_is_one_containment():
+    """S is stable under X when S.contains_lattice(product_span(...)) or
+    S.contains_lattice(mod.image(X, S.rows)), not through a loop that tests
+    each product with contains_vector."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        found += [f"{path.name}:{line}" for line
+                  in _vector_tests_of_products(ast.parse(path.read_text()))]
+    assert not found, f"stability tested product by product: {found}"
+
+
+def test_stability_check_sees_a_hand_rolled_loop():
+    tree = ast.parse("def f(alg, mod, span, xs):\n"
+                     "    for v in span.rows:\n"
+                     "        if not span.contains_vector(alg.mul(v, v)):\n"
+                     "            return False\n"
+                     "    return all(span.contains_vector(list(mod.act(x, v)))\n"
+                     "               for x in xs for v in span.rows)\n")
+    assert list(_vector_tests_of_products(tree)) == [3, 5]
 
 
 # the seeded randomized campaigns and the fixture generators (perturb)
