@@ -10,10 +10,12 @@ verified exactly after clearing denominators, independently of N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import CYCLOTOMIC, Cyc, InternalCheckError, RingSpec
+from .scalars import (CYCLOTOMIC, Cyc, InternalCheckError, RingSpec,
+                      _fold_phi, _reduced)
 
 
 class CycloError(ValueError):
@@ -165,26 +167,19 @@ class Series:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Cyc)) or not isinstance(other, Series):
-            v = other if isinstance(other, Cyc) else self.ring.of(other)
-            return self._like({e: c * v for e, c in self.c.items()})
-        out = {}
-        for e1, v1 in self.c.items():
-            d1 = sum(e1)
-            for e2, v2 in other.c.items():
-                if d1 + sum(e2) >= self.order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, self.ring.zero()) + v1 * v2
-        return self._like(out)
+        if isinstance(other, Series):
+            return self._like(_packed_product(self, other))
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the numerators and the denominator
+            if not other:
+                return self._like({})
+            p, num, den = self.ring.p, other.numerator, other.denominator
+            return self._like({e: _reduced(p, [a * num for a in v.n], v.d * den)
+                               for e, v in self.c.items()})
+        v = other if isinstance(other, Cyc) else self.ring.of(other)
+        return self._like({e: c * v for e, c in self.c.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = Series.const(self.ring, self.nvars, self.order, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -219,6 +214,119 @@ class Series:
 
     def __repr__(self):
         return f"Series({len(self.c)} terms, order {self.order})"
+
+
+def _packed_product(a: Series, b: Series) -> dict:
+    """The coefficients of a * b truncated at a's order, by Kronecker
+    substitution: one big-int multiply per term pair.
+
+    Each operand is brought over one common denominator and each numerator
+    vector n is packed into the int sum n_i 2^(w i).  A product of two packed
+    ints is the packed convolution of the vectors, and the packed sum over
+    the term pairs of one output monomial holds that monomial's convolution,
+    unpacked, folded mod phi_p and normalized once.  Its 2p-3 entries are
+    each a sum of at most m = p-1 products per pair, over at most
+    min(#terms a, #terms b) pairs, so |entry| <= m max|a| max|b| min(...),
+    which balanced slots of width w = bound.bit_length() + 1 hold exactly.
+    """
+    order, p = a.order, a.ring.p
+    m = p - 1
+    ta, den_a = _common_terms(a.c, order)
+    tb, den_b = _common_terms(b.c, order)
+    if not ta or not tb:
+        return {}
+    amax = max(max(map(abs, n)) for _, _, n in ta)
+    bmax = max(max(map(abs, n)) for _, _, n in tb)
+    w = _slot_width(m, amax, bmax, min(len(ta), len(tb)))
+    # by degree, so each row of the loop stops at the first b term too high
+    packed_b = sorted((deg, key, _pack(n, w)) for deg, key, n in tb)
+    acc = {}
+    for deg, ka, n in ta:
+        va = _pack(n, w)
+        room = order - deg
+        for deg_b, kb, vb in packed_b:
+            if deg_b >= room:
+                break
+            k = ka + kb
+            acc[k] = acc.get(k, 0) + va * vb
+    unpack = _unpacker(w, 2 * m - 1)
+    den = den_a * den_b
+    out = {}
+    for k, v in acc.items():
+        if v:
+            n = _fold_phi(unpack(v), p)
+            if any(n):
+                out[_exponents(k, order, a.nvars)] = _reduced(p, n, den)
+    return out
+
+
+def _common_terms(coeffs: dict, order: int):
+    """The terms of degree < order as (degree, key, numerators) over their
+    common denominator, and that denominator.
+
+    The key of an exponent vector is its value in radix ``order``: the
+    exponents of a kept pair sum to less than the order, so their keys add
+    without carries.
+    """
+    kept = [(sum(e), e, v) for e, v in coeffs.items() if sum(e) < order]
+    # a list, not a generator: spread into the call, a generator made the
+    # peak RSS grow with every pass of the appendix jobs on CPython 3.11
+    den = math.lcm(*[v.d for _, _, v in kept])
+    terms = []
+    for deg, e, v in kept:
+        key = 0
+        for x in reversed(e):
+            key = key * order + x
+        s = den // v.d
+        terms.append((deg, key, v.n if s == 1 else [x * s for x in v.n]))
+    return terms, den
+
+
+def _exponents(key: int, order: int, nvars: int) -> tuple:
+    """The exponent vector of a radix-``order`` key."""
+    e = []
+    for _ in range(nvars):
+        key, x = divmod(key, order)
+        e.append(x)
+    return tuple(e)
+
+
+def _slot_width(m: int, amax: int, bmax: int, pairs: int) -> int:
+    """Bits per slot that hold every convolution entry of a packed product:
+    a sum over ``pairs`` term pairs of at most m products, balanced."""
+    return (m * amax * bmax * pairs).bit_length() + 1
+
+
+def _pack(n, w: int) -> int:
+    """sum n_i 2^(w i), in Horner form so negative n_i need no special case."""
+    v = 0
+    for x in reversed(n):
+        v = (v << w) + x
+    return v
+
+
+def _unpacker(w: int, count: int):
+    """Unpacks ``count`` balanced slots of width w, in [-2^(w-1), 2^(w-1)).
+
+    Adding 2^(w-1) to every slot makes the slots the plain bit fields of a
+    nonnegative int below 2^(w count).  Outside that range a carry is left
+    over: a slot overflowed, so the width bound did not hold.  An overflow
+    whose carry lands in a lower slot leaves none; the bound rules it out.
+    """
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    offset = _pack([half] * count, w)
+    top = w * count
+    shifts = range(0, top, w)
+
+    def unpack(v: int) -> list:
+        u = v + offset
+        if u < 0 or u >> top:
+            raise InternalCheckError(
+                f"packed product overflows {count} slots of {w} bits")
+        return [((u >> s) & mask) - half for s in shifts]
+
+    return unpack
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,13 @@ def _mul_int(a, b, p: int) -> list:
         if ai:
             for j, bj in enumerate(b, i):
                 conv[j] += ai * bj
-    # fold exponents >= p-1: zeta^p = 1, zeta^(p-1) = -(1+...+zeta^(p-2))
+    return _fold_phi(conv, p)
+
+
+def _fold_phi(conv, p: int) -> list:
+    """A length-(2p-3) coefficient list of powers of zeta, reduced mod phi_p
+    to the power basis: zeta^p = 1, zeta^(p-1) = -(1+...+zeta^(p-2))."""
+    m = p - 1
     out = conv[:m]
     top = conv[m]
     if top:

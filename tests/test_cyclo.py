@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grforge import cyclo
-from grforge.scalars import CYCLOTOMIC, Cyc, RingSpec
+from grforge.scalars import CYCLOTOMIC, Cyc, InternalCheckError, RingSpec
 
 
 class TestUnitIdentity:
@@ -148,3 +149,98 @@ class TestSeriesArithmetic:
         h = cyclo.Series.gen(ring, 1, 5, 0)
         with pytest.raises(ZeroDivisionError):
             h.inverse()
+
+
+# ---------------------------------------------------------------------------
+# the packed series product against the schoolbook one
+# ---------------------------------------------------------------------------
+
+def schoolbook_product(a, b):
+    """out[e1 + e2] += v1 v2 with plain Cyc operations, degree >= N dropped."""
+    out = {}
+    for e1, v1 in a.c.items():
+        for e2, v2 in b.c.items():
+            if sum(e1) + sum(e2) < a.order:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, a.ring.zero()) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def exact(coeffs):
+    return {e: (v.n, v.d) for e, v in coeffs.items()}
+
+
+BIG = 10 ** 30
+
+
+@st.composite
+def series_case(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 8))
+    ring = RingSpec(CYCLOTOMIC, p)
+    dens = [1, 2, 3, p, p * p]
+
+    def cyc():
+        den = draw(st.sampled_from(dens))
+        return Cyc(p, [Fraction(draw(st.integers(-BIG, BIG)), den)
+                       for _ in range(p - 1)])
+
+    def series():
+        # exponents up to the order, so some terms lie above the truncation
+        exps = draw(st.lists(st.tuples(*[st.integers(0, order)] * nvars),
+                             max_size=6, unique=True))
+        return cyclo.Series(ring, nvars, order, {e: cyc() for e in exps})
+
+    a, b = series(), series()
+    if draw(st.booleans()):
+        # (s + t)(s - t): the cross terms s t cancel monomial by monomial
+        a, b = a + b, a - b
+    scalar = draw(st.sampled_from(["int", "fraction", "cyc"]))
+    if scalar == "int":
+        x = draw(st.integers(-BIG, BIG) | st.just(0))
+    elif scalar == "fraction":
+        x = Fraction(draw(st.integers(-BIG, BIG)), draw(st.sampled_from(dens)))
+    else:
+        x = cyc()
+    return a, b, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_case())
+def test_packed_products_match_the_schoolbook_product(case):
+    a, b, x = case
+    assert exact((a * b).c) == exact(schoolbook_product(a, b))
+    scaled = {e: v * x for e, v in a.c.items() if v * x}
+    assert exact((a * x).c) == exact(scaled)
+    assert exact((x * a).c) == exact(scaled)
+
+
+def worst_case(p, big_a, big_b, pairs):
+    """Two one-variable series whose product at H^(pairs-1) sums ``pairs``
+    term pairs of all-equal numerators: its middle convolution entry is
+    (p-1) big_a big_b pairs, the width bound itself."""
+    ring = RingSpec(CYCLOTOMIC, p)
+    order = 2 * pairs
+
+    def series(v):
+        return cyclo.Series(ring, 1, order,
+                            {(i,): Cyc(p, [v] * (p - 1)) for i in range(pairs)})
+
+    return series(big_a), series(big_b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_products_at_the_width_bound_are_exact(p):
+    a, b = worst_case(p, BIG, BIG - 1, 4)
+    assert exact((a * b).c) == exact(schoolbook_product(a, b))
+
+
+def test_one_bit_narrower_slots_overflow(monkeypatch):
+    # p = 3, A B t = 3 * 7 * 3 = 2^6 - 1: the slots of H^2 hold (63, 126, 63)
+    # and the carry out of 126 pushes the top slot out of 7 balanced bits
+    bound = cyclo._slot_width
+    monkeypatch.setattr(cyclo, "_slot_width", lambda *args: bound(*args) - 1)
+    a, b = worst_case(3, 3, 7, 3)
+    with pytest.raises(InternalCheckError):
+        a * b

@@ -67,6 +67,27 @@ class TestDocuments:
         with pytest.raises(files.DocumentError):
             files.doc_to_algebra(doc)
 
+    @pytest.mark.parametrize("value", [
+        "3", "-3", "3/4", "-0/7", 0, -12, [], [1, "2/3"], ["-5", 0],
+        "1.5", " 3", "3/", "/3", "3/-4", "", True, None, 1.0, 1.5, {},
+        [True], [1.5], [[1]], [None], [1, "2/3 "],
+    ])
+    def test_scalar_schema_accepts_what_the_oneof_accepted(self, value):
+        # the three branches are type-disjoint, so "exactly one" is "any"
+        pattern = "^-?[0-9]+(/[0-9]+)?$"
+        one_of = {"oneOf": [
+            {"type": "string", "pattern": pattern},
+            {"type": "integer"},
+            {"type": "array", "items": {"oneOf": [
+                {"type": "string", "pattern": pattern},
+                {"type": "integer"}]}}]}
+        schema = json.loads(resources.files("grforge.schemas")
+                            .joinpath("algebra.json").read_text())
+        typed = schema["definitions"]["scalar"]
+        assert "oneOf" not in json.dumps(typed)
+        valid = jsonschema.Draft7Validator(one_of).is_valid(value)
+        assert jsonschema.Draft7Validator(typed).is_valid(value) == valid
+
     def test_cyclotomic_roundtrip(self, qschur23):
         doc = files.algebra_to_doc(qschur23)
         loaded = files.doc_to_algebra(doc)
