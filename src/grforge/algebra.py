@@ -172,20 +172,19 @@ class StructureAlgebra:
         return out
 
     def left_mult_matrix(self, i):
-        """Matrix of left multiplication by b_i on column coordinates."""
-        return self._derived(_mult_matrices, "left")[i]
+        """Sparse columns (see linalg) of left multiplication by b_i."""
+        return self._derived(_mult_columns, "left")[i]
 
     def left_mult_of(self, x):
-        """Matrix of left multiplication by the element with coordinates x:
-        left_mult_of(x) applied to y is mul(x, y)."""
-        return linalg.combine_matrices(x, self._derived(_mult_matrices, "left"),
-                                       self.fld.zero)
+        """Sparse columns of left multiplication by the element with
+        coordinates x: applied to y it gives mul(x, y)."""
+        return linalg.combine_columns(x, self._derived(_mult_columns, "left"))
 
     def right_mult_of(self, x):
-        """Matrix of right multiplication by the element with coordinates x:
-        right_mult_of(x) applied to y is mul(y, x)."""
-        return linalg.combine_matrices(x, self._derived(_mult_matrices, "right"),
-                                       self.fld.zero)
+        """Sparse columns of right multiplication by the element with
+        coordinates x: applied to y it gives mul(y, x)."""
+        return linalg.combine_columns(x,
+                                      self._derived(_mult_columns, "right"))
 
     def generating_set(self):
         """Vectors that generate the algebra with the unit: the document's
@@ -200,8 +199,9 @@ class StructureAlgebra:
         """Check the algebra axioms; raises ValidationError listing failures.
 
         Associativity is proved exactly by `representation_problems` on the
-        left multiplication matrices.  Returns a dict report that names the
-        generating set the proof went through: "generators" or "basis".
+        sparse columns of the left multiplication matrices.  Returns a dict
+        report that names the generating set the proof went through:
+        "generators" or "basis".
         """
         n = self.rank
         # the proof spans the unit, the generators and their products: at
@@ -227,7 +227,7 @@ class StructureAlgebra:
             if self.mul(bj, list(self.unit)) != bj:
                 problems.append(f"unit fails on the right at basis {j}")
         problems += self.representation_problems(
-            self._derived(_mult_matrices, "left"), "associativity")
+            self._derived(_mult_columns, "left"), "associativity")
         if self.weights is not None:
             problems += self._check_weights()
         if problems:
@@ -236,9 +236,9 @@ class StructureAlgebra:
 
     def representation_problems(self, acts, what):
         """Where rho(g) rho(b_j) = rho(g b_j) fails, for the linear map rho
-        with rho(b_i) = acts[i], g in the proof generating set and b_j in the
-        basis; each failure names g and b_j after `what`.  At most 9 are
-        listed.
+        with rho(b_i) = acts[i] (sparse columns, see linalg), g in the proof
+        generating set and b_j in the basis; each failure names g and b_j
+        after `what`.  At most 9 are listed.
 
         The w with rho(w) rho(x) = rho(w x) for all x form a subalgebra, which
         is unital when rho(1) is the identity (the caller checks that).  So
@@ -247,17 +247,17 @@ class StructureAlgebra:
         argument needs no associativity; for a module's action matrices it is
         the module axiom, and the argument uses the associativity proved by
         `validate`.  The generating set is the document's generators when they
-        generate the algebra with the unit, else the basis.
+        generate the algebra with the unit, else the basis.  Both sides are
+        built on the columns, which are canonical, so they compare as lists.
         """
         _, names, gens = self._derived(_proof_generators)
-        fld = self.fld
         problems = []
         for name, g in zip(names, gens):
-            rg = linalg.combine_matrices(g, acts, fld.zero)
+            rg = linalg.combine_columns(g, acts)
             for j in range(self.rank):
-                lhs = linalg.mat_mul(rg, acts[j], fld)
-                rhs = linalg.combine_matrices(
-                    self.mul(g, self.basis_vec(j)), acts, fld.zero)
+                lhs = linalg.compose(rg, acts[j])
+                rhs = linalg.combine_columns(self.mul(g, self.basis_vec(j)),
+                                             acts)
                 if lhs != rhs:
                     problems.append(f"{what} fails through generator {name!r} "
                                     f"at basis {self.labels[j]}")
@@ -440,11 +440,12 @@ class StructureAlgebra:
 
 def _sc_by_left(alg):
     """For each i, [(j, items of sc[(i, j)])] over the nonzero rows, j
-    increasing: the products b_i b_j that `mul` may need."""
+    increasing and the items sorted: the products b_i b_j that `mul` may
+    need, each a sparse column (see linalg)."""
     by_left = [[] for _ in range(alg.rank)]
     for (i, j), row in sorted(alg.sc.items()):
         if row:
-            by_left[i].append((j, tuple(row.items())))
+            by_left[i].append((j, tuple(sorted(row.items()))))
     return by_left
 
 
@@ -461,17 +462,18 @@ def _proof_generators(alg):
     return "basis", alg.labels, [alg.basis_vec(i) for i in range(alg.rank)]
 
 
-def _mult_matrices(alg, side):
-    """The left (side "left") or right multiplication matrices of all b_i."""
-    z = alg.fld.zero
+def _mult_columns(alg, side):
+    """Sparse columns (see linalg) of left (side "left") or right
+    multiplication by each b_i, read off `_sc_by_left`: column j of L_i and
+    column i of R_j are both the product b_i b_j."""
     n = alg.rank
-    mats = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), row in alg.sc.items():
-        for t, v in row.items():
+    mats = [[()] * n for _ in range(n)]
+    for i, row in enumerate(alg._derived(_sc_by_left)):
+        for j, items in row:
             if side == "left":
-                mats[i][t][j] = v
+                mats[i][j] = items
             else:
-                mats[j][t][i] = v
+                mats[j][i] = items
     return mats
 
 

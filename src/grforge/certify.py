@@ -190,16 +190,14 @@ def generic_simples(alg):
 def _corner_minpoly(alg, e, x):
     """Minimal polynomial of x inside the corner algebra eAe (unit e)."""
     fld = alg.fld
-    flats = []
+    powers = []
     cur = list(e)
     while True:
-        if flats:
-            sol = linalg.solve_right(linalg.transpose(flats), cur, fld)
-        else:
-            sol = None
+        # the powers so far are independent, so the coordinates are unique
+        sol = alg.coord_solver(powers)(cur) if powers else None
         if sol is not None:
             return [-c for c in sol] + [fld.one]
-        flats.append(list(cur))
+        powers.append(list(cur))
         cur = alg.mul(cur, x)
 
 
@@ -246,18 +244,9 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     # the reduced discriminant of (+) M_n(O) is a unit, and an order with unit
     # reduced discriminant is maximal
     fldK = ek.fld
-    acts_per_block = [blk.module_acts for blk in blocks]
-    n_e = e_alg.rank
-    gram = [[fldK.zero] * n_e for _ in range(n_e)]
-    for i in range(n_e):
-        for j in range(i, n_e):
-            s = fldK.zero
-            for acts in acts_per_block:
-                prod = linalg.mat_mul(acts[i], acts[j], fldK)
-                for t in range(len(prod)):
-                    s = s + prod[t][t]
-            gram[i][j] = s
-            gram[j][i] = s
+    grams = [linalg.trace_form(blk.module_acts, fldK) for blk in blocks]
+    gram = [[sum((g[i][j] for g in grams), fldK.zero) for j in range(e_alg.rank)]
+            for i in range(e_alg.rank)]
     det = linalg.det(gram, fldK)
     if not det:
         return MatrixAlgebraWitness(False, "reduced trace form degenerate",
@@ -311,7 +300,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
                 False, "order does not stabilize its own lattice",
                 gram_det_valuation=val)
         for i in range(e_alg.rank):
-            iso_rows[i].extend(x for row in on_lat.acts[i] for x in row)
+            iso_rows[i].extend(linalg.flatten(on_lat.acts[i], fldK.zero))
     # surjectivity over O: the flattened image lattice must be everything
     # (split_semisimple checked that the block dimensions fill the rank)
     total = e_alg.rank
@@ -321,7 +310,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
             False, "isomorphism is not surjective over O (non-maximal order)",
             gram_det_valuation=val)
     # matrix units inside E: preimages of the elementary matrices
-    inv = linalg.invert(linalg.transpose(iso_rows), ek.fld)
+    inv = linalg.coords_matrix(iso_rows, ek.fld)
     off = 0
     for bi, d in enumerate(sizes):
         for i in range(d):
@@ -469,7 +458,7 @@ def _endo_direct_check(alg, J, expected_sizes):
     fld = alg.fld
     mod = regular_module(alg).restrict_to(J)
     n = mod.rank
-    ker = linalg.kernel_right(hom_equations(mod, mod), fld)
+    ker = linalg.kernel_right(hom_equations(mod, mod), fld, n * n)
     if len(ker) != sum(s * s for s in expected_sizes):
         return False
     # endomorphisms restricted to the lattice: saturate and build the algebra
@@ -477,16 +466,16 @@ def _endo_direct_check(alg, J, expected_sizes):
     basis = [list(r) for r in sat.rows]
     m = len(basis)
     sc = {}
-    matb = [[[b[r * n + c] for c in range(n)] for r in range(n)] for b in basis]
+    # each basis endomorphism h (h[r][c] at r * n + c) by its sparse columns
+    matb = [[linalg.column(b[c::n]) for c in range(n)] for b in basis]
     ident = linalg.identity(fld, n)
     unit_c = sat.coords([ident[r][c] for r in range(n) for c in range(n)])
     if unit_c is None:
         return False
     for i in range(m):
         for j in range(m):
-            prod = linalg.mat_mul(matb[i], matb[j], fld)
-            flat = [prod[r][c] for r in range(n) for c in range(n)]
-            c0 = sat.coords(flat)
+            prod = linalg.compose(matb[i], matb[j])
+            c0 = sat.coords(linalg.flatten(prod, fld.zero))
             if c0 is None:
                 return False
             row = {t: v for t, v in enumerate(c0) if v}
@@ -495,7 +484,7 @@ def _endo_direct_check(alg, J, expected_sizes):
     endo = StructureAlgebra(alg.ring, "O", m, None, unit_c, sc)
     # simple endo-modules sit inside J itself: End . v for module vectors v
     endo_k = endo.base_change("K")
-    jmod = ModuleRep(endo_k, n, [matb[s] for s in range(m)])
+    jmod = ModuleRep(endo_k, n, matb)
     cands = []
     for i in range(n):
         sub = jmod.submodule_generated([jmod.basis_vec(i)])

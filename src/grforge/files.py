@@ -16,9 +16,9 @@ from importlib import resources
 
 import jsonschema
 
-from . import __version__
+from . import __version__, linalg
 from .algebra import StructureAlgebra, WeightDatum
-from .modules import ModuleRep
+from .modules import ModuleError, ModuleRep
 from .scalars import RingSpec
 
 SCHEMA_VERSION = "grforge/v1"
@@ -132,9 +132,10 @@ def doc_to_algebra(doc) -> StructureAlgebra:
 
 def module_to_doc(mod: ModuleRep, algebra_doc: dict, name: str = "") -> dict:
     ring = mod.algebra.ring
-    action = []
-    for m in mod.acts:
-        action.append([[ring.format_scalar(x) for x in row] for row in m])
+    zero = mod.fld.zero
+    action = [[[ring.format_scalar(x) for x in row]
+               for row in linalg.dense_rows(m, mod.rank, zero)]
+              for m in mod.acts]
     return {
         "schema": f"{SCHEMA_VERSION}/module",
         "algebra_hash": content_hash(algebra_doc),
@@ -150,10 +151,14 @@ def doc_to_module(doc, alg: StructureAlgebra) -> ModuleRep:
         raise DocumentError(
             "module references a different algebra (content hash mismatch)")
     parse = alg.ring.parse_scalar
+    n = doc["rank"]
     acts = []
     for m in doc["action"]:
-        acts.append([[parse(x) for x in row] for row in m])
-    mod = ModuleRep(alg, doc["rank"], acts, doc.get("name", "module"))
+        # the dense rows are checked here: their columns cannot show a short row
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ModuleError(f"action matrices must be {n} x {n}")
+        acts.append(linalg.columns([[parse(x) for x in row] for row in m]))
+    mod = ModuleRep(alg, n, acts, doc.get("name", "module"))
     mod.validate()
     return mod
 

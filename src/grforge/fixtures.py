@@ -613,7 +613,9 @@ def build_usl2(p: int):
 
 
 def _usl2_simple_acts(alg, p, lam, qint, zpow):
-    """Action matrices of the simple of highest weight lam on all monomials."""
+    """Action matrices (sparse columns, see linalg) of the simple of highest
+    weight lam on all monomials: each monomial sends m_col to a multiple of
+    one m_i."""
     ring = alg.ring
     dim = lam + 1
 
@@ -626,7 +628,7 @@ def _usl2_simple_acts(alg, p, lam, qint, zpow):
     acts = []
     for t in range(alg.rank):
         a, b, c = [m for m, j in alg.monomial_index.items() if j == t][0]
-        mat = [[ring.zero() for _ in range(dim)] for _ in range(dim)]
+        cols = []
         for col in range(dim):
             # apply E^c, then K^b, then F^a to m_col
             i = col
@@ -638,18 +640,16 @@ def _usl2_simple_acts(alg, p, lam, qint, zpow):
                     break
                 coef = coef * gen_e(i)
                 i -= 1
-            if not ok or not coef:
-                continue
-            coef = coef * zpow(b * (lam - 2 * i))
-            for _ in range(a):
-                if i + 1 >= dim:
-                    ok = False
-                    break
-                coef = coef * gen_f(i)
-                i += 1
             if ok and coef:
-                mat[i][col] = mat[i][col] + coef
-        acts.append(mat)
+                coef = coef * zpow(b * (lam - 2 * i))
+                for _ in range(a):
+                    if i + 1 >= dim:
+                        ok = False
+                        break
+                    coef = coef * gen_f(i)
+                    i += 1
+            cols.append(((i, coef),) if ok and coef else ())
+        acts.append(cols)
     return acts
 
 

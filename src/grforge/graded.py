@@ -69,21 +69,24 @@ def _adapted_basis(chain, fld, size):
         grades += [m] * len(free)
     if len(lifts) != size:
         raise GradingError("adapted basis has wrong size")
-    inv0 = linalg.invert(linalg.transpose(lifts), fld)
+    inv0 = linalg.coords_matrix(lifts, fld)
     if inv0 is None:
         raise GradingError("adapted basis is not a basis")
     return lifts, grades, inv0
 
 
-def _leading(coords, grades, target, zero, what="product"):
-    """The grade-`target` part of an adapted expansion; a nonzero entry of
-    lower grade means the filtration is not multiplicative."""
+def _leading(coords, grades, target, what="product"):
+    """The (index, entry) pairs of the nonzero grade-`target` part of an
+    adapted expansion; a nonzero entry of lower grade means the filtration
+    is not multiplicative."""
     out = []
-    for v, g in zip(coords, grades):
-        if v and g < target:
-            raise GradingError(
-                f"{what} fell below its expected grade (filtration bug)")
-        out.append(v if v and g == target else zero)
+    for t, (v, g) in enumerate(zip(coords, grades)):
+        if v:
+            if g < target:
+                raise GradingError(
+                    f"{what} fell below its expected grade (filtration bug)")
+            if g == target:
+                out.append((t, v))
     return out
 
 
@@ -164,14 +167,14 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
             if not any(z):
                 continue
             c = linalg.mat_vec(inv0, z, fld)
-            row = _leading(c, grades, grades[i] + grades[j], fld.zero)
-            row = {t: v for t, v in enumerate(row) if v}
+            row = dict(_leading(c, grades, grades[i] + grades[j]))
             if row:
                 sc[(i, j)] = row
 
     def grade_zero(x):
-        return tuple(_leading(linalg.mat_vec(inv0, list(x), fld), grades, 0,
-                              fld.zero))
+        return tuple(linalg.dense(
+            _leading(linalg.mat_vec(inv0, list(x), fld), grades, 0), n,
+            fld.zero))
 
     weights = None
     if alg.weights is not None:
@@ -200,11 +203,12 @@ def gr_module(gralg: GradedAlgebra, mod: ModuleRep) -> GradedModule:
     fld = mod.fld
     chain = module_rad_chain(mod)
     lifts, grades, inv0 = _adapted_basis(chain, fld, mod.rank)
+    lift_cols = [linalg.column(lift) for lift in lifts]
     acts = []
     for g, u in zip(gralg.grades, gralg.lifts):
-        cols = [_leading(linalg.mat_vec(inv0, mod.act(list(u), lift), fld),
-                         grades, g + gs, fld.zero, "module action")
-                for gs, lift in zip(grades, lifts)]
-        acts.append(linalg.transpose(cols))
+        images = linalg.compose(mod.act_matrix(list(u)), lift_cols)
+        acts.append([tuple(_leading(
+            linalg.mat_vec(inv0, linalg.dense(img, mod.rank, fld.zero), fld),
+            grades, g + gs, "module action")) for gs, img in zip(grades, images)])
     gmod = ModuleRep(gralg.algebra, mod.rank, acts, f"gr({mod.name})")
     return GradedModule(gralg, mod, gmod, grades, lifts, chain, inv0)

@@ -433,14 +433,14 @@ def quotient_projection(span, fld):
     project(v) gives the coordinates of the image of v in that basis.
     """
     lifts, torsion = span.quotient_lifts()
-    stack = [list(r) for r in span.rows] + lifts
-    inv_t = linalg.invert(linalg.transpose(stack), fld)
-    if inv_t is None:
+    inv = linalg.coords_matrix([list(r) for r in span.rows] + lifts, fld)
+    if inv is None:
         raise LatticeError("span basis plus lifts do not span")
-    ns = span.rank
+    # only the coordinates on the lifts are kept
+    quotient_rows = inv[span.rank:]
 
     def project(v):
-        return linalg.mat_vec(inv_t, list(v), fld)[ns:]
+        return linalg.mat_vec(quotient_rows, list(v), fld)
 
     return lifts, torsion, project
 
@@ -454,7 +454,7 @@ def coord_solver(rows, fld, ring=None):
     """
     rows = [list(r) for r in rows]
     reduce = span_of(rows, len(rows[0]) if rows else 0, fld, ring).coords
-    inv_t = linalg.transpose(linalg.invert([reduce(r) for r in rows], fld))
+    inv_t = linalg.coords_matrix([reduce(r) for r in rows], fld)
 
     def coords(v):
         c = reduce(list(v))

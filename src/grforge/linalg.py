@@ -1,11 +1,20 @@
-"""Exact linear algebra over a field (Q, Q(zeta), or F_p): dense matrices at
-the boundary, sparse rows inside.
+"""Exact linear algebra over a field (Q, Q(zeta), or F_p): sparse columns for
+linear actions, sparse rows inside elimination, dense lists for vectors.
 
-Matrices are lists of row lists; entries are Fraction, Cyc, or Fp values.
-Everything is plain Gaussian elimination with exact arithmetic; no pivot
-growth control is needed at desk scale.  The systems built from structure
-constants are mostly zeros, so `rref` and `mat_vec` touch only nonzero
-entries, and `charpoly` over F_p runs on plain ints mod p.
+Entries are Fraction, Cyc, or Fp values.  Everything is plain Gaussian
+elimination with exact arithmetic; no pivot growth control is needed at desk
+scale.
+
+A linear action (a module's action matrices, an algebra's multiplication
+matrices) is stored once, by sparse columns (Gustavson, ACM TOMS 1978):
+`cols[k]` is a tuple of the (row, entry) pairs of the nonzero entries of
+column k, rows increasing, so equal matrices have equal columns.  The
+kernels on that form (`apply`, `combine_columns`, `compose`, `trace_form`,
+`row_entries`) visit only nonzero entries.  Other matrices (inverses,
+homomorphism witnesses) are lists of row lists; `columns` and `dense_rows`
+convert at the document boundary.  `rref` reduces `{column: entry}` rows,
+`mat_vec` visits only the nonzero entries of its vector, and `charpoly` over
+F_p runs on plain ints mod p.
 """
 
 from __future__ import annotations
@@ -22,26 +31,9 @@ def identity(field, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b, field):
-    n, m = len(a), len(b[0]) if b else 0
-    inner = len(b)
-    z = field.zero
-    out = [[z] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(m):
-                    if bk[j]:
-                        oi[j] = oi[j] + x * bk[j]
-    return out
-
-
 def mat_vec(a, v, field):
-    """The column a v; only the nonzero entries of v are visited."""
+    """The column a v for a matrix of row lists; only the nonzero entries of
+    v are visited."""
     z = field.zero
     nonzero = [(j, y) for j, y in enumerate(v) if y]
     out = []
@@ -67,31 +59,142 @@ def combine(coeffs, rows, zero):
     return v
 
 
-def combine_matrices(coeffs, mats, zero):
-    """The matrix sum_i coeffs[i] * mats[i] of equal-shape matrices; zero
-    coefficients and entries are skipped.  The shape is that of mats[0]
-    (0 x 0 for no matrices)."""
-    nrows = len(mats[0]) if mats else 0
-    ncols = len(mats[0][0]) if nrows else 0
-    out = [[zero] * ncols for _ in range(nrows)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for row, orow in zip(m, out):
-                for col, x in enumerate(row):
-                    if x:
-                        orow[col] = orow[col] + c * x
-    return out
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def rref(rows, field):
+# ---------------------------------------------------------------------------
+# linear actions by sparse columns
+# ---------------------------------------------------------------------------
+
+def column(v):
+    """The sparse column (the (row, entry) pairs of the nonzero entries) of
+    a dense vector."""
+    return tuple((t, x) for t, x in enumerate(v) if x)
+
+
+def _column_of(acc):
+    """The sparse column of a {row: entry} accumulator; entries that
+    cancelled are dropped."""
+    return tuple(sorted((t, x) for t, x in acc.items() if x))
+
+
+def columns(m):
+    """The sparse columns of a matrix given as row lists."""
+    return [column(c) for c in zip(*m)]
+
+
+def dense(col, n, zero):
+    """The dense vector of length n with the entries of a sparse column."""
+    v = [zero] * n
+    for t, x in col:
+        v[t] = x
+    return v
+
+
+def dense_rows(cols, nrows, zero):
+    """The row lists of a matrix with `nrows` rows given by sparse columns."""
+    out = [[zero] * len(cols) for _ in range(nrows)]
+    for k, col in enumerate(cols):
+        for t, x in col:
+            out[t][k] = x
+    return out
+
+
+def flatten(cols, zero):
+    """The entries of a square matrix given by sparse columns, row by row:
+    entry (r, c) at index r * n + c."""
+    n = len(cols)
+    out = [zero] * (n * n)
+    for c, col in enumerate(cols):
+        for r, x in col:
+            out[r * n + c] = x
+    return out
+
+
+def apply(cols, v, field):
+    """The vector A v for a square matrix A given by sparse columns: the
+    combination of the columns that the nonzero entries of v name."""
+    out = [field.zero] * len(cols)
+    for k, y in enumerate(v):
+        if y:
+            for t, x in cols[k]:
+                out[t] = out[t] + x * y
+    return out
+
+
+def combine_columns(coeffs, mats):
+    """Sparse columns of sum_i coeffs[i] * mats[i] for equal-size square
+    matrices given by sparse columns; zero coefficients are skipped.  The
+    size is that of mats[0] (0 for no matrices)."""
+    acc = [{} for _ in (mats[0] if mats else ())]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for d, col in zip(acc, m):
+                for t, x in col:
+                    y = d.get(t)
+                    d[t] = c * x if y is None else y + c * x
+    return [_column_of(d) for d in acc]
+
+
+def compose(a, b):
+    """Sparse columns of the product a b of matrices given by sparse
+    columns: column k is the combination of the columns of a that column k
+    of b names.  No dense matrix is formed."""
+    out = []
+    for col in b:
+        d = {}
+        for s, y in col:
+            for t, x in a[s]:
+                z = d.get(t)
+                d[t] = x * y if z is None else z + x * y
+        out.append(_column_of(d))
+    return out
+
+
+def row_entries(cols, nrows):
+    """The rows of a matrix given by sparse columns, each a list of
+    (column, entry) pairs: the sparse transpose."""
+    rows = [[] for _ in range(nrows)]
+    for k, col in enumerate(cols):
+        for t, x in col:
+            rows[t].append((k, x))
+    return rows
+
+
+def trace_form(mats, field):
+    """The Gram matrix [tr(M_i M_j)] of square matrices given by sparse
+    columns.  tr(A B) is the sum of A[t][s] B[s][t] over the nonzero entries
+    of the sparser factor, so no product is formed."""
+    entries = [{(t, s): x for s, col in enumerate(m) for t, x in col}
+               for m in mats]
+    n = len(mats)
+    g = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            small, big = entries[i], entries[j]
+            if len(big) < len(small):
+                small, big = big, small
+            s = field.zero
+            for (t, u), x in small.items():
+                y = big.get((u, t))
+                if y is not None:
+                    s = s + x * y
+            g[i][j] = g[j][i] = s
+    return g
+
+
+# ---------------------------------------------------------------------------
+# elimination
+# ---------------------------------------------------------------------------
+
+def rref(rows, field, ncols=None):
     """Reduced row echelon form.  Returns (echelon_rows, pivot_columns).
 
-    Zero rows are dropped; the result spans the same row space.  Rows may be
-    any iterable of equal-length sequences.
+    Zero rows are dropped; the result spans the same row space.  Rows are
+    equal-length sequences, or, when `ncols` is given, {column: entry} dicts
+    of nonzero entries in a space of `ncols` columns.  The echelon rows are
+    dense.
 
     Each row is reduced as a {column: nonzero entry} dict against the pivot
     rows found so far, which are kept fully reduced: a pivot row is zero in
@@ -102,11 +205,16 @@ def rref(rows, field):
     an entry left of its pivot, so sorting by pivot gives the reduced row
     echelon form, which is unique.
     """
-    ncols = 0
+    sparse = ncols is not None
+    if not sparse:
+        ncols = 0
     piv = {}
     for r in rows:
-        ncols = len(r)
-        s = {j: x for j, x in enumerate(r) if x}
+        if sparse:
+            s = dict(r)
+        else:
+            ncols = len(r)
+            s = {j: x for j, x in enumerate(r) if x}
         for c in s.keys() & piv.keys():
             _sub_multiple(s, s.pop(c), piv[c])
         if not s:
@@ -148,8 +256,8 @@ def _sub_multiple(s, c, q):
                 del s[j]
 
 
-def rank(rows, field):
-    return len(rref(rows, field)[0])
+def rank(rows, field, ncols=None):
+    return len(rref(rows, field, ncols)[0])
 
 
 def in_row_space(v, ech, pivots):
@@ -263,11 +371,17 @@ class Subspace:
         return lifts, []
 
 
-def solve_right(a, b, field):
-    """One solution x of a x = b (column vector), or None."""
-    n, m = len(a), len(a[0])
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    ech, pivots = rref(aug, field)
+def solve_right(a, b, field, ncols=None):
+    """One solution x of a x = b (column vector), or None.  The rows of a
+    are dense, or {column: entry} dicts with `ncols` columns (see rref)."""
+    if ncols is None:
+        m = len(a[0])
+        aug = [list(row) + [y] for row, y in zip(a, b)]
+        ech, pivots = rref(aug, field)
+    else:
+        m = ncols
+        aug = [{**row, m: y} if y else row for row, y in zip(a, b)]
+        ech, pivots = rref(aug, field, m + 1)
     x = [field.zero] * m
     for row, col in zip(ech, pivots):
         if col == m:
@@ -276,10 +390,11 @@ def solve_right(a, b, field):
     return x
 
 
-def kernel_right(a, field):
-    """Basis of the right kernel {x : a x = 0}."""
-    m = len(a[0]) if a else 0
-    ech, pivots = rref(a, field)
+def kernel_right(a, field, ncols=None):
+    """Basis of the right kernel {x : a x = 0}.  The rows of a are dense, or
+    {column: entry} dicts with `ncols` columns (see rref)."""
+    m = ncols if ncols is not None else len(a[0]) if a else 0
+    ech, pivots = rref(a, field, ncols)
     pivset = set(pivots)
     free = [j for j in range(m) if j not in pivset]
     basis = []
@@ -305,6 +420,13 @@ def invert(a, field):
     if len(ech) < n or pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in ech[:n]]
+
+
+def coords_matrix(basis, field):
+    """The matrix C with C v the coordinates of v in `basis` (n vectors of
+    length n), or None when they are not a basis: the inverse of the matrix
+    whose columns are the basis vectors."""
+    return invert(transpose(basis), field)
 
 
 def det(a, field):

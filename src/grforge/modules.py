@@ -1,10 +1,12 @@
 """Module lattices and field-level modules over a structure-constant algebra.
 
-A ModuleRep of rank m stores one m x m action matrix per algebra basis
-element, acting on column coordinates; module elements are coordinate rows in
-O^m (level O) or F^m (levels K, k).  Submodules are spans in the module's own
-coordinates (see `StructureAlgebra.span`): Lattices in O^m at level O (the
-module lattice itself is O^m), linalg.Subspaces of F^m at field level.
+A ModuleRep of rank m stores the action of each algebra basis element b_i by
+sparse columns (see linalg): acts[i][k] holds the (row, entry) pairs of
+b_i . e_k, so the matrices act on column coordinates.  Module elements are
+coordinate rows in O^m (level O) or F^m (levels K, k).  Submodules are spans
+in the module's own coordinates (see `StructureAlgebra.span`): Lattices in
+O^m at level O (the module lattice itself is O^m), linalg.Subspaces of F^m at
+field level.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .lattices import (
     quotient_free_basis,
     quotient_projection,
 )
+from .scalars import InternalCheckError
 
 
 class ModuleError(AlgebraError):
@@ -30,7 +33,7 @@ class ModuleRep:
     def __init__(self, algebra: StructureAlgebra, rank: int, acts, name=""):
         self.algebra = algebra
         self.rank = rank
-        self.acts = acts  # list over algebra basis of rank x rank matrices
+        self.acts = acts  # per algebra basis element, its action's sparse columns
         self.name = name
 
     @property
@@ -46,23 +49,26 @@ class ModuleRep:
 
     # -- actions ----------------------------------------------------------------
     def act_basis(self, i, v):
-        return linalg.mat_vec(self.acts[i], list(v), self.fld)
+        return linalg.apply(self.acts[i], v, self.fld)
 
     def act(self, x, v):
         """Action of the algebra element with coordinates x."""
-        fld = self.fld
-        out = [fld.zero] * self.rank
+        out = [self.fld.zero] * self.rank
+        vs = [(k, y) for k, y in enumerate(v) if y]
         for i, c in enumerate(x):
             if c:
-                av = self.act_basis(i, v)
-                for t in range(self.rank):
-                    if av[t]:
-                        out[t] = out[t] + c * av[t]
+                cols = self.acts[i]
+                for k, y in vs:
+                    col = cols[k]
+                    if col:
+                        cy = c * y
+                        for t, a in col:
+                            out[t] = out[t] + cy * a
         return out
 
     def act_matrix(self, x):
-        """Action matrix of the algebra element with coordinates x."""
-        return linalg.combine_matrices(x, self.acts, self.fld.zero)
+        """Sparse columns of the action of the element with coordinates x."""
+        return linalg.combine_columns(x, self.acts)
 
     def zero_vec(self):
         return [self.fld.zero] * self.rank
@@ -83,10 +89,13 @@ class ModuleRep:
     def image(self, xs, vectors=None):
         """The span (see `span`) of x v over x in xs and v in `vectors`; by
         default v runs over the basis, which gives the span of the x M."""
-        if vectors is None:
-            vectors = [self.basis_vec(i) for i in range(self.rank)]
+        fld = self.fld
         mats = [self.act_matrix(x) for x in xs]
-        return self.span([linalg.mat_vec(m, v, self.fld)
+        if vectors is None:
+            # x e_k is column k of x's matrix
+            return self.span([linalg.dense(col, self.rank, fld.zero)
+                              for m in mats for col in m])
+        return self.span([linalg.apply(m, v, fld)
                           for m in mats for v in vectors])
 
     # -- validation ----------------------------------------------------------------
@@ -95,22 +104,19 @@ class ModuleRep:
         module axiom through `StructureAlgebra.representation_problems`;
         raises ModuleError at the first failure."""
         alg = self.algebra
-        fld = self.fld
+        n = self.rank
         if len(self.acts) != alg.rank:
             raise ModuleError("need one action matrix per algebra basis element")
-        if any(len(m) != self.rank or any(len(row) != self.rank for row in m)
+        if any(len(m) != n or any(not 0 <= t < n for col in m for t, _ in col)
                for m in self.acts):
-            raise ModuleError(f"action matrices must be {self.rank} x {self.rank}")
-        uid = self.act_matrix(list(alg.unit))
-        ident = linalg.identity(fld, self.rank)
-        if uid != ident:
+            raise ModuleError(f"action matrices must be {n} x {n}")
+        one = self.fld.one
+        if self.act_matrix(list(alg.unit)) != [((k, one),) for k in range(n)]:
             raise ModuleError("unit does not act as identity")
         if alg.level == "O":
-            for m in self.acts:
-                for row in m:
-                    for x in row:
-                        if x and alg.ring.valuation(x) < 0:
-                            raise ModuleError("action entry outside O")
+            val = alg.ring.valuation
+            if any(val(x) < 0 for m in self.acts for col in m for _, x in col):
+                raise ModuleError("action entry outside O")
         problems = alg.representation_problems(self.acts, "the module axiom")
         if problems:
             raise ModuleError("; ".join(problems))
@@ -124,7 +130,8 @@ class ModuleRep:
         if level == "K":
             return ModuleRep(balg, self.rank, self.acts, self.name + "_K")
         red = self.algebra.ring.residue
-        acts = [[[red(x) for x in row] for row in m] for m in self.acts]
+        acts = [[tuple((t, y) for t, y in ((t, red(x)) for t, x in col) if y)
+                 for col in m] for m in self.acts]
         return ModuleRep(balg, self.rank, acts, self.name + "_k")
 
     def field_module(self) -> "ModuleRep":
@@ -154,16 +161,17 @@ class ModuleRep:
             return ModuleRep(self.algebra, 0,
                              [[] for _ in range(self.algebra.rank)], self.name + "|0")
         coords = self.algebra.coord_solver(rows)
+        zero = self.fld.zero
+        basis = [linalg.column(r) for r in rows]
         acts = []
-        for i in range(self.algebra.rank):
-            cols = []
-            for r in rows:
-                img = self.act_basis(i, list(r))
-                c = coords(img)
+        for cols in self.acts:
+            images = []
+            for img in linalg.compose(cols, basis):
+                c = coords(linalg.dense(img, self.rank, zero))
                 if c is None:
                     raise ModuleError("span is not action-stable")
-                cols.append(c)
-            acts.append(linalg.transpose(cols))
+                images.append(linalg.column(c))
+            acts.append(images)
         return ModuleRep(self.algebra, len(rows), acts, self.name + "|sub")
 
     def quotient_by(self, sub):
@@ -175,10 +183,11 @@ class ModuleRep:
         lifts, torsion, project = quotient_projection(self.span(sub), self.fld)
         if torsion:
             raise ModuleError("quotient has torsion; sublattice not pure")
-        acts = []
-        for i in range(self.algebra.rank):
-            cols = [project(self.act_basis(i, lift)) for lift in lifts]
-            acts.append(linalg.transpose(cols))
+        zero = self.fld.zero
+        basis = [linalg.column(lift) for lift in lifts]
+        acts = [[linalg.column(project(linalg.dense(img, self.rank, zero)))
+                 for img in linalg.compose(cols, basis)]
+                for cols in self.acts]
         out = ModuleRep(self.algebra, len(lifts), acts, self.name + "/sub")
         return out, project, lifts
 
@@ -335,7 +344,8 @@ def head_module(mod: ModuleRep, rad_rows):
 def _endo_dim_is_one(mod: ModuleRep):
     if mod.rank == 0:
         return False
-    return len(linalg.kernel_right(hom_equations(mod, mod), mod.fld)) == 1
+    return len(linalg.kernel_right(hom_equations(mod, mod), mod.fld,
+                                   mod.rank ** 2)) == 1
 
 
 def head_info(mod: ModuleRep, rad_rows, simples):
@@ -427,8 +437,9 @@ def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
         guard += 1
         head, _, sub = head_module(cur, rad_rows)
         for (lbl, z, d) in blocks:
-            zmat = head.act_matrix(list(z))
-            tr_rank = linalg.rank(zmat, head.fld)
+            # the rank of z on the head: the rank of its columns
+            zcols = [dict(col) for col in head.act_matrix(list(z))]
+            tr_rank = linalg.rank(zcols, head.fld, head.rank)
             if tr_rank % d:
                 raise ModuleError(
                     f"block {lbl!r} acts on a head with rank {tr_rank}, "
@@ -447,28 +458,32 @@ def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
 
 def hom_equations(src: ModuleRep, dst: ModuleRep):
     """Linear equations h . a_src - a_dst . h = 0 for every algebra basis
-    element, one row per (basis element, r, c).
+    element, one {column: entry} row of nonzero entries per (basis element,
+    r, c) whose equation is not 0 = 0.
 
     The unknown h is a dst.rank x src.rank matrix on column coordinates,
-    flattened row-major: h[r][c] at index r * src.rank + c.  The kernel of
-    the rows is Hom_A(src, dst).
+    flattened row-major: h[r][c] at index r * src.rank + c, so the rows have
+    src.rank * dst.rank columns.  The kernel of the rows is Hom_A(src, dst).
     """
-    fld = src.fld
-    ns, nd = src.rank, dst.rank
+    ns = src.rank
     rows = []
     for a_s, a_d in zip(src.acts, dst.acts):
-        for r in range(nd):
-            for c in range(ns):
-                row = [fld.zero] * (nd * ns)
+        for r, d_row in enumerate(linalg.row_entries(a_d, dst.rank)):
+            for c, s_col in enumerate(a_s):
                 # (h . a_s)[r][c] = sum_t h[r][t] a_s[t][c]
-                for t in range(ns):
-                    if a_s[t][c]:
-                        row[r * ns + t] = row[r * ns + t] + a_s[t][c]
+                row = {r * ns + t: x for t, x in s_col}
                 # (a_d . h)[r][c] = sum_t a_d[r][t] h[t][c]
-                for t in range(nd):
-                    if a_d[r][t]:
-                        row[t * ns + c] = row[t * ns + c] - a_d[r][t]
-                rows.append(row)
+                for t, x in d_row:
+                    k = t * ns + c
+                    y = row.get(k)
+                    if y is None:
+                        row[k] = -x
+                    elif y == x:  # the two terms cancel
+                        del row[k]
+                    else:
+                        row[k] = y - x
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -477,28 +492,28 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
 
     `gens` must generate src, so the hom (h, as a dst.rank x src.rank matrix
     on column coordinates) is unique if it exists; returns None when no such
-    homomorphism exists.  Equivariance is re-verified exactly.
+    homomorphism exists.  Equivariance is re-verified exactly: a solution
+    that fails it is a fault of the solver, not a verdict, and raises
+    InternalCheckError.
     """
     fld = src.fld
     ns, nd = src.rank, dst.rank
     rows = hom_equations(src, dst)
     rhs = [fld.zero] * len(rows)
     for g, img in zip(gens, images):
+        g = linalg.column(g)
         for r in range(nd):
-            row = [fld.zero] * (nd * ns)
-            for c in range(ns):
-                if g[c]:
-                    row[r * ns + c] = g[c]
-            rows.append(row)
+            rows.append({r * ns + c: x for c, x in g})
             rhs.append(img[r])
-    sol = linalg.solve_right(rows, rhs, fld)
+    sol = linalg.solve_right(rows, rhs, fld, ns * nd)
     if sol is None:
         return None
-    h = [[sol[r * ns + c] for c in range(ns)] for r in range(nd)]
+    # column c of h is sol[c], sol[ns + c], ...
+    h_cols = [linalg.column(sol[c::ns]) for c in range(ns)]
     for a_s, a_d in zip(src.acts, dst.acts):
-        if linalg.mat_mul(h, a_s, fld) != linalg.mat_mul(a_d, h, fld):
-            raise ModuleError("hom solve returned a non-equivariant map")
-    return h
+        if linalg.compose(h_cols, a_s) != linalg.compose(a_d, h_cols):
+            raise InternalCheckError("hom solve returned a non-equivariant map")
+    return [sol[r * ns:(r + 1) * ns] for r in range(nd)]
 
 
 def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
@@ -541,20 +556,11 @@ def standard_iso(mod: ModuleRep, lam):
 
 
 def direct_sum_module(mod: ModuleRep, copies: int) -> ModuleRep:
-    fld = mod.fld
-    m = mod.rank * copies
-    acts = []
-    for i in range(mod.algebra.rank):
-        a = mod.acts[i]
-        big = [[fld.zero] * m for _ in range(m)]
-        for c in range(copies):
-            off = c * mod.rank
-            for r in range(mod.rank):
-                for s in range(mod.rank):
-                    if a[r][s]:
-                        big[off + r][off + s] = a[r][s]
-        acts.append(big)
-    return ModuleRep(mod.algebra, m, acts, f"{mod.name}^{copies}")
+    n = mod.rank
+    acts = [[tuple((j * n + t, x) for t, x in col)
+             for j in range(copies) for col in m]
+            for m in mod.acts]
+    return ModuleRep(mod.algebra, n * copies, acts, f"{mod.name}^{copies}")
 
 
 class FiltrationStage:

@@ -73,32 +73,10 @@ def _subspace_powers(alg, rows, n):
 # ---------------------------------------------------------------------------
 
 def trace_gram(alg):
-    n = alg.rank
-    fld = alg.fld
-    mats = [alg.left_mult_matrix(i) for i in range(n)]
-    sparse = []
-    for m in mats:
-        entries = {}
-        for r in range(n):
-            row = m[r]
-            for c in range(n):
-                if row[c]:
-                    entries[(r, c)] = row[c]
-        sparse.append(entries)
-    g = [[fld.zero] * n for _ in range(n)]
-    for i in range(n):
-        si = sparse[i]
-        for j in range(i, n):
-            sj = sparse[j]
-            small, big = (si, sj) if len(si) <= len(sj) else (sj, si)
-            s = fld.zero
-            for (r, c), v in small.items():
-                w = big.get((c, r))
-                if w:
-                    s = s + v * w
-            g[i][j] = s
-            g[j][i] = s
-    return g
+    """The trace form tr(L_i L_j) on the basis, from the sparse columns of
+    the left multiplication matrices."""
+    return linalg.trace_form([alg.left_mult_matrix(i) for i in range(alg.rank)],
+                             alg.fld)
 
 
 def radical_field(alg: StructureAlgebra):
@@ -149,21 +127,20 @@ def _fr_form(alg, basis_rows, power):
     and L_y L_x have one charpoly, so one triangle is computed."""
     p = alg.fld.p
     n = alg.rank
-    # each L_x as rows of (column, value) over its nonzero entries
-    mats = [[[(j, x.v) for j, x in enumerate(r) if x]
-             for r in alg.left_mult_of(list(v))] for v in basis_rows]
+    # each L_x by its sparse columns, on ints
+    mats = [[[(t, x.v) for t, x in col] for col in alg.left_mult_of(list(v))]
+            for v in basis_rows]
     d = len(mats)
     form = [[None] * d for _ in range(d)]
     for s in range(d):
+        left = mats[s]
         for t in range(s, d):
-            right = mats[t]
-            prod = []
-            for row in mats[s]:
-                out = [0] * n
-                for k, x in row:
-                    for j, y in right[k]:
-                        out[j] += x * y
-                prod.append([c % p for c in out])
+            prod = [[0] * n for _ in range(n)]
+            for k, col in enumerate(mats[t]):
+                for j, y in col:
+                    for r, x in left[j]:
+                        prod[r][k] += x * y
+            prod = [[c % p for c in row] for row in prod]
             c = linalg.charpoly_mod_p(prod, p)[power]
             form[s][t] = form[t][s] = alg.fld.of(c)
     return form
@@ -188,24 +165,24 @@ def center_rows(alg):
     fld = alg.fld
     stacked = []
     for g in alg.generating_set():
-        for lrow, rrow in zip(alg.left_mult_of(g), alg.right_mult_of(g)):
-            stacked.append([a - b for a, b in zip(lrow, rrow)])
-    return linalg.rref(linalg.kernel_right(stacked, fld), fld)[0]
+        commutator = linalg.combine_columns(
+            [fld.one, -fld.one], [alg.left_mult_of(g), alg.right_mult_of(g)])
+        stacked += [dict(r) for r in linalg.row_entries(commutator, alg.rank)]
+    return linalg.rref(linalg.kernel_right(stacked, fld, alg.rank), fld)[0]
 
 
 def central_character(center, acts, fld):
     """The scalars by which the center rows act on a nonzero module with
-    action matrices `acts`, or None when one of them acts as a non-scalar
-    (or the module is zero)."""
+    action matrices `acts` (sparse columns), or None when one of them acts
+    as a non-scalar (or the module is zero)."""
     dim = len(acts[0]) if acts else 0
     if not dim:
         return None
     chi = []
     for zb in center:
-        a = linalg.combine_matrices(zb, acts, fld.zero)
-        scal = a[0][0]
-        if a != [[scal if r == c else fld.zero for c in range(dim)]
-                 for r in range(dim)]:
+        a = linalg.combine_columns(zb, acts)
+        scal = dict(a[0]).get(0, fld.zero)
+        if a != [((k, scal),) if a[0] else () for k in range(dim)]:
             return None
         chi.append(scal)
     return chi
@@ -222,7 +199,7 @@ class Block:
         self.label = label
         self.central_idempotent = central_idempotent  # algebra coordinates
         self.simple_dim = simple_dim
-        self.module_acts = module_acts  # action matrices of the simple module
+        self.module_acts = module_acts  # the simple module's sparse columns
         self.matrix_units = None        # dict (i, j) -> algebra coordinates
 
     def __repr__(self):
@@ -232,8 +209,8 @@ class Block:
 def split_semisimple(alg, modules):
     """Split a semisimple field algebra into matrix blocks.
 
-    `modules` is a list of (label, acts) with acts the action matrices of a
-    module that is expected to be simple; they must jointly separate (cover)
+    `modules` is a list of (label, acts) with acts the action matrices
+    (sparse columns) of a module that is expected to be simple; they must jointly separate (cover)
     all blocks.  The first module of each central character names its block.
     Returns a list of Block with verified central idempotents and matrix units.
     """
@@ -298,21 +275,17 @@ def _block_matrix_units(alg, block: Block):
     if len(sub) != d * d:
         raise NonSplitError(
             f"block {block.label!r} has dimension {len(sub)}, not {d * d}")
-    # action matrices of the block basis, flattened; solve for each E_ij
-    flat = []
-    for v in sub:
-        a = linalg.combine_matrices(v, block.module_acts, fld.zero)
-        flat.append([x for row in a for x in row])
-    flat_t = linalg.transpose(flat)
-    units = {}
-    for i in range(d):
-        for j in range(d):
-            target = [fld.zero] * (d * d)
-            target[i * d + j] = fld.one
-            sol = linalg.solve_right(flat_t, target, fld)
-            if sol is None:
-                raise NonSplitError("module action is not surjective on the block")
-            units[(i, j)] = linalg.combine(sol, sub, fld.zero)
+    # action matrices of the block basis, flattened; the unit E_ij is the
+    # combination of the basis with coordinates column i * d + j of the
+    # inverse
+    flat = [linalg.flatten(linalg.combine_columns(v, block.module_acts),
+                           fld.zero) for v in sub]
+    inv = linalg.coords_matrix(flat, fld)
+    if inv is None:
+        raise NonSplitError("module action is not surjective on the block")
+    units = {(i, j): linalg.combine([row[i * d + j] for row in inv], sub,
+                                    fld.zero)
+             for i in range(d) for j in range(d)}
     if not matrix_units_hold(
             alg, {(0, i, j): u for (i, j), u in units.items()}, e):
         raise NonSplitError("matrix unit relations fail")
@@ -480,8 +453,7 @@ def quotient_modules(alg, lifts, modules):
     out = []
     for label, acts in modules:
         acts = getattr(acts, "acts", acts)
-        qacts = [linalg.combine_matrices(lift, acts, alg.fld.zero)
-                 for lift in lifts]
+        qacts = [linalg.combine_columns(lift, acts) for lift in lifts]
         out.append((label, qacts))
     return out
 
@@ -502,7 +474,7 @@ def _malcev_enlarge(alg, s_rows, contain):
     for _ in range(max_rounds):
         s_ech = alg.span(s_rows).rows
         full = [list(r) for r in s_ech] + [list(r) for r in rad]
-        inv_t = linalg.invert(linalg.transpose(full), fld)
+        inv_t = linalg.coords_matrix(full, fld)
         if inv_t is None:
             raise InternalCheckError("complement plus radical is not a basis")
 

@@ -109,7 +109,7 @@ def test_quotient_by_nonpure_ideal_rejected(z5):
 # the private builder behind each memoized derived object
 MEMO_BUILDERS = [
     (algebra, "_base_change"),
-    (algebra, "_mult_matrices"),
+    (algebra, "_mult_columns"),
     (algebra, "_sc_by_left"),
     (radicals, "_radical_proof"),
     (graded, "_algebra_radical_chain"),

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from grforge import certify
+from grforge import certify, linalg
 from grforge.algebra import StructureAlgebra
 from grforge.fixtures import inflate, perturb
 from grforge.scalars import RATIONAL, RingSpec
@@ -262,7 +262,8 @@ class TestRecognitionEdgeCases:
                              (F(1), F(0), F(0), F(1)), sc)
         acts = [[[F(1), F(0)], [F(0), F(0)]], [[F(0), F(3)], [F(0), F(0)]],
                 [[F(0), F(0)], [F(1, 3), F(0)]], [[F(0), F(0)], [F(0), F(1)]]]
-        w = certify.recognize_matrix_algebra(a, [("natural", acts)])
+        w = certify.recognize_matrix_algebra(
+            a, [("natural", [linalg.columns(m) for m in acts])])
         assert w.ok and w.block_sizes == (2,)
 
     def test_nilpotent_rejected(self):

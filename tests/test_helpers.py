@@ -3,7 +3,7 @@ linalg.combine, linalg.Subspace (with lifts_over), Lattice.lifts_over,
 lattices.coord_solver, modules.hom_equations, the isomorphism checks
 modules.iso_with_generator_images and modules.standard_iso, and the
 products of spans StructureAlgebra.product_span and corner and
-ModuleRep.image, with the action matrices behind them."""
+ModuleRep.image, with the sparse action columns behind them."""
 
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grforge import linalg, modules
+from grforge.algebra import AlgebraError
 from grforge.lattices import Lattice, coord_solver, is_pure, quotient_free_basis
 from grforge.modules import (
     ModuleRep,
@@ -18,7 +19,14 @@ from grforge.modules import (
     iso_with_generator_images,
     standard_iso,
 )
-from grforge.scalars import CYCLOTOMIC, RATIONAL, Cyc, CycField, RingSpec
+from grforge.scalars import (
+    CYCLOTOMIC,
+    RATIONAL,
+    Cyc,
+    CycField,
+    InternalCheckError,
+    RingSpec,
+)
 
 R3 = RingSpec(RATIONAL, 3)
 R5 = RingSpec(RATIONAL, 5)
@@ -281,15 +289,25 @@ def draw_base_change(data, mod, integral):
     assume(g_inv is not None)
     if integral:
         assume(mod.algebra.ring.valuation(linalg.det(g, fld)) == 0)
-    acts = [linalg.mat_mul(linalg.mat_mul(g, a, fld), g_inv, fld)
-            for a in mod.acts]
+    zero = fld.zero
+    acts = [linalg.columns(naive_matmul(
+        naive_matmul(g, linalg.dense_rows(a, mod.rank, zero), zero), g_inv,
+        zero)) for a in mod.acts]
     return ModuleRep(mod.algebra, mod.rank, acts, mod.name + "^g")
 
 
+def naive_matmul(a, b, zero):
+    """The product of two matrices of row lists, entry by entry."""
+    return [[sum((x * b[k][c] for k, x in enumerate(row)), zero)
+             for c in range(len(b[0]) if b else 0)] for row in a]
+
+
 def equivariant(h, src, dst):
-    fld = src.fld
-    return all(linalg.mat_mul(h, a_s, fld) == linalg.mat_mul(a_d, h, fld)
-               for a_s, a_d in zip(src.acts, dst.acts))
+    zero = src.fld.zero
+    return all(
+        naive_matmul(h, linalg.dense_rows(a_s, src.rank, zero), zero)
+        == naive_matmul(linalg.dense_rows(a_d, dst.rank, zero), h, zero)
+        for a_s, a_d in zip(src.acts, dst.acts))
 
 
 @SETTINGS
@@ -316,7 +334,7 @@ def test_hom_equation_kernel_is_equivariant(z5_module_sets, level, data):
     dst = mods[data.draw(st.integers(0, len(mods) - 1))]
     dst = draw_base_change(data, dst, False)
     ns, nd = src.rank, dst.rank
-    for v in linalg.kernel_right(hom_equations(src, dst), src.fld):
+    for v in linalg.kernel_right(hom_equations(src, dst), src.fld, ns * nd):
         h = [[v[r * ns + c] for c in range(ns)] for r in range(nd)]
         assert equivariant(h, src, dst)
 
@@ -332,6 +350,27 @@ def test_standard_iso_needs_a_unit_determinant_at_O(z5, sp_z5):
     h = standard_iso(sub_K, "2")
     assert h is not None
     assert equivariant(h, modules.standard_module(sub_K.algebra, "2"), sub_K)
+
+
+def test_a_wrong_hom_solution_is_an_internal_error(sp_z5, monkeypatch):
+    """A solve that returns a non-solution is a fault of the program, not a
+    verdict: it must not surface as a ModuleError (an AlgebraError), which
+    the suites turn into verdicts and notes."""
+    delta = sp_z5["2"]["Delta"]
+    top = delta.weight_space_rows("2")
+    assert modules.hom_with_generator_images(delta, delta, top, top) == \
+        linalg.identity(delta.fld, delta.rank)
+    solve = linalg.solve_right
+
+    def wrong(a, b, field, ncols=None):
+        x = solve(a, b, field, ncols)
+        x[0] = x[0] + field.one  # the identity becomes diag(2, 1)
+        return x
+
+    monkeypatch.setattr(linalg, "solve_right", wrong)
+    with pytest.raises(InternalCheckError):
+        modules.hom_with_generator_images(delta, delta, top, top)
+    assert not issubclass(InternalCheckError, AlgebraError)
 
 
 def test_standard_iso_rejects_a_projective(sp_z5):
@@ -351,7 +390,7 @@ def test_iso_with_generator_images_rank_zero_and_a_wrong_image(sp_z5):
 
 # ---------------------------------------------------------------------------
 # products of spans: StructureAlgebra.product_span and corner,
-# ModuleRep.image, and the matrix kernel behind act_matrix / left_mult_of
+# ModuleRep.image, and the column kernel behind act_matrix / left_mult_of
 # ---------------------------------------------------------------------------
 
 def naive_mul(alg, x, y):
@@ -363,9 +402,14 @@ def naive_mul(alg, x, y):
     return out
 
 
+def dense_acts(mod):
+    return [linalg.dense_rows(m, mod.rank, mod.fld.zero) for m in mod.acts]
+
+
 def naive_act(mod, x, v):
-    """x v straight from the action matrices."""
-    return [sum((x[c] * mod.acts[c][t][s] * v[s] for c in range(len(x))
+    """x v straight from the action matrices, made dense."""
+    acts = dense_acts(mod)
+    return [sum((x[c] * acts[c][t][s] * v[s] for c in range(len(x))
                  for s in range(mod.rank)), mod.fld.zero)
             for t in range(mod.rank)]
 
@@ -467,19 +511,93 @@ def test_action_matrices_combine_the_basis_actions(product_modules, case, data):
     mod = mods[data.draw(st.integers(0, len(mods) - 1))]
     alg = mod.algebra
     x = draw_element(data, alg)
-    want = linalg.transpose([naive_act(mod, x, mod.basis_vec(i))
-                             for i in range(mod.rank)])
+    # column i of a matrix is the image of the i-th basis vector
+    want = [linalg.column(naive_act(mod, x, mod.basis_vec(i)))
+            for i in range(mod.rank)]
     assert mod.act_matrix(x) == want
-    left = alg.left_mult_of(x)
-    assert left == linalg.transpose([naive_mul(alg, x, alg.basis_vec(i))
-                                     for i in range(alg.rank)])
+    assert alg.left_mult_of(x) == [linalg.column(naive_mul(alg, x, b))
+                                   for b in map(alg.basis_vec, range(alg.rank))]
+    assert alg.right_mult_of(x) == [linalg.column(naive_mul(alg, b, x))
+                                    for b in map(alg.basis_vec, range(alg.rank))]
 
 
-def test_combine_matrices_and_mat_mul_of_empty_shapes():
+def dense_combination(coeffs, mats, zero):
+    """sum_i coeffs[i] * mats[i] for matrices of row lists."""
+    n = len(mats[0])
+    return [[sum((c * m[r][s] for c, m in zip(coeffs, mats)), zero)
+             for s in range(n)] for r in range(n)]
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_act_and_image_match_dense_mat_vec(product_modules, case, data):
+    """Over Q and Q(zeta_3) (levels O and K) and F_3 (level k)."""
+    mods = product_modules[case]
+    mod = mods[data.draw(st.integers(0, len(mods) - 1))]
+    fld, zero = mod.fld, mod.fld.zero
+    dense = dense_acts(mod)
+    x = draw_element(data, mod.algebra)
+    v = [fld.of(data.draw(small)) for _ in range(mod.rank)]
+    i = data.draw(st.integers(0, mod.algebra.rank - 1))
+    assert mod.act_basis(i, v) == linalg.mat_vec(dense[i], v, fld)
+    assert mod.act(x, v) == linalg.mat_vec(dense_combination(x, dense, zero),
+                                           v, fld)
+    xs = draw_elements(data, mod.algebra)
+    mats = [dense_combination(y, dense, zero) for y in xs]
+    basis = [mod.basis_vec(k) for k in range(mod.rank)]
+    assert mod.image(xs) == mod.span([linalg.mat_vec(m, b, fld)
+                                      for m in mats for b in basis])
+    vectors = [[fld.of(data.draw(small)) for _ in range(mod.rank)]
+               for _ in range(data.draw(st.integers(0, 3)))]
+    assert mod.image(xs, vectors) == mod.span([linalg.mat_vec(m, w, fld)
+                                               for m in mats for w in vectors])
+
+
+def dense_hom_equations(src, dst):
+    """`hom_equations` before the sparse columns: one dense row per (basis
+    element, r, c), read from the dense action matrices."""
+    fld = src.fld
+    ns, nd = src.rank, dst.rank
+    rows = []
+    for a_s, a_d in zip(dense_acts(src), dense_acts(dst)):
+        for r in range(nd):
+            for c in range(ns):
+                row = [fld.zero] * (nd * ns)
+                for t in range(ns):
+                    if a_s[t][c]:
+                        row[r * ns + t] = row[r * ns + t] + a_s[t][c]
+                for t in range(nd):
+                    if a_d[r][t]:
+                        row[t * ns + c] = row[t * ns + c] - a_d[r][t]
+                rows.append(row)
+    return rows
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_sparse_hom_rows_have_the_dense_kernel(product_modules, case, data):
+    """Over Q and Q(zeta_3) (levels O and K) and F_3 (level k)."""
+    mods = [m for m in product_modules[case] if m.rank <= 6]
+    src = mods[data.draw(st.integers(0, len(mods) - 1))]
+    dst = mods[data.draw(st.integers(0, len(mods) - 1))]
+    if data.draw(st.booleans()):
+        dst = draw_base_change(data, dst, False)
+    rows = hom_equations(src, dst)
+    assert all(x for row in rows for x in row.values())
+    dense = dense_hom_equations(src, dst)
+    assert len(rows) <= len(dense)
+    assert linalg.kernel_right(rows, src.fld, src.rank * dst.rank) == \
+        linalg.kernel_right(dense, src.fld)
+
+
+def test_column_kernels_of_empty_shapes():
     fld = R5.field_k
-    assert linalg.combine_matrices([], [], fld.zero) == []
-    assert linalg.combine_matrices([fld.one], [[]], fld.zero) == []
-    assert linalg.mat_mul([], [], fld) == []
+    assert linalg.combine_columns([], []) == []
+    assert linalg.combine_columns([fld.one], [[]]) == []
+    assert linalg.compose([], []) == []
+    assert linalg.apply([], [], fld) == []
+    assert linalg.trace_form([], fld) == []
+    assert linalg.columns([]) == [] and linalg.dense_rows([], 0, fld.zero) == []
 
 
 def restricted_module_reference(sub, sub_basis, mod, cut):
@@ -490,10 +608,8 @@ def restricted_module_reference(sub, sub_basis, mod, cut):
     span = mod.span(rows)
     if not span.rank:
         return ModuleRep(sub, 0, [[] for _ in range(sub.rank)])
-    acts = []
-    for bvec in sub_basis:
-        cols = [span.coords(mod.act(list(bvec), list(r))) for r in span.rows]
-        acts.append(linalg.transpose(cols))
+    acts = [[linalg.column(span.coords(mod.act(list(bvec), list(r))))
+             for r in span.rows] for bvec in sub_basis]
     return ModuleRep(sub, span.rank, acts)
 
 

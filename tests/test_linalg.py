@@ -1,7 +1,8 @@
 """Property tests of the sparse linalg kernels against the dense reference.
 
 `dense_rref`, `dense_mat_vec` and `dense_charpoly` are the dense kernels
-that `rref`, `mat_vec` and `charpoly` replaced, kept verbatim as the
+that `rref`, `mat_vec` and `charpoly` replaced, and `dense_mat_mul` the dense
+product that the sparse-column kernels replaced, kept verbatim as the
 reference.  Kernels, solves, inverses and ranks are compared with the same
 functions run on `dense_rref`.
 """
@@ -38,7 +39,27 @@ def dense_mat_vec(a, v, field):
     return out
 
 
-def dense_rref(rows, field):
+def dense_mat_mul(a, b, field):
+    n, m = len(a), len(b[0]) if b else 0
+    inner = len(b)
+    z = field.zero
+    out = [[z] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            x = ai[k]
+            if x:
+                bk = b[k]
+                for j in range(m):
+                    if bk[j]:
+                        oi[j] = oi[j] + x * bk[j]
+    return out
+
+
+def dense_rref(rows, field, ncols=None):
+    if ncols is not None:  # {column: entry} rows, made dense first
+        rows = [[r.get(j, field.zero) for j in range(ncols)] for r in rows]
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return [], []
@@ -216,7 +237,7 @@ def test_invert_matches_dense(kind, data):
     got = linalg.invert(a, fld)
     assert got == on_dense_rref(linalg.invert, a, fld)
     if got is not None:
-        assert linalg.mat_mul(a, got, fld) == linalg.identity(fld, n)
+        assert dense_mat_mul(a, got, fld) == linalg.identity(fld, n)
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))
@@ -253,6 +274,114 @@ def test_mat_vec_matches_dense(kind, data):
 
 
 # ---------------------------------------------------------------------------
+# the kernels on sparse columns, against the dense matrices they replaced
+# ---------------------------------------------------------------------------
+
+def dense_combine_matrices(coeffs, mats, zero):
+    nrows = len(mats[0]) if mats else 0
+    ncols = len(mats[0][0]) if nrows else 0
+    out = [[zero] * ncols for _ in range(nrows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for row, orow in zip(m, out):
+                for col, x in enumerate(row):
+                    if x:
+                        orow[col] = orow[col] + c * x
+    return out
+
+
+def draw_square(data, fld, n):
+    """An n x n matrix of row lists, mostly zero."""
+    return [[draw_scalar(data, fld) for _ in range(n)] for _ in range(n)]
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_columns_round_trip(kind, data):
+    fld = FIELDS[kind]
+    nrows, ncols = shape(data)
+    a = draw_rows(data, fld, max(nrows, 1), ncols)
+    cols = linalg.columns(a)
+    assert len(cols) == ncols
+    assert all(x for col in cols for _, x in col)
+    assert all([t for t, _ in col] == sorted({t for t, _ in col})
+               for col in cols)
+    assert linalg.dense_rows(cols, len(a), fld.zero) == a
+    assert [dict(r) for r in linalg.row_entries(cols, len(a))] == \
+        [{j: x for j, x in enumerate(r) if x} for r in a]
+    if len(a) == ncols:
+        assert linalg.flatten(cols, fld.zero) == [x for r in a for x in r]
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_apply_matches_dense_mat_vec(kind, data):
+    fld = FIELDS[kind]
+    n = data.draw(st.integers(0, 6))
+    a = draw_square(data, fld, n)
+    v = [draw_scalar(data, fld) for _ in range(n)]
+    assert linalg.apply(linalg.columns(a), v, fld) == dense_mat_vec(a, v, fld)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_combine_columns_matches_dense_combination(kind, data):
+    fld = FIELDS[kind]
+    n = data.draw(st.integers(0, 5))
+    mats = [draw_square(data, fld, n)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    coeffs = [draw_scalar(data, fld) for _ in mats]
+    if data.draw(st.booleans()):
+        # a combination that cancels: mats[0] - mats[0]
+        mats.append(mats[0])
+        coeffs = [fld.one] + [fld.zero] * (len(mats) - 2) + [-fld.one]
+    got = linalg.combine_columns(coeffs, [linalg.columns(m) for m in mats])
+    assert got == linalg.columns(dense_combine_matrices(coeffs, mats, fld.zero))
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_compose_matches_dense_mat_mul(kind, data):
+    fld = FIELDS[kind]
+    n, m, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = draw_rows(data, fld, n, m)
+    b = draw_rows(data, fld, m, k)
+    got = linalg.compose(linalg.columns(a), linalg.columns(b))
+    assert got == linalg.columns(dense_mat_mul(a, b, fld))
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_trace_form_is_the_trace_of_the_dense_product(kind, data):
+    fld = FIELDS[kind]
+    n = data.draw(st.integers(0, 5))
+    mats = [draw_square(data, fld, n)
+            for _ in range(data.draw(st.integers(0, 4)))]
+    got = linalg.trace_form([linalg.columns(m) for m in mats], fld)
+    want = [[sum((dense_mat_mul(a, b, fld)[t][t] for t in range(n)), fld.zero)
+             for b in mats] for a in mats]
+    assert got == want
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_dict_rows_eliminate_like_dense_rows(kind, data):
+    fld = FIELDS[kind]
+    nrows, ncols = shape(data)
+    a = draw_rows(data, fld, max(nrows, 1), ncols)
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in a]
+    assert linalg.rref(sparse, fld, ncols) == linalg.rref(a, fld)
+    assert linalg.rank(sparse, fld, ncols) == linalg.rank(a, fld)
+    assert linalg.kernel_right(sparse, fld, ncols) == \
+        linalg.kernel_right(a, fld)
+    b = [draw_scalar(data, fld) for _ in a]
+    assert linalg.solve_right(sparse, b, fld, ncols) == \
+        linalg.solve_right(a, b, fld)
+    # the dict rows are not consumed
+    assert sparse == [{j: x for j, x in enumerate(r) if x} for r in a]
+
+
+# ---------------------------------------------------------------------------
 # charpoly over F_p
 # ---------------------------------------------------------------------------
 
@@ -275,8 +404,8 @@ def test_charpoly_of_ab_is_charpoly_of_ba(kind, data):
     n = data.draw(st.integers(1, 6))
     a = draw_rows(data, fld, n, n)
     b = draw_rows(data, fld, n, n)
-    assert linalg.charpoly(linalg.mat_mul(a, b, fld), fld) == \
-        linalg.charpoly(linalg.mat_mul(b, a, fld), fld)
+    assert linalg.charpoly(dense_mat_mul(a, b, fld), fld) == \
+        linalg.charpoly(dense_mat_mul(b, a, fld), fld)
 
 
 def test_charpoly_is_over_prime_fields_only():

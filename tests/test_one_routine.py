@@ -5,8 +5,9 @@ reference it replaced, kept here verbatim.
   last round added; the reference applies every map to every row in every
   round.
 * `radicals.center_rows` takes commutators with the algebra's generating
-  set; the reference stacks the commutators with every basis element (its
-  right multiplication matrices now come from `right_mult_of`).
+  set; the reference stacks the commutators with every basis element, with
+  the multiplication matrices made dense (their right multiplication
+  matrices come from `right_mult_of`).
 * `linalg.Subspace.intersection` against the helper that
   `subalgebra_radical_check` kept for itself.
 """
@@ -53,8 +54,9 @@ def basis_center(alg):
     fld = alg.fld
     stacked = []
     for i in range(alg.rank):
-        li = alg.left_mult_matrix(i)
-        ri = alg.right_mult_of(alg.basis_vec(i))
+        li = linalg.dense_rows(alg.left_mult_matrix(i), alg.rank, fld.zero)
+        ri = linalg.dense_rows(alg.right_mult_of(alg.basis_vec(i)), alg.rank,
+                               fld.zero)
         for r in range(alg.rank):
             stacked.append([li[r][c] - ri[r][c] for c in range(alg.rank)])
     ker = linalg.kernel_right(stacked, fld)

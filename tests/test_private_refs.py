@@ -9,6 +9,8 @@ spans come from `StructureAlgebra.span`.  Spans of products come from the
 product helpers, outside the modules that define them, and "S is stable
 under X" is one containment of such a span in S.  And no verdict rests on a
 sample: only the seeded campaigns and fixture generators draw at random.
+Linear actions stay sparse columns: outside `linalg` and `files` nothing
+multiplies or combines dense matrices or transposes columns back into them.
 """
 
 import ast
@@ -206,3 +208,77 @@ def test_sampling_check_sees_a_sampler_and_an_import():
     assert sorted(_sampling(tree)) == [
         (1, "import random"), (2, "_SAMPLED"), (3, "_sample_pairs"),
         (4, "_SAMPLED"), (4, "sample")]
+
+
+# linalg defines the dense forms and files converts documents; the one
+# function elsewhere that transposes a dense matrix reads the image rows of a
+# homomorphism witness, which is not an action
+DENSE_MODULES = {"linalg", "files"}
+DENSE_TRANSPOSES = {("modules", "peel_standard_power")}
+DENSE_KERNELS = {"mat_mul", "combine_matrices", "transpose"}
+
+
+def _is_zero(node):
+    """`x.zero`, `zero`, `z` or `x.zero()`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Attribute) and node.attr == "zero") or \
+        (isinstance(node, ast.Name) and node.id in ("zero", "z"))
+
+
+def _dense_actions(tree):
+    """(line, what) for each call of `mat_mul`, `combine_matrices` or
+    `transpose` (as a name or an attribute), and each dense zero matrix
+    `[[zero] * n for ...]`: the ways an action was built or used densely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if name in DENSE_KERNELS:
+                yield node.lineno, name
+        elif (isinstance(node, ast.ListComp)
+              and isinstance(node.elt, ast.BinOp)
+              and isinstance(node.elt.op, ast.Mult)
+              and isinstance(node.elt.left, ast.List)
+              and len(node.elt.left.elts) == 1
+              and _is_zero(node.elt.left.elts[0])):
+            yield node.lineno, "dense zero matrix"
+
+
+def test_actions_stay_sparse_columns():
+    """Action and multiplication matrices are built, combined, composed and
+    traced on their sparse columns (linalg.combine_columns, compose,
+    trace_form); dense lists stay at the document boundary."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem in DENSE_MODULES:
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and (path.stem, node.name) in DENSE_TRANSPOSES):
+                exempt.update(line for line, what in _dense_actions(node)
+                              if what == "transpose")
+        found += [f"{path.name}:{line} {what}"
+                  for line, what in _dense_actions(tree) if line not in exempt]
+    assert not found, f"dense action matrices: {found}"
+
+
+def test_dense_action_check_sees_a_hand_written_loop():
+    tree = ast.parse(
+        "def quotient_acts(mod, lifts, project):\n"
+        "    acts = []\n"
+        "    for i in range(mod.algebra.rank):\n"
+        "        cols = [project(mod.act_basis(i, lift)) for lift in lifts]\n"
+        "        acts.append(linalg.transpose(cols))\n"
+        "    return acts\n"
+        "def direct_sum(mod, m, fld):\n"
+        "    big = [[fld.zero] * m for _ in range(m)]\n"
+        "    return linalg.combine_matrices([fld.one], [big], fld.zero)\n"
+        "def square(a, fld):\n"
+        "    return mat_mul(a, a, fld)\n")
+    assert sorted(_dense_actions(tree)) == [
+        (5, "transpose"), (8, "dense zero matrix"), (9, "combine_matrices"),
+        (11, "mat_mul")]

@@ -2,8 +2,8 @@
 
 Each property checks a fast path against the slow reference it replaced,
 kept here verbatim: the full rank + 1 power loop, the dense double loop of
-`StructureAlgebra.mul`, and the Friedl-Ronyai form built with `Fp`
-`mat_mul` and `charpoly`.  The algebras are z5 over Q and F_3 and q-Schur
+`StructureAlgebra.mul`, and the Friedl-Ronyai form built with dense `Fp`
+products and `charpoly`.  The algebras are z5 over Q and F_3 and q-Schur
 S(2,2) over Q(zeta_3) and F_3.
 """
 
@@ -62,10 +62,18 @@ def full_powers(alg, rows):
     return powers
 
 
+def dense_product(a, b, field):
+    """The product of two square matrices of row lists."""
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), field.zero)
+             for j in range(n)] for i in range(n)]
+
+
 def fp_form(alg, rows, power):
     fld = alg.fld
-    mats = [alg.left_mult_of(list(v)) for v in rows]
-    return [[linalg.charpoly(linalg.mat_mul(a, b, fld), fld)[power]
+    mats = [linalg.dense_rows(alg.left_mult_of(list(v)), alg.rank, fld.zero)
+            for v in rows]
+    return [[linalg.charpoly(dense_product(a, b, fld), fld)[power]
              for b in mats] for a in mats]
 
 
@@ -142,6 +150,32 @@ def test_int_fr_form_matches_fp_reference(case, data):
     got = radicals._fr_form(alg, rows, power)
     assert got == fp_form(alg, rows, power)
     assert all(type(c) is Fp and c.p == p for r in got for c in r)
+
+
+def dense_left_mult(alg):
+    """The left multiplication matrices as row lists, from the structure
+    constants."""
+    z, n = alg.fld.zero, alg.rank
+    mats = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in alg.sc.items():
+        for t, v in row.items():
+            mats[i][t][j] = v
+    return mats
+
+
+@pytest.mark.parametrize("case", ALGEBRAS)
+def test_trace_gram_is_the_trace_of_the_dense_products(case):
+    """Over Q (z5@O, z5@K), F_3 (the k levels) and Q(zeta_3) (qschur23@O,
+    qschur23@K)."""
+    alg = algebra(case)
+    fld = alg.fld
+    mats = dense_left_mult(alg)
+    want = [[trace(dense_product(a, b, fld), fld) for b in mats] for a in mats]
+    assert radicals.trace_gram(alg) == want
+
+
+def trace(m, field):
+    return sum((m[t][t] for t in range(len(m))), field.zero)
 
 
 @pytest.mark.parametrize("case", FIELD_ALGEBRAS)

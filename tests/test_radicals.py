@@ -89,8 +89,8 @@ def natural_2x2_module(fld):
     the elementary matrix."""
     acts = []
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        acts.append([[fld.one if (r, c) == (i, j) else fld.zero
-                      for c in range(2)] for r in range(2)])
+        acts.append(linalg.columns([[fld.one if (r, c) == (i, j) else fld.zero
+                                     for c in range(2)] for r in range(2)]))
     return [("nat", acts)]
 
 
@@ -159,7 +159,7 @@ class TestWedderburn:
         a = StructureAlgebra(R3, "O", 2, ["1", "x"], (F(1), F(0)), sc)
         ak = a.base_change("K")
         # trivial module: scalars acting through the augmentation
-        triv = [[[ak.fld.one]], [[ak.fld.zero]]]
+        triv = [linalg.columns([[ak.fld.one]]), linalg.columns([[ak.fld.zero]])]
         s = radicals.wedderburn_complement(ak, [("triv", triv)])
         assert len(s) == 1
         assert list(s[0]) == [ak.fld.one, ak.fld.zero]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grforge import cli, files, fixtures, modules
+from grforge import algebra, cli, files, fixtures, linalg, modules
 from grforge.algebra import StructureAlgebra, ValidationError
 from grforge.modules import ModuleError, ModuleRep
 from grforge.scalars import RATIONAL, RingSpec
@@ -45,7 +45,7 @@ def two_dim_acts(rank, a, b):
     acts = [[[ZERO, ZERO], [ZERO, ZERO]] for _ in range(rank)]
     acts[0] = [[ONE, ZERO], [ZERO, ONE]]
     acts[a], acts[b] = matrix_unit(0, 1), matrix_unit(1, 0)
-    return acts
+    return [linalg.columns(m) for m in acts]
 
 
 # (x1 x2) x4 = x5 but x1 (x2 x4) = 0
@@ -223,10 +223,10 @@ def test_module_proof_matches_the_pair_loop(name, with_gens, data):
     n, m = alg.rank, mod.rank
     i = data.draw(st.integers(0, n - 1))
     r, c = (data.draw(st.integers(0, m - 1)) for _ in range(2))
-    acts = [[list(row) for row in mat] for mat in mod.acts]
+    acts = [linalg.dense_rows(mat, m, alg.fld.zero) for mat in mod.acts]
     acts[i][r][c] = alg.fld.of(data.draw(VALUES))
     over = rebuilt(alg, alg.sc, with_gens)
-    bad = ModuleRep(over, m, acts)
+    bad = ModuleRep(over, m, [linalg.columns(mat) for mat in acts])
     unit_ok = literal_module_unit_ok(over, acts)
     pairs_ok = literal_pairs_ok(over, acts)
     try:
@@ -236,3 +236,120 @@ def test_module_proof_matches_the_pair_loop(name, with_gens, data):
     assert accepted == (unit_ok and pairs_ok)
     if unit_ok:
         assert pairs_ok == ("module axiom" not in message)
+
+
+# -- the sparse-column proof against the dense matrix identity ----------------
+
+def dense_left_mult(alg):
+    """The left multiplication matrices as row lists, from the structure
+    constants."""
+    z, n = alg.fld.zero, alg.rank
+    mats = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in alg.sc.items():
+        for t, v in row.items():
+            mats[i][t][j] = v
+    return mats
+
+
+def dense_mat_mul(a, b, field):
+    """The dense product that `representation_problems` used before the
+    sparse columns."""
+    n, m = len(a), len(b[0]) if b else 0
+    out = [[field.zero] * m for _ in range(n)]
+    for ai, oi in zip(a, out):
+        for x, bk in zip(ai, b):
+            if x:
+                for j in range(m):
+                    if bk[j]:
+                        oi[j] = oi[j] + x * bk[j]
+    return out
+
+
+def dense_representation_problems(alg, acts, what):
+    """`representation_problems` on action matrices given as row lists, with
+    the dense product and combination of matrices it used before the sparse
+    columns."""
+    zero = alg.fld.zero
+    _, names, gens = alg._derived(algebra._proof_generators)
+    problems = []
+    for name, g in zip(names, gens):
+        rg = literal_combination(g, acts, zero)
+        for j in range(alg.rank):
+            lhs = dense_mat_mul(rg, acts[j], alg.fld)
+            rhs = literal_combination(alg.mul(g, alg.basis_vec(j)), acts, zero)
+            if lhs != rhs:
+                problems.append(f"{what} fails through generator {name!r} "
+                                f"at basis {alg.labels[j]}")
+                if len(problems) > 8:
+                    return problems
+    return problems
+
+
+def at_level(alg, level):
+    return alg if level == "O" else alg.base_change(level)
+
+
+def reduced_acts(alg, acts):
+    """Dense action matrices over O carried to the level of `alg`."""
+    if alg.level != "k":
+        return acts
+    red = alg.ring.residue
+    return [[[red(x) for x in row] for row in m] for m in acts]
+
+
+# Q (z5 over Z_(3)), F_3, and Q(zeta_3) (qschur(2,3) over Z_(3)[zeta_3])
+FIELD_CASES = st.sampled_from([("z5", "K"), ("z5", "k"), ("qschur(2,3)", "K"),
+                               ("qschur(2,3)", "k")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELD_CASES, st.booleans(), st.data())
+def test_sparse_proof_matches_the_dense_identity(case, corrupt, data):
+    """The same problems, in the same order, as the dense identity, on the
+    left multiplication matrices (a structure constant changed or not) and
+    on a module's action matrices (an entry changed or not)."""
+    name, level = case
+    src, sp = source(name)
+    n = src.rank
+    if data.draw(st.booleans()):
+        sc = {key: dict(row) for key, row in src.sc.items()}
+        if corrupt:
+            i, j, t = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            sc.setdefault((i, j), {})[t] = src.fld.of(data.draw(VALUES))
+            sc = {key: {s: v for s, v in row.items() if v}
+                  for key, row in sc.items()}
+        alg = at_level(rebuilt(src, sc, data.draw(st.booleans())), level)
+        dense = dense_left_mult(alg)
+        cols = [alg.left_mult_matrix(i) for i in range(n)]
+        what = "associativity"
+    else:
+        alg = at_level(rebuilt(src, src.sc, data.draw(st.booleans())), level)
+        mod = sp[data.draw(st.sampled_from(sorted(sp)))][
+            data.draw(st.sampled_from(["P", "Delta"]))]
+        m = mod.rank
+        dense = reduced_acts(alg, [linalg.dense_rows(mat, m, src.fld.zero)
+                                   for mat in mod.acts])
+        if corrupt:
+            i = data.draw(st.integers(0, n - 1))
+            r, c = (data.draw(st.integers(0, m - 1)) for _ in range(2))
+            dense[i][r][c] = alg.fld.of(data.draw(VALUES))
+        cols = [linalg.columns(mat) for mat in dense]
+        what = "the module axiom"
+    assert alg.representation_problems(cols, what) == \
+        dense_representation_problems(alg, dense, what)
+
+
+@pytest.mark.parametrize("level", ["O", "K", "k"])
+def test_rank_30_cases_fail_the_same_way_sparse_and_dense(level):
+    bad = at_level(square_zero(30, NONASSOCIATIVE_30), level)
+    got = bad.representation_problems(
+        [bad.left_mult_matrix(i) for i in range(30)], "associativity")
+    assert got and got == dense_representation_problems(
+        bad, dense_left_mult(bad), "associativity")
+    over = at_level(square_zero(30), level)
+    dense = reduced_acts(over, [linalg.dense_rows(m, 2, ZERO)
+                                for m in two_dim_acts(30, 1, 6)])
+    got = over.representation_problems([linalg.columns(m) for m in dense],
+                                       "the module axiom")
+    assert got and got == dense_representation_problems(
+        over, dense, "the module axiom")
