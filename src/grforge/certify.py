@@ -28,7 +28,6 @@ from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .lattices import (
     Lattice,
-    _pi_power,
     pure_closure,
     quotient_free_basis,
     saturate_rows,
@@ -285,7 +284,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
             gen_rows.append(mod.act(ek.basis_vec(i), w0))
         # scale w by a power of pi so that E.w lies in O^d
         low = min(ring.valuation(x) for row in gen_rows for x in row if x)
-        scale = _pi_power(ring, -min(low, 0))
+        scale = ring.pi_power(-min(low, 0))
         gen_rows = [[scale * x for x in row] for row in gen_rows]
         lat = Lattice.from_rows(ring, mod.rank, gen_rows)
         if lat.rank != d:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import partial
 
 from . import linalg, radicals
@@ -33,11 +32,9 @@ E1, E2, AL, BE, GA = range(5)
 def build_z5(p: int = 3, beta_scale=1) -> StructureAlgebra:
     """The zigzag fixture over Z_(p); beta_scale = pi gives the z5s mutation."""
     ring = RingSpec(RATIONAL, p)
-    s = Fraction(beta_scale)
-    one = Fraction(1)
-
-    def m(**kw):
-        return {k: Fraction(v) for k, v in kw.items()}
+    s = ring.of(beta_scale)
+    one = ring.one()
+    zero = ring.zero()
 
     prods = {
         (E1, E1): {E1: one}, (E1, BE): {BE: one}, (E1, GA): {GA: one},
@@ -49,7 +46,7 @@ def build_z5(p: int = 3, beta_scale=1) -> StructureAlgebra:
     # with beta scaled by s, gamma tracks beta*alpha = s*gamma_0; keep the
     # basis {e1, e2, alpha, s*beta_0, gamma_0}: only (BE, AL) changes
     sc = {k: dict(v) for k, v in prods.items()}
-    unit = (one, one, Fraction(0), Fraction(0), Fraction(0))
+    unit = (one, one, zero, zero, zero)
     weights = WeightDatum.build(
         X=("1", "2"),
         Lambda=("1", "2"),
@@ -178,7 +175,6 @@ def perturb(alg: StructureAlgebra, seed: int, count: int = 1):
     candidates = [i for i in range(alg.rank) if i not in frozen]
     if not candidates:
         return None
-    pi = alg.ring.uniformizer
     for _ in range(80):
         scaling = {i: 0 for i in range(alg.rank)}
         for i in rng.sample(candidates, min(count, len(candidates))):
@@ -196,10 +192,7 @@ def perturb(alg: StructureAlgebra, seed: int, count: int = 1):
                     if val + e < 0:
                         ok = False
                         break
-                x = v
-                for _ in range(abs(e)):
-                    x = x * pi if e > 0 else x / pi
-                out[t] = x
+                out[t] = v * alg.ring.pi_power(e)
             if not ok:
                 break
             sc[(i, j)] = out

@@ -7,7 +7,7 @@ others; pivots are normalized to pi^a and entries above a pivot are reduced
 to canonical residues mod pi^a.  Two lattices are equal iff their canonical
 matrices are equal.
 
-All entries live in K (Fraction or Cyc); membership in O means valuation >= 0.
+All entries live in K (Rat or Cyc); membership in O means valuation >= 0.
 """
 
 from __future__ import annotations
@@ -20,23 +20,11 @@ class LatticeError(ValueError):
     pass
 
 
-def _pi_power(ring, e: int):
-    pi = ring.uniformizer
-    out = ring.one()
-    if e >= 0:
-        for _ in range(e):
-            out = out * pi
-    else:
-        inv = ring.pi_inv
-        for _ in range(-e):
-            out = out * inv
-    return out
-
-
 class Lattice:
     """An O-sublattice of O^ambient in canonical echelon form."""
 
-    __slots__ = ("ring", "ambient", "rows", "pivots", "pivot_vals", "_hash")
+    __slots__ = ("ring", "ambient", "rows", "pivots", "pivot_vals", "_hash",
+                 "_reducer")
 
     def __init__(self, ring: RingSpec, ambient: int, rows, pivots, pivot_vals):
         self.ring = ring
@@ -45,6 +33,7 @@ class Lattice:
         self.pivots = pivots          # pivot column per row, strictly increasing
         self.pivot_vals = pivot_vals  # valuation of each pivot entry
         self._hash = None
+        self._reducer = None
 
     # -- construction ---------------------------------------------------------
     @staticmethod
@@ -133,25 +122,40 @@ class Lattice:
 
     def coords(self, vec):
         """O-coordinates of vec in the canonical basis, or None."""
+        if self._reducer is None:
+            self._reducer = self._build_reducer()
+        steps, free = self._reducer
         v = list(vec)
         ring = self.ring
+        valuation = ring.valuation
         zero = ring.zero()
         cs = []
-        for (row, col, pval) in zip(self.rows, self.pivots, self.pivot_vals):
+        for col, pval, pivot_inv, tail in steps:
             x = v[col]
             if not x:
                 cs.append(zero)
                 continue
-            if ring.valuation(x) < pval:
+            if valuation(x) < pval:
                 return None
-            q = x / row[col]
+            q = x * pivot_inv if pval else x
             cs.append(q)
-            for j in range(col, self.ambient):
-                if row[j]:
-                    v[j] = v[j] - q * row[j]
-        if any(v):
+            for j, e in tail:
+                v[j] = v[j] - q * e
+        if any(v[j] for j in free):
             return None
         return cs
+
+    def _build_reducer(self):
+        """Per row (pivot column, pivot valuation a, pi^-a, the nonzero
+        (column, entry) pairs right of the pivot), and the non-pivot
+        columns: what `coords` reads, built once per lattice."""
+        ring = self.ring
+        steps = tuple(
+            (col, pval, ring.pi_power(-pval),
+             tuple((j, row[j]) for j in range(col + 1, self.ambient) if row[j]))
+            for row, col, pval in zip(self.rows, self.pivots, self.pivot_vals))
+        pivots = set(self.pivots)
+        return steps, tuple(j for j in range(self.ambient) if j not in pivots)
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
@@ -206,9 +210,8 @@ class Lattice:
 
 def _normalize_pivot(ring, row, col, val):
     """Scale the row by a unit so the pivot becomes exactly pi^val."""
-    target = _pi_power(ring, val)
-    u = row[col] / target
-    uinv = ring.one() / u
+    target = ring.pi_power(val)
+    uinv = target / row[col]
     for j in range(col, len(row)):
         if row[j]:
             row[j] = uinv * row[j]
@@ -253,7 +256,7 @@ def saturate_rows(ring: RingSpec, ambient: int, rows) -> Lattice:
     for r in rows:
         mv = min(ring.valuation(x) for x in r if x)
         if mv != 0:
-            f = _pi_power(ring, -mv)
+            f = ring.pi_power(-mv)
             r = [f * x for x in r]
         cleared.append(r)
     vals, track = smith_track(ring, ambient, cleared)
@@ -328,10 +331,13 @@ def smith_track(ring: RingSpec, ambient: int, rows):
 
 def pure_closure(n: Lattice, m: Lattice) -> Lattice:
     """M intersect K.N: the smallest pure sublattice of M containing N."""
-    _require_sub(n, m)
+    return _pure_closure(n, m, _coords_matrix(n, m))
+
+
+def _pure_closure(n: Lattice, m: Lattice, coords) -> Lattice:
+    """pure_closure(N, M), given the coordinates of N's rows in M's basis."""
     if n.rank == 0:
         return Lattice.zero(n.ring, n.ambient)
-    coords = _coords_matrix(n, m)
     sat = saturate_rows(n.ring, m.rank, coords)
     gens = [linalg.combine(c, m.rows, n.ring.zero()) for c in sat.rows]
     return Lattice.from_rows(n.ring, n.ambient, gens)
@@ -344,11 +350,10 @@ def is_pure(n: Lattice, m: Lattice) -> bool:
     Route (b): N_k -> M_k stays injective, i.e. the coordinate matrix of N in
     a basis of M has full rank modulo pi.
     """
-    _require_sub(n, m)
-    a = pure_closure(n, m) == n
+    coords = _coords_matrix(n, m)
     if n.rank == 0:
         return True
-    coords = _coords_matrix(n, m)
+    a = _pure_closure(n, m, coords) == n
     fk = n.ring.field_k
     red = [[n.ring.residue(x) for x in row] for row in coords]
     b = linalg.rank(red, fk) == n.rank
@@ -364,11 +369,10 @@ def quotient_free_basis(m: Lattice, n: Lattice):
     with basis the images of free_lifts and of cyclic summands O/pi^a for each
     a in torsion_vals (all a >= 1).  torsion_vals is empty iff N is pure in M.
     """
-    _require_sub(n, m)
+    coords = _coords_matrix(n, m)
     if m.rank == 0:
         return [], []
     ring = m.ring
-    coords = _coords_matrix(n, m)
     vals, track = smith_track(ring, m.rank, coords)
     torsion = sorted(v for v in vals if v > 0)
     free_lifts = [linalg.combine(c, m.rows, ring.zero())
@@ -377,6 +381,9 @@ def quotient_free_basis(m: Lattice, n: Lattice):
 
 
 def _coords_matrix(n: Lattice, m: Lattice):
+    """The coordinates of N's rows in M's basis; LatticeError unless N is a
+    sublattice of M."""
+    n._check_compatible(m)
     out = []
     for r in n.rows:
         c = m.coords(r)
@@ -384,13 +391,6 @@ def _coords_matrix(n: Lattice, m: Lattice):
             raise LatticeError("N is not contained in M")
         out.append(c)
     return out
-
-
-def _require_sub(n: Lattice, m: Lattice):
-    n._check_compatible(m)
-    for r in n.rows:
-        if not m.contains_vector(r):
-            raise LatticeError("N is not contained in M")
 
 
 def span_of(rows, ambient: int, fld, ring=None):

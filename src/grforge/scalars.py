@@ -7,15 +7,16 @@ Two flavors are supported:
 
 where zeta is a primitive p-th root of unity and the maximal ideal of O is
 generated by the uniformizer pi (pi = p in the rational flavor, pi = zeta - 1
-in the cyclotomic flavor).  All arithmetic is exact: rationals are stored as
-reduced ``Fraction`` values, cyclotomic numbers (``Cyc``) as an integer
+in the cyclotomic flavor).  All arithmetic is exact: rationals are ``Rat``
+values, reduced ``Fraction`` values whose arithmetic runs on their numerator
+and denominator ints; cyclotomic numbers (``Cyc``) are an integer
 coefficient tuple ``n`` of length p-1 reduced modulo the p-th cyclotomic
 polynomial, over one positive common denominator ``d`` with gcd(n, d) = 1.
 Ring operations run on Python ints; the inverse goes through the norm.
 
-A ``RingSpec`` builds its field handles, the uniformizer and its inverse once
-and keeps them, so hot loops that ask for ``ring.field_K`` or divide by pi do
-not rebuild them.
+A ``RingSpec`` builds its field handles, the uniformizer, its inverse and
+each power pi^e once and keeps them, so hot loops that ask for
+``ring.field_K`` or scale by pi do not rebuild them.
 """
 
 from __future__ import annotations
@@ -49,6 +50,146 @@ def is_odd_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+# ---------------------------------------------------------------------------
+# rational numbers
+# ---------------------------------------------------------------------------
+
+class Rat(Fraction):
+    """A rational number of K = Q: a ``Fraction`` whose ``+ - * /``,
+    negation, zero test and ``==`` run on its two ints directly.
+
+    Sums and products cross-cancel before they multiply (Henrici, J. ACM 3,
+    1956; Knuth, TAOCP vol. 2, 4.5.1), so each result is already in lowest
+    terms with a positive denominator and is built without normalizing.
+    Operands are tested as ``Rat``, then as ``int``, before any
+    ``isinstance``; for anything but an int or a ``Fraction`` the operator
+    is ``Fraction``'s own, which leaves ``Cyc`` and ``Fp`` operands to their
+    reflected methods.  Results are ``Rat``; hash, order, ``str`` and every
+    other ``Fraction`` method are inherited unchanged.
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is Rat:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            d = a._denominator
+            return _rat(a._numerator + b * d, d)
+        if isinstance(b, (int, Fraction)):
+            return _sum(a._numerator, a._denominator, b.numerator, b.denominator)
+        return Fraction.__add__(a, b)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is Rat:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if type(b) is int:
+            d = a._denominator
+            return _rat(a._numerator - b * d, d)
+        if isinstance(b, (int, Fraction)):
+            return _sum(a._numerator, a._denominator, -b.numerator, b.denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(b, a):
+        if type(a) is int:
+            d = b._denominator
+            return _rat(a * d - b._numerator, d)
+        if isinstance(a, (int, Fraction)):
+            return _sum(a.numerator, a.denominator, -b._numerator, b._denominator)
+        return Fraction.__rsub__(b, a)
+
+    def __mul__(a, b):
+        if type(b) is Rat:
+            return _prod(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            na, da = a._numerator, a._denominator
+            g = math.gcd(b, da)
+            if g == 1:
+                return _rat(na * b, da)
+            return _rat(na * (b // g), da // g)
+        if isinstance(b, (int, Fraction)):
+            return _prod(a._numerator, a._denominator, b.numerator, b.denominator)
+        return Fraction.__mul__(a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is Rat:
+            return _quot(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            return _quot(a._numerator, a._denominator, b, 1)
+        if isinstance(b, (int, Fraction)):
+            return _quot(a._numerator, a._denominator, b.numerator, b.denominator)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(b, a):
+        if type(a) is int:
+            return _quot(a, 1, b._numerator, b._denominator)
+        if isinstance(a, (int, Fraction)):
+            return _quot(a.numerator, a.denominator, b._numerator, b._denominator)
+        return Fraction.__rtruediv__(b, a)
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __bool__(a):
+        return a._numerator != 0
+
+    def __eq__(a, b):
+        if type(b) is Rat:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__
+
+
+def _rat(n: int, d: int) -> Rat:
+    """The Rat n / d for coprime ints n and d > 0."""
+    x = object.__new__(Rat)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Rat:
+    """na/da + nb/db for reduced operands, cancelling through gcd(da, db)."""
+    g = math.gcd(da, db)
+    if g == 1:
+        return _rat(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
+
+
+def _prod(na: int, da: int, nb: int, db: int) -> Rat:
+    """(na/da) * (nb/db) for reduced operands, cancelling crosswise."""
+    g1 = math.gcd(na, db)
+    if g1 != 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 != 1:
+        nb //= g2
+        da //= g2
+    return _rat(na * nb, da * db)
+
+
+def _quot(na: int, da: int, nb: int, db: int) -> Rat:
+    """(na/da) / (nb/db) for reduced operands."""
+    if nb > 0:
+        return _prod(na, da, db, nb)
+    if nb:
+        return _prod(na, da, -db, -nb)
+    raise ZeroDivisionError("rational division by zero")
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +493,11 @@ class RatField:
     char = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = _rat(0, 1)
+        self.one = _rat(1, 1)
 
     def of(self, a):
-        return Fraction(a)
+        return Rat(a)
 
     def __repr__(self):
         return "Q"
@@ -446,15 +587,30 @@ class RingSpec:
     @cached_property
     def uniformizer(self):
         if self.flavor == RATIONAL:
-            return Fraction(self.p)
+            return _rat(self.p, 1)
         return Cyc.zeta_pow(self.p, 1) - 1
 
     @cached_property
     def pi_inv(self):
         """1 / uniformizer, in K."""
         if self.flavor == RATIONAL:
-            return Fraction(1, self.p)
+            return _rat(1, self.p)
         return self.uniformizer.inverse()
+
+    @cached_property
+    def _pi_powers(self):
+        return {}
+
+    def pi_power(self, e: int):
+        """pi^e in K for any integer e, computed once per RingSpec."""
+        x = self._pi_powers.get(e)
+        if x is None:
+            base = self.uniformizer if e > 0 else self.pi_inv
+            x = self.one()
+            for _ in range(abs(e)):
+                x = x * base
+            self._pi_powers[e] = x
+        return x
 
     def zero(self):
         return self.field_K.zero
@@ -470,10 +626,10 @@ class RingSpec:
         """Discrete valuation on K, normalized so v(pi) = 1; v(0) = +inf."""
         p = self.p
         if self.flavor == RATIONAL:
-            x = Fraction(x)
-            if x == 0:
+            n, d = _ratio(x)
+            if not n:
                 return INF
-            return _int_val(x.numerator, p) - _int_val(x.denominator, p)
+            return _int_val(n, p) if d == 1 else _int_val(n, p) - _int_val(d, p)
         if isinstance(x, (int, Fraction)):
             x = Cyc.of(p, x)
         if not x:
@@ -509,8 +665,7 @@ class RingSpec:
         if isinstance(x, Cyc):
             num, den = sum(x.n), x.d
         else:
-            x = Fraction(x)
-            num, den = x.numerator, x.denominator
+            num, den = _ratio(x)
         if den % p == 0:
             raise ScalarError("residue undefined: element not in O")
         return Fp(p, num * pow(den, -1, p))
@@ -556,12 +711,24 @@ class RingSpec:
         return Cyc(self.p, [_parse_fraction(t) for t in s])
 
 
-def _parse_fraction(s) -> Fraction:
-    """Fraction(s), with ScalarError for what Fraction rejects ("x", "1/0")."""
+def _parse_fraction(s) -> Rat:
+    """Rat(s), with ScalarError for what Fraction rejects ("x", "1/0")."""
     try:
-        return Fraction(s)
+        return Rat(s)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ScalarError(f"bad scalar {s!r}: {exc}") from None
+
+
+def _ratio(x):
+    """(numerator, denominator) of a rational value x: read off a Rat or an
+    int, else through Rat(x)."""
+    t = type(x)
+    if t is Rat:
+        return x._numerator, x._denominator
+    if t is int:
+        return x, 1
+    x = Rat(x)
+    return x._numerator, x._denominator
 
 
 def _fmt_frac(x: Fraction) -> str:

@@ -1,6 +1,7 @@
 import pytest
 
-from grforge import certify, fixtures
+from grforge import certify, files, fixtures
+from grforge.scalars import Rat
 
 
 class TestZigzag:
@@ -17,6 +18,26 @@ class TestZigzag:
     def test_z5s_negative_control(self, z5s):
         z5s.validate()
         assert not certify.certify_qha(z5s).ok
+
+
+def _k_values(alg):
+    """The entries of the structure constants, unit, idempotents and
+    generators of an algebra."""
+    yield from (x for row in alg.sc.values() for x in row.values())
+    yield from alg.unit
+    for vectors in (alg.weights.idempotents, alg.generators):
+        yield from (x for v in vectors.values() for x in v)
+
+
+@pytest.mark.parametrize("build", [fixtures.build_z5, fixtures.build_z5s])
+def test_fixture_and_loaded_k_values_are_rat(build):
+    """Fixture-built and loaded algebras carry one rational scalar type."""
+    alg = build(3)
+    loaded = files.doc_to_algebra(files.algebra_to_doc(alg))
+    for a in (alg, loaded):
+        odd = [x for x in _k_values(a) if type(x) not in (int, Rat)]
+        assert not odd, odd
+        assert any(type(x) is Rat for x in _k_values(a))
 
 
 class TestQSchur:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grforge.lattices import (
     Lattice,
@@ -17,6 +18,7 @@ from grforge.scalars import CYCLOTOMIC, RATIONAL, Cyc, RingSpec
 R3 = RingSpec(RATIONAL, 3)
 R5 = RingSpec(RATIONAL, 5)
 C3 = RingSpec(CYCLOTOMIC, 3)
+C5 = RingSpec(CYCLOTOMIC, 5)
 
 
 def lat(ring, ambient, rows):
@@ -166,6 +168,18 @@ class TestPureClosure:
             pure_closure(n, m)
 
 
+@pytest.mark.parametrize("check", [
+    is_pure, pure_closure, lambda n, m: quotient_free_basis(m, n)],
+    ids=["is_pure", "pure_closure", "quotient_free_basis"])
+def test_sublattice_errors(check):
+    m = lat(R3, 2, [[3, 0], [0, 1]])
+    with pytest.raises(LatticeError, match="N is not contained in M"):
+        check(lat(R3, 2, [[1, 0]]), m)
+    for n in (lat(R3, 3, [[3, 0, 0]]), lat(R5, 2, [[5, 0]])):
+        with pytest.raises(LatticeError, match="ambient mismatch"):
+            check(n, m)
+
+
 class TestIsPure:
     def test_scaled_vector_not_pure(self):
         assert is_pure(lat(R3, 2, [[3, 0]]), Lattice.full(R3, 2)) is False
@@ -291,3 +305,68 @@ def test_membership_agrees_with_the_cramer_oracle():
                 inside = inline_member(ring, l, v)
                 assert l.contains_vector(v) == inside, (rows, v)
                 assert (l.coords(v) is not None) == inside
+
+
+# -- coords against the dense reduction ---------------------------------------
+
+def dense_coords(l, vec):
+    """O-coordinates of vec in l's canonical basis, or None: every row is
+    walked column by column and each coordinate divides by the pivot."""
+    ring = l.ring
+    v = list(vec)
+    cs = []
+    for row, col, pval in zip(l.rows, l.pivots, l.pivot_vals):
+        x = v[col]
+        if not x:
+            cs.append(ring.zero())
+            continue
+        if ring.valuation(x) < pval:
+            return None
+        q = x / row[col]
+        cs.append(q)
+        for j in range(col, l.ambient):
+            if row[j]:
+                v[j] = v[j] - q * row[j]
+    return None if any(v) else cs
+
+
+@st.composite
+def lattice_and_vectors(draw):
+    """A lattice over Q or Q(zeta_p) with entries of all valuations, an
+    O-combination of its rows, a K-combination with a 1/pi coefficient and
+    a free vector."""
+    ring = draw(st.sampled_from((R3, R5, C3, C5)))
+    amb = draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+
+    def entry():
+        x = ring.of(draw(small))
+        if ring.flavor == CYCLOTOMIC:
+            x = x + Cyc.zeta_pow(ring.p, draw(st.integers(0, ring.p - 1))) \
+                * draw(small)
+        return x * ring.pi_power(draw(st.integers(0, 2)))
+
+    rows = [[entry() for _ in range(amb)]
+            for _ in range(draw(st.integers(0, amb)))]
+    l = Lattice.from_rows(ring, amb, rows)
+    vecs = []
+    for scale in (ring.one(), ring.pi_inv):
+        v = [ring.zero()] * amb
+        for r in l.rows:
+            c = ring.of(draw(small)) * (scale if draw(st.booleans()) else 1)
+            v = [a + c * b for a, b in zip(v, r)]
+        vecs.append(v)
+    vecs.append([entry() for _ in range(amb)])
+    return l, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(lv=lattice_and_vectors())
+def test_coords_match_dense_reduction(lv):
+    l, vecs = lv
+    for v in vecs:
+        want = dense_coords(l, v)
+        assert l.coords(v) == want
+        assert l.contains_vector(v) == (want is not None)
+    for r in l.rows:
+        assert l.coords(r) is not None

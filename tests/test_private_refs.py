@@ -11,6 +11,8 @@ under X" is one containment of such a span in S.  And no verdict rests on a
 sample: only the seeded campaigns and fixture generators draw at random.
 Linear actions stay sparse columns: outside `linalg` and `files` nothing
 multiplies or combines dense matrices or transposes columns back into them.
+And rational K-values are `scalars.Rat`: outside `scalars`, `cyclo` and the
+rational-root candidates of `certify` no module builds a plain `Fraction`.
 """
 
 import ast
@@ -282,3 +284,51 @@ def test_dense_action_check_sees_a_hand_written_loop():
     assert sorted(_dense_actions(tree)) == [
         (5, "transpose"), (8, "dense zero matrix"), (9, "combine_matrices"),
         (11, "mat_mul")]
+
+
+# scalars defines Rat, cyclo keeps exact series coefficients, and the
+# rational-root candidates of certify are tried before `fld.of` takes them
+# into K
+FRACTION_MODULES = {"scalars", "cyclo"}
+FRACTION_CALLERS = {("certify", "_poly_roots")}
+
+
+def _fraction_calls(tree):
+    """Line numbers of calls `Fraction(...)` or `fractions.Fraction(...)`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if name == "Fraction":
+                yield node.lineno
+
+
+def test_no_plain_fraction_outside_scalars():
+    """A plain Fraction built outside scalars would re-enter the K path
+    without Rat's arithmetic; K-values come from the ring (`ring.of`,
+    `parse_scalar`, `one`, `zero`)."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem in FRACTION_MODULES:
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and (path.stem, node.name) in FRACTION_CALLERS):
+                exempt.update(_fraction_calls(node))
+        found += [f"{path.name}:{line}" for line in _fraction_calls(tree)
+                  if line not in exempt]
+    assert not found, f"plain Fraction values built: {found}"
+
+
+def test_fraction_check_sees_a_constructor_call():
+    tree = ast.parse("import fractions\n"
+                     "from fractions import Fraction\n"
+                     "def unit(n):\n"
+                     "    one = Fraction(1)\n"
+                     "    return [one] + [fractions.Fraction(0)] * (n - 1)\n"
+                     "def is_rational(x):\n"
+                     "    return isinstance(x, Fraction)\n")
+    assert sorted(_fraction_calls(tree)) == [4, 5]

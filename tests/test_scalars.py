@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from grforge.scalars import (
     CYCLOTOMIC,
     RATIONAL,
     Cyc,
+    Rat,
     RingSpec,
     ScalarError,
 )
@@ -397,3 +399,72 @@ def test_kernel_canonical_mod_matches_reference(a, k):
     x = Cyc(p, a)
     x = x * x.d
     assert list(ring.canonical_mod(x, k).c) == ref_canonical_mod(list(x.c), k)
+
+
+# -- Rat against Fraction ----------------------------------------------------
+
+RAT_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+small_or_wide = st.one_of(st.just(Fraction(0)), small_fracs,
+                         st.fractions(max_denominator=10 ** 12))
+
+
+@st.composite
+def rationals(draw):
+    """An int, Fraction or Rat, zero and negative values included."""
+    x = draw(small_or_wide)
+    kind = draw(st.sampled_from((int, Fraction, Rat)))
+    return kind(x.numerator) if kind is int else kind(x)
+
+
+def is_lowest_rat(x):
+    return (type(x) is Rat and x.denominator > 0
+            and math.gcd(x.numerator, x.denominator) == 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=small_or_wide.map(Rat), b=rationals())
+def test_rat_matches_fraction(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert -a == -fa and is_lowest_rat(-a)
+    assert bool(a) == bool(fa)
+    assert hash(a) == hash(fa) and str(a) == str(fa)
+    assert (a == b) == (fa == fb) and (b == a) == (fa == fb)
+    for op in RAT_OPS:
+        # each operator and its reflected form: the Rat on either side
+        for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+            if not fy and op is operator.truediv:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            got, want = op(x, y), op(fx, fy)
+            assert got == want and hash(got) == hash(want)
+            assert is_lowest_rat(got), (x, op, y, got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=rationals(), c=st.lists(small_fracs, min_size=4, max_size=4))
+def test_rat_leaves_cyc_arithmetic_unchanged(a, c):
+    x = Cyc(5, c)
+    r, f = Rat(a), Fraction(a)
+    for op in RAT_OPS:
+        for left, right, ref_left, ref_right in ((x, r, x, f), (r, x, f, x)):
+            if op is operator.truediv and not right:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            got = op(left, right)
+            assert type(got) is Cyc and got == op(ref_left, ref_right)
+    assert r == Cyc.of(5, f) and Cyc.of(5, f) == r
+    assert hash(Cyc.of(5, r)) == hash(r)
+
+
+def test_rational_k_values_are_rat():
+    field = R3.field_K
+    for x in (field.zero, field.one, field.of(7), field.of(Fraction(2, 9)),
+              R3.uniformizer, R3.pi_inv, R3.parse_scalar("-4/6"),
+              R3.parse_scalar(5), R3.pi_power(-2), R3.pi_power(3)):
+        assert is_lowest_rat(x) and isinstance(x, Fraction)
+    assert R3.parse_scalar("-4/6") == Fraction(-2, 3)
+    assert R3.format_scalar(Rat(-4, 6)) == "-2/3"
