@@ -28,6 +28,8 @@ from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .lattices import (
     Lattice,
+    LatticeError,
+    coord_solver,
     pure_closure,
     quotient_free_basis,
     saturate_rows,
@@ -39,6 +41,7 @@ from .modules import (
     regular_module,
     weight_simples,
 )
+from .scalars import InternalCheckError
 
 
 class CertifyError(AlgebraError):
@@ -308,16 +311,20 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
         return MatrixAlgebraWitness(
             False, "isomorphism is not surjective over O (non-maximal order)",
             gram_det_valuation=val)
-    # matrix units inside E: preimages of the elementary matrices
-    inv = linalg.coords_matrix(iso_rows, ek.fld)
+    # matrix units inside E: preimages of the elementary matrices, their
+    # coordinates in the images of the E-basis
+    try:
+        coords = coord_solver(iso_rows, ek.fld)
+    except LatticeError as exc:
+        raise InternalCheckError(
+            "a surjective isomorphism has dependent image rows") from exc
     off = 0
     for bi, d in enumerate(sizes):
         for i in range(d):
             for j in range(d):
                 target = [ek.fld.zero] * total
                 target[off + i * d + j] = ek.fld.one
-                pre = linalg.mat_vec(inv, target, ek.fld)
-                all_units[(bi, i, j)] = pre
+                all_units[(bi, i, j)] = coords(target)
         off += d * d
     return MatrixAlgebraWitness(True, "", sizes, 0, all_units, iso_rows)
 

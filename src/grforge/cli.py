@@ -20,6 +20,7 @@ from . import __version__, certify, cyclo, files, fixtures, forced, modules
 from . import randomized, suites, tightness
 from .algebra import AlgebraError, ValidationError
 from .graded import gr_algebra, gr_module
+from .lattices import LatticeError
 from .scalars import InternalCheckError, ScalarError
 
 EXIT_OK = 0
@@ -442,7 +443,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (files.DocumentError, ValidationError, ScalarError,
+    except (files.DocumentError, ValidationError, ScalarError, LatticeError,
             json.JSONDecodeError, FileNotFoundError, cyclo.CycloError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra, WeightDatum
+from .lattices import LatticeError, coord_solver
 from .modules import ModuleRep
 
 
@@ -58,7 +59,7 @@ def module_rad_chain(mod: ModuleRep):
 
 def _adapted_basis(chain, fld, size):
     """Lifts per grade (chain[m] = lifts of grade m + chain[m+1]), their
-    grades, and the inverse of the lift matrix (columns = lifts)."""
+    grades, and the coordinates in the lifts (`lattices.coord_solver`)."""
     lifts = []
     grades = []
     for m in range(len(chain) - 1):
@@ -69,10 +70,11 @@ def _adapted_basis(chain, fld, size):
         grades += [m] * len(free)
     if len(lifts) != size:
         raise GradingError("adapted basis has wrong size")
-    inv0 = linalg.coords_matrix(lifts, fld)
-    if inv0 is None:
-        raise GradingError("adapted basis is not a basis")
-    return lifts, grades, inv0
+    try:
+        coords = coord_solver(lifts, fld)
+    except LatticeError as exc:
+        raise GradingError("adapted basis is not a basis") from exc
+    return lifts, grades, coords
 
 
 def _leading(coords, grades, target, what="product"):
@@ -99,12 +101,12 @@ class AdaptedBasis:
     the adapted basis (grades of nonzero entries bound the filtration depth).
     """
 
-    def __init__(self, fld, grades, lifts, chain, inv0):
+    def __init__(self, fld, grades, lifts, chain, coords):
         self._fld = fld
         self.grades = tuple(grades)
         self.lifts = lifts
         self.chain = chain
-        self._inv0 = inv0
+        self.full_coords = coords
 
     @property
     def top_grade(self):
@@ -124,9 +126,6 @@ class AdaptedBasis:
                              for g, v in zip(self.grades, r)] for r in rows],
                            self._fld)
 
-    def full_coords(self, x):
-        return linalg.mat_vec(self._inv0, list(x), self._fld)
-
     def depth(self, x):
         """Filtration depth of a nonzero element (max m with x in chain m)."""
         ds = [g for g, v in zip(self.grades, self.full_coords(x)) if v]
@@ -138,18 +137,16 @@ class AdaptedBasis:
                 for g, v in zip(self.grades, self.full_coords(x))]
 
     def symbol(self, x):
-        """Symbol vector of x in gr coordinates (leading-grade component)."""
-        d = self.depth(x)
-        if d is None:
-            return [self._fld.zero] * len(self.grades)
-        return self.component(x, d)
+        """Symbol vector of x in gr coordinates (leading-grade component;
+        zero for x = 0, whose depth is None)."""
+        return self.component(x, self.depth(x))
 
 
 class GradedAlgebra(AdaptedBasis):
     """gr A: `algebra` is a plain StructureAlgebra at the level of `base`."""
 
-    def __init__(self, base, algebra, grades, lifts, chain, inv0):
-        super().__init__(base.fld, grades, lifts, chain, inv0)
+    def __init__(self, base, algebra, grades, lifts, chain, coords):
+        super().__init__(base.fld, grades, lifts, chain, coords)
         self.base = base
         self.algebra = algebra
 
@@ -158,7 +155,7 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
     """The forced graded algebra of an integral or field-level algebra."""
     fld = alg.fld
     chain = algebra_rad_chain(alg)
-    lifts, grades, inv0 = _adapted_basis(chain, fld, alg.rank)
+    lifts, grades, coords = _adapted_basis(chain, fld, alg.rank)
     n = alg.rank
     sc = {}
     for i in range(n):
@@ -166,15 +163,12 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
             z = alg.mul(lifts[i], lifts[j])
             if not any(z):
                 continue
-            c = linalg.mat_vec(inv0, z, fld)
-            row = dict(_leading(c, grades, grades[i] + grades[j]))
+            row = dict(_leading(coords(z), grades, grades[i] + grades[j]))
             if row:
                 sc[(i, j)] = row
 
     def grade_zero(x):
-        return tuple(linalg.dense(
-            _leading(linalg.mat_vec(inv0, list(x), fld), grades, 0), n,
-            fld.zero))
+        return tuple(linalg.dense(_leading(coords(x), grades, 0), n, fld.zero))
 
     weights = None
     if alg.weights is not None:
@@ -185,14 +179,15 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
     galg = StructureAlgebra(alg.ring, alg.level, n,
                             [f"g{grades[i]}_{i}" for i in range(n)],
                             grade_zero(alg.unit), sc, weights)
-    return GradedAlgebra(alg, galg, grades, lifts, chain, inv0)
+    return GradedAlgebra(alg, galg, grades, lifts, chain, coords)
 
 
 class GradedModule(AdaptedBasis):
     """gr M over gr A: `module` is a ModuleRep over gralg.algebra."""
 
-    def __init__(self, gralg, base_module, module, grades, lifts, chain, inv0):
-        super().__init__(base_module.fld, grades, lifts, chain, inv0)
+    def __init__(self, gralg, base_module, module, grades, lifts, chain,
+                 coords):
+        super().__init__(base_module.fld, grades, lifts, chain, coords)
         self.gralg = gralg
         self.base_module = base_module
         self.module = module
@@ -202,13 +197,13 @@ def gr_module(gralg: GradedAlgebra, mod: ModuleRep) -> GradedModule:
     """gr of a module over the (already graded) algebra."""
     fld = mod.fld
     chain = module_rad_chain(mod)
-    lifts, grades, inv0 = _adapted_basis(chain, fld, mod.rank)
+    lifts, grades, coords = _adapted_basis(chain, fld, mod.rank)
     lift_cols = [linalg.column(lift) for lift in lifts]
     acts = []
     for g, u in zip(gralg.grades, gralg.lifts):
         images = linalg.compose(mod.act_matrix(list(u)), lift_cols)
         acts.append([tuple(_leading(
-            linalg.mat_vec(inv0, linalg.dense(img, mod.rank, fld.zero), fld),
+            coords(linalg.dense(img, mod.rank, fld.zero)),
             grades, g + gs, "module action")) for gs, img in zip(grades, images)])
     gmod = ModuleRep(gralg.algebra, mod.rank, acts, f"gr({mod.name})")
-    return GradedModule(gralg, mod, gmod, grades, lifts, chain, inv0)
+    return GradedModule(gralg, mod, gmod, grades, lifts, chain, coords)

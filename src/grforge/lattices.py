@@ -433,33 +433,55 @@ def quotient_projection(span, fld):
     project(v) gives the coordinates of the image of v in that basis.
     """
     lifts, torsion = span.quotient_lifts()
-    inv = linalg.coords_matrix([list(r) for r in span.rows] + lifts, fld)
-    if inv is None:
+    if span.rank + len(lifts) != span.ambient:
         raise LatticeError("span basis plus lifts do not span")
-    # only the coordinates on the lifts are kept
-    quotient_rows = inv[span.rank:]
+    coords = coord_solver(list(span.rows) + lifts, fld)
 
     def project(v):
-        return linalg.mat_vec(quotient_rows, list(v), fld)
+        return coords(v)[span.rank:]  # the coordinates on the lifts
 
     return lifts, torsion, project
 
 
 def coord_solver(rows, fld, ring=None):
-    """Coordinates in the basis `rows` (independent): v -> c with
-    v = sum c[i] rows[i], or None when there is no such c.
-
-    With `ring` (level O) c must lie in O: v must lie in the O-lattice the
-    rows span.  Without it, in their span over `fld`.
-    """
+    """Coordinates in the basis `rows`: v -> c with v = sum c[i] rows[i], or
+    None when there is none (with `ring`, level O: none in O, which for a
+    basis is membership in the lattice it spans).  LatticeError if the rows
+    are dependent.  One rref of the rows [rows[i] | e_i]: each pivot row
+    [w | T] has w = sum T[i] rows[i], so c = sum of v[pivot] T, and v lies
+    in the span iff the w leave nothing off the pivots; a pivot among the
+    e_i columns is a vanishing combination."""
     rows = [list(r) for r in rows]
-    reduce = span_of(rows, len(rows[0]) if rows else 0, fld, ring).coords
-    inv_t = linalg.coords_matrix([reduce(r) for r in rows], fld)
+    if not rows:
+        return lambda v: None if any(v) else []
+    k, n = len(rows), len(rows[0])
+    one, zero = fld.one, fld.zero
+    aug = [{**{j: x for j, x in enumerate(r) if x}, n + i: one}
+           for i, r in enumerate(rows)]
+    ech, pivots = linalg.rref(aug, fld, n + k)
+    if pivots[-1] >= n:
+        raise LatticeError("basis rows are linearly dependent")
+    steps = tuple(
+        (col, tuple((j, row[j]) for j in range(col + 1, n) if row[j]),
+         tuple((i, row[n + i]) for i in range(k) if row[n + i]))
+        for row, col in zip(ech, pivots))
+    free = set(range(n)).difference(pivots)
+    valuation = ring.valuation if ring is not None else None
 
     def coords(v):
-        c = reduce(list(v))
-        if c is None:
+        v = list(v)
+        c = [zero] * k
+        for col, tail, combo in steps:
+            x = v[col]
+            if x:
+                for j, e in tail:
+                    v[j] = v[j] - x * e
+                for i, t in combo:
+                    c[i] = c[i] + x * t
+        if any(v[j] for j in free):
             return None
-        return linalg.mat_vec(inv_t, c, fld)
+        if valuation is not None and any(valuation(y) < 0 for y in c if y):
+            return None
+        return c
 
     return coords

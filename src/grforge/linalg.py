@@ -10,11 +10,12 @@ matrices) is stored once, by sparse columns (Gustavson, ACM TOMS 1978):
 `cols[k]` is a tuple of the (row, entry) pairs of the nonzero entries of
 column k, rows increasing, so equal matrices have equal columns.  The
 kernels on that form (`apply`, `combine_columns`, `compose`, `trace_form`,
-`row_entries`) visit only nonzero entries.  Other matrices (inverses,
-homomorphism witnesses) are lists of row lists; `columns` and `dense_rows`
+`row_entries`) visit only nonzero entries.  Other matrices (homomorphism
+witnesses, Gram matrices) are lists of row lists; `columns` and `dense_rows`
 convert at the document boundary.  `rref` reduces `{column: entry}` rows,
 `mat_vec` visits only the nonzero entries of its vector, and `charpoly` over
-F_p runs on plain ints mod p.
+F_p runs on plain ints mod p.  Coordinates in a basis come from
+`lattices.coord_solver`; no inverse matrix is formed.
 """
 
 from __future__ import annotations
@@ -260,34 +261,6 @@ def rank(rows, field, ncols=None):
     return len(rref(rows, field, ncols)[0])
 
 
-def in_row_space(v, ech, pivots):
-    """Reduce v against an rref basis; return the remainder."""
-    v = list(v)
-    for row, col in zip(ech, pivots):
-        if v[col]:
-            c = v[col]
-            for j in range(len(v)):
-                if row[j]:
-                    v[j] = v[j] - c * row[j]
-    return v
-
-
-def coords_in_row_space(v, ech, pivots):
-    """Coordinates of v in the rref basis, or None if v is outside."""
-    v = list(v)
-    cs = []
-    for row, col in zip(ech, pivots):
-        c = v[col]
-        cs.append(c)
-        if c:
-            for j in range(len(v)):
-                if row[j]:
-                    v[j] = v[j] - c * row[j]
-    if any(v):
-        return None
-    return cs
-
-
 class Subspace:
     """A subspace of F^ambient in canonical form: its rref rows and pivots.
 
@@ -297,13 +270,14 @@ class Subspace:
     equal iff their rref rows are equal.
     """
 
-    __slots__ = ("fld", "ambient", "rows", "pivots")
+    __slots__ = ("fld", "ambient", "rows", "pivots", "_reducer")
 
     def __init__(self, fld, ambient: int, rows, pivots):
         self.fld = fld
         self.ambient = ambient
         self.rows = rows      # rref rows, pivot columns increasing
         self.pivots = pivots
+        self._reducer = None
 
     @staticmethod
     def from_rows(fld, ambient: int, rows) -> "Subspace":
@@ -321,14 +295,31 @@ class Subspace:
         return f"Subspace(rank {self.rank} in F^{self.ambient})"
 
     def reduce(self, vec):
-        return in_row_space(vec, self.rows, self.pivots)
+        """The remainder of vec modulo the span: one pass over the pivots
+        where vec is nonzero, each subtracting the nonzero tail of its row
+        (zero at the other pivots), built once per subspace."""
+        if self._reducer is None:
+            self._reducer = tuple(
+                (col, tuple((j, row[j]) for j in range(col + 1, self.ambient)
+                            if row[j]))
+                for row, col in zip(self.rows, self.pivots))
+        v = list(vec)
+        for col, tail in self._reducer:
+            x = v[col]
+            if x:
+                v[col] = self.fld.zero
+                for j, e in tail:
+                    v[j] = v[j] - x * e
+        return v
 
     def contains_vector(self, vec) -> bool:
         return not any(self.reduce(vec))
 
     def coords(self, vec):
-        """Coordinates of vec in the rref basis, or None if vec is outside."""
-        return coords_in_row_space(vec, self.rows, self.pivots)
+        """Coordinates of vec in the rref basis (its entries at the pivots),
+        or None if vec is outside."""
+        vec = list(vec)
+        return None if any(self.reduce(vec)) else [vec[c] for c in self.pivots]
 
     def contains_lattice(self, other) -> bool:
         return all(self.contains_vector(r) for r in other.rows)
@@ -410,23 +401,6 @@ def kernel_right(a, field, ncols=None):
 def kernel_left(a, field):
     """Basis of the left kernel {y : y a = 0}."""
     return kernel_right(transpose(a), field)
-
-
-def invert(a, field):
-    """Inverse matrix, or None if singular."""
-    n = len(a)
-    aug = [list(r) + e for r, e in zip(a, identity(field, n))]
-    ech, pivots = rref(aug, field)
-    if len(ech) < n or pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in ech[:n]]
-
-
-def coords_matrix(basis, field):
-    """The matrix C with C v the coordinates of v in `basis` (n vectors of
-    length n), or None when they are not a basis: the inverse of the matrix
-    whose columns are the basis vectors."""
-    return invert(transpose(basis), field)
 
 
 def det(a, field):

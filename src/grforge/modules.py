@@ -155,24 +155,24 @@ class ModuleRep:
             self.rank)
 
     def restrict_to(self, sub) -> "ModuleRep":
-        """Module structure on an action-stable span, or on the span of rows."""
-        rows = [list(r) for r in self.span(sub).rows]
-        if not rows:
+        """Module structure on an action-stable span, or on the span of rows,
+        in the span's canonical basis."""
+        span = self.span(sub)
+        if not span.rank:
             return ModuleRep(self.algebra, 0,
                              [[] for _ in range(self.algebra.rank)], self.name + "|0")
-        coords = self.algebra.coord_solver(rows)
         zero = self.fld.zero
-        basis = [linalg.column(r) for r in rows]
+        basis = [linalg.column(r) for r in span.rows]
         acts = []
         for cols in self.acts:
             images = []
             for img in linalg.compose(cols, basis):
-                c = coords(linalg.dense(img, self.rank, zero))
+                c = span.coords(linalg.dense(img, self.rank, zero))
                 if c is None:
                     raise ModuleError("span is not action-stable")
                 images.append(linalg.column(c))
             acts.append(images)
-        return ModuleRep(self.algebra, len(rows), acts, self.name + "|sub")
+        return ModuleRep(self.algebra, span.rank, acts, self.name + "|sub")
 
     def quotient_by(self, sub):
         """Quotient module by an action-stable span, or by the span of rows;

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import AlgebraError, StructureAlgebra
+from .lattices import LatticeError, coord_solver
 from .scalars import InternalCheckError
 
 
@@ -102,7 +103,8 @@ def _radical_proof(alg):
     if alg.level == "O":
         raise AlgebraError("radical_field expects a K- or k-level algebra")
     fld = alg.fld
-    candidate = linalg.kernel_left(trace_gram(alg), fld)
+    # the trace form is symmetric: its right kernel is its left kernel
+    candidate = linalg.kernel_right(trace_gram(alg), fld)
     power = 1
     while True:
         if is_ideal(alg, candidate):
@@ -150,7 +152,7 @@ def _fr_stage(alg, basis_rows, power):
     """Kernel of the Friedl-Ronyai form c_power on the span of the rows."""
     fld = alg.fld
     basis_rows, _ = linalg.rref(basis_rows, fld)
-    ker = linalg.kernel_left(_fr_form(alg, basis_rows, power), fld)
+    ker = linalg.kernel_right(_fr_form(alg, basis_rows, power), fld)
     return linalg.rref([linalg.combine(c, basis_rows, fld.zero)
                         for c in ker], fld)[0]
 
@@ -230,14 +232,17 @@ def split_semisimple(alg, modules):
         raise NonSplitError(
             f"modules separate {len(chars)} of {m} central characters")
     blocks = []
-    mat = [list(c) for (c, _, _) in chars]
-    inv = linalg.invert(mat, fld)
-    if inv is None:
-        raise NonSplitError("central characters are linearly dependent")
+    # chi_b(e) = sum_s coef_s chi_b(z_s) = [b == idx]: coef is the coordinate
+    # vector of the unit vector at idx in the rows (chi_b(z_s))_b, one per s
+    try:
+        coords = coord_solver([[c[s] for (c, _, _) in chars]
+                               for s in range(m)], fld)
+    except LatticeError as exc:
+        raise NonSplitError(
+            "central characters are linearly dependent") from exc
     for idx, (vec, label, acts) in enumerate(chars):
-        # chi_b(e) = sum_s coef_s chi_b(z_s): solve mat . coef = delta_idx
         target = [fld.one if t == idx else fld.zero for t in range(m)]
-        e = linalg.combine(linalg.mat_vec(inv, target, fld), z, fld.zero)
+        e = linalg.combine(coords(target), z, fld.zero)
         if alg.mul(e, e) != e:
             raise NonSplitError("central idempotent solve failed")
         dim = len(acts[0])
@@ -276,16 +281,19 @@ def _block_matrix_units(alg, block: Block):
         raise NonSplitError(
             f"block {block.label!r} has dimension {len(sub)}, not {d * d}")
     # action matrices of the block basis, flattened; the unit E_ij is the
-    # combination of the basis with coordinates column i * d + j of the
-    # inverse
+    # combination of the basis with the coordinates of the elementary
+    # matrix (the unit vector at i * d + j) in those flattened matrices
     flat = [linalg.flatten(linalg.combine_columns(v, block.module_acts),
                            fld.zero) for v in sub]
-    inv = linalg.coords_matrix(flat, fld)
-    if inv is None:
-        raise NonSplitError("module action is not surjective on the block")
-    units = {(i, j): linalg.combine([row[i * d + j] for row in inv], sub,
-                                    fld.zero)
-             for i in range(d) for j in range(d)}
+    try:
+        coords = coord_solver(flat, fld)
+    except LatticeError as exc:
+        raise NonSplitError(
+            "module action is not surjective on the block") from exc
+    zero, one = fld.zero, fld.one
+    units = {(i, j): linalg.combine(
+        coords([one if t == i * d + j else zero for t in range(d * d)]),
+        sub, zero) for i in range(d) for j in range(d)}
     if not matrix_units_hold(
             alg, {(0, i, j): u for (i, j), u in units.items()}, e):
         raise NonSplitError("matrix unit relations fail")
@@ -474,12 +482,15 @@ def _malcev_enlarge(alg, s_rows, contain):
     for _ in range(max_rounds):
         s_ech = alg.span(s_rows).rows
         full = [list(r) for r in s_ech] + [list(r) for r in rad]
-        inv_t = linalg.coords_matrix(full, fld)
-        if inv_t is None:
+        try:
+            coords = coord_solver(full, fld)
+        except LatticeError:
+            coords = None
+        if coords is None or len(full) != alg.rank:
             raise InternalCheckError("complement plus radical is not a basis")
 
         def decompose(v):
-            c = linalg.mat_vec(inv_t, list(v), fld)
+            c = coords(v)
             sig = linalg.combine(c[: len(s_ech)], s_ech, fld.zero)
             delta = [a - b for a, b in zip(v, sig)]
             return sig, delta

@@ -130,9 +130,10 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
     gr = gr_algebra(alg)
     sp = standard_and_projectives(alg)
     _, gradk, gsimples_k = graded_head_context(gr)
+    # gr Delta(lam), built once for the heads and the conclusion
+    gr_deltas = {lam: gr_module(gr, sp[lam]["Delta"]) for lam in w.Lambda}
     heads_ok = True
-    for lam in w.Lambda:
-        gd = gr_module(gr, sp[lam]["Delta"])
+    for lam, gd in gr_deltas.items():
         info = head_info(gd.module.base_change("k"), gradk, gsimples_k)
         if not (info["is_simple"] and info["label"] == lam):
             heads_ok = False
@@ -146,8 +147,7 @@ def thm_417_suite(alg: StructureAlgebra) -> SuiteResult:
     if gcert.ok:
         res.conclusions["gr_checker_agrees"] = certify.verify_chain(gr.algebra, gcert)
         match = True
-        for lam in w.Lambda:
-            gr_delta = gr_module(gr, sp[lam]["Delta"])
+        for lam, gr_delta in gr_deltas.items():
             if standard_iso(gr_delta.module, lam) is None:
                 match = False
                 res.notes.setdefault("gr_std_mismatch", []).append(str(lam))
@@ -357,4 +357,4 @@ def _projective_generator(alg: StructureAlgebra, g):
     b_i e_g."""
     e = list(alg.weights.idempotents[g])
     basis = [alg.basis_vec(i) for i in range(alg.rank)]
-    return alg.coord_solver(alg.product_span(basis, [e]).rows)(e)
+    return alg.product_span(basis, [e]).coords(e)

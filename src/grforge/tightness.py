@@ -17,7 +17,6 @@ from .algebra import AlgebraError, StructureAlgebra
 from .graded import algebra_rad_chain, gr_algebra, gr_module, module_rad_chain
 from .lattices import (
     Lattice,
-    coord_solver,
     is_pure,
     quotient_free_basis,
     saturate_rows,
@@ -53,31 +52,24 @@ class GradedSubalgebraDatum:
     wedderburn: list | None = None
 
     def validate(self, alg: StructureAlgebra):
-        problems = []
-        rows = [list(r) for r in self.rows]
-        if alg.level == "O":
-            lat = Lattice.from_rows(alg.ring, alg.rank, rows)
-            if lat.rank != len(rows):
-                problems.append("subalgebra basis is not independent")
-            elif not is_pure(lat, Lattice.full(alg.ring, alg.rank)):
-                problems.append("subalgebra is not O-pure in the ambient algebra")
-        coords = coord_solver(rows, alg.fld)
-        if coords(list(alg.unit)) is None:
-            problems.append("subalgebra does not contain the identity")
-        for i, a in enumerate(rows):
-            for j, b in enumerate(rows):
-                c = coords(alg.mul(a, b))
-                if c is None:
-                    problems.append(f"not closed under multiplication at ({i},{j})")
-                    continue
-                target = self.grades[i] + self.grades[j]
-                for t, x in enumerate(c):
-                    if x and self.grades[t] != target:
-                        problems.append(
-                            f"grading not multiplicative at ({i},{j})")
-                        break
-        if problems:
-            raise TightnessError("; ".join(sorted(set(problems))))
+        """TightnessError unless the rows are a basis of a subalgebra (pure
+        at level O) on which the grades add under multiplication; the
+        subalgebra is built once (`subalgebra_of`)."""
+        span = alg.span([list(r) for r in self.rows])
+        if span.rank != len(self.rows):
+            raise TightnessError("subalgebra basis is not independent")
+        if alg.level == "O" and not is_pure(
+                span, Lattice.full(alg.ring, alg.rank)):
+            raise TightnessError(
+                "subalgebra is not O-pure in the ambient algebra")
+        try:
+            sub = subalgebra_of(alg, self.rows)
+        except AlgebraError as exc:
+            raise TightnessError(str(exc)) from exc
+        g = self.grades
+        for (i, j), row in sub.sc.items():
+            if any(g[t] != g[i] + g[j] for t in row):
+                raise TightnessError(f"grading not multiplicative at ({i},{j})")
         return True
 
 
@@ -289,24 +281,21 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                 ok5 = False
                 notes.setdefault("c5", []).append(
                     f"grade {g}: a ∩ a_K,{g} differs from a_{g}")
-        # sum of grades >= r equals the integral radical power of the subalgebra
+        # sum of grades >= r equals the integral radical power of the
+        # subalgebra; in its own basis the datum rows are the unit vectors
         sub_chain = algebra_rad_chain(sub)
-        coords = coord_solver(sub_rows, alg.fld)
         for r in range(1, len(sub_chain) - 1):
-            rows_ge = []
-            for g, rows_g in grade_rows.items():
-                if g >= r:
-                    rows_ge.extend(coords(list(x)) for x in rows_g)
+            rows_ge = [c for g, cs in sub_grade_rows.items() if g >= r
+                       for c in cs]
             if sub.span(rows_ge) != sub_chain[r]:
                 ok5 = False
                 notes.setdefault("c5", []).append(
                     f"sum of grades >= {r} differs from r~ad^{r} a")
         # symbol map a -> gr a is a graded isomorphism
         gr_sub = gr_subalgebra_of(alg, sub_rows)
-        for g, rows_g in grade_rows.items():
+        for g, cs in sub_grade_rows.items():
             symbols = []
-            for x in rows_g:
-                c = coords(list(x))
+            for c in cs:
                 if gr_sub.depth(c) != g:
                     ok5 = False
                     notes.setdefault("c5", []).append(
@@ -333,7 +322,8 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
 
 def field_pim(alg_field, lam):
     """P(lam) over a field: A f for a lifted primitive idempotent f of the
-    lam-block.  Returns (module, f_vector)."""
+    lam-block.  Returns (module, f_vector); the module's `ambient_span` is
+    A f in A's coordinates."""
     blocks, units = radicals.matrix_units(alg_field, weight_simples(alg_field))
     for bi, blk in enumerate(blocks):
         if blk.label == lam:
@@ -345,8 +335,7 @@ def field_pim(alg_field, lam):
     sub = reg.submodule_generated([list(f)])
     mod = reg.restrict_to(sub)
     mod.name = f"P_K({lam})"
-    mod.ambient_rows = list(sub.rows)
-    mod.generator_ambient = list(f)
+    mod.ambient_span = sub
     return mod, list(f)
 
 
@@ -358,8 +347,7 @@ def e_k_lambda(alg_field, lam):
     pim, f = field_pim(alg_field, lam)
     delta = standard_module(alg_field, lam)
     # generator of the pim in its own coordinates
-    coords = coord_solver(pim.ambient_rows, pim.fld)
-    gen = coords(f)
+    gen = pim.ambient_span.coords(f)
     if gen is None:
         raise TightnessError("pim generator lost in restriction")
     h = None

@@ -121,6 +121,25 @@ class TestCLI:
         missing = tmp_path / "missing.json"
         assert cli.main(["certify", str(missing)]) == 2
 
+    @pytest.mark.parametrize("first, second, message", [
+        # an entry outside O = Z_(3): the datum's rows span no sublattice
+        (["1/3", "0"], ["0", "1"], "error: generator entry outside O"),
+        # the second row is twice the first: no basis
+        (["1", "0"], ["2", "0"], "error: subalgebra basis is not independent"),
+    ])
+    def test_malformed_datum_exits_2(self, tmp_path, capsys, first, second,
+                                     message):
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        rows = [first + ["0"] * 3, second + ["0"] * 3]
+        rows += [["1" if t == i else "0" for t in range(5)] for i in (2, 3, 4)]
+        datum = tmp_path / "d.json"
+        datum.write_text(json.dumps({"basis": rows, "grades": [0, 0, 1, 1, 2]}))
+        capsys.readouterr()
+        code = cli.main(["verify", "thm53", str(tmp_path / "z5@3.alg.json"),
+                         "--datum", str(datum), "--lam", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == message
+
     @pytest.mark.parametrize("suite", ["thm417", "appendix1"])
     def test_failed_report_exits_1(self, tmp_path, suite):
         # z5s@3 is not quasi-hereditary over O: the report does not pass

@@ -8,11 +8,19 @@ ModuleRep.image, with the sparse action columns behind them."""
 from fractions import Fraction
 
 import pytest
+from dense_reference import coords_in_row_space, in_row_space, invert
 from hypothesis import assume, given, settings, strategies as st
 
-from grforge import linalg, modules
+from grforge import graded, linalg, modules
 from grforge.algebra import AlgebraError
-from grforge.lattices import Lattice, coord_solver, is_pure, quotient_free_basis
+from grforge.graded import GradingError
+from grforge.lattices import (
+    Lattice,
+    LatticeError,
+    coord_solver,
+    is_pure,
+    quotient_free_basis,
+)
 from grforge.modules import (
     ModuleRep,
     hom_equations,
@@ -49,7 +57,7 @@ def draw_vector(data, fld, rows, n, denominator=1):
         x = data.draw(small)
         return fld.of(x if denominator == 1 else Fraction(x, denominator))
 
-    if data.draw(st.booleans()):
+    if not rows or data.draw(st.booleans()):
         return [scalar() for _ in range(n)]
     return linalg.combine([scalar() for _ in rows], rows, fld.zero)
 
@@ -66,40 +74,90 @@ def test_combine_matches_naive_sum(data):
     assert linalg.combine(coeffs, rows, fld.zero) == want
 
 
+COORD_FIELDS = {"Q": R5.field_K, "F_5": R5.field_k, "Q(zeta_5)": C5.field_K}
+
+
+def draw_basis(data, fld, n):
+    """Up to n rows of length n (entries from `draw_scalar`), now and then a
+    combination of the earlier ones (so dependent), and now and then none."""
+    rows = []
+    for _ in range(data.draw(st.integers(0, n))):
+        if rows and not data.draw(st.integers(0, 4)):
+            rows.append(linalg.combine([fld.of(data.draw(small)) for _ in rows],
+                                       rows, fld.zero))
+        else:
+            rows.append([draw_scalar(data, fld) for _ in range(n)])
+    return rows
+
+
 @SETTINGS
-@given(st.sampled_from(["F_5", "Q"]), st.data())
+@given(st.sampled_from(sorted(COORD_FIELDS)), st.data())
 def test_field_coord_solver_matches_solve_right(kind, data):
-    fld = R5.field_k if kind == "F_5" else R5.field_K
+    """coord_solver(rows)(v) is the unique solution of rows^T c = v: None
+    when v is outside the span, LatticeError when the rows are dependent,
+    and for no rows [] at v = 0 and None elsewhere."""
+    fld = COORD_FIELDS[kind]
     n = data.draw(st.integers(1, 4))
-    k = data.draw(st.integers(1, n))
-    rows = draw_matrix(data, fld, k, n)
-    assume(linalg.rank(rows, fld) == k)
+    rows = draw_basis(data, fld, n)
     v = draw_vector(data, fld, rows, n)
-    want = linalg.solve_right(linalg.transpose(rows), v, fld)
-    assert coord_solver(rows, fld)(v) == want
+    if rows and linalg.rank(rows, fld) < len(rows):
+        with pytest.raises(LatticeError):
+            coord_solver(rows, fld)
+        return
+    got = coord_solver(rows, fld)(v)
+    if not rows:
+        assert got == (None if any(v) else [])
+        return
+    assert got == linalg.solve_right(linalg.transpose(rows), v, fld)
+    if got is not None:
+        assert linalg.combine(got, rows, fld.zero) == v
 
 
 @SETTINGS
 @given(st.sampled_from([R3, C3]), st.data())
 def test_integral_coord_solver_matches_lattice_coords(ring, data):
+    """At level O, coord_solver(rows, fld, ring)(v) is not None exactly when
+    the lattice the rows span contains v, and then it is the unique
+    coordinate vector, in O; v is a combination or a free vector scaled by
+    pi^-1, 1 or pi."""
     fld = ring.field_K
     n = data.draw(st.integers(1, 3))
-    k = data.draw(st.integers(1, n))
-    rows = draw_matrix(data, fld, k, n)
-    assume(linalg.rank(rows, fld) == k)
+    rows = draw_basis(data, fld, n)
+    if linalg.rank(rows, fld) < len(rows):
+        with pytest.raises(LatticeError):
+            coord_solver(rows, fld, ring)
+        return
     lat = Lattice.from_rows(ring, n, rows)
-    # coefficients with denominator p leave the lattice now and then
-    v = draw_vector(data, fld, rows, n, denominator=ring.p)
-    want = lat.coords(v)
+    scale = ring.pi_power(data.draw(st.integers(-1, 1)))
+    v = [scale * x for x in draw_vector(data, fld, rows, n)]
     # in the canonical basis the solver is Lattice.coords itself
-    assert coord_solver(lat.rows, fld, ring)(v) == want
-    # in the generating rows: the same membership, and coordinates in O
-    # that reproduce v
+    assert coord_solver(lat.rows, fld, ring)(v) == lat.coords(v)
     got = coord_solver(rows, fld, ring)(v)
-    assert (got is None) == (want is None)
+    assert (got is not None) == lat.contains_vector(v)
     if got is not None:
         assert all(ring.valuation(c) >= 0 for c in got if c)
-        assert linalg.combine(got, rows, fld.zero) == v
+        # combine of no rows is the empty vector
+        assert (linalg.combine(got, rows, fld.zero) or [fld.zero] * n) == v
+
+
+def test_dependent_rows_have_no_coordinates(z5):
+    """[e1, 2 e1] is no basis: the solver refuses it instead of giving e1
+    one coordinate, and so do the subalgebra and the adapted basis built on
+    such rows."""
+    for fld, ring in ((R3.field_K, None), (R3.field_K, R3), (R3.field_k, None)):
+        one, zero = fld.one, fld.zero
+        with pytest.raises(LatticeError):
+            coord_solver([[one, zero], [one + one, zero]], fld, ring)
+    e1 = z5.basis_vec(0)
+    with pytest.raises(LatticeError):
+        z5.subalgebra_on([e1, [x + x for x in e1]])
+    ak = z5.base_change("K")
+    whole = ak.span([ak.basis_vec(i) for i in range(ak.rank)])
+    zero = ak.span([])
+    # the steps whole, 0, whole, 0 lift the basis twice
+    with pytest.raises(GradingError) as info:
+        graded._adapted_basis([whole, zero, whole, zero], ak.fld, 2 * ak.rank)
+    assert isinstance(info.value.__cause__, LatticeError)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +205,11 @@ def test_subspace_matches_rref_reference(kind, data):
     ech, piv = linalg.rref(rows, fld)
     assert (span.rows, span.pivots, span.rank) == (ech, piv, len(ech))
     v = draw_member_or_not(data, fld, rows, n)
-    inside = not any(linalg.in_row_space(v, ech, piv))
+    assert span.reduce(v) == in_row_space(v, ech, piv)
+    inside = not any(in_row_space(v, ech, piv))
     assert span.contains_vector(v) == inside
     c = span.coords(v)
-    assert c == linalg.coords_in_row_space(v, ech, piv)
+    assert c == coords_in_row_space(v, ech, piv)
     assert (c is not None) == inside
     if c is not None:
         # combine of no rows is the empty vector
@@ -176,7 +235,7 @@ def test_subspace_equality_and_add_match_reference(kind, data):
     assert total.contains_lattice(s1) and total.contains_lattice(s2)
     assert s1.contains_lattice(s2) == (total.rank == s1.rank)
     assert s1.contains_lattice(s2) == all(
-        not any(linalg.in_row_space(r, ref1, s1.pivots)) for r in rows2)
+        not any(in_row_space(r, ref1, s1.pivots)) for r in rows2)
     # the quotient lifts complete a basis of F^n
     lifts, torsion = s1.quotient_lifts()
     assert torsion == []
@@ -194,7 +253,7 @@ def remainder_lifts_reference(fld, big_rows, small_rows):
     lifts = []
     cur_ech, cur_piv = linalg.rref([list(r) for r in small_rows], fld)
     for row in big_rows:
-        rem = linalg.in_row_space(list(row), cur_ech, cur_piv)
+        rem = in_row_space(list(row), cur_ech, cur_piv)
         if any(rem):
             lifts.append(rem)
             cur_ech, cur_piv = linalg.rref(cur_ech + [rem], fld)
@@ -285,7 +344,7 @@ def draw_base_change(data, mod, integral):
     when `integral`): isomorphic to mod through g."""
     fld = mod.fld
     g = draw_matrix(data, fld, mod.rank, mod.rank)
-    g_inv = linalg.invert(g, fld)
+    g_inv = invert(g, fld)
     assume(g_inv is not None)
     if integral:
         assume(mod.algebra.ring.valuation(linalg.det(g, fld)) == 0)
@@ -321,7 +380,7 @@ def test_standard_iso_recovers_a_base_change(z5, level, lam, data):
     h = standard_iso(other, lam)
     assert h is not None
     assert equivariant(h, delta, other)
-    assert linalg.invert(h, delta.fld) is not None
+    assert invert(h, delta.fld) is not None
     if integral:
         assert alg.ring.valuation(linalg.det(h, delta.fld)) == 0
 

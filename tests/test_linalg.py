@@ -3,16 +3,19 @@
 `dense_rref`, `dense_mat_vec` and `dense_charpoly` are the dense kernels
 that `rref`, `mat_vec` and `charpoly` replaced, and `dense_mat_mul` the dense
 product that the sparse-column kernels replaced, kept verbatim as the
-reference.  Kernels, solves, inverses and ranks are compared with the same
-functions run on `dense_rref`.
+reference.  Kernels, solves and ranks are compared with the same functions
+run on `dense_rref`, and `lattices.coord_solver` with the inverse matrix
+that `dense_reference.invert` computes on it.
 """
 
 from fractions import Fraction
 
 import pytest
+from dense_reference import invert
 from hypothesis import given, settings, strategies as st
 
 from grforge import linalg
+from grforge.lattices import LatticeError, coord_solver
 from grforge.scalars import (Cyc, CycField, Fp, PrimeField, RatField,
                              ScalarError)
 
@@ -226,7 +229,11 @@ def test_kernel_and_solve_match_dense(kind, data):
 
 @SETTINGS
 @given(st.sampled_from(sorted(FIELDS)), st.data())
-def test_invert_matches_dense(kind, data):
+def test_coord_solver_gives_the_dense_inverse(kind, data):
+    """The coordinates of the unit vectors in the columns of a square matrix
+    are the columns of its inverse, as the dense Gauss-Jordan reference
+    computes it; a singular matrix has dependent columns, which the solver
+    refuses."""
     fld = FIELDS[kind]
     n = data.draw(st.integers(1, 5))
     a = draw_rows(data, fld, n, n)
@@ -234,10 +241,15 @@ def test_invert_matches_dense(kind, data):
         # often invertible: add the identity
         a = [[x + y for x, y in zip(r, e)]
              for r, e in zip(a, linalg.identity(fld, n))]
-    got = linalg.invert(a, fld)
-    assert got == on_dense_rref(linalg.invert, a, fld)
-    if got is not None:
-        assert dense_mat_mul(a, got, fld) == linalg.identity(fld, n)
+    want = on_dense_rref(invert, a, fld)
+    if want is None:
+        with pytest.raises(LatticeError):
+            coord_solver(linalg.transpose(a), fld)
+        return
+    coords = coord_solver(linalg.transpose(a), fld)
+    got = linalg.transpose([coords(e) for e in linalg.identity(fld, n)])
+    assert got == want
+    assert dense_mat_mul(a, got, fld) == linalg.identity(fld, n)
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))

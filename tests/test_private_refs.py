@@ -13,6 +13,9 @@ Linear actions stay sparse columns: outside `linalg` and `files` nothing
 multiplies or combines dense matrices or transposes columns back into them.
 And rational K-values are `scalars.Rat`: outside `scalars`, `cyclo` and the
 rational-root candidates of `certify` no module builds a plain `Fraction`.
+And every change of basis is `lattices.coord_solver`: the dense inverse and
+row-space reducers it replaced are gone, and nothing else runs `rref` on
+rows augmented with an identity.
 """
 
 import ast
@@ -332,3 +335,102 @@ def test_fraction_check_sees_a_constructor_call():
                      "def is_rational(x):\n"
                      "    return isinstance(x, Fraction)\n")
     assert sorted(_fraction_calls(tree)) == [4, 5]
+
+
+# the one routine that builds a change of basis, and the dense routines it
+# replaced
+COORD_SOLVER = ("lattices", "coord_solver")
+REMOVED_COORDINATE_ROUTINES = {"invert", "coords_matrix", "in_row_space",
+                               "coords_in_row_space"}
+
+
+def _call_name(node):
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.attr if isinstance(f, ast.Attribute) else \
+            getattr(f, "id", None)
+    return None
+
+
+def _removed_coordinate_routines(tree):
+    """(line, name) for each definition, import or use of a removed dense
+    coordinate routine."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname or ""]
+        else:
+            continue
+        for name in names:
+            if name in REMOVED_COORDINATE_ROUTINES:
+                yield node.lineno, name
+
+
+def _identity_block(node):
+    """An identity block: a call of `identity`, a Kronecker delta
+    `one if i == j else zero`, or a dict entry of a tag column `n + i`."""
+    if _call_name(node) == "identity":
+        return True
+    if (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
+            and len(node.test.ops) == 1
+            and isinstance(node.test.ops[0], ast.Eq)):
+        return True
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.BinOp) and isinstance(k.op, ast.Add)
+        for k in node.keys)
+
+
+def _augmented_rrefs(tree, module):
+    """(line, function) for each function other than `coord_solver` that
+    calls `rref` and builds an identity block: a change of basis by hand."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or (module, node.name) == COORD_SOLVER:
+            continue
+        inner = list(ast.walk(node))
+        if any(_call_name(n) == "rref" for n in inner) and \
+                any(_identity_block(n) for n in inner):
+            yield node.lineno, node.name
+
+
+def test_every_change_of_basis_is_coord_solver():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line} {what}" for line, what
+                  in _removed_coordinate_routines(tree)]
+        found += [f"{path.name}:{line} {fn} augments rows for rref"
+                  for line, fn in _augmented_rrefs(tree, path.stem)]
+    assert not found, f"changes of basis outside coord_solver: {found}"
+
+
+def test_change_of_basis_check_sees_an_inverse_by_hand():
+    tree = ast.parse(
+        "from .linalg import coords_in_row_space\n"
+        "def invert(a, field):\n"
+        "    n = len(a)\n"
+        "    aug = [list(r) + e for r, e in zip(a, identity(field, n))]\n"
+        "    return linalg.rref(aug, field)\n"
+        "def solve(rows, fld):\n"
+        "    n, one = len(rows[0]), fld.one\n"
+        "    aug = [{**dict(enumerate(r)), n + i: one}\n"
+        "           for i, r in enumerate(rows)]\n"
+        "    return linalg.rref(aug, fld, n + len(rows))\n"
+        "def unit_rows(rows, k, one, zero):\n"
+        "    return rref([r + [one if i == j else zero for j in range(k)]\n"
+        "                 for i, r in enumerate(rows)], one)\n"
+        "def quotient(span, fld):\n"
+        "    return linalg.coords_matrix(span.rows, fld)\n")
+    assert sorted(_removed_coordinate_routines(tree)) == [
+        (1, "coords_in_row_space"), (2, "invert"), (15, "coords_matrix")]
+    assert sorted(_augmented_rrefs(tree, "linalg")) == [
+        (2, "invert"), (6, "solve"), (11, "unit_rows")]
+    # coord_solver itself is seen, and allowed only in lattices
+    tree = ast.parse((PKG / "lattices.py").read_text())
+    assert [fn for _, fn in _augmented_rrefs(tree, "other")] == ["coord_solver"]
+    assert list(_augmented_rrefs(tree, "lattices")) == []

@@ -145,13 +145,11 @@ class TestWedderburn:
 
         mods = weight_simples(z5_K)
         s = radicals.wedderburn_complement(z5_K, mods)
-        ech, piv = linalg.rref([list(r) for r in s], z5_K.fld)
-        assert len(ech) == 2
+        span = z5_K.span(s)
+        assert span.rank == 2
         # contains both idempotents
         for lbl in ("1", "2"):
-            rem = linalg.in_row_space(
-                list(z5_K.weights.idempotents[lbl]), ech, piv)
-            assert not any(rem)
+            assert span.contains_vector(list(z5_K.weights.idempotents[lbl]))
 
     def test_nilpotent_extension_of_scalars(self):
         # Q[x]/x^2: complement is the scalars
@@ -186,9 +184,9 @@ class TestWedderburn:
         e2 = list(z5_K.weights.idempotents["2"])
         s0 = [z5_K.mul(u, z5_K.mul(e, uinv)) for e in (e1, e2)]
         s = radicals.wedderburn_complement(z5_K, mods, contain=s0)
-        ech, piv = linalg.rref([list(r) for r in s], fld)
+        span = z5_K.span(s)
         for v in s0:
-            assert not any(linalg.in_row_space(v, ech, piv))
+            assert span.contains_vector(v)
 
 
 class TestNilpotency:
