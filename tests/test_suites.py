@@ -23,6 +23,22 @@ QSCHUR_GOLDEN = {
 }
 
 
+# (d, p) -> sha256 of the document alone, for the builds too large to run
+# the suite on in a unit test; pinned before the builder was rewritten on
+# closed-form divided powers.
+QSCHUR_DOC_PINS = {
+    (4, 3): "80d353a5ee9d56b47aabac895c957c744bd4ce92f86105b4ecf5d47caa037bd1",
+    (4, 5): "20ba1799f93a1d1a1dae9b3b2ecaa3d12eca615b65ebc09bee109fdbaccf5207",
+    (5, 3): "b8e6f26d41138df6f8e40578c4359d9fb4769ef97c441cbdafafce8202760672",
+}
+
+
+@pytest.mark.parametrize("d, p", sorted(QSCHUR_DOC_PINS))
+def test_qschur_document_pins(d, p):
+    doc = files.algebra_to_doc(fixtures.build_qschur(d, p))
+    assert _sha256(json.dumps(doc, sort_keys=True)) == QSCHUR_DOC_PINS[(d, p)]
+
+
 def test_qschur_golden_digests():
     # the document and the report's stable portion must stay byte-identical
     for (d, p), (doc_digest, report_digest) in QSCHUR_GOLDEN.items():
