@@ -18,7 +18,6 @@ from functools import partial
 from . import linalg
 from .lattices import (
     coord_solver,
-    quotient_projection,
     saturate_rows,
     span_of,
     stable_span,
@@ -318,18 +317,8 @@ class StructureAlgebra:
         unit_c = coords(list(self.unit if unit is None else unit))
         if unit_c is None:
             raise AlgebraError("subalgebra does not contain the unit")
-        sc = {}
+        sc = structure_constants(basis, self.mul, coords)
         n = len(basis)
-        for i in range(n):
-            for j in range(n):
-                prod = self.mul(basis[i], basis[j])
-                c = coords(prod)
-                if c is None:
-                    raise AlgebraError(
-                        f"span not closed under multiplication at ({i},{j})")
-                row = {t: v for t, v in enumerate(c) if v}
-                if row:
-                    sc[(i, j)] = row
         return StructureAlgebra(self.ring, self.level, n,
                                 labels or [f"s{i}" for i in range(n)],
                                 unit_c, sc, None, None), basis
@@ -420,22 +409,33 @@ class StructureAlgebra:
         vectors of chosen basis lifts; project sends an element vector to its
         quotient coordinates.
         """
-        lifts, torsion, project = quotient_projection(self.span(ideal), self.fld)
+        lifts, torsion, project = self.span(ideal).quotient()
         if torsion:
             raise AlgebraError("ideal is not pure; quotient is not O-free")
         m = len(lifts)
-        sc = {}
-        for i in range(m):
-            for j in range(m):
-                prod = self.mul(lifts[i], lifts[j])
-                c = project(prod)
-                row = {t: v for t, v in enumerate(c) if v}
-                if row:
-                    sc[(i, j)] = row
+        sc = structure_constants(lifts, self.mul, project)
         unit_c = project(list(self.unit))
         quot = StructureAlgebra(self.ring, self.level, m,
                                 [f"q{i}" for i in range(m)], unit_c, sc)
         return quot, lifts, project
+
+
+def structure_constants(basis, product, coords):
+    """The sparse structure constants {(i, j): {t: c_t}} of `basis` under a
+    bilinear `product`: product(basis[i], basis[j]) = sum_t c_t basis[t],
+    with c = coords(...) and zero rows left out.  `coords` returns None for
+    a vector outside the span; AlgebraError names the first such product."""
+    sc = {}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            c = coords(product(x, y))
+            if c is None:
+                raise AlgebraError(
+                    f"span not closed under multiplication at ({i},{j})")
+            row = {t: v for t, v in enumerate(c) if v}
+            if row:
+                sc[(i, j)] = row
+    return sc
 
 
 def _sc_by_left(alg):

@@ -25,7 +25,7 @@ from functools import reduce
 from math import gcd
 
 from . import linalg, radicals
-from .algebra import AlgebraError, StructureAlgebra
+from .algebra import AlgebraError, StructureAlgebra, structure_constants
 from .lattices import (
     Lattice,
     LatticeError,
@@ -469,25 +469,19 @@ def _endo_direct_check(alg, J, expected_sizes):
         return False
     # endomorphisms restricted to the lattice: saturate and build the algebra
     sat = saturate_rows(alg.ring, n * n, ker)
-    basis = [list(r) for r in sat.rows]
-    m = len(basis)
-    sc = {}
     # each basis endomorphism h (h[r][c] at r * n + c) by its sparse columns
-    matb = [[linalg.column(b[c::n]) for c in range(n)] for b in basis]
+    matb = [[linalg.column(b[c::n]) for c in range(n)] for b in sat.rows]
     ident = linalg.identity(fld, n)
     unit_c = sat.coords([ident[r][c] for r in range(n) for c in range(n)])
     if unit_c is None:
         return False
-    for i in range(m):
-        for j in range(m):
-            prod = linalg.compose(matb[i], matb[j])
-            c0 = sat.coords(linalg.flatten(prod, fld.zero))
-            if c0 is None:
-                return False
-            row = {t: v for t, v in enumerate(c0) if v}
-            if row:
-                sc[(i, j)] = row
-    endo = StructureAlgebra(alg.ring, "O", m, None, unit_c, sc)
+    try:
+        sc = structure_constants(
+            matb, lambda x, y: linalg.flatten(linalg.compose(x, y), fld.zero),
+            sat.coords)
+    except AlgebraError:
+        return False
+    endo = StructureAlgebra(alg.ring, "O", len(matb), None, unit_c, sc)
     # simple endo-modules sit inside J itself: End . v for module vectors v
     endo_k = endo.base_change("K")
     jmod = ModuleRep(endo_k, n, matb)

@@ -7,7 +7,9 @@
 * z5s : the same K-algebra with the arrow beta rescaled by pi, a different
         O-order that fails quasi-heredity (pi-torsion above gamma).
 * qschur : the integral q-Schur algebra S(2, d) over Z_(p)[zeta], built from
-        divided-power generators acting on tensor space.
+        divided-power generators acting on tensor space, each written in
+        closed form at v = zeta (every entry of E^(a), F^(a) is one power
+        of zeta).
 * usl2   : a rank p^3 integral small-quantum-sl2 algebra on the monomial
         basis F^a K^b E^c.
 * inflate / perturb : Morita inflation and pi-rescaling mutations.
@@ -16,11 +18,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import partial
 
 from . import linalg, radicals
-from .algebra import AlgebraError, StructureAlgebra, WeightDatum
+from .algebra import (
+    AlgebraError,
+    StructureAlgebra,
+    WeightDatum,
+    structure_constants,
+)
 from .lattices import stable_span
 from .scalars import CYCLOTOMIC, RATIONAL, Cyc, InternalCheckError, RingSpec
 
@@ -205,274 +213,128 @@ def perturb(alg: StructureAlgebra, seed: int, count: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over Z (generic quantum parameter)
-# ---------------------------------------------------------------------------
-
-def _lp_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-        if not out[e]:
-            del out[e]
-    return out
-
-
-def _lp_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _lp_div(a, b):
-    """Exact division of Laurent polynomials over Z; None if inexact."""
-    if not a:
-        return {}
-    if not b:
-        raise ZeroDivisionError
-    rem = dict(a)
-    out = {}
-    bexps = sorted(b)
-    blead = bexps[-1]
-    bc = b[blead]
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 10000:
-            return None
-        rexps = sorted(rem)
-        rlead = rexps[-1]
-        q, r = divmod(rem[rlead], bc)
-        if r:
-            return None
-        e = rlead - blead
-        out[e] = out.get(e, 0) + q
-        for be, bcoef in b.items():
-            key = be + e
-            rem[key] = rem.get(key, 0) - q * bcoef
-            if not rem[key]:
-                del rem[key]
-    return out
-
-
-def _quantum_int(n):
-    """[n] = v^(n-1) + v^(n-3) + ... + v^(1-n) as a Laurent polynomial."""
-    if n == 0:
-        return {}
-    s = 1 if n > 0 else -1
-    n = abs(n)
-    out = {}
-    for k in range(n):
-        out[n - 1 - 2 * k] = s
-    return out
-
-
-def _quantum_factorial(n):
-    out = {0: 1}
-    for j in range(1, n + 1):
-        out = _lp_mul(out, _quantum_int(j))
-    return out
-
-
-def _lp_eval_zeta(a, p):
-    """Specialize v -> zeta (a primitive p-th root of unity)."""
-    out = Cyc.of(p, 0)
-    for e, c in a.items():
-        out = out + Cyc.zeta_pow(p, e % p) * c
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the integral q-Schur algebra S(2, d)
 # ---------------------------------------------------------------------------
 
-def _tensor_ops_generic(d):
-    """Sparse generic operators on V^(x)d over Z[v, v^-1].
+def _qschur_generators(d, p):
+    """The divided-power generators on V^(x)d at v = zeta, by sparse columns
+    (see linalg), written down in closed form.
 
-    Words are tuples in {0, 1}^d (0 = highest weight vector, weight +1).
-    Returns (E, F, K, Kinv) as dicts word -> dict word -> Laurent.
+    The basis vector e_w of a word w in {0, 1}^d has index
+    sum_i w_i 2^(d-1-i) (itertools.product order).  Letter x has weight
+    eps(x) = 1 - 2x and wt(w) = sum_i eps(w_i).  E^(a) e_w is the sum, over
+    the a-subsets S of the slots where w is 1, of
+    v^(a(a-1)/2 + sum_{j in S} sum_{i<j} eps(w_i)) times w with S set to 0;
+    F^(a) e_w sums over the slots where w is 0 with the exponent
+    a(a-1)/2 - sum_{j in S} sum_{i>j} eps(w_i), setting S to 1.  The a!
+    orders of flipping S add v^2 once per inversion, which sums to
+    [a]_{v^2}! = v^(a(a-1)/2) [a]! (Lusztig's q-binomial coproduct).
+    K^(+-1) e_w = v^(+-wt(w)) e_w and [K;0;t] e_w = [wt(w); t] e_w.
+    Distinct subsets give distinct words, so no column repeats a row.
     """
     words = list(itertools.product((0, 1), repeat=d))
-    wt = {w: sum(1 if x == 0 else -1 for x in w) for w in words}
-    E = {}
-    F = {}
-    K = {}
-    Kinv = {}
-    for w in words:
-        K.setdefault(w, {})[w] = {wt[w]: 1}
-        Kinv.setdefault(w, {})[w] = {-wt[w]: 1}
-        for j in range(d):
-            if w[j] == 1:
-                # E acts in slot j, K on earlier slots
-                tw = w[:j] + (0,) + w[j + 1:]
-                exp = sum(1 if w[i] == 0 else -1 for i in range(j))
-                col = E.setdefault(w, {})
-                col[tw] = _lp_add(col.get(tw, {}), {exp: 1})
-            else:
-                # F acts in slot j, K^-1 on later slots
-                tw = w[:j] + (1,) + w[j + 1:]
-                exp = -sum(1 if w[i] == 0 else -1 for i in range(j + 1, d))
-                col = F.setdefault(w, {})
-                col[tw] = _lp_add(col.get(tw, {}), {exp: 1})
-    return words, wt, E, F, K, Kinv
+    wts = [sum(1 - 2 * x for x in w) for w in words]
+    gens = {}
+    for a in range(1, d + 1):
+        for name, letter, step in (("E", 1, -1), ("F", 0, 1)):
+            cols = []
+            for k, w in enumerate(words):
+                # E: the weight of the letters before slot j; F: minus the
+                # weight of those after it
+                side = [sum(1 - 2 * x for x in w[:j]) if letter
+                        else -sum(1 - 2 * x for x in w[j + 1:])
+                        for j in range(d)]
+                col = []
+                for s in itertools.combinations(
+                        [j for j in range(d) if w[j] == letter], a):
+                    flip = sum(1 << (d - 1 - j) for j in s)
+                    exp = a * (a - 1) // 2 + sum(side[j] for j in s)
+                    col.append((k + step * flip, Cyc.zeta_pow(p, exp % p)))
+                cols.append(tuple(sorted(col)))
+            gens[f"{name}({a})"] = cols
+    gens["K"] = [((k, Cyc.zeta_pow(p, m % p)),) for k, m in enumerate(wts)]
+    gens["K^-1"] = [((k, Cyc.zeta_pow(p, -m % p)),) for k, m in enumerate(wts)]
+    for t in range(1, d + 1):
+        binom = {m: _cartan_binomial(m, t, p) for m in set(wts)}
+        gens[f"[K;0;{t}]"] = [((k, binom[m]),) if binom[m] else ()
+                              for k, m in enumerate(wts)]
+    return gens
 
 
-def _op_mul(a, b):
-    """Compose sparse operators (column convention: op[src][dst])."""
-    out = {}
-    for src, mids in b.items():
-        acc = {}
-        for mid, c1 in mids.items():
-            arow = a.get(mid)
-            if not arow:
-                continue
-            for dst, c2 in arow.items():
-                acc[dst] = _lp_add(acc.get(dst, {}), _lp_mul(c1, c2))
-        acc = {k: v for k, v in acc.items() if v}
-        if acc:
-            out[src] = acc
-    return out
-
-
-def _op_divided_power(op, i):
-    """op^i / [i]! with exact Laurent division of every entry."""
-    power = None
-    for _ in range(i):
-        power = op if power is None else _op_mul(op, power)
-    fact = _quantum_factorial(i)
-    out = {}
-    for src, col in power.items():
-        ncol = {}
-        for dst, val in col.items():
-            q = _lp_div(val, fact)
-            if q is None:
-                raise InternalCheckError("divided power is not integral")
-            if q:
-                ncol[dst] = q
-        if ncol:
-            out[src] = ncol
-    return out
-
-
-def _cartan_binomial_diag(words, wt, t):
-    """Diagonal operator [K; 0; t]: entries prod_{s=1..t} [m - s + 1]/[s]."""
-    out = {}
-    for w in words:
-        m = wt[w]
-        num = {0: 1}
-        for s in range(1, t + 1):
-            num = _lp_mul(num, _quantum_int(m - s + 1))
-        den = _quantum_factorial(t)
-        q = _lp_div(num, den)
-        if q is None:
-            raise InternalCheckError("Cartan binomial is not integral")
-        if q:
-            out[w] = {w: q}
+def _cartan_binomial(m, t, p):
+    """[m; t] at v = zeta: the sum over the t-subsets S of {0..m-1} of
+    v^(2 sum S - t(m-1)) for m >= 0, and (-1)^t [t-m-1; t] for m < 0."""
+    if m < 0:
+        c = _cartan_binomial(t - m - 1, t, p)
+        return -c if t % 2 else c
+    out = Cyc.of(p, 0)
+    for s in itertools.combinations(range(m), t):
+        out = out + Cyc.zeta_pow(p, (2 * sum(s) - t * (m - 1)) % p)
     return out
 
 
 def build_qschur(d: int, p: int):
     """The integral q-Schur algebra S(2, d) over Z_(p)[zeta].
 
-    Built as the O-span closure of the divided-power generators acting on the
-    d-th tensor power of the rank-2 free module; weight idempotents are the
-    content projectors, Lambda the partitions with dominance order.
+    Built as the O-span closure of the divided-power generators (written in
+    closed form at zeta, see `_qschur_generators`) acting on the d-th tensor
+    power of the rank-2 free module; weight idempotents are the content
+    projectors, Lambda the partitions with dominance order.  A matrix on
+    the 2^d words is a vector of the closure row by row: entry (r, c) at
+    r * 2^d + c (linalg.flatten).
     """
     if not (1 <= d <= 6):
         raise AlgebraError("supported range: 1 <= d <= 6")
     ring = RingSpec(CYCLOTOMIC, p)
-    words, wt, E, F, K, Kinv = _tensor_ops_generic(d)
-    widx = {w: i for i, w in enumerate(words)}
-    nwords = len(words)
+    zero, one = ring.zero(), ring.one()
+    n = 2 ** d
+    gens = _qschur_generators(d, p)
 
-    def specialize(op):
-        out = {}
-        for src, col in op.items():
-            for dst, val in col.items():
-                c = _lp_eval_zeta(val, p)
-                if c:
-                    out[(widx[dst], widx[src])] = c
-        return out
+    def flat(cols):
+        return linalg.flatten(cols, zero)
 
-    gens = {}
-    for i in range(1, d + 1):
-        gens[f"E({i})"] = specialize(_op_divided_power(E, i))
-        gens[f"F({i})"] = specialize(_op_divided_power(F, i))
-    gens["K"] = specialize(K)
-    gens["K^-1"] = specialize(Kinv)
-    for t in range(1, d + 1):
-        gens[f"[K;0;{t}]"] = specialize(_cartan_binomial_diag(words, wt, t))
+    def cols_of(v):
+        return [linalg.column(v[c::n]) for c in range(n)]
 
-    def flat(sparse):
-        v = [ring.zero()] * (nwords * nwords)
-        for (r, c), x in sparse.items():
-            v[r * nwords + c] = x
-        return v
+    def product(x, y):
+        return flat(linalg.compose(x, y))
 
-    def sparse_times_flat(sparse, fv):
-        out = [ring.zero()] * (nwords * nwords)
-        # (A B)[r][c] = sum_m A[r][m] B[m][c]
-        for (r, m), a in sparse.items():
-            base = m * nwords
-            orow = r * nwords
-            for c in range(nwords):
-                b = fv[base + c]
-                if b:
-                    out[orow + c] = out[orow + c] + a * b
-        return out
-
-    ident = {(i, i): ring.one() for i in range(nwords)}
+    # g X for a flattened X is the columns of g (x) 1 applied to it
+    ident = [((k, one),) for k in range(n)]
     lat = stable_span([flat(ident)],
-                      [partial(sparse_times_flat, g) for g in gens.values()],
-                      nwords * nwords, ring.field_K, ring)
+                      [partial(linalg.apply,
+                               [tuple((r * n + c, x) for r, x in g[m])
+                                for m in range(n) for c in range(n)],
+                               field=ring.field_K)
+                       for g in gens.values()],
+                      n * n, ring.field_K, ring)
     rank = lat.rank
-    expected = _binom(3 + d, 3)
+    expected = math.comb(3 + d, 3)
     if rank != expected:
         raise AlgebraError(
             f"q-Schur closure has rank {rank}, expected {expected}")
-    basis = [list(r) for r in lat.rows]
-
-    def to_matrix(fv):
-        return {(r, c): fv[r * nwords + c]
-                for r in range(nwords) for c in range(nwords)
-                if fv[r * nwords + c]}
-
-    mats = [to_matrix(b) for b in basis]
-    sc = {}
-    for i in range(rank):
-        for j in range(rank):
-            prod = sparse_times_flat(mats[i], basis[j])
-            coords = lat.coords(prod)
-            if coords is None:
-                raise InternalCheckError("algebra not closed")
-            row = {t: v for t, v in enumerate(coords) if v}
-            if row:
-                sc[(i, j)] = row
+    try:
+        sc = structure_constants([cols_of(r) for r in lat.rows], product,
+                                 lat.coords)
+    except AlgebraError as exc:
+        raise InternalCheckError("algebra not closed") from exc
     unit = lat.coords(flat(ident))
-    # weight idempotents: content projectors
-    contents = {}
-    for w in words:
-        mu = (sum(1 for x in w if x == 0), sum(1 for x in w if x == 1))
-        contents.setdefault(mu, []).append(w)
+    # weight idempotents: the projectors onto the words with b ones, of
+    # content (d - b, b); Lambda the two-row partitions under dominance
+    ones = [bin(k).count("1") for k in range(n)]
+    labels = [f"{d - b},{b}" for b in range(d + 1)]
     idems = {}
-    for mu, ws in sorted(contents.items(), reverse=True):
-        proj = {(widx[w], widx[w]): ring.one() for w in ws}
+    for b, lbl in enumerate(labels):
+        proj = [((k, one),) if ones[k] == b else () for k in range(n)]
         c = lat.coords(flat(proj))
         if c is None:
             raise AlgebraError(
-                f"weight projector {mu} is not in the integral closure")
-        idems[f"{mu[0]},{mu[1]}"] = tuple(c)
-    x_labels = [f"{mu[0]},{mu[1]}" for mu in sorted(contents, reverse=True)]
-    partitions = [mu for mu in sorted(contents, reverse=True) if mu[0] >= mu[1]]
-    lam_labels = [f"{mu[0]},{mu[1]}" for mu in partitions]
-    relations = []
-    for a in partitions:
-        for b in partitions:
-            if a[0] < b[0]:  # dominance on two-row partitions
-                relations.append((f"{a[0]},{a[1]}", f"{b[0]},{b[1]}"))
-    weights = WeightDatum.build(x_labels, lam_labels, relations, idems)
+                f"weight projector {(d - b, b)} is not in the integral "
+                "closure")
+        idems[lbl] = tuple(c)
+    parts = range(d // 2 + 1)  # b ones: the partition (d - b, b)
+    relations = [(labels[a], labels[b]) for a in parts for b in parts if a > b]
+    weights = WeightDatum.build(labels, labels[:len(parts)], relations, idems)
     gen_coords = {}
     for name, g in gens.items():
         c = lat.coords(flat(g))
@@ -481,16 +343,8 @@ def build_qschur(d: int, p: int):
         gen_coords[name] = tuple(c)
     alg = StructureAlgebra(ring, "O", rank, [f"x{i}" for i in range(rank)],
                            tuple(unit), sc, weights, generators=gen_coords)
-    alg.p_regular = {f"{mu[0]},{mu[1]}": (mu[0] - mu[1] + 1) % p != 0
-                     for mu in partitions}
+    alg.p_regular = {labels[b]: (d - 2 * b + 1) % p != 0 for b in parts}
     return alg
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

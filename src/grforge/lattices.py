@@ -160,10 +160,22 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
 
-    def quotient_lifts(self):
-        """(free_lifts, torsion_vals) of O^ambient / self; see
-        quotient_free_basis."""
-        return quotient_free_basis(Lattice.full(self.ring, self.ambient), self)
+    def quotient(self):
+        """(lifts, torsion_vals, project) of O^ambient / self: the lifts map
+        to a basis of the free part of the quotient and torsion_vals are the
+        elementary divisors of its torsion (see quotient_free_basis; empty
+        iff self is pure), and project(v) gives the coordinates of the image
+        of v in that basis."""
+        lifts, torsion = quotient_free_basis(
+            Lattice.full(self.ring, self.ambient), self)
+        if self.rank + len(lifts) != self.ambient:
+            raise LatticeError("span basis plus lifts do not span")
+        coords = coord_solver(list(self.rows) + lifts, self.ring.field_K)
+
+        def project(v):
+            return coords(v)[self.rank:]  # the coordinates on the lifts
+
+        return lifts, torsion, project
 
     def lifts_over(self, sub: "Lattice"):
         """(free_lifts, torsion_vals) of self / sub; see quotient_free_basis."""
@@ -422,25 +434,6 @@ def stable_span(vectors, maps, ambient: int, fld, ring=None):
         added = span_of(new, ambient, fld, ring)
         span = span.add(added)
         frontier = added.rows
-
-
-def quotient_projection(span, fld):
-    """The free quotient of the ambient module by a Lattice or Subspace.
-
-    Returns (lifts, torsion_vals, project): the lifts map to a basis of the
-    free part of the quotient, torsion_vals are the elementary divisors of
-    its torsion (empty iff the span is pure; always empty over a field), and
-    project(v) gives the coordinates of the image of v in that basis.
-    """
-    lifts, torsion = span.quotient_lifts()
-    if span.rank + len(lifts) != span.ambient:
-        raise LatticeError("span basis plus lifts do not span")
-    coords = coord_solver(list(span.rows) + lifts, fld)
-
-    def project(v):
-        return coords(v)[span.rank:]  # the coordinates on the lifts
-
-    return lifts, torsion, project
 
 
 def coord_solver(rows, fld, ring=None):

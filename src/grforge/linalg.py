@@ -266,7 +266,7 @@ class Subspace:
 
     The field-level counterpart of lattices.Lattice, with the same protocol
     (`rows`, `rank`, `contains_vector`, `contains_lattice`, `coords`, `add`,
-    `intersection`, `quotient_lifts`, `lifts_over`, ==).  Two subspaces are
+    `intersection`, `quotient`, `lifts_over`, ==).  Two subspaces are
     equal iff their rref rows are equal.
     """
 
@@ -338,14 +338,22 @@ class Subspace:
             self.fld, self.ambient,
             [combine(z, self.rows, self.fld.zero) for z in ker])
 
-    def quotient_lifts(self):
-        """(lifts, torsion): the unit vectors off the pivot columns, which
-        lift a basis of F^ambient / self, and no torsion."""
+    def quotient(self):
+        """(lifts, torsion, project) of F^ambient / self: the unit vectors
+        off the pivot columns lift a basis, there is no torsion, and the
+        image of v has as coordinates the entries of `reduce(v)` at those
+        columns.  No elimination is run."""
         z, o = self.fld.zero, self.fld.one
         pivots = set(self.pivots)
+        free = [j for j in range(self.ambient) if j not in pivots]
         lifts = [[o if t == j else z for t in range(self.ambient)]
-                 for j in range(self.ambient) if j not in pivots]
-        return lifts, []
+                 for j in free]
+
+        def project(v):
+            r = self.reduce(v)
+            return [r[j] for j in free]
+
+        return lifts, [], project
 
     def lifts_over(self, sub):
         """(lifts, torsion) of self / sub for a subspace sub of self: each

@@ -20,7 +20,6 @@ from .lattices import (
     is_pure,
     pure_closure,
     quotient_free_basis,
-    quotient_projection,
 )
 from .scalars import InternalCheckError
 
@@ -180,7 +179,7 @@ class ModuleRep:
 
         Returns (module, project, lift_rows).
         """
-        lifts, torsion, project = quotient_projection(self.span(sub), self.fld)
+        lifts, torsion, project = self.span(sub).quotient()
         if torsion:
             raise ModuleError("quotient has torsion; sublattice not pure")
         zero = self.fld.zero

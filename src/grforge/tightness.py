@@ -441,10 +441,11 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     """
     res = SuiteResult("thm53")
     w = alg.weights
-    datum.validate(alg)
-    if conditions is None:
+    if conditions is None:  # conditions_51_check validates the datum
         conditions, cond_notes = conditions_51_check(alg, datum, delta_gradings)
         res.notes["conditions_notes"] = cond_notes
+    else:
+        datum.validate(alg)
     for key, val in conditions.items():
         res.hypotheses[key] = bool(val) if val is not None else True
     ls = is_lambda_standard(alg)

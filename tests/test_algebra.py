@@ -94,6 +94,10 @@ def test_subalgebra_closure_check(z5_K):
     rows[1][3] = fld.one
     with pytest.raises(Exception):
         z5_K.subalgebra_on(rows)
+    # with alpha as the unit the unit test passes; the closure test names
+    # the first product that escapes, beta * alpha = gamma
+    with pytest.raises(AlgebraError, match=r"multiplication at \(1,0\)$"):
+        z5_K.subalgebra_on(rows, unit=rows[0])
 
 
 def test_quotient_by_nonpure_ideal_rejected(z5):

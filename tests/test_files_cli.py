@@ -110,6 +110,18 @@ class TestCLI:
         doc = json.loads(rep.read_text())
         assert doc["verdicts"]["certified"] is True
 
+    def test_gen_qschur_writes_the_document(self, tmp_path):
+        assert cli.main(["gen", "qschur", "--d", "3", "--p", "3",
+                         "-o", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "qschur-n2-d3@3.alg.json").read_text())
+        assert doc["rank"] == 20
+
+    def test_gen_qschur_out_of_range_exits_2(self, tmp_path, capsys):
+        # the range of d is the builder's own check, reported as an error
+        assert cli.main(["gen", "qschur", "--d", "7", "--p", "3",
+                         "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_negative_control_exit_code(self, tmp_path):
         cli.main(["gen", "z5s", "--p", "3", "-o", str(tmp_path)])
         assert cli.main(["certify", str(tmp_path / "z5s@3.alg.json")]) == 1

@@ -1,7 +1,7 @@
 import pytest
 
-from grforge import certify, files, fixtures
-from grforge.scalars import Rat
+from grforge import certify, files, fixtures, linalg
+from grforge.scalars import Cyc, Rat
 
 
 class TestZigzag:
@@ -77,6 +77,47 @@ class TestQSchur:
     def test_out_of_range(self):
         with pytest.raises(Exception):
             fixtures.build_qschur(7, 3)
+
+
+def _qint(p, m):
+    """The quantum integer [m] = (v^m - v^-m) / (v - v^-1) at v = zeta_p."""
+    z = Cyc.zeta_pow
+    return (z(p, m) - z(p, -m)) / (z(p, 1) - z(p, -1))
+
+
+def _scaled(c, cols):
+    return [tuple((r, c * x) for r, x in col) for col in cols]
+
+
+def _cartan(d, p, c):
+    """[K; c] by sparse columns: e_w -> [wt(w) + c] e_w, where the word of
+    index k has d - 2 popcount(k) as its weight."""
+    cols = []
+    for k in range(2 ** d):
+        x = _qint(p, d - 2 * bin(k).count("1") + c)
+        cols.append(((k, x),) if x else ())
+    return cols
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_qschur_closed_forms_are_divided_powers(d):
+    """[a]! E^(a) = E^a, [a]! F^(a) = F^a and [t]! [K;0;t] = the product of
+    the [K; 1-s], s = 1..t, on V^(x)d at p = 31.  Every entry on either side
+    is a Laurent polynomial spanning fewer than p - 1 = 30 exponents, so
+    equality at zeta_31 is equality in Z[v, v^-1]."""
+    p = 31
+    gens = fixtures._qschur_generators(d, p)
+    fact = Cyc.of(p, 1)
+    prod = [((k, Cyc.of(p, 1)),) for k in range(2 ** d)]
+    for a in range(1, d + 1):
+        fact = fact * _qint(p, a)
+        for name in ("E", "F"):
+            power = gens[f"{name}(1)"]
+            for _ in range(a - 1):
+                power = linalg.compose(gens[f"{name}(1)"], power)
+            assert _scaled(fact, gens[f"{name}({a})"]) == power
+        prod = linalg.compose(_cartan(d, p, 1 - a), prod)
+        assert _scaled(fact, gens[f"[K;0;{a}]"]) == prod
 
 
 class TestUsl2:

@@ -1,9 +1,10 @@
 """Property tests of the shared exact helpers against slower references:
-linalg.combine, linalg.Subspace (with lifts_over), Lattice.lifts_over,
-lattices.coord_solver, modules.hom_equations, the isomorphism checks
-modules.iso_with_generator_images and modules.standard_iso, and the
-products of spans StructureAlgebra.product_span and corner and
-ModuleRep.image, with the sparse action columns behind them."""
+linalg.combine, linalg.Subspace (with lifts_over and quotient),
+Lattice.lifts_over, lattices.coord_solver, modules.hom_equations, the
+isomorphism checks modules.iso_with_generator_images and
+modules.standard_iso, and the products of spans
+StructureAlgebra.product_span and corner and ModuleRep.image, with the
+sparse action columns behind them."""
 
 from fractions import Fraction
 
@@ -237,9 +238,26 @@ def test_subspace_equality_and_add_match_reference(kind, data):
     assert s1.contains_lattice(s2) == all(
         not any(in_row_space(r, ref1, s1.pivots)) for r in rows2)
     # the quotient lifts complete a basis of F^n
-    lifts, torsion = s1.quotient_lifts()
+    lifts, torsion, _ = s1.quotient()
     assert torsion == []
     assert linalg.rank(list(s1.rows) + lifts, fld) == n
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(SPAN_FIELDS)), st.data())
+def test_subspace_quotient_projects_like_coord_solver(kind, data):
+    """Subspace.quotient reads the image of v off `reduce(v)`; it is the
+    tail, on the lifts, of v's coordinates in the basis rows + lifts."""
+    fld = SPAN_FIELDS[kind]
+    n = data.draw(st.integers(1, 4))
+    rows = draw_rows(data, fld, n)
+    span = linalg.Subspace.from_rows(fld, n, rows)
+    lifts, torsion, project = span.quotient()
+    assert torsion == []
+    v = draw_member_or_not(data, fld, rows, n)
+    want = coord_solver(list(span.rows) + lifts, fld)(v)[span.rank:]
+    assert project(v) == want
+    assert (not any(project(v))) == span.contains_vector(v)
 
 
 # ---------------------------------------------------------------------------
