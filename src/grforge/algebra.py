@@ -157,6 +157,10 @@ class StructureAlgebra:
 
     # -- multiplication ----------------------------------------------------------
     def mul(self, x, y):
+        """The product x y of two dense coordinate vectors, straight from the
+        structure constants: the dense reference.  It serves single products
+        and the independent re-checker `certify.verify_chain`; spans and
+        structure constants of many products come from `products`."""
         out = self.zero_vec()
         by_left = self._derived(_sc_by_left)
         for i, xi in enumerate(x):
@@ -184,6 +188,38 @@ class StructureAlgebra:
         coordinates x: applied to y it gives mul(y, x)."""
         return linalg.combine_columns(x,
                                       self._derived(_mult_columns, "right"))
+
+    def products(self, xs, ys):
+        """The products x y for x in xs and y in ys, x outer, each a
+        {column: entry} dict of its nonzero entries.
+
+        Right multiplication by y is formed once per y, as the sparse
+        columns R_y (see linalg): column i is b_i y, the stored column of
+        b_i b_j itself when y is the basis vector b_j.  Then x y is the
+        combination of the columns of R_y that the nonzero entries of x
+        name; a basis vector x reads its column as it is."""
+        right = self._derived(_mult_columns, "right")
+        one = self.fld.one
+        mats = []
+        for y in ys:
+            ny = [(j, c) for j, c in enumerate(y) if c]
+            if len(ny) == 1 and ny[0][1] == one:
+                mats.append(right[ny[0][0]])
+            elif ny:
+                mats.append(linalg.combine_columns(
+                    [c for _, c in ny], [right[j] for j, _ in ny]))
+            else:
+                mats.append([()] * self.rank)
+        out = []
+        for x in xs:
+            nx = [(i, c) for i, c in enumerate(x) if c]
+            is_basis = len(nx) == 1 and nx[0][1] == one
+            for m in mats:
+                if is_basis:
+                    out.append(dict(m[nx[0][0]]))
+                else:
+                    out.append(_combination(nx, m))
+        return out
 
     def generating_set(self):
         """Vectors that generate the algebra with the unit: the document's
@@ -250,12 +286,14 @@ class StructureAlgebra:
         built on the columns, which are canonical, so they compare as lists.
         """
         _, names, gens = self._derived(_proof_generators)
+        zero = self.fld.zero
         problems = []
         for name, g in zip(names, gens):
             rg = linalg.combine_columns(g, acts)
-            for j in range(self.rank):
+            # g b_j is column j of left multiplication by g
+            for j, gb in enumerate(self.left_mult_of(g)):
                 lhs = linalg.compose(rg, acts[j])
-                rhs = linalg.combine_columns(self.mul(g, self.basis_vec(j)),
+                rhs = linalg.combine_columns(linalg.dense(gb, self.rank, zero),
                                              acts)
                 if lhs != rhs:
                     problems.append(f"{what} fails through generator {name!r} "
@@ -317,8 +355,8 @@ class StructureAlgebra:
         unit_c = coords(list(self.unit if unit is None else unit))
         if unit_c is None:
             raise AlgebraError("subalgebra does not contain the unit")
-        sc = structure_constants(basis, self.mul, coords)
         n = len(basis)
+        sc = structure_constants(self.basis_products(basis), n, coords)
         return StructureAlgebra(self.ring, self.level, n,
                                 labels or [f"s{i}" for i in range(n)],
                                 unit_c, sc, None, None), basis
@@ -364,19 +402,41 @@ class StructureAlgebra:
         return e
 
     def product_span(self, xs, ys):
-        """The span (see `span`) of the products x y, x in xs, y in ys."""
-        return self.span([self.mul(x, y) for x in xs for y in ys])
+        """The span (see `span`) of the products x y, x in xs, y in ys, read
+        off the multiplication columns by `products`.  At K and k the sparse
+        products are reduced as they are; only a Lattice at O takes them as
+        dense rows."""
+        rows = [r for r in self.products(xs, ys) if r]
+        n = self.rank
+        if self._span_ring is None:
+            return linalg.Subspace(self.fld, n, *linalg.rref(rows, self.fld, n))
+        return self.span([linalg.dense(r.items(), n, self.fld.zero)
+                          for r in rows])
+
+    def _column_vectors(self, cols):
+        """The nonzero columns of a matrix given by sparse columns, as dense
+        vectors."""
+        return [linalg.dense(c, self.rank, self.fld.zero) for c in cols if c]
 
     def ideal_generated(self, e):
-        """A e A as a span (see `span`)."""
+        """A e A as a span (see `span`): the e b_j are the columns of left
+        multiplication by e."""
         basis = [self.basis_vec(i) for i in range(self.rank)]
-        ebj = [self.mul(e, b) for b in basis]
-        return self.product_span(basis, [v for v in ebj if any(v)])
+        return self.product_span(
+            basis, self._column_vectors(self.left_mult_of(e)))
 
     def corner(self, e):
-        """e A e as a span (see `span`): the twin of `ideal_generated`."""
+        """e A e as a span (see `span`), the twin of `ideal_generated`: the
+        b_i e are the columns of right multiplication by e."""
         return self.product_span(
-            [e], [self.mul(self.basis_vec(i), e) for i in range(self.rank)])
+            [e], self._column_vectors(self.right_mult_of(e)))
+
+    def basis_products(self, basis):
+        """The products basis[i] basis[j] from `products`, i outer, in the
+        form `structure_constants` reads: dense vectors, None for a zero."""
+        zero = self.fld.zero
+        return (linalg.dense(p.items(), self.rank, zero) if p else None
+                for p in self.products(basis, basis))
 
     def quotient_by_labels(self, labels, ideal=None):
         """A / A e A for e the sum of e_nu over `labels`, with the weight datum
@@ -413,29 +473,47 @@ class StructureAlgebra:
         if torsion:
             raise AlgebraError("ideal is not pure; quotient is not O-free")
         m = len(lifts)
-        sc = structure_constants(lifts, self.mul, project)
+        sc = structure_constants(self.basis_products(lifts), m, project)
         unit_c = project(list(self.unit))
         quot = StructureAlgebra(self.ring, self.level, m,
                                 [f"q{i}" for i in range(m)], unit_c, sc)
         return quot, lifts, project
 
 
-def structure_constants(basis, product, coords):
-    """The sparse structure constants {(i, j): {t: c_t}} of `basis` under a
-    bilinear `product`: product(basis[i], basis[j]) = sum_t c_t basis[t],
-    with c = coords(...) and zero rows left out.  `coords` returns None for
-    a vector outside the span; AlgebraError names the first such product."""
+def structure_constants(products, n, coords, row=None):
+    """The sparse structure constants {(i, j): {t: c_t}} of a basis of size
+    n, given the products basis[i] basis[j] in the order i outer, j inner
+    (None for a product known to be 0): product = sum_t c_t basis[t], with
+    c = coords(product) and zero rows left out.  `coords` returns None for
+    a vector outside the span; AlgebraError names the first such product.
+    `row(i, j, c)`, when given, picks the (t, c_t) pairs of the row in
+    place of the nonzero entries of c."""
     sc = {}
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            c = coords(product(x, y))
-            if c is None:
-                raise AlgebraError(
-                    f"span not closed under multiplication at ({i},{j})")
-            row = {t: v for t, v in enumerate(c) if v}
-            if row:
-                sc[(i, j)] = row
+    for k, z in enumerate(products):
+        if z is None:
+            continue
+        i, j = divmod(k, n)
+        c = coords(z)
+        if c is None:
+            raise AlgebraError(
+                f"span not closed under multiplication at ({i},{j})")
+        r = dict(row(i, j, c) if row else
+                 ((t, v) for t, v in enumerate(c) if v))
+        if r:
+            sc[(i, j)] = r
     return sc
+
+
+def _combination(coeffs, cols):
+    """The {row: entry} dict of the sum of c * cols[i] over the (i, c) pairs
+    of `coeffs`, for sparse columns (see linalg); entries that cancel are
+    dropped."""
+    acc = {}
+    for i, c in coeffs:
+        for t, v in cols[i]:
+            z = acc.get(t)
+            acc[t] = c * v if z is None else z + c * v
+    return {t: v for t, v in acc.items() if v}
 
 
 def _sc_by_left(alg):
@@ -455,8 +533,10 @@ def _proof_generators(alg):
     generate the algebra, else the basis ("basis"), which always does."""
     if alg.generators:
         gens = [list(v) for v in alg.generators.values()]
-        closure = alg.stable_span([list(alg.unit)] + gens,
-                                  [partial(alg.mul, g) for g in gens])
+        closure = alg.stable_span(
+            [list(alg.unit)] + gens,
+            [partial(linalg.apply, alg.left_mult_of(g), field=alg.fld)
+             for g in gens])
         if closure == alg.span([alg.basis_vec(i) for i in range(alg.rank)]):
             return "generators", tuple(alg.generators), gens
     return "basis", alg.labels, [alg.basis_vec(i) for i in range(alg.rank)]

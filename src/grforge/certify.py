@@ -439,9 +439,9 @@ def _mult_map_bijective(alg, e, cbasis, witness, J):
 
     Returns (bijective, sizes): sizes[t] is the rank of f_t e A, f_t the
     first diagonal unit of block t, and End_A(J) = (+) M_(sizes[t])(O)."""
-    basis = [alg.basis_vec(i) for i in range(alg.rank)]
-    ae = [alg.mul(b, e) for b in basis]
-    ea = [alg.mul(e, b) for b in basis]
+    # the nonzero b e and e b: columns of right and left multiplication by e
+    ae = alg._column_vectors(alg.right_mult_of(e))
+    ea = alg._column_vectors(alg.left_mult_of(e))
     sides = []
     for bi in range(len(witness.block_sizes)):
         f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, alg.fld.zero)
@@ -477,8 +477,8 @@ def _endo_direct_check(alg, J, expected_sizes):
         return False
     try:
         sc = structure_constants(
-            matb, lambda x, y: linalg.flatten(linalg.compose(x, y), fld.zero),
-            sat.coords)
+            (linalg.flatten(linalg.compose(x, y), fld.zero)
+             for x in matb for y in matb), len(matb), sat.coords)
     except AlgebraError:
         return False
     endo = StructureAlgebra(alg.ring, "O", len(matb), None, unit_c, sc)

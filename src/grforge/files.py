@@ -38,21 +38,52 @@ def content_hash(doc) -> str:
 
 @functools.cache
 def _validator(name):
-    """The validator of a package schema, read and checked once per name."""
+    """The validator of a package schema, read and checked once per name.
+    Its local `$ref`s are replaced by what they point to, so validation
+    does not resolve a reference at every scalar."""
     with resources.files("grforge.schemas").joinpath(name).open() as fh:
         schema = json.load(fh)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(_inline_refs(schema, schema))
+
+
+def _inline_refs(node, root):
+    """`node` with each local reference {"$ref": "#/a/b"} replaced by the
+    subschema root["a"]["b"], itself inlined.  In the drafts the package
+    schemas use, a `$ref` ignores its sibling keywords, so the replacement
+    validates alike.  The package schemas have no recursive references."""
+    if isinstance(node, list):
+        return [_inline_refs(x, root) for x in node]
+    if not isinstance(node, dict):
+        return node
+    ref = node.get("$ref")
+    if isinstance(ref, str) and ref.startswith("#/"):
+        target = root
+        for part in ref[2:].split("/"):
+            target = target[part]
+        return _inline_refs(target, root)
+    return {k: _inline_refs(v, root) for k, v in node.items()}
+
+
+def _violation(validator, doc):
+    """The DocumentError for the error of `doc` that jsonschema.validate
+    would raise, or None if the document is valid."""
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if exc is None:
+        return None
+    path = "/".join(str(p) for p in exc.absolute_path)
+    err = DocumentError(f"schema violation at /{path}: {exc.message}")
+    err.__cause__ = exc
+    return err
 
 
 def validate_schema(doc, name):
     """Validate doc against a package schema; the error reported is the one
     jsonschema.validate would raise."""
-    exc = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise DocumentError(f"schema violation at /{path}: {exc.message}") from exc
+    err = _violation(_validator(name), doc)
+    if err is not None:
+        raise err
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,6 @@ def build_qschur(d: int, p: int):
     def cols_of(v):
         return [linalg.column(v[c::n]) for c in range(n)]
 
-    def product(x, y):
-        return flat(linalg.compose(x, y))
-
     # g X for a flattened X is the columns of g (x) 1 applied to it
     ident = [((k, one),) for k in range(n)]
     lat = stable_span([flat(ident)],
@@ -314,8 +311,10 @@ def build_qschur(d: int, p: int):
         raise AlgebraError(
             f"q-Schur closure has rank {rank}, expected {expected}")
     try:
-        sc = structure_constants([cols_of(r) for r in lat.rows], product,
-                                 lat.coords)
+        basis = [cols_of(r) for r in lat.rows]
+        sc = structure_constants(
+            (flat(linalg.compose(x, y)) for x in basis for y in basis),
+            len(basis), lat.coords)
     except AlgebraError as exc:
         raise InternalCheckError("algebra not closed") from exc
     unit = lat.coords(flat(ident))

@@ -15,7 +15,12 @@ algebras and modules, over O, K and k alike.
 from __future__ import annotations
 
 from . import linalg, radicals
-from .algebra import AlgebraError, StructureAlgebra, WeightDatum
+from .algebra import (
+    AlgebraError,
+    StructureAlgebra,
+    WeightDatum,
+    structure_constants,
+)
 from .lattices import LatticeError, coord_solver
 from .modules import ModuleRep
 
@@ -157,15 +162,10 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
     chain = algebra_rad_chain(alg)
     lifts, grades, coords = _adapted_basis(chain, fld, alg.rank)
     n = alg.rank
-    sc = {}
-    for i in range(n):
-        for j in range(n):
-            z = alg.mul(lifts[i], lifts[j])
-            if not any(z):
-                continue
-            row = dict(_leading(coords(z), grades, grades[i] + grades[j]))
-            if row:
-                sc[(i, j)] = row
+    # a product of lifts of grades g_i, g_j keeps its grade g_i + g_j part
+    sc = structure_constants(
+        alg.basis_products(lifts), n, coords,
+        lambda i, j, c: _leading(c, grades, grades[i] + grades[j]))
 
     def grade_zero(x):
         return tuple(linalg.dense(_leading(coords(x), grades, 0), n, fld.zero))

@@ -61,6 +61,41 @@ class TestDocuments:
         assert str(got.value) == \
             f"schema violation at /{path}: {ref.value.message}"
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["unit"].__setitem__(0, "1.5"),
+        lambda d: d["unit"].__setitem__(1, None),
+        lambda d: d["unit"].__setitem__(2, ["1", "x"]),
+        lambda d: d["structure_constants"][0].__setitem__(3, "1/"),
+        lambda d: d["structure_constants"][1].__setitem__(3, [[1]]),
+        lambda d: d["structure_constants"][2].__setitem__(3, 1.5),
+        lambda d: d["weights"]["idempotents"]["1"].__setitem__(0, " 3"),
+        lambda d: d["weights"]["idempotents"]["2"].__setitem__(1, {}),
+        lambda d: d["generators"]["alpha"].__setitem__(2, True),
+        lambda d: d["generators"]["e1"].__setitem__(0, [1.5]),
+        lambda d: d["structure_constants"][0].pop(),
+        lambda d: d.update(ring={"flavor": "real", "p": 3}),
+        lambda d: d.update(ring={"flavor": "rational_local", "p": 2}),
+        lambda d: (d["unit"].__setitem__(0, "x"),
+                   d["generators"]["beta"].__setitem__(3, "y")),
+    ])
+    def test_inlined_schema_reports_as_the_file_does(self, z5_doc, mutate):
+        """The validator with its `$ref`s inlined gives the same DocumentError
+        text as one built on algebra.json as written."""
+        doc = json.loads(files.canonical_json(z5_doc))
+        mutate(doc)
+        schema = json.loads(resources.files("grforge.schemas")
+                            .joinpath("algebra.json").read_text())
+        as_written = jsonschema.validators.validator_for(schema)(schema)
+        want = files._violation(as_written, doc)
+        assert want is not None
+        assert str(files._violation(files._validator("algebra.json"), doc)) \
+            == str(want)
+
+    @pytest.mark.parametrize("name", ["algebra.json", "module.json",
+                                      "report.json"])
+    def test_validators_resolve_no_refs(self, name):
+        assert "$ref" not in json.dumps(files._validator(name).schema)
+
     def test_bad_scalar_rejected(self, z5_doc):
         doc = json.loads(files.canonical_json(z5_doc))
         doc["structure_constants"][0][3] = "1.5"

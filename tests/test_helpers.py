@@ -2,7 +2,8 @@
 linalg.combine, linalg.Subspace (with lifts_over and quotient),
 Lattice.lifts_over, lattices.coord_solver, modules.hom_equations, the
 isomorphism checks modules.iso_with_generator_images and
-modules.standard_iso, and the products of spans
+modules.standard_iso, the product kernel StructureAlgebra.products against
+the dense reference `mul`, and the products of spans
 StructureAlgebra.product_span and corner and ModuleRep.image, with the
 sparse action columns behind them."""
 
@@ -531,6 +532,79 @@ def test_product_span_is_the_span_of_the_products(product_algebras, case, data):
     xs, ys = draw_elements(data, alg), draw_elements(data, alg)
     want = alg.span([naive_mul(alg, x, y) for x in xs for y in ys])
     assert alg.product_span(xs, ys) == want
+
+
+def annihilator(data, alg, y):
+    """Maybe an x with x y = 0 although two or more of its terms x_i (b_i y)
+    are nonzero, so that the entries of x y cancel: a vector of the kernel
+    of right multiplication by y (None when there is none)."""
+    cols = alg.right_mult_of(y)
+    ker = [x for x in linalg.kernel_right(
+        linalg.dense_rows(cols, alg.rank, alg.fld.zero), alg.fld)
+        if sum(1 for c, col in zip(x, cols) if c and col) >= 2]
+    return data.draw(st.sampled_from(ker)) if ker else None
+
+
+def draw_factor(data, alg):
+    """`draw_element`, a multiple c b_i of a basis vector, or 0."""
+    kind = data.draw(st.sampled_from(["element", "multiple", "zero"]))
+    if kind == "element":
+        return draw_element(data, alg)
+    v = alg.zero_vec()
+    if kind == "multiple":
+        c = data.draw(st.sampled_from([-2, -1, 2, 3]))
+        v[data.draw(st.integers(0, alg.rank - 1))] = alg.fld.of(c)
+    return v
+
+
+def draw_products(data, alg):
+    """Up to 3 factors xs and ys each (possibly none), and, when the last y
+    has one, an x whose product with it cancels to 0."""
+    xs, ys = ([draw_factor(data, alg)
+               for _ in range(data.draw(st.integers(0, 3)))] for _ in "xy")
+    if ys:
+        x = annihilator(data, alg, ys[-1])
+        if x is not None:
+            xs.append(x)
+    return xs, ys
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_products_are_mul(product_algebras, case, data):
+    """The column kernel's x y is the dense reference mul(x, y), over Q
+    (z5), F_p (level k), Q(zeta_3) (qschur(2,3) at K) and at level O."""
+    alg = product_algebras[case]
+    xs, ys = draw_products(data, alg)
+    want = [{t: v for t, v in enumerate(alg.mul(x, y)) if v}
+            for x in xs for y in ys]
+    assert alg.products(xs, ys) == want
+
+
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_product_span_is_the_span_of_mul(product_algebras, case, data):
+    alg = product_algebras[case]
+    xs, ys = draw_products(data, alg)
+    if alg.level == "O":
+        # a lattice is spanned by vectors over O
+        xs = [x for x in xs if all(alg.ring.valuation(c) >= 0 for c in x if c)]
+    want = alg.span([alg.mul(x, y) for x in xs for y in ys])
+    assert alg.product_span(xs, ys) == want
+
+
+def test_products_drop_entries_that_cancel(product_algebras):
+    alg = product_algebras[("qschur23", "K")]
+    found = 0
+    for j in range(alg.rank):
+        y = alg.basis_vec(j)
+        cols = alg.right_mult_of(y)
+        for x in linalg.kernel_right(
+                linalg.dense_rows(cols, alg.rank, alg.fld.zero), alg.fld):
+            if sum(1 for c, col in zip(x, cols) if c and col) >= 2:
+                assert alg.products([x], [y]) == [{}]
+                found += 1
+    assert found
 
 
 @SETTINGS

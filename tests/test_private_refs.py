@@ -9,6 +9,8 @@ spans come from `StructureAlgebra.span`.  Spans of products come from the
 product helpers, outside the modules that define them, and "S is stable
 under X" is one containment of such a span in S.  And no verdict rests on a
 sample: only the seeded campaigns and fixture generators draw at random.
+The routines that build spans and structure constants of products read them
+off the multiplication columns, not through the dense `mul`.
 Linear actions stay sparse columns: outside `linalg` and `files` nothing
 multiplies or combines dense matrices or transposes columns back into them.
 And rational K-values are `scalars.Rat`: outside `scalars`, `cyclo` and the
@@ -128,6 +130,53 @@ def test_span_of_products_check_sees_a_hand_rolled_product():
     tree = ast.parse("def f(alg, xs, ys):\n"
                      "    return alg.span([alg.mul(x, y) for x in xs for y in ys])\n")
     assert list(_spans_of_products(tree)) == [2]
+
+
+# the routines that read their products off the multiplication columns
+# (StructureAlgebra.products, left_mult_of, right_mult_of), never `mul`
+COLUMN_PRODUCTS = {
+    "algebra": {"product_span", "ideal_generated", "corner", "subalgebra_on",
+                "quotient_by_ideal", "representation_problems"},
+    "graded": {"gr_algebra"},
+    "certify": {"_mult_map_bijective"},
+}
+
+
+def _mul_calls(tree, names):
+    """(line, function) for each `.mul(...)` call inside a function whose
+    name is in `names`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            for n in ast.walk(node):
+                if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "mul"):
+                    yield n.lineno, node.name
+
+
+def test_products_come_from_the_columns():
+    """Spans and structure constants of products go through the column
+    kernel; `mul` is the dense reference, which the independent re-checker
+    `certify.verify_chain` keeps for its own products."""
+    found = []
+    for module, names in sorted(COLUMN_PRODUCTS.items()):
+        tree = ast.parse((PKG / f"{module}.py").read_text())
+        defined = {n.name for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef)}
+        assert names <= defined, f"{module}.py lost {names - defined}"
+        found += [f"{module}.py:{line} {fn}"
+                  for line, fn in _mul_calls(tree, names)]
+    assert not found, f"products by mul in the column routines: {found}"
+    certify = ast.parse((PKG / "certify.py").read_text())
+    assert list(_mul_calls(certify, {"verify_chain"}))
+
+
+def test_column_product_check_sees_a_hand_written_mul():
+    tree = ast.parse("def corner(alg, e):\n"
+                     "    bs = [alg.basis_vec(i) for i in range(alg.rank)]\n"
+                     "    return alg.product_span([e], [alg.mul(b, e) for b in bs])\n"
+                     "def other(alg, x):\n"
+                     "    return alg.mul(x, x)\n")
+    assert list(_mul_calls(tree, {"corner"})) == [(3, "corner")]
 
 
 def _vector_tests_of_products(tree):
