@@ -272,19 +272,13 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
         # lattice L = E . w inside the simple module, w the image of E_11
         acts = blk.module_acts
         mod = ModuleRep(e_alg, len(acts[0]), acts)
-        w0 = None
-        e11 = units[(bi, 0, 0)]
-        for i in range(mod.rank):
-            cand = mod.act(list(e11), mod.basis_vec(i))
-            if any(cand):
-                w0 = cand
-                break
-        if w0 is None:
+        col = next((c for c in mod.act_matrix(list(units[(bi, 0, 0)])) if c),
+                   None)
+        if col is None:
             return MatrixAlgebraWitness(False, "block unit acts by zero",
                                         gram_det_valuation=val)
-        gen_rows = []
-        for i in range(e_alg.rank):
-            gen_rows.append(mod.act(ek.basis_vec(i), w0))
+        w0 = linalg.dense(col, mod.rank, mod.fld.zero)
+        gen_rows = [mod.act_basis(i, w0) for i in range(e_alg.rank)]
         # scale w by a power of pi so that E.w lies in O^d
         low = min(ring.valuation(x) for row in gen_rows for x in row if x)
         scale = ring.pi_power(-min(low, 0))

@@ -28,6 +28,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_MALFORMED = 2
 
 
+class UsageError(Exception):
+    """A malformed command-line argument."""
+
+
 def _seed(flag):
     env = os.environ.get("GRFORGE_SEED")
     return flag if flag is not None else int(env) if env else 20240810
@@ -41,7 +45,27 @@ def _stem(path):
     return name
 
 
+def _labels(flag, arg, alg):
+    """The labels in the algebra's Lambda that an option names, all of them
+    when it is not given: the argument itself when it is a label (q-Schur
+    labels such as `2,1` contain the comma), else its comma-separated
+    parts."""
+    if alg.weights is None:
+        raise AlgebraError("algebra has no weight datum")
+    known = list(alg.weights.Lambda)
+    if arg is None:
+        return known
+    labels = [arg] if arg in known else arg.split(",")
+    unknown = [x for x in labels if x not in known]
+    if unknown:
+        raise UsageError(f"{flag} names unknown labels {unknown}; "
+                         f"the labels are {known}")
+    return labels
+
+
 def _load_algebra(path):
+    if path is None:
+        raise UsageError("no algebra document given")
     with open(path) as fh:
         doc = json.load(fh)
     alg = files.doc_to_algebra(doc)
@@ -108,7 +132,10 @@ def cmd_gen(args):
         mult = {}
         for part in (args.mult or "").split(","):
             if part:
-                k, v = part.split(":")
+                k, sep, v = part.partition(":")
+                if not sep or not v.isdigit():
+                    raise UsageError(
+                        f"--mult takes label:count pairs, not {part!r}")
                 mult[k] = int(v)
         alg = fixtures.inflate(base, mult)
         meta = {"fixture": f"inflate({_stem(args.input)})"}
@@ -150,7 +177,7 @@ def cmd_certify(args):
     if alg.weights is None:
         print("algebra has no weight datum; cannot certify", file=sys.stderr)
         return EXIT_MALFORMED
-    order = args.order.split(",") if args.order else None
+    order = _labels("--order", args.order, alg) if args.order else None
     cert = certify.certify_qha(alg, order=order)
     checker = certify.verify_chain(alg, cert)
     print(cert.summary())
@@ -240,7 +267,7 @@ def cmd_verify(args):
         witnesses = res.notes
     elif suite == "cor416":
         mod = _pick_module(args, alg)
-        gamma = args.gamma.split(",") if args.gamma else list(alg.weights.Lambda)
+        gamma = _labels("--gamma", args.gamma, alg)
         res = suites.cor_416_check(alg, mod, gamma)
         _print_suite(res)
         verdicts = {"hypotheses": res.hypotheses, "conclusions": res.conclusions}
@@ -253,7 +280,7 @@ def cmd_verify(args):
             print(f"  {k}: {verdicts[k]}")
     elif suite == "thm53":
         datum = _datum_from(args, alg)
-        lams = args.lam.split(",") if args.lam else list(alg.weights.Lambda)
+        lams = _labels("--lam", args.lam, alg)
         verdicts, witnesses = {}, None
         for lam in lams:
             res = tightness.thm_53_pipeline(
@@ -265,7 +292,7 @@ def cmd_verify(args):
     elif suite == "appendix1":
         level = args.level
         af = alg.base_change(level)
-        gamma = args.gamma.split(",") if args.gamma else list(alg.weights.Lambda)
+        gamma = _labels("--gamma", args.gamma, alg)
         sp = modules.standard_and_projectives(af)
         extra = [(f"Delta({l})", sp[l]["Delta"]) for l in af.weights.Lambda]
         res = suites.field_case_suite(af, gamma, extra_modules=extra)
@@ -307,9 +334,13 @@ def _pick_module(args, alg):
     if spec == "regular":
         return modules.regular_module(alg)
     kind, _, lam = spec.partition("(")
-    lam = lam.rstrip(")")
-    sp = modules.standard_and_projectives(alg)
-    return sp[lam]["P" if kind == "P" else "Delta"]
+    if kind not in ("P", "Delta") or not lam.endswith(")"):
+        raise UsageError(
+            f"--builtin takes regular, P(lam) or Delta(lam), not {spec!r}")
+    lams = _labels("--builtin", lam[:-1], alg)
+    if len(lams) != 1:
+        raise UsageError(f"--builtin names one label, not {lams}")
+    return modules.standard_and_projectives(alg)[lams[0]][kind]
 
 
 def _print_suite(res):
@@ -443,8 +474,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (files.DocumentError, ValidationError, ScalarError, LatticeError,
-            json.JSONDecodeError, FileNotFoundError, cyclo.CycloError) as exc:
+    except (UsageError, files.DocumentError, ValidationError, ScalarError,
+            LatticeError, json.JSONDecodeError, FileNotFoundError,
+            cyclo.CycloError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except AlgebraError as exc:

@@ -330,30 +330,8 @@ def _unpacker(w: int, count: int):
 
 
 # ---------------------------------------------------------------------------
-# the scalar identity (unit u_alpha) and K_beta integrality
+# K_beta integrality
 # ---------------------------------------------------------------------------
-
-def unit_u_alpha(p: int, d: int):
-    """zeta^d - 1 = u (zeta - 1) with u = zeta^(d-1) + ... + 1, a unit of O.
-
-    Returns (u, is_unit, residue); asserts the identity exactly.  Rejects
-    p | d (d would collapse mod p).
-    """
-    if d % p == 0:
-        raise CycloError("p divides d")
-    if d not in (1, 2, 3):
-        raise CycloError("d must be 1, 2, or 3")
-    ring = RingSpec(CYCLOTOMIC, p)
-    z = Cyc.zeta_pow(p, 1)
-    u = ring.zero()
-    for e in range(d):
-        u = u + Cyc.zeta_pow(p, e)
-    lhs = Cyc.zeta_pow(p, d) - 1
-    pi = z - 1
-    if lhs != u * pi:
-        raise InternalCheckError("the unit identity fails")
-    return u, ring.is_unit(u), ring.residue(u)
-
 
 def _zeta_pow_scalar(ring, e):
     return Cyc.zeta_pow(ring.p, e % ring.p)

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import AlgebraError
-from .graded import GradedAlgebra, GradedModule, gr_module, module_rad_chain
+from .graded import GradedModule, gr_module, module_rad_chain
 from .lattices import Lattice, is_pure, quotient_free_basis, saturate_rows
 from .modules import (
     FiltrationFailure,
     ModuleRep,
-    head_info,
     peel_standard_power,
     standard_module,
 )
@@ -130,10 +129,9 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
 class GrB:
     lattice: Lattice          # graded coordinates of gr N
     strata: list              # contributing (lam, grade) pairs
-    acting: str               # which gr-algebra acted (footnote-9 bookkeeping)
 
 
-def gr_b(grmod: GradedModule, name="grA") -> GrB:
+def gr_b(grmod: GradedModule) -> GrB:
     """The gr A-submodule of gr N generated by strongly primitive symbols."""
     mod = grmod.base_module
     if mod.level != "O":
@@ -152,45 +150,17 @@ def gr_b(grmod: GradedModule, name="grA") -> GrB:
         for i in range(len(chain) - 1):
             qi = qchain[i] if i < len(qchain) else qchain[-1]
             qi1 = qchain[i + 1] if i + 1 < len(qchain) else qchain[-1]
-            wi = _weight_sublattice(quot, e, qi)
-            wi1 = _weight_sublattice(quot, e, qi1)
+            wi = quot.image([e], qi.rows)
+            wi1 = quot.image([e], qi1.rows)
             if wi.rank == wi1.rank:
                 continue  # inactive stratum
             strata.append((lam, i))
-            wlat = _weight_sublattice(mod, e, chain[i])
+            wlat = mod.image([e], chain[i].rows)
             for r in wlat.rows:
                 row = grmod.component(r, i)
                 if any(row):
                     gens.append(row)
-    return GrB(grmod.module.submodule_generated(gens), strata, name)
-
-
-def _weight_sublattice(mod: ModuleRep, e, lat: Lattice) -> Lattice:
-    """e . L for an idempotent e and an action-stable lattice L."""
-    return mod.image([e], lat.rows)
-
-
-def gr_b_equals_gr(grb: GrB, grmod: GradedModule) -> bool:
-    return grb.lattice == grmod.module.full_lattice()
-
-
-def lemma_4_9_check(gralg: GradedAlgebra, lam, simples_k, radk):
-    """Both sides of: gr Delta(lam) has simple head iff gr^b = gr.
-
-    Returns (simple_head, grb_equals_gr) after checking the biconditional.
-    Callers are expected to have verified Hypothesis 4.7(1) (TQHA) already.
-    """
-    gd = gr_module(gralg, standard_module(gralg.base, lam))
-    gdk = gd.module.base_change("k")
-    info = head_info(gdk, radk, simples_k)
-    simple_head = info["is_simple"]
-    grb = gr_b(gd)
-    equals = gr_b_equals_gr(grb, gd)
-    if simple_head != equals:
-        raise ForcedError(
-            f"Lemma 4.9 biconditional fails at {lam!r}: "
-            f"simple_head={simple_head}, grb=gr:{equals}")
-    return simple_head, equals
+    return GrB(grmod.module.submodule_generated(gens), strata)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +176,12 @@ class GradedStage:
     checks: dict
 
 
-def gr_delta_filtration(grmod: GradedModule, order_override=None):
+def gr_delta_filtration(grmod: GradedModule):
     """Peel gr^b N along the proof of the main filtration lemma, for
     grmod = gr N over a graded algebra gr A.
 
-    Per stage: lam maximal with nonzero weight space (override list wins),
-    m1 the depth of the weight space, R = A . (depth-m1 weight stratum).
+    Per stage: lam maximal with nonzero weight space, m1 the depth of the
+    weight space, R = A . (depth-m1 weight stratum).
     Verifies R ≅ Delta(lam)^d (`peel_standard_power`: exact witness,
     purity), that the stratum is pure, the depth-shift identity
     R ∩ r~ad^(m1+s) N = r~ad^s R,  and whether the graded section
@@ -225,23 +195,17 @@ def gr_delta_filtration(grmod: GradedModule, order_override=None):
     stages = []
     cur = mod
     guard = 0
-    order = list(order_override) if order_override else None
     while cur.rank and guard <= mod.rank + 1:
         guard += 1
         cand = [lam for lam in w.Lambda if len(cur.weight_space_rows(lam))]
         if not cand:
             raise FiltrationFailure(None, "nonzero module with no Lambda-weights")
-        if order:
-            lam = order.pop(0)
-            if lam not in cand:
-                raise FiltrationFailure(lam, "override weight has zero weight space")
-        else:
-            lam = sorted(w.maximal(cand), key=str)[0]
+        lam = sorted(w.maximal(cand), key=str)[0]
         checks = {}
         grN = grmod if cur is mod else gr_module(gralg, cur)
         chain = grN.chain
         e = list(w.idempotents[lam])
-        wlat = _weight_sublattice(cur, e, chain[0])
+        wlat = cur.image([e], chain[0].rows)
         m1 = 0
         while m1 + 1 < len(chain) and \
                 chain[m1 + 1].contains_lattice(wlat):

@@ -207,10 +207,6 @@ class Lattice:
         gens = [linalg.combine(z, self.rows, zero) for z in kerlat.rows]
         return Lattice.from_rows(self.ring, self.ambient, gens)
 
-    def saturation(self) -> "Lattice":
-        """O^ambient intersect (K . self): the pure closure in the full lattice."""
-        return saturate_rows(self.ring, self.ambient, [list(r) for r in self.rows])
-
     def _check_compatible(self, other):
         if self.ring != other.ring or self.ambient != other.ambient:
             raise LatticeError("ambient mismatch")

@@ -13,14 +13,13 @@ kernels on that form (`apply`, `combine_columns`, `compose`, `trace_form`,
 `row_entries`) visit only nonzero entries.  Other matrices (homomorphism
 witnesses, Gram matrices) are lists of row lists; `columns` and `dense_rows`
 convert at the document boundary.  `rref` reduces `{column: entry}` rows,
-`mat_vec` visits only the nonzero entries of its vector, and `charpoly` over
-F_p runs on plain ints mod p.  Coordinates in a basis come from
-`lattices.coord_solver`; no inverse matrix is formed.
+`mat_vec` visits only the nonzero entries of its vector, and
+`charpoly_mod_p` computes characteristic polynomials over F_p on plain ints
+mod p.  Coordinates in a basis come from `lattices.coord_solver`; no inverse
+matrix is formed.
 """
 
 from __future__ import annotations
-
-from .scalars import Fp, PrimeField, ScalarError
 
 
 def mat_copy(m):
@@ -439,21 +438,12 @@ def det(a, field):
     return d if sign == 1 else -d
 
 
-def charpoly(a, field):
-    """Characteristic polynomial coefficients [c_0=1, c_1, ..., c_n] of a
-    square matrix over F_p (a PrimeField): det(tI - a) = t^n + c_1 t^(n-1)
-    + ... + c_n.  Only the char-p radical needs it: in characteristic 0 the
-    radical is the kernel of the trace form.
-    """
-    if not isinstance(field, PrimeField):
-        raise ScalarError(f"charpoly is computed over F_p only, not {field}")
-    p = field.p
-    return [Fp(p, c) for c in charpoly_mod_p([[x.v for x in r] for r in a], p)]
-
-
 def charpoly_mod_p(h, p):
-    """`charpoly` of a square matrix of ints in [0, p), as ints in [0, p),
-    by the Hessenberg method; h is overwritten."""
+    """Characteristic polynomial coefficients [c_0=1, c_1, ..., c_n] of a
+    square matrix h of ints in [0, p): det(tI - h) = t^n + c_1 t^(n-1) + ...
+    + c_n, as ints in [0, p), by the Hessenberg method; h is overwritten.
+    Only the char-p radical needs it: in characteristic 0 the radical is the
+    kernel of the trace form."""
     n = len(h)
     # similarity transforms to upper Hessenberg form
     for col in range(n - 2):

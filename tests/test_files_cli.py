@@ -215,6 +215,77 @@ class TestCLI:
         assert cli.main(["verify", "appendix2", "--p", "3", "--type", "G2",
                          "--order", "8"]) == 2
 
+    @staticmethod
+    def _one_error_line(capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        return err[0]
+
+    @pytest.mark.parametrize("mult", ["2", "2:x"])
+    def test_malformed_multiplicities_exit_2(self, tmp_path, capsys, mult):
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        capsys.readouterr()
+        assert cli.main(["gen", "inflate", "--input",
+                         str(tmp_path / "z5@3.alg.json"), "--mult", mult,
+                         "-o", str(tmp_path)]) == 2
+        assert repr(mult) in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "--order", "9"],
+        ["verify", "thm53", "--lam", "9"],
+        ["verify", "cor416", "--gamma", "9"],
+        ["verify", "appendix1", "--gamma", "9"],
+        ["verify", "cor416", "--builtin", "P(9)"],
+        ["verify", "cor416", "--builtin", "Delta(1,9)"],
+    ])
+    def test_unknown_label_exits_2_naming_the_labels(self, tmp_path, capsys,
+                                                      args):
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        capsys.readouterr()
+        alg = str(tmp_path / "z5@3.alg.json")
+        assert cli.main(args[:-2] + [alg] + args[-2:]) == 2
+        line = self._one_error_line(capsys)
+        assert args[-2] in line and "['9']" in line and "['1', '2']" in line
+
+    @pytest.mark.parametrize("builtin", ["foo", "P(1", "Q(1)", "P(1,2)"])
+    def test_malformed_builtin_exits_2(self, tmp_path, capsys, builtin):
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        capsys.readouterr()
+        assert cli.main(["verify", "cor416", str(tmp_path / "z5@3.alg.json"),
+                         "--builtin", builtin]) == 2
+        assert "--builtin" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("args", [["verify", "thm417"],
+                                      ["gen", "inflate", "--mult", "2:2"]])
+    def test_missing_algebra_exits_2(self, capsys, args):
+        assert cli.main(args) == 2
+        assert self._one_error_line(capsys) == \
+            "error: no algebra document given"
+
+    @pytest.mark.parametrize("suite", ["cor416", "appendix1"])
+    def test_labels_of_an_algebra_without_weights_exit_2(self, tmp_path,
+                                                         capsys, z5_doc, suite):
+        doc = json.loads(files.canonical_json(z5_doc))
+        del doc["weights"]
+        path = tmp_path / "bare.alg.json"
+        path.write_text(files.canonical_json(doc))
+        assert cli.main(["verify", suite, str(path)]) == 2
+        assert self._one_error_line(capsys) == \
+            "error: algebra has no weight datum"
+
+    def test_a_label_with_a_comma_is_one_label(self, tmp_path, capsys,
+                                               qschur23):
+        # the q-Schur labels of S(2,2) are "2,0" and "1,1"
+        path = tmp_path / "qschur.alg.json"
+        path.write_text(files.canonical_json(files.algebra_to_doc(qschur23)))
+        assert cli.main(["verify", "cor416", str(path), "--builtin", "P(1,1)",
+                         "--gamma", "1,1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "cor416", str(path), "--gamma",
+                         "2,0,1,1"]) == 2
+        line = self._one_error_line(capsys)
+        assert "['2', '0', '1', '1']" in line and "['2,0', '1,1']" in line
+
     def test_filtration_cli(self, tmp_path):
         cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
         alg = str(tmp_path / "z5@3.alg.json")

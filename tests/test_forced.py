@@ -112,14 +112,14 @@ class TestGrB:
     def test_delta2_full(self, gr_z5, sp_z5):
         gd = graded.gr_module(gr_z5, sp_z5["2"]["Delta"])
         grb = forced.gr_b(gd)
-        assert forced.gr_b_equals_gr(grb, gd)
+        assert grb.lattice == gd.module.full_lattice()
 
     def test_projective_full(self, gr_z5, sp_z5):
         # gr^b P = gr P for projectives
         for lam in ("1", "2"):
             gp = graded.gr_module(gr_z5, sp_z5[lam]["P"])
             grb = forced.gr_b(gp)
-            assert forced.gr_b_equals_gr(grb, gp)
+            assert grb.lattice == gp.module.full_lattice()
 
     def test_zero_module(self, gr_z5, sp_z5):
         d = sp_z5["1"]["Delta"]
@@ -129,13 +129,32 @@ class TestGrB:
         assert grb.lattice.rank == 0
 
 
+# Lemma 4.9; no command runs this check
+def lemma_4_9_check(gralg, lam, simples_k, radk):
+    """Both sides of: gr Delta(lam) has simple head iff gr^b = gr.
+
+    Returns (simple_head, grb_equals_gr) after checking the biconditional.
+    Callers are expected to have verified Hypothesis 4.7(1) (TQHA) already.
+    """
+    gd = gr_module(gralg, modules.standard_module(gralg.base, lam))
+    gdk = gd.module.base_change("k")
+    info = modules.head_info(gdk, radk, simples_k)
+    simple_head = info["is_simple"]
+    equals = forced.gr_b(gd).lattice == gd.module.full_lattice()
+    if simple_head != equals:
+        raise forced.ForcedError(
+            f"Lemma 4.9 biconditional fails at {lam!r}: "
+            f"simple_head={simple_head}, grb=gr:{equals}")
+    return simple_head, equals
+
+
 class TestLemma49:
     def test_z5_both_weights(self, z5, gr_z5, sp_z5):
         from grforge.suites import graded_head_context
 
         _, gradk, gsimples = graded_head_context(gr_z5)
         for lam in ("1", "2"):
-            simple, equal = forced.lemma_4_9_check(gr_z5, lam, gsimples, gradk)
+            simple, equal = lemma_4_9_check(gr_z5, lam, gsimples, gradk)
             assert simple and equal
 
     def test_qschur_biconditional(self, qschur33):
@@ -144,7 +163,7 @@ class TestLemma49:
         gr = graded.gr_algebra(qschur33)
         _, gradk, gsimples = graded_head_context(gr)
         for lam in qschur33.weights.Lambda:
-            simple, equal = forced.lemma_4_9_check(gr, lam, gsimples, gradk)
+            simple, equal = lemma_4_9_check(gr, lam, gsimples, gradk)
             assert simple == equal  # the biconditional itself
 
 
@@ -197,14 +216,6 @@ class TestGradedDeltaFiltration:
         got = [(e.value.label, e.value.reason) for e in (plain, graded_)]
         assert got == [expect] * 2
 
-    def test_order_override(self, z5, gr_z5, sp_z5):
-        from grforge.modules import direct_sum_module
-
-        m = direct_sum_module(sp_z5["2"]["Delta"], 1)
-        stages = forced.gr_delta_filtration(gr_module(gr_z5, m),
-                                            order_override=["2"])
-        assert len(stages) == 1
-
 
 class TestPrimitiveEqualsStronglyPrimitiveOnGr:
     def test_homogeneous_primitives_coincide_on_nice_fixtures(
@@ -241,10 +252,3 @@ class TestPrimitiveEqualsStronglyPrimitiveOnGr:
                     continue
                 rep = forced.primitivity_test(gmod, v, lam)
                 assert rep.primitive == rep.strongly_primitive, (lam, v)
-
-
-class TestGrBRecordsActingAlgebra:
-    def test_provenance(self, gr_z5, sp_z5):
-        gd = graded.gr_module(gr_z5, sp_z5["2"]["Delta"])
-        grb = forced.gr_b(gd, name="grA-of-z5")
-        assert grb.acting == "grA-of-z5"

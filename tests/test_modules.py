@@ -1,17 +1,26 @@
+"""Module lattices, heads, composition factors, Delta-filtrations and
+Morita reduction.
+
+No command computes composition multiplicities or Morita reductions, so
+`composition_multiplicities` (with `simple_weight_table` and its
+radical-layer oracle `composition_series_bruteforce`) and `morita_reduce`
+live here, next to their only callers.
+"""
+
 from fractions import Fraction as F
 
 import pytest
 
-from grforge import graded, modules, radicals
+from grforge import graded, linalg, modules, radicals
+from grforge.algebra import StructureAlgebra, WeightDatum
 from grforge.lattices import Lattice
 from grforge.modules import (
     FiltrationFailure,
-    composition_multiplicities,
-    composition_series_bruteforce,
+    ModuleRep,
     delta_filtration,
     head_info,
+    head_module,
     is_lambda_standard,
-    morita_reduce,
     regular_module,
     section_multiset,
     standard_and_projectives,
@@ -101,6 +110,88 @@ class TestHeads:
         assert info["dim"] == lmod.rank
 
 
+# ---------------------------------------------------------------------------
+# composition factors, two ways: the triangular weight-dimension solve and
+# the radical-layer count through central idempotents
+# ---------------------------------------------------------------------------
+
+def simple_weight_table(alg_field, simples):
+    """dims[lam][mu] = dim L(lam)_mu for lam, mu in Lambda."""
+    w = alg_field.weights
+    table = {}
+    for lam, lmod in simples:
+        table[lam] = {mu: len(lmod.weight_space_rows(mu)) for mu in w.Lambda}
+    return table
+
+
+def composition_multiplicities(mod: ModuleRep, simples=None, table=None):
+    """Solve the triangular weight-dimension system for [M : L(lam)].
+
+    Requires a Lambda-standard algebra (unitriangular weight table); raises
+    on inconsistency or non-integral solutions.
+    """
+    alg = mod.algebra
+    w = alg.weights
+    if w is None:
+        raise modules.ModuleError("no weight datum")
+    if simples is None:
+        simples = weight_simples(alg)
+    if table is None:
+        table = simple_weight_table(alg, simples)
+    dims = {mu: len(mod.weight_space_rows(mu)) for mu in w.Lambda}
+    # iterate weights from maximal downwards
+    remaining = dict(dims)
+    mult = {}
+    order = []
+    todo = list(w.Lambda)
+    while todo:
+        for lam in w.maximal(todo):
+            order.append(lam)
+            todo.remove(lam)
+    for lam in order:
+        if table[lam][lam] != 1:
+            raise modules.ModuleError(
+                "weight table is not unitriangular: not Lambda-standard")
+        m = remaining[lam]
+        if m < 0:
+            raise modules.ModuleError("negative multiplicity: inconsistent system")
+        mult[lam] = m
+        for mu in w.Lambda:
+            remaining[mu] -= m * table[lam][mu]
+    if any(remaining.values()):
+        raise modules.ModuleError(f"inconsistent weight dimensions: {remaining}")
+    return mult
+
+
+def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
+    """Radical-layer composition counting via central idempotents.
+
+    blocks: list of (label, central_idempotent_lift, simple_dim).  Counts the
+    multiplicity of each label across the radical series of mod; independent
+    of the triangular weight solve.
+    """
+    counts = {lbl: 0 for (lbl, _, _) in blocks}
+    cur = mod
+    guard = 0
+    while cur.rank and guard <= mod.rank + 1:
+        guard += 1
+        head, _, sub = head_module(cur, rad_rows)
+        for (lbl, z, d) in blocks:
+            # the rank of z on the head: the rank of its columns
+            zcols = [dict(col) for col in head.act_matrix(list(z))]
+            tr_rank = linalg.rank(zcols, head.fld, head.rank)
+            if tr_rank % d:
+                raise modules.ModuleError(
+                    f"block {lbl!r} acts on a head with rank {tr_rank}, "
+                    f"not a multiple of {d}")
+            counts[lbl] += tr_rank // d
+        # descend to rad * cur
+        if sub.rank == cur.rank:
+            raise modules.ModuleError("radical series does not descend")
+        cur = cur.restrict_to(sub)
+    return counts
+
+
 class TestComposition:
     def test_p1(self, sp_z5):
         got = composition_multiplicities(sp_z5["1"]["P"].base_change("k"))
@@ -174,6 +265,37 @@ class TestDeltaFiltration:
         n = d2.restrict_to(sub)
         with pytest.raises(FiltrationFailure):
             delta_filtration(n)
+
+
+# ---------------------------------------------------------------------------
+# Morita reduction (the Prop 4.1 construction)
+# ---------------------------------------------------------------------------
+
+def morita_reduce(alg: StructureAlgebra):
+    """B' = (+) e_lam B e_mu over lam, mu in Lambda, with induced weights."""
+    w = alg.weights
+    if w is None:
+        raise modules.ModuleError("no weight datum")
+    for lam in w.Lambda:
+        if not any(w.idempotents[lam]):
+            raise modules.ModuleError(f"idempotent e[{lam!r}] is zero")
+    # the e_lam are orthogonal, so the sum of the e_lam B e_mu is e B e
+    e = alg.weight_idempotent(w.Lambda)
+    sub, sub_basis = alg.subalgebra_on(alg.corner(e).rows, unit=e)
+    coords = alg.coord_solver(sub_basis)
+    idems = {}
+    for lam in w.Lambda:
+        c = coords(list(w.idempotents[lam]))
+        if c is None:
+            raise modules.ModuleError(
+                "weight idempotent escaped the Morita cut")
+        idems[lam] = tuple(c)
+    weights = WeightDatum(tuple(w.Lambda), tuple(w.Lambda),
+                          frozenset((a, b) for (a, b) in w.less
+                                    if a in w.Lambda and b in w.Lambda),
+                          idems)
+    return StructureAlgebra(sub.ring, sub.level, sub.rank, sub.labels,
+                            sub.unit, sub.sc, weights)
 
 
 class TestMorita:

@@ -8,8 +8,9 @@ reference it replaced, kept here verbatim.
   set; the reference stacks the commutators with every basis element, with
   the multiplication matrices made dense (their right multiplication
   matrices come from `right_mult_of`).
-* `linalg.Subspace.intersection` against the helper that
-  `subalgebra_radical_check` kept for itself.
+* `linalg.Subspace.intersection` against the stacked-kernel helper that
+  the nested-radical check `subalgebra_radical_check` once kept for itself;
+  that check is now a test routine in `test_radicals.py`.
 """
 
 from fractions import Fraction

@@ -1,8 +1,8 @@
 """Static checks over the package source.
 
-Every private function must be used somewhere in the package: a `_name` is
-not part of the public API, so a definition that nothing in src/grforge
-references (outside its own def line) is dead code.  No check may rest
+Every function, class and method in the package is reachable by name from
+a command (`cli.main`) or from a name the benchmark scripts read from
+grforge: code that only tests run lives in tests/.  No check may rest
 on an `assert`, which `python -O` strips: internal checks raise
 `InternalCheckError`.  And no module but `lattices` asks which kind of span it holds:
 spans come from `StructureAlgebra.span`.  Spans of products come from the
@@ -22,27 +22,125 @@ rows augmented with an identity.
 
 import ast
 import pathlib
-import re
 
 import grforge
 
 PKG = pathlib.Path(grforge.__file__).resolve().parent
+BENCH = PKG.parent.parent / "bench"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def test_every_private_function_is_referenced():
-    texts = {p.name: p.read_text() for p in sorted(PKG.glob("*.py"))}
-    unused = []
-    for name, text in texts.items():
-        for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            fn = node.name
-            if not fn.startswith("_") or fn.startswith("__"):
-                continue
-            word = re.compile(rf"\b{re.escape(fn)}\b")
-            if sum(len(word.findall(t)) for t in texts.values()) < 2:
-                unused.append(f"{name}:{node.lineno} {fn}")
-    assert not unused, f"private functions nothing references: {unused}"
+def _names_read(node):
+    """Every identifier and attribute name that appears inside node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _definitions(sources):
+    """The definitions of the modules {stem: source}: (name, label, names
+    read) for each top-level function and class and each method that is not
+    a dunder, and the names read by module-level code, which runs on import.
+    A class reads the names in its bases, decorators, body and dunder
+    methods, which run without being named."""
+    defs, on_import = [], set()
+    for stem, text in sorted(sources.items()):
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, FUNCTIONS):
+                defs.append((stmt.name, f"{stem}.{stmt.name}",
+                             _names_read(stmt)))
+            elif isinstance(stmt, ast.ClassDef):
+                reads = set()
+                for node in stmt.bases + stmt.keywords + stmt.decorator_list:
+                    reads |= _names_read(node)
+                for sub in stmt.body:
+                    if isinstance(sub, FUNCTIONS) and not (
+                            sub.name.startswith("__")
+                            and sub.name.endswith("__")):
+                        label = f"{stem}.{stmt.name}.{sub.name}"
+                        defs.append((sub.name, label, _names_read(sub)))
+                    else:
+                        reads |= _names_read(sub)
+                defs.append((stmt.name, f"{stem}.{stmt.name}", reads))
+            else:
+                on_import |= _names_read(stmt)
+    return defs, on_import
+
+
+def _names_taken_from_grforge(script):
+    """The names a script reads from grforge: each name it imports from a
+    grforge module, and each attribute of a grforge module it imports."""
+    tree = ast.parse(script)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "grforge":
+            for alias in node.names:
+                if node.module == "grforge":
+                    modules.add(alias.asname or alias.name)
+                else:
+                    names.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(node.attr)
+    return names
+
+
+def _unreachable(sources, roots):
+    """Labels of the definitions that no chain of names leads to from the
+    roots and module-level code: a definition is reached when a reached
+    one reads its name."""
+    defs, on_import = _definitions(sources)
+    todo, reached = set(roots) | on_import, set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for def_name, _, reads in defs:
+            if def_name == name:
+                todo |= reads - reached
+    return sorted(label for name, label, _ in defs if name not in reached)
+
+
+def test_every_definition_is_reachable_from_a_command():
+    sources = {p.stem: p.read_text() for p in sorted(PKG.glob("*.py"))}
+    assert "def main(" in sources["cli"]
+    scripts = [p for p in sorted(BENCH.glob("*.py"))
+               if not p.name.startswith("test_")]
+    assert scripts, f"no benchmark scripts under {BENCH}"
+    roots = {"main"}
+    for path in scripts:
+        roots |= _names_taken_from_grforge(path.read_text())
+    unreached = _unreachable(sources, roots)
+    assert not unreached, f"definitions no command reaches: {unreached}"
+
+
+def test_reachability_check_sees_an_unreached_definition():
+    sources = {
+        "cli": "from . import core\n"
+               "def main():\n"
+               "    return core.TABLE[0]().run()\n",
+        "core": "TABLE = [lambda: Job()]\n"
+                "class Job:\n"
+                "    def __init__(self):\n"
+                "        self.n = _size()\n"
+                "    def run(self):\n"
+                "        return self.n\n"
+                "    def unused(self):\n"
+                "        return orphan()\n"
+                "def _size():\n"
+                "    return 1\n"
+                "def orphan():\n"
+                "    return 2\n"
+                "def timed():\n"
+                "    return 3\n",
+    }
+    script = "from grforge import core\nfrom grforge.cli import main\n" \
+             "core.timed()\n"
+    assert _names_taken_from_grforge(script) == {"main", "timed"}
+    assert _unreachable(sources, {"main"}) == [
+        "core.Job.unused", "core.orphan", "core.timed"]
+    assert _unreachable(sources, {"main", "timed"}) == [
+        "core.Job.unused", "core.orphan"]
 
 
 # modules whose remaining asserts have not yet become explicit raises

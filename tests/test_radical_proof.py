@@ -69,11 +69,16 @@ def dense_product(a, b, field):
              for j in range(n)] for i in range(n)]
 
 
+def charpoly(a, p):
+    """The characteristic polynomial of a matrix of Fp values, as ints."""
+    return linalg.charpoly_mod_p([[x.v for x in r] for r in a], p)
+
+
 def fp_form(alg, rows, power):
     fld = alg.fld
     mats = [linalg.dense_rows(alg.left_mult_of(list(v)), alg.rank, fld.zero)
             for v in rows]
-    return [[linalg.charpoly(dense_product(a, b, fld), fld)[power]
+    return [[Fp(fld.p, charpoly(dense_product(a, b, fld), fld.p)[power])
              for b in mats] for a in mats]
 
 

@@ -117,9 +117,9 @@ class TestResidue:
 
 class TestIsUnit:
     def test_examples(self):
-        assert R3.is_unit(2) is True
-        assert C3.is_unit(zeta(C3) - 1) is False
-        assert C5.is_unit(zeta(C5) + 1) is True
+        assert R3.valuation(2) == 0
+        assert C3.valuation(zeta(C3) - 1) != 0
+        assert C5.valuation(zeta(C5) + 1) == 0
 
 
 # -- algebraic properties -----------------------------------------------------

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from grforge import fixtures, graded, modules, radicals, randomized, tightness
+from grforge import (fixtures, graded, linalg, modules, radicals, randomized,
+                     tightness)
 from grforge.algebra import StructureAlgebra
 from grforge.lattices import Lattice
 
@@ -109,11 +110,49 @@ class TestConditions51:
             d.validate(z5)
 
 
+# no command computes e_k lambda: the routine lives next to its test
+def e_k_lambda(alg_field, lam):
+    """Kernel of the canonical surjection P_K(lam) -> Delta_K(lam).
+
+    Returns (pim_module, kernel_rows_in_pim_coords, surjection_matrix).
+    """
+    pim, f = tightness.field_pim(alg_field, lam)
+    delta = modules.standard_module(alg_field, lam)
+    # generator of the pim in its own coordinates
+    gen = pim.ambient_span.coords(f)
+    if gen is None:
+        raise tightness.TightnessError("pim generator lost in restriction")
+    h = None
+    for i in range(delta.rank):
+        w = delta.act(f, delta.basis_vec(i))
+        if not any(w):
+            continue
+        cand = modules.hom_with_generator_images(pim, delta, [gen], [w])
+        if cand is None:
+            continue
+        img = [[cand[r][c] for r in range(delta.rank)] for c in range(pim.rank)]
+        if linalg.rank(img, delta.fld) == delta.rank:
+            h = cand
+            break
+    if h is None:
+        raise tightness.TightnessError(
+            f"no surjection P_K({lam!r}) -> Delta_K({lam!r}) found "
+            "(weight datum corrupted?)")
+    ker = linalg.kernel_right([list(r) for r in h], delta.fld)
+    # kernel of h as a map on column coordinates: solve h x = 0
+    ker_rows, _ = linalg.rref(ker, delta.fld)
+    if len(ker_rows) != pim.rank - delta.rank:
+        raise tightness.TightnessError(
+            f"kernel of P_K({lam!r}) -> Delta_K({lam!r}) has rank "
+            f"{len(ker_rows)}, not {pim.rank - delta.rank}")
+    return pim, ker_rows, h
+
+
 class TestEKLambda:
     def test_z5_kernels(self, z5_K):
-        pim, ker, _ = tightness.e_k_lambda(z5_K, "1")
+        pim, ker, _ = e_k_lambda(z5_K, "1")
         assert pim.rank == 3 and len(ker) == 2
-        pim2, ker2, _ = tightness.e_k_lambda(z5_K, "2")
+        pim2, ker2, _ = e_k_lambda(z5_K, "2")
         assert len(ker2) == 0
 
 
