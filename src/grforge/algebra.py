@@ -181,35 +181,36 @@ class StructureAlgebra:
     def left_mult_of(self, x):
         """Sparse columns of left multiplication by the element with
         coordinates x: applied to y it gives mul(x, y)."""
-        return linalg.combine_columns(x, self._derived(_mult_columns, "left"))
+        return self._mult_of("left", x)
 
     def right_mult_of(self, x):
         """Sparse columns of right multiplication by the element with
         coordinates x: applied to y it gives mul(y, x)."""
-        return linalg.combine_columns(x,
-                                      self._derived(_mult_columns, "right"))
+        return self._mult_of("right", x)
+
+    def _mult_of(self, side, x):
+        """Sparse columns (see linalg) of multiplication by x on `side`: the
+        combination of the basis elements' columns that the nonzero entries
+        of x name, the stored columns themselves when x is a basis vector."""
+        mats = self._derived(_mult_columns, side)
+        nx = [(j, c) for j, c in enumerate(x) if c]
+        if len(nx) == 1 and nx[0][1] == self.fld.one:
+            return mats[nx[0][0]]
+        if not nx:
+            return [()] * self.rank
+        return linalg.combine_columns([c for _, c in nx],
+                                      [mats[j] for j, _ in nx])
 
     def products(self, xs, ys):
         """The products x y for x in xs and y in ys, x outer, each a
         {column: entry} dict of its nonzero entries.
 
         Right multiplication by y is formed once per y, as the sparse
-        columns R_y (see linalg): column i is b_i y, the stored column of
-        b_i b_j itself when y is the basis vector b_j.  Then x y is the
-        combination of the columns of R_y that the nonzero entries of x
+        columns R_y (see `right_mult_of`): column i is b_i y.  Then x y is
+        the combination of the columns of R_y that the nonzero entries of x
         name; a basis vector x reads its column as it is."""
-        right = self._derived(_mult_columns, "right")
         one = self.fld.one
-        mats = []
-        for y in ys:
-            ny = [(j, c) for j, c in enumerate(y) if c]
-            if len(ny) == 1 and ny[0][1] == one:
-                mats.append(right[ny[0][0]])
-            elif ny:
-                mats.append(linalg.combine_columns(
-                    [c for _, c in ny], [right[j] for j, _ in ny]))
-            else:
-                mats.append([()] * self.rank)
+        mats = [self.right_mult_of(y) for y in ys]
         out = []
         for x in xs:
             nx = [(i, c) for i, c in enumerate(x) if c]
@@ -401,17 +402,33 @@ class StructureAlgebra:
             e = [a + b for a, b in zip(e, self.weights.idempotents[lbl])]
         return e
 
-    def product_span(self, xs, ys):
-        """The span (see `span`) of the products x y, x in xs, y in ys, read
-        off the multiplication columns by `products`.  At K and k the sparse
-        products are reduced as they are; only a Lattice at O takes them as
-        dense rows."""
-        rows = [r for r in self.products(xs, ys) if r]
+    def _sparse_span(self, rows):
+        """The span (see `span`) of sparse rows, each a collection of
+        (column, entry) pairs (a {column: entry} dict's items or a sparse
+        column).  At K and k they are reduced as they are; only a Lattice at
+        O takes them as dense rows."""
+        rows = [r for r in rows if r]
         n = self.rank
         if self._span_ring is None:
             return linalg.Subspace(self.fld, n, *linalg.rref(rows, self.fld, n))
-        return self.span([linalg.dense(r.items(), n, self.fld.zero)
-                          for r in rows])
+        return self.span([linalg.dense(r, n, self.fld.zero) for r in rows])
+
+    def product_span(self, xs, ys):
+        """The span (see `span`) of the products x y, x in xs, y in ys, read
+        off the multiplication columns by `products`."""
+        return self._sparse_span(p.items() for p in self.products(xs, ys))
+
+    def left_ideal(self, ys):
+        """A ys, the span (see `span`) of the b y over the basis b and y in
+        ys: the columns of right multiplication by each y."""
+        return self._sparse_span(
+            col for y in ys for col in self.right_mult_of(y))
+
+    def right_ideal(self, xs):
+        """xs A, the span (see `span`) of the x b over x in xs and the basis
+        b: the columns of left multiplication by each x."""
+        return self._sparse_span(
+            col for x in xs for col in self.left_mult_of(x))
 
     def _column_vectors(self, cols):
         """The nonzero columns of a matrix given by sparse columns, as dense
@@ -419,11 +436,9 @@ class StructureAlgebra:
         return [linalg.dense(c, self.rank, self.fld.zero) for c in cols if c]
 
     def ideal_generated(self, e):
-        """A e A as a span (see `span`): the e b_j are the columns of left
-        multiplication by e."""
-        basis = [self.basis_vec(i) for i in range(self.rank)]
-        return self.product_span(
-            basis, self._column_vectors(self.left_mult_of(e)))
+        """A e A as a span (see `span`): the left ideal of the e b_j, which
+        are the columns of left multiplication by e."""
+        return self.left_ideal(self._column_vectors(self.left_mult_of(e)))
 
     def corner(self, e):
         """e A e as a span (see `span`), the twin of `ideal_generated`: the

@@ -214,7 +214,6 @@ class MatrixAlgebraWitness:
     block_sizes: tuple = ()
     gram_det_valuation: object = None
     units: dict | None = None       # (block, i, j) -> coordinate vector in E
-    iso_rows: list | None = None    # images of E-basis in (+) M_n(O) coordinates
 
 
 def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
@@ -240,7 +239,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
         return MatrixAlgebraWitness(False, f"splitting failed: {exc}")
     sizes = tuple(b.simple_dim for b in blocks)
     if e_alg.level != "O":
-        return MatrixAlgebraWitness(True, "", sizes, 0, units, None)
+        return MatrixAlgebraWitness(True, "", sizes, 0, units)
     ring = e_alg.ring
     # maximality via the reduced trace: sum of matrix traces over the blocks;
     # the reduced discriminant of (+) M_n(O) is a unit, and an order with unit
@@ -320,7 +319,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
                 target[off + i * d + j] = ek.fld.one
                 all_units[(bi, i, j)] = coords(target)
         off += d * d
-    return MatrixAlgebraWitness(True, "", sizes, 0, all_units, iso_rows)
+    return MatrixAlgebraWitness(True, "", sizes, 0, all_units)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +343,6 @@ class HeredityStep:
 class ChainCertificate:
     ok: bool
     steps: list
-    delta_ranks: dict = field(default_factory=dict)
     failure: str = ""
 
     def summary(self):
@@ -414,7 +412,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
     # multiplication map Ae (x)_{eAe} eA -> J; End_A(J) follows structurally
     if witness.ok:
         verdicts["mult_map_bijective"], r_sizes = _mult_map_bijective(
-            alg, e, cbasis, witness, J)
+            alg, cbasis, witness, J)
         verdicts["endo_matrix"] = True
         detail["endo_block_sizes"] = r_sizes
         if alg.level == "O" and J.rank <= ENDO_DIRECT_LIMIT:
@@ -428,18 +426,16 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
                         witness, detail, J)
 
 
-def _mult_map_bijective(alg, e, cbasis, witness, J):
+def _mult_map_bijective(alg, cbasis, witness, J):
     """Rank count and exact image equality for Ae (x)_{eAe} eA -> J.
 
     Returns (bijective, sizes): sizes[t] is the rank of f_t e A, f_t the
-    first diagonal unit of block t, and End_A(J) = (+) M_(sizes[t])(O)."""
-    # the nonzero b e and e b: columns of right and left multiplication by e
-    ae = alg._column_vectors(alg.right_mult_of(e))
-    ea = alg._column_vectors(alg.left_mult_of(e))
+    first diagonal unit of block t, and End_A(J) = (+) M_(sizes[t])(O).
+    Since f_t = e f_t e, A e f_t = A f_t and f_t e A = f_t A."""
     sides = []
     for bi in range(len(witness.block_sizes)):
         f = linalg.combine(witness.units[(bi, 0, 0)], cbasis, alg.fld.zero)
-        sides.append((alg.product_span(ae, [f]), alg.product_span([f], ea)))
+        sides.append((alg.left_ideal([f]), alg.right_ideal([f])))
     sizes = tuple(right.rank for _, right in sides)
     # block t contributes d_t copies: rank(Ae f_t) * rank(f_t eA)
     if sum(left.rank * right.rank for left, right in sides) != J.rank:

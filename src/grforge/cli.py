@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -49,7 +50,7 @@ def _labels(flag, arg, alg):
     """The labels in the algebra's Lambda that an option names, all of them
     when it is not given: the argument itself when it is a label (q-Schur
     labels such as `2,1` contain the comma), else its comma-separated
-    parts."""
+    parts, each named once."""
     if alg.weights is None:
         raise AlgebraError("algebra has no weight datum")
     known = list(alg.weights.Lambda)
@@ -60,7 +61,25 @@ def _labels(flag, arg, alg):
     if unknown:
         raise UsageError(f"{flag} names unknown labels {unknown}; "
                          f"the labels are {known}")
+    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    if repeated:
+        raise UsageError(f"{flag} names labels {repeated} more than once")
     return labels
+
+
+def _multiplicities(arg):
+    """The {label: count} pairs of `--mult`, comma-separated, a count
+    ending each pair, so a label may contain commas: `2,1:2,3,0:1` gives
+    {"2,1": 2, "3,0": 1}."""
+    if not arg:
+        return {}
+    if not re.fullmatch(r"[^:]+:\d+(,[^:]+:\d+)*", arg):
+        raise UsageError(f"--mult takes label:count pairs, not {arg!r}")
+    pairs = re.findall(r"([^:]+):(\d+)(?:,|$)", arg)
+    mult = {label: int(count) for label, count in pairs}
+    if len(mult) != len(pairs):
+        raise UsageError(f"--mult names a label more than once in {arg!r}")
+    return mult
 
 
 def _load_algebra(path):
@@ -68,9 +87,7 @@ def _load_algebra(path):
         raise UsageError("no algebra document given")
     with open(path) as fh:
         doc = json.load(fh)
-    alg = files.doc_to_algebra(doc)
-    alg.source_doc = doc
-    return alg
+    return files.doc_to_algebra(doc)
 
 
 def _emit_report(args, suite, fixture_id, verdicts, witnesses, t0, input_hash=""):
@@ -129,15 +146,7 @@ def cmd_gen(args):
             meta["block_flag"] = info.get("reason", "idempotents not integral")
     elif name == "inflate":
         base = _load_algebra(args.input)
-        mult = {}
-        for part in (args.mult or "").split(","):
-            if part:
-                k, sep, v = part.partition(":")
-                if not sep or not v.isdigit():
-                    raise UsageError(
-                        f"--mult takes label:count pairs, not {part!r}")
-                mult[k] = int(v)
-        alg = fixtures.inflate(base, mult)
+        alg = fixtures.inflate(base, _multiplicities(args.mult))
         meta = {"fixture": f"inflate({_stem(args.input)})"}
     elif name == "perturb":
         base = _load_algebra(args.input)
@@ -425,7 +434,8 @@ def build_parser():
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--input", help="source algebra for inflate/perturb")
-    g.add_argument("--mult", help="inflate multiplicities, e.g. '2:2'")
+    g.add_argument("--mult", help="inflate multiplicities, label:count "
+                   "pairs, e.g. '2:2' or '2,1:2,3,0:1'")
     g.add_argument("--with-modules", action="store_true")
     g.add_argument("-o", "--output", default=".")
     g.set_defaults(fn=cmd_gen)

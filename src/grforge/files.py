@@ -151,7 +151,7 @@ def doc_to_algebra(doc) -> StructureAlgebra:
                 for lbl, v in doc["generators"].items()}
     alg = StructureAlgebra(ring, "O", rank, doc.get("basis_labels"),
                            unit, sc, weights, gens)
-    alg.validation_report = alg.validate()
+    alg.validate()
     alg.metadata = doc.get("metadata", {})
     alg.source_hash = content_hash(doc)
     return alg

@@ -91,6 +91,10 @@ def inflate(alg: StructureAlgebra, multiplicities: dict) -> StructureAlgebra:
     w = alg.weights
     if w is None:
         raise AlgebraError("inflation needs a weight datum")
+    unknown = sorted(set(multiplicities) - set(w.X), key=str)
+    if unknown:
+        raise AlgebraError(f"multiplicities name labels {unknown} outside X; "
+                           f"the labels are {list(w.X)}")
     mult = {nu: int(multiplicities.get(nu, 1)) for nu in w.X}
     if any(m < 1 for m in mult.values()):
         raise AlgebraError("multiplicities must be >= 1")
@@ -158,10 +162,8 @@ def inflate(alg: StructureAlgebra, multiplicities: dict) -> StructureAlgebra:
     new_less = frozenset((f"{a}#0", f"{b}#0") for (a, b) in w.less)
     weights = WeightDatum(new_x, new_lambda, new_less, idems)
     labels = [f"{alg.labels[i]}[{r},{c}]" for (i, r, c) in new_basis]
-    out = StructureAlgebra(alg.ring, alg.level, len(new_basis), labels,
-                           tuple(unit), sc, weights)
-    out.copy_idempotents = idems
-    return out
+    return StructureAlgebra(alg.ring, alg.level, len(new_basis), labels,
+                            tuple(unit), sc, weights)
 
 
 def perturb(alg: StructureAlgebra, seed: int, count: int = 1):

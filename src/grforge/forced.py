@@ -51,8 +51,6 @@ def n_prime_lattice(mod: ModuleRep, lam):
 
 @dataclass
 class PrimitivityReport:
-    vector: tuple
-    weight: object
     primitive: bool
     strongly_primitive: bool
     grade: int | None
@@ -74,7 +72,7 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
     w = alg.weights
     e = list(w.idempotents[lam])
     v = list(v)
-    if mod.act(e, v) != v:
+    if linalg.apply(mod.act_matrix(e), v, mod.fld) != v:
         raise ForcedError("vector is not a lam-weight vector")
     if n_prime is None:
         n_prime = n_prime_lattice(mod, lam)
@@ -82,7 +80,7 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
     full = mod.full_lattice()
     detail = {}
     if not any(v):
-        return PrimitivityReport(tuple(v), lam, False, False, None, None, detail)
+        return PrimitivityReport(False, False, None, None, detail)
     in_nprime = nprime.contains_vector(v)
     if in_nprime:
         primitive = False
@@ -117,8 +115,7 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
             if w.lt(lam, mu) and len(quot.weight_space_rows(mu)):
                 maximality = False
                 detail["violating_weight"] = mu
-    return PrimitivityReport(tuple(v), lam, primitive, strongly, grade,
-                             maximality, detail)
+    return PrimitivityReport(primitive, strongly, grade, maximality, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +125,6 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
 @dataclass
 class GrB:
     lattice: Lattice          # graded coordinates of gr N
-    strata: list              # contributing (lam, grade) pairs
 
 
 def gr_b(grmod: GradedModule) -> GrB:
@@ -140,7 +136,6 @@ def gr_b(grmod: GradedModule) -> GrB:
     w = alg.weights
     chain = grmod.chain
     gens = []
-    strata = []
     for lam in w.Lambda:
         nprime, _ = n_prime_lattice(mod, lam)
         # quotient of N by the pure lattice N ∩ N'_K(lam), with its filtration
@@ -154,13 +149,12 @@ def gr_b(grmod: GradedModule) -> GrB:
             wi1 = quot.image([e], qi1.rows)
             if wi.rank == wi1.rank:
                 continue  # inactive stratum
-            strata.append((lam, i))
             wlat = mod.image([e], chain[i].rows)
             for r in wlat.rows:
                 row = grmod.component(r, i)
                 if any(row):
                     gens.append(row)
-    return GrB(grmod.module.submodule_generated(gens), strata)
+    return GrB(grmod.module.submodule_generated(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +167,6 @@ class GradedStage:
     copies: int
     shift: int
     kind: str                 # "standard" or "prestandard"
-    checks: dict
 
 
 def gr_delta_filtration(grmod: GradedModule):
@@ -267,7 +260,7 @@ def gr_delta_filtration(grmod: GradedModule):
             checks["sandwich_upper"] = gsharp.contains_lattice(section)
             if not (checks["sandwich_lower"] and checks["sandwich_upper"]):
                 raise FiltrationFailure(lam, "prestandard sandwich fails", checks)
-        stages.append(GradedStage(lam, d, m1, kind, checks))
+        stages.append(GradedStage(lam, d, m1, kind))
         quot, _, _ = cur.quotient_by(r_lat)
         cur = quot
     if cur.rank:

@@ -187,10 +187,6 @@ class Lattice:
         return Lattice.from_rows(self.ring, self.ambient,
                                  list(self.rows) + list(other.rows))
 
-    def scale(self, c) -> "Lattice":
-        rows = [[c * x for x in r] for r in self.rows]
-        return Lattice.from_rows(self.ring, self.ambient, rows)
-
     def intersection(self, other: "Lattice") -> "Lattice":
         """{v : v in self and v in other}, canonical."""
         self._check_compatible(other)

@@ -50,21 +50,6 @@ class ModuleRep:
     def act_basis(self, i, v):
         return linalg.apply(self.acts[i], v, self.fld)
 
-    def act(self, x, v):
-        """Action of the algebra element with coordinates x."""
-        out = [self.fld.zero] * self.rank
-        vs = [(k, y) for k, y in enumerate(v) if y]
-        for i, c in enumerate(x):
-            if c:
-                cols = self.acts[i]
-                for k, y in vs:
-                    col = cols[k]
-                    if col:
-                        cy = c * y
-                        for t, a in col:
-                            out[t] = out[t] + cy * a
-        return out
-
     def act_matrix(self, x):
         """Sparse columns of the action of the element with coordinates x."""
         return linalg.combine_columns(x, self.acts)
@@ -210,10 +195,9 @@ def _weight_projective(alg, lam):
     w = alg.weights
     if w is None:
         raise ModuleError("no weight datum")
-    basis = [alg.basis_vec(i) for i in range(alg.rank)]
     # restrict_to raises if A e were not stable
     mod = regular_module(alg).restrict_to(
-        alg.product_span(basis, [w.idempotents[lam]]))
+        alg.left_ideal([w.idempotents[lam]]))
     return mod.rank, mod.acts, f"P({lam})"
 
 
@@ -261,11 +245,9 @@ def _standard_module(alg, lam):
 
 
 def standard_and_projectives(alg: StructureAlgebra):
-    """All A e_lam and Delta(lam), with basicness and head reports.
-
-    Returns dict lam -> {"P": module, "Delta": module, "P_is_pim": bool}.
-    P_is_pim records whether A e_lam has a simple head (so equals the PIM).
-    """
+    """All A e_lam and Delta(lam): dict lam -> {"P": module, "Delta":
+    module}.  At level O each Delta(lam) is checked to have the simple head
+    L(lam) over k and to be generated by its lam-weight space."""
     w = alg.weights
     if w is None:
         raise ModuleError("no weight datum")
@@ -280,9 +262,6 @@ def standard_and_projectives(alg: StructureAlgebra):
         simples = weight_simples(algk)
         radk = radicals.radical_field(algk)
         for lam in w.Lambda:
-            pk = out[lam]["P"].base_change("k")
-            h = head_info(pk, radk, simples)
-            out[lam]["P_is_pim"] = h["is_simple"]
             dk = out[lam]["Delta"].base_change("k")
             hd = head_info(dk, radk, simples)
             if not (hd["is_simple"] and hd["label"] == lam):

@@ -49,9 +49,8 @@ class NonSplitError(AlgebraError):
 
 def is_ideal(alg, rows) -> bool:
     span = alg.span(rows)
-    basis = [alg.basis_vec(i) for i in range(alg.rank)]
-    return (span.contains_lattice(alg.product_span(basis, span.rows))
-            and span.contains_lattice(alg.product_span(span.rows, basis)))
+    return (span.contains_lattice(alg.left_ideal(span.rows))
+            and span.contains_lattice(alg.right_ideal(span.rows)))
 
 
 def _subspace_powers(alg, rows, n):

@@ -516,7 +516,6 @@ class CycField:
         self.p = p
         self.zero = Cyc.of(p, 0)
         self.one = Cyc.of(p, 1)
-        self.zeta = Cyc.zeta_pow(p, 1)
 
     def of(self, a):
         return Cyc.of(self.p, a)

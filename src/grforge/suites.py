@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import certify, forced, radicals
+from . import certify, forced, linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .graded import GradedAlgebra, gr_algebra, gr_module
 from .modules import (
@@ -74,8 +74,9 @@ def _graded_piece_weight_ranks(gmod, weights):
     mod = gmod.module
     out = {}
     for nu in weights.X:
-        e = list(weights.idempotents[nu])
-        img = [mod.act(e, mod.basis_vec(i)) for i in range(mod.rank)]
+        # e_nu M: the nonzero columns of e_nu's action
+        img = [linalg.dense(col, mod.rank, mod.fld.zero)
+               for col in mod.act_matrix(weights.idempotents[nu]) if col]
         for m in range(gmod.top_grade + 1):
             out[(m, nu)] = gmod.grade_part_rank(img, m)
     return out
@@ -177,20 +178,21 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
     galg = gr.algebra
     w = galg.weights
     reg = regular_module(galg)
-    e = list(w.idempotents[lam])
-    p_rows = [reg.act(galg.basis_vec(i), e) for i in range(galg.rank)]
+    fld = galg.fld
+    # the b_i e_lam: the columns of right multiplication by e_lam
+    p_rows = galg._column_vectors(galg.right_mult_of(w.idempotents[lam]))
+    e_acts = {nu: reg.act_matrix(w.idempotents[nu]) for nu in w.X}
     t_sub = reg.submodule_generated(
-        [reg.act(list(w.idempotents[nu]), list(r)) for nu in w.Lambda
+        [linalg.apply(e_acts[nu], r, fld) for nu in w.Lambda
          if nu not in w.ideal_below(lam) for r in p_rows])
     table = {}
     top = gr.top_grade
     for nu in w.X:
-        enu = list(w.idempotents[nu])
+        ep = [linalg.apply(e_acts[nu], r, fld) for r in p_rows]
+        et = [linalg.apply(e_acts[nu], r, fld) for r in t_sub.rows]
         for m in range(top + 1):
-            pr = gr.grade_part_rank([reg.act(enu, list(r)) for r in p_rows], m)
-            tr = gr.grade_part_rank([reg.act(enu, list(r)) for r in t_sub.rows],
-                                    m)
-            table[(m, nu)] = pr - tr
+            table[(m, nu)] = (gr.grade_part_rank(ep, m)
+                              - gr.grade_part_rank(et, m))
     if sum(table.values()) != weight_projective(galg, lam).rank - t_sub.rank:
         raise InternalCheckError(
             f"grade table of the standard module at {lam!r} does not sum "
@@ -356,5 +358,4 @@ def _projective_generator(alg: StructureAlgebra, g):
     """e_g in the coordinates of weight_projective(alg, g), the span of the
     b_i e_g."""
     e = list(alg.weights.idempotents[g])
-    basis = [alg.basis_vec(i) for i in range(alg.rank)]
-    return alg.product_span(basis, [e]).coords(e)
+    return alg.left_ideal([e]).coords(e)

@@ -221,7 +221,7 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("error: "), err
         return err[0]
 
-    @pytest.mark.parametrize("mult", ["2", "2:x"])
+    @pytest.mark.parametrize("mult", ["2", "2:x", "2:2,", "2:2,2:3"])
     def test_malformed_multiplicities_exit_2(self, tmp_path, capsys, mult):
         cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
         capsys.readouterr()
@@ -246,6 +246,40 @@ class TestCLI:
         assert cli.main(args[:-2] + [alg] + args[-2:]) == 2
         line = self._one_error_line(capsys)
         assert args[-2] in line and "['9']" in line and "['1', '2']" in line
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "--order", "2,2"],
+        ["verify", "thm53", "--lam", "1,1"],
+        ["verify", "cor416", "--gamma", "1,1"],
+    ])
+    def test_repeated_label_exits_2(self, tmp_path, capsys, args):
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        capsys.readouterr()
+        alg = str(tmp_path / "z5@3.alg.json")
+        assert cli.main(args[:-2] + [alg] + args[-2:]) == 2
+        line = self._one_error_line(capsys)
+        assert args[-2] in line and "more than once" in line
+
+    def test_inflate_label_outside_x_exits_2(self, tmp_path, capsys):
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        capsys.readouterr()
+        assert cli.main(["gen", "inflate", "--input",
+                         str(tmp_path / "z5@3.alg.json"), "--mult", "9:2",
+                         "-o", str(tmp_path)]) == 2
+        line = self._one_error_line(capsys)
+        assert "['9']" in line and "['1', '2']" in line
+        assert not (tmp_path / "inflate_z5@3.alg.json").exists()
+
+    def test_inflate_takes_labels_with_commas(self, tmp_path):
+        assert cli.main(["gen", "qschur", "--d", "3", "--p", "3",
+                         "-o", str(tmp_path)]) == 0
+        assert cli.main(["gen", "inflate", "--input",
+                         str(tmp_path / "qschur-n2-d3@3.alg.json"),
+                         "--mult", "2,1:2,3,0:1", "-o", str(tmp_path)]) == 0
+        infl = files.doc_to_algebra(json.loads(
+            (tmp_path / "inflate_qschur-n2-d3@3.alg.json").read_text()))
+        assert infl.weights.X == ("3,0#0", "2,1#0", "2,1#1", "1,2#0", "0,3#0")
+        assert infl.rank == 34
 
     @pytest.mark.parametrize("builtin", ["foo", "P(1", "Q(1)", "P(1,2)"])
     def test_malformed_builtin_exits_2(self, tmp_path, capsys, builtin):

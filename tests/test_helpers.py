@@ -4,8 +4,8 @@ Lattice.lifts_over, lattices.coord_solver, modules.hom_equations, the
 isomorphism checks modules.iso_with_generator_images and
 modules.standard_iso, the product kernel StructureAlgebra.products against
 the dense reference `mul`, and the products of spans
-StructureAlgebra.product_span and corner and ModuleRep.image, with the
-sparse action columns behind them."""
+StructureAlgebra.product_span, left_ideal, right_ideal and corner and
+ModuleRep.image, with the sparse action columns behind them."""
 
 from fractions import Fraction
 
@@ -467,8 +467,9 @@ def test_iso_with_generator_images_rank_zero_and_a_wrong_image(sp_z5):
 
 
 # ---------------------------------------------------------------------------
-# products of spans: StructureAlgebra.product_span and corner,
-# ModuleRep.image, and the column kernel behind act_matrix / left_mult_of
+# products of spans: StructureAlgebra.product_span, left_ideal, right_ideal
+# and corner, ModuleRep.image, and the column kernel behind act_matrix /
+# left_mult_of
 # ---------------------------------------------------------------------------
 
 def naive_mul(alg, x, y):
@@ -593,6 +594,22 @@ def test_product_span_is_the_span_of_mul(product_algebras, case, data):
     assert alg.product_span(xs, ys) == want
 
 
+@SETTINGS
+@given(st.sampled_from(PRODUCT_CASES), st.data())
+def test_one_sided_ideals_are_product_spans_with_the_basis(product_algebras,
+                                                           case, data):
+    """left_ideal(ys) = A ys and right_ideal(xs) = xs A, read off the
+    columns, are the product spans with the basis as the other factor, for
+    factors that are random elements, basis vectors (and multiples),
+    idempotents and zero."""
+    alg = product_algebras[case]
+    basis = [alg.basis_vec(i) for i in range(alg.rank)]
+    xs, ys = ([draw_factor(data, alg)
+               for _ in range(data.draw(st.integers(0, 3)))] for _ in "xy")
+    assert alg.left_ideal(ys) == alg.product_span(basis, ys)
+    assert alg.right_ideal(xs) == alg.product_span(xs, basis)
+
+
 def test_products_drop_entries_that_cancel(product_algebras):
     alg = product_algebras[("qschur23", "K")]
     found = 0
@@ -691,8 +708,8 @@ def test_act_and_image_match_dense_mat_vec(product_modules, case, data):
     v = [fld.of(data.draw(small)) for _ in range(mod.rank)]
     i = data.draw(st.integers(0, mod.algebra.rank - 1))
     assert mod.act_basis(i, v) == linalg.mat_vec(dense[i], v, fld)
-    assert mod.act(x, v) == linalg.mat_vec(dense_combination(x, dense, zero),
-                                           v, fld)
+    assert linalg.apply(mod.act_matrix(x), v, fld) == linalg.mat_vec(
+        dense_combination(x, dense, zero), v, fld)
     xs = draw_elements(data, mod.algebra)
     mats = [dense_combination(y, dense, zero) for y in xs]
     basis = [mod.basis_vec(k) for k in range(mod.rank)]
@@ -755,11 +772,14 @@ def restricted_module_reference(sub, sub_basis, mod, cut):
     """The module cut . M over the subalgebra with basis vectors `sub_basis`
     (coordinates in mod's algebra), coordinates from the rref basis of the
     cut subspace: the construction the corner route replaced."""
-    rows = [mod.act(list(cut), mod.basis_vec(i)) for i in range(mod.rank)]
+    def act(x, v):
+        return linalg.apply(mod.act_matrix(x), v, mod.fld)
+
+    rows = [act(cut, mod.basis_vec(i)) for i in range(mod.rank)]
     span = mod.span(rows)
     if not span.rank:
         return ModuleRep(sub, 0, [[] for _ in range(sub.rank)])
-    acts = [[linalg.column(span.coords(mod.act(list(bvec), list(r))))
+    acts = [[linalg.column(span.coords(act(bvec, list(r))))
              for r in span.rows] for bvec in sub_basis]
     return ModuleRep(sub, span.rank, acts)
 

@@ -2,7 +2,9 @@
 
 Every function, class and method in the package is reachable by name from
 a command (`cli.main`) or from a name the benchmark scripts read from
-grforge: code that only tests run lives in tests/.  No check may rest
+grforge (a method only through an attribute read): code that only tests
+run lives in tests/.  And every attribute the package stores is read
+somewhere.  No check may rest
 on an `assert`, which `python -O` strips: internal checks raise
 `InternalCheckError`.  And no module but `lattices` asks which kind of span it holds:
 spans come from `StructureAlgebra.span`.  Spans of products come from the
@@ -10,7 +12,10 @@ product helpers, outside the modules that define them, and "S is stable
 under X" is one containment of such a span in S.  And no verdict rests on a
 sample: only the seeded campaigns and fixture generators draw at random.
 The routines that build spans and structure constants of products read them
-off the multiplication columns, not through the dense `mul`.
+off the multiplication columns, not through the dense `mul`, and a product
+with the whole algebra is a one-sided ideal (`left_ideal`, `right_ideal`),
+never a list of all basis vectors; a module element acts through the
+columns of `act_matrix`.
 Linear actions stay sparse columns: outside `linalg` and `files` nothing
 multiplies or combines dense matrices or transposes columns back into them.
 And rational K-values are `scalars.Rat`: outside `scalars`, `cyclo` and the
@@ -27,43 +32,74 @@ import grforge
 
 PKG = pathlib.Path(grforge.__file__).resolve().parent
 BENCH = PKG.parent.parent / "bench"
+TESTS = PKG.parent.parent / "tests"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _getattr_constant(node):
+    """The constant name of a `getattr(x, "name", ...)` call, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)):
+        return node.args[1].value
+    return None
+
+
+def _attributes_read(node):
+    """The attribute names read inside node: `x.name` and the constant of
+    `getattr(x, "name")`."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif _getattr_constant(n) is not None:
+            found.add(_getattr_constant(n))
+    return found
+
+
 def _names_read(node):
-    """Every identifier and attribute name that appears inside node."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+    """(names, attributes) read inside node: every identifier and attribute
+    name, and the attribute names alone (see `_attributes_read`)."""
+    attrs = _attributes_read(node)
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | attrs,
+            attrs)
 
 
 def _definitions(sources):
-    """The definitions of the modules {stem: source}: (name, label, names
-    read) for each top-level function and class and each method that is not
-    a dunder, and the names read by module-level code, which runs on import.
-    A class reads the names in its bases, decorators, body and dunder
-    methods, which run without being named."""
-    defs, on_import = [], set()
+    """The definitions of the modules {stem: source}: (name, label, is a
+    method, reads) for each top-level function and class and each method
+    that is not a dunder, reads a pair (names, attributes) as
+    `_names_read` gives it; and the reads of module-level code, which runs
+    on import.  A class reads the names in its bases, decorators, body and
+    dunder methods, which run without being named."""
+    defs, on_import = [], (set(), set())
     for stem, text in sorted(sources.items()):
         for stmt in ast.parse(text).body:
             if isinstance(stmt, FUNCTIONS):
-                defs.append((stmt.name, f"{stem}.{stmt.name}",
+                defs.append((stmt.name, f"{stem}.{stmt.name}", False,
                              _names_read(stmt)))
             elif isinstance(stmt, ast.ClassDef):
-                reads = set()
+                reads = (set(), set())
                 for node in stmt.bases + stmt.keywords + stmt.decorator_list:
-                    reads |= _names_read(node)
+                    _merge(reads, _names_read(node))
                 for sub in stmt.body:
                     if isinstance(sub, FUNCTIONS) and not (
                             sub.name.startswith("__")
                             and sub.name.endswith("__")):
                         label = f"{stem}.{stmt.name}.{sub.name}"
-                        defs.append((sub.name, label, _names_read(sub)))
+                        defs.append((sub.name, label, True, _names_read(sub)))
                     else:
-                        reads |= _names_read(sub)
-                defs.append((stmt.name, f"{stem}.{stmt.name}", reads))
+                        _merge(reads, _names_read(sub))
+                defs.append((stmt.name, f"{stem}.{stmt.name}", False, reads))
             else:
-                on_import |= _names_read(stmt)
+                _merge(on_import, _names_read(stmt))
     return defs, on_import
+
+
+def _merge(into, reads):
+    into[0].update(reads[0])
+    into[1].update(reads[1])
 
 
 def _names_taken_from_grforge(script):
@@ -87,18 +123,24 @@ def _names_taken_from_grforge(script):
 
 
 def _unreachable(sources, roots):
-    """Labels of the definitions that no chain of names leads to from the
-    roots and module-level code: a definition is reached when a reached
-    one reads its name."""
+    """Labels of the definitions that no chain of reads leads to from the
+    roots and module-level code: a function or class is reached when a
+    reached definition reads its name, a method only when one reads it as
+    an attribute (`x.name` or `getattr(x, "name")`), so a local variable
+    of the same name does not reach it."""
     defs, on_import = _definitions(sources)
-    todo, reached = set(roots) | on_import, set()
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        for def_name, _, reads in defs:
-            if def_name == name:
-                todo |= reads - reached
-    return sorted(label for name, label, _ in defs if name not in reached)
+    names, attrs = set(roots) | on_import[0], set(on_import[1])
+    done = set()
+    changed = True
+    while changed:
+        changed = False
+        for name, label, is_method, reads in defs:
+            if label not in done and name in (attrs if is_method else names):
+                done.add(label)
+                names |= reads[0]
+                attrs |= reads[1]
+                changed = True
+    return sorted(label for _, label, _, _ in defs if label not in done)
 
 
 def test_every_definition_is_reachable_from_a_command():
@@ -124,7 +166,12 @@ def test_reachability_check_sees_an_unreached_definition():
                 "    def __init__(self):\n"
                 "        self.n = _size()\n"
                 "    def run(self):\n"
-                "        return self.n\n"
+                "        scale = getattr(self, 'factor')()\n"
+                "        return self.n * scale\n"
+                "    def factor(self):\n"
+                "        return 1\n"
+                "    def scale(self):\n"
+                "        return 2\n"
                 "    def unused(self):\n"
                 "        return orphan()\n"
                 "def _size():\n"
@@ -137,10 +184,12 @@ def test_reachability_check_sees_an_unreached_definition():
     script = "from grforge import core\nfrom grforge.cli import main\n" \
              "core.timed()\n"
     assert _names_taken_from_grforge(script) == {"main", "timed"}
+    # a local variable `scale` does not reach the method `scale`; the
+    # getattr constant reaches `factor`
     assert _unreachable(sources, {"main"}) == [
-        "core.Job.unused", "core.orphan", "core.timed"]
+        "core.Job.scale", "core.Job.unused", "core.orphan", "core.timed"]
     assert _unreachable(sources, {"main", "timed"}) == [
-        "core.Job.unused", "core.orphan"]
+        "core.Job.scale", "core.Job.unused", "core.orphan"]
 
 
 # modules whose remaining asserts have not yet become explicit raises
@@ -233,8 +282,9 @@ def test_span_of_products_check_sees_a_hand_rolled_product():
 # the routines that read their products off the multiplication columns
 # (StructureAlgebra.products, left_mult_of, right_mult_of), never `mul`
 COLUMN_PRODUCTS = {
-    "algebra": {"product_span", "ideal_generated", "corner", "subalgebra_on",
-                "quotient_by_ideal", "representation_problems"},
+    "algebra": {"product_span", "left_ideal", "right_ideal", "ideal_generated",
+                "corner", "subalgebra_on", "quotient_by_ideal",
+                "representation_problems"},
     "graded": {"gr_algebra"},
     "certify": {"_mult_map_bijective"},
 }
@@ -275,6 +325,79 @@ def test_column_product_check_sees_a_hand_written_mul():
                      "def other(alg, x):\n"
                      "    return alg.mul(x, x)\n")
     assert list(_mul_calls(tree, {"corner"})) == [(3, "corner")]
+
+
+def _is_basis_list(node):
+    """`[x.basis_vec(i) for i in range(...)]` (or a generator of it) or
+    `map(x.basis_vec, range(...))`, inside `list(...)` or not: all the basis
+    vectors as one list."""
+    if _call_name(node) == "list" and len(node.args) == 1:
+        node = node.args[0]
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        return (_call_name(node.elt) == "basis_vec"
+                and _call_name(node.generators[0].iter) == "range")
+    return (_call_name(node) == "map" and len(node.args) == 2
+            and getattr(node.args[0], "attr", None) == "basis_vec"
+            and _call_name(node.args[1]) == "range")
+
+
+def _dense_whole_algebra_products(tree):
+    """(line, what) for each `act` method, each `.act` read (a call or a
+    bound method such as `partial(mod.act, x)`), and each
+    `product_span` or `products` call with a factor that is the list of all
+    basis vectors, inline or through a name bound to it in the same
+    function: products with the whole algebra by a dense path."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTIONS) and sub.name == "act":
+                    yield sub.lineno, "act method"
+        if isinstance(node, ast.Attribute) and node.attr == "act":
+            yield node.lineno, ".act read"
+        if not isinstance(node, FUNCTIONS):
+            continue
+        bases = {t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+                 and _is_basis_list(n.value)
+                 for t in n.targets if isinstance(t, ast.Name)}
+        for n in ast.walk(node):
+            if _call_name(n) in ("product_span", "products") and any(
+                    _is_basis_list(a) or getattr(a, "id", None) in bases
+                    for a in n.args):
+                yield n.lineno, f"basis list to {_call_name(n)}"
+
+
+def test_products_with_the_algebra_are_one_sided_ideals():
+    """A ys and xs A come from StructureAlgebra.left_ideal and right_ideal,
+    which read the multiplication columns; a module element acts through
+    the sparse columns of `act_matrix`."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        found += [f"{path.name}:{line} {what}" for line, what
+                  in _dense_whole_algebra_products(ast.parse(path.read_text()))]
+    assert not found, f"dense products with the whole algebra: {found}"
+
+
+def test_whole_algebra_check_sees_basis_lists_and_act():
+    tree = ast.parse(
+        "class ModuleRep:\n"
+        "    def act(self, x, v):\n"
+        "        return v\n"
+        "def is_ideal(alg, span):\n"
+        "    basis = [alg.basis_vec(i) for i in range(alg.rank)]\n"
+        "    return alg.product_span(basis, span.rows) == \\\n"
+        "        alg.product_span(span.rows, basis)\n"
+        "def projective(alg, e, mod, v):\n"
+        "    mod.act(e, v), partial(mod.act, e)\n"
+        "    alg.products(list(map(alg.basis_vec, range(alg.rank))), [e])\n"
+        "    return alg.product_span((alg.basis_vec(j) for j in range(3)), [e])\n"
+        "def fine(alg, basis, e):\n"
+        "    rows = [alg.basis_vec(i) for i in range(alg.rank)]\n"
+        "    return alg.products(basis, basis), alg.span(rows), \\\n"
+        "        alg.product_span([e], [alg.basis_vec(0)])\n")
+    assert sorted(_dense_whole_algebra_products(tree)) == [
+        (2, "act method"), (6, "basis list to product_span"),
+        (7, "basis list to product_span"), (9, ".act read"), (9, ".act read"),
+        (10, "basis list to products"), (11, "basis list to product_span")]
 
 
 def _vector_tests_of_products(tree):
@@ -581,3 +704,100 @@ def test_change_of_basis_check_sees_an_inverse_by_hand():
     tree = ast.parse((PKG / "lattices.py").read_text())
     assert [fn for _, fn in _augmented_rrefs(tree, "other")] == ["coord_solver"]
     assert list(_augmented_rrefs(tree, "lattices")) == []
+
+
+def _is_dataclass(node):
+    """A class decorated with `dataclass`, `dataclass(...)` or
+    `dataclasses.dataclass`."""
+    for dec in node.decorator_list:
+        f = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _targets(node):
+    """The assignment targets inside node, tuples and starred unpacked."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _targets(elt)
+    elif isinstance(node, ast.Starred):
+        yield from _targets(node.value)
+    else:
+        yield node
+
+
+def _attributes_stored(tree):
+    """(line, name) for each attribute the source stores: each `x.name = ...`
+    target and each field of a dataclass."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for t in _targets(target):
+                    if isinstance(t, ast.Attribute):
+                        yield t.lineno, t.attr
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and \
+                        isinstance(stmt.target, ast.Name):
+                    yield stmt.lineno, stmt.target.id
+
+
+def _attributes_loaded(tree):
+    """The attribute names a source reads: `x.name` outside a plain store
+    (an augmented assignment reads its target) and getattr constants."""
+    stored = {id(t) for node in ast.walk(tree)
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+              for t in _targets(target)}
+    stored |= {id(t) for node in ast.walk(tree) if isinstance(node, ast.Delete)
+               for target in node.targets for t in _targets(target)}
+    return {name for node in ast.walk(tree) if id(node) not in stored
+            for name in ([node.attr] if isinstance(node, ast.Attribute)
+                         else [_getattr_constant(node)])
+            if name is not None}
+
+
+def _write_only(package, readers):
+    """(module:line, name) for each attribute that the package sources
+    {stem: source} store and that no source in `readers` reads."""
+    read = set()
+    for text in readers:
+        read |= _attributes_loaded(ast.parse(text))
+    return sorted(f"{stem}:{line} {name}"
+                  for stem, text in sorted(package.items())
+                  for line, name in _attributes_stored(ast.parse(text))
+                  if name not in read)
+
+
+def test_every_stored_attribute_is_read():
+    """State that nothing reads is work and memory for no verdict: every
+    attribute the package stores is read in the package, the benchmark
+    scripts or the tests."""
+    package = {p.stem: p.read_text() for p in sorted(PKG.glob("*.py"))}
+    readers = list(package.values()) + [
+        p.read_text() for d in (BENCH, TESTS) for p in sorted(d.glob("*.py"))]
+    found = _write_only(package, readers)
+    assert not found, f"attributes stored and never read: {found}"
+
+
+def test_write_only_check_sees_a_stored_attribute_nobody_reads():
+    package = {"core": "from dataclasses import dataclass, field\n"
+                       "@dataclass(frozen=True)\n"
+                       "class Report:\n"
+                       "    ok: bool\n"
+                       "    notes: dict = field(default_factory=dict)\n"
+                       "class Job:\n"
+                       "    def __init__(self, doc):\n"
+                       "        self.doc = doc\n"
+                       "        self.hits, (self.seen, self.log) = 0, ([], [])\n"
+                       "        self.count = 0\n"
+                       "    def run(self, report):\n"
+                       "        self.count += 1\n"
+                       "        del self.doc\n"
+                       "        return report.ok and getattr(self, 'seen')\n"}
+    assert _write_only(package, package.values()) == [
+        "core:5 notes", "core:8 doc", "core:9 hits", "core:9 log"]

@@ -124,7 +124,7 @@ def e_k_lambda(alg_field, lam):
         raise tightness.TightnessError("pim generator lost in restriction")
     h = None
     for i in range(delta.rank):
-        w = delta.act(f, delta.basis_vec(i))
+        w = linalg.apply(delta.act_matrix(f), delta.basis_vec(i), delta.fld)
         if not any(w):
             continue
         cand = modules.hom_with_generator_images(pim, delta, [gen], [w])
