@@ -13,8 +13,9 @@ E is a direct sum of matrix algebras over O iff E_K is split semisimple and
 the Gram determinant of the trace form on an O-basis of E is a unit (the
 trace form of M_n(O) is unimodular, and an order with unimodular discriminant
 is maximal; over a DVR maximal orders in split algebras are conjugate to
-matrix algebras).  The explicit isomorphism is realized on the lattice E.v
-inside a simple module, never by p-adic idempotent lifting.
+matrix algebras).  v(discriminant) is the sum of the pivot valuations of
+the Hermite form of the Gram rows.  The explicit isomorphism is realized on
+the lattice E.v inside a simple module, never by p-adic idempotent lifting.
 """
 
 from __future__ import annotations
@@ -248,11 +249,16 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     grams = [linalg.trace_form(blk.module_acts, fldK) for blk in blocks]
     gram = [[sum((g[i][j] for g in grams), fldK.zero) for j in range(e_alg.rank)]
             for i in range(e_alg.rank)]
-    det = linalg.det(gram, fldK)
-    if not det:
+    # O-bases of one full lattice differ by GL_n(O): the pivot valuations
+    # add up to v(det); the entries are reduced traces of an order's elements
+    try:
+        disc = Lattice.from_rows(ring, e_alg.rank, gram)
+    except LatticeError as exc:
+        raise InternalCheckError("reduced trace outside O") from exc
+    if disc.rank < e_alg.rank:
         return MatrixAlgebraWitness(False, "reduced trace form degenerate",
                                     gram_det_valuation=None)
-    val = ring.valuation(det)
+    val = sum(disc.pivot_vals)
     if val != 0:
         return MatrixAlgebraWitness(
             False, "not a maximal order (discriminant has positive valuation)",
@@ -296,28 +302,26 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
                 gram_det_valuation=val)
         for i in range(e_alg.rank):
             iso_rows[i].extend(linalg.flatten(on_lat.acts[i], fldK.zero))
-    # surjectivity over O: the flattened image lattice must be everything
-    # (split_semisimple checked that the block dimensions fill the rank)
+    # matrix units inside E: the O-coordinates of the elementary matrices in
+    # the images of the E-basis, which exist iff the map is onto over O
     total = e_alg.rank
-    img = Lattice.from_rows(ring, total, iso_rows)
-    if img != Lattice.full(ring, total):
-        return MatrixAlgebraWitness(
-            False, "isomorphism is not surjective over O (non-maximal order)",
-            gram_det_valuation=val)
-    # matrix units inside E: preimages of the elementary matrices, their
-    # coordinates in the images of the E-basis
     try:
-        coords = coord_solver(iso_rows, ek.fld)
+        coords = coord_solver(iso_rows, fldK, ring)
     except LatticeError as exc:
         raise InternalCheckError(
-            "a surjective isomorphism has dependent image rows") from exc
+            "an isomorphism has dependent image rows") from exc
     off = 0
     for bi, d in enumerate(sizes):
         for i in range(d):
             for j in range(d):
-                target = [ek.fld.zero] * total
-                target[off + i * d + j] = ek.fld.one
-                all_units[(bi, i, j)] = coords(target)
+                target = [fldK.zero] * total
+                target[off + i * d + j] = fldK.one
+                unit = coords(target)
+                if unit is None:
+                    return MatrixAlgebraWitness(
+                        False, "isomorphism is not surjective over O "
+                        "(non-maximal order)", gram_det_valuation=val)
+                all_units[(bi, i, j)] = unit
         off += d * d
     return MatrixAlgebraWitness(True, "", sizes, 0, all_units)
 
@@ -461,8 +465,8 @@ def _endo_direct_check(alg, J, expected_sizes):
     sat = saturate_rows(alg.ring, n * n, ker)
     # each basis endomorphism h (h[r][c] at r * n + c) by its sparse columns
     matb = [[linalg.column(b[c::n]) for c in range(n)] for b in sat.rows]
-    ident = linalg.identity(fld, n)
-    unit_c = sat.coords([ident[r][c] for r in range(n) for c in range(n)])
+    ident = [((k, fld.one),) for k in range(n)]
+    unit_c = sat.coords(linalg.flatten(ident, fld.zero))
     if unit_c is None:
         return False
     try:

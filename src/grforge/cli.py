@@ -35,7 +35,10 @@ class UsageError(Exception):
 
 def _seed(flag):
     env = os.environ.get("GRFORGE_SEED")
-    return flag if flag is not None else int(env) if env else 20240810
+    try:
+        return flag if flag is not None else int(env) if env else 20240810
+    except ValueError:
+        raise UsageError(f"GRFORGE_SEED is not an integer: {env!r}") from None
 
 
 def _stem(path):
@@ -236,14 +239,23 @@ def _datum_from(args, alg):
     else:
         raise AlgebraError("no graded subalgebra datum (flag --datum or "
                            "metadata.graded_subalgebra)")
-    if all(isinstance(b, int) for b in dd["basis"]):
-        rows = [alg.basis_vec(i) for i in dd["basis"]]
+    if not (isinstance(dd, dict) and isinstance(dd.get("basis"), list)
+            and isinstance(dd.get("grades"), list)):
+        raise UsageError("a datum is an object with lists basis and grades")
+    basis, grades = dd["basis"], dd["grades"]
+    if len(grades) != len(basis) or any(type(g) is not int for g in grades):
+        raise UsageError(f"the datum needs one int grade per basis element, "
+                         f"not {grades}")
+    if all(isinstance(b, int) for b in basis):
+        if not all(0 <= i < alg.rank for i in basis):
+            raise UsageError(f"datum basis {basis} leaves range({alg.rank})")
+        rows = [alg.basis_vec(i) for i in basis]
     else:
-        rows = [[alg.ring.parse_scalar(x) for x in r] for r in dd["basis"]]
+        rows = [[alg.ring.parse_scalar(x) for x in r] for r in basis]
     wedd = None
     if dd.get("wedderburn"):
         wedd = [[alg.ring.parse_scalar(x) for x in r] for r in dd["wedderburn"]]
-    return tightness.GradedSubalgebraDatum(rows, tuple(dd["grades"]), wedd)
+    return tightness.GradedSubalgebraDatum(rows, tuple(grades), wedd)
 
 
 def cmd_verify(args):

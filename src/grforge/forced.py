@@ -122,13 +122,9 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
 # gr^b
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GrB:
-    lattice: Lattice          # graded coordinates of gr N
-
-
-def gr_b(grmod: GradedModule) -> GrB:
-    """The gr A-submodule of gr N generated by strongly primitive symbols."""
+def gr_b(grmod: GradedModule) -> Lattice:
+    """The gr A-submodule of gr N generated by strongly primitive symbols, in
+    the graded coordinates of gr N."""
     mod = grmod.base_module
     if mod.level != "O":
         raise ForcedError("gr_b is an integral-level computation")
@@ -154,7 +150,7 @@ def gr_b(grmod: GradedModule) -> GrB:
                 row = grmod.component(r, i)
                 if any(row):
                     gens.append(row)
-    return GrB(grmod.module.submodule_generated(gens))
+    return grmod.module.submodule_generated(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def gr_delta_filtration(grmod: GradedModule):
                 if any(row):
                     gsharp_rows.append(row)
         gsharp = grN.module.span(gsharp_rows)
-        section = grb.lattice.intersection(gsharp)
+        section = grb.intersection(gsharp)
         standard = section == gsharp
         kind = "standard" if standard else "prestandard"
         if not standard:
@@ -249,7 +245,7 @@ def gr_delta_filtration(grmod: GradedModule):
             zero = cur.fld.zero
             emb_rows = []
             for j in range(d):
-                for rr in grb_delta.lattice.rows:
+                for rr in grb_delta.rows:
                     # lift graded row to Delta coordinates, copy j
                     lift = linalg.combine(rr, gd.lifts, zero)
                     v = [zero] * (j * delta.rank) + lift \

@@ -16,19 +16,11 @@ convert at the document boundary.  `rref` reduces `{column: entry}` rows,
 `mat_vec` visits only the nonzero entries of its vector, and
 `charpoly_mod_p` computes characteristic polynomials over F_p on plain ints
 mod p.  Coordinates in a basis come from `lattices.coord_solver`; no inverse
-matrix is formed.
+matrix is formed, and no determinant: invertibility is full `rank`, over K,
+or over k = O/pi for a unit determinant over O.
 """
 
 from __future__ import annotations
-
-
-def mat_copy(m):
-    return [list(r) for r in m]
-
-
-def identity(field, n):
-    z, o = field.zero, field.one
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
 def mat_vec(a, v, field):
@@ -408,34 +400,6 @@ def kernel_right(a, field, ncols=None):
 def kernel_left(a, field):
     """Basis of the left kernel {y : y a = 0}."""
     return kernel_right(transpose(a), field)
-
-
-def det(a, field):
-    """Determinant by fraction-free-ish Gaussian elimination (exact fields)."""
-    n = len(a)
-    m = mat_copy(a)
-    d = field.one
-    sign = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return field.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        d = d * m[col][col]
-        inv = field.one / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                c = m[i][col] * inv
-                for j in range(col, n):
-                    if m[col][j]:
-                        m[i][j] = m[i][j] - c * m[col][j]
-    return d if sign == 1 else -d
 
 
 def charpoly_mod_p(h, p):

@@ -419,8 +419,8 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
 
 
 def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
-    """The hom of `hom_with_generator_images` when it is an isomorphism (at
-    level O: entries in O and a unit determinant), else None.
+    """The hom h of `hom_with_generator_images` when it is an isomorphism
+    (rank h = n, or at level O: h over O with residues of rank n), else None.
 
     `gens` must generate src, so that hom is the only candidate: None proves
     that no isomorphism sends the generators to these images.
@@ -432,14 +432,13 @@ def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     h = hom_with_generator_images(src, dst, gens, images)
     if h is None:
         return None
-    d = linalg.det(h, src.fld)
-    if not d:
+    if src.level != "O":
+        return h if linalg.rank(h, src.fld) == src.rank else None
+    ring = src.algebra.ring
+    if any(x and ring.valuation(x) < 0 for row in h for x in row):
         return None
-    if src.level == "O":
-        val = src.algebra.ring.valuation
-        if val(d) or any(x and val(x) < 0 for row in h for x in row):
-            return None
-    return h
+    residues = [[ring.residue(x) for x in row] for row in h]
+    return h if linalg.rank(residues, ring.field_k) == src.rank else None
 
 
 def standard_iso(mod: ModuleRep, lam):
@@ -514,11 +513,11 @@ def peel_standard_power(cur: ModuleRep, lam, rows):
     integral = cur.level == "O"
     if integral and any(x and alg.ring.valuation(x) < 0 for row in h for x in row):
         raise FiltrationFailure(lam, "witness map does not preserve the lattice")
-    img_rows = linalg.transpose(h)
-    if linalg.rank(img_rows, cur.fld) != big.rank:
+    img = cur.span(linalg.transpose(h))
+    if img.rank != big.rank:
         raise FiltrationFailure(lam, "peeled map is not injective")
     sub = cur.submodule_generated(rows)
-    if cur.span(img_rows) != sub:
+    if img != sub:
         raise FiltrationFailure(
             lam, "peeled submodule is not a standard power",
             {"expected_rank": big.rank, "got_rank": sub.rank})

@@ -117,7 +117,7 @@ def _radical_proof(alg):
         candidate = _fr_stage(alg, candidate, power)
     if fld.char == 0:
         quot, _, _ = alg.quotient_by_ideal(chain[0].rows)
-        if quot.rank and linalg.det(trace_gram(quot), fld) == fld.zero:
+        if linalg.rank(trace_gram(quot), fld) < quot.rank:
             raise AlgebraError("trace form degenerate on the quotient")
     return chain
 

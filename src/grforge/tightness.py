@@ -52,9 +52,12 @@ class GradedSubalgebraDatum:
     wedderburn: list | None = None
 
     def validate(self, alg: StructureAlgebra):
-        """TightnessError unless the rows are a basis of a subalgebra (pure
-        at level O) on which the grades add under multiplication; the
-        subalgebra is built once (`subalgebra_of`)."""
+        """TightnessError unless there is one grade per row and the rows are
+        a basis of a subalgebra (pure at level O) on which the grades add
+        under multiplication; the subalgebra is built once
+        (`subalgebra_of`)."""
+        if len(self.grades) != len(self.rows):
+            raise TightnessError("the datum needs one grade per basis row")
         span = alg.span([list(r) for r in self.rows])
         if span.rank != len(self.rows):
             raise TightnessError("subalgebra basis is not independent")
@@ -432,10 +435,11 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     res.hypotheses["h1_cyclic"] = (
         linalg.apply(dagger.act_matrix(e), v, dagger.fld) == list(v)
         and dagger.submodule_generated([v]) == dagger.full_lattice())
-    # (ii) dagger = P0 (+) (dagger ∩ rad P_K) with K P0 + E_K stable
+    # (ii) dagger = P0 (+) (dagger ∩ rad P_K) with K P0 + E_K stable; once
+    # P0 + rad = dagger, P0 ∩ rad = 0 iff their ranks add up to dagger's
     p0 = dagger.span(p0_rows)
     direct = p0.add(rad_part) == dagger.full_lattice() and \
-        p0.intersection(rad_part).rank == 0
+        p0.rank + rad_part.rank == dagger.rank
     res.hypotheses["h2_direct_sum"] = direct
     stab = _h2_stability(alg, datum, lam, dagger, p0_rows)
     res.hypotheses["h2_degree0_stable"] = stab

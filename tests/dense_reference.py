@@ -1,12 +1,53 @@
-"""Dense references for coordinates in a basis, kept for the tests.
+"""Dense references for coordinates in a basis and for invertibility, kept
+for the tests.
 
 The package reads coordinates through `lattices.coord_solver` and the
 cached sparse reducers of `linalg.Subspace` and `lattices.Lattice`; these are
 the dense routines they replaced, kept verbatim: reduction against rref rows
 (`in_row_space`, `coords_in_row_space`) and the inverse matrix (`invert`).
+The package decides invertibility by a rank over K or k = O/pi and reads a
+discriminant off Hermite pivots; the determinant `det` it replaced, with its
+helpers `mat_copy` and `identity`, is kept verbatim as the oracle.
 """
 
 from grforge import linalg
+
+
+def mat_copy(m):
+    return [list(r) for r in m]
+
+
+def identity(field, n):
+    z, o = field.zero, field.one
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
+def det(a, field):
+    """Determinant by fraction-free-ish Gaussian elimination (exact fields)."""
+    n = len(a)
+    m = mat_copy(a)
+    d = field.one
+    sign = 1
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            return field.zero
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        d = d * m[col][col]
+        inv = field.one / m[col][col]
+        for i in range(col + 1, n):
+            if m[i][col]:
+                c = m[i][col] * inv
+                for j in range(col, n):
+                    if m[col][j]:
+                        m[i][j] = m[i][j] - c * m[col][j]
+    return d if sign == 1 else -d
 
 
 def in_row_space(v, ech, pivots):
@@ -40,7 +81,7 @@ def coords_in_row_space(v, ech, pivots):
 def invert(a, field):
     """Inverse matrix, or None if singular."""
     n = len(a)
-    aug = [list(r) + e for r, e in zip(a, linalg.identity(field, n))]
+    aug = [list(r) + e for r, e in zip(a, identity(field, n))]
     ech, pivots = linalg.rref(aug, field)
     if len(ech) < n or pivots[:n] != list(range(n)):
         return None

@@ -187,6 +187,33 @@ class TestCLI:
         assert code == 2
         assert capsys.readouterr().err.strip() == message
 
+    @pytest.mark.parametrize("datum, suite", [
+        ({"basis": [0, 1, 2, 3, 4]}, "thm53"),
+        ([[0, 1, 2, 3, 4], [0, 0, 1, 1, 2]], "conds51"),
+        ({"basis": 5, "grades": [0]}, "conds51"),
+        ({"basis": [0, 1, 2, 3, 9], "grades": [0, 0, 1, 1, 2]}, "thm53"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1]}, "conds51"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1]}, "thm53"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1]}, "prop52"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1, 1, 2, 2]}, "conds51"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1, 1, 2, 2]}, "thm53"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": ["0", "0", "1", "1", "2"]},
+         "prop52"),
+    ], ids=["no-grades", "not-an-object", "basis-not-a-list", "index-9",
+            "3-grades-conds51", "3-grades-thm53", "3-grades-prop52",
+            "6-grades-conds51", "6-grades-thm53", "string-grades"])
+    def test_malformed_datum_shape_exits_2(self, tmp_path, capsys, datum,
+                                           suite):
+        # a datum that is no object, lacks grades, names an index outside
+        # the algebra or has one grade too few, one too many or a string
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(datum))
+        capsys.readouterr()
+        assert cli.main(["verify", suite, str(tmp_path / "z5@3.alg.json"),
+                         "--datum", str(path)]) == 2
+        self._one_error_line(capsys)
+
     @pytest.mark.parametrize("suite", ["thm417", "appendix1"])
     def test_failed_report_exits_1(self, tmp_path, suite):
         # z5s@3 is not quasi-hereditary over O: the report does not pass
@@ -370,6 +397,15 @@ class TestCLI:
         monkeypatch.delenv("GRFORGE_SEED")
         cli.main(["verify", "primitivity", alg, "--trials", "1"])
         assert seeds == [5, 7, 20240810]
+
+    def test_non_integer_seed_is_malformed(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("GRFORGE_SEED", "abc")
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        capsys.readouterr()
+        assert cli.main(["verify", "prop52", str(tmp_path / "z5@3.alg.json"),
+                         "--trials", "1"]) == 2
+        assert "GRFORGE_SEED" in self._one_error_line(capsys)
 
     @pytest.mark.parametrize("suite", ["prop52", "primitivity"])
     def test_campaign_without_trials_is_malformed(self, tmp_path, suite):

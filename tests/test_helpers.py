@@ -10,7 +10,13 @@ ModuleRep.image, with the sparse action columns behind them."""
 from fractions import Fraction
 
 import pytest
-from dense_reference import coords_in_row_space, in_row_space, invert
+from dense_reference import (
+    coords_in_row_space,
+    det,
+    identity,
+    in_row_space,
+    invert,
+)
 from hypothesis import assume, given, settings, strategies as st
 
 from grforge import graded, linalg, modules
@@ -366,7 +372,7 @@ def draw_base_change(data, mod, integral):
     g_inv = invert(g, fld)
     assume(g_inv is not None)
     if integral:
-        assume(mod.algebra.ring.valuation(linalg.det(g, fld)) == 0)
+        assume(mod.algebra.ring.valuation(det(g, fld)) == 0)
     zero = fld.zero
     acts = [linalg.columns(naive_matmul(
         naive_matmul(g, linalg.dense_rows(a, mod.rank, zero), zero), g_inv,
@@ -401,7 +407,7 @@ def test_standard_iso_recovers_a_base_change(z5, level, lam, data):
     assert equivariant(h, delta, other)
     assert invert(h, delta.fld) is not None
     if integral:
-        assert alg.ring.valuation(linalg.det(h, delta.fld)) == 0
+        assert alg.ring.valuation(det(h, delta.fld)) == 0
 
 
 @SETTINGS
@@ -437,7 +443,7 @@ def test_a_wrong_hom_solution_is_an_internal_error(sp_z5, monkeypatch):
     delta = sp_z5["2"]["Delta"]
     top = delta.weight_space_rows("2")
     assert modules.hom_with_generator_images(delta, delta, top, top) == \
-        linalg.identity(delta.fld, delta.rank)
+        identity(delta.fld, delta.rank)
     solve = linalg.solve_right
 
     def wrong(a, b, field, ncols=None):

@@ -5,23 +5,36 @@ that `rref`, `mat_vec` and `charpoly_mod_p` replaced, and `dense_mat_mul`
 the dense product that the sparse-column kernels replaced, kept verbatim as
 the reference.  Kernels, solves and ranks are compared with the same functions
 run on `dense_rref`, and `lattices.coord_solver` with the inverse matrix
-that `dense_reference.invert` computes on it.
+that `dense_reference.invert` computes on it.  Invertibility as a rank (over
+the field, of the residues over k, and the pivot valuations of the Hermite
+form over O) is compared with the determinant `dense_reference.det`.
 """
 
 from fractions import Fraction
 
 import pytest
-from dense_reference import invert
+from dense_reference import det, identity, invert, mat_copy
 from hypothesis import given, settings, strategies as st
 
 from grforge import linalg
-from grforge.lattices import LatticeError, coord_solver
-from grforge.scalars import Cyc, CycField, PrimeField, RatField
+from grforge.lattices import Lattice, LatticeError, coord_solver
+from grforge.scalars import (
+    CYCLOTOMIC,
+    RATIONAL,
+    Cyc,
+    CycField,
+    PrimeField,
+    RatField,
+    RingSpec,
+)
 
 FIELDS = {"Q": RatField(), "F_2": PrimeField(2), "F_3": PrimeField(3),
           "F_5": PrimeField(5), "F_7": PrimeField(7),
           "Q(zeta_5)": CycField(5)}
 PRIME_FIELDS = ["F_2", "F_3", "F_5", "F_7"]
+RINGS = {"Z_(3)": RingSpec(RATIONAL, 3), "Z_(5)": RingSpec(RATIONAL, 5),
+         "Z_(3)[zeta_3]": RingSpec(CYCLOTOMIC, 3),
+         "Z_(5)[zeta_5]": RingSpec(CYCLOTOMIC, 5)}
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
@@ -103,7 +116,7 @@ def dense_rref(rows, field, ncols=None):
 
 def dense_charpoly(a, field):
     n = len(a)
-    h = linalg.mat_copy(a)
+    h = mat_copy(a)
     for col in range(n - 2):
         piv = None
         for i in range(col + 1, n):
@@ -183,6 +196,19 @@ def draw_rows(data, fld, nrows, ncols):
     return rows
 
 
+def draw_integral(data, ring):
+    """An entry of O: often zero, else an integer combination of the powers
+    of zeta (an integer in the rational flavor), now and then times pi."""
+    if data.draw(st.integers(0, 9)) < 3:
+        return ring.zero()
+    if ring.flavor == CYCLOTOMIC:
+        x = Cyc(ring.p, [data.draw(st.integers(-2, 2))
+                         for _ in range(ring.p - 1)])
+    else:
+        x = ring.of(data.draw(st.integers(-4, 4)))
+    return x * ring.uniformizer if data.draw(st.booleans()) else x
+
+
 def shape(data, most=6):
     return data.draw(st.integers(0, most)), data.draw(st.integers(1, most))
 
@@ -226,6 +252,43 @@ def test_kernel_and_solve_match_dense(kind, data):
         assert linalg.mat_vec(a, got, fld) == b
 
 
+# ---------------------------------------------------------------------------
+# invertibility as a rank: over the field, over k = O/pi, by Hermite pivots
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_full_rank_iff_the_dense_determinant_is_nonzero(kind, data):
+    fld = FIELDS[kind]
+    n = data.draw(st.integers(1, 5))
+    a = draw_rows(data, fld, n, n)
+    assert (linalg.rank(a, fld) == n) == bool(det(a, fld))
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(RINGS)), st.data())
+def test_residue_rank_and_hermite_pivots_give_the_determinant(kind, data):
+    """Over O: the residues have rank n over k iff v(det) = 0, and the pivot
+    valuations of the Hermite form add up to v(det) when det is nonzero."""
+    ring = RINGS[kind]
+    n = data.draw(st.integers(1, 4))
+    a = []
+    for _ in range(n):
+        if a and not data.draw(st.integers(0, 3)):
+            a.append(linalg.combine([draw_integral(data, ring) for _ in a],
+                                    a, ring.zero()))
+        else:
+            a.append([draw_integral(data, ring) for _ in range(n)])
+    d = det(a, ring.field_K)
+    residues = [[ring.residue(x) for x in row] for row in a]
+    assert (linalg.rank(residues, ring.field_k) == n) == \
+        (bool(d) and ring.valuation(d) == 0)
+    hermite = Lattice.from_rows(ring, n, a)
+    assert (hermite.rank == n) == bool(d)
+    if d:
+        assert sum(hermite.pivot_vals) == ring.valuation(d)
+
+
 @SETTINGS
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_coord_solver_gives_the_dense_inverse(kind, data):
@@ -239,16 +302,16 @@ def test_coord_solver_gives_the_dense_inverse(kind, data):
     if data.draw(st.booleans()):
         # often invertible: add the identity
         a = [[x + y for x, y in zip(r, e)]
-             for r, e in zip(a, linalg.identity(fld, n))]
+             for r, e in zip(a, identity(fld, n))]
     want = on_dense_rref(invert, a, fld)
     if want is None:
         with pytest.raises(LatticeError):
             coord_solver(linalg.transpose(a), fld)
         return
     coords = coord_solver(linalg.transpose(a), fld)
-    got = linalg.transpose([coords(e) for e in linalg.identity(fld, n)])
+    got = linalg.transpose([coords(e) for e in identity(fld, n)])
     assert got == want
-    assert dense_mat_mul(a, got, fld) == linalg.identity(fld, n)
+    assert dense_mat_mul(a, got, fld) == identity(fld, n)
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))

@@ -22,7 +22,10 @@ And rational K-values are `scalars.Rat`: outside `scalars`, `cyclo` and the
 rational-root candidates of `certify` no module builds a plain `Fraction`.
 And every change of basis is `lattices.coord_solver`: the dense inverse and
 row-space reducers it replaced are gone, and nothing else runs `rref` on
-rows augmented with an identity.
+rows augmented with an identity.  Invertibility is a rank, over K or over
+k = O/pi, and a discriminant the pivot valuations of a Hermite form: no
+dense determinant is left, and only the Smith form and the Hessenberg
+reduction swap rows in place.
 """
 
 import ast
@@ -704,6 +707,68 @@ def test_change_of_basis_check_sees_an_inverse_by_hand():
     tree = ast.parse((PKG / "lattices.py").read_text())
     assert [fn for _, fn in _augmented_rrefs(tree, "other")] == ["coord_solver"]
     assert list(_augmented_rrefs(tree, "lattices")) == []
+
+
+# the routines that permute rows or columns in place: the Smith form with
+# its tracked basis, and the Hessenberg reduction of the char-p charpolys
+ROW_SWAPPERS = {"lattices.smith_track", "linalg.charpoly_mod_p"}
+
+
+def _is_swap(node):
+    """`a[i], a[j] = a[j], a[i]`: two subscripted entries swapped, the step
+    of a dense elimination by pivoting."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        return False
+    left, right = node.targets[0], node.value
+    return (isinstance(left, ast.Tuple) and isinstance(right, ast.Tuple)
+            and len(left.elts) == len(right.elts) == 2
+            and all(isinstance(x, ast.Subscript)
+                    for x in left.elts + right.elts)
+            and [ast.unparse(x) for x in left.elts]
+            == [ast.unparse(x) for x in reversed(right.elts)])
+
+
+def _row_swaps(stem, tree):
+    """The labels `stem.function` or `stem.Class.method` of the top-level
+    functions and methods that swap two subscripted entries."""
+    found = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            fns = [(f"{stmt.name}.{f.name}", f) for f in stmt.body
+                   if isinstance(f, FUNCTIONS)]
+        else:
+            fns = [(stmt.name, stmt)] if isinstance(stmt, FUNCTIONS) else []
+        found |= {f"{stem}.{name}" for name, fn in fns
+                  if any(_is_swap(n) for n in ast.walk(fn))}
+    return found
+
+
+def test_only_smith_and_hessenberg_swap_rows():
+    found = set()
+    for path in sorted(PKG.glob("*.py")):
+        found |= _row_swaps(path.stem, ast.parse(path.read_text()))
+    assert found - ROW_SWAPPERS == set(), \
+        f"dense eliminations by row swaps: {sorted(found - ROW_SWAPPERS)}"
+    assert ROW_SWAPPERS <= found, "the allowed swappers have moved"
+
+
+def test_row_swap_check_sees_a_determinant_by_pivoting():
+    tree = ast.parse(
+        "def det(a, field):\n"
+        "    m = [list(r) for r in a]\n"
+        "    for col, piv in pivots(m):\n"
+        "        m[col], m[piv] = m[piv], m[col]\n"
+        "    return m\n"
+        "class Form:\n"
+        "    def permute(self, i, j):\n"
+        "        for r in self.rows:\n"
+        "            r[i], r[j] = r[j], r[i]\n"
+        "def rotate(a, b, v):\n"
+        "    a, b = b, a\n"
+        "    v[0], v[1] = v[1], v[2]\n"
+        "    v[0], v[1] = 0, v[0]\n"
+        "    return a, b\n")
+    assert _row_swaps("core", tree) == {"core.det", "core.Form.permute"}
 
 
 def _is_dataclass(node):

@@ -109,6 +109,12 @@ class TestConditions51:
             # grading is not multiplicative (alpha*beta lands in grade 2)
             d.validate(z5)
 
+    @pytest.mark.parametrize("grades", [(0, 0, 1), (0, 0, 1, 1, 2, 2)])
+    def test_one_grade_per_row(self, z5, grades):
+        rows = [z5.basis_vec(i) for i in range(5)]
+        with pytest.raises(tightness.TightnessError, match="one grade"):
+            tightness.GradedSubalgebraDatum(rows, grades).validate(z5)
+
 
 # no command computes e_k lambda: the routine lives next to its test
 def e_k_lambda(alg_field, lam):
@@ -172,6 +178,16 @@ class TestThm53:
             z5, path_datum(z5), "1", dagger=d, v=[F(3), 0, 0],
             delta_gradings=DELTA_GRADINGS)
         assert res.hypotheses["h1_cyclic"] is False
+        assert not res.falsification
+
+    def test_degree_zero_part_meeting_the_radical_fails_h2(self, z5):
+        # P0 = the whole of A e_1: P0 + rad = dagger, but P0 ∩ rad = rad
+        d = modules.weight_projective(z5, "1")
+        res = tightness.thm_53_pipeline(
+            z5, path_datum(z5), "1", dagger=d,
+            p0_rows=[d.basis_vec(i) for i in range(d.rank)],
+            delta_gradings=DELTA_GRADINGS)
+        assert res.hypotheses["h2_direct_sum"] is False
         assert not res.falsification
 
     def test_datum_is_validated_once(self, z5, monkeypatch):
