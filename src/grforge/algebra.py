@@ -357,7 +357,7 @@ class StructureAlgebra:
         if unit_c is None:
             raise AlgebraError("subalgebra does not contain the unit")
         n = len(basis)
-        sc = structure_constants(self.basis_products(basis), n, coords)
+        sc = structure_constants(self.products(basis, basis), n, coords)
         return StructureAlgebra(self.ring, self.level, n,
                                 labels or [f"s{i}" for i in range(n)],
                                 unit_c, sc, None, None), basis
@@ -446,13 +446,6 @@ class StructureAlgebra:
         return self.product_span(
             [e], self._column_vectors(self.right_mult_of(e)))
 
-    def basis_products(self, basis):
-        """The products basis[i] basis[j] from `products`, i outer, in the
-        form `structure_constants` reads: dense vectors, None for a zero."""
-        zero = self.fld.zero
-        return (linalg.dense(p.items(), self.rank, zero) if p else None
-                for p in self.products(basis, basis))
-
     def quotient_by_labels(self, labels, ideal=None):
         """A / A e A for e the sum of e_nu over `labels`, with the weight datum
         restricted to the other labels and carried along.
@@ -488,7 +481,7 @@ class StructureAlgebra:
         if torsion:
             raise AlgebraError("ideal is not pure; quotient is not O-free")
         m = len(lifts)
-        sc = structure_constants(self.basis_products(lifts), m, project)
+        sc = structure_constants(self.products(lifts, lifts), m, project)
         unit_c = project(list(self.unit))
         quot = StructureAlgebra(self.ring, self.level, m,
                                 [f"q{i}" for i in range(m)], unit_c, sc)
@@ -497,15 +490,16 @@ class StructureAlgebra:
 
 def structure_constants(products, n, coords, row=None):
     """The sparse structure constants {(i, j): {t: c_t}} of a basis of size
-    n, given the products basis[i] basis[j] in the order i outer, j inner
-    (None for a product known to be 0): product = sum_t c_t basis[t], with
+    n, given the products basis[i] basis[j] in the order i outer, j inner,
+    dense or as {index: entry} dicts (an empty dict is a zero product, as
+    `StructureAlgebra.products` gives them): product = sum_t c_t basis[t], with
     c = coords(product) and zero rows left out.  `coords` returns None for
     a vector outside the span; AlgebraError names the first such product.
     `row(i, j, c)`, when given, picks the (t, c_t) pairs of the row in
     place of the nonzero entries of c."""
     sc = {}
     for k, z in enumerate(products):
-        if z is None:
+        if not z:
             continue
         i, j = divmod(k, n)
         c = coords(z)

@@ -303,7 +303,8 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
         for i in range(e_alg.rank):
             iso_rows[i].extend(linalg.flatten(on_lat.acts[i], fldK.zero))
     # matrix units inside E: the O-coordinates of the elementary matrices in
-    # the images of the E-basis, which exist iff the map is onto over O
+    # the images of the E-basis.  An O-order with unit discriminant is
+    # maximal, so the map is onto over O and every coordinate is in O.
     total = e_alg.rank
     try:
         coords = coord_solver(iso_rows, fldK, ring)
@@ -318,9 +319,8 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
                 target[off + i * d + j] = fldK.one
                 unit = coords(target)
                 if unit is None:
-                    return MatrixAlgebraWitness(
-                        False, "isomorphism is not surjective over O "
-                        "(non-maximal order)", gram_det_valuation=val)
+                    raise InternalCheckError(
+                        "a maximal order misses a matrix unit over O")
                 all_units[(bi, i, j)] = unit
         off += d * d
     return MatrixAlgebraWitness(True, "", sizes, 0, all_units)

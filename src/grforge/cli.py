@@ -250,11 +250,17 @@ def _datum_from(args, alg):
         if not all(0 <= i < alg.rank for i in basis):
             raise UsageError(f"datum basis {basis} leaves range({alg.rank})")
         rows = [alg.basis_vec(i) for i in basis]
-    else:
+    elif all(isinstance(b, list) for b in basis):
         rows = [[alg.ring.parse_scalar(x) for x in r] for r in basis]
-    wedd = None
-    if dd.get("wedderburn"):
-        wedd = [[alg.ring.parse_scalar(x) for x in r] for r in dd["wedderburn"]]
+    else:
+        raise UsageError(f"datum basis {basis} mixes indices and rows")
+    wedd = dd.get("wedderburn") or None
+    if wedd is not None:
+        if not (isinstance(wedd, list) and all(
+                isinstance(r, list) and len(r) == alg.rank for r in wedd)):
+            raise UsageError(f"datum wedderburn {wedd} is not a list of "
+                             f"rows of length {alg.rank}")
+        wedd = [[alg.ring.parse_scalar(x) for x in r] for r in wedd]
     return tightness.GradedSubalgebraDatum(rows, tuple(grades), wedd)
 
 

@@ -66,24 +66,14 @@ def _inline_refs(node, root):
     return {k: _inline_refs(v, root) for k, v in node.items()}
 
 
-def _violation(validator, doc):
-    """The DocumentError for the error of `doc` that jsonschema.validate
-    would raise, or None if the document is valid."""
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if exc is None:
-        return None
-    path = "/".join(str(p) for p in exc.absolute_path)
-    err = DocumentError(f"schema violation at /{path}: {exc.message}")
-    err.__cause__ = exc
-    return err
-
-
 def validate_schema(doc, name):
     """Validate doc against a package schema; the error reported is the one
     jsonschema.validate would raise."""
-    err = _violation(_validator(name), doc)
-    if err is not None:
-        raise err
+    exc = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if exc is not None:
+        path = "/".join(str(p) for p in exc.absolute_path)
+        msg = f"schema violation at /{path}: {exc.message}"
+        raise DocumentError(msg) from exc
 
 
 # ---------------------------------------------------------------------------

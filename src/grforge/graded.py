@@ -164,7 +164,7 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
     n = alg.rank
     # a product of lifts of grades g_i, g_j keeps its grade g_i + g_j part
     sc = structure_constants(
-        alg.basis_products(lifts), n, coords,
+        alg.products(lifts, lifts), n, coords,
         lambda i, j, c: _leading(c, grades, grades[i] + grades[j]))
 
     def grade_zero(x):
@@ -202,8 +202,8 @@ def gr_module(gralg: GradedAlgebra, mod: ModuleRep) -> GradedModule:
     acts = []
     for g, u in zip(gralg.grades, gralg.lifts):
         images = linalg.compose(mod.act_matrix(list(u)), lift_cols)
-        acts.append([tuple(_leading(
-            coords(linalg.dense(img, mod.rank, fld.zero)),
-            grades, g + gs, "module action")) for gs, img in zip(grades, images)])
+        acts.append([tuple(_leading(coords(dict(img)), grades, g + gs,
+                                    "module action"))
+                     for gs, img in zip(grades, images)])
     gmod = ModuleRep(gralg.algebra, mod.rank, acts, f"gr({mod.name})")
     return GradedModule(gralg, mod, gmod, grades, lifts, chain, coords)

@@ -121,41 +121,28 @@ class Lattice:
         return self.coords(vec) is not None
 
     def coords(self, vec):
-        """O-coordinates of vec in the canonical basis, or None."""
+        """O-coordinates of vec (dense or a dict) in the canonical basis, or
+        None: `linalg.eliminate` against the rows divided by their pivots
+        pi^a meets x = c pi^a for the coordinate c, in O iff v(x) >= a."""
         if self._reducer is None:
-            self._reducer = self._build_reducer()
-        steps, free = self._reducer
-        v = list(vec)
-        ring = self.ring
-        valuation = ring.valuation
-        zero = ring.zero()
-        cs = []
-        for col, pval, pivot_inv, tail in steps:
-            x = v[col]
-            if not x:
-                cs.append(zero)
-                continue
-            if valuation(x) < pval:
-                return None
-            q = x * pivot_inv if pval else x
-            cs.append(q)
-            for j, e in tail:
-                v[j] = v[j] - q * e
-        if any(v[j] for j in free):
+            pi_power = self.ring.pi_power
+            scales = tuple((a, pi_power(-a)) for a in self.pivot_vals)
+            self._reducer = scales, tuple(
+                (col, {j: row[j] * inv if a else row[j]
+                       for j in range(col + 1, self.ambient) if row[j]})
+                for row, col, (a, inv) in zip(self.rows, self.pivots, scales))
+        scales, steps = self._reducer
+        v = linalg.sparse(vec)
+        met = linalg.eliminate(steps, v)
+        if v:
             return None
+        valuation, zero = self.ring.valuation, self.ring.zero()
+        cs = []
+        for x, (a, inv) in zip(met, scales):
+            if x is not None and valuation(x) < a:
+                return None
+            cs.append(zero if x is None else x * inv if a else x)
         return cs
-
-    def _build_reducer(self):
-        """Per row (pivot column, pivot valuation a, pi^-a, the nonzero
-        (column, entry) pairs right of the pivot), and the non-pivot
-        columns: what `coords` reads, built once per lattice."""
-        ring = self.ring
-        steps = tuple(
-            (col, pval, ring.pi_power(-pval),
-             tuple((j, row[j]) for j in range(col + 1, self.ambient) if row[j]))
-            for row, col, pval in zip(self.rows, self.pivots, self.pivot_vals))
-        pivots = set(self.pivots)
-        return steps, tuple(j for j in range(self.ambient) if j not in pivots)
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
@@ -431,14 +418,15 @@ def stable_span(vectors, maps, ambient: int, fld, ring=None):
 def coord_solver(rows, fld, ring=None):
     """Coordinates in the basis `rows`: v -> c with v = sum c[i] rows[i], or
     None when there is none (with `ring`, level O: none in O, which for a
-    basis is membership in the lattice it spans).  LatticeError if the rows
-    are dependent.  One rref of the rows [rows[i] | e_i]: each pivot row
-    [w | T] has w = sum T[i] rows[i], so c = sum of v[pivot] T, and v lies
-    in the span iff the w leave nothing off the pivots; a pivot among the
-    e_i columns is a vanishing combination."""
+    basis is membership in the lattice it spans); v is dense or a dict.
+    LatticeError if the rows are dependent.  One rref of the rows
+    [rows[i] | e_i]: each pivot row [w | T] has w = sum T[i] rows[i], and a
+    pivot among the e_i columns is a vanishing combination.  With T negated
+    they are the `linalg.eliminate` steps: v reduces to c at the columns
+    n + i, and to nothing else iff it lies in the span."""
     rows = [list(r) for r in rows]
     if not rows:
-        return lambda v: None if any(v) else []
+        return lambda v: None if linalg.sparse(v) else []
     k, n = len(rows), len(rows[0])
     one, zero = fld.one, fld.zero
     aug = [{**{j: x for j, x in enumerate(r) if x}, n + i: one}
@@ -447,26 +435,18 @@ def coord_solver(rows, fld, ring=None):
     if pivots[-1] >= n:
         raise LatticeError("basis rows are linearly dependent")
     steps = tuple(
-        (col, tuple((j, row[j]) for j in range(col + 1, n) if row[j]),
-         tuple((i, row[n + i]) for i in range(k) if row[n + i]))
+        (col, {j: row[j] if j < n else -row[j]
+               for j in range(col + 1, n + k) if row[j]})
         for row, col in zip(ech, pivots))
-    free = set(range(n)).difference(pivots)
     valuation = ring.valuation if ring is not None else None
 
     def coords(v):
-        v = list(v)
-        c = [zero] * k
-        for col, tail, combo in steps:
-            x = v[col]
-            if x:
-                for j, e in tail:
-                    v[j] = v[j] - x * e
-                for i, t in combo:
-                    c[i] = c[i] + x * t
-        if any(v[j] for j in free):
+        v = linalg.sparse(v)
+        linalg.eliminate(steps, v)
+        if v and min(v) < n:
             return None
-        if valuation is not None and any(valuation(y) < 0 for y in c if y):
+        if valuation and any(valuation(y) < 0 for y in v.values()):
             return None
-        return c
+        return [v.get(n + i, zero) for i in range(k)]
 
     return coords

@@ -1,5 +1,5 @@
 """Exact linear algebra over a field (Q, Q(zeta), or F_p): sparse columns for
-linear actions, sparse rows inside elimination, dense lists for vectors.
+linear actions, sparse rows inside elimination, vectors dense or sparse.
 
 Entries are Fraction, Cyc, or Fp values.  Everything is plain Gaussian
 elimination with exact arithmetic; no pivot growth control is needed at desk
@@ -13,6 +13,7 @@ kernels on that form (`apply`, `combine_columns`, `compose`, `trace_form`,
 `row_entries`) visit only nonzero entries.  Other matrices (homomorphism
 witnesses, Gram matrices) are lists of row lists; `columns` and `dense_rows`
 convert at the document boundary.  `rref` reduces `{column: entry}` rows,
+`eliminate` reduces an `{index: entry}` vector (`sparse`) against them,
 `mat_vec` visits only the nonzero entries of its vector, and
 `charpoly_mod_p` computes characteristic polynomials over F_p on plain ints
 mod p.  Coordinates in a basis come from `lattices.coord_solver`; no inverse
@@ -248,6 +249,28 @@ def _sub_multiple(s, c, q):
                 del s[j]
 
 
+def sparse(v):
+    """A fresh {index: entry} dict of the nonzero entries of a dense vector,
+    or a copy of such a dict."""
+    if isinstance(v, dict):
+        return dict(v)
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def eliminate(steps, v):
+    """Reduce the {index: entry} vector v in place against echelon rows
+    with unit pivots, given as (pivot column, {column: entry} right of the
+    pivot) pairs in pivot order, by rref's step.  Returns the entry met at
+    each pivot (None where v had none); v is left as the remainder."""
+    met = []
+    for col, tail in steps:
+        x = v.pop(col, None)
+        if x is not None and tail:
+            _sub_multiple(v, x, tail)
+        met.append(x)
+    return met
+
+
 def rank(rows, field, ncols=None):
     return len(rref(rows, field, ncols)[0])
 
@@ -285,32 +308,31 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(rank {self.rank} in F^{self.ambient})"
 
-    def reduce(self, vec):
-        """The remainder of vec modulo the span: one pass over the pivots
-        where vec is nonzero, each subtracting the nonzero tail of its row
-        (zero at the other pivots), built once per subspace."""
+    def _steps(self):
+        """The `eliminate` steps of the rref rows, built once per subspace."""
         if self._reducer is None:
             self._reducer = tuple(
-                (col, tuple((j, row[j]) for j in range(col + 1, self.ambient)
-                            if row[j]))
+                (col, {j: row[j] for j in range(col + 1, self.ambient)
+                       if row[j]})
                 for row, col in zip(self.rows, self.pivots))
-        v = list(vec)
-        for col, tail in self._reducer:
-            x = v[col]
-            if x:
-                v[col] = self.fld.zero
-                for j, e in tail:
-                    v[j] = v[j] - x * e
+        return self._reducer
+
+    def reduce(self, vec):
+        """The remainder of vec (dense, or a dict; see `sparse`) modulo the
+        span, as the {index: entry} dict of its nonzero entries."""
+        v = sparse(vec)
+        eliminate(self._steps(), v)
         return v
 
     def contains_vector(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def coords(self, vec):
         """Coordinates of vec in the rref basis (its entries at the pivots),
         or None if vec is outside."""
-        vec = list(vec)
-        return None if any(self.reduce(vec)) else [vec[c] for c in self.pivots]
+        v = sparse(vec)
+        met = eliminate(self._steps(), v)
+        return None if v else [self.fld.zero if x is None else x for x in met]
 
     def contains_lattice(self, other) -> bool:
         return all(self.contains_vector(r) for r in other.rows)
@@ -342,7 +364,7 @@ class Subspace:
 
         def project(v):
             r = self.reduce(v)
-            return [r[j] for j in free]
+            return [r.get(j, z) for j in free]
 
         return lifts, [], project
 
@@ -354,10 +376,10 @@ class Subspace:
         lifts = []
         for row in self.rows:
             rem = cur.reduce(row)
-            if any(rem):
-                lifts.append(rem)
+            if rem:
+                lifts.append(dense(rem.items(), self.ambient, self.fld.zero))
                 cur = Subspace.from_rows(self.fld, self.ambient,
-                                         cur.rows + [rem])
+                                         cur.rows + lifts[-1:])
         return lifts, []
 
 

@@ -145,13 +145,12 @@ class ModuleRep:
         if not span.rank:
             return ModuleRep(self.algebra, 0,
                              [[] for _ in range(self.algebra.rank)], self.name + "|0")
-        zero = self.fld.zero
         basis = [linalg.column(r) for r in span.rows]
         acts = []
         for cols in self.acts:
             images = []
             for img in linalg.compose(cols, basis):
-                c = span.coords(linalg.dense(img, self.rank, zero))
+                c = span.coords(dict(img))
                 if c is None:
                     raise ModuleError("span is not action-stable")
                 images.append(linalg.column(c))
@@ -167,9 +166,8 @@ class ModuleRep:
         lifts, torsion, project = self.span(sub).quotient()
         if torsion:
             raise ModuleError("quotient has torsion; sublattice not pure")
-        zero = self.fld.zero
         basis = [linalg.column(lift) for lift in lifts]
-        acts = [[linalg.column(project(linalg.dense(img, self.rank, zero)))
+        acts = [[linalg.column(project(dict(img)))
                  for img in linalg.compose(cols, basis)]
                 for cols in self.acts]
         out = ModuleRep(self.algebra, len(lifts), acts, self.name + "/sub")

@@ -508,7 +508,8 @@ def _malcev_enlarge(alg, s_rows, contain):
             raise InternalCheckError("Malcev defect lies outside the radical")
         mod_j2m = chain[min(2 * m, top)].reduce
 
-        # unknown h over basis_m; equations h sig - sig h = delta mod J^(2m)
+        # unknown h over basis_m; equations h sig - sig h = delta mod J^(2m),
+        # one {hi: entry} row per sig and coordinate t of the remainders
         big = []
         big_rhs = []
         for sig, delta in pairs:
@@ -519,9 +520,9 @@ def _malcev_enlarge(alg, s_rows, contain):
                 cols.append(mod_j2m(comm))
             r = mod_j2m(delta)
             for t in range(alg.rank):
-                big.append([cols[hi][t] for hi in range(len(basis_m))])
-                big_rhs.append(r[t])
-        sol = linalg.solve_right(big, big_rhs, fld)
+                big.append({hi: c[t] for hi, c in enumerate(cols) if t in c})
+                big_rhs.append(r.get(t, fld.zero))
+        sol = linalg.solve_right(big, big_rhs, fld, len(basis_m))
         if sol is None:
             raise AlgebraError("Malcev correction unsolvable (is S0 semisimple?)")
         h = linalg.combine(sol, basis_m, fld.zero)

@@ -1,10 +1,11 @@
 """Dense references for coordinates in a basis and for invertibility, kept
 for the tests.
 
-The package reads coordinates through `lattices.coord_solver` and the
-cached sparse reducers of `linalg.Subspace` and `lattices.Lattice`; these are
-the dense routines they replaced, kept verbatim: reduction against rref rows
-(`in_row_space`, `coords_in_row_space`) and the inverse matrix (`invert`).
+The package reads coordinates through `lattices.coord_solver`,
+`linalg.Subspace` and `lattices.Lattice`, which all reduce a sparse vector
+with `linalg.eliminate`; these are the dense routines they replaced, kept
+verbatim: reduction against rref rows (`in_row_space`,
+`coords_in_row_space`) and the inverse matrix (`invert`).
 The package decides invertibility by a rank over K or k = O/pi and reads a
 discriminant off Hermite pivots; the determinant `det` it replaced, with its
 helpers `mat_copy` and `identity`, is kept verbatim as the oracle.

@@ -6,7 +6,7 @@ import pytest
 from grforge import certify, linalg
 from grforge.algebra import StructureAlgebra
 from grforge.fixtures import inflate, perturb
-from grforge.scalars import RATIONAL, RingSpec
+from grforge.scalars import RATIONAL, InternalCheckError, RingSpec
 
 
 class TestHeredityStep:
@@ -265,6 +265,31 @@ class TestRecognitionEdgeCases:
         w = certify.recognize_matrix_algebra(
             a, [("natural", [linalg.columns(m) for m in acts])])
         assert w.ok and w.block_sizes == (2,)
+
+    def test_a_missing_matrix_unit_is_an_internal_error(self, monkeypatch):
+        """At O the matrix units are read only after the discriminant is a
+        unit, so the order is maximal and each has O-coordinates: a change
+        of basis that drops one is a bug, not a verdict."""
+        ring = RingSpec(RATIONAL, 3)
+        sc = {(2 * i + j, 2 * j + l): {2 * i + l: F(1)}
+              for i in range(2) for j in range(2) for l in range(2)}
+        a = StructureAlgebra(ring, "O", 4, None, (F(1), F(0), F(0), F(1)), sc)
+        assert certify.recognize_matrix_algebra(a).ok
+        solver = certify.coord_solver
+
+        def dropping(rows, fld, ring=None):
+            coords = solver(rows, fld, ring)
+            seen = []
+
+            def drop_second(v):
+                seen.append(v)
+                return None if len(seen) == 2 else coords(v)
+
+            return drop_second
+
+        monkeypatch.setattr(certify, "coord_solver", dropping)
+        with pytest.raises(InternalCheckError, match="matrix unit"):
+            certify.recognize_matrix_algebra(a)
 
     def test_nilpotent_rejected(self):
         ring = RingSpec(RATIONAL, 3)

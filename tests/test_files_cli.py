@@ -86,10 +86,13 @@ class TestDocuments:
         schema = json.loads(resources.files("grforge.schemas")
                             .joinpath("algebra.json").read_text())
         as_written = jsonschema.validators.validator_for(schema)(schema)
-        want = files._violation(as_written, doc)
+        want = jsonschema.exceptions.best_match(as_written.iter_errors(doc))
         assert want is not None
-        assert str(files._violation(files._validator("algebra.json"), doc)) \
-            == str(want)
+        path = "/".join(str(p) for p in want.absolute_path)
+        with pytest.raises(files.DocumentError) as got:
+            files.validate_schema(doc, "algebra.json")
+        assert str(got.value) == f"schema violation at /{path}: {want.message}"
+        assert isinstance(got.value.__cause__, jsonschema.ValidationError)
 
     @pytest.mark.parametrize("name", ["algebra.json", "module.json",
                                       "report.json"])
@@ -199,13 +202,22 @@ class TestCLI:
         ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1, 1, 2, 2]}, "thm53"),
         ({"basis": [0, 1, 2, 3, 4], "grades": ["0", "0", "1", "1", "2"]},
          "prop52"),
+        ({"basis": [0, ["0", "1", "0", "0", "0"], 2, 3, 4],
+          "grades": [0, 0, 1, 1, 2]}, "conds51"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1, 1, 2],
+          "wedderburn": [1, 2]}, "conds51"),
+        ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1, 1, 2],
+          "wedderburn": [["1", "0"]]}, "conds51"),
     ], ids=["no-grades", "not-an-object", "basis-not-a-list", "index-9",
             "3-grades-conds51", "3-grades-thm53", "3-grades-prop52",
-            "6-grades-conds51", "6-grades-thm53", "string-grades"])
+            "6-grades-conds51", "6-grades-thm53", "string-grades",
+            "indices-and-rows", "wedderburn-not-rows", "short-wedderburn-row"])
     def test_malformed_datum_shape_exits_2(self, tmp_path, capsys, datum,
                                            suite):
         # a datum that is no object, lacks grades, names an index outside
-        # the algebra or has one grade too few, one too many or a string
+        # the algebra, has one grade too few, one too many or a string,
+        # mixes indices with rows or gives wedderburn rows that are not lists
+        # or are too short
         cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
         path = tmp_path / "d.json"
         path.write_text(json.dumps(datum))

@@ -113,6 +113,8 @@ def test_field_coord_solver_matches_solve_right(kind, data):
             coord_solver(rows, fld)
         return
     got = coord_solver(rows, fld)(v)
+    # the same coordinates for v as the dict of its nonzero entries
+    assert coord_solver(rows, fld)(linalg.sparse(v)) == got
     if not rows:
         assert got == (None if any(v) else [])
         return
@@ -122,12 +124,12 @@ def test_field_coord_solver_matches_solve_right(kind, data):
 
 
 @SETTINGS
-@given(st.sampled_from([R3, C3]), st.data())
+@given(st.sampled_from([R3, C3, C5]), st.data())
 def test_integral_coord_solver_matches_lattice_coords(ring, data):
     """At level O, coord_solver(rows, fld, ring)(v) is not None exactly when
     the lattice the rows span contains v, and then it is the unique
     coordinate vector, in O; v is a combination or a free vector scaled by
-    pi^-1, 1 or pi."""
+    pi^-1, 1 or pi, given dense and as the dict of its nonzero entries."""
     fld = ring.field_K
     n = data.draw(st.integers(1, 3))
     rows = draw_basis(data, fld, n)
@@ -139,13 +141,30 @@ def test_integral_coord_solver_matches_lattice_coords(ring, data):
     scale = ring.pi_power(data.draw(st.integers(-1, 1)))
     v = [scale * x for x in draw_vector(data, fld, rows, n)]
     # in the canonical basis the solver is Lattice.coords itself
-    assert coord_solver(lat.rows, fld, ring)(v) == lat.coords(v)
+    want = coord_solver(lat.rows, fld, ring)(v)
+    for w in (v, linalg.sparse(v)):
+        assert lat.coords(w) == want
+        assert coord_solver(lat.rows, fld, ring)(w) == want
+        assert lat.contains_vector(w) == (want is not None)
     got = coord_solver(rows, fld, ring)(v)
     assert (got is not None) == lat.contains_vector(v)
     if got is not None:
         assert all(ring.valuation(c) >= 0 for c in got if c)
         # combine of no rows is the empty vector
         assert (linalg.combine(got, rows, fld.zero) or [fld.zero] * n) == v
+
+
+@pytest.mark.parametrize("fld", list(COORD_FIELDS.values()),
+                         ids=list(COORD_FIELDS))
+def test_no_rows_span_only_zero(fld):
+    """With no basis rows only the zero vector has coordinates: the entries
+    decide, dense or as a dict, so {0: 1} (whose one key is falsy) is
+    outside."""
+    solve = coord_solver([], fld)
+    one, zero = fld.one, fld.zero
+    assert solve({0: one}) is None
+    assert solve([zero, one]) is None
+    assert solve({}) == [] and solve([zero, zero]) == []
 
 
 def test_dependent_rows_have_no_coordinates(z5):
@@ -213,11 +232,15 @@ def test_subspace_matches_rref_reference(kind, data):
     ech, piv = linalg.rref(rows, fld)
     assert (span.rows, span.pivots, span.rank) == (ech, piv, len(ech))
     v = draw_member_or_not(data, fld, rows, n)
-    assert span.reduce(v) == in_row_space(v, ech, piv)
     inside = not any(in_row_space(v, ech, piv))
-    assert span.contains_vector(v) == inside
+    want = coords_in_row_space(v, ech, piv)
+    # the same answers for v dense and as the dict of its nonzero entries;
+    # reduce gives the remainder as such a dict
+    for w in (v, linalg.sparse(v)):
+        assert span.reduce(w) == linalg.sparse(in_row_space(v, ech, piv))
+        assert span.contains_vector(w) == inside
+        assert span.coords(w) == want
     c = span.coords(v)
-    assert c == coords_in_row_space(v, ech, piv)
     assert (c is not None) == inside
     if c is not None:
         # combine of no rows is the empty vector

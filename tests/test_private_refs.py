@@ -25,7 +25,10 @@ row-space reducers it replaced are gone, and nothing else runs `rref` on
 rows augmented with an identity.  Invertibility is a rank, over K or over
 k = O/pi, and a discriminant the pivot valuations of a Hermite form: no
 dense determinant is left, and only the Smith form and the Hessenberg
-reduction swap rows in place.
+reduction swap rows in place.  Every reduction of a vector against echelon
+rows (`Subspace.reduce`, `contains_vector` and `coords`, `Lattice.coords`
+and the closure of `coord_solver`) calls `linalg.eliminate` and has no
+loop of its own that writes into the vector.
 """
 
 import ast
@@ -769,6 +772,144 @@ def test_row_swap_check_sees_a_determinant_by_pivoting():
         "    v[0], v[1] = 0, v[0]\n"
         "    return a, b\n")
     assert _row_swaps("core", tree) == {"core.det", "core.Form.permute"}
+
+
+# the routines that reduce a vector against echelon rows: each goes through
+# the one kernel `linalg.eliminate` (a closure is named `function.closure`)
+ELIMINATORS = {
+    "linalg": ("Subspace.reduce", "Subspace.contains_vector",
+               "Subspace.coords"),
+    "lattices": ("Lattice.coords", "coord_solver.coords"),
+}
+
+
+def _functions(tree):
+    """{name: node} of the functions of a module, with the class or the
+    enclosing function as a dotted prefix: `f`, `C.m`, `f.closure`."""
+    out = {}
+    stack = [(node, "") for node in tree.body]
+    while stack:
+        node, prefix = stack.pop()
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            if isinstance(node, FUNCTIONS):
+                out[prefix + node.name] = node
+            prefix = f"{prefix}{node.name}."
+        stack += [(child, prefix) for child in ast.iter_child_nodes(node)]
+    return out
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body, without those of the functions and
+    lambdas defined in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.Lambda,)):
+            stack += ast.iter_child_nodes(node)
+
+
+def _writes_in_a_loop(fn):
+    """Whether a `for` or `while` loop of fn itself assigns into or deletes
+    a subscripted entry: a reduction loop of its own."""
+    for loop in _own_nodes(fn):
+        if isinstance(loop, (ast.For, ast.While)):
+            for node in ast.walk(loop):
+                if isinstance(node, (ast.Assign, ast.Delete)):
+                    targets = node.targets
+                elif isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(isinstance(t, ast.Subscript) for t in targets):
+                    return True
+    return False
+
+
+def _elimination_problems(tree, names):
+    """(name, problem) for each named routine that is missing, reaches no
+    call of `eliminate` (itself or through the `self.` methods it calls)
+    or has a reduction loop of its own."""
+    fns = _functions(tree)
+
+    def reaches(name, seen):
+        own = list(_own_nodes(fns[name]))
+        if any(_call_name(n) == "eliminate" for n in own):
+            return True
+        cls = name.rpartition(".")[0]
+        called = {f"{cls}.{n.func.attr}" for n in own
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and isinstance(n.func.value, ast.Name)
+                  and n.func.value.id == "self"}
+        return any(reaches(m, seen | {name}) for m in called
+                   if m in fns and m not in seen)
+
+    for name in names:
+        if name not in fns:
+            yield name, "is missing"
+            continue
+        if not reaches(name, set()):
+            yield name, "does not call linalg.eliminate"
+        if _writes_in_a_loop(fns[name]):
+            yield name, "has its own reduction loop"
+
+
+def test_every_reduction_goes_through_eliminate():
+    found = []
+    for stem, names in ELIMINATORS.items():
+        tree = ast.parse((PKG / f"{stem}.py").read_text())
+        found += [f"{stem}.{name} {problem}" for name, problem
+                  in _elimination_problems(tree, names)]
+    assert not found, f"reductions outside linalg.eliminate: {found}"
+
+
+def test_reduction_check_sees_a_hand_made_loop():
+    tree = ast.parse(
+        "class Subspace:\n"
+        "    def reduce(self, vec):\n"
+        "        v = list(vec)\n"
+        "        for col, tail in self._reducer:\n"
+        "            x = v[col]\n"
+        "            if x:\n"
+        "                v[col] = self.fld.zero\n"
+        "                for j, e in tail:\n"
+        "                    v[j] = v[j] - x * e\n"
+        "        return v\n"
+        "    def contains_vector(self, vec):\n"
+        "        return not any(self.reduce(vec))\n"
+        "    def coords(self, vec):\n"
+        "        v = sparse(vec)\n"
+        "        met = linalg.eliminate(self._steps(), v)\n"
+        "        return None if v else met\n"
+        "class Lattice:\n"
+        "    def contains_vector(self, vec):\n"
+        "        return self.coords(vec) is not None\n"
+        "    def coords(self, vec):\n"
+        "        v = sparse(vec)\n"
+        "        met = linalg.eliminate(self._steps(), v)\n"
+        "        while v:\n"
+        "            del v[min(v)]\n"
+        "        return met\n"
+        "def coord_solver(rows, fld):\n"
+        "    steps = linalg.eliminate(rows, {})\n"
+        "    def coords(v):\n"
+        "        c = {}\n"
+        "        for col, tail in steps:\n"
+        "            c[col] = v.pop(col, None)\n"
+        "        return c\n"
+        "    return coords\n")
+    names = ("Subspace.reduce", "Subspace.contains_vector", "Subspace.coords",
+             "Lattice.contains_vector", "Lattice.coords",
+             "coord_solver.coords", "Lattice.intersection")
+    assert sorted(_elimination_problems(tree, names)) == [
+        ("Lattice.coords", "has its own reduction loop"),
+        ("Lattice.intersection", "is missing"),
+        ("Subspace.contains_vector", "does not call linalg.eliminate"),
+        ("Subspace.reduce", "does not call linalg.eliminate"),
+        ("Subspace.reduce", "has its own reduction loop"),
+        ("coord_solver.coords", "does not call linalg.eliminate"),
+        ("coord_solver.coords", "has its own reduction loop")]
 
 
 def _is_dataclass(node):
