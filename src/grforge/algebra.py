@@ -189,37 +189,39 @@ class StructureAlgebra:
         return self._mult_of("right", x)
 
     def _mult_of(self, side, x):
-        """Sparse columns (see linalg) of multiplication by x on `side`: the
-        combination of the basis elements' columns that the nonzero entries
-        of x name, the stored columns themselves when x is a basis vector."""
+        """Sparse columns (see linalg) of multiplication by x (dense, or a
+        dict; see linalg.sparse) on `side`: the combination of the basis
+        elements' columns that the nonzero entries of x name, the stored
+        columns themselves when x is a basis vector."""
         mats = self._derived(_mult_columns, side)
-        nx = [(j, c) for j, c in enumerate(x) if c]
-        if len(nx) == 1 and nx[0][1] == self.fld.one:
-            return mats[nx[0][0]]
+        nx = linalg.sparse(x)
+        if len(nx) == 1 and self.fld.one in nx.values():
+            (j,) = nx
+            return mats[j]
         if not nx:
             return [()] * self.rank
-        return linalg.combine_columns([c for _, c in nx],
-                                      [mats[j] for j, _ in nx])
+        return linalg.combine_columns(list(nx.values()),
+                                      [mats[j] for j in nx])
 
     def products(self, xs, ys):
-        """The products x y for x in xs and y in ys, x outer, each a
-        {column: entry} dict of its nonzero entries.
+        """The products x y for x in xs and y in ys (each dense, or a dict;
+        see linalg.sparse), x outer, each a {column: entry} dict of its
+        nonzero entries.
 
         Right multiplication by y is formed once per y, as the sparse
         columns R_y (see `right_mult_of`): column i is b_i y.  Then x y is
-        the combination of the columns of R_y that the nonzero entries of x
-        name; a basis vector x reads its column as it is."""
+        `linalg.apply` of R_y to x; a basis vector x reads its column as it
+        is."""
         one = self.fld.one
         mats = [self.right_mult_of(y) for y in ys]
         out = []
         for x in xs:
-            nx = [(i, c) for i, c in enumerate(x) if c]
-            is_basis = len(nx) == 1 and nx[0][1] == one
-            for m in mats:
-                if is_basis:
-                    out.append(dict(m[nx[0][0]]))
-                else:
-                    out.append(_combination(nx, m))
+            nx = linalg.sparse(x)
+            if len(nx) == 1 and one in nx.values():
+                (i,) = nx
+                out += [dict(m[i]) for m in mats]
+            else:
+                out += [linalg.apply(m, nx) for m in mats]
         return out
 
     def generating_set(self):
@@ -287,15 +289,15 @@ class StructureAlgebra:
         built on the columns, which are canonical, so they compare as lists.
         """
         _, names, gens = self._derived(_proof_generators)
-        zero = self.fld.zero
         problems = []
         for name, g in zip(names, gens):
             rg = linalg.combine_columns(g, acts)
             # g b_j is column j of left multiplication by g
             for j, gb in enumerate(self.left_mult_of(g)):
                 lhs = linalg.compose(rg, acts[j])
-                rhs = linalg.combine_columns(linalg.dense(gb, self.rank, zero),
-                                             acts)
+                rhs = (linalg.combine_columns([x for _, x in gb],
+                                              [acts[t] for t, _ in gb])
+                       if gb else [()] * len(lhs))
                 if lhs != rhs:
                     problems.append(f"{what} fails through generator {name!r} "
                                     f"at basis {self.labels[j]}")
@@ -402,49 +404,33 @@ class StructureAlgebra:
             e = [a + b for a, b in zip(e, self.weights.idempotents[lbl])]
         return e
 
-    def _sparse_span(self, rows):
-        """The span (see `span`) of sparse rows, each a collection of
-        (column, entry) pairs (a {column: entry} dict's items or a sparse
-        column).  At K and k they are reduced as they are; only a Lattice at
-        O takes them as dense rows."""
-        rows = [r for r in rows if r]
-        n = self.rank
-        if self._span_ring is None:
-            return linalg.Subspace(self.fld, n, *linalg.rref(rows, self.fld, n))
-        return self.span([linalg.dense(r, n, self.fld.zero) for r in rows])
-
     def product_span(self, xs, ys):
         """The span (see `span`) of the products x y, x in xs, y in ys, read
         off the multiplication columns by `products`."""
-        return self._sparse_span(p.items() for p in self.products(xs, ys))
+        return self.span(self.products(xs, ys))
 
     def left_ideal(self, ys):
         """A ys, the span (see `span`) of the b y over the basis b and y in
         ys: the columns of right multiplication by each y."""
-        return self._sparse_span(
-            col for y in ys for col in self.right_mult_of(y))
+        return self.span([dict(col) for y in ys
+                          for col in self.right_mult_of(y)])
 
     def right_ideal(self, xs):
         """xs A, the span (see `span`) of the x b over x in xs and the basis
         b: the columns of left multiplication by each x."""
-        return self._sparse_span(
-            col for x in xs for col in self.left_mult_of(x))
-
-    def _column_vectors(self, cols):
-        """The nonzero columns of a matrix given by sparse columns, as dense
-        vectors."""
-        return [linalg.dense(c, self.rank, self.fld.zero) for c in cols if c]
+        return self.span([dict(col) for x in xs
+                          for col in self.left_mult_of(x)])
 
     def ideal_generated(self, e):
         """A e A as a span (see `span`): the left ideal of the e b_j, which
         are the columns of left multiplication by e."""
-        return self.left_ideal(self._column_vectors(self.left_mult_of(e)))
+        return self.left_ideal([dict(c) for c in self.left_mult_of(e) if c])
 
     def corner(self, e):
         """e A e as a span (see `span`), the twin of `ideal_generated`: the
         b_i e are the columns of right multiplication by e."""
         return self.product_span(
-            [e], self._column_vectors(self.right_mult_of(e)))
+            [e], [dict(c) for c in self.right_mult_of(e) if c])
 
     def quotient_by_labels(self, labels, ideal=None):
         """A / A e A for e the sum of e_nu over `labels`, with the weight datum
@@ -513,18 +499,6 @@ def structure_constants(products, n, coords, row=None):
     return sc
 
 
-def _combination(coeffs, cols):
-    """The {row: entry} dict of the sum of c * cols[i] over the (i, c) pairs
-    of `coeffs`, for sparse columns (see linalg); entries that cancel are
-    dropped."""
-    acc = {}
-    for i, c in coeffs:
-        for t, v in cols[i]:
-            z = acc.get(t)
-            acc[t] = c * v if z is None else z + c * v
-    return {t: v for t, v in acc.items() if v}
-
-
 def _sc_by_left(alg):
     """For each i, [(j, items of sc[(i, j)])] over the nonzero rows, j
     increasing and the items sorted: the products b_i b_j that `mul` may
@@ -544,8 +518,7 @@ def _proof_generators(alg):
         gens = [list(v) for v in alg.generators.values()]
         closure = alg.stable_span(
             [list(alg.unit)] + gens,
-            [partial(linalg.apply, alg.left_mult_of(g), field=alg.fld)
-             for g in gens])
+            [partial(linalg.apply, alg.left_mult_of(g)) for g in gens])
         if closure == alg.span([alg.basis_vec(i) for i in range(alg.rank)]):
             return "generators", tuple(alg.generators), gens
     return "basis", alg.labels, [alg.basis_vec(i) for i in range(alg.rank)]

@@ -265,7 +265,10 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
             gram_det_valuation=val)
     # explicit units: realize each block on the lattice E . v inside its module
     all_units = {}
-    iso_rows = [[] for _ in range(e_alg.rank)]
+    # image of each E-basis element: its matrices on the blocks' lattices,
+    # block bi flattened (see linalg.flatten) from index off_bi
+    iso_rows = [{} for _ in range(e_alg.rank)]
+    off = 0
     for bi, blk in enumerate(blocks):
         # central idempotent must lie in the O-order
         z = blk.central_idempotent
@@ -282,12 +285,11 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
         if col is None:
             return MatrixAlgebraWitness(False, "block unit acts by zero",
                                         gram_det_valuation=val)
-        w0 = linalg.dense(col, mod.rank, mod.fld.zero)
-        gen_rows = [mod.act_basis(i, w0) for i in range(e_alg.rank)]
+        gen_rows = [mod.act_basis(i, dict(col)) for i in range(e_alg.rank)]
         # scale w by a power of pi so that E.w lies in O^d
-        low = min(ring.valuation(x) for row in gen_rows for x in row if x)
+        low = min(ring.valuation(x) for row in gen_rows for x in row.values())
         scale = ring.pi_power(-min(low, 0))
-        gen_rows = [[scale * x for x in row] for row in gen_rows]
+        gen_rows = [{t: scale * x for t, x in row.items()} for row in gen_rows]
         lat = Lattice.from_rows(ring, mod.rank, gen_rows)
         if lat.rank != d:
             return MatrixAlgebraWitness(
@@ -301,13 +303,14 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
                 False, "order does not stabilize its own lattice",
                 gram_det_valuation=val)
         for i in range(e_alg.rank):
-            iso_rows[i].extend(linalg.flatten(on_lat.acts[i], fldK.zero))
+            iso_rows[i].update((off + k, x) for k, x
+                               in linalg.flatten(on_lat.acts[i]).items())
+        off += d * d
     # matrix units inside E: the O-coordinates of the elementary matrices in
     # the images of the E-basis.  An O-order with unit discriminant is
     # maximal, so the map is onto over O and every coordinate is in O.
-    total = e_alg.rank
     try:
-        coords = coord_solver(iso_rows, fldK, ring)
+        coords = coord_solver(iso_rows, fldK, ring, off)
     except LatticeError as exc:
         raise InternalCheckError(
             "an isomorphism has dependent image rows") from exc
@@ -315,9 +318,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     for bi, d in enumerate(sizes):
         for i in range(d):
             for j in range(d):
-                target = [fldK.zero] * total
-                target[off + i * d + j] = fldK.one
-                unit = coords(target)
+                unit = coords({off + i * d + j: fldK.one})
                 if unit is None:
                     raise InternalCheckError(
                         "a maximal order misses a matrix unit over O")
@@ -464,15 +465,14 @@ def _endo_direct_check(alg, J, expected_sizes):
     # endomorphisms restricted to the lattice: saturate and build the algebra
     sat = saturate_rows(alg.ring, n * n, ker)
     # each basis endomorphism h (h[r][c] at r * n + c) by its sparse columns
-    matb = [[linalg.column(b[c::n]) for c in range(n)] for b in sat.rows]
-    ident = [((k, fld.one),) for k in range(n)]
-    unit_c = sat.coords(linalg.flatten(ident, fld.zero))
+    matb = [linalg.unflatten(b, n) for b in sat.rows]
+    unit_c = sat.coords({k * n + k: fld.one for k in range(n)})
     if unit_c is None:
         return False
     try:
         sc = structure_constants(
-            (linalg.flatten(linalg.compose(x, y), fld.zero)
-             for x in matb for y in matb), len(matb), sat.coords)
+            (linalg.flatten(linalg.compose(x, y)) for x in matb for y in matb),
+            len(matb), sat.coords)
     except AlgebraError:
         return False
     endo = StructureAlgebra(alg.ring, "O", len(matb), None, unit_c, sc)

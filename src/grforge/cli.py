@@ -111,8 +111,6 @@ def _emit_report(args, suite, fixture_id, verdicts, witnesses, t0, input_hash=""
 
 def cmd_gen(args):
     name = args.fixture
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     if name == "z5":
         alg = fixtures.build_z5(args.p)
         meta = {
@@ -128,15 +126,13 @@ def cmd_gen(args):
         meta = {"fixture": f"z5s@{args.p}"}
     elif name == "qschur":
         if args.p not in (3, 5):  # build_qschur checks the range of d
-            print("qschur supports p in {3,5}", file=sys.stderr)
-            return EXIT_MALFORMED
+            raise UsageError("qschur supports p in {3,5}")
         alg = fixtures.build_qschur(args.d, args.p)
         meta = {"fixture": f"qschur-n2-d{args.d}@{args.p}",
                 "p_regular": alg.p_regular}
     elif name == "usl2":
         if args.p not in (3, 5):
-            print("usl2 supports p in {3,5}", file=sys.stderr)
-            return EXIT_MALFORMED
+            raise UsageError("usl2 supports p in {3,5}")
         alg = fixtures.build_usl2(args.p)
         info = alg.blocks_info
         meta = {"fixture": f"usl2@{args.p}",
@@ -152,6 +148,9 @@ def cmd_gen(args):
         alg = fixtures.inflate(base, _multiplicities(args.mult))
         meta = {"fixture": f"inflate({_stem(args.input)})"}
     elif name == "perturb":
+        if args.count < 1:
+            # a count below 1 rescales no basis element
+            raise UsageError(f"--count must be at least 1, not {args.count}")
         base = _load_algebra(args.input)
         got = fixtures.perturb(base, seed=_seed(args.seed), count=args.count)
         if got is None:
@@ -164,6 +163,8 @@ def cmd_gen(args):
         print(f"unknown fixture {name!r}", file=sys.stderr)
         return EXIT_MALFORMED
     doc = files.algebra_to_doc(alg, metadata=meta)
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"{meta['fixture'].replace('(', '_').replace(')', '')}.alg.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     print(f"wrote {path} (rank {alg.rank})")

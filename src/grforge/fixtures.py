@@ -283,28 +283,21 @@ def build_qschur(d: int, p: int):
     power of the rank-2 free module; weight idempotents are the content
     projectors, Lambda the partitions with dominance order.  A matrix on
     the 2^d words is a vector of the closure row by row: entry (r, c) at
-    r * 2^d + c (linalg.flatten).
+    r * 2^d + c (linalg.flatten, linalg.unflatten).
     """
     if not (1 <= d <= 6):
         raise AlgebraError("supported range: 1 <= d <= 6")
     ring = RingSpec(CYCLOTOMIC, p)
-    zero, one = ring.zero(), ring.one()
+    one = ring.one()
     n = 2 ** d
     gens = _qschur_generators(d, p)
 
-    def flat(cols):
-        return linalg.flatten(cols, zero)
-
-    def cols_of(v):
-        return [linalg.column(v[c::n]) for c in range(n)]
-
     # g X for a flattened X is the columns of g (x) 1 applied to it
-    ident = [((k, one),) for k in range(n)]
-    lat = stable_span([flat(ident)],
+    ident = linalg.flatten([((k, one),) for k in range(n)])
+    lat = stable_span([ident],
                       [partial(linalg.apply,
                                [tuple((r * n + c, x) for r, x in g[m])
-                                for m in range(n) for c in range(n)],
-                               field=ring.field_K)
+                                for m in range(n) for c in range(n)])
                        for g in gens.values()],
                       n * n, ring.field_K, ring)
     rank = lat.rank
@@ -313,13 +306,13 @@ def build_qschur(d: int, p: int):
         raise AlgebraError(
             f"q-Schur closure has rank {rank}, expected {expected}")
     try:
-        basis = [cols_of(r) for r in lat.rows]
+        basis = [linalg.unflatten(r, n) for r in lat.rows]
         sc = structure_constants(
-            (flat(linalg.compose(x, y)) for x in basis for y in basis),
+            (linalg.flatten(linalg.compose(x, y)) for x in basis for y in basis),
             len(basis), lat.coords)
     except AlgebraError as exc:
         raise InternalCheckError("algebra not closed") from exc
-    unit = lat.coords(flat(ident))
+    unit = lat.coords(ident)
     # weight idempotents: the projectors onto the words with b ones, of
     # content (d - b, b); Lambda the two-row partitions under dominance
     ones = [bin(k).count("1") for k in range(n)]
@@ -327,7 +320,7 @@ def build_qschur(d: int, p: int):
     idems = {}
     for b, lbl in enumerate(labels):
         proj = [((k, one),) if ones[k] == b else () for k in range(n)]
-        c = lat.coords(flat(proj))
+        c = lat.coords(linalg.flatten(proj))
         if c is None:
             raise AlgebraError(
                 f"weight projector {(d - b, b)} is not in the integral "
@@ -338,7 +331,7 @@ def build_qschur(d: int, p: int):
     weights = WeightDatum.build(labels, labels[:len(parts)], relations, idems)
     gen_coords = {}
     for name, g in gens.items():
-        c = lat.coords(flat(g))
+        c = lat.coords(linalg.flatten(g))
         if c is None:
             raise InternalCheckError(f"generator {name} is not in the algebra")
         gen_coords[name] = tuple(c)

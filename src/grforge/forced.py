@@ -72,7 +72,7 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
     w = alg.weights
     e = list(w.idempotents[lam])
     v = list(v)
-    if linalg.apply(mod.act_matrix(e), v, mod.fld) != v:
+    if linalg.apply(mod.act_matrix(e), v) != linalg.sparse(v):
         raise ForcedError("vector is not a lam-weight vector")
     if n_prime is None:
         n_prime = n_prime_lattice(mod, lam)

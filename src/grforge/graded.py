@@ -124,12 +124,12 @@ class AdaptedBasis:
         return tuple(self.grade_rank(m) for m in range(self.top_grade + 1))
 
     def grade_part_rank(self, rows, m):
-        """Rank of the grade-m parts of `rows`, given in adapted (gr)
-        coordinates."""
-        zero = self._fld.zero
-        return linalg.rank([[v if g == m else zero
-                             for g, v in zip(self.grades, r)] for r in rows],
-                           self._fld)
+        """Rank of the grade-m parts of `rows` (each dense, or a dict; see
+        linalg.sparse), given in adapted (gr) coordinates."""
+        grades = self.grades
+        return linalg.rank([{t: v for t, v in linalg.sparse(r).items()
+                             if grades[t] == m} for r in rows],
+                           self._fld, len(grades))
 
     def depth(self, x):
         """Filtration depth of a nonzero element (max m with x in chain m)."""
@@ -168,7 +168,8 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
         lambda i, j, c: _leading(c, grades, grades[i] + grades[j]))
 
     def grade_zero(x):
-        return tuple(linalg.dense(_leading(coords(x), grades, 0), n, fld.zero))
+        return tuple(c if g == 0 else fld.zero
+                     for c, g in zip(coords(x), grades))
 
     weights = None
     if alg.weights is not None:

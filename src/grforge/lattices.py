@@ -38,48 +38,60 @@ class Lattice:
     # -- construction ---------------------------------------------------------
     @staticmethod
     def from_rows(ring: RingSpec, ambient: int, rows) -> "Lattice":
-        """Canonicalize arbitrary generators (rows over O)."""
-        piv_row = {}   # col -> normalized row with pivot pi^val at col
-        piv_val = {}   # col -> pivot valuation
-        queue = [list(r) for r in rows if any(r)]
-        for r in queue:
-            if len(r) != ambient:
-                raise LatticeError("generator length != ambient rank")
-    # worklist echelon: an incoming row either reduces or replaces a pivot
+        """Canonicalize generators over O, each a dense row of length
+        `ambient` or an {index: entry} dict (see linalg.sparse).
+
+        A worklist echelon on the rows as dicts: an incoming row either
+        reduces against the pivot row at its first column or, when its entry
+        there has the smaller valuation, replaces that pivot row, which goes
+        back on the worklist.  Then each pivot row, left to right, reduces
+        the entries above it to canonical residues mod pi^a: a later pivot
+        row is zero in every earlier pivot column."""
+        queue = []
+        for r in rows:
+            if not isinstance(r, dict):
+                if len(r) != ambient:
+                    raise LatticeError("generator length != ambient rank")
+            elif r and not 0 <= min(r) <= max(r) < ambient:
+                raise LatticeError("generator index outside the ambient rank")
+            r = linalg.sparse(r)
+            if r:
+                queue.append(r)
+        piv = {}   # col -> (valuation a, row with pivot entry exactly pi^a)
         while queue:
             r = queue.pop()
-            col = 0
-            while col < ambient:
+            while r:
+                col = min(r)
                 x = r[col]
-                if not x:
-                    col += 1
-                    continue
                 v = ring.valuation(x)
                 if v < 0:
                     raise LatticeError("generator entry outside O")
-                if col not in piv_row:
-                    _normalize_pivot(ring, r, col, v)
-                    piv_row[col] = r
-                    piv_val[col] = v
-                    break
-                prow, pv = piv_row[col], piv_val[col]
-                if v >= pv:
-                    q = x / prow[col]
-                    for j in range(col, ambient):
-                        if prow[j]:
-                            r[j] = r[j] - q * prow[j]
-                else:
-                    _normalize_pivot(ring, r, col, v)
-                    piv_row[col] = r
-                    piv_val[col] = v
-                    queue.append(prow)
-                    break
-        cols = sorted(piv_row)
-        ech = [(c, piv_val[c], piv_row[c]) for c in cols]
-        _back_reduce(ring, ech)
-        rows_t = tuple(tuple(r) for (_, _, r) in ech)
-        return Lattice(ring, ambient, rows_t, tuple(cols),
-                       tuple(piv_val[c] for c in cols))
+                if col in piv:
+                    a, prow = piv[col]
+                    if v >= a:
+                        linalg.sub_multiple(r, x / prow[col], prow)
+                        continue
+                    queue.append(prow)  # r takes its place as pivot row
+                target = ring.pi_power(v)
+                uinv = target / x
+                piv[col] = v, {j: target if j == col else uinv * y
+                               for j, y in r.items()}
+                break
+        cols = sorted(piv)
+        for i, col in enumerate(cols):
+            a, row = piv[col]
+            for above in cols[:i]:
+                arow = piv[above][1]
+                x = arow.get(col)
+                if x is not None:
+                    q = (x - ring.canonical_mod(x, a)) / row[col]
+                    if q:
+                        linalg.sub_multiple(arow, q, row)
+        zero = ring.zero()
+        return Lattice(ring, ambient,
+                       tuple(tuple(linalg.dense(piv[c][1].items(), ambient,
+                                                zero)) for c in cols),
+                       tuple(cols), tuple(piv[c][0] for c in cols))
 
     @staticmethod
     def zero(ring: RingSpec, ambient: int) -> "Lattice":
@@ -207,27 +219,6 @@ def _normalize_pivot(ring, row, col, val):
         if row[j]:
             row[j] = uinv * row[j]
     row[col] = target
-
-
-def _back_reduce(ring, ech):
-    """Reduce entries above each pivot to canonical residues mod pi^val.
-
-    Pivots are processed left to right: subtracting a multiple of a later
-    pivot row never disturbs earlier pivot columns (those entries are zero).
-    """
-    for i in range(len(ech)):
-        col, pval, row = ech[i]
-        for i2 in range(i):
-            _, _, above = ech[i2]
-            x = above[col]
-            if not x:
-                continue
-            canon = ring.canonical_mod(x, pval)
-            q = (x - canon) / row[col]
-            if q:
-                for j in range(col, len(row)):
-                    if row[j]:
-                        above[j] = above[j] - q * row[j]
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +376,10 @@ def _coords_matrix(n: Lattice, m: Lattice):
 
 
 def span_of(rows, ambient: int, fld, ring=None):
-    """The span of `rows` in the free module of rank `ambient`: a canonical
-    Lattice over O when `ring` is given, else a linalg.Subspace over `fld`.
-    A Lattice or Subspace passes through unchanged."""
+    """The span of `rows` (each dense or an {index: entry} dict) in the free
+    module of rank `ambient`: a canonical Lattice over O when `ring` is
+    given, else a linalg.Subspace over `fld`.  A Lattice or Subspace passes
+    through unchanged."""
     if isinstance(rows, (Lattice, linalg.Subspace)):
         return rows
     if ring is not None:
@@ -415,22 +407,25 @@ def stable_span(vectors, maps, ambient: int, fld, ring=None):
         frontier = added.rows
 
 
-def coord_solver(rows, fld, ring=None):
+def coord_solver(rows, fld, ring=None, ncols=None):
     """Coordinates in the basis `rows`: v -> c with v = sum c[i] rows[i], or
     None when there is none (with `ring`, level O: none in O, which for a
-    basis is membership in the lattice it spans); v is dense or a dict.
-    LatticeError if the rows are dependent.  One rref of the rows
-    [rows[i] | e_i]: each pivot row [w | T] has w = sum T[i] rows[i], and a
-    pivot among the e_i columns is a vanishing combination.  With T negated
-    they are the `linalg.eliminate` steps: v reduces to c at the columns
-    n + i, and to nothing else iff it lies in the span."""
-    rows = [list(r) for r in rows]
+    basis is membership in the lattice it spans).  The rows are dense, or
+    {index: entry} dicts in a space of `ncols` columns (see linalg.rref);
+    v is dense or a dict.  LatticeError if the rows are dependent.  One
+    rref of the rows [rows[i] | e_i]: each pivot row [w | T] has
+    w = sum T[i] rows[i], and a pivot among the e_i columns is a vanishing
+    combination.  With T negated they are the `linalg.eliminate` steps: v
+    reduces to c at the columns n + i, and to nothing else iff it lies in
+    the span.  So an entry of v at an index >= n is outside at once: it
+    would land among the c."""
+    rows = list(rows)
     if not rows:
         return lambda v: None if linalg.sparse(v) else []
-    k, n = len(rows), len(rows[0])
+    k = len(rows)
+    n = len(rows[0]) if ncols is None else ncols
     one, zero = fld.one, fld.zero
-    aug = [{**{j: x for j, x in enumerate(r) if x}, n + i: one}
-           for i, r in enumerate(rows)]
+    aug = [{**linalg.sparse(r), n + i: one} for i, r in enumerate(rows)]
     ech, pivots = linalg.rref(aug, fld, n + k)
     if pivots[-1] >= n:
         raise LatticeError("basis rows are linearly dependent")
@@ -442,6 +437,8 @@ def coord_solver(rows, fld, ring=None):
 
     def coords(v):
         v = linalg.sparse(v)
+        if v and max(v) >= n:
+            return None
         linalg.eliminate(steps, v)
         if v and min(v) < n:
             return None

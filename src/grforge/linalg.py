@@ -1,5 +1,6 @@
 """Exact linear algebra over a field (Q, Q(zeta), or F_p): sparse columns for
-linear actions, sparse rows inside elimination, vectors dense or sparse.
+linear actions, sparse rows inside elimination, and {index: entry} dicts for
+the vectors that one kernel hands to another.
 
 Entries are Fraction, Cyc, or Fp values.  Everything is plain Gaussian
 elimination with exact arithmetic; no pivot growth control is needed at desk
@@ -12,9 +13,13 @@ column k, rows increasing, so equal matrices have equal columns.  The
 kernels on that form (`apply`, `combine_columns`, `compose`, `trace_form`,
 `row_entries`) visit only nonzero entries.  Other matrices (homomorphism
 witnesses, Gram matrices) are lists of row lists; `columns` and `dense_rows`
-convert at the document boundary.  `rref` reduces `{column: entry}` rows,
-`eliminate` reduces an `{index: entry}` vector (`sparse`) against them,
-`mat_vec` visits only the nonzero entries of its vector, and
+convert at the document boundary.  A vector passed between kernels is the
+{index: entry} dict of its nonzero entries (`sparse` makes one from a dense
+vector): `apply` returns one, `flatten` gives a square matrix's entries as
+one, and `rref`, `eliminate`, `Subspace` and the lattices routines take
+them; canonical span rows and algebra elements stay dense.  `rref` reduces
+rows dense or as dicts, `eliminate` reduces a dict against its echelon
+rows, `mat_vec` visits only the nonzero entries of its vector, and
 `charpoly_mod_p` computes characteristic polynomials over F_p on plain ints
 mod p.  Coordinates in a basis come from `lattices.coord_solver`; no inverse
 matrix is formed, and no determinant: invertibility is full `rank`, over K,
@@ -94,26 +99,30 @@ def dense_rows(cols, nrows, zero):
     return out
 
 
-def flatten(cols, zero):
-    """The entries of a square matrix given by sparse columns, row by row:
-    entry (r, c) at index r * n + c."""
+def flatten(cols):
+    """The {index: entry} dict of a square matrix given by sparse columns,
+    row by row: entry (r, c) at index r * n + c."""
     n = len(cols)
-    out = [zero] * (n * n)
-    for c, col in enumerate(cols):
-        for r, x in col:
-            out[r * n + c] = x
-    return out
+    return {r * n + c: x for c, col in enumerate(cols) for r, x in col}
 
 
-def apply(cols, v, field):
-    """The vector A v for a square matrix A given by sparse columns: the
-    combination of the columns that the nonzero entries of v name."""
-    out = [field.zero] * len(cols)
-    for k, y in enumerate(v):
-        if y:
-            for t, x in cols[k]:
-                out[t] = out[t] + x * y
-    return out
+def unflatten(v, ncols):
+    """The sparse columns of the matrix with `ncols` columns whose entry
+    (r, c) is the dense vector v's entry r * ncols + c."""
+    return [column(v[c::ncols]) for c in range(ncols)]
+
+
+def apply(cols, v):
+    """The {index: entry} dict of A v for a square matrix A given by sparse
+    columns: the combination of the columns that the nonzero entries of v
+    (dense, or a dict of nonzero entries; see `sparse`) name.  Entries that
+    cancel are dropped."""
+    acc = {}
+    for k, y in sparse(v).items():
+        for t, x in cols[k]:
+            z = acc.get(t)
+            acc[t] = x * y if z is None else z + x * y
+    return {t: x for t, x in acc.items() if x}
 
 
 def combine_columns(coeffs, mats):
@@ -185,9 +194,9 @@ def rref(rows, field, ncols=None):
     """Reduced row echelon form.  Returns (echelon_rows, pivot_columns).
 
     Zero rows are dropped; the result spans the same row space.  Rows are
-    equal-length sequences, or, when `ncols` is given, {column: entry} dicts
-    of nonzero entries in a space of `ncols` columns.  The echelon rows are
-    dense.
+    equal-length sequences, or, when `ncols` is given, dense rows of that
+    length or {column: entry} dicts of nonzero entries (see `sparse`) in a
+    space of `ncols` columns.  The echelon rows are dense.
 
     Each row is reduced as a {column: nonzero entry} dict against the pivot
     rows found so far, which are kept fully reduced: a pivot row is zero in
@@ -198,18 +207,14 @@ def rref(rows, field, ncols=None):
     an entry left of its pivot, so sorting by pivot gives the reduced row
     echelon form, which is unique.
     """
-    sparse = ncols is not None
-    if not sparse:
-        ncols = 0
+    width = ncols or 0
     piv = {}
     for r in rows:
-        if sparse:
-            s = dict(r)
-        else:
-            ncols = len(r)
-            s = {j: x for j, x in enumerate(r) if x}
+        if ncols is None:
+            width = len(r)
+        s = sparse(r)
         for c in s.keys() & piv.keys():
-            _sub_multiple(s, s.pop(c), piv[c])
+            sub_multiple(s, s.pop(c), piv[c])
         if not s:
             continue
         col = min(s)
@@ -218,15 +223,15 @@ def rref(rows, field, ncols=None):
         for q in piv.values():
             c = q.pop(col, None)
             if c is not None:
-                _sub_multiple(q, c, s)
+                sub_multiple(q, c, s)
         piv[col] = s
-        if len(piv) == ncols:
+        if len(piv) == width:
             break
     pivots = sorted(piv)
     z, o = field.zero, field.one
     out = []
     for col in pivots:
-        row = [z] * ncols
+        row = [z] * width
         row[col] = o
         for j, x in piv[col].items():
             row[j] = x
@@ -234,7 +239,7 @@ def rref(rows, field, ncols=None):
     return out, pivots
 
 
-def _sub_multiple(s, c, q):
+def sub_multiple(s, c, q):
     """s -= c * q in place, for sparse rows s and q; entries that cancel are
     removed."""
     for j, y in q.items():
@@ -266,7 +271,7 @@ def eliminate(steps, v):
     for col, tail in steps:
         x = v.pop(col, None)
         if x is not None and tail:
-            _sub_multiple(v, x, tail)
+            sub_multiple(v, x, tail)
         met.append(x)
     return met
 
@@ -295,7 +300,8 @@ class Subspace:
 
     @staticmethod
     def from_rows(fld, ambient: int, rows) -> "Subspace":
-        return Subspace(fld, ambient, *rref(rows, fld))
+        """The span of rows, each dense or an {index: entry} dict."""
+        return Subspace(fld, ambient, *rref(rows, fld, ambient))
 
     @property
     def rank(self) -> int:

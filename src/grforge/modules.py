@@ -48,7 +48,8 @@ class ModuleRep:
 
     # -- actions ----------------------------------------------------------------
     def act_basis(self, i, v):
-        return linalg.apply(self.acts[i], v, self.fld)
+        """b_i v as an {index: entry} dict (see linalg.apply)."""
+        return linalg.apply(self.acts[i], v)
 
     def act_matrix(self, x):
         """Sparse columns of the action of the element with coordinates x."""
@@ -73,14 +74,11 @@ class ModuleRep:
     def image(self, xs, vectors=None):
         """The span (see `span`) of x v over x in xs and v in `vectors`; by
         default v runs over the basis, which gives the span of the x M."""
-        fld = self.fld
         mats = [self.act_matrix(x) for x in xs]
         if vectors is None:
             # x e_k is column k of x's matrix
-            return self.span([linalg.dense(col, self.rank, fld.zero)
-                              for m in mats for col in m])
-        return self.span([linalg.apply(m, v, fld)
-                          for m in mats for v in vectors])
+            return self.span([dict(col) for m in mats for col in m])
+        return self.span([linalg.apply(m, v) for m in mats for v in vectors])
 
     # -- validation ----------------------------------------------------------------
     def validate(self):
@@ -408,8 +406,7 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     sol = linalg.solve_right(rows, rhs, fld, ns * nd)
     if sol is None:
         return None
-    # column c of h is sol[c], sol[ns + c], ...
-    h_cols = [linalg.column(sol[c::ns]) for c in range(ns)]
+    h_cols = linalg.unflatten(sol, ns)
     for a_s, a_d in zip(src.acts, dst.acts):
         if linalg.compose(h_cols, a_s) != linalg.compose(a_d, h_cols):
             raise InternalCheckError("hom solve returned a non-equivariant map")

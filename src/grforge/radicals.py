@@ -282,17 +282,16 @@ def _block_matrix_units(alg, block: Block):
     # action matrices of the block basis, flattened; the unit E_ij is the
     # combination of the basis with the coordinates of the elementary
     # matrix (the unit vector at i * d + j) in those flattened matrices
-    flat = [linalg.flatten(linalg.combine_columns(v, block.module_acts),
-                           fld.zero) for v in sub]
+    flat = [linalg.flatten(linalg.combine_columns(v, block.module_acts))
+            for v in sub]
     try:
-        coords = coord_solver(flat, fld)
+        coords = coord_solver(flat, fld, ncols=d * d)
     except LatticeError as exc:
         raise NonSplitError(
             "module action is not surjective on the block") from exc
-    zero, one = fld.zero, fld.one
-    units = {(i, j): linalg.combine(
-        coords([one if t == i * d + j else zero for t in range(d * d)]),
-        sub, zero) for i in range(d) for j in range(d)}
+    units = {(i, j): linalg.combine(coords({i * d + j: fld.one}), sub,
+                                    fld.zero)
+             for i in range(d) for j in range(d)}
     if not matrix_units_hold(
             alg, {(0, i, j): u for (i, j), u in units.items()}, e):
         raise NonSplitError("matrix unit relations fail")

@@ -75,8 +75,8 @@ def _graded_piece_weight_ranks(gmod, weights):
     out = {}
     for nu in weights.X:
         # e_nu M: the nonzero columns of e_nu's action
-        img = [linalg.dense(col, mod.rank, mod.fld.zero)
-               for col in mod.act_matrix(weights.idempotents[nu]) if col]
+        img = [dict(col) for col in mod.act_matrix(weights.idempotents[nu])
+               if col]
         for m in range(gmod.top_grade + 1):
             out[(m, nu)] = gmod.grade_part_rank(img, m)
     return out
@@ -178,18 +178,17 @@ def _grading_of_standard(gr: GradedAlgebra, lam):
     galg = gr.algebra
     w = galg.weights
     reg = regular_module(galg)
-    fld = galg.fld
     # the b_i e_lam: the columns of right multiplication by e_lam
-    p_rows = galg._column_vectors(galg.right_mult_of(w.idempotents[lam]))
+    p_rows = [dict(c) for c in galg.right_mult_of(w.idempotents[lam]) if c]
     e_acts = {nu: reg.act_matrix(w.idempotents[nu]) for nu in w.X}
     t_sub = reg.submodule_generated(
-        [linalg.apply(e_acts[nu], r, fld) for nu in w.Lambda
+        [linalg.apply(e_acts[nu], r) for nu in w.Lambda
          if nu not in w.ideal_below(lam) for r in p_rows])
     table = {}
     top = gr.top_grade
     for nu in w.X:
-        ep = [linalg.apply(e_acts[nu], r, fld) for r in p_rows]
-        et = [linalg.apply(e_acts[nu], r, fld) for r in t_sub.rows]
+        ep = [linalg.apply(e_acts[nu], r) for r in p_rows]
+        et = [linalg.apply(e_acts[nu], r) for r in t_sub.rows]
         for m in range(top + 1):
             table[(m, nu)] = (gr.grade_part_rank(ep, m)
                               - gr.grade_part_rank(et, m))

@@ -248,7 +248,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
             # generation by degree 0
             zero = dk.span(piece.get(0, []))
             gen = ak.stable_span(
-                zero, [partial(linalg.apply, dk.act_matrix(c), field=dk.fld)
+                zero, [partial(linalg.apply, dk.act_matrix(c))
                        for c in sub_rows], dk.rank)
             if gen.rank != dk.rank:
                 ok3 = False
@@ -433,7 +433,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     # (i) dagger = A v with v a lam-weight vector
     e = list(w.idempotents[lam])
     res.hypotheses["h1_cyclic"] = (
-        linalg.apply(dagger.act_matrix(e), v, dagger.fld) == list(v)
+        linalg.apply(dagger.act_matrix(e), v) == linalg.sparse(v)
         and dagger.submodule_generated([v]) == dagger.full_lattice())
     # (ii) dagger = P0 (+) (dagger ∩ rad P_K) with K P0 + E_K stable; once
     # P0 + rad = dagger, P0 ∩ rad = 0 iff their ranks add up to dagger's

@@ -9,9 +9,13 @@ verbatim: reduction against rref rows (`in_row_space`,
 The package decides invertibility by a rank over K or k = O/pi and reads a
 discriminant off Hermite pivots; the determinant `det` it replaced, with its
 helpers `mat_copy` and `identity`, is kept verbatim as the oracle.
+`Lattice.from_rows` runs its Hermite echelon on {index: entry} rows; the
+dense worklist echelon it replaced (`lattice_from_rows`, with
+`_normalize_pivot` and `_back_reduce`) is kept verbatim as the oracle.
 """
 
 from grforge import linalg
+from grforge.lattices import Lattice, LatticeError
 
 
 def mat_copy(m):
@@ -87,3 +91,79 @@ def invert(a, field):
     if len(ech) < n or pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in ech[:n]]
+
+
+def lattice_from_rows(ring, ambient, rows):
+    """Canonicalize arbitrary generators (rows over O)."""
+    piv_row = {}   # col -> normalized row with pivot pi^val at col
+    piv_val = {}   # col -> pivot valuation
+    queue = [list(r) for r in rows if any(r)]
+    for r in queue:
+        if len(r) != ambient:
+            raise LatticeError("generator length != ambient rank")
+    # worklist echelon: an incoming row either reduces or replaces a pivot
+    while queue:
+        r = queue.pop()
+        col = 0
+        while col < ambient:
+            x = r[col]
+            if not x:
+                col += 1
+                continue
+            v = ring.valuation(x)
+            if v < 0:
+                raise LatticeError("generator entry outside O")
+            if col not in piv_row:
+                _normalize_pivot(ring, r, col, v)
+                piv_row[col] = r
+                piv_val[col] = v
+                break
+            prow, pv = piv_row[col], piv_val[col]
+            if v >= pv:
+                q = x / prow[col]
+                for j in range(col, ambient):
+                    if prow[j]:
+                        r[j] = r[j] - q * prow[j]
+            else:
+                _normalize_pivot(ring, r, col, v)
+                piv_row[col] = r
+                piv_val[col] = v
+                queue.append(prow)
+                break
+    cols = sorted(piv_row)
+    ech = [(c, piv_val[c], piv_row[c]) for c in cols]
+    _back_reduce(ring, ech)
+    rows_t = tuple(tuple(r) for (_, _, r) in ech)
+    return Lattice(ring, ambient, rows_t, tuple(cols),
+                   tuple(piv_val[c] for c in cols))
+
+
+def _normalize_pivot(ring, row, col, val):
+    """Scale the row by a unit so the pivot becomes exactly pi^val."""
+    target = ring.pi_power(val)
+    uinv = target / row[col]
+    for j in range(col, len(row)):
+        if row[j]:
+            row[j] = uinv * row[j]
+    row[col] = target
+
+
+def _back_reduce(ring, ech):
+    """Reduce entries above each pivot to canonical residues mod pi^val.
+
+    Pivots are processed left to right: subtracting a multiple of a later
+    pivot row never disturbs earlier pivot columns (those entries are zero).
+    """
+    for i in range(len(ech)):
+        col, pval, row = ech[i]
+        for i2 in range(i):
+            _, _, above = ech[i2]
+            x = above[col]
+            if not x:
+                continue
+            canon = ring.canonical_mod(x, pval)
+            q = (x - canon) / row[col]
+            if q:
+                for j in range(col, len(row)):
+                    if row[j]:
+                        above[j] = above[j] - q * row[j]

@@ -277,8 +277,8 @@ class TestRecognitionEdgeCases:
         assert certify.recognize_matrix_algebra(a).ok
         solver = certify.coord_solver
 
-        def dropping(rows, fld, ring=None):
-            coords = solver(rows, fld, ring)
+        def dropping(rows, fld, ring=None, ncols=None):
+            coords = solver(rows, fld, ring, ncols)
             seen = []
 
             def drop_second(v):

@@ -428,6 +428,23 @@ class TestCLI:
         for trials in ("0", "-1"):
             assert cli.main(["verify", suite, alg, "--trials", trials]) == 2
 
+    @pytest.mark.parametrize("args, said", [
+        (["qschur", "--p", "4"], "qschur supports p in {3,5}"),
+        (["usl2", "--p", "7"], "usl2 supports p in {3,5}"),
+        (["inflate", "--mult", "9:2"], "['9']"),
+        (["perturb", "--count", "0"], "--count must be at least 1"),
+        (["perturb", "--count", "-1"], "--count must be at least 1")])
+    def test_rejected_gen_is_one_error_line_and_leaves_no_path(
+            self, tmp_path, capsys, args, said):
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if args[0] in ("inflate", "perturb"):
+            args = args + ["--input", str(tmp_path / "z5@3.alg.json")]
+        assert cli.main(["gen"] + args + ["-o", str(out)]) == 2
+        assert said in self._one_error_line(capsys)
+        assert not out.exists()
+
     def test_gr_and_report_revalidates(self, tmp_path):
         cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
         alg = str(tmp_path / "z5@3.alg.json")

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import lattice_from_rows
 from hypothesis import given, settings, strategies as st
 
+from grforge import linalg
 from grforge.lattices import (
     Lattice,
     LatticeError,
+    coord_solver,
     is_pure,
     pure_closure,
     quotient_free_basis,
@@ -370,3 +373,97 @@ def test_coords_match_dense_reduction(lv):
         assert l.contains_vector(v) == (want is not None)
     for r in l.rows:
         assert l.coords(r) is not None
+
+
+# -- from_rows on {index: entry} rows against the dense worklist echelon -------
+
+@st.composite
+def generator_rows(draw):
+    """Generators over O of Z_(3), Z_(5), Z_(3)[zeta_3] or Z_(5)[zeta_5] with
+    entries of valuation 0 to 2 and many zeros, a zero row and a repeated
+    row among them as drawn."""
+    ring = draw(st.sampled_from((R3, R5, C3, C5)))
+    amb = draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+
+    def entry():
+        if draw(st.booleans()):
+            return ring.zero()
+        x = ring.of(draw(small))
+        if ring.flavor == CYCLOTOMIC:
+            x = x + Cyc.zeta_pow(ring.p, draw(st.integers(0, ring.p - 1))) \
+                * draw(small)
+        return x * ring.pi_power(draw(st.integers(0, 2)))
+
+    rows = [[entry() for _ in range(amb)]
+            for _ in range(draw(st.integers(0, amb + 2)))]
+    if draw(st.booleans()):
+        rows.append([ring.zero()] * amb)
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return ring, amb, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=generator_rows(), data=st.data())
+def test_from_rows_on_dicts_matches_the_dense_echelon(g, data):
+    ring, amb, rows = g
+    want = lattice_from_rows(ring, amb, rows)
+    mixed = [linalg.sparse(r) if data.draw(st.booleans()) else r
+             for r in rows]
+    for given_rows in (rows, [linalg.sparse(r) for r in rows], mixed):
+        got = Lattice.from_rows(ring, amb, given_rows)
+        assert (got.rows, got.pivots, got.pivot_vals) == \
+            (want.rows, want.pivots, want.pivot_vals)
+
+
+@pytest.mark.parametrize("ring", (R3, R5, C3, C5), ids=str)
+def test_from_rows_rejects_what_is_not_a_generator_over_o(ring):
+    one, zero = ring.one(), ring.zero()
+    outside = [one * ring.pi_inv, zero, one]
+    for rows in ([outside], [linalg.sparse(outside)]):
+        with pytest.raises(LatticeError, match="outside O"):
+            Lattice.from_rows(ring, 3, rows)
+    with pytest.raises(LatticeError, match="outside O"):
+        lattice_from_rows(ring, 3, [outside])
+    for key in (3, 7, -1):
+        with pytest.raises(LatticeError, match="index outside"):
+            Lattice.from_rows(ring, 3, [{0: one}, {key: one}])
+    for row in ([one] * 4, [one] * 2, [zero] * 4):
+        with pytest.raises(LatticeError, match="length"):
+            Lattice.from_rows(ring, 3, [row])
+
+
+# -- coord_solver on a dict basis ------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coord_solver_on_dict_rows_keeps_entries_past_the_width_outside(data):
+    """An entry of v at index n + i (n the width of the basis) is outside the
+    span; it must not be read as the coordinate at the augmented column
+    n + i.  Over Q and Q(zeta_p), at level O and K, and over F_p."""
+    ring = data.draw(st.sampled_from((R3, R5, C3, C5)))
+    fld = data.draw(st.sampled_from((ring.field_K, ring.field_k)))
+    over = ring if fld is ring.field_K and data.draw(st.booleans()) else None
+    n = data.draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    # unit pivots at distinct columns, so the rows are independent
+    pivots = sorted(data.draw(st.permutations(range(n)))[:data.draw(
+        st.integers(1, n))])
+    rows = []
+    for c in pivots:
+        row = {c: fld.one}
+        for j in range(c + 1, n):
+            x = fld.of(data.draw(small))
+            if x:
+                row[j] = x
+        rows.append(row)
+    dense = [linalg.dense(r.items(), n, fld.zero) for r in rows]
+    coords = coord_solver(rows, fld, over, n)
+    dense_coords = coord_solver(dense, fld, over)
+    c = [fld.of(data.draw(small)) for _ in rows]
+    v = linalg.combine(c, dense, fld.zero)
+    assert coords(v) == coords(linalg.sparse(v)) == dense_coords(v) == c
+    i = data.draw(st.integers(0, len(rows) - 1))
+    past = {**linalg.sparse(v), n + i: fld.one}
+    assert coords(past) is None and dense_coords(past) is None

@@ -383,8 +383,10 @@ def test_columns_round_trip(kind, data):
     assert linalg.dense_rows(cols, len(a), fld.zero) == a
     assert [dict(r) for r in linalg.row_entries(cols, len(a))] == \
         [{j: x for j, x in enumerate(r) if x} for r in a]
+    flat = [x for r in a for x in r]
     if len(a) == ncols:
-        assert linalg.flatten(cols, fld.zero) == [x for r in a for x in r]
+        assert linalg.flatten(cols) == linalg.sparse(flat)
+    assert linalg.unflatten(flat, ncols) == cols
 
 
 @SETTINGS
@@ -394,7 +396,9 @@ def test_apply_matches_dense_mat_vec(kind, data):
     n = data.draw(st.integers(0, 6))
     a = draw_square(data, fld, n)
     v = [draw_scalar(data, fld) for _ in range(n)]
-    assert linalg.apply(linalg.columns(a), v, fld) == dense_mat_vec(a, v, fld)
+    want = linalg.sparse(dense_mat_vec(a, v, fld))
+    assert linalg.apply(linalg.columns(a), v) == want
+    assert linalg.apply(linalg.columns(a), linalg.sparse(v)) == want
 
 
 @SETTINGS

@@ -28,7 +28,11 @@ dense determinant is left, and only the Smith form and the Hessenberg
 reduction swap rows in place.  Every reduction of a vector against echelon
 rows (`Subspace.reduce`, `contains_vector` and `coords`, `Lattice.coords`
 and the closure of `coord_solver`) calls `linalg.eliminate` and has no
-loop of its own that writes into the vector.
+loop of its own that writes into the vector.  Vectors pass between the
+kernels as {index: entry} dicts: no span is handed a vector made dense by
+hand, `flatten` gives a dict, one `unflatten` reads a flat vector back as
+columns, and only the canonical rows of `Lattice.from_rows` and the lifts of
+`Subspace.lifts_over` are made with `linalg.dense`.
 """
 
 import ast
@@ -910,6 +914,104 @@ def test_reduction_check_sees_a_hand_made_loop():
         ("Subspace.reduce", "has its own reduction loop"),
         ("coord_solver.coords", "does not call linalg.eliminate"),
         ("coord_solver.coords", "has its own reduction loop")]
+
+
+# vectors pass between the kernels as {index: entry} dicts: only what is kept
+# dense is made dense from one, the canonical rows of a Lattice and the lifts
+# of a quotient basis over a field, which are algebra elements
+DENSE_VECTOR_CALLERS = {"lattices.Lattice.from_rows",
+                        "linalg.Subspace.lifts_over"}
+REMOVED_DENSE_ROUTINES = {"_sparse_span", "_column_vectors", "_back_reduce"}
+SPAN_MAKERS = {"span", "span_of", "from_rows", "product_span", "left_ideal",
+               "right_ideal", "stable_span", "image", "submodule_generated",
+               "rref", "rank", "coord_solver"}
+
+
+def _densify(node):
+    """A dense vector made by hand: a call of `dense`, a repeated list
+    (`[zero] * n`), or a comprehension over a range whose element reads a
+    dict with a default (`v.get(t, zero)`)."""
+    if _call_name(node) == "dense":
+        return True
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.List)):
+        return True
+    return (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+            and _call_name(node.elt) == "get" and len(node.elt.args) == 2
+            and any(_call_name(g.iter) == "range" for g in node.generators))
+
+
+def _dense_vector_problems(stem, tree):
+    """(line, what) for each definition or use of a removed dense routine,
+    each `flatten` defined or called with more than the columns, each
+    unflatten by hand (`column(v[c::n])`) outside `linalg.unflatten`, each
+    call of `dense` outside DENSE_VECTOR_CALLERS and each dense vector made
+    by hand (see `_densify`) in the arguments of a call that spans."""
+    owner = {id(node): f"{stem}.{name}"
+             for name, fn in _functions(tree).items()
+             for node in _own_nodes(fn)}
+    for node in ast.walk(tree):
+        name = getattr(node, "name", getattr(node, "id", getattr(
+            node, "attr", None)))
+        if name in REMOVED_DENSE_ROUTINES:
+            yield node.lineno, name
+        if isinstance(node, FUNCTIONS) and node.name == "flatten" \
+                and len(node.args.args) != 1:
+            yield node.lineno, "dense flatten"
+        called = _call_name(node)
+        if called == "flatten" and len(node.args) != 1:
+            yield node.lineno, "dense flatten"
+        if called == "column" and owner.get(id(node)) != "linalg.unflatten" \
+                and any(isinstance(a, ast.Subscript)
+                        and isinstance(a.slice, ast.Slice) and a.slice.step
+                        for a in node.args):
+            yield node.lineno, "unflatten by hand"
+        if called == "dense" and owner.get(id(node)) not in \
+                DENSE_VECTOR_CALLERS:
+            yield node.lineno, "dense vector"
+        if called in SPAN_MAKERS and any(
+                _densify(n) for a in node.args for n in ast.walk(a)):
+            yield node.lineno, f"dense vector to {called}"
+
+
+def test_vectors_between_kernels_stay_dicts():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        found += [f"{path.name}:{line} {what}" for line, what
+                  in _dense_vector_problems(path.stem,
+                                            ast.parse(path.read_text()))]
+    assert not found, f"dense vectors between the kernels: {found}"
+
+
+def test_dense_vector_check_sees_a_densify_in_front_of_a_span():
+    tree = ast.parse(
+        "class StructureAlgebra:\n"
+        "    def _column_vectors(self, cols):\n"
+        "        return [linalg.dense(c, self.rank, self.fld.zero)\n"
+        "                for c in cols if c]\n"
+        "    def corner(self, e):\n"
+        "        cols = self.right_mult_of(e)\n"
+        "        rows = [[c.get(t, self.fld.zero) for t in range(self.rank)]\n"
+        "                for c in map(dict, cols)]\n"
+        "        return self.span([dense(c, self.rank, 0) for c in cols])\n"
+        "    def ideal(self, e):\n"
+        "        return self.span([dict(c).get(t, 0) for t in range(3)]\n"
+        "                         for c in self.left_mult_of(e))\n"
+        "    def fine(self, e):\n"
+        "        return self.span([dict(c) for c in self.left_mult_of(e)])\n"
+        "def flatten(cols, zero):\n"
+        "    out = [zero] * len(cols) ** 2\n"
+        "    return Lattice.from_rows(ring, 4, [[zero] * 4, flatten(cols)])\n"
+        "def matb(rows, n):\n"
+        "    return [[linalg.column(b[c::n]) for c in range(n)] for b in rows]\n"
+        "class Subspace:\n"
+        "    def lifts_over(self, sub):\n"
+        "        return [dense(r.items(), 3, 0) for r in sub]\n")
+    assert sorted(_dense_vector_problems("linalg", tree)) == [
+        (2, "_column_vectors"), (3, "dense vector"), (9, "dense vector"),
+        (9, "dense vector to span"), (11, "dense vector to span"),
+        (15, "dense flatten"), (17, "dense vector to from_rows"),
+        (19, "unflatten by hand")]
 
 
 def _is_dataclass(node):

@@ -130,10 +130,12 @@ def e_k_lambda(alg_field, lam):
         raise tightness.TightnessError("pim generator lost in restriction")
     h = None
     for i in range(delta.rank):
-        w = linalg.apply(delta.act_matrix(f), delta.basis_vec(i), delta.fld)
-        if not any(w):
+        w = linalg.apply(delta.act_matrix(f), delta.basis_vec(i))
+        if not w:
             continue
-        cand = modules.hom_with_generator_images(pim, delta, [gen], [w])
+        cand = modules.hom_with_generator_images(
+            pim, delta, [gen], [linalg.dense(w.items(), delta.rank,
+                                             delta.fld.zero)])
         if cand is None:
             continue
         img = [[cand[r][c] for r in range(delta.rank)] for c in range(pim.rank)]
