@@ -39,7 +39,8 @@ class Lattice:
     @staticmethod
     def from_rows(ring: RingSpec, ambient: int, rows) -> "Lattice":
         """Canonicalize generators over O, each a dense row of length
-        `ambient` or an {index: entry} dict (see linalg.sparse).
+        `ambient` or an {index: entry} dict (see linalg.sparse); a generator
+        with an entry outside O raises LatticeError.
 
         A worklist echelon on the rows as dicts: an incoming row either
         reduces against the pivot row at its first column or, when its entry
@@ -55,6 +56,8 @@ class Lattice:
             elif r and not 0 <= min(r) <= max(r) < ambient:
                 raise LatticeError("generator index outside the ambient rank")
             r = linalg.sparse(r)
+            if not all(map(ring.in_O, r.values())):
+                raise LatticeError("generator entry outside O")
             if r:
                 queue.append(r)
         piv = {}   # col -> (valuation a, row with pivot entry exactly pi^a)
@@ -64,8 +67,6 @@ class Lattice:
                 col = min(r)
                 x = r[col]
                 v = ring.valuation(x)
-                if v < 0:
-                    raise LatticeError("generator entry outside O")
                 if col in piv:
                     a, prow = piv[col]
                     if v >= a:

@@ -8,11 +8,12 @@ nilpotency proof; `radical_field` reads the head of the chain and
 
 * char 0: the kernel of the trace form tr(L_x L_y) (Dickson); the trace form
   must also be nondegenerate on the quotient.
-* char p (prime field): the trace-form kernel, then the Friedl-Ronyai stages
-  B_i(x, y) = c_(p^i)(L_(xy)) on the shrinking candidate space, p^i <= rank,
-  on ints mod p.  Every stage kernel contains the radical (L_(xy) is
-  nilpotent for x radical), so the first that is a nilpotent ideal IS the
-  radical.
+* char p (prime field): the trace-form kernel, then the Friedl-Ronyai
+  stages {x in I : g(x b_j) = 0 for every basis element b_j} of the last
+  ideal I, g = c_(p^i)(L_-), p^i <= rank: g is F_p-linear on I (Ronyai
+  1990), so a stage takes one charpoly per row of I, on ints mod p.  Each
+  stage contains the radical, so the first that is nilpotent IS the radical;
+  a candidate that is not an ideal raises InternalCheckError.
 
 A power chain S, S^2, ... of any span stops early once S^(k+1) = S^k, since
 S^(k+2) = S^(k+1) S then repeats it: a span that is not nilpotent costs only
@@ -96,9 +97,9 @@ def radical_chain(alg: StructureAlgebra):
 def _radical_proof(alg):
     """[rad, rad^2, ..., 0] as linalg.Subspaces, built and checked once per
     algebra: the candidate is an ideal, and its power chain reaching 0 is
-    the nilpotency proof.  In char p a candidate that fails is replaced by
-    the next Friedl-Ronyai stage; in char 0 the trace form must also be
-    nondegenerate on the quotient (Dickson)."""
+    the nilpotency proof.  In char p a candidate that is not nilpotent is
+    replaced by the next Friedl-Ronyai stage; in char 0 the trace form must
+    also be nondegenerate on the quotient (Dickson)."""
     if alg.level == "O":
         raise AlgebraError("radical_field expects a K- or k-level algebra")
     fld = alg.fld
@@ -106,15 +107,19 @@ def _radical_proof(alg):
     candidate = linalg.kernel_right(trace_gram(alg), fld)
     power = 1
     while True:
-        if is_ideal(alg, candidate):
-            chain = _subspace_powers(alg, candidate, alg.rank + 1)
-            if not chain[-1].rank:
-                break
+        # the trace-form kernel and every stage of an ideal are ideals
+        if not is_ideal(alg, candidate):
+            raise InternalCheckError("radical candidate is not an ideal")
+        chain = _subspace_powers(alg, candidate, alg.rank + 1)
+        if not chain[-1].rank:
+            break
         # the stages c_(p^i) for p^i <= rank end at the radical
         if fld.char == 0 or power * fld.char > alg.rank:
             raise AlgebraError("radical candidate is not a nilpotent ideal")
         power *= fld.char
-        candidate = _fr_stage(alg, candidate, power)
+        ideal = chain[0]
+        ker = linalg.kernel_right(_fr_form(alg, ideal, power), fld, ideal.rank)
+        candidate = [linalg.combine(c, ideal.rows, fld.zero) for c in ker]
     if fld.char == 0:
         quot, _, _ = alg.quotient_by_ideal(chain[0].rows)
         if linalg.rank(trace_gram(quot), fld) < quot.rank:
@@ -122,38 +127,27 @@ def _radical_proof(alg):
     return chain
 
 
-def _fr_form(alg, basis_rows, power):
-    """The form (x, y) -> c_power of L_(x y) on the rows, an F_p matrix; the
-    products and charpolys run on ints mod p.  It is symmetric, since L_x L_y
-    and L_y L_x have one charpoly, so one triangle is computed."""
-    p = alg.fld.p
-    n = alg.rank
-    # each L_x by its sparse columns, on ints
-    mats = [[[(t, x.v) for t, x in col] for col in alg.left_mult_of(list(v))]
-            for v in basis_rows]
-    d = len(mats)
-    form = [[None] * d for _ in range(d)]
-    for s in range(d):
-        left = mats[s]
-        for t in range(s, d):
-            prod = [[0] * n for _ in range(n)]
-            for k, col in enumerate(mats[t]):
-                for j, y in col:
-                    for r, x in left[j]:
-                        prod[r][k] += x * y
-            prod = [[c % p for c in row] for row in prod]
-            c = linalg.charpoly_mod_p(prod, p)[power]
-            form[s][t] = form[t][s] = alg.fld.of(c)
-    return form
-
-
-def _fr_stage(alg, basis_rows, power):
-    """Kernel of the Friedl-Ronyai form c_power on the span of the rows."""
+def _fr_form(alg, ideal, power):
+    """The matrix [g(z_k b_j)] of the Friedl-Ronyai stage c_power on an
+    ideal I (a linalg.Subspace with rref rows z_k), g(z) = c_power(L_z), by
+    its n columns {k: entry} over F_p; its left kernel is the next stage.
+    g is linear on I: one charpoly per row, on ints mod p, gives its values
+    g_m on the rows.  Each z_k b_j lies in I with coordinates its entries at
+    the unit pivots c_m, so g(z_k b_j) = sum_m L_(z_k)[c_m][j] g_m."""
     fld = alg.fld
-    basis_rows, _ = linalg.rref(basis_rows, fld)
-    ker = linalg.kernel_right(_fr_form(alg, basis_rows, power), fld)
-    return linalg.rref([linalg.combine(c, basis_rows, fld.zero)
-                        for c in ker], fld)[0]
+    p, n = fld.p, alg.rank
+    at = {c: m for m, c in enumerate(ideal.pivots)}
+    mats = [[[(r, x.v) for r, x in col] for col in alg.left_mult_of(z)]
+            for z in ideal.rows]
+    g = [linalg.charpoly_mod_p(linalg.dense_rows(cols, n, 0), p)[power]
+         for cols in mats]
+    form = [{} for _ in range(n)]
+    for k, cols in enumerate(mats):
+        for j, col in enumerate(cols):
+            y = sum(x * g[at[r]] for r, x in col if r in at) % p
+            if y:
+                form[j][k] = fld.of(y)
+    return form
 
 
 # ---------------------------------------------------------------------------

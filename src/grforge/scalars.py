@@ -646,13 +646,15 @@ class RingSpec:
             v += 1
         return v
 
-    def residue(self, x) -> Fp:
-        """Residue map O -> k = F_p.  Cyclotomic flavor sends zeta to 1.
+    def in_O(self, x) -> bool:
+        """For x = n / d in lowest terms, x lies in O iff p does not divide
+        d: if p | d, then p does not divide every n_i, so v(n) < p - 1 =
+        v(p) and v(x) < 0."""
+        return (x.d if isinstance(x, Cyc) else _ratio(x)[1]) % self.p != 0
 
-        For x = n / d in lowest terms, x lies in O iff p does not divide d:
-        if p | d, then p does not divide every n_i, so v(n) < p - 1 = v(p)
-        and v(x) < 0.  Then zeta -> 1 sends x to sum(n) / d.
-        """
+    def residue(self, x) -> Fp:
+        """Residue map O -> k = F_p, defined where `in_O` holds: zeta -> 1
+        sends x = n / d to sum(n) / d."""
         p = self.p
         if isinstance(x, Cyc):
             num, den = sum(x.n), x.d

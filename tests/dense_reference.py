@@ -12,9 +12,15 @@ helpers `mat_copy` and `identity`, is kept verbatim as the oracle.
 `Lattice.from_rows` runs its Hermite echelon on {index: entry} rows; the
 dense worklist echelon it replaced (`lattice_from_rows`, with
 `_normalize_pivot` and `_back_reduce`) is kept verbatim as the oracle.
+A char-p radical stage reads a linear functional off one charpoly per
+basis row of the candidate ideal; the pairwise Friedl-Ronyai form it
+replaced, one product L_x L_y and one charpoly per pair of rows
+(`fr_form_pairwise`, `fr_stage_pairwise`), is kept verbatim as the oracle,
+with the radical it reaches (`radical_pairwise`).
 """
 
-from grforge import linalg
+from grforge import linalg, radicals
+from grforge.algebra import AlgebraError
 from grforge.lattices import Lattice, LatticeError
 
 
@@ -167,3 +173,54 @@ def _back_reduce(ring, ech):
                 for j in range(col, len(row)):
                     if row[j]:
                         above[j] = above[j] - q * row[j]
+
+
+def fr_form_pairwise(alg, basis_rows, power):
+    """The form (x, y) -> c_power of L_(x y) on the rows, an F_p matrix; the
+    products and charpolys run on ints mod p.  It is symmetric, since L_x L_y
+    and L_y L_x have one charpoly, so one triangle is computed."""
+    p = alg.fld.p
+    n = alg.rank
+    # each L_x by its sparse columns, on ints
+    mats = [[[(t, x.v) for t, x in col] for col in alg.left_mult_of(list(v))]
+            for v in basis_rows]
+    d = len(mats)
+    form = [[None] * d for _ in range(d)]
+    for s in range(d):
+        left = mats[s]
+        for t in range(s, d):
+            prod = [[0] * n for _ in range(n)]
+            for k, col in enumerate(mats[t]):
+                for j, y in col:
+                    for r, x in left[j]:
+                        prod[r][k] += x * y
+            prod = [[c % p for c in row] for row in prod]
+            c = linalg.charpoly_mod_p(prod, p)[power]
+            form[s][t] = form[t][s] = alg.fld.of(c)
+    return form
+
+
+def fr_stage_pairwise(alg, basis_rows, power):
+    """Kernel of the Friedl-Ronyai form c_power on the span of the rows."""
+    fld = alg.fld
+    basis_rows, _ = linalg.rref(basis_rows, fld)
+    ker = linalg.kernel_right(fr_form_pairwise(alg, basis_rows, power), fld)
+    return linalg.rref([linalg.combine(c, basis_rows, fld.zero)
+                        for c in ker], fld)[0]
+
+
+def radical_pairwise(alg):
+    """Radical rows (rref) of a field algebra of char p through the
+    pairwise stages: the first candidate that is a nilpotent ideal."""
+    fld = alg.fld
+    candidate = linalg.kernel_right(radicals.trace_gram(alg), fld)
+    power = 1
+    while True:
+        if radicals.is_ideal(alg, candidate):
+            chain = radicals._subspace_powers(alg, candidate, alg.rank + 1)
+            if not chain[-1].rank:
+                return chain[0].rows
+        if power * fld.char > alg.rank:
+            raise AlgebraError("radical candidate is not a nilpotent ideal")
+        power *= fld.char
+        candidate = fr_stage_pairwise(alg, candidate, power)

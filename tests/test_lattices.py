@@ -426,6 +426,13 @@ def test_from_rows_rejects_what_is_not_a_generator_over_o(ring):
             Lattice.from_rows(ring, 3, rows)
     with pytest.raises(LatticeError, match="outside O"):
         lattice_from_rows(ring, 3, [outside])
+    # an entry outside O that the echelon never meets at a pivot, also
+    # where it would be reduced away above a later pivot
+    high = one / ring.p
+    for rows in ([[one, high]], [[one, high], [zero, one]],
+                 [{0: one, 1: high}, {1: one}]):
+        with pytest.raises(LatticeError, match="outside O"):
+            Lattice.from_rows(ring, 2, rows)
     for key in (3, 7, -1):
         with pytest.raises(LatticeError, match="index outside"):
             Lattice.from_rows(ring, 3, [{0: one}, {key: one}])

@@ -482,7 +482,8 @@ def test_charpoly_matches_fp_reference(kind, data):
 @SETTINGS
 @given(st.sampled_from(PRIME_FIELDS), st.data())
 def test_charpoly_of_ab_is_charpoly_of_ba(kind, data):
-    # the Friedl-Ronyai form fills one triangle on this identity
+    # g(x y) = g(y x) for g = c_power(L_-): each Friedl-Ronyai stage is a
+    # left ideal by it, and the pairwise oracle fills one triangle on it
     fld = FIELDS[kind]
     n = data.draw(st.integers(1, 6))
     a = draw_rows(data, fld, n, n)

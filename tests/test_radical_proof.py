@@ -1,12 +1,16 @@
 """The radical's proof chain and the fast paths it runs on.
 
 Each property checks a fast path against the slow reference it replaced,
-kept here verbatim: the full rank + 1 power loop, the dense double loop of
-`StructureAlgebra.mul`, and the Friedl-Ronyai form built with dense `Fp`
-products and `charpoly`.  The algebras are z5 over Q and F_3 and q-Schur
-S(2,2) over Q(zeta_3) and F_3.
+kept here verbatim: the full rank + 1 power loop and the dense double loop
+of `StructureAlgebra.mul`.  The algebras are z5 over Q and F_3 and q-Schur
+S(2,2) over Q(zeta_3) and F_3.  The Friedl-Ronyai stage form, one charpoly
+per row of the candidate ideal, is checked on the inputs the radical proof
+actually gives it, against one charpoly per product z_k b_j and against the
+pairwise form of `dense_reference`, on z5, z5s, the small quantum sl2 and
+q-Schur algebras at k; on S(2,5) that check is opt-in (GRFORGE_OPT_IN=1).
 """
 
+import os
 import time
 from collections import Counter
 from fractions import Fraction
@@ -15,13 +19,13 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grforge import fixtures, linalg, radicals, suites
-from grforge.scalars import Cyc, CycField, Fp, RatField
+from dense_reference import fr_form_pairwise, radical_pairwise
+from grforge import cli, fixtures, linalg, radicals, suites
+from grforge.scalars import Cyc, CycField, RatField
 
 SETTINGS = settings(max_examples=40, deadline=None)
 ALGEBRAS = ["z5@O", "z5@K", "z5@k", "qschur23@O", "qschur23@K", "qschur23@k"]
 FIELD_ALGEBRAS = [a for a in ALGEBRAS if not a.endswith("@O")]
-PRIME_ALGEBRAS = [a for a in ALGEBRAS if a.endswith("@k")]
 
 
 @cache
@@ -74,12 +78,14 @@ def charpoly(a, p):
     return linalg.charpoly_mod_p([[x.v for x in r] for r in a], p)
 
 
-def fp_form(alg, rows, power):
-    fld = alg.fld
-    mats = [linalg.dense_rows(alg.left_mult_of(list(v)), alg.rank, fld.zero)
-            for v in rows]
-    return [[Fp(fld.p, charpoly(dense_product(a, b, fld), fld.p)[power])
-             for b in mats] for a in mats]
+def per_product_form(alg, rows, power):
+    """[c_power(L_(z_k b_j))] for the rows z_k and the basis elements b_j:
+    one product and one charpoly of its dense multiplication matrix per
+    entry."""
+    fld, n = alg.fld, alg.rank
+    return [[fld.of(charpoly(linalg.dense_rows(
+        alg.left_mult_of(alg.mul(list(z), alg.basis_vec(j))), n, fld.zero),
+        fld.p)[power]) for j in range(n)] for z in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +151,6 @@ def test_early_exit_powers_match_the_full_loop(case, data):
     assert all(s == fast[-1] for s in full[len(fast):])
 
 
-@SETTINGS
-@given(st.sampled_from(PRIME_ALGEBRAS), st.data())
-def test_int_fr_form_matches_fp_reference(case, data):
-    alg = algebra(case)
-    p = alg.fld.p
-    rows = draw_span(data, alg)
-    power = p ** data.draw(st.integers(0, 1))
-    got = radicals._fr_form(alg, rows, power)
-    assert got == fp_form(alg, rows, power)
-    assert all(type(c) is Fp and c.p == p for r in got for c in r)
-
-
 def dense_left_mult(alg):
     """The left multiplication matrices as row lists, from the structure
     constants."""
@@ -196,6 +190,104 @@ def test_proof_chain_is_the_radical_filtration(case):
 
 
 # ---------------------------------------------------------------------------
+# the Friedl-Ronyai stages: one charpoly per row of the candidate
+# ---------------------------------------------------------------------------
+
+OPT_IN = pytest.mark.skipif(not os.environ.get("GRFORGE_OPT_IN"),
+                            reason="opt-in: set GRFORGE_OPT_IN=1")
+FR_CASES = (["z5@3", "z5@5", "z5s@3", "usl2@3"]
+            + [f"qschur{d}@{p}" for d in (2, 3, 4) for p in (3, 5)]
+            + [pytest.param(f"qschur5@{p}", marks=OPT_IN) for p in (3, 5)])
+
+
+@cache
+def algebra_at_k(case):
+    name, p = case.split("@")
+    builders = {"z5": fixtures.build_z5, "z5s": fixtures.build_z5s,
+                "usl2": fixtures.build_usl2}
+    if name in builders:
+        return builders[name](int(p)).base_change("k")
+    return fixtures.build_qschur(int(name[-1]), int(p)).base_change("k")
+
+
+def stage_inputs(alg):
+    """The radical proof of alg, with the (ideal, power) of every stage it
+    runs."""
+    inputs = []
+    fr_form = radicals._fr_form
+
+    def recorded(alg, ideal, power):
+        inputs.append((ideal, power))
+        return fr_form(alg, ideal, power)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(radicals, "_fr_form", recorded)
+        return radicals._radical_proof(alg), inputs
+
+
+@pytest.mark.parametrize("case", FR_CASES)
+def test_fr_stages_match_the_per_product_and_pairwise_forms(case):
+    """On the trace-form kernel and each later stage, as the proof runs
+    them: the form g(z_k b_j) equals the charpoly of each product, and
+    g(z_s z_t) = sum_j z_t[j] g(z_s b_j) the pairwise form."""
+    alg = algebra_at_k(case)
+    fld, n = alg.fld, alg.rank
+    chain, inputs = stage_inputs(alg)
+    for ideal, power in inputs:
+        cols = radicals._fr_form(alg, ideal, power)
+        form = [[cols[j].get(k, fld.zero) for j in range(n)]
+                for k in range(ideal.rank)]
+        assert form == per_product_form(alg, ideal.rows, power)
+        assert [[sum((x * y for x, y in zip(f, z)), fld.zero)
+                 for z in ideal.rows] for f in form] == \
+            fr_form_pairwise(alg, ideal.rows, power)
+    assert chain[0].rows == radical_pairwise(alg)
+
+
+def test_one_charpoly_per_row_of_the_candidate(monkeypatch):
+    # the trace-form kernel of qschur(3,3) at k has 16 rows: the pairwise
+    # form took 16 * 17 / 2 = 136 charpolys
+    calls = Counter()
+    charpoly_mod_p = linalg.charpoly_mod_p
+
+    def counted(h, p):
+        calls[len(h)] += 1
+        return charpoly_mod_p(h, p)
+
+    monkeypatch.setattr(linalg, "charpoly_mod_p", counted)
+    alg = fixtures.build_qschur(3, 3).base_change("k")
+    chain, inputs = stage_inputs(alg)
+    assert [(ideal.rank, power) for ideal, power in inputs] == [(16, 3)]
+    assert calls == {alg.rank: 16}
+    assert chain[0].rank == 12
+
+
+def test_non_ideal_candidate_gives_no_verdict(tmp_path, monkeypatch, capsys):
+    # a trace form whose kernel is the span of a basis idempotent of z5,
+    # which is no ideal: the proof stops with an internal error, and no
+    # report is written
+    cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+    alg = fixtures.build_z5(3).base_change("k")
+    e = next(i for i in range(alg.rank)
+             if alg.mul(alg.basis_vec(i), alg.basis_vec(i))
+             == alg.basis_vec(i))
+    assert not radicals.is_ideal(alg, [alg.basis_vec(e)])
+
+    def gram(alg):
+        fld = alg.fld
+        return [[fld.one if i == j != e else fld.zero
+                 for j in range(alg.rank)] for i in range(alg.rank)]
+
+    monkeypatch.setattr(radicals, "trace_gram", gram)
+    rep = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli.main(["verify", "thm417", str(tmp_path / "z5@3.alg.json"),
+                     "--report", str(rep)]) == cli.EXIT_MALFORMED
+    assert capsys.readouterr().err.startswith("internal error: ")
+    assert not rep.exists()
+
+
+# ---------------------------------------------------------------------------
 # the main theorem at rank 56, within a wall budget
 # ---------------------------------------------------------------------------
 
@@ -210,7 +302,7 @@ def test_thm_417_on_qschur_5_proves_each_radical_once(p, monkeypatch):
     algebras = []  # keeps every algebra alive, so no id() is reused
     radical_proof = radicals._radical_proof
     is_ideal = radicals.is_ideal
-    fr_stage = radicals._fr_stage
+    fr_form = radicals._fr_form
 
     def counted_proof(alg):
         algebras.append(alg)
@@ -221,13 +313,13 @@ def test_thm_417_on_qschur_5_proves_each_radical_once(p, monkeypatch):
         candidates[(id(alg), tuple(map(tuple, rows)))] += 1
         return is_ideal(alg, rows)
 
-    def counted_stage(alg, rows, power):
+    def counted_stage(alg, ideal, power):
         stages[id(alg)] += 1
-        return fr_stage(alg, rows, power)
+        return fr_form(alg, ideal, power)
 
     monkeypatch.setattr(radicals, "_radical_proof", counted_proof)
     monkeypatch.setattr(radicals, "is_ideal", counted_is_ideal)
-    monkeypatch.setattr(radicals, "_fr_stage", counted_stage)
+    monkeypatch.setattr(radicals, "_fr_form", counted_stage)
     t0 = time.time()
     alg = fixtures.build_qschur(5, p)
     res = suites.thm_417_suite(alg)

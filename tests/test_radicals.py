@@ -4,7 +4,7 @@ import pytest
 
 from grforge import linalg, radicals
 from grforge.algebra import AlgebraError, StructureAlgebra
-from grforge.scalars import RATIONAL, RingSpec
+from grforge.scalars import RATIONAL, InternalCheckError, RingSpec
 
 R3 = RingSpec(RATIONAL, 3)
 
@@ -74,13 +74,14 @@ class TestRadicalCharP:
         assert radicals.radical_field(a) == []
 
     def test_nilpotent_candidate_must_be_an_ideal(self, monkeypatch):
-        # a trace form whose kernel is span{E12}: nilpotent, not an ideal
+        # a trace form whose kernel is span{E12}: nilpotent, not an ideal,
+        # and no stage may start from it
         a = full_2x2().base_change("k")
         fld = a.fld
         gram = [[fld.one if i == j != 1 else fld.zero for j in range(4)]
                 for i in range(4)]
         monkeypatch.setattr(radicals, "trace_gram", lambda alg: gram)
-        with pytest.raises(AlgebraError):
+        with pytest.raises(InternalCheckError, match="not an ideal"):
             radicals.radical_field(a)
 
 
