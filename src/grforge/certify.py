@@ -476,16 +476,13 @@ def _endo_direct_check(alg, J, expected_sizes):
     except AlgebraError:
         return False
     endo = StructureAlgebra(alg.ring, "O", len(matb), None, unit_c, sc)
-    # simple endo-modules sit inside J itself: End . v for module vectors v
+    # simple endo-modules sit inside J itself: End . v for module vectors v,
+    # built lazily: the splitting stops at one per central character
     endo_k = endo.base_change("K")
     jmod = ModuleRep(endo_k, n, matb)
-    cands = []
-    for i in range(n):
-        sub = jmod.submodule_generated([jmod.basis_vec(i)])
-        if not sub.rank:
-            continue
-        smod = jmod.restrict_to(sub)
-        cands.append((f"v{i}", smod))
+    cands = ((f"v{i}", jmod.restrict_to(sub)) for i in range(n)
+             for sub in [jmod.submodule_generated([jmod.basis_vec(i)])]
+             if sub.rank)
     try:
         w = recognize_matrix_algebra(endo, cands)
     except (radicals.NonSplitError, AlgebraError):

@@ -14,6 +14,7 @@ stratum reach every symbol there).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .algebra import AlgebraError
@@ -58,45 +59,78 @@ class PrimitivityReport:
     detail: dict = field(default_factory=dict)
 
 
-def primitivity_test(mod: ModuleRep, v, lam, chain=None,
-                     n_prime=None) -> PrimitivityReport:
+class WeightInvariants:
+    """What primitivity_test reads of (mod, lam) besides the vector: the
+    weight projector's columns, the radical chain (pass one in to share it
+    between weights) and, each built on first use and kept, the weight rows,
+    N ∩ N'_K(lam), f_lat(g) and the footnote-7 maximality verdict."""
+
+    def __init__(self, mod: ModuleRep, lam, chain=None):
+        self.mod, self.lam = mod, lam
+        self.projector = mod.act_matrix(list(mod.algebra.weights.idempotents[lam]))
+        self.chain = module_rad_chain(mod) if chain is None else chain
+        self._f_lats = {}
+
+    @cached_property
+    def rows(self):
+        return self.mod.weight_space_rows(self.lam)
+
+    @cached_property
+    def n_prime(self):
+        return n_prime_lattice(self.mod, self.lam)
+
+    def f_lat(self, grade):
+        """The pure lattice of rad^(grade+1) N + N'_K(lam)."""
+        if grade not in self._f_lats:
+            step = self.chain[min(grade + 1, len(self.chain) - 1)]
+            rows = [list(r) for r in (*step.rows, *self.n_prime[1].rows)]
+            self._f_lats[grade] = saturate_rows(self.mod.algebra.ring,
+                                                self.mod.rank, rows)
+        return self._f_lats[grade]
+
+    @cached_property
+    def maximality(self):
+        """(ok, mu): lam is maximal among the weights of N_K / N'_K(lam)
+        (footnote 7), and the last mu > lam that violates it, or None."""
+        w = self.mod.algebra.weights
+        quot, _, _ = self.mod.base_change("K").quotient_by(self.n_prime[1])
+        ok, violating = len(quot.weight_space_rows(self.lam)) > 0, None
+        for mu in w.Lambda:
+            if w.lt(self.lam, mu) and len(quot.weight_space_rows(mu)):
+                ok, violating = False, mu
+        return ok, violating
+
+
+def primitivity_test(mod: ModuleRep, v, lam,
+                     inv: WeightInvariants | None = None) -> PrimitivityReport:
     """Exact primitivity and strong primitivity of a lam-weight vector.
 
-    `chain` and `n_prime` are module_rad_chain(mod) and
-    n_prime_lattice(mod, lam); they are built here when not given, so that
-    a caller testing many vectors builds them once.
+    `inv` is WeightInvariants(mod, lam), built here when not given, so that
+    a caller testing many vectors of one (mod, lam) builds it once.
     """
     if mod.level != "O":
         raise ForcedError("primitivity is an integral-level notion")
-    alg = mod.algebra
-    w = alg.weights
-    e = list(w.idempotents[lam])
+    if inv is None:
+        inv = WeightInvariants(mod, lam)
     v = list(v)
-    if linalg.apply(mod.act_matrix(e), v) != linalg.sparse(v):
+    if linalg.apply(inv.projector, v) != linalg.sparse(v):
         raise ForcedError("vector is not a lam-weight vector")
-    if n_prime is None:
-        n_prime = n_prime_lattice(mod, lam)
-    nprime, nprime_K = n_prime
+    nprime, _ = inv.n_prime
     full = mod.full_lattice()
     detail = {}
     if not any(v):
         return PrimitivityReport(False, False, None, None, detail)
-    in_nprime = nprime.contains_vector(v)
-    if in_nprime:
+    if nprime.contains_vector(v):
         primitive = False
     else:
         with_v = nprime.add(mod.span([v]))
         primitive = is_pure(with_v, full)
     # strong primitivity at the unique filtration depth of v
-    if chain is None:
-        chain = module_rad_chain(mod)
-    depth = 0
-    while depth + 1 < len(chain) and chain[depth + 1].contains_vector(v):
-        depth += 1
-    grade = depth
-    f_rows = [list(r) for r in chain[min(grade + 1, len(chain) - 1)].rows]
-    f_rows += [list(r) for r in nprime_K.rows]
-    f_lat = saturate_rows(alg.ring, mod.rank, f_rows)
+    chain = inv.chain
+    grade = 0
+    while grade + 1 < len(chain) and chain[grade + 1].contains_vector(v):
+        grade += 1
+    f_lat = inv.f_lat(grade)
     if f_lat.contains_vector(v):
         strongly = False
     else:
@@ -106,15 +140,9 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
         raise ForcedError("strong primitivity without primitivity (Prop 4.4(c))")
     maximality = None
     if primitive:
-        # footnote-7 necessary condition: lam is maximal among mu with
-        # (N_K / N'_K(lam))_mu != 0
-        modK = mod.base_change("K")
-        quot, _, _ = modK.quotient_by(nprime_K)
-        maximality = len(quot.weight_space_rows(lam)) > 0
-        for mu in w.Lambda:
-            if w.lt(lam, mu) and len(quot.weight_space_rows(mu)):
-                maximality = False
-                detail["violating_weight"] = mu
+        maximality, violating = inv.maximality
+        if violating is not None:
+            detail["violating_weight"] = violating
     return PrimitivityReport(primitive, strongly, grade, maximality, detail)
 
 

@@ -107,6 +107,8 @@ def _radical_proof(alg):
     candidate = linalg.kernel_right(trace_gram(alg), fld)
     power = 1
     while True:
+        # spanned once here: is_ideal and _subspace_powers pass it through
+        candidate = alg.span(candidate)
         # the trace-form kernel and every stage of an ideal are ideals
         if not is_ideal(alg, candidate):
             raise InternalCheckError("radical candidate is not an ideal")
@@ -204,9 +206,10 @@ class Block:
 def split_semisimple(alg, modules):
     """Split a semisimple field algebra into matrix blocks.
 
-    `modules` is a list of (label, acts) with acts the action matrices
+    `modules` is an iterable of (label, acts) with acts the action matrices
     (sparse columns) of a module that is expected to be simple; they must jointly separate (cover)
-    all blocks.  The first module of each central character names its block.
+    all blocks.  The first module of each central character names its block;
+    reading stops at the m-th character, m = dim of the center.
     Returns a list of Block with verified central idempotents and matrix units.
     """
     fld = alg.fld
@@ -221,6 +224,8 @@ def split_semisimple(alg, modules):
             continue
         if tuple(vec) not in {tuple(c) for (c, _, _) in chars}:
             chars.append((vec, label, acts))
+            if len(chars) == m:
+                break  # distinct characters are independent: at most m
     if len(chars) != m:
         raise NonSplitError(
             f"modules separate {len(chars)} of {m} central characters")

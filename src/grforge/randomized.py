@@ -3,7 +3,8 @@
 These drive the bulk invariants: strong primitivity implies primitivity with
 the maximality side condition on every positive verdict, and the three
 tightness characterizations agree on random subalgebra lattices.  All draws
-are deterministic given the seed (GRFORGE_SEED for the CLI).
+are deterministic given the seed (GRFORGE_SEED for the CLI).  Each distinct
+draw is decided once; its repeats count again with the same exact result.
 """
 
 from __future__ import annotations
@@ -29,14 +30,20 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
              "implication_violations": 0, "maximality_violations": 0}
     mods = [m for m in mods if m.rank]
     fld = alg.fld
-    # each module's chain and N ∩ N'_K(lam) are built once, on first use
-    chains = {}
-    n_primes = {}
+    # one chain per module and one WeightInvariants per (module, lam), built
+    # on the module's first draw; each distinct (module, lam, v) decided once
+    invariants = {}
+    reports = {}
     while stats["trials"] < trials:
         i = rng.randrange(len(mods))
         mod = mods[i]
         lam = w.Lambda[rng.randrange(len(w.Lambda))]
-        rows = mod.weight_space_rows(lam)
+        if i not in invariants:
+            chain = module_rad_chain(mod)
+            invariants[i] = {mu: forced.WeightInvariants(mod, mu, chain)
+                             for mu in w.Lambda}
+        inv = invariants[i][lam]
+        rows = inv.rows
         if not rows:
             continue
         coeffs = []
@@ -47,11 +54,10 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
             coeffs.append(fld.of(c))
         v = linalg.combine(coeffs, rows, fld.zero)
         stats["trials"] += 1
-        if i not in chains:
-            chains[i] = module_rad_chain(mod)
-        if (i, lam) not in n_primes:
-            n_primes[i, lam] = forced.n_prime_lattice(mod, lam)
-        rep = forced.primitivity_test(mod, v, lam, chains[i], n_primes[i, lam])
+        key = (i, lam, tuple(v))
+        if key not in reports:
+            reports[key] = forced.primitivity_test(mod, v, lam, inv)
+        rep = reports[key]
         if rep.primitive:
             stats["primitive"] += 1
             if rep.maximality_ok is False:
@@ -75,9 +81,12 @@ def prop52_campaign(alg, datum, trials: int, seed: int):
     stats = {"trials": 0, "agreements": 0, "disagreements": 0,
              "tight": 0, "not_tight": 0}
     reg = regular_module(sub)
+    bigs = {c: direct_sum_module(reg, c)
+            for c in range(1, PROP52_MAX_COPIES + 1)}
+    decided = {}  # (copies, pure lattice) -> its verdicts
     while stats["trials"] < trials:
         copies = rng.randint(1, PROP52_MAX_COPIES)
-        big = direct_sum_module(reg, copies)
+        big = bigs[copies]
         ngens = rng.randint(1, copies + 1)
         gens = []
         for _ in range(ngens):
@@ -96,9 +105,10 @@ def prop52_campaign(alg, datum, trials: int, seed: int):
         if lat.rank == 0:
             continue
         lat = pure_closure(lat, big.full_lattice())
-        mod_sub = big.restrict_to(lat)
-        verdicts = tightness.prop_52_verdicts(alg, datum, mod_sub,
-                                              over_sub=True)
+        if (copies, lat) not in decided:
+            decided[copies, lat] = tightness.prop_52_verdicts(
+                alg, datum, big.restrict_to(lat), over_sub=True)
+        verdicts = decided[copies, lat]
         stats["trials"] += 1
         agree = (verdicts["tight"] == verdicts["sum_formula"]
                  == verdicts["generated_in_degree_0"])

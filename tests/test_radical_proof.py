@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import fr_form_pairwise, radical_pairwise
 from grforge import cli, fixtures, linalg, radicals, suites
+from grforge.algebra import StructureAlgebra
 from grforge.scalars import Cyc, CycField, RatField
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -262,6 +263,29 @@ def test_one_charpoly_per_row_of_the_candidate(monkeypatch):
     assert chain[0].rank == 12
 
 
+def test_each_candidate_is_spanned_once(monkeypatch):
+    """is_ideal and the power chain both read the candidate's span: the
+    proof builds it once and hands the span to both, and a span passes
+    through `span` unchanged.  When each spanned the rows itself, the
+    trace-form kernel and the radical of qschur(4,3) at k were each spanned
+    twice."""
+    spanned = Counter()
+    span = StructureAlgebra.span
+
+    def counted(self, rows, ambient=None):
+        if not isinstance(rows, linalg.Subspace):
+            rows = list(rows)
+            spanned[tuple(tuple(sorted(r.items())) if isinstance(r, dict)
+                          else tuple(r) for r in rows)] += 1
+        return span(self, rows, ambient)
+
+    monkeypatch.setattr(StructureAlgebra, "span", counted)
+    chain = radicals._radical_proof(algebra_at_k("qschur4@3"))
+    assert chain[0].rank and spanned
+    assert max(spanned.values()) == 1, \
+        [len(rows) for rows, n in spanned.items() if n > 1]
+
+
 def test_non_ideal_candidate_gives_no_verdict(tmp_path, monkeypatch, capsys):
     # a trace form whose kernel is the span of a basis idempotent of z5,
     # which is no ideal: the proof stops with an internal error, and no
@@ -310,7 +334,8 @@ def test_thm_417_on_qschur_5_proves_each_radical_once(p, monkeypatch):
         return radical_proof(alg)
 
     def counted_is_ideal(alg, rows):
-        candidates[(id(alg), tuple(map(tuple, rows)))] += 1
+        # the proof hands is_ideal the candidate's span
+        candidates[(id(alg), tuple(map(tuple, alg.span(rows).rows)))] += 1
         return is_ideal(alg, rows)
 
     def counted_stage(alg, ideal, power):
