@@ -157,17 +157,16 @@ class StructureAlgebra:
 
     # -- multiplication ----------------------------------------------------------
     def mul(self, x, y):
-        """The product x y of two dense coordinate vectors, straight from the
-        structure constants: the dense reference.  It serves single products
-        and the independent re-checker `certify.verify_chain`; spans and
-        structure constants of many products come from `products`."""
+        """The dense product x y of coordinate vectors x, y (dense or dicts),
+        straight from the structure constants: the dense reference.  It serves
+        single products and the independent re-checker `certify.verify_chain`;
+        spans and structure constants of many products come from `products`."""
         out = self.zero_vec()
         by_left = self._derived(_sc_by_left)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        at = y.get if isinstance(y, dict) else y.__getitem__
+        for i, xi in linalg.entries(x):
             for j, row in by_left[i]:
-                yj = y[j]
+                yj = at(j)
                 if yj:
                     c = xi * yj
                     for t, v in row:
@@ -198,10 +197,7 @@ class StructureAlgebra:
         if len(nx) == 1 and self.fld.one in nx.values():
             (j,) = nx
             return mats[j]
-        if not nx:
-            return [()] * self.rank
-        return linalg.combine_columns(list(nx.values()),
-                                      [mats[j] for j in nx])
+        return linalg.combine_columns(nx, mats)
 
     def products(self, xs, ys):
         """The products x y for x in xs and y in ys (each dense, or a dict;
@@ -353,7 +349,7 @@ class StructureAlgebra:
         subalgebra, by default the unit of this algebra.  Raises if the span is
         not closed under multiplication or misses that unit.
         """
-        basis = [list(r) for r in rows]
+        basis = list(rows)
         coords = self.coord_solver(basis)
         unit_c = coords(list(self.unit if unit is None else unit))
         if unit_c is None:
@@ -372,7 +368,7 @@ class StructureAlgebra:
 
     def coord_solver(self, basis):
         """lattices.coord_solver at this algebra's level."""
-        return coord_solver(basis, self.fld, self._span_ring)
+        return coord_solver(basis, self.fld, self._span_ring, self.rank)
 
     def span(self, rows, ambient=None):
         """The span of `rows` in the free module of rank `ambient` (default

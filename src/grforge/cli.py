@@ -411,8 +411,9 @@ def cmd_filtration(args):
             "copies": s.copies,
             "witness_matrix": [[ring.format_scalar(x) for x in row]
                                for row in s.witness],
-            "chain_sublattice": [[ring.format_scalar(x) for x in row]
-                                 for row in s.sub_rows_original],
+            "chain_sublattice": [
+                [ring.format_scalar(row.get(j, mod.fld.zero))
+                 for j in range(mod.rank)] for row in s.sub_rows_original],
         } for s in stages],
     }
     if args.graded:

@@ -531,8 +531,9 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
         coef = linalg.solve_right(mat, target, fld)
         if coef is None:
             return {"blocked": False, "reason": "character system unsolvable"}
+        e = linalg.combine(coef, center)
         e = radicals._newton_idempotent(
-            ak, linalg.combine(coef, center, fld.zero))
+            ak, [e.get(t, fld.zero) for t in range(ak.rank)])
         integral = all(ring.valuation(x) >= 0 for x in e if x)
         all_integral = all_integral and integral
         out_blocks.append({

@@ -45,7 +45,7 @@ def n_prime_lattice(mod: ModuleRep, lam):
     gens = []
     for mu in w.Lambda:
         if w.lt(lam, mu):
-            gens.extend(list(r) for r in modK.weight_space_rows(mu))
+            gens.extend(modK.weight_space_rows(mu))
     span = modK.submodule_generated(gens)
     return mod.algebra.pure_span(span), span
 
@@ -83,9 +83,9 @@ class WeightInvariants:
         """The pure lattice of rad^(grade+1) N + N'_K(lam)."""
         if grade not in self._f_lats:
             step = self.chain[min(grade + 1, len(self.chain) - 1)]
-            rows = [list(r) for r in (*step.rows, *self.n_prime[1].rows)]
-            self._f_lats[grade] = saturate_rows(self.mod.algebra.ring,
-                                                self.mod.rank, rows)
+            self._f_lats[grade] = saturate_rows(
+                self.mod.algebra.ring, self.mod.rank,
+                [*step.rows, *self.n_prime[1].rows])
         return self._f_lats[grade]
 
     @cached_property
@@ -112,13 +112,13 @@ def primitivity_test(mod: ModuleRep, v, lam,
         raise ForcedError("primitivity is an integral-level notion")
     if inv is None:
         inv = WeightInvariants(mod, lam)
-    v = list(v)
-    if linalg.apply(inv.projector, v) != linalg.sparse(v):
+    v = linalg.sparse(v)
+    if linalg.apply(inv.projector, v) != v:
         raise ForcedError("vector is not a lam-weight vector")
     nprime, _ = inv.n_prime
     full = mod.full_lattice()
     detail = {}
-    if not any(v):
+    if not v:
         return PrimitivityReport(False, False, None, None, detail)
     if nprime.contains_vector(v):
         primitive = False
@@ -230,7 +230,7 @@ def gr_delta_filtration(grmod: GradedModule):
         deeper = wlat.intersection(chain[min(m1 + 1, len(chain) - 1)])
         stratum_lifts, tors = quotient_free_basis(wlat, deeper)
         d = len(stratum_lifts)
-        h, r_lat = peel_standard_power(cur, lam, [list(r) for r in stratum_lifts])
+        h, r_lat = peel_standard_power(cur, lam, stratum_lifts)
         # A guard that cannot fire.  wlat = e.M is pure in M: if pi x lies in
         # e.M then pi x = e pi x, so x = e x as M is torsion-free.  Each chain
         # step is pure (saturated).  So `deeper`, the intersection of two pure
@@ -246,7 +246,7 @@ def gr_delta_filtration(grmod: GradedModule):
         for s in range(len(rchain)):
             lhs = r_lat.intersection(chain[min(m1 + s, len(chain) - 1)])
             rl = rchain[min(s, len(rchain) - 1)]
-            rows = [linalg.combine(rr, r_lat.rows, cur.fld.zero) for rr in rl.rows]
+            rows = [linalg.combine(rr, r_lat.rows) for rr in rl.rows]
             if lhs != cur.span(rows):
                 shift_ok = False
                 break
@@ -270,14 +270,12 @@ def gr_delta_filtration(grmod: GradedModule):
             delta = standard_module(mod.algebra, lam)
             gd = gr_module(gralg, delta)
             grb_delta = gr_b(gd)
-            zero = cur.fld.zero
             emb_rows = []
             for j in range(d):
                 for rr in grb_delta.rows:
                     # lift graded row to Delta coordinates, copy j
-                    lift = linalg.combine(rr, gd.lifts, zero)
-                    v = [zero] * (j * delta.rank) + lift \
-                        + [zero] * ((d - 1 - j) * delta.rank)
+                    lift = linalg.combine(rr, gd.lifts)
+                    v = {j * delta.rank + t: x for t, x in lift.items()}
                     emb_rows.append(grN.symbol(linalg.mat_vec(h, v, cur.fld)))
             emb = grN.module.span(emb_rows)
             checks["sandwich_lower"] = section.contains_lattice(emb)

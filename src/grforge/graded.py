@@ -71,12 +71,12 @@ def _adapted_basis(chain, fld, size):
         free, torsion = chain[m].lifts_over(chain[m + 1])
         if torsion:
             raise GradingError("radical filtration steps must be pure")
-        lifts += [list(r) for r in free]
+        lifts += free
         grades += [m] * len(free)
     if len(lifts) != size:
         raise GradingError("adapted basis has wrong size")
     try:
-        coords = coord_solver(lifts, fld)
+        coords = coord_solver(lifts, fld, ncols=size)
     except LatticeError as exc:
         raise GradingError("adapted basis is not a basis") from exc
     return lifts, grades, coords
@@ -127,7 +127,7 @@ class AdaptedBasis:
         """Rank of the grade-m parts of `rows` (each dense, or a dict; see
         linalg.sparse), given in adapted (gr) coordinates."""
         grades = self.grades
-        return linalg.rank([{t: v for t, v in linalg.sparse(r).items()
+        return linalg.rank([{t: v for t, v in linalg.entries(r)
                              if grades[t] == m} for r in rows],
                            self._fld, len(grades))
 
@@ -202,7 +202,7 @@ def gr_module(gralg: GradedAlgebra, mod: ModuleRep) -> GradedModule:
     lift_cols = [linalg.column(lift) for lift in lifts]
     acts = []
     for g, u in zip(gralg.grades, gralg.lifts):
-        images = linalg.compose(mod.act_matrix(list(u)), lift_cols)
+        images = linalg.compose(mod.act_matrix(u), lift_cols)
         acts.append([tuple(_leading(coords(dict(img)), grades, g + gs,
                                     "module action"))
                      for gs, img in zip(grades, images)])

@@ -1,11 +1,11 @@
 """Lattices over the discrete valuation ring O.
 
-A lattice is a finitely generated O-submodule of O^n, stored by a canonical
-Hermite-style echelon generator matrix.  Over a DVR every nonzero entry is a
-unit times pi^a, so an entry of minimal valuation in a column divides the
-others; pivots are normalized to pi^a and entries above a pivot are reduced
-to canonical residues mod pi^a.  Two lattices are equal iff their canonical
-matrices are equal.
+A lattice is a finitely generated O-submodule of O^n, stored by the rows of
+a canonical Hermite-style echelon generator matrix, each the dict of its
+nonzero entries (see linalg.rref).  Over a DVR every nonzero entry is a unit
+times pi^a, so an entry of minimal valuation in a column divides the others;
+pivots are normalized to pi^a and entries above a pivot are reduced to
+canonical residues mod pi^a.  Two lattices are equal iff their rows are.
 
 All entries live in K (Rat or Cyc); membership in O means valuation >= 0.
 """
@@ -29,7 +29,7 @@ class Lattice:
     def __init__(self, ring: RingSpec, ambient: int, rows, pivots, pivot_vals):
         self.ring = ring
         self.ambient = ambient
-        self.rows = rows              # tuple of row tuples, canonical
+        self.rows = rows              # tuple of canonical row dicts
         self.pivots = pivots          # pivot column per row, strictly increasing
         self.pivot_vals = pivot_vals  # valuation of each pivot entry
         self._hash = None
@@ -88,10 +88,8 @@ class Lattice:
                     q = (x - ring.canonical_mod(x, a)) / row[col]
                     if q:
                         linalg.sub_multiple(arow, q, row)
-        zero = ring.zero()
         return Lattice(ring, ambient,
-                       tuple(tuple(linalg.dense(piv[c][1].items(), ambient,
-                                                zero)) for c in cols),
+                       tuple(dict(sorted(piv[c][1].items())) for c in cols),
                        tuple(cols), tuple(piv[c][0] for c in cols))
 
     @staticmethod
@@ -101,12 +99,8 @@ class Lattice:
     @staticmethod
     def full(ring: RingSpec, ambient: int) -> "Lattice":
         one = ring.one()
-        zero = ring.zero()
-        rows = tuple(
-            tuple(one if i == j else zero for j in range(ambient))
-            for i in range(ambient)
-        )
-        return Lattice(ring, ambient, rows, tuple(range(ambient)), (0,) * ambient)
+        return Lattice(ring, ambient, tuple({i: one} for i in range(ambient)),
+                       tuple(range(ambient)), (0,) * ambient)
 
     # -- basic protocol ---------------------------------------------------------
     @property
@@ -123,7 +117,8 @@ class Lattice:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, self.ambient, self.rows))
+            self._hash = hash((self.ring, self.ambient,
+                               tuple(frozenset(r.items()) for r in self.rows)))
         return self._hash
 
     def __repr__(self):
@@ -141,8 +136,8 @@ class Lattice:
             pi_power = self.ring.pi_power
             scales = tuple((a, pi_power(-a)) for a in self.pivot_vals)
             self._reducer = scales, tuple(
-                (col, {j: row[j] * inv if a else row[j]
-                       for j in range(col + 1, self.ambient) if row[j]})
+                (col, {j: x * inv if a else x
+                       for j, x in row.items() if j != col})
                 for row, col, (a, inv) in zip(self.rows, self.pivots, scales))
         scales, steps = self._reducer
         v = linalg.sparse(vec)
@@ -170,7 +165,8 @@ class Lattice:
             Lattice.full(self.ring, self.ambient), self)
         if self.rank + len(lifts) != self.ambient:
             raise LatticeError("span basis plus lifts do not span")
-        coords = coord_solver(list(self.rows) + lifts, self.ring.field_K)
+        coords = coord_solver(self.rows + tuple(lifts), self.ring.field_K,
+                              ncols=self.ambient)
 
         def project(v):
             return coords(v)[self.rank:]  # the coordinates on the lifts
@@ -185,22 +181,21 @@ class Lattice:
     def add(self, other: "Lattice") -> "Lattice":
         self._check_compatible(other)
         return Lattice.from_rows(self.ring, self.ambient,
-                                 list(self.rows) + list(other.rows))
+                                 self.rows + other.rows)
 
     def intersection(self, other: "Lattice") -> "Lattice":
         """{v : v in self and v in other}, canonical."""
         self._check_compatible(other)
         if self.rank == 0 or other.rank == 0:
             return Lattice.zero(self.ring, self.ambient)
-        field = self.ring.field_K
-        stacked = [list(r) for r in self.rows] + [list(r) for r in other.rows]
-        ker = linalg.kernel_left(stacked, field)
+        stacked = self.rows + other.rows
+        ker = linalg.kernel_left(stacked, self.ring.field_K, self.ambient)
         if not ker:
             return Lattice.zero(self.ring, self.ambient)
         # O-kernel = saturation of the cleared K-kernel inside O^(r1+r2)
         kerlat = saturate_rows(self.ring, len(stacked), ker)
-        zero = self.ring.zero()
-        gens = [linalg.combine(z, self.rows, zero) for z in kerlat.rows]
+        gens = [linalg.combine({i: c for i, c in z.items() if i < self.rank},
+                               self.rows) for z in kerlat.rows]
         return Lattice.from_rows(self.ring, self.ambient, gens)
 
     def _check_compatible(self, other):
@@ -229,19 +224,20 @@ def _normalize_pivot(ring, row, col, val):
 def saturate_rows(ring: RingSpec, ambient: int, rows) -> Lattice:
     """Smallest pure sublattice of O^ambient containing O^ambient ∩ K·span.
 
-    Accepts rows over K (denominators allowed); the result depends only on
-    the K-span of the input.
+    Accepts rows over K (denominators allowed), dense or dicts; the result
+    depends only on the K-span of the input.
     """
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return Lattice.zero(ring, ambient)
     cleared = []
-    for r in rows:
-        mv = min(ring.valuation(x) for x in r if x)
-        if mv != 0:
+    for r in map(linalg.entries, rows):
+        if r:
+            mv = min(ring.valuation(x) for _, x in r)
             f = ring.pi_power(-mv)
-            r = [f * x for x in r]
-        cleared.append(r)
+            row = [ring.zero()] * ambient  # smith_track's matrix is dense
+            for j, x in r:
+                row[j] = f * x if mv else x
+            cleared.append(row)
+    if not cleared:
+        return Lattice.zero(ring, ambient)
     vals, track = smith_track(ring, ambient, cleared)
     return Lattice.from_rows(ring, ambient, track[: len(vals)])
 
@@ -322,7 +318,7 @@ def _pure_closure(n: Lattice, m: Lattice, coords) -> Lattice:
     if n.rank == 0:
         return Lattice.zero(n.ring, n.ambient)
     sat = saturate_rows(n.ring, m.rank, coords)
-    gens = [linalg.combine(c, m.rows, n.ring.zero()) for c in sat.rows]
+    gens = [linalg.combine(c, m.rows) for c in sat.rows]
     return Lattice.from_rows(n.ring, n.ambient, gens)
 
 
@@ -358,8 +354,7 @@ def quotient_free_basis(m: Lattice, n: Lattice):
     ring = m.ring
     vals, track = smith_track(ring, m.rank, coords)
     torsion = sorted(v for v in vals if v > 0)
-    free_lifts = [linalg.combine(c, m.rows, ring.zero())
-                  for c in track[len(vals):]]
+    free_lifts = [linalg.combine(c, m.rows) for c in track[len(vals):]]
     return free_lifts, torsion
 
 
@@ -424,15 +419,14 @@ def coord_solver(rows, fld, ring=None, ncols=None):
     if not rows:
         return lambda v: None if linalg.sparse(v) else []
     k = len(rows)
-    n = len(rows[0]) if ncols is None else ncols
+    n = linalg.row_width(rows, ncols)
     one, zero = fld.one, fld.zero
     aug = [{**linalg.sparse(r), n + i: one} for i, r in enumerate(rows)]
     ech, pivots = linalg.rref(aug, fld, n + k)
     if pivots[-1] >= n:
         raise LatticeError("basis rows are linearly dependent")
     steps = tuple(
-        (col, {j: row[j] if j < n else -row[j]
-               for j in range(col + 1, n + k) if row[j]})
+        (col, {j: x if j < n else -x for j, x in row.items() if j != col})
         for row, col in zip(ech, pivots))
     valuation = ring.valuation if ring is not None else None
 

@@ -15,9 +15,10 @@ kernels on that form (`apply`, `combine_columns`, `compose`, `trace_form`,
 witnesses, Gram matrices) are lists of row lists; `columns` and `dense_rows`
 convert at the document boundary.  A vector passed between kernels is the
 {index: entry} dict of its nonzero entries (`sparse` makes one from a dense
-vector): `apply` returns one, `flatten` gives a square matrix's entries as
-one, and `rref`, `eliminate`, `Subspace` and the lattices routines take
-them; canonical span rows and algebra elements stay dense.  `rref` reduces
+vector): `apply` and `combine` return one, `flatten` gives a square
+matrix's entries as one, and `rref`, `eliminate`, `Subspace` and the
+lattices routines take them.  `rref` returns such rows, and the canonical
+rows of a span are such dicts; algebra elements stay dense.  `rref` reduces
 rows dense or as dicts, `eliminate` reduces a dict against its echelon
 rows, `mat_vec` visits only the nonzero entries of its vector, and
 `charpoly_mod_p` computes characteristic polynomials over F_p on plain ints
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 def mat_vec(a, v, field):
     """The column a v for a matrix of row lists; only the nonzero entries of
-    v are visited."""
+    v (dense, or a dict; see `sparse`) are visited."""
     z = field.zero
-    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    nonzero = entries(v)
     out = []
     for row in a:
         s = z
@@ -45,20 +46,16 @@ def mat_vec(a, v, field):
     return out
 
 
-def combine(coeffs, rows, zero):
-    """The vector sum_i coeffs[i] * rows[i]; zero coefficients and entries
-    are skipped.  The length is that of the rows (0 for no rows)."""
-    v = [zero] * (len(rows[0]) if rows else 0)
-    for c, row in zip(coeffs, rows):
-        if c:
-            for t, x in enumerate(row):
-                if x:
-                    v[t] = v[t] + c * x
-    return v
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
+def combine(coeffs, rows):
+    """The {index: entry} dict of sum_i coeffs[i] * rows[i], the
+    coefficients and each row dense or a dict (see `sparse`); entries that
+    cancel are dropped."""
+    acc = {}
+    for i, c in entries(coeffs):
+        for t, x in entries(rows[i]):
+            y = acc.get(t)
+            acc[t] = c * x if y is None else y + c * x
+    return {t: x for t, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +64,8 @@ def transpose(m):
 
 def column(v):
     """The sparse column (the (row, entry) pairs of the nonzero entries) of
-    a dense vector."""
-    return tuple((t, x) for t, x in enumerate(v) if x)
+    a vector, dense or a dict (see `sparse`)."""
+    return tuple(sorted(entries(v)))
 
 
 def _column_of(acc):
@@ -108,8 +105,12 @@ def flatten(cols):
 
 def unflatten(v, ncols):
     """The sparse columns of the matrix with `ncols` columns whose entry
-    (r, c) is the dense vector v's entry r * ncols + c."""
-    return [column(v[c::ncols]) for c in range(ncols)]
+    (r, c) is v's entry r * ncols + c (v dense, or a dict; see `sparse`)."""
+    cols = [[] for _ in range(ncols)]
+    for k, x in sorted(entries(v)):
+        r, c = divmod(k, ncols)
+        cols[c].append((r, x))
+    return [tuple(col) for col in cols]
 
 
 def apply(cols, v):
@@ -118,7 +119,7 @@ def apply(cols, v):
     (dense, or a dict of nonzero entries; see `sparse`) name.  Entries that
     cancel are dropped."""
     acc = {}
-    for k, y in sparse(v).items():
+    for k, y in entries(v):
         for t, x in cols[k]:
             z = acc.get(t)
             acc[t] = x * y if z is None else z + x * y
@@ -127,15 +128,15 @@ def apply(cols, v):
 
 def combine_columns(coeffs, mats):
     """Sparse columns of sum_i coeffs[i] * mats[i] for equal-size square
-    matrices given by sparse columns; zero coefficients are skipped.  The
-    size is that of mats[0] (0 for no matrices)."""
+    matrices given by sparse columns, the coefficients dense or a dict (see
+    `sparse`); zero coefficients are skipped.  The size is that of mats[0]
+    (0 for no matrices)."""
     acc = [{} for _ in (mats[0] if mats else ())]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for d, col in zip(acc, m):
-                for t, x in col:
-                    y = d.get(t)
-                    d[t] = c * x if y is None else y + c * x
+    for i, c in entries(coeffs):
+        for d, col in zip(acc, mats[i]):
+            for t, x in col:
+                y = d.get(t)
+                d[t] = c * x if y is None else y + c * x
     return [_column_of(d) for d in acc]
 
 
@@ -196,7 +197,9 @@ def rref(rows, field, ncols=None):
     Zero rows are dropped; the result spans the same row space.  Rows are
     equal-length sequences, or, when `ncols` is given, dense rows of that
     length or {column: entry} dicts of nonzero entries (see `sparse`) in a
-    space of `ncols` columns.  The echelon rows are dense.
+    space of `ncols` columns (ValueError without: a dict's length is not its
+    width).  Each echelon row is the dict of its nonzero entries, keys
+    increasing, so that its pivot entry, one, comes first.
 
     Each row is reduced as a {column: nonzero entry} dict against the pivot
     rows found so far, which are kept fully reduced: a pivot row is zero in
@@ -207,11 +210,10 @@ def rref(rows, field, ncols=None):
     an entry left of its pivot, so sorting by pivot gives the reduced row
     echelon form, which is unique.
     """
-    width = ncols or 0
+    rows = list(rows)
+    width = row_width(rows, ncols)
     piv = {}
     for r in rows:
-        if ncols is None:
-            width = len(r)
         s = sparse(r)
         for c in s.keys() & piv.keys():
             sub_multiple(s, s.pop(c), piv[c])
@@ -228,15 +230,8 @@ def rref(rows, field, ncols=None):
         if len(piv) == width:
             break
     pivots = sorted(piv)
-    z, o = field.zero, field.one
-    out = []
-    for col in pivots:
-        row = [z] * width
-        row[col] = o
-        for j, x in piv[col].items():
-            row[j] = x
-        out.append(row)
-    return out, pivots
+    return [{col: field.one, **dict(sorted(piv[col].items()))}
+            for col in pivots], pivots
 
 
 def sub_multiple(s, c, q):
@@ -254,12 +249,28 @@ def sub_multiple(s, c, q):
                 del s[j]
 
 
+def entries(v):
+    """The (index, entry) pairs of the nonzero entries of a vector, dense or
+    a dict (see `sparse`)."""
+    if isinstance(v, dict):
+        return v.items()
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
 def sparse(v):
     """A fresh {index: entry} dict of the nonzero entries of a dense vector,
     or a copy of such a dict."""
-    if isinstance(v, dict):
-        return dict(v)
-    return {j: x for j, x in enumerate(v) if x}
+    return dict(entries(v))
+
+
+def row_width(rows, ncols=None):
+    """`ncols` when given, else the length of the dense rows (0 for none);
+    ValueError for dict rows without `ncols`, as in `rref`."""
+    if ncols is not None:
+        return ncols
+    if any(isinstance(r, dict) for r in rows):
+        raise ValueError("{index: entry} rows need ncols")
+    return len(rows[0]) if rows else 0
 
 
 def eliminate(steps, v):
@@ -281,7 +292,8 @@ def rank(rows, field, ncols=None):
 
 
 class Subspace:
-    """A subspace of F^ambient in canonical form: its rref rows and pivots.
+    """A subspace of F^ambient in canonical form: its rref rows (dicts, see
+    `rref`) and pivots.
 
     The field-level counterpart of lattices.Lattice, with the same protocol
     (`rows`, `rank`, `contains_vector`, `contains_lattice`, `coords`, `add`,
@@ -318,8 +330,7 @@ class Subspace:
         """The `eliminate` steps of the rref rows, built once per subspace."""
         if self._reducer is None:
             self._reducer = tuple(
-                (col, {j: row[j] for j in range(col + 1, self.ambient)
-                       if row[j]})
+                (col, {j: x for j, x in row.items() if j != col})
                 for row, col in zip(self.rows, self.pivots))
         return self._reducer
 
@@ -345,28 +356,27 @@ class Subspace:
 
     def add(self, other) -> "Subspace":
         return Subspace.from_rows(self.fld, self.ambient,
-                                  self.rows + list(other.rows))
+                                  self.rows + other.rows)
 
     def intersection(self, other) -> "Subspace":
         """{v : v in self and v in other}: the combinations of self's rows
         that the left kernel of the stacked rows gives."""
         if not self.rank or not other.rank:
             return Subspace(self.fld, self.ambient, [], [])
-        ker = kernel_left(self.rows + list(other.rows), self.fld)
+        ker = kernel_left(self.rows + other.rows, self.fld, self.ambient)
         return Subspace.from_rows(
             self.fld, self.ambient,
-            [combine(z, self.rows, self.fld.zero) for z in ker])
+            [combine(z[:self.rank], self.rows) for z in ker])
 
     def quotient(self):
         """(lifts, torsion, project) of F^ambient / self: the unit vectors
-        off the pivot columns lift a basis, there is no torsion, and the
-        image of v has as coordinates the entries of `reduce(v)` at those
-        columns.  No elimination is run."""
+        off the pivot columns (as dicts) lift a basis, there is no torsion,
+        and the image of v has as coordinates the entries of `reduce(v)` at
+        those columns.  No elimination is run."""
         z, o = self.fld.zero, self.fld.one
         pivots = set(self.pivots)
         free = [j for j in range(self.ambient) if j not in pivots]
-        lifts = [[o if t == j else z for t in range(self.ambient)]
-                 for j in free]
+        lifts = [{j: o} for j in free]
 
         def project(v):
             r = self.reduce(v)
@@ -392,27 +402,23 @@ class Subspace:
 def solve_right(a, b, field, ncols=None):
     """One solution x of a x = b (column vector), or None.  The rows of a
     are dense, or {column: entry} dicts with `ncols` columns (see rref)."""
-    if ncols is None:
-        m = len(a[0])
-        aug = [list(row) + [y] for row, y in zip(a, b)]
-        ech, pivots = rref(aug, field)
-    else:
-        m = ncols
-        aug = [{**row, m: y} if y else row for row, y in zip(a, b)]
-        ech, pivots = rref(aug, field, m + 1)
+    m = row_width(a, ncols)
+    aug = [{**sparse(row), m: y} if y else sparse(row)
+           for row, y in zip(a, b)]
+    ech, pivots = rref(aug, field, m + 1)
     x = [field.zero] * m
     for row, col in zip(ech, pivots):
         if col == m:
             return None
-        x[col] = row[m]
+        x[col] = row.get(m, field.zero)
     return x
 
 
 def kernel_right(a, field, ncols=None):
     """Basis of the right kernel {x : a x = 0}.  The rows of a are dense, or
     {column: entry} dicts with `ncols` columns (see rref)."""
-    m = ncols if ncols is not None else len(a[0]) if a else 0
-    ech, pivots = rref(a, field, ncols)
+    m = row_width(a, ncols)
+    ech, pivots = rref(a, field, m)
     pivset = set(pivots)
     free = [j for j in range(m) if j not in pivset]
     basis = []
@@ -420,14 +426,17 @@ def kernel_right(a, field, ncols=None):
         x = [field.zero] * m
         x[f] = field.one
         for row, col in zip(ech, pivots):
-            x[col] = -row[f]
+            y = row.get(f)
+            if y is not None:
+                x[col] = -y
         basis.append(x)
     return basis
 
 
-def kernel_left(a, field):
-    """Basis of the left kernel {y : y a = 0}."""
-    return kernel_right(transpose(a), field)
+def kernel_left(a, field, ncols=None):
+    """Basis of the left kernel {y : y a = 0}; rows as in kernel_right."""
+    cols = row_entries([entries(r) for r in a], row_width(a, ncols))
+    return kernel_right([dict(c) for c in cols], field, len(a))
 
 
 def charpoly_mod_p(h, p):

@@ -52,7 +52,7 @@ class ModuleRep:
         return linalg.apply(self.acts[i], v)
 
     def act_matrix(self, x):
-        """Sparse columns of the action of the element with coordinates x."""
+        """Sparse columns of the action of the element x, dense or a dict."""
         return linalg.combine_columns(x, self.acts)
 
     def zero_vec(self):
@@ -214,7 +214,7 @@ def truncate_to_ideal(mod: ModuleRep, gamma):
     kill = [nu for nu in w.Lambda if nu not in gamma]
     gens = []
     for nu in kill:
-        gens.extend(list(r) for r in mod.weight_space_rows(nu))
+        gens.extend(mod.weight_space_rows(nu))
     killed = sub = mod.submodule_generated(gens)
     torsion = []
     if mod.level == "O":
@@ -265,8 +265,7 @@ def standard_and_projectives(alg: StructureAlgebra):
                     f"standard module at {lam!r} has head {hd}, expected L({lam})")
             # Lemma 4.6 behavior: Delta is generated by its lam-weight space
             dd = out[lam]["Delta"]
-            gen = dd.submodule_generated(
-                [list(r) for r in dd.weight_space_rows(lam)])
+            gen = dd.submodule_generated(dd.weight_space_rows(lam))
             if gen != dd.full_lattice():
                 raise ModuleError(f"Delta({lam}) not generated by its weight space")
     return out
@@ -399,10 +398,10 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     rows = hom_equations(src, dst)
     rhs = [fld.zero] * len(rows)
     for g, img in zip(gens, images):
-        g = linalg.column(g)
+        g, img = linalg.entries(g), linalg.sparse(img)
         for r in range(nd):
             rows.append({r * ns + c: x for c, x in g})
-            rhs.append(img[r])
+            rhs.append(img.get(r, fld.zero))
     sol = linalg.solve_right(rows, rhs, fld, ns * nd)
     if sol is None:
         return None
@@ -499,16 +498,15 @@ def peel_standard_power(cur: ModuleRep, lam, rows):
         raise FiltrationFailure(lam, "standard module weight space not rank 1")
     d = len(rows)
     big = direct_sum_module(delta, d)
-    zero = cur.fld.zero
-    gens = [[zero] * (j * delta.rank) + list(top[0])
-            + [zero] * ((d - 1 - j) * delta.rank) for j in range(d)]
+    gens = [{j * delta.rank + t: x for t, x in top[0].items()}
+            for j in range(d)]
     h = hom_with_generator_images(big, cur, gens, rows)
     if h is None:
         raise FiltrationFailure(lam, "no homomorphism extends the weight basis")
     integral = cur.level == "O"
     if integral and any(x and alg.ring.valuation(x) < 0 for row in h for x in row):
         raise FiltrationFailure(lam, "witness map does not preserve the lattice")
-    img = cur.span(linalg.transpose(h))
+    img = cur.span([dict(c) for c in linalg.columns(h)])
     if img.rank != big.rank:
         raise FiltrationFailure(lam, "peeled map is not injective")
     sub = cur.submodule_generated(rows)
@@ -538,7 +536,6 @@ def delta_filtration(mod: ModuleRep):
     # lifts of current-quotient basis vectors, in original coordinates
     to_original = [mod.basis_vec(i) for i in range(mod.rank)]
     peeled_original = []  # accumulated generators of the peeled chain
-    zero = mod.fld.zero
     guard = 0
     while cur.rank and guard <= mod.rank + 1:
         guard += 1
@@ -546,14 +543,14 @@ def delta_filtration(mod: ModuleRep):
         if not cand:
             raise FiltrationFailure(None, "nonzero module with no Lambda-weights")
         lam = sorted(w.maximal(cand), key=str)[0]
-        wrows = [list(r) for r in cur.weight_space_rows(lam)]
+        wrows = cur.weight_space_rows(lam)
         h, sub = peel_standard_power(cur, lam, wrows)
         quot, project, lifts = cur.quotient_by(sub)
         # record the stage in original coordinates
-        peeled_original.extend(linalg.combine(r, to_original, zero)
+        peeled_original.extend(linalg.combine(r, to_original)
                                for r in sub.rows)
         stages.append(FiltrationStage(lam, len(wrows), h, list(peeled_original)))
-        to_original = [linalg.combine(lift, to_original, zero) for lift in lifts]
+        to_original = [linalg.combine(lift, to_original) for lift in lifts]
         cur = quot
     if cur.rank:
         raise FiltrationFailure(None, "peeling did not terminate")

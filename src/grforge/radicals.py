@@ -121,7 +121,7 @@ def _radical_proof(alg):
         power *= fld.char
         ideal = chain[0]
         ker = linalg.kernel_right(_fr_form(alg, ideal, power), fld, ideal.rank)
-        candidate = [linalg.combine(c, ideal.rows, fld.zero) for c in ker]
+        candidate = [linalg.combine(c, ideal.rows) for c in ker]
     if fld.char == 0:
         quot, _, _ = alg.quotient_by_ideal(chain[0].rows)
         if linalg.rank(trace_gram(quot), fld) < quot.rank:
@@ -240,7 +240,8 @@ def split_semisimple(alg, modules):
             "central characters are linearly dependent") from exc
     for idx, (vec, label, acts) in enumerate(chars):
         target = [fld.one if t == idx else fld.zero for t in range(m)]
-        e = linalg.combine(coords(target), z, fld.zero)
+        e = linalg.combine(coords(target), z)  # an algebra element: dense
+        e = [e.get(t, fld.zero) for t in range(alg.rank)]
         if alg.mul(e, e) != e:
             raise NonSplitError("central idempotent solve failed")
         dim = len(acts[0])
@@ -288,9 +289,9 @@ def _block_matrix_units(alg, block: Block):
     except LatticeError as exc:
         raise NonSplitError(
             "module action is not surjective on the block") from exc
-    units = {(i, j): linalg.combine(coords({i * d + j: fld.one}), sub,
-                                    fld.zero)
-             for i in range(d) for j in range(d)}
+    units = {(i, j): [u.get(t, fld.zero) for t in range(alg.rank)]
+             for i in range(d) for j in range(d)
+             for u in [linalg.combine(coords({i * d + j: fld.one}), sub)]}
     if not matrix_units_hold(
             alg, {(0, i, j): u for (i, j), u in units.items()}, e):
         raise NonSplitError("matrix unit relations fail")
@@ -349,7 +350,7 @@ def _newton_idempotent(alg, x):
 
 def _corner_inverse(alg, e, x):
     """Inverse of x inside the corner algebra e A e (unit e); x = e - j, j nilpotent."""
-    j = [a - b for a, b in zip(e, x)]
+    j = linalg.combine([alg.fld.one, -alg.fld.one], [e, x])
     out = list(e)
     term = list(e)
     for _ in range(alg.rank + 1):
@@ -372,7 +373,7 @@ def _lift_matrix_units(alg, lifts, blocks):
     fld = alg.fld
 
     def lift_vec(qv):
-        return linalg.combine(qv, lifts, fld.zero)
+        return linalg.combine(qv, lifts)
 
     # 1. lift all diagonal units to orthogonal idempotents, sequentially
     diag = {}
@@ -441,7 +442,7 @@ def _verify_complement(alg, s_rows, rad):
     span = alg.span(s_rows)
     if span.rank + len(rad) != alg.rank:
         raise InternalCheckError("complement has wrong dimension")
-    both = alg.span([list(r) for r in s_rows] + [list(r) for r in rad])
+    both = alg.span([*s_rows, *rad])
     if both.rank != alg.rank:
         raise InternalCheckError("complement meets the radical")
     if not span.contains_lattice(alg.product_span(span.rows, span.rows)):
@@ -478,9 +479,9 @@ def _malcev_enlarge(alg, s_rows, contain):
     max_rounds = alg.rank.bit_length() + 3
     for _ in range(max_rounds):
         s_ech = alg.span(s_rows).rows
-        full = [list(r) for r in s_ech] + [list(r) for r in rad]
+        full = [*s_ech, *rad]
         try:
-            coords = coord_solver(full, fld)
+            coords = coord_solver(full, fld, ncols=alg.rank)
         except LatticeError:
             coords = None
         if coords is None or len(full) != alg.rank:
@@ -488,13 +489,12 @@ def _malcev_enlarge(alg, s_rows, contain):
 
         def decompose(v):
             c = coords(v)
-            sig = linalg.combine(c[: len(s_ech)], s_ech, fld.zero)
-            delta = [a - b for a, b in zip(v, sig)]
-            return sig, delta
+            sig = linalg.combine(c[: len(s_ech)], s_ech)
+            return sig, linalg.combine([fld.one, -fld.one], [v, sig])
 
-        pairs = [decompose(list(s)) for s in s0_rows]
+        pairs = [decompose(s) for s in s0_rows]
         deltas = [d for (_, d) in pairs]
-        if not any(any(d) for d in deltas):
+        if not any(deltas):
             return s_ech
         # defect depth: largest m with all deltas in J^m
         m = 1
@@ -513,8 +513,8 @@ def _malcev_enlarge(alg, s_rows, contain):
         for sig, delta in pairs:
             cols = []
             for hb in basis_m:
-                comm = [a - b for a, b in zip(alg.mul(list(hb), sig),
-                                              alg.mul(sig, list(hb)))]
+                comm = [a - b for a, b in zip(alg.mul(hb, sig),
+                                              alg.mul(sig, hb))]
                 cols.append(mod_j2m(comm))
             r = mod_j2m(delta)
             for t in range(alg.rank):
@@ -523,8 +523,8 @@ def _malcev_enlarge(alg, s_rows, contain):
         sol = linalg.solve_right(big, big_rhs, fld, len(basis_m))
         if sol is None:
             raise AlgebraError("Malcev correction unsolvable (is S0 semisimple?)")
-        h = linalg.combine(sol, basis_m, fld.zero)
-        one_minus = [a - b for a, b in zip(alg.unit, h)]
+        h = linalg.combine(sol, basis_m)
+        one_minus = linalg.combine([fld.one, -fld.one], [alg.unit, h])
         inv = _corner_inverse(alg, alg.unit, one_minus)
-        s_rows = [alg.mul(inv, alg.mul(list(s), one_minus)) for s in s_ech]
+        s_rows = [alg.mul(inv, alg.mul(s, one_minus)) for s in s_ech]
     raise AlgebraError("Malcev iteration did not converge")

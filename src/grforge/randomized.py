@@ -52,9 +52,9 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
             if rng.random() < 0.25:
                 c *= alg.ring.p
             coeffs.append(fld.of(c))
-        v = linalg.combine(coeffs, rows, fld.zero)
+        v = linalg.combine(coeffs, rows)
         stats["trials"] += 1
-        key = (i, lam, tuple(v))
+        key = (i, lam, tuple(sorted(v.items())))  # v is a dict
         if key not in reports:
             reports[key] = forced.primitivity_test(mod, v, lam, inv)
         rep = reports[key]

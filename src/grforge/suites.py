@@ -334,7 +334,7 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
         # gr_pg is killed by the truncation ideal, so (gr B)_Gamma acts on it
         # through the lifts
         ungraded = ModuleRep(galg_gamma, gr_pg.module.rank,
-                             [gr_pg.module.act_matrix(list(x)) for x in lifts])
+                             [gr_pg.module.act_matrix(x) for x in lifts])
         image = gr_pg.symbol(project(_projective_generator(alg_field, g)))
         if iso_with_generator_images(
                 weight_projective(galg_gamma, g), ungraded,

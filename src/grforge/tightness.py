@@ -58,7 +58,7 @@ class GradedSubalgebraDatum:
         (`subalgebra_of`)."""
         if len(self.grades) != len(self.rows):
             raise TightnessError("the datum needs one grade per basis row")
-        span = alg.span([list(r) for r in self.rows])
+        span = alg.span(self.rows)
         if span.rank != len(self.rows):
             raise TightnessError("subalgebra basis is not independent")
         if alg.level == "O" and not is_pure(
@@ -78,13 +78,19 @@ class GradedSubalgebraDatum:
 
 def subalgebra_of(alg: StructureAlgebra, rows) -> StructureAlgebra:
     """The subalgebra on the basis `rows` (ambient coordinates, in this
-    order), built once per algebra and rows: it is kept in the ambient
-    algebra's memo, keyed by the rows as tuples."""
-    return alg._derived(_subalgebra_of, tuple(tuple(r) for r in rows))
+    order, dense or dicts), built once per algebra and rows: it is kept in
+    the ambient algebra's memo, keyed by the rows' nonzero entries."""
+    return alg._derived(_subalgebra_of, _row_key(rows))
+
+
+def _row_key(rows):
+    """Each row's nonzero (index, entry) pairs: one key for a row dense or
+    as a dict, whose tuple would be its indices alone."""
+    return tuple(tuple(linalg.entries(r)) for r in rows)
 
 
 def _subalgebra_of(alg, rows):
-    sub, _ = alg.subalgebra_on([list(r) for r in rows])
+    sub, _ = alg.subalgebra_on([dict(r) for r in rows])
     return sub
 
 
@@ -92,17 +98,17 @@ def gr_subalgebra_of(alg: StructureAlgebra, rows):
     """gr of `subalgebra_of(alg, rows)`, built once and kept in the ambient
     algebra's memo next to the subalgebra (it refers to the subalgebra, not
     back to the ambient algebra)."""
-    return alg._derived(_gr_subalgebra_of, tuple(tuple(r) for r in rows))
+    return alg._derived(_gr_subalgebra_of, _row_key(rows))
 
 
-def _gr_subalgebra_of(alg, rows):
-    return gr_algebra(subalgebra_of(alg, rows))
+def _gr_subalgebra_of(alg, key):
+    return gr_algebra(alg._derived(_subalgebra_of, key))
 
 
 def module_over_subalgebra(alg, rows, mod: ModuleRep) -> ModuleRep:
     """Reinterpret a module over the ambient algebra as a module over the
     subalgebra spanned by `rows` (the action simply restricts)."""
-    acts = [mod.act_matrix(list(r)) for r in rows]
+    acts = [mod.act_matrix(r) for r in rows]
     return ModuleRep(subalgebra_of(alg, rows), mod.rank, acts,
                      mod.name + "|sub")
 
@@ -166,7 +172,7 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
     if radicals.radical_field(sub0):
         reasons.append("grade-0 part is not semisimple")
     # generation: pieces of grade r >= 1 equal (grade 1)^r
-    one_rows = [list(r) for r in grade_rows.get(1, [])]
+    one_rows = grade_rows.get(1, [])
     power = alg_field.span(one_rows)
     for g in range(2, max(grades) + 1 if grades else 0):
         power = alg_field.product_span(power.rows, one_rows)
@@ -178,7 +184,7 @@ def is_tightly_graded(alg_field, grade_rows) -> tuple[bool, list]:
         pos = []
         for g in grades:
             if g >= r:
-                pos.extend(list(x) for x in grade_rows[g])
+                pos.extend(grade_rows[g])
         if alg_field.span(pos) != chain[min(r, len(chain) - 1)]:
             reasons.append(f"rad^{r} differs from the sum of grades >= {r}")
             break
@@ -201,7 +207,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     out = {}
     notes = {}
     ak = alg.base_change("K")
-    sub_rows = [list(r) for r in datum.rows]
+    sub_rows = datum.rows
     grade_rows = {}
     for r, g in zip(sub_rows, datum.grades):
         grade_rows.setdefault(g, []).append(r)
@@ -215,7 +221,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     notes["c1"] = reasons1
     # (2) rad A_K = (rad a_K) A_K = A_K (rad a_K)
     rad_a = radicals.radical_field(subk)
-    rad_amb = [linalg.combine(c, sub_rows, alg.fld.zero) for c in rad_a]
+    rad_amb = [linalg.combine(c, sub_rows) for c in rad_a]
     rad_span = ak.span(radicals.radical_field(ak))
     out["c2_radical_generation"] = (
         ak.right_ideal(rad_amb) == rad_span
@@ -239,8 +245,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
                 piece.setdefault(g, []).append(dk.basis_vec(i))
             # multiplicativity of the action grading
             for (ga, rows_a) in sub_grade_rows.items():
-                ambs = [linalg.combine(c, sub_rows, alg.fld.zero)
-                        for c in rows_a]
+                ambs = [linalg.combine(c, sub_rows) for c in rows_a]
                 for (gm, rows_m) in piece.items():
                     target = dk.span(piece.get(ga + gm, []))
                     if not target.contains_lattice(dk.image(ambs, rows_m)):
@@ -261,8 +266,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     # (4) continued: A_K0 contains a_K0 and all idempotents
     if wedd is not None:
         out["c4_complement_contains"] = ak.span(wedd).contains_lattice(ak.span(
-            [linalg.combine(c, sub_rows, alg.fld.zero)
-             for c in sub_grade_rows.get(0, [])]
+            [linalg.combine(c, sub_rows) for c in sub_grade_rows.get(0, [])]
             + [list(w.idempotents[nu]) for nu in w.X]))
     else:
         out["c4_complement_contains"] = None
@@ -274,7 +278,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
         full_sub = alg.span(sub_rows)
         for g, rows_g in grade_rows.items():
             piece = alg.span(rows_g)
-            span_k = saturate_rows(ring, alg.rank, [list(r) for r in rows_g])
+            span_k = saturate_rows(ring, alg.rank, rows_g)
             meet = full_sub.intersection(span_k)
             if meet != piece:
                 ok5 = False
@@ -425,11 +429,11 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
         if tors:
             raise TightnessError("weight space stratum is not pure; supply v")
         if p0_rows is None:
-            p0_rows = [list(r) for r in lifts]
+            p0_rows = lifts
         if v is None:
             if len(lifts) != 1:
                 raise TightnessError("ambiguous weight generator; supply v")
-            v = list(lifts[0])
+            v = lifts[0]
     # (i) dagger = A v with v a lam-weight vector
     e = list(w.idempotents[lam])
     res.hypotheses["h1_cyclic"] = (
@@ -444,7 +448,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     stab = _h2_stability(alg, datum, lam, dagger, p0_rows)
     res.hypotheses["h2_degree0_stable"] = stab
     # (iii) dagger restricted to the subalgebra is tight
-    tight_dagger, fail_r = is_tight(alg, [list(r) for r in datum.rows], dagger)
+    tight_dagger, fail_r = is_tight(alg, datum.rows, dagger)
     res.hypotheses["h3_dagger_tight"] = tight_dagger
     if fail_r is not None:
         res.notes["dagger_first_failing_r"] = fail_r
@@ -452,7 +456,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
         return res.finalize()
     # conclusion 1: Delta(lam) restricted to the subalgebra is tight
     delta = standard_module(alg, lam)
-    tight_delta, fail_d = is_tight(alg, [list(r) for r in datum.rows], delta)
+    tight_delta, fail_d = is_tight(alg, datum.rows, delta)
     res.conclusions["delta_tight"] = tight_delta
     if fail_d is not None:
         res.notes["delta_first_failing_r"] = fail_d
@@ -478,14 +482,13 @@ def _h2_stability(alg, datum, lam, dagger, p0_rows):
     # E_K inside dagger coordinates: kernel of the surjection onto Delta_K
     daggerK = dagger.base_change("K")
     deltaK = standard_module(ak, lam)
-    wrows = daggerK.weight_space_rows(lam)
-    gen = list(wrows[0])
-    target = deltaK.weight_space_rows(lam)
-    h = hom_with_generator_images(daggerK, deltaK, [gen], [list(target[0])])
+    gen = daggerK.weight_space_rows(lam)[0]
+    target = deltaK.weight_space_rows(lam)[0]
+    h = hom_with_generator_images(daggerK, deltaK, [gen], [target])
     if h is None:
         return False
-    ker = linalg.kernel_right([list(r) for r in h], deltaK.fld)
-    span = daggerK.span([list(r) for r in ker] + [list(r) for r in p0_rows])
+    ker = linalg.kernel_right(h, deltaK.fld)
+    span = daggerK.span(ker + list(p0_rows))
     return span.contains_lattice(daggerK.image(wedd, span.rows))
 
 

@@ -5,8 +5,10 @@ each distinct draw was decided once, kept for the tests.
 included, and `primitivity_test` rebuilds the weight projector, the
 saturations and the footnote-7 verdict on every call; they are the package
 loops and test verbatim, apart from calling the `primitivity_test` of this
-file.  `endo_direct_check` builds every cyclic candidate module before the
-splitting reads any of them.  The package's campaigns must return the same
+file and reading span rows, now {index: entry} dicts, in that form (a
+drawn v is written out dense, as the loop drew it).  `endo_direct_check`
+builds every cyclic candidate module before the splitting reads any of
+them.  The package's campaigns must return the same
 stats, and its lazy check the same verdicts.
 """
 
@@ -59,8 +61,8 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
     while depth + 1 < len(chain) and chain[depth + 1].contains_vector(v):
         depth += 1
     grade = depth
-    f_rows = [list(r) for r in chain[min(grade + 1, len(chain) - 1)].rows]
-    f_rows += [list(r) for r in nprime_K.rows]
+    f_rows = list(chain[min(grade + 1, len(chain) - 1)].rows)
+    f_rows += nprime_K.rows
     f_lat = saturate_rows(alg.ring, mod.rank, f_rows)
     if f_lat.contains_vector(v):
         strongly = False
@@ -109,7 +111,8 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
             if rng.random() < 0.25:
                 c *= alg.ring.p
             coeffs.append(fld.of(c))
-        v = linalg.combine(coeffs, rows, fld.zero)
+        v = linalg.dense(linalg.combine(coeffs, rows).items(), mod.rank,
+                         fld.zero)
         stats["trials"] += 1
         if i not in chains:
             chains[i] = module_rad_chain(mod)

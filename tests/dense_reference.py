@@ -12,6 +12,10 @@ helpers `mat_copy` and `identity`, is kept verbatim as the oracle.
 `Lattice.from_rows` runs its Hermite echelon on {index: entry} rows; the
 dense worklist echelon it replaced (`lattice_from_rows`, with
 `_normalize_pivot` and `_back_reduce`) is kept verbatim as the oracle.
+`linalg.rref` returns each echelon row as the {index: entry} dict of its
+nonzero entries; the dense output loop it dropped is kept verbatim in
+`rref_dense`, the oracle for the sparse spans, and `dense_rows` writes
+vectors of either form as dense lists for the dense checks.
 A char-p radical stage reads a linear functional off one charpoly per
 basis row of the candidate ideal; the pairwise Friedl-Ronyai form it
 replaced, one product L_x L_y and one charpoly per pair of rows
@@ -94,6 +98,7 @@ def invert(a, field):
     n = len(a)
     aug = [list(r) + e for r, e in zip(a, identity(field, n))]
     ech, pivots = linalg.rref(aug, field)
+    ech = dense_rows(ech, 2 * n, field.zero)
     if len(ech) < n or pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in ech[:n]]
@@ -139,9 +144,54 @@ def lattice_from_rows(ring, ambient, rows):
     cols = sorted(piv_row)
     ech = [(c, piv_val[c], piv_row[c]) for c in cols]
     _back_reduce(ring, ech)
-    rows_t = tuple(tuple(r) for (_, _, r) in ech)
+    # the Lattice stores each canonical row as the dict of its nonzero entries
+    rows_t = tuple({j: x for j, x in enumerate(r) if x} for (_, _, r) in ech)
     return Lattice(ring, ambient, rows_t, tuple(cols),
                    tuple(piv_val[c] for c in cols))
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def dense_rows(rows, n, zero):
+    """Vectors, dense or {index: entry} dicts, as dense lists of length n."""
+    return [linalg.dense(linalg.entries(r), n, zero) for r in rows]
+
+
+def rref_dense(rows, field, ncols=None):
+    """`linalg.rref` with the dense output loop it had: (echelon rows as
+    dense lists, pivot columns)."""
+    width = ncols or 0
+    piv = {}
+    for r in rows:
+        if ncols is None:
+            width = len(r)
+        s = linalg.sparse(r)
+        for c in s.keys() & piv.keys():
+            linalg.sub_multiple(s, s.pop(c), piv[c])
+        if not s:
+            continue
+        col = min(s)
+        inv = field.one / s.pop(col)
+        s = {j: inv * x for j, x in s.items()}
+        for q in piv.values():
+            c = q.pop(col, None)
+            if c is not None:
+                linalg.sub_multiple(q, c, s)
+        piv[col] = s
+        if len(piv) == width:
+            break
+    pivots = sorted(piv)
+    z, o = field.zero, field.one
+    out = []
+    for col in pivots:
+        row = [z] * width
+        row[col] = o
+        for j, x in piv[col].items():
+            row[j] = x
+        out.append(row)
+    return out, pivots
 
 
 def _normalize_pivot(ring, row, col, val):
@@ -182,7 +232,7 @@ def fr_form_pairwise(alg, basis_rows, power):
     p = alg.fld.p
     n = alg.rank
     # each L_x by its sparse columns, on ints
-    mats = [[[(t, x.v) for t, x in col] for col in alg.left_mult_of(list(v))]
+    mats = [[[(t, x.v) for t, x in col] for col in alg.left_mult_of(v)]
             for v in basis_rows]
     d = len(mats)
     form = [[None] * d for _ in range(d)]
@@ -203,10 +253,10 @@ def fr_form_pairwise(alg, basis_rows, power):
 def fr_stage_pairwise(alg, basis_rows, power):
     """Kernel of the Friedl-Ronyai form c_power on the span of the rows."""
     fld = alg.fld
-    basis_rows, _ = linalg.rref(basis_rows, fld)
+    basis_rows, _ = linalg.rref(basis_rows, fld, alg.rank)
     ker = linalg.kernel_right(fr_form_pairwise(alg, basis_rows, power), fld)
-    return linalg.rref([linalg.combine(c, basis_rows, fld.zero)
-                        for c in ker], fld)[0]
+    return linalg.rref([linalg.combine(c, basis_rows) for c in ker], fld,
+                       alg.rank)[0]
 
 
 def radical_pairwise(alg):

@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from dense_reference import dense_rows
 from paper_checks import unit_u_alpha
 
 from grforge import (
@@ -52,7 +53,7 @@ def test_criterion_1_lattice_kernel():
         n_rows = []
         for _ in range(rng.randint(0, m.rank)):
             v = [ring.zero()] * amb
-            for r in m.rows:
+            for r in dense_rows(m.rows, amb, ring.zero()):
                 c = rng.randint(-3, 3)
                 if rng.random() < 0.4:
                     c *= ring.p
@@ -82,7 +83,7 @@ def test_criterion_1_lattice_kernel():
             l1 = Lattice.from_rows(ring, amb, rows1)
             l2 = Lattice.from_rows(ring, amb, rows2)
             got = l1.intersection(l2)
-            for row in got.rows:
+            for row in dense_rows(got.rows, amb, ring.zero()):
                 assert inline_member(ring, l1, row)
                 assert inline_member(ring, l2, row)
             for v in brute_members(ring, l1, l2, bound=3):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from dense_reference import dense_rows
+
 from grforge import forced, graded, modules
 from grforge.algebra import StructureAlgebra, WeightDatum
 from grforge.graded import gr_module
@@ -26,14 +28,14 @@ class TestNPrime:
 class TestPrimitivity:
     def test_generator_of_delta2(self, sp_z5):
         d2 = sp_z5["2"]["Delta"]
-        v = list(d2.weight_space_rows("2")[0])
+        v = d2.weight_space_rows("2")[0]
         rep = forced.primitivity_test(d2, v, "2")
         assert rep.primitive and rep.strongly_primitive and rep.grade == 0
         assert rep.maximality_ok
 
     def test_scaled_generator_fails_both(self, sp_z5):
         d2 = sp_z5["2"]["Delta"]
-        v = [3 * x for x in d2.weight_space_rows("2")[0]]
+        v = {t: 3 * x for t, x in d2.weight_space_rows("2")[0].items()}
         rep = forced.primitivity_test(d2, v, "2")
         assert not rep.primitive and not rep.strongly_primitive
 
@@ -41,8 +43,8 @@ class TestPrimitivity:
         p1 = sp_z5["1"]["P"]
         chain = graded.module_rad_chain(p1)
         gamma = [r for r in p1.weight_space_rows("1")
-                 if chain[2].contains_vector(list(r))][0]
-        rep = forced.primitivity_test(p1, list(gamma), "1")
+                 if chain[2].contains_vector(r)][0]
+        rep = forced.primitivity_test(p1, gamma, "1")
         assert not rep.primitive and not rep.strongly_primitive
 
     def test_non_weight_vector_rejected(self, sp_z5):
@@ -58,7 +60,7 @@ class TestPrimitivity:
         for _ in range(120):
             mod = mods[rng.randrange(len(mods))]
             lam = ("1", "2")[rng.randrange(2)]
-            rows = mod.weight_space_rows(lam)
+            rows = dense_rows(mod.weight_space_rows(lam), mod.rank, fld.zero)
             if not rows:
                 continue
             v = [fld.zero] * mod.rank
@@ -229,7 +231,8 @@ class TestPrimitiveEqualsStronglyPrimitiveOnGr:
             gmod = gn.module
             for _ in range(40):
                 lam = ("1", "2")[rng.randrange(2)]
-                rows = gmod.weight_space_rows(lam)
+                rows = dense_rows(gmod.weight_space_rows(lam), gmod.rank,
+                                  gmod.fld.zero)
                 if not rows:
                     continue
                 # homogeneous: restrict to one grade

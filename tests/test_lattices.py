@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import lattice_from_rows
+from dense_reference import dense_rows, lattice_from_rows
 from hypothesis import given, settings, strategies as st
 
 from grforge import linalg
@@ -28,6 +28,11 @@ def lat(ring, ambient, rows):
     return Lattice.from_rows(ring, ambient, [[ring.of(x) for x in r] for r in rows])
 
 
+def dense(l):
+    """The canonical rows of a lattice as dense lists."""
+    return dense_rows(l.rows, l.ambient, l.ring.zero())
+
+
 # -- brute-force intersection oracle (rank <= 3, small integer entries) -------
 #
 # Two independent checks, neither using the kernel/saturation code path:
@@ -44,7 +49,7 @@ def brute_members(ring, l1, l2, bound):
     coeffs = range(-bound, bound + 1)
     for cs in itertools.product(coeffs, repeat=l1.rank):
         v = [ring.zero()] * l1.ambient
-        for c, row in zip(cs, l1.rows):
+        for c, row in zip(cs, dense(l1)):
             if c:
                 for j in range(l1.ambient):
                     v[j] = v[j] + ring.of(c) * row[j]
@@ -69,7 +74,7 @@ def inline_det(rows):
 def inline_member(ring, l, v):
     """v in l, decided by Cramer solves against the generator matrix."""
     # solve c * G = v over Q by augmenting and eliminating
-    g = [list(map(Fraction, row)) for row in l.rows]
+    g = [list(map(Fraction, row)) for row in dense(l)]
     vv = list(map(Fraction, v))
     cs = []
     for row in g:
@@ -87,7 +92,7 @@ def inline_member(ring, l, v):
 
 
 def det_val(ring, l):
-    d = inline_det([list(map(Fraction, row)) for row in l.rows])
+    d = inline_det([list(map(Fraction, row)) for row in dense(l)])
     assert d != 0
     v = 0
     num, den = abs(d.numerator), d.denominator
@@ -127,7 +132,7 @@ class TestIntersection:
                 l2 = lat(ring, amb, rows2)
                 got = l1.intersection(l2)
                 # soundness: every generator of got lies in both inputs
-                for row in got.rows:
+                for row in dense(got):
                     assert inline_member(ring, l1, row)
                     assert inline_member(ring, l2, row)
                 # completeness on a coefficient box
@@ -275,7 +280,7 @@ def test_pure_closure_monotone():
         rows1 = []
         for _ in range(rng.randint(0, n2.rank)):
             v = [R3.zero()] * amb
-            for r in n2.rows:
+            for r in dense(n2):
                 c = rng.randint(-2, 2) * (3 if rng.random() < 0.5 else 1)
                 for t in range(amb):
                     v[t] = v[t] + R3.of(c) * r[t]
@@ -300,7 +305,8 @@ def test_membership_agrees_with_the_cramer_oracle():
             l = lat(ring, amb, rows)
             coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, p)))
                       for _ in l.rows]
-            combo = [sum((c * r[j] for c, r in zip(coeffs, l.rows)), Fraction(0))
+            combo = [sum((c * r[j] for c, r in zip(coeffs, dense(l))),
+                         Fraction(0))
                      for j in range(amb)]
             free = [Fraction(rng.randint(-p, p)) for _ in range(amb)]
             for v in (combo, free):
@@ -318,7 +324,7 @@ def dense_coords(l, vec):
     ring = l.ring
     v = list(vec)
     cs = []
-    for row, col, pval in zip(l.rows, l.pivots, l.pivot_vals):
+    for row, col, pval in zip(dense(l), l.pivots, l.pivot_vals):
         x = v[col]
         if not x:
             cs.append(ring.zero())
@@ -355,7 +361,7 @@ def lattice_and_vectors(draw):
     vecs = []
     for scale in (ring.one(), ring.pi_inv):
         v = [ring.zero()] * amb
-        for r in l.rows:
+        for r in dense(l):
             c = ring.of(draw(small)) * (scale if draw(st.booleans()) else 1)
             v = [a + c * b for a, b in zip(v, r)]
         vecs.append(v)
@@ -469,7 +475,7 @@ def test_coord_solver_on_dict_rows_keeps_entries_past_the_width_outside(data):
     coords = coord_solver(rows, fld, over, n)
     dense_coords = coord_solver(dense, fld, over)
     c = [fld.of(data.draw(small)) for _ in rows]
-    v = linalg.combine(c, dense, fld.zero)
+    v = linalg.dense(linalg.combine(c, dense).items(), n, fld.zero)
     assert coords(v) == coords(linalg.sparse(v)) == dense_coords(v) == c
     i = data.draw(st.integers(0, len(rows) - 1))
     past = {**linalg.sparse(v), n + i: fld.one}

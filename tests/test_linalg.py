@@ -13,7 +13,14 @@ form over O) is compared with the determinant `dense_reference.det`.
 from fractions import Fraction
 
 import pytest
-from dense_reference import det, identity, invert, mat_copy
+from dense_reference import (
+    dense_rows,
+    det,
+    identity,
+    invert,
+    mat_copy,
+    transpose,
+)
 from hypothesis import given, settings, strategies as st
 
 from grforge import linalg
@@ -74,7 +81,8 @@ def dense_mat_mul(a, b, field):
 
 def dense_rref(rows, field, ncols=None):
     if ncols is not None:  # {column: entry} rows, made dense first
-        rows = [[r.get(j, field.zero) for j in range(ncols)] for r in rows]
+        rows = [[r.get(j, field.zero) for j in range(ncols)]
+                if isinstance(r, dict) else r for r in rows]
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return [], []
@@ -158,10 +166,17 @@ def dense_charpoly(a, field):
     return polys[n]
 
 
+def as_dicts(echelon):
+    """(rows, pivots) with each row the dict of its nonzero entries, the form
+    of linalg.rref's echelon rows."""
+    rows, pivots = echelon
+    return [linalg.sparse(r) for r in rows], pivots
+
+
 def on_dense_rref(fn, *args):
     """fn(*args) with linalg.rref replaced by the dense reference."""
     sparse = linalg.rref
-    linalg.rref = dense_rref
+    linalg.rref = lambda *a: as_dicts(dense_rref(*a))
     try:
         return fn(*args)
     finally:
@@ -189,8 +204,8 @@ def draw_rows(data, fld, nrows, ncols):
     rows = []
     for _ in range(nrows):
         if rows and data.draw(st.integers(0, 3)) == 0:
-            rows.append(linalg.combine([draw_scalar(data, fld) for _ in rows],
-                                       rows, fld.zero))
+            v = linalg.combine([draw_scalar(data, fld) for _ in rows], rows)
+            rows.append(linalg.dense(v.items(), ncols, fld.zero))
         else:
             rows.append([draw_scalar(data, fld) for _ in range(ncols)])
     return rows
@@ -225,14 +240,19 @@ def types(rows):
 @given(st.sampled_from(sorted(FIELDS)), st.data())
 def test_rref_matches_dense(kind, data):
     fld = FIELDS[kind]
-    rows = draw_rows(data, fld, *shape(data))
+    nrows, ncols = shape(data)
+    rows = draw_rows(data, fld, nrows, ncols)
     got = linalg.rref(rows, fld)
     want = dense_rref(rows, fld)
-    assert got == want
-    assert types(got[0]) == types(want[0])
+    assert got == as_dicts(want)
+    # the echelon rows are the nonzero entries, pivot first, keys increasing
+    assert all(list(r) == sorted(r) and next(iter(r)) == c
+               for r, c in zip(*got))
+    assert (dense_rows(got[0], ncols, fld.zero), got[1]) == want
+    assert types(dense_rows(got[0], ncols, fld.zero)) == types(want[0])
     assert linalg.rank(rows, fld) == len(want[0])
     # rows given as a generator of tuples
-    assert linalg.rref((tuple(r) for r in rows), fld) == want
+    assert linalg.rref((tuple(r) for r in rows), fld) == got
 
 
 @SETTINGS
@@ -275,8 +295,8 @@ def test_residue_rank_and_hermite_pivots_give_the_determinant(kind, data):
     a = []
     for _ in range(n):
         if a and not data.draw(st.integers(0, 3)):
-            a.append(linalg.combine([draw_integral(data, ring) for _ in a],
-                                    a, ring.zero()))
+            v = linalg.combine([draw_integral(data, ring) for _ in a], a)
+            a.append(linalg.dense(v.items(), n, ring.zero()))
         else:
             a.append([draw_integral(data, ring) for _ in range(n)])
     d = det(a, ring.field_K)
@@ -306,10 +326,10 @@ def test_coord_solver_gives_the_dense_inverse(kind, data):
     want = on_dense_rref(invert, a, fld)
     if want is None:
         with pytest.raises(LatticeError):
-            coord_solver(linalg.transpose(a), fld)
+            coord_solver(transpose(a), fld)
         return
-    coords = coord_solver(linalg.transpose(a), fld)
-    got = linalg.transpose([coords(e) for e in identity(fld, n)])
+    coords = coord_solver(transpose(a), fld)
+    got = transpose([coords(e) for e in identity(fld, n)])
     assert got == want
     assert dense_mat_mul(a, got, fld) == identity(fld, n)
 
@@ -324,10 +344,32 @@ def test_rref_edge_cases(kind):
     assert linalg.kernel_right([[z] * 2], fld) == [[o, z], [z, o]]
     rows = [[z, z, z], [z, o, o], [z] * 3, [z, o + o, o]]
     for given_rows in (rows, (r for r in rows)):
-        assert linalg.rref(given_rows, fld) == dense_rref(rows, fld)
+        assert linalg.rref(given_rows, fld) == as_dicts(dense_rref(rows, fld))
     # full rank early: the remaining rows change nothing
     assert linalg.rref([[o, z], [z, o], [o, o]], fld) == \
-        ([[o, z], [z, o]], [0, 1])
+        ([{0: o}, {1: o}], [0, 1])
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_dict_rows_without_a_width_raise(kind):
+    """A dict row's length is its number of nonzero entries, not its width:
+    read as the width it gave rank 1 for [{0: 1}, {1: 1}] and an empty
+    kernel.  Every elimination refuses dict rows without ncols."""
+    fld = FIELDS[kind]
+    o = fld.one
+    rows = [{0: o}, {1: o}]
+    for call in (lambda: linalg.rref(rows, fld),
+                 lambda: linalg.rank(rows, fld),
+                 lambda: linalg.kernel_right(rows, fld),
+                 lambda: linalg.kernel_left(rows, fld),
+                 lambda: linalg.solve_right(rows, [o, o], fld),
+                 lambda: coord_solver(rows, fld)):
+        with pytest.raises(ValueError, match="ncols"):
+            call()
+    assert linalg.rank(rows, fld, 2) == 2
+    assert linalg.kernel_right(rows, fld, 3) == [[fld.zero, fld.zero, o]]
+    assert linalg.solve_right(rows, [o, o], fld, 2) == [o, o]
+    assert coord_solver(rows, fld, ncols=2)({1: o}) == [fld.zero, o]
 
 
 # ---------------------------------------------------------------------------

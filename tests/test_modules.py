@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from dense_reference import dense_rows
+
 from grforge import graded, linalg, modules, radicals
 from grforge.algebra import StructureAlgebra, WeightDatum
 from grforge.lattices import Lattice
@@ -37,7 +39,7 @@ class TestSubmoduleGenerated:
         p1 = sp_z5["1"]["P"]
         # find the alpha vector inside P(1): the weight-2 row
         arow = p1.weight_space_rows("2")[0]
-        sub = p1.submodule_generated([list(arow)])
+        sub = p1.submodule_generated([arow])
         assert sub.rank == 2  # span{alpha, gamma}
 
     def test_zero(self, sp_z5):
@@ -47,7 +49,7 @@ class TestSubmoduleGenerated:
     def test_delta2_weight_generator(self, sp_z5):
         d2 = sp_z5["2"]["Delta"]
         gen = d2.weight_space_rows("2")[0]
-        assert d2.submodule_generated([list(gen)]) == d2.full_lattice()
+        assert d2.submodule_generated([gen]) == d2.full_lattice()
 
 
 class TestStandardsAndProjectives:
@@ -212,7 +214,7 @@ class TestComposition:
         quot, lifts, _ = z5_k.quotient_by_ideal(radk)
         qmods = radicals.quotient_modules(z5_k, lifts, simples)
         blocks = radicals.split_semisimple(quot, qmods)
-        lift_rows = [list(r) for r in lifts]
+        lift_rows = dense_rows(lifts, z5_k.rank, z5_k.fld.zero)
         blk_data = []
         for blk in blocks:
             z = [z5_k.fld.zero] * z5_k.rank
@@ -247,8 +249,8 @@ class TestDeltaFiltration:
         p1 = sp_z5["1"]["P"]
         chain = graded.module_rad_chain(p1)
         gamma = [r for r in p1.weight_space_rows("1")
-                 if chain[2].contains_vector(list(r))][0]
-        sub = p1.submodule_generated([list(gamma)])
+                 if chain[2].contains_vector(r)][0]
+        sub = p1.submodule_generated([gamma])
         n = p1.restrict_to(sub)
         stages = delta_filtration(n)
         assert section_multiset(stages) == {"1": 1}

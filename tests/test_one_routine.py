@@ -72,8 +72,8 @@ def intersect(rows1, rows2, fld):
     if not r1 or not r2:
         return []
     ker = linalg.kernel_left(r1 + r2, fld)
-    out = [linalg.combine(z, r1, fld.zero) for z in ker]
-    out, _ = linalg.rref(out, fld)
+    out = [linalg.combine(z[:len(r1)], r1) for z in ker]
+    out, _ = linalg.rref(out, fld, len(r1[0]))
     return out
 
 
@@ -197,7 +197,8 @@ def test_center_membership_matches_commuting_with_the_basis(case, data):
     fld = alg.fld
     center = radicals.center_rows(alg)
     x = linalg.combine([draw_scalar(data, fld, False) for _ in center],
-                       center, fld.zero) if center else alg.zero_vec()
+                       center)
+    x = linalg.dense(x.items(), alg.rank, fld.zero)
     if data.draw(st.booleans()):
         x[data.draw(st.integers(0, alg.rank - 1))] += fld.one
     commutes = all(alg.mul(x, alg.basis_vec(i)) == alg.mul(alg.basis_vec(i), x)

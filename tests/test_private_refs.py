@@ -31,8 +31,8 @@ and the closure of `coord_solver`) calls `linalg.eliminate` and has no
 loop of its own that writes into the vector.  Vectors pass between the
 kernels as {index: entry} dicts: no span is handed a vector made dense by
 hand, `flatten` gives a dict, one `unflatten` reads a flat vector back as
-columns, and only the canonical rows of `Lattice.from_rows` and the lifts of
-`Subspace.lifts_over` are made with `linalg.dense`.
+columns, and only the lifts of `Subspace.lifts_over` are made with
+`linalg.dense`: the canonical rows of a span stay dicts.
 """
 
 import ast
@@ -495,11 +495,8 @@ def test_sampling_check_sees_a_sampler_and_an_import():
         (4, "_SAMPLED"), (4, "sample")]
 
 
-# linalg defines the dense forms and files converts documents; the one
-# function elsewhere that transposes a dense matrix reads the image rows of a
-# homomorphism witness, which is not an action
+# linalg defines the dense forms and files converts documents
 DENSE_MODULES = {"linalg", "files"}
-DENSE_TRANSPOSES = {("modules", "peel_standard_power")}
 DENSE_KERNELS = {"mat_mul", "combine_matrices", "transpose"}
 
 
@@ -539,15 +536,8 @@ def test_actions_stay_sparse_columns():
     for path in sorted(PKG.glob("*.py")):
         if path.stem in DENSE_MODULES:
             continue
-        tree = ast.parse(path.read_text())
-        exempt = set()
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.FunctionDef)
-                    and (path.stem, node.name) in DENSE_TRANSPOSES):
-                exempt.update(line for line, what in _dense_actions(node)
-                              if what == "transpose")
         found += [f"{path.name}:{line} {what}"
-                  for line, what in _dense_actions(tree) if line not in exempt]
+                  for line, what in _dense_actions(ast.parse(path.read_text()))]
     assert not found, f"dense action matrices: {found}"
 
 
@@ -917,10 +907,9 @@ def test_reduction_check_sees_a_hand_made_loop():
 
 
 # vectors pass between the kernels as {index: entry} dicts: only what is kept
-# dense is made dense from one, the canonical rows of a Lattice and the lifts
-# of a quotient basis over a field, which are algebra elements
-DENSE_VECTOR_CALLERS = {"lattices.Lattice.from_rows",
-                        "linalg.Subspace.lifts_over"}
+# dense is made dense from one, the lifts of a quotient basis over a field,
+# which are algebra elements; the canonical rows of a span stay dicts
+DENSE_VECTOR_CALLERS = {"linalg.Subspace.lifts_over"}
 REMOVED_DENSE_ROUTINES = {"_sparse_span", "_column_vectors", "_back_reduce"}
 SPAN_MAKERS = {"span", "span_of", "from_rows", "product_span", "left_ideal",
                "right_ideal", "stable_span", "image", "submodule_generated",

@@ -19,7 +19,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import fr_form_pairwise, radical_pairwise
+from dense_reference import dense_rows, fr_form_pairwise, radical_pairwise
 from grforge import cli, fixtures, linalg, radicals, suites
 from grforge.algebra import StructureAlgebra
 from grforge.scalars import Cyc, CycField, RatField
@@ -61,9 +61,12 @@ def full_powers(alg, rows):
     """[S, S^2, ..., S^(rank + 1)], cut only after a power that is 0."""
     base = alg.span(rows)
     powers = [base]
+    zero = alg.fld.zero
     while len(powers) < alg.rank + 1 and powers[-1].rank:
-        powers.append(alg.span([dense_mul(alg, list(v), list(w))
-                                for v in powers[-1].rows for w in base.rows]))
+        powers.append(alg.span([
+            dense_mul(alg, v, w)
+            for v in dense_rows(powers[-1].rows, alg.rank, zero)
+            for w in dense_rows(base.rows, alg.rank, zero)]))
     return powers
 
 
@@ -85,7 +88,7 @@ def per_product_form(alg, rows, power):
     entry."""
     fld, n = alg.fld, alg.rank
     return [[fld.of(charpoly(linalg.dense_rows(
-        alg.left_mult_of(alg.mul(list(z), alg.basis_vec(j))), n, fld.zero),
+        alg.left_mult_of(alg.mul(z, alg.basis_vec(j))), n, fld.zero),
         fld.p)[power]) for j in range(n)] for z in rows]
 
 
@@ -117,7 +120,8 @@ def draw_span(data, alg):
     for _ in range(data.draw(st.integers(1, 4))):
         if rad and data.draw(st.booleans()):
             coeffs = [draw_scalar(data, alg.fld) for _ in rad]
-            rows.append(linalg.combine(coeffs, rad, alg.fld.zero))
+            rows.append(linalg.dense(linalg.combine(coeffs, rad).items(),
+                                     alg.rank, alg.fld.zero))
         else:
             rows.append(draw_vec(data, alg))
     return rows
@@ -240,7 +244,8 @@ def test_fr_stages_match_the_per_product_and_pairwise_forms(case):
                 for k in range(ideal.rank)]
         assert form == per_product_form(alg, ideal.rows, power)
         assert [[sum((x * y for x, y in zip(f, z)), fld.zero)
-                 for z in ideal.rows] for f in form] == \
+                 for z in dense_rows(ideal.rows, n, fld.zero)]
+                for f in form] == \
             fr_form_pairwise(alg, ideal.rows, power)
     assert chain[0].rows == radical_pairwise(alg)
 
@@ -335,7 +340,8 @@ def test_thm_417_on_qschur_5_proves_each_radical_once(p, monkeypatch):
 
     def counted_is_ideal(alg, rows):
         # the proof hands is_ideal the candidate's span
-        candidates[(id(alg), tuple(map(tuple, alg.span(rows).rows)))] += 1
+        candidates[(id(alg), tuple(tuple(r.items())
+                                   for r in alg.span(rows).rows))] += 1
         return is_ideal(alg, rows)
 
     def counted_stage(alg, ideal, power):

@@ -310,6 +310,23 @@ class TestBuiltOnce:
         gr = tightness.gr_subalgebra_of(z5, rows)
         assert gr.base is sub
         assert tightness.gr_subalgebra_of(z5, [tuple(r) for r in rows]) is gr
+        # a row as the dict of its nonzero entries is the same row
+        dicts = [linalg.sparse(r) for r in rows]
+        assert tightness.subalgebra_of(z5, dicts) is sub
+        assert tightness.gr_subalgebra_of(z5, dicts) is gr
+
+    def test_subalgebra_keeps_dict_rows_apart_by_their_entries(self, z5):
+        """Span rows are dicts; two bases of the whole algebra with the same
+        supports are different rows and give different subalgebras."""
+        ak = z5.base_change("K")
+        rows = ak.span([ak.basis_vec(i) for i in range(ak.rank)]).rows
+        doubled = [{j: x + x for j, x in r.items()} for r in rows]
+        sub = tightness.subalgebra_of(ak, rows)
+        other = tightness.subalgebra_of(ak, doubled)
+        assert other is not sub
+        assert (sub.unit, sub.sc) == (tuple(ak.unit), ak.sc)
+        two = ak.fld.one + ak.fld.one
+        assert other.unit == tuple(x / two for x in ak.unit)
 
 
 class TestLambdaStandardCache:
