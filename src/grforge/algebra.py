@@ -247,10 +247,10 @@ class StructureAlgebra:
                     for what, v in vectors if len(v) != n]
         if self.level == "O":
             problems += [f"{what} has an entry outside O" for what, v in vectors
-                         if any(x and self.ring.valuation(x) < 0 for x in v)]
+                         if not all(map(self.ring.in_O, v))]
             problems += [f"structure constant c[{i},{j},{t}] outside O"
                          for (i, j), row in self.sc.items()
-                         for t, v in row.items() if self.ring.valuation(v) < 0]
+                         for t, v in row.items() if not self.ring.in_O(v)]
         if problems:
             raise ValidationError(problems)
         # unit axiom

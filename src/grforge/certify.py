@@ -272,7 +272,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     for bi, blk in enumerate(blocks):
         # central idempotent must lie in the O-order
         z = blk.central_idempotent
-        if any(ring.valuation(x) < 0 for x in z if x):
+        if not all(map(ring.in_O, z)):
             return MatrixAlgebraWitness(
                 False, "central idempotent escapes the order",
                 gram_det_valuation=val)

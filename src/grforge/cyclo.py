@@ -193,24 +193,29 @@ class Series:
     def constant_term(self):
         return self.c.get((0,) * self.nvars, self.ring.zero())
 
+    def _truncated(self, order) -> "Series":
+        """The terms of total degree < order, as a series of that order."""
+        return Series(self.ring, self.nvars, order,
+                      {e: v for e, v in self.c.items() if sum(e) < order})
+
     def inverse(self) -> "Series":
-        """Geometric-series inverse: 1/(c0 (1 + rest)) truncated at order N."""
+        """1/self truncated at order N, by Newton's iteration x <- x + x (1 -
+        a x) on a = self / c0: a step from an x exact below order n is exact
+        below 2n, so the steps run at orders 2, 4, ... up to N."""
         c0 = self.constant_term()
         if not c0:
             raise ZeroDivisionError("series has no constant term")
         inv0 = self.ring.one() / c0
-        rest = (self - c0) * inv0  # no constant term
-        out = Series.const(self.ring, self.nvars, self.order, 1)
-        term = Series.const(self.ring, self.nvars, self.order, 1)
-        for k in range(1, self.order + 1):
-            term = term * rest
-            if not term.c:
-                break
-            out = out + (-1) ** k * term
-        return out * inv0
+        a = self * inv0
+        x, n = Series.const(self.ring, self.nvars, 1, 1), 1
+        while n < self.order:
+            n = min(2 * n, self.order)
+            x = x._truncated(n)
+            x = x + x * (1 - a._truncated(n) * x)
+        return x * inv0
 
     def coeffs_in_O(self) -> bool:
-        return all(self.ring.valuation(v) >= 0 for v in self.c.values())
+        return all(map(self.ring.in_O, self.c.values()))
 
     def __repr__(self):
         return f"Series({len(self.c)} terms, order {self.order})"
@@ -355,15 +360,15 @@ def k_beta(ring, datum: RootDatum, beta, order) -> Series:
     return out
 
 
-def h_prime(ring, datum: RootDatum, beta, order):
+def h_prime(ring, datum: RootDatum, beta, order, k=None):
     """H_beta = (K_beta - 1)/(zeta^(d_beta) - 1); all coefficients must be
-    in O (the recursive xy - 1 = (x-1)y + (y-1) argument)."""
+    in O (the recursive xy - 1 = (x-1)y + (y-1) argument).  K_beta is built
+    unless `k` gives it."""
     d_b = datum.d_alpha(beta)
-    kb = k_beta(ring, datum, beta, order)
+    if k is None:
+        k = k_beta(ring, datum, beta, order)
     z_d = _zeta_pow_scalar(ring, d_b)
-    denom_inv = ring.one() / (z_d - 1)
-    num = kb - 1
-    hb = num * denom_inv
+    hb = (k - 1) * (ring.one() / (z_d - 1))
     return hb, hb.coeffs_in_O()
 
 
@@ -371,13 +376,9 @@ def h_prime(ring, datum: RootDatum, beta, order):
 # the bracket elements and the item suite
 # ---------------------------------------------------------------------------
 
-def _bracket(ring, datum, beta, j, order, k=None, k_inv=None):
-    """[K_beta; j] = (K zeta^(dj) - zeta^(-dj) K^(-1)) / (zeta^d - zeta^-d)."""
-    d = datum.d_alpha(beta)
-    if k is None:
-        k = k_beta(ring, datum, beta, order)
-    if k_inv is None:
-        k_inv = k.inverse()
+def _bracket(ring, d, j, k, k_inv):
+    """[K_beta; j] = (K zeta^(dj) - zeta^(-dj) K^(-1)) / (zeta^d - zeta^-d)
+    for K = K_beta, d = d_beta."""
     zd = _zeta_pow_scalar(ring, d)
     zdm = _zeta_pow_scalar(ring, -d)
     zj = _zeta_pow_scalar(ring, d * j)
@@ -399,15 +400,19 @@ def appendix_identity_suite(datum: RootDatum, p: int, order: int = 8):
         raise CycloError("G2 requires p > 3")
     ring = RingSpec(CYCLOTOMIC, p)
     verdicts = {}
+    by_length = {}
     for beta in datum.positive:
         d = datum.d_alpha(beta)
+        if d not in by_length:
+            by_length[d] = _length_checks(ring, d, order)
+        cleared, scalar_ok = by_length[d]
         k = k_beta(ring, datum, beta, order)
         k_inv = k.inverse()
         tag = "+".join(f"{n}a{i+1}" for i, n in enumerate(beta) if n)
         # (1) K in S'
         verdicts[(tag, 1)] = k.coeffs_in_O()
         # H_beta integrality (the recursive xy-1 argument)
-        _, h_ok = h_prime(ring, datum, beta, order)
+        hb, h_ok = h_prime(ring, datum, beta, order, k)
         verdicts[(tag, "H")] = h_ok
         # (2) K^{-1} in S-hat
         one = Series.const(ring, datum.rank, order, 1)
@@ -415,42 +420,32 @@ def appendix_identity_suite(datum: RootDatum, p: int, order: int = 8):
         zd = _zeta_pow_scalar(ring, d)
         zdm = _zeta_pow_scalar(ring, -d)
         # (3) [K;0] in K^{-1} S': displayed factorization and membership
-        br0 = _bracket(ring, datum, beta, 0, order, k, k_inv)
+        br0 = _bracket(ring, d, 0, k, k_inv)
         rhs = (k_inv * (ring.one() / zdm)) \
-            * ((k + 1) * (ring.one() / (zd + 1))) \
-            * ((k - 1) * (ring.one() / (zd - 1)))
+            * ((k + 1) * (ring.one() / (zd + 1))) * hb
         verdicts[(tag, 3)] = (br0 == rhs) and (k * br0).coeffs_in_O()
-        verdicts[(tag, "3x")] = _bracket_cleared_identity(ring, d, 0)
-        # (4) [K;j] in K^{-1} S' for 1 <= j < p
+        verdicts[(tag, "3x")] = cleared[0]
+        # (4) [K;j] in K^{-1} S' for 1 <= j < p; term1's factor
+        # (K - 1)/((zeta^d - 1)(zeta^d + 1) zeta^-d) does not depend on j
+        hb_over = hb * (ring.one() / ((zd + 1) * zdm))
         ok4 = True
-        ok4x = True
         ok5 = True
         for j in range(1, p):
-            brj = _bracket(ring, datum, beta, j, order, k, k_inv)
+            brj = _bracket(ring, d, j, k, k_inv)
             zj = _zeta_pow_scalar(ring, d * j)
             zjm = _zeta_pow_scalar(ring, -d * j)
-            term1 = ((k - 1) * (ring.one() / (zd - 1))) \
-                * (ring.one() / ((zd + 1) * zdm)) * (zj + k_inv * zjm)
+            term1 = hb_over * (zj + k_inv * zjm)
             term2 = Series.const(ring, datum.rank, order,
                                  (zj - zjm) / (zd - zdm))
             ok4 = ok4 and (brj == term1 + term2) \
                 and (k * brj).coeffs_in_O()
-            ok4x = ok4x and _bracket_cleared_identity(ring, d, j)
             # (5) [K;j]^{-1} in S-hat
             brj_inv = brj.inverse()
             ok5 = ok5 and brj_inv.coeffs_in_O() and (brj * brj_inv == one)
         verdicts[(tag, 4)] = ok4
-        verdicts[(tag, "4x")] = ok4x
+        verdicts[(tag, "4x")] = all(cleared[1:])
         verdicts[(tag, 5)] = ok5
         # (6) log K in S-hat, with the (zeta^d - 1)^r / r in O scalar checks
-        scalar_ok = True
-        for r in range(1, order + 1):
-            c = ring.one()
-            for _ in range(r):
-                c = c * (zd - 1)
-            c = c * Fraction(1, r)
-            if ring.valuation(c) < 0:
-                scalar_ok = False
         logk = Series(ring, datum.rank, order)
         term = Series.const(ring, datum.rank, order, 1)
         km1 = k - 1
@@ -461,6 +456,20 @@ def appendix_identity_suite(datum: RootDatum, p: int, order: int = 8):
             logk = logk + (-1) ** (r + 1) * term * Fraction(1, r)
         verdicts[(tag, 6)] = scalar_ok and logk.coeffs_in_O()
     return verdicts
+
+
+def _length_checks(ring, d, order):
+    """What the suite checks of a root through its length d alone: the
+    cleared bracket identities for j = 0..p-1, and whether (zeta^d - 1)^r / r
+    lies in O for r = 1..N."""
+    cleared = [_bracket_cleared_identity(ring, d, j) for j in range(ring.p)]
+    c = ring.one()
+    pi_d = _zeta_pow_scalar(ring, d) - 1
+    scalar_ok = True
+    for r in range(1, order + 1):
+        c = c * pi_d
+        scalar_ok = scalar_ok and ring.in_O(c * Fraction(1, r))
+    return cleared, scalar_ok
 
 
 def _bracket_cleared_identity(ring, d, j):

@@ -534,7 +534,7 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
         e = linalg.combine(coef, center)
         e = radicals._newton_idempotent(
             ak, [e.get(t, fld.zero) for t in range(ak.rank)])
-        integral = all(ring.valuation(x) >= 0 for x in e if x)
+        integral = all(map(ring.in_O, e))
         all_integral = all_integral and integral
         out_blocks.append({
             "weights": b,

@@ -428,7 +428,7 @@ def coord_solver(rows, fld, ring=None, ncols=None):
     steps = tuple(
         (col, {j: x if j < n else -x for j, x in row.items() if j != col})
         for row, col in zip(ech, pivots))
-    valuation = ring.valuation if ring is not None else None
+    in_O = ring.in_O if ring is not None else None
 
     def coords(v):
         v = linalg.sparse(v)
@@ -437,7 +437,7 @@ def coord_solver(rows, fld, ring=None, ncols=None):
         linalg.eliminate(steps, v)
         if v and min(v) < n:
             return None
-        if valuation and any(valuation(y) < 0 for y in v.values()):
+        if in_O and not all(map(in_O, v.values())):
             return None
         return [v.get(n + i, zero) for i in range(k)]
 

@@ -429,7 +429,7 @@ def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     if src.level != "O":
         return h if linalg.rank(h, src.fld) == src.rank else None
     ring = src.algebra.ring
-    if any(x and ring.valuation(x) < 0 for row in h for x in row):
+    if not all(ring.in_O(x) for row in h for x in row):
         return None
     residues = [[ring.residue(x) for x in row] for row in h]
     return h if linalg.rank(residues, ring.field_k) == src.rank else None
@@ -504,7 +504,7 @@ def peel_standard_power(cur: ModuleRep, lam, rows):
     if h is None:
         raise FiltrationFailure(lam, "no homomorphism extends the weight basis")
     integral = cur.level == "O"
-    if integral and any(x and alg.ring.valuation(x) < 0 for row in h for x in row):
+    if integral and not all(alg.ring.in_O(x) for row in h for x in row):
         raise FiltrationFailure(lam, "witness map does not preserve the lattice")
     img = cur.span([dict(c) for c in linalg.columns(h)])
     if img.rank != big.rank:

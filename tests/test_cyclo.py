@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from cyclo_reference import (geometric_inverse, in_O_by_valuation,
+                             suite_reference)
 from paper_checks import unit_u_alpha
 
 from grforge import cyclo
@@ -78,6 +80,15 @@ class TestKBeta:
         for beta in rd.positive:
             hb, ok = cyclo.h_prime(ring, rd, beta, 6)
             assert ok, beta
+
+    def test_h_prime_reads_a_given_k(self):
+        ring = RingSpec(CYCLOTOMIC, 7)
+        rd = cyclo.RootDatum.of_type("G2")
+        for beta in rd.positive:
+            k = cyclo.k_beta(ring, rd, beta, 6)
+            hb, ok = cyclo.h_prime(ring, rd, beta, 6)
+            hb_k, ok_k = cyclo.h_prime(ring, rd, beta, 6, k)
+            assert exact(hb_k.c) == exact(hb.c) and ok_k == ok
 
     def test_negative_root_rejected(self):
         ring = RingSpec(CYCLOTOMIC, 3)
@@ -245,3 +256,117 @@ def test_one_bit_narrower_slots_overflow(monkeypatch):
     a, b = worst_case(3, 3, 7, 3)
     with pytest.raises(InternalCheckError):
         a * b
+
+
+# ---------------------------------------------------------------------------
+# the Newton inverse and O-membership against the references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def invertible_case(draw):
+    """A series with a nonzero constant term, coefficient denominators 1, 2,
+    p and p^2, and some terms at or above the truncation order."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 8))
+    ring = RingSpec(CYCLOTOMIC, p)
+
+    def cyc():
+        den = draw(st.sampled_from([1, 2, p, p * p]))
+        return Cyc(p, [Fraction(draw(st.integers(-50, 50)), den)
+                       for _ in range(p - 1)])
+
+    exps = draw(st.lists(st.tuples(*[st.integers(0, order)] * nvars),
+                         max_size=6, unique=True))
+    coeffs = {e: cyc() for e in exps}
+    c0 = cyc()
+    coeffs[(0,) * nvars] = c0 if c0 else Cyc.of(p, 1)
+    return cyclo.Series(ring, nvars, order, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_case())
+def test_newton_inverse_matches_the_geometric_series(s):
+    inv = s.inverse()
+    ref = geometric_inverse(s)
+    assert inv.order == ref.order == s.order
+    assert exact(inv.c) == exact(ref.c)
+    # without its constant term neither inverse exists
+    s0 = cyclo.Series(s.ring, s.nvars, s.order,
+                      {e: v for e, v in s.c.items() if any(e)})
+    with pytest.raises(ZeroDivisionError):
+        s0.inverse()
+    with pytest.raises(ZeroDivisionError):
+        geometric_inverse(s0)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_newton_inverse_at_every_order(order):
+    # orders 3, 5, 6 and 7 end on a step shorter than a doubling
+    ring = RingSpec(CYCLOTOMIC, 5)
+    z = Cyc.zeta_pow(5, 1)
+    x, y = (cyclo.Series.gen(ring, 2, order, i) for i in range(2))
+    s = 3 + x * (z - 1) + y * Fraction(2, 5) + x * y * z
+    assert exact(s.inverse().c) == exact(geometric_inverse(s).c)
+    assert s * s.inverse() == cyclo.Series.const(ring, 2, order, 1)
+
+
+@st.composite
+def membership_case(draw):
+    """Coefficients at the edge of O: pi^k u / p with v(pi^k / p) = k - (p-1)
+    for k = p-2, p-1, p, and numerators all divisible by p over p or p^2."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    ring = RingSpec(CYCLOTOMIC, p)
+    values = []
+    for _ in range(draw(st.integers(0, 4))):
+        nums = [draw(st.integers(-30, 30)) for _ in range(p - 1)]
+        if draw(st.booleans()):
+            k = draw(st.sampled_from([p - 2, p - 1, p]))
+            x = ring.pi_power(k) * Fraction(1, p)
+            v = x * Cyc(p, nums) if any(nums) else x
+        else:
+            den = draw(st.sampled_from([p, p * p, 2 * p]))
+            v = Cyc(p, [Fraction(p * a, den) for a in nums])
+        if v:
+            values.append(v)
+    coeffs = {(i,): v for i, v in enumerate(values)}
+    return ring, cyclo.Series(ring, 1, len(values) + 1, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_case())
+def test_coeffs_in_O_matches_the_valuation(case):
+    ring, s = case
+    for v in s.c.values():
+        assert ring.in_O(v) == (ring.valuation(v) >= 0)
+    assert s.coeffs_in_O() == in_O_by_valuation(s)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_coeffs_in_O_on_both_sides_of_the_boundary(p):
+    ring = RingSpec(CYCLOTOMIC, p)
+
+    def series(v):
+        return cyclo.Series.const(ring, 1, 2, v)
+
+    for k, inside in ((p - 2, False), (p - 1, True), (p, True)):
+        s = series(ring.pi_power(k) * Fraction(1, p))
+        assert s.coeffs_in_O() == in_O_by_valuation(s) == inside
+    # all numerators divisible by p: lowest terms drop one p of p^2
+    s = series(Cyc(p, [Fraction(p * (i + 1), p * p) for i in range(p - 1)]))
+    assert s.coeffs_in_O() == in_O_by_valuation(s) is False
+    s = series(Cyc(p, [Fraction(p * (i + 1), p) for i in range(p - 1)]))
+    assert s.coeffs_in_O() == in_O_by_valuation(s) is True
+
+
+CRITERION_9_GRID = [(p, t) for p in (3, 5, 7) for t in ("A1", "A2", "B2")]
+CRITERION_9_GRID += [(5, "G2"), (7, "G2")]
+
+
+@pytest.mark.parametrize("order", [8, 5])
+@pytest.mark.parametrize("p,label", CRITERION_9_GRID)
+def test_suite_matches_the_reference_loop(p, label, order):
+    rd = cyclo.RootDatum.of_type(label)
+    verdicts = cyclo.appendix_identity_suite(rd, p, order)
+    ref = suite_reference(rd, p, order)
+    assert verdicts == ref and list(verdicts) == list(ref)

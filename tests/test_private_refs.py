@@ -20,6 +20,7 @@ Linear actions stay sparse columns: outside `linalg` and `files` nothing
 multiplies or combines dense matrices or transposes columns back into them.
 And rational K-values are `scalars.Rat`: outside `scalars`, `cyclo` and the
 rational-root candidates of `certify` no module builds a plain `Fraction`.
+And membership in O is `RingSpec.in_O`: no valuation is compared with 0.
 And every change of basis is `lattices.coord_solver`: the dense inverse and
 row-space reducers it replaced are gone, and nothing else runs `rref` on
 rows augmented with an identity.  Invertibility is a rank, over K or over
@@ -605,6 +606,46 @@ def test_fraction_check_sees_a_constructor_call():
                      "def is_rational(x):\n"
                      "    return isinstance(x, Fraction)\n")
     assert sorted(_fraction_calls(tree)) == [4, 5]
+
+
+# a valuation compared with 0 on the side that asks "in O?" (v < 0, v >= 0)
+_MEMBERSHIP_OPS = {False: (ast.Lt, ast.GtE), True: (ast.Gt, ast.LtE)}
+
+
+def _valuation_memberships(tree):
+    """Line numbers of comparisons `valuation(x) < 0` and `valuation(x) >= 0`
+    (or `0 > valuation(x)`, `0 <= valuation(x)`), whatever the valuation
+    is called through."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+            continue
+        sides = (node.left, node.comparators[0])
+        for flipped in (False, True):
+            call, other = sides[::-1] if flipped else sides
+            if (_call_name(call) == "valuation"
+                    and isinstance(other, ast.Constant) and other.value == 0
+                    and isinstance(node.ops[0], _MEMBERSHIP_OPS[flipped])):
+                yield node.lineno
+
+
+def test_membership_in_O_is_in_O():
+    """`RingSpec.in_O` reads membership in O off one denominator; a
+    valuation runs repeated pi-divisions for the same answer."""
+    found = [f"{path.name}:{line}" for path in sorted(PKG.glob("*.py"))
+             for line in _valuation_memberships(ast.parse(path.read_text()))]
+    assert not found, f"valuation compared with 0: {found}"
+
+
+def test_membership_check_sees_valuation_comparisons():
+    tree = ast.parse("def f(ring, xs, a):\n"
+                     "    valuation = ring.valuation\n"
+                     "    if any(ring.valuation(x) < 0 for x in xs):\n"
+                     "        return all(valuation(x) >= 0 for x in xs)\n"
+                     "    if 0 > ring.valuation(xs[0]) or 0 <= valuation(a):\n"
+                     "        return ring.valuation(a) < 2\n"
+                     "    return min(map(valuation, xs)) >= 0 or "
+                     "ring.valuation(a) > 0\n")
+    assert sorted(_valuation_memberships(tree)) == [3, 4, 5, 5]
 
 
 # the one routine that builds a change of basis, and the dense routines it
