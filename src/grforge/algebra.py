@@ -8,12 +8,16 @@ at levels O and K, prime-field elements at level k.
 
 An optional WeightDatum attaches orthogonal idempotents e_nu summing to 1,
 a distinguished subset Lambda of the labels, and a partial order on Lambda.
+An element is the {index: entry} dict of its nonzero coordinates (see
+linalg); the unit, the idempotents and the generators are stored as
+read-only views of such dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 
 from . import linalg
 from .lattices import (
@@ -44,7 +48,10 @@ class WeightDatum:
     X: tuple
     Lambda: tuple
     less: frozenset          # pairs (a, b) with a < b, transitively closed
-    idempotents: dict        # label -> coordinate tuple
+    idempotents: dict        # label -> read-only {index: entry} view
+
+    def __post_init__(self):
+        object.__setattr__(self, "idempotents", _frozen(self.idempotents))
 
     @staticmethod
     def build(X, Lambda, relations, idempotents):
@@ -66,7 +73,6 @@ class WeightDatum:
             if a not in Lambda or b not in Lambda:
                 raise AlgebraError("poset relation outside Lambda")
         less = frozenset(rels)
-        idempotents = {lbl: tuple(v) for lbl, v in idempotents.items()}
         if set(idempotents) != set(X):
             raise AlgebraError("idempotents must be indexed exactly by X")
         if not set(Lambda) <= set(X):
@@ -117,10 +123,11 @@ class StructureAlgebra:
         self.level = level
         self.rank = rank
         self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(rank))
-        self.unit = tuple(unit)
+        self.unit = MappingProxyType(dict(unit))
         self.sc = sc  # dict (i, j) -> dict t -> scalar
         self.weights = weights
-        self.generators = generators  # optional: label -> coordinate tuple
+        # optional: label -> read-only {index: entry} view
+        self.generators = _frozen(generators) if generators else generators
         self._memo = {}
 
     def __setattr__(self, name, value):
@@ -147,31 +154,26 @@ class StructureAlgebra:
     def fld(self):
         return self.ring.field_k if self.level == "k" else self.ring.field_K
 
-    def zero_vec(self):
-        return [self.fld.zero] * self.rank
-
     def basis_vec(self, i):
-        v = self.zero_vec()
-        v[i] = self.fld.one
-        return v
+        return {i: self.fld.one}
 
     # -- multiplication ----------------------------------------------------------
     def mul(self, x, y):
-        """The dense product x y of coordinate vectors x, y (dense or dicts),
-        straight from the structure constants: the dense reference.  It serves
-        single products and the independent re-checker `certify.verify_chain`;
-        spans and structure constants of many products come from `products`."""
-        out = self.zero_vec()
+        """The product x y of two elements, straight from the structure
+        constants: the reference product.  It serves single products and the
+        independent re-checker `certify.verify_chain`; spans and structure
+        constants of many products come from `products`."""
+        out = {}
         by_left = self._derived(_sc_by_left)
-        at = y.get if isinstance(y, dict) else y.__getitem__
-        for i, xi in linalg.entries(x):
+        for i, xi in x.items():
             for j, row in by_left[i]:
-                yj = at(j)
-                if yj:
+                yj = y.get(j)
+                if yj is not None:
                     c = xi * yj
                     for t, v in row:
-                        out[t] = out[t] + c * v
-        return out
+                        z = out.get(t)
+                        out[t] = c * v if z is None else z + c * v
+        return {t: v for t, v in out.items() if v}
 
     def left_mult_matrix(self, i):
         """Sparse columns (see linalg) of left multiplication by b_i."""
@@ -188,21 +190,17 @@ class StructureAlgebra:
         return self._mult_of("right", x)
 
     def _mult_of(self, side, x):
-        """Sparse columns (see linalg) of multiplication by x (dense, or a
-        dict; see linalg.sparse) on `side`: the combination of the basis
-        elements' columns that the nonzero entries of x name, the stored
-        columns themselves when x is a basis vector."""
+        """Sparse columns (see linalg) of multiplication by x on `side`: the
+        combination of the basis elements' columns that the nonzero entries
+        of x name, the stored columns themselves when x is a basis vector."""
         mats = self._derived(_mult_columns, side)
-        nx = linalg.sparse(x)
-        if len(nx) == 1 and self.fld.one in nx.values():
-            (j,) = nx
+        if len(x) == 1 and self.fld.one in x.values():
+            (j,) = x
             return mats[j]
-        return linalg.combine_columns(nx, mats)
+        return linalg.combine_columns(x, mats)
 
     def products(self, xs, ys):
-        """The products x y for x in xs and y in ys (each dense, or a dict;
-        see linalg.sparse), x outer, each a {column: entry} dict of its
-        nonzero entries.
+        """The products x y for x in xs and y in ys, x outer.
 
         Right multiplication by y is formed once per y, as the sparse
         columns R_y (see `right_mult_of`): column i is b_i y.  Then x y is
@@ -212,12 +210,11 @@ class StructureAlgebra:
         mats = [self.right_mult_of(y) for y in ys]
         out = []
         for x in xs:
-            nx = linalg.sparse(x)
-            if len(nx) == 1 and one in nx.values():
-                (i,) = nx
+            if len(x) == 1 and one in x.values():
+                (i,) = x
                 out += [dict(m[i]) for m in mats]
             else:
-                out += [linalg.apply(m, nx) for m in mats]
+                out += [linalg.apply(m, x) for m in mats]
         return out
 
     def generating_set(self):
@@ -235,19 +232,19 @@ class StructureAlgebra:
         Associativity is proved exactly by `representation_problems` on the
         sparse columns of the left multiplication matrices.  Returns a dict
         report that names the generating set the proof went through:
-        "generators" or "basis".
+        "generators" or "basis".  The lengths of document vectors are
+        checked where they are parsed (`files.doc_to_algebra`).
         """
         n = self.rank
         # the proof spans the unit, the generators and their products: at
-        # level O these must be lattices, so shapes and integrality come first
+        # level O these must be lattices, so integrality comes first
         vectors = [("unit", self.unit)] + [
             (f"generator {name!r}", v)
             for name, v in (self.generators or {}).items()]
-        problems = [f"{what} has wrong length"
-                    for what, v in vectors if len(v) != n]
+        problems = []
         if self.level == "O":
             problems += [f"{what} has an entry outside O" for what, v in vectors
-                         if not all(map(self.ring.in_O, v))]
+                         if not all(map(self.ring.in_O, v.values()))]
             problems += [f"structure constant c[{i},{j},{t}] outside O"
                          for (i, j), row in self.sc.items()
                          for t, v in row.items() if not self.ring.in_O(v)]
@@ -256,9 +253,9 @@ class StructureAlgebra:
         # unit axiom
         for j in range(n):
             bj = self.basis_vec(j)
-            if self.mul(list(self.unit), bj) != bj:
+            if self.mul(self.unit, bj) != bj:
                 problems.append(f"unit fails on the left at basis {j}")
-            if self.mul(bj, list(self.unit)) != bj:
+            if self.mul(bj, self.unit) != bj:
                 problems.append(f"unit fails on the right at basis {j}")
         problems += self.representation_problems(
             self._derived(_mult_columns, "left"), "associativity")
@@ -291,8 +288,7 @@ class StructureAlgebra:
             # g b_j is column j of left multiplication by g
             for j, gb in enumerate(self.left_mult_of(g)):
                 lhs = linalg.compose(rg, acts[j])
-                rhs = (linalg.combine_columns([x for _, x in gb],
-                                              [acts[t] for t, _ in gb])
+                rhs = (linalg.combine_columns(dict(gb), acts)
                        if gb else [()] * len(lhs))
                 if lhs != rhs:
                     problems.append(f"{what} fails through generator {name!r} "
@@ -303,24 +299,18 @@ class StructureAlgebra:
 
     def _check_weights(self):
         problems = []
-        w = self.weights
-        total = self.zero_vec()
-        idems = {lbl: list(v) for lbl, v in w.idempotents.items()}
+        idems = self.weights.idempotents
         for lbl, e in idems.items():
-            if len(e) != self.rank:
-                problems.append(f"idempotent {lbl!r} has wrong length")
-                return problems
             if self.mul(e, e) != e:
                 problems.append(f"e[{lbl!r}] is not idempotent")
-            total = [a + b for a, b in zip(total, e)]
         labels = sorted(idems, key=str)
         for a in range(len(labels)):
             for b in range(a + 1, len(labels)):
                 ea, eb = idems[labels[a]], idems[labels[b]]
-                if any(self.mul(ea, eb)) or any(self.mul(eb, ea)):
+                if self.mul(ea, eb) or self.mul(eb, ea):
                     problems.append(
                         f"idempotents {labels[a]!r}, {labels[b]!r} not orthogonal")
-        if tuple(total) != self.unit:
+        if linalg.total(idems.values()) != self.unit:
             problems.append("idempotents do not sum to the unit")
         return problems
 
@@ -351,7 +341,7 @@ class StructureAlgebra:
         """
         basis = list(rows)
         coords = self.coord_solver(basis)
-        unit_c = coords(list(self.unit if unit is None else unit))
+        unit_c = coords(self.unit if unit is None else unit)
         if unit_c is None:
             raise AlgebraError("subalgebra does not contain the unit")
         n = len(basis)
@@ -368,7 +358,7 @@ class StructureAlgebra:
 
     def coord_solver(self, basis):
         """lattices.coord_solver at this algebra's level."""
-        return coord_solver(basis, self.fld, self._span_ring, self.rank)
+        return coord_solver(basis, self.fld, self.rank, self._span_ring)
 
     def span(self, rows, ambient=None):
         """The span of `rows` in the free module of rank `ambient` (default
@@ -395,10 +385,7 @@ class StructureAlgebra:
 
     def weight_idempotent(self, labels):
         """The sum of the weight idempotents e_nu over the given labels."""
-        e = self.zero_vec()
-        for lbl in labels:
-            e = [a + b for a, b in zip(e, self.weights.idempotents[lbl])]
-        return e
+        return linalg.total(self.weights.idempotents[lbl] for lbl in labels)
 
     def product_span(self, xs, ys):
         """The span (see `span`) of the products x y, x in xs, y in ys, read
@@ -446,7 +433,7 @@ class StructureAlgebra:
             tuple(x for x in w.Lambda if x not in labels),
             frozenset((a, b) for (a, b) in w.less
                       if a not in labels and b not in labels),
-            {lbl: tuple(project(list(w.idempotents[lbl]))) for lbl in keep})
+            {lbl: project(w.idempotents[lbl]) for lbl in keep})
         return StructureAlgebra(quot.ring, quot.level, quot.rank, quot.labels,
                                 quot.unit, quot.sc, weights), lifts
 
@@ -464,7 +451,7 @@ class StructureAlgebra:
             raise AlgebraError("ideal is not pure; quotient is not O-free")
         m = len(lifts)
         sc = structure_constants(self.products(lifts, lifts), m, project)
-        unit_c = project(list(self.unit))
+        unit_c = project(self.unit)
         quot = StructureAlgebra(self.ring, self.level, m,
                                 [f"q{i}" for i in range(m)], unit_c, sc)
         return quot, lifts, project
@@ -473,9 +460,8 @@ class StructureAlgebra:
 def structure_constants(products, n, coords, row=None):
     """The sparse structure constants {(i, j): {t: c_t}} of a basis of size
     n, given the products basis[i] basis[j] in the order i outer, j inner,
-    dense or as {index: entry} dicts (an empty dict is a zero product, as
-    `StructureAlgebra.products` gives them): product = sum_t c_t basis[t], with
-    c = coords(product) and zero rows left out.  `coords` returns None for
+    as {index: entry} dicts (an empty dict is a zero product): product =
+    sum_t c_t basis[t], with c = coords(product) and zero rows left out.  `coords` returns None for
     a vector outside the span; AlgebraError names the first such product.
     `row(i, j, c)`, when given, picks the (t, c_t) pairs of the row in
     place of the nonzero entries of c."""
@@ -488,8 +474,7 @@ def structure_constants(products, n, coords, row=None):
         if c is None:
             raise AlgebraError(
                 f"span not closed under multiplication at ({i},{j})")
-        r = dict(row(i, j, c) if row else
-                 ((t, v) for t, v in enumerate(c) if v))
+        r = dict(row(i, j, c)) if row else c
         if r:
             sc[(i, j)] = r
     return sc
@@ -511,9 +496,9 @@ def _proof_generators(alg):
     through: the document's generators ("generators") when they and the unit
     generate the algebra, else the basis ("basis"), which always does."""
     if alg.generators:
-        gens = [list(v) for v in alg.generators.values()]
+        gens = list(alg.generators.values())
         closure = alg.stable_span(
-            [list(alg.unit)] + gens,
+            [alg.unit] + gens,
             [partial(linalg.apply, alg.left_mult_of(g)) for g in gens])
         if closure == alg.span([alg.basis_vec(i) for i in range(alg.rank)]):
             return "generators", tuple(alg.generators), gens
@@ -540,21 +525,27 @@ def _base_change(alg, level):
         return StructureAlgebra(alg.ring, "K", alg.rank, alg.labels,
                                 alg.unit, alg.sc, alg.weights, alg.generators)
     red = alg.ring.residue
+
+    def reduce(v):
+        return {t: y for t, x in v.items() if (y := red(x))}
+
     sc = {}
-    for (i, j), row in alg.sc.items():
-        nr = {t: red(v) for t, v in row.items()}
-        nr = {t: v for t, v in nr.items() if v}
+    for key, row in alg.sc.items():
+        nr = reduce(row)
         if nr:
-            sc[(i, j)] = nr
-    unit = tuple(red(v) for v in alg.unit)
+            sc[key] = nr
     weights = None
     if alg.weights is not None:
         weights = WeightDatum(
             alg.weights.X, alg.weights.Lambda, alg.weights.less,
-            {lbl: tuple(red(x) for x in v)
-             for lbl, v in alg.weights.idempotents.items()})
+            {lbl: reduce(v) for lbl, v in alg.weights.idempotents.items()})
     gens = None
     if alg.generators:
-        gens = {lbl: tuple(red(x) for x in v) for lbl, v in alg.generators.items()}
-    return StructureAlgebra(alg.ring, "k", alg.rank, alg.labels, unit, sc,
-                            weights, gens)
+        gens = {lbl: reduce(v) for lbl, v in alg.generators.items()}
+    return StructureAlgebra(alg.ring, "k", alg.rank, alg.labels,
+                            reduce(alg.unit), sc, weights, gens)
+
+
+def _frozen(vectors):
+    """{label: read-only view} of a {label: {index: entry}} dict."""
+    return {lbl: MappingProxyType(dict(v)) for lbl, v in vectors.items()}

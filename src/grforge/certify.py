@@ -142,7 +142,7 @@ def generic_simples(alg):
     if rad:
         raise radicals.NonSplitError("generic_simples expects a semisimple algebra")
     # primitive idempotent refinement down from 1
-    idems = [list(alg.unit)]
+    idems = [alg.unit]
     changed = True
     while changed:
         changed = False
@@ -150,7 +150,7 @@ def generic_simples(alg):
             # corner eAe; look for a splitting element
             for i in range(alg.rank):
                 x = alg.mul(e, alg.mul(alg.basis_vec(i), e))
-                if not any(x) or x == e:
+                if not x or x == e:
                     continue
                 mp = _corner_minpoly(alg, e, x)
                 if len(mp) <= 2:
@@ -161,14 +161,15 @@ def generic_simples(alg):
                 # Lagrange idempotents of x in the corner, one per root
                 parts = []
                 for r in roots:
-                    num = list(e)
+                    num = e
                     den = fld.one
                     for s in roots:
                         if s != r:
-                            num = [a - s * b for a, b in zip(alg.mul(num, x), num)]
+                            num = linalg.combine({0: fld.one, 1: -s},
+                                                 [alg.mul(num, x), num])
                             den = den * (r - s)
-                    part = [t / den for t in num]
-                    if any(part) and alg.mul(part, part) == part:
+                    part = {t: v / den for t, v in num.items()}
+                    if part and alg.mul(part, part) == part:
                         parts.append(part)
                 if len(parts) >= 2:
                     idems.remove(e)
@@ -194,13 +195,14 @@ def _corner_minpoly(alg, e, x):
     """Minimal polynomial of x inside the corner algebra eAe (unit e)."""
     fld = alg.fld
     powers = []
-    cur = list(e)
+    cur = e
     while True:
         # the powers so far are independent, so the coordinates are unique
         sol = alg.coord_solver(powers)(cur) if powers else None
         if sol is not None:
-            return [-c for c in sol] + [fld.one]
-        powers.append(list(cur))
+            return [-sol.get(i, fld.zero) for i in range(len(powers))] \
+                + [fld.one]
+        powers.append(cur)
         cur = alg.mul(cur, x)
 
 
@@ -247,8 +249,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     # reduced discriminant is maximal
     fldK = ek.fld
     grams = [linalg.trace_form(blk.module_acts, fldK) for blk in blocks]
-    gram = [[sum((g[i][j] for g in grams), fldK.zero) for j in range(e_alg.rank)]
-            for i in range(e_alg.rank)]
+    gram = [linalg.total(g[i] for g in grams) for i in range(e_alg.rank)]
     # O-bases of one full lattice differ by GL_n(O): the pivot valuations
     # add up to v(det); the entries are reduced traces of an order's elements
     try:
@@ -272,7 +273,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     for bi, blk in enumerate(blocks):
         # central idempotent must lie in the O-order
         z = blk.central_idempotent
-        if not all(map(ring.in_O, z)):
+        if not all(map(ring.in_O, z.values())):
             return MatrixAlgebraWitness(
                 False, "central idempotent escapes the order",
                 gram_det_valuation=val)
@@ -280,7 +281,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
         # lattice L = E . w inside the simple module, w the image of E_11
         acts = blk.module_acts
         mod = ModuleRep(e_alg, len(acts[0]), acts)
-        col = next((c for c in mod.act_matrix(list(units[(bi, 0, 0)])) if c),
+        col = next((c for c in mod.act_matrix(units[(bi, 0, 0)]) if c),
                    None)
         if col is None:
             return MatrixAlgebraWitness(False, "block unit acts by zero",
@@ -310,7 +311,7 @@ def recognize_matrix_algebra(e_alg: StructureAlgebra, simples=None):
     # the images of the E-basis.  An O-order with unit discriminant is
     # maximal, so the map is onto over O and every coordinate is in O.
     try:
-        coords = coord_solver(iso_rows, fldK, ring, off)
+        coords = coord_solver(iso_rows, fldK, off, ring)
     except LatticeError as exc:
         raise InternalCheckError(
             "an isomorphism has dependent image rows") from exc
@@ -336,7 +337,7 @@ class HeredityStep:
     labels: tuple
     ok: bool
     verdicts: dict
-    e_vector: tuple = ()
+    e_vector: dict
     ideal_rank: int = 0
     corner: MatrixAlgebraWitness | None = None
     detail: dict = field(default_factory=dict)
@@ -382,17 +383,14 @@ def _corner_simple_modules(alg, e, e_basis, corner, labels):
 
 def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> HeredityStep:
     """Verify the footnote-4 conditions for J = A e A, with witnesses."""
-    e = list(e)
     verdicts = {}
     detail = {}
     if alg.mul(e, e) != e:
-        return HeredityStep(tuple(labels), False,
-                            {"idempotent": False}, tuple(e))
+        return HeredityStep(tuple(labels), False, {"idempotent": False}, e)
     verdicts["idempotent"] = True
     J = alg.ideal_generated(e)
     if J.rank == 0:
-        return HeredityStep(tuple(labels), False,
-                            {"nonzero": False}, tuple(e))
+        return HeredityStep(tuple(labels), False, {"nonzero": False}, e)
     if alg.level == "O":
         ring = alg.ring
         full = Lattice.full(ring, alg.rank)
@@ -402,9 +400,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
         if torsion:
             detail["torsion"] = torsion
             detail["torsion_witnesses"] = [
-                [ring.format_scalar(r.get(j, alg.fld.zero))
-                 for j in range(alg.rank)]
-                for r in closure.rows if not J.contains_vector(r)]
+                r for r in closure.rows if not J.contains_vector(r)]
     else:
         verdicts["free_quotient"] = True
     verdicts["idempotent_ideal"] = alg.product_span(J.rows, J.rows) == J
@@ -428,7 +424,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
             if direct is False:
                 verdicts["endo_matrix"] = False
     ok = all(v for v in verdicts.values() if isinstance(v, bool))
-    return HeredityStep(tuple(labels), ok, verdicts, tuple(e), J.rank,
+    return HeredityStep(tuple(labels), ok, verdicts, e, J.rank,
                         witness, detail, J)
 
 
@@ -539,11 +535,10 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
     """
     cur = alg
     for step in cert.steps:
-        fld = cur.fld
         e = cur.weight_idempotent(step.labels)
         if cur.mul(e, e) != e:
             return False
-        if tuple(e) != step.e_vector:
+        if e != step.e_vector:
             return False
         J = cur.ideal_generated(e)
         if J.rank != step.ideal_rank:
@@ -562,19 +557,19 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
             # stored corner matrix units must verify inside the corner algebra
             cbasis = cur.span([cur.mul(e, cur.mul(cur.basis_vec(i), e))
                                for i in range(cur.rank)]).rows
-            units = {key: linalg.combine(v, cbasis) if len(v) == len(cbasis)
-                     else linalg.sparse(v)
+            # the stored units are coordinates in the corner basis
+            units = {key: linalg.combine(v, cbasis)
                      for key, v in step.corner.units.items()}
             for (b1, i, j), u in units.items():
                 for (b2, k, l), v in units.items():
-                    prod = linalg.sparse(cur.mul(u, v))
+                    prod = cur.mul(u, v)
                     if b1 == b2 and j == k:
                         if prod != units[(b1, i, l)]:
                             return False
                     elif prod:
                         return False
-            diag = [u for (_, i, j), u in units.items() if i == j]
-            if linalg.combine([fld.one] * len(diag), diag) != linalg.sparse(e):
+            if linalg.total(u for (_, i, j), u in units.items()
+                            if i == j) != e:
                 return False
         if not step.ok:
             return True  # failing certificates agree once the failure is hit

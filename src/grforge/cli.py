@@ -252,7 +252,10 @@ def _datum_from(args, alg):
             raise UsageError(f"datum basis {basis} leaves range({alg.rank})")
         rows = [alg.basis_vec(i) for i in basis]
     elif all(isinstance(b, list) for b in basis):
-        rows = [[alg.ring.parse_scalar(x) for x in r] for r in basis]
+        if any(len(r) != alg.rank for r in basis):
+            raise UsageError(f"datum basis {basis} is not a list of rows of "
+                             f"length {alg.rank}")
+        rows = [_parsed(alg, r) for r in basis]
     else:
         raise UsageError(f"datum basis {basis} mixes indices and rows")
     wedd = dd.get("wedderburn") or None
@@ -261,8 +264,13 @@ def _datum_from(args, alg):
                 isinstance(r, list) and len(r) == alg.rank for r in wedd)):
             raise UsageError(f"datum wedderburn {wedd} is not a list of "
                              f"rows of length {alg.rank}")
-        wedd = [[alg.ring.parse_scalar(x) for x in r] for r in wedd]
+        wedd = [_parsed(alg, r) for r in wedd]
     return tightness.GradedSubalgebraDatum(rows, tuple(grades), wedd)
+
+
+def _parsed(alg, row):
+    """The {index: entry} dict of a length-checked document row."""
+    return {i: x for i, x in enumerate(map(alg.ring.parse_scalar, row)) if x}
 
 
 def cmd_verify(args):
@@ -401,7 +409,13 @@ def cmd_filtration(args):
                             {"reason": str(exc)}, t0, alg.source_hash)
     print("sections bottom-to-top:",
           [(str(s.label), s.copies) for s in stages])
-    ring = alg.ring
+    ring, zero = alg.ring, mod.fld.zero
+
+    def written(rows, width):
+        # a report writes each row dense
+        return [[ring.format_scalar(row.get(j, zero)) for j in range(width)]
+                for row in rows]
+
     verdicts = {"filtered": True}
     witnesses = {
         "sections": {str(k): v for k, v in
@@ -409,11 +423,11 @@ def cmd_filtration(args):
         "stages": [{
             "label": str(s.label),
             "copies": s.copies,
-            "witness_matrix": [[ring.format_scalar(x) for x in row]
-                               for row in s.witness],
-            "chain_sublattice": [
-                [ring.format_scalar(row.get(j, mod.fld.zero))
-                 for j in range(mod.rank)] for row in s.sub_rows_original],
+            # the witness maps Delta(label)^copies to the stage
+            "witness_matrix": written(
+                s.witness,
+                s.copies * modules.standard_module(alg, s.label).rank),
+            "chain_sublattice": written(s.sub_rows_original, mod.rank),
         } for s in stages],
     }
     if args.graded:

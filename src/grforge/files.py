@@ -17,7 +17,7 @@ from importlib import resources
 import jsonschema
 
 from . import __version__, linalg
-from .algebra import StructureAlgebra, WeightDatum
+from .algebra import StructureAlgebra, ValidationError, WeightDatum
 from .modules import ModuleError, ModuleRep
 from .scalars import RingSpec
 
@@ -84,6 +84,12 @@ def algebra_to_doc(alg: StructureAlgebra, metadata: dict | None = None) -> dict:
     if alg.level != "O":
         raise DocumentError("only integral algebras are serialized")
     ring = alg.ring
+    zero = ring.zero()
+
+    def written(v):
+        # a document writes each vector dense
+        return [ring.format_scalar(v.get(i, zero)) for i in range(alg.rank)]
+
     sc = []
     for (i, j) in sorted(alg.sc):
         for t in sorted(alg.sc[(i, j)]):
@@ -93,7 +99,7 @@ def algebra_to_doc(alg: StructureAlgebra, metadata: dict | None = None) -> dict:
         "ring": {"flavor": ring.flavor, "p": ring.p},
         "rank": alg.rank,
         "basis_labels": list(alg.labels),
-        "unit": [ring.format_scalar(x) for x in alg.unit],
+        "unit": written(alg.unit),
         "structure_constants": sc,
     }
     if alg.weights is not None:
@@ -102,11 +108,11 @@ def algebra_to_doc(alg: StructureAlgebra, metadata: dict | None = None) -> dict:
             "X": [str(x) for x in w.X],
             "Lambda": [str(x) for x in w.Lambda],
             "poset": sorted([str(a), str(b)] for (a, b) in w.less),
-            "idempotents": {str(lbl): [ring.format_scalar(x) for x in v]
+            "idempotents": {str(lbl): written(v)
                             for lbl, v in w.idempotents.items()},
         }
     if alg.generators:
-        doc["generators"] = {str(lbl): [ring.format_scalar(x) for x in v]
+        doc["generators"] = {str(lbl): written(v)
                              for lbl, v in alg.generators.items()}
     if metadata:
         doc["metadata"] = metadata
@@ -126,19 +132,29 @@ def doc_to_algebra(doc) -> StructureAlgebra:
         v = parse(val)
         if v:
             sc.setdefault((i, j), {})[t] = v
-    unit = tuple(parse(x) for x in doc["unit"])
+    # a dense row is length-checked here: its dict cannot show a short row
+    problems = []
+
+    def vector(what, row):
+        if len(row) != rank:
+            problems.append(f"{what} has wrong length")
+        return {i: x for i, x in enumerate(map(parse, row)) if x}
+
+    unit = vector("unit", doc["unit"])
+    wd = doc.get("weights")
+    if wd is not None:
+        idems = {lbl: vector(f"idempotent {lbl!r}", v)
+                 for lbl, v in wd["idempotents"].items()}
+    gens = doc.get("generators")
+    if gens is not None:
+        gens = {lbl: vector(f"generator {lbl!r}", v)
+                for lbl, v in gens.items()}
+    if problems:
+        raise ValidationError(problems)
     weights = None
-    if "weights" in doc:
-        wd = doc["weights"]
+    if wd is not None:
         weights = WeightDatum.build(
-            wd["X"], wd["Lambda"],
-            [(a, b) for a, b in wd["poset"]],
-            {lbl: tuple(parse(x) for x in v)
-             for lbl, v in wd["idempotents"].items()})
-    gens = None
-    if "generators" in doc:
-        gens = {lbl: tuple(parse(x) for x in v)
-                for lbl, v in doc["generators"].items()}
+            wd["X"], wd["Lambda"], [(a, b) for a, b in wd["poset"]], idems)
     alg = StructureAlgebra(ring, "O", rank, doc.get("basis_labels"),
                            unit, sc, weights, gens)
     alg.validate()

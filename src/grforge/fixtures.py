@@ -42,7 +42,6 @@ def build_z5(p: int = 3, beta_scale=1) -> StructureAlgebra:
     ring = RingSpec(RATIONAL, p)
     s = ring.of(beta_scale)
     one = ring.one()
-    zero = ring.zero()
 
     prods = {
         (E1, E1): {E1: one}, (E1, BE): {BE: one}, (E1, GA): {GA: one},
@@ -54,21 +53,16 @@ def build_z5(p: int = 3, beta_scale=1) -> StructureAlgebra:
     # with beta scaled by s, gamma tracks beta*alpha = s*gamma_0; keep the
     # basis {e1, e2, alpha, s*beta_0, gamma_0}: only (BE, AL) changes
     sc = {k: dict(v) for k, v in prods.items()}
-    unit = (one, one, zero, zero, zero)
+    unit = {E1: one, E2: one}
     weights = WeightDatum.build(
         X=("1", "2"),
         Lambda=("1", "2"),
         relations=[("1", "2")],
-        idempotents={
-            "1": (one, 0, 0, 0, 0),
-            "2": (0, one, 0, 0, 0),
-        },
+        idempotents={"1": {E1: one}, "2": {E2: one}},
     )
     alg = StructureAlgebra(ring, "O", 5, _Z5_LABELS, unit, sc, weights,
-                           generators={"e1": (one, 0, 0, 0, 0),
-                                       "e2": (0, one, 0, 0, 0),
-                                       "alpha": (0, 0, one, 0, 0),
-                                       "beta": (0, 0, 0, one, 0)})
+                           generators={"e1": {E1: one}, "e2": {E2: one},
+                                       "alpha": {AL: one}, "beta": {BE: one}})
     return alg
 
 
@@ -98,7 +92,6 @@ def inflate(alg: StructureAlgebra, multiplicities: dict) -> StructureAlgebra:
     mult = {nu: int(multiplicities.get(nu, 1)) for nu in w.X}
     if any(m < 1 for m in mult.values()):
         raise AlgebraError("multiplicities must be >= 1")
-    fld = alg.fld
     # split each basis vector into e_a A e_b pieces; require the basis to be
     # weight-homogeneous (true for our fixtures)
     side = {}
@@ -106,9 +99,9 @@ def inflate(alg: StructureAlgebra, multiplicities: dict) -> StructureAlgebra:
         bi = alg.basis_vec(i)
         homes = []
         for a in w.X:
-            ea = list(w.idempotents[a])
+            ea = w.idempotents[a]
             for b in w.X:
-                eb = list(w.idempotents[b])
+                eb = w.idempotents[b]
                 v = alg.mul(ea, alg.mul(bi, eb))
                 if v == bi:
                     homes.append((a, b))
@@ -139,22 +132,15 @@ def inflate(alg: StructureAlgebra, multiplicities: dict) -> StructureAlgebra:
                 # product lands in e_{a_i} A e_{b_j}
                 out[index[(t, r, c2)]] = v
             sc[(index[(i, r, c)], index[(j, r2, c2)])] = out
-    unit = [fld.zero] * len(new_basis)
-    uvec = list(alg.unit)
-    for (i, r, c) in new_basis:
-        if r == c and uvec[i]:
-            a, b = side[i]
-            if a == b:
-                unit[index[(i, r, c)]] = uvec[i]
+    unit = {index[(i, r, r)]: x for i, x in alg.unit.items()
+            if side[i][0] == side[i][1] for r in range(mult[side[i][0]])}
     idems = {}
     for nu in w.X:
-        base = list(w.idempotents[nu])
+        base = w.idempotents[nu]
         for copy in range(mult[nu]):
-            v = [fld.zero] * len(new_basis)
-            for i in range(alg.rank):
-                if base[i] and side[i] == (nu, nu):
-                    v[index[(i, copy, copy)]] = base[i]
-            idems[f"{nu}#{copy}"] = tuple(v)
+            idems[f"{nu}#{copy}"] = {index[(i, copy, copy)]: x
+                                     for i, x in base.items()
+                                     if side[i] == (nu, nu)}
     # copies become separate weight labels; Lambda keeps one copy per weight,
     # so the inflated algebra is Lambda-uniform and Morita-reduces back
     new_x = tuple(f"{nu}#{c}" for nu in w.X for c in range(mult[nu]))
@@ -163,7 +149,7 @@ def inflate(alg: StructureAlgebra, multiplicities: dict) -> StructureAlgebra:
     weights = WeightDatum(new_x, new_lambda, new_less, idems)
     labels = [f"{alg.labels[i]}[{r},{c}]" for (i, r, c) in new_basis]
     return StructureAlgebra(alg.ring, alg.level, len(new_basis), labels,
-                            tuple(unit), sc, weights)
+                            unit, sc, weights)
 
 
 def perturb(alg: StructureAlgebra, seed: int, count: int = 1):
@@ -180,8 +166,8 @@ def perturb(alg: StructureAlgebra, seed: int, count: int = 1):
     frozen = set()
     if w is not None:
         for v in w.idempotents.values():
-            frozen.update(i for i, x in enumerate(v) if x)
-    frozen.update(i for i, x in enumerate(alg.unit) if x)
+            frozen.update(v)
+    frozen.update(alg.unit)
     candidates = [i for i in range(alg.rank) if i not in frozen]
     if not candidates:
         return None
@@ -325,7 +311,7 @@ def build_qschur(d: int, p: int):
             raise AlgebraError(
                 f"weight projector {(d - b, b)} is not in the integral "
                 "closure")
-        idems[lbl] = tuple(c)
+        idems[lbl] = c
     parts = range(d // 2 + 1)  # b ones: the partition (d - b, b)
     relations = [(labels[a], labels[b]) for a in parts for b in parts if a > b]
     weights = WeightDatum.build(labels, labels[:len(parts)], relations, idems)
@@ -334,9 +320,9 @@ def build_qschur(d: int, p: int):
         c = lat.coords(linalg.flatten(g))
         if c is None:
             raise InternalCheckError(f"generator {name} is not in the algebra")
-        gen_coords[name] = tuple(c)
+        gen_coords[name] = c
     alg = StructureAlgebra(ring, "O", rank, [f"x{i}" for i in range(rank)],
-                           tuple(unit), sc, weights, generators=gen_coords)
+                           unit, sc, weights, generators=gen_coords)
     alg.p_regular = {labels[b]: (d - 2 * b + 1) % p != 0 for b in parts}
     return alg
 
@@ -435,19 +421,12 @@ def build_usl2(p: int):
             row = {idx[m]: v for m, v in elem.items() if v}
             if row:
                 sc[(i, j)] = row
-    unit = [ring.zero()] * rank
-    unit[idx[(0, 0, 0)]] = ring.one()
-    gens = {
-        "F": tuple(ring.one() if t == idx[(1, 0, 0)] else ring.zero()
-                   for t in range(rank)),
-        "K": tuple(ring.one() if t == idx[(0, 1, 0)] else ring.zero()
-                   for t in range(rank)),
-        "E": tuple(ring.one() if t == idx[(0, 0, 1)] else ring.zero()
-                   for t in range(rank)),
-    }
+    one = ring.one()
+    gens = {"F": {idx[(1, 0, 0)]: one}, "K": {idx[(0, 1, 0)]: one},
+            "E": {idx[(0, 0, 1)]: one}}
     alg = StructureAlgebra(ring, "O", rank,
                            [f"F{a}K{b}E{c}" for (a, b, c) in monos],
-                           tuple(unit), sc, None, generators=gens)
+                           {idx[(0, 0, 0)]: one}, sc, None, generators=gens)
     alg.monomial_index = idx
     alg.blocks_info = _usl2_blocks(alg, p, idx, qint, zpow)
     return alg
@@ -508,11 +487,11 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
     chars = {}
     for lam in range(p):
         chi = radicals.central_character(
-            center, _usl2_simple_acts(alg, p, lam, qint, zpow), fld)
+            center, _usl2_simple_acts(alg, p, lam, qint, zpow))
         if chi is None:
             return {"blocked": False,
                     "reason": f"center acts non-scalar on L({lam})"}
-        chars[lam] = tuple(chi)
+        chars[lam] = tuple(sorted(chi.items()))
     groups = {}
     for lam, v in chars.items():
         groups.setdefault(v, []).append(lam)
@@ -523,18 +502,15 @@ def _usl2_blocks(alg, p, idx, qint, zpow):
     # is underdetermined when the center has nilpotents; any solution has the
     # right characters and the idempotent iteration lands on the true block
     # idempotent, the unique one congruent to it modulo nilpotents)
-    mat = [list(chars[b[0]]) for b in blocks]
+    mat = [dict(chars[b[0]]) for b in blocks]
     out_blocks = []
     all_integral = True
     for t, b in enumerate(blocks):
-        target = [fld.one if s == t else fld.zero for s in range(len(blocks))]
-        coef = linalg.solve_right(mat, target, fld)
+        coef = linalg.solve_right(mat, {t: fld.one}, fld, len(center))
         if coef is None:
             return {"blocked": False, "reason": "character system unsolvable"}
-        e = linalg.combine(coef, center)
-        e = radicals._newton_idempotent(
-            ak, [e.get(t, fld.zero) for t in range(ak.rank)])
-        integral = all(map(ring.in_O, e))
+        e = radicals._newton_idempotent(ak, linalg.combine(coef, center))
+        integral = all(map(ring.in_O, e.values()))
         all_integral = all_integral and integral
         out_blocks.append({
             "weights": b,

@@ -67,7 +67,7 @@ class WeightInvariants:
 
     def __init__(self, mod: ModuleRep, lam, chain=None):
         self.mod, self.lam = mod, lam
-        self.projector = mod.act_matrix(list(mod.algebra.weights.idempotents[lam]))
+        self.projector = mod.act_matrix(mod.algebra.weights.idempotents[lam])
         self.chain = module_rad_chain(mod) if chain is None else chain
         self._f_lats = {}
 
@@ -112,7 +112,6 @@ def primitivity_test(mod: ModuleRep, v, lam,
         raise ForcedError("primitivity is an integral-level notion")
     if inv is None:
         inv = WeightInvariants(mod, lam)
-    v = linalg.sparse(v)
     if linalg.apply(inv.projector, v) != v:
         raise ForcedError("vector is not a lam-weight vector")
     nprime, _ = inv.n_prime
@@ -165,7 +164,7 @@ def gr_b(grmod: GradedModule) -> Lattice:
         # quotient of N by the pure lattice N ∩ N'_K(lam), with its filtration
         quot, project, _ = mod.quotient_by(nprime)
         qchain = module_rad_chain(quot)
-        e = list(w.idempotents[lam])
+        e = w.idempotents[lam]
         for i in range(len(chain) - 1):
             qi = qchain[i] if i < len(qchain) else qchain[-1]
             qi1 = qchain[i + 1] if i + 1 < len(qchain) else qchain[-1]
@@ -176,7 +175,7 @@ def gr_b(grmod: GradedModule) -> Lattice:
             wlat = mod.image([e], chain[i].rows)
             for r in wlat.rows:
                 row = grmod.component(r, i)
-                if any(row):
+                if row:
                     gens.append(row)
     return grmod.module.submodule_generated(gens)
 
@@ -221,7 +220,7 @@ def gr_delta_filtration(grmod: GradedModule):
         checks = {}
         grN = grmod if cur is mod else gr_module(gralg, cur)
         chain = grN.chain
-        e = list(w.idempotents[lam])
+        e = w.idempotents[lam]
         wlat = cur.image([e], chain[0].rows)
         m1 = 0
         while m1 + 1 < len(chain) and \
@@ -259,7 +258,7 @@ def gr_delta_filtration(grmod: GradedModule):
         for n in range(len(chain) - 1):
             for rr in r_lat.intersection(chain[n]).rows:
                 row = grN.component(rr, n)
-                if any(row):
+                if row:
                     gsharp_rows.append(row)
         gsharp = grN.module.span(gsharp_rows)
         section = grb.intersection(gsharp)

@@ -76,24 +76,24 @@ def _adapted_basis(chain, fld, size):
     if len(lifts) != size:
         raise GradingError("adapted basis has wrong size")
     try:
-        coords = coord_solver(lifts, fld, ncols=size)
+        coords = coord_solver(lifts, fld, size)
     except LatticeError as exc:
         raise GradingError("adapted basis is not a basis") from exc
     return lifts, grades, coords
 
 
 def _leading(coords, grades, target, what="product"):
-    """The (index, entry) pairs of the nonzero grade-`target` part of an
-    adapted expansion; a nonzero entry of lower grade means the filtration
-    is not multiplicative."""
+    """The (index, entry) pairs, index increasing, of the grade-`target`
+    part of an adapted expansion; a nonzero entry of lower grade means the
+    filtration is not multiplicative."""
     out = []
-    for t, (v, g) in enumerate(zip(coords, grades)):
-        if v:
-            if g < target:
-                raise GradingError(
-                    f"{what} fell below its expected grade (filtration bug)")
-            if g == target:
-                out.append((t, v))
+    for t, v in sorted(coords.items()):
+        g = grades[t]
+        if g < target:
+            raise GradingError(
+                f"{what} fell below its expected grade (filtration bug)")
+        if g == target:
+            out.append((t, v))
     return out
 
 
@@ -124,22 +124,24 @@ class AdaptedBasis:
         return tuple(self.grade_rank(m) for m in range(self.top_grade + 1))
 
     def grade_part_rank(self, rows, m):
-        """Rank of the grade-m parts of `rows` (each dense, or a dict; see
-        linalg.sparse), given in adapted (gr) coordinates."""
+        """Rank of the grade-m parts of `rows`, given in adapted (gr)
+        coordinates."""
+        return linalg.rank([self._part(r, m) for r in rows],
+                           self._fld, len(self.grades))
+
+    def _part(self, v, m):
+        """The grade-m part of a vector in adapted coordinates."""
         grades = self.grades
-        return linalg.rank([{t: v for t, v in linalg.entries(r)
-                             if grades[t] == m} for r in rows],
-                           self._fld, len(grades))
+        return {t: x for t, x in v.items() if grades[t] == m}
 
     def depth(self, x):
         """Filtration depth of a nonzero element (max m with x in chain m)."""
-        ds = [g for g, v in zip(self.grades, self.full_coords(x)) if v]
+        ds = [self.grades[t] for t in self.full_coords(x)]
         return min(ds) if ds else None
 
     def component(self, x, m):
         """Grade-m component of the full adapted expansion of x."""
-        return [v if g == m else self._fld.zero
-                for g, v in zip(self.grades, self.full_coords(x))]
+        return self._part(self.full_coords(x), m)
 
     def symbol(self, x):
         """Symbol vector of x in gr coordinates (leading-grade component;
@@ -168,8 +170,7 @@ def gr_algebra(alg: StructureAlgebra) -> GradedAlgebra:
         lambda i, j, c: _leading(c, grades, grades[i] + grades[j]))
 
     def grade_zero(x):
-        return tuple(c if g == 0 else fld.zero
-                     for c, g in zip(coords(x), grades))
+        return {t: c for t, c in coords(x).items() if grades[t] == 0}
 
     weights = None
     if alg.weights is not None:

@@ -38,9 +38,9 @@ class Lattice:
     # -- construction ---------------------------------------------------------
     @staticmethod
     def from_rows(ring: RingSpec, ambient: int, rows) -> "Lattice":
-        """Canonicalize generators over O, each a dense row of length
-        `ambient` or an {index: entry} dict (see linalg.sparse); a generator
-        with an entry outside O raises LatticeError.
+        """Canonicalize generators over O, each an {index: entry} dict; a
+        generator with an index outside range(ambient) or an entry outside O
+        raises LatticeError.
 
         A worklist echelon on the rows as dicts: an incoming row either
         reduces against the pivot row at its first column or, when its entry
@@ -50,12 +50,9 @@ class Lattice:
         row is zero in every earlier pivot column."""
         queue = []
         for r in rows:
-            if not isinstance(r, dict):
-                if len(r) != ambient:
-                    raise LatticeError("generator length != ambient rank")
-            elif r and not 0 <= min(r) <= max(r) < ambient:
+            if r and not 0 <= min(r) <= max(r) < ambient:
                 raise LatticeError("generator index outside the ambient rank")
-            r = linalg.sparse(r)
+            r = dict(r)
             if not all(map(ring.in_O, r.values())):
                 raise LatticeError("generator entry outside O")
             if r:
@@ -129,9 +126,10 @@ class Lattice:
         return self.coords(vec) is not None
 
     def coords(self, vec):
-        """O-coordinates of vec (dense or a dict) in the canonical basis, or
-        None: `linalg.eliminate` against the rows divided by their pivots
-        pi^a meets x = c pi^a for the coordinate c, in O iff v(x) >= a."""
+        """O-coordinates of vec in the canonical basis, an {index: entry}
+        dict, or None: `linalg.eliminate` against the rows divided by their
+        pivots pi^a meets x = c pi^a for the coordinate c, in O iff
+        v(x) >= a."""
         if self._reducer is None:
             pi_power = self.ring.pi_power
             scales = tuple((a, pi_power(-a)) for a in self.pivot_vals)
@@ -140,17 +138,16 @@ class Lattice:
                        for j, x in row.items() if j != col})
                 for row, col, (a, inv) in zip(self.rows, self.pivots, scales))
         scales, steps = self._reducer
-        v = linalg.sparse(vec)
+        v = dict(vec)
         met = linalg.eliminate(steps, v)
         if v:
             return None
-        valuation, zero = self.ring.valuation, self.ring.zero()
-        cs = []
-        for x, (a, inv) in zip(met, scales):
-            if x is not None and valuation(x) < a:
-                return None
-            cs.append(zero if x is None else x * inv if a else x)
-        return cs
+        met = [(i, x, a, inv) for i, (x, (a, inv)) in enumerate(zip(met, scales))
+               if x is not None]
+        valuation = self.ring.valuation
+        if any(valuation(x) < a for _, x, a, _ in met):
+            return None
+        return {i: x * inv if a else x for i, x, a, inv in met}
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains_vector(r) for r in other.rows)
@@ -166,10 +163,12 @@ class Lattice:
         if self.rank + len(lifts) != self.ambient:
             raise LatticeError("span basis plus lifts do not span")
         coords = coord_solver(self.rows + tuple(lifts), self.ring.field_K,
-                              ncols=self.ambient)
+                              self.ambient)
 
         def project(v):
-            return coords(v)[self.rank:]  # the coordinates on the lifts
+            # the coordinates on the lifts
+            return {i - self.rank: x for i, x in coords(v).items()
+                    if i >= self.rank}
 
         return lifts, torsion, project
 
@@ -224,18 +223,15 @@ def _normalize_pivot(ring, row, col, val):
 def saturate_rows(ring: RingSpec, ambient: int, rows) -> Lattice:
     """Smallest pure sublattice of O^ambient containing O^ambient ∩ K·span.
 
-    Accepts rows over K (denominators allowed), dense or dicts; the result
+    Accepts {index: entry} rows over K (denominators allowed); the result
     depends only on the K-span of the input.
     """
     cleared = []
-    for r in map(linalg.entries, rows):
+    for r in rows:
         if r:
-            mv = min(ring.valuation(x) for _, x in r)
+            mv = min(map(ring.valuation, r.values()))
             f = ring.pi_power(-mv)
-            row = [ring.zero()] * ambient  # smith_track's matrix is dense
-            for j, x in r:
-                row[j] = f * x if mv else x
-            cleared.append(row)
+            cleared.append({j: f * x for j, x in r.items()} if mv else r)
     if not cleared:
         return Lattice.zero(ring, ambient)
     vals, track = smith_track(ring, ambient, cleared)
@@ -245,16 +241,17 @@ def saturate_rows(ring: RingSpec, ambient: int, rows) -> Lattice:
 def smith_track(ring: RingSpec, ambient: int, rows):
     """Smith normal form over the DVR O with a tracked change of basis.
 
-    Returns (divisor_vals, track_rows): track_rows is an O-basis of O^ambient
-    such that the input row span equals span{ pi^divisor_vals[i] * track_rows[i] }
+    Returns (divisor_vals, track_rows) for {index: entry} input rows:
+    track_rows, {index: entry} dicts, are an O-basis of O^ambient such that
+    the input row span equals span{ pi^divisor_vals[i] * track_rows[i] }
     for i < len(divisor_vals).  In particular the first len(divisor_vals) rows
-    span the saturation of the input.
+    span the saturation of the input.  The reduction runs on a dense working
+    matrix.
     """
-    m = [list(r) for r in rows if any(r)]
-    track = [[ring.one() if i == j else ring.zero() for j in range(ambient)]
+    zero = ring.zero()
+    m = [[r.get(j, zero) for j in range(ambient)] for r in rows if r]
+    track = [[ring.one() if i == j else zero for j in range(ambient)]
              for i in range(ambient)]
-    if not m:
-        return [], track
     nr, nc = len(m), ambient
     perm = list(range(nc))  # column j of m corresponds to track row perm[j]
     vals = []
@@ -300,7 +297,8 @@ def smith_track(ring: RingSpec, ambient: int, rows):
                         tr_top[t] = tr_top[t] + q * tr_j[t]
         vals.append(v)
         top += 1
-    ordered = [track[perm[i]] for i in range(nc)]
+    ordered = [{t: x for t, x in enumerate(track[perm[i]]) if x}
+               for i in range(nc)]
     return vals, ordered
 
 
@@ -333,9 +331,10 @@ def is_pure(n: Lattice, m: Lattice) -> bool:
     if n.rank == 0:
         return True
     a = _pure_closure(n, m, coords) == n
-    fk = n.ring.field_k
-    red = [[n.ring.residue(x) for x in row] for row in coords]
-    b = linalg.rank(red, fk) == n.rank
+    residue = n.ring.residue
+    red = [{j: y for j, x in row.items() if (y := residue(x))}
+           for row in coords]
+    b = linalg.rank(red, n.ring.field_k, m.rank) == n.rank
     if a != b:
         raise LatticeError("purity cross-check disagreement (Lemma 2.3 routes)")
     return a
@@ -372,8 +371,8 @@ def _coords_matrix(n: Lattice, m: Lattice):
 
 
 def span_of(rows, ambient: int, fld, ring=None):
-    """The span of `rows` (each dense or an {index: entry} dict) in the free
-    module of rank `ambient`: a canonical Lattice over O when `ring` is
+    """The span of the {index: entry} `rows` in the free module of rank
+    `ambient`: a canonical Lattice over O when `ring` is
     given, else a linalg.Subspace over `fld`.  A Lattice or Subspace passes
     through unchanged."""
     if isinstance(rows, (Lattice, linalg.Subspace)):
@@ -403,12 +402,12 @@ def stable_span(vectors, maps, ambient: int, fld, ring=None):
         frontier = added.rows
 
 
-def coord_solver(rows, fld, ring=None, ncols=None):
-    """Coordinates in the basis `rows`: v -> c with v = sum c[i] rows[i], or
-    None when there is none (with `ring`, level O: none in O, which for a
-    basis is membership in the lattice it spans).  The rows are dense, or
-    {index: entry} dicts in a space of `ncols` columns (see linalg.rref);
-    v is dense or a dict.  LatticeError if the rows are dependent.  One
+def coord_solver(rows, fld, ncols, ring=None):
+    """Coordinates in the basis `rows`: v -> c with v = sum c[i] rows[i], an
+    {index: entry} dict, or None when there is none (with `ring`, level O:
+    none in O, which for a basis is membership in the lattice it spans).
+    The rows and v are {index: entry} dicts in a space of `ncols` columns.
+    LatticeError if the rows are dependent.  One
     rref of the rows [rows[i] | e_i]: each pivot row [w | T] has
     w = sum T[i] rows[i], and a pivot among the e_i columns is a vanishing
     combination.  With T negated they are the `linalg.eliminate` steps: v
@@ -417,12 +416,10 @@ def coord_solver(rows, fld, ring=None, ncols=None):
     would land among the c."""
     rows = list(rows)
     if not rows:
-        return lambda v: None if linalg.sparse(v) else []
-    k = len(rows)
-    n = linalg.row_width(rows, ncols)
-    one, zero = fld.one, fld.zero
-    aug = [{**linalg.sparse(r), n + i: one} for i, r in enumerate(rows)]
-    ech, pivots = linalg.rref(aug, fld, n + k)
+        return lambda v: None if v else {}
+    n = ncols
+    aug = [{**r, n + i: fld.one} for i, r in enumerate(rows)]
+    ech, pivots = linalg.rref(aug, fld, n + len(rows))
     if pivots[-1] >= n:
         raise LatticeError("basis rows are linearly dependent")
     steps = tuple(
@@ -431,7 +428,7 @@ def coord_solver(rows, fld, ring=None, ncols=None):
     in_O = ring.in_O if ring is not None else None
 
     def coords(v):
-        v = linalg.sparse(v)
+        v = dict(v)
         if v and max(v) >= n:
             return None
         linalg.eliminate(steps, v)
@@ -439,6 +436,6 @@ def coord_solver(rows, fld, ring=None, ncols=None):
             return None
         if in_O and not all(map(in_O, v.values())):
             return None
-        return [v.get(n + i, zero) for i in range(k)]
+        return {j - n: x for j, x in v.items()}
 
     return coords

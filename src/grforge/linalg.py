@@ -1,60 +1,65 @@
 """Exact linear algebra over a field (Q, Q(zeta), or F_p): sparse columns for
-linear actions, sparse rows inside elimination, and {index: entry} dicts for
-the vectors that one kernel hands to another.
+linear actions, and {index: entry} dicts for vectors and rows.
 
 Entries are Fraction, Cyc, or Fp values.  Everything is plain Gaussian
 elimination with exact arithmetic; no pivot growth control is needed at desk
 scale.
 
-A linear action (a module's action matrices, an algebra's multiplication
-matrices) is stored once, by sparse columns (Gustavson, ACM TOMS 1978):
-`cols[k]` is a tuple of the (row, entry) pairs of the nonzero entries of
-column k, rows increasing, so equal matrices have equal columns.  The
-kernels on that form (`apply`, `combine_columns`, `compose`, `trace_form`,
-`row_entries`) visit only nonzero entries.  Other matrices (homomorphism
-witnesses, Gram matrices) are lists of row lists; `columns` and `dense_rows`
-convert at the document boundary.  A vector passed between kernels is the
-{index: entry} dict of its nonzero entries (`sparse` makes one from a dense
-vector): `apply` and `combine` return one, `flatten` gives a square
-matrix's entries as one, and `rref`, `eliminate`, `Subspace` and the
-lattices routines take them.  `rref` returns such rows, and the canonical
-rows of a span are such dicts; algebra elements stay dense.  `rref` reduces
-rows dense or as dicts, `eliminate` reduces a dict against its echelon
-rows, `mat_vec` visits only the nonzero entries of its vector, and
-`charpoly_mod_p` computes characteristic polynomials over F_p on plain ints
-mod p.  Coordinates in a basis come from `lattices.coord_solver`; no inverse
-matrix is formed, and no determinant: invertibility is full `rank`, over K,
-or over k = O/pi for a unit determinant over O.
+A vector is the {index: entry} dict of its nonzero entries, so equal vectors
+are equal dicts; a dict cannot show its length, so each kernel that needs
+the width of its rows takes it as `ncols`.  A linear action (a module's
+action matrices, an algebra's multiplication matrices) is stored once, by
+sparse columns (Gustavson, ACM TOMS 1978): `cols[k]` is a tuple of the
+(row, entry) pairs of the nonzero entries of column k, rows increasing, so
+equal matrices have equal columns.  The kernels on that form (`apply`,
+`combine_columns`, `compose`, `trace_form`, `row_entries`) visit only
+nonzero entries.  Other matrices (homomorphism witnesses, Gram matrices)
+are lists of such dict rows.  `flatten` gives a square matrix's entries as
+one vector and `unflatten` reads it back.  Dense row lists are left only at
+the edges: `columns` and `dense_rows` convert between columns and the row
+lists of documents, and `dense_rows` feeds `charpoly_mod_p` its working
+matrix of ints mod p.  `rref` and `eliminate` reduce dict rows;
+coordinates in a basis come from `lattices.coord_solver`.  No inverse
+matrix is formed, and no determinant: invertibility is full `rank`, over
+K, or over k = O/pi for a unit determinant over O.
 """
 
 from __future__ import annotations
 
 
 def mat_vec(a, v, field):
-    """The column a v for a matrix of row lists; only the nonzero entries of
-    v (dense, or a dict; see `sparse`) are visited."""
-    z = field.zero
-    nonzero = entries(v)
-    out = []
-    for row in a:
-        s = z
-        for j, y in nonzero:
-            x = row[j]
-            if x:
+    """The {index: entry} dict of a v for a matrix a given as a list of
+    {column: entry} rows; only the nonzero entries of v are visited."""
+    out = {}
+    for i, row in enumerate(a):
+        s = field.zero
+        for j, y in v.items():
+            x = row.get(j)
+            if x is not None:
                 s = s + x * y
-        out.append(s)
+        if s:
+            out[i] = s
     return out
 
 
 def combine(coeffs, rows):
-    """The {index: entry} dict of sum_i coeffs[i] * rows[i], the
-    coefficients and each row dense or a dict (see `sparse`); entries that
-    cancel are dropped."""
+    """The {index: entry} dict of sum_i coeffs[i] * rows[i] for the
+    {i: coefficient} dict coeffs; entries that cancel are dropped."""
     acc = {}
-    for i, c in entries(coeffs):
-        for t, x in entries(rows[i]):
+    for i, c in coeffs.items():
+        for t, x in rows[i].items():
             y = acc.get(t)
             acc[t] = c * x if y is None else y + c * x
+    return {t: x for t, x in acc.items() if x}
+
+
+def total(vectors):
+    """The {index: entry} dict of the sum of the vectors."""
+    acc = {}
+    for v in vectors:
+        for t, x in v.items():
+            y = acc.get(t)
+            acc[t] = x if y is None else y + x
     return {t: x for t, x in acc.items() if x}
 
 
@@ -64,8 +69,8 @@ def combine(coeffs, rows):
 
 def column(v):
     """The sparse column (the (row, entry) pairs of the nonzero entries) of
-    a vector, dense or a dict (see `sparse`)."""
-    return tuple(sorted(entries(v)))
+    a vector."""
+    return tuple(sorted(v.items()))
 
 
 def _column_of(acc):
@@ -75,16 +80,9 @@ def _column_of(acc):
 
 
 def columns(m):
-    """The sparse columns of a matrix given as row lists."""
-    return [column(c) for c in zip(*m)]
-
-
-def dense(col, n, zero):
-    """The dense vector of length n with the entries of a sparse column."""
-    v = [zero] * n
-    for t, x in col:
-        v[t] = x
-    return v
+    """The sparse columns of a matrix given by row lists, as a document
+    writes it."""
+    return [tuple((t, x) for t, x in enumerate(c) if x) for c in zip(*m)]
 
 
 def dense_rows(cols, nrows, zero):
@@ -105,9 +103,9 @@ def flatten(cols):
 
 def unflatten(v, ncols):
     """The sparse columns of the matrix with `ncols` columns whose entry
-    (r, c) is v's entry r * ncols + c (v dense, or a dict; see `sparse`)."""
+    (r, c) is v's entry r * ncols + c."""
     cols = [[] for _ in range(ncols)]
-    for k, x in sorted(entries(v)):
+    for k, x in sorted(v.items()):
         r, c = divmod(k, ncols)
         cols[c].append((r, x))
     return [tuple(col) for col in cols]
@@ -116,10 +114,9 @@ def unflatten(v, ncols):
 def apply(cols, v):
     """The {index: entry} dict of A v for a square matrix A given by sparse
     columns: the combination of the columns that the nonzero entries of v
-    (dense, or a dict of nonzero entries; see `sparse`) name.  Entries that
-    cancel are dropped."""
+    name.  Entries that cancel are dropped."""
     acc = {}
-    for k, y in entries(v):
+    for k, y in v.items():
         for t, x in cols[k]:
             z = acc.get(t)
             acc[t] = x * y if z is None else z + x * y
@@ -128,11 +125,10 @@ def apply(cols, v):
 
 def combine_columns(coeffs, mats):
     """Sparse columns of sum_i coeffs[i] * mats[i] for equal-size square
-    matrices given by sparse columns, the coefficients dense or a dict (see
-    `sparse`); zero coefficients are skipped.  The size is that of mats[0]
-    (0 for no matrices)."""
+    matrices given by sparse columns, the coefficients an {i: coefficient}
+    dict.  The size is that of mats[0] (0 for no matrices)."""
     acc = [{} for _ in (mats[0] if mats else ())]
-    for i, c in entries(coeffs):
+    for i, c in coeffs.items():
         for d, col in zip(acc, mats[i]):
             for t, x in col:
                 y = d.get(t)
@@ -167,15 +163,16 @@ def row_entries(cols, nrows):
 
 def trace_form(mats, field):
     """The Gram matrix [tr(M_i M_j)] of square matrices given by sparse
-    columns.  tr(A B) is the sum of A[t][s] B[s][t] over the nonzero entries
-    of the sparser factor, so no product is formed."""
-    entries = [{(t, s): x for s, col in enumerate(m) for t, x in col}
-               for m in mats]
+    columns, as {column: entry} rows.  tr(A B) is the sum of A[t][s] B[s][t]
+    over the nonzero entries of the sparser factor, so no product is
+    formed."""
+    by_pos = [{(t, s): x for s, col in enumerate(m) for t, x in col}
+              for m in mats]
     n = len(mats)
-    g = [[field.zero] * n for _ in range(n)]
+    g = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            small, big = entries[i], entries[j]
+            small, big = by_pos[i], by_pos[j]
             if len(big) < len(small):
                 small, big = big, small
             s = field.zero
@@ -183,7 +180,8 @@ def trace_form(mats, field):
                 y = big.get((u, t))
                 if y is not None:
                     s = s + x * y
-            g[i][j] = g[j][i] = s
+            if s:
+                g[i][j] = g[j][i] = s
     return g
 
 
@@ -191,15 +189,13 @@ def trace_form(mats, field):
 # elimination
 # ---------------------------------------------------------------------------
 
-def rref(rows, field, ncols=None):
+def rref(rows, field, ncols):
     """Reduced row echelon form.  Returns (echelon_rows, pivot_columns).
 
-    Zero rows are dropped; the result spans the same row space.  Rows are
-    equal-length sequences, or, when `ncols` is given, dense rows of that
-    length or {column: entry} dicts of nonzero entries (see `sparse`) in a
-    space of `ncols` columns (ValueError without: a dict's length is not its
-    width).  Each echelon row is the dict of its nonzero entries, keys
-    increasing, so that its pivot entry, one, comes first.
+    Zero rows are dropped; the result spans the same row space.  The rows
+    are {column: entry} dicts in a space of `ncols` columns.  Each echelon
+    row is the dict of its nonzero entries, keys increasing, so that its
+    pivot entry, one, comes first.
 
     Each row is reduced as a {column: nonzero entry} dict against the pivot
     rows found so far, which are kept fully reduced: a pivot row is zero in
@@ -210,11 +206,9 @@ def rref(rows, field, ncols=None):
     an entry left of its pivot, so sorting by pivot gives the reduced row
     echelon form, which is unique.
     """
-    rows = list(rows)
-    width = row_width(rows, ncols)
     piv = {}
     for r in rows:
-        s = sparse(r)
+        s = dict(r)
         for c in s.keys() & piv.keys():
             sub_multiple(s, s.pop(c), piv[c])
         if not s:
@@ -227,7 +221,7 @@ def rref(rows, field, ncols=None):
             if c is not None:
                 sub_multiple(q, c, s)
         piv[col] = s
-        if len(piv) == width:
+        if len(piv) == ncols:
             break
     pivots = sorted(piv)
     return [{col: field.one, **dict(sorted(piv[col].items()))}
@@ -249,30 +243,6 @@ def sub_multiple(s, c, q):
                 del s[j]
 
 
-def entries(v):
-    """The (index, entry) pairs of the nonzero entries of a vector, dense or
-    a dict (see `sparse`)."""
-    if isinstance(v, dict):
-        return v.items()
-    return [(j, x) for j, x in enumerate(v) if x]
-
-
-def sparse(v):
-    """A fresh {index: entry} dict of the nonzero entries of a dense vector,
-    or a copy of such a dict."""
-    return dict(entries(v))
-
-
-def row_width(rows, ncols=None):
-    """`ncols` when given, else the length of the dense rows (0 for none);
-    ValueError for dict rows without `ncols`, as in `rref`."""
-    if ncols is not None:
-        return ncols
-    if any(isinstance(r, dict) for r in rows):
-        raise ValueError("{index: entry} rows need ncols")
-    return len(rows[0]) if rows else 0
-
-
 def eliminate(steps, v):
     """Reduce the {index: entry} vector v in place against echelon rows
     with unit pivots, given as (pivot column, {column: entry} right of the
@@ -287,7 +257,7 @@ def eliminate(steps, v):
     return met
 
 
-def rank(rows, field, ncols=None):
+def rank(rows, field, ncols):
     return len(rref(rows, field, ncols)[0])
 
 
@@ -312,7 +282,7 @@ class Subspace:
 
     @staticmethod
     def from_rows(fld, ambient: int, rows) -> "Subspace":
-        """The span of rows, each dense or an {index: entry} dict."""
+        """The span of the {index: entry} rows."""
         return Subspace(fld, ambient, *rref(rows, fld, ambient))
 
     @property
@@ -335,9 +305,8 @@ class Subspace:
         return self._reducer
 
     def reduce(self, vec):
-        """The remainder of vec (dense, or a dict; see `sparse`) modulo the
-        span, as the {index: entry} dict of its nonzero entries."""
-        v = sparse(vec)
+        """The remainder of the vector vec modulo the span."""
+        v = dict(vec)
         eliminate(self._steps(), v)
         return v
 
@@ -346,10 +315,11 @@ class Subspace:
 
     def coords(self, vec):
         """Coordinates of vec in the rref basis (its entries at the pivots),
-        or None if vec is outside."""
-        v = sparse(vec)
+        an {index: entry} dict, or None if vec is outside."""
+        v = dict(vec)
         met = eliminate(self._steps(), v)
-        return None if v else [self.fld.zero if x is None else x for x in met]
+        return None if v else {i: x for i, x in enumerate(met)
+                               if x is not None}
 
     def contains_lattice(self, other) -> bool:
         return all(self.contains_vector(r) for r in other.rows)
@@ -366,21 +336,21 @@ class Subspace:
         ker = kernel_left(self.rows + other.rows, self.fld, self.ambient)
         return Subspace.from_rows(
             self.fld, self.ambient,
-            [combine(z[:self.rank], self.rows) for z in ker])
+            [combine({i: c for i, c in z.items() if i < self.rank},
+                     self.rows) for z in ker])
 
     def quotient(self):
         """(lifts, torsion, project) of F^ambient / self: the unit vectors
-        off the pivot columns (as dicts) lift a basis, there is no torsion,
-        and the image of v has as coordinates the entries of `reduce(v)` at
-        those columns.  No elimination is run."""
-        z, o = self.fld.zero, self.fld.one
+        off the pivot columns lift a basis, there is no torsion, and the
+        image of v has as coordinates the entries of `reduce(v)` at those
+        columns.  No elimination is run."""
         pivots = set(self.pivots)
         free = [j for j in range(self.ambient) if j not in pivots]
-        lifts = [{j: o} for j in free]
+        lifts = [{j: self.fld.one} for j in free]
+        at = {j: k for k, j in enumerate(free)}
 
         def project(v):
-            r = self.reduce(v)
-            return [r.get(j, z) for j in free]
+            return {at[j]: x for j, x in self.reduce(v).items()}
 
         return lifts, [], project
 
@@ -393,49 +363,44 @@ class Subspace:
         for row in self.rows:
             rem = cur.reduce(row)
             if rem:
-                lifts.append(dense(rem.items(), self.ambient, self.fld.zero))
+                lifts.append(rem)
                 cur = Subspace.from_rows(self.fld, self.ambient,
-                                         cur.rows + lifts[-1:])
+                                         cur.rows + [rem])
         return lifts, []
 
 
-def solve_right(a, b, field, ncols=None):
-    """One solution x of a x = b (column vector), or None.  The rows of a
-    are dense, or {column: entry} dicts with `ncols` columns (see rref)."""
-    m = row_width(a, ncols)
-    aug = [{**sparse(row), m: y} if y else sparse(row)
-           for row, y in zip(a, b)]
-    ech, pivots = rref(aug, field, m + 1)
-    x = [field.zero] * m
-    for row, col in zip(ech, pivots):
-        if col == m:
-            return None
-        x[col] = row.get(m, field.zero)
-    return x
+def solve_right(a, b, field, ncols):
+    """One solution x of a x = b, or None: the rows of a are {column: entry}
+    dicts with `ncols` columns, b is an {index: entry} dict over the rows,
+    and so is x over the columns."""
+    aug = [{**row, ncols: b[i]} if i in b else row for i, row in enumerate(a)]
+    ech, pivots = rref(aug, field, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    return {col: x for row, col in zip(ech, pivots)
+            if (x := row.get(ncols)) is not None}
 
 
-def kernel_right(a, field, ncols=None):
-    """Basis of the right kernel {x : a x = 0}.  The rows of a are dense, or
-    {column: entry} dicts with `ncols` columns (see rref)."""
-    m = row_width(a, ncols)
-    ech, pivots = rref(a, field, m)
+def kernel_right(a, field, ncols):
+    """Basis of the right kernel {x : a x = 0}, for rows of a that are
+    {column: entry} dicts with `ncols` columns."""
+    ech, pivots = rref(a, field, ncols)
     pivset = set(pivots)
-    free = [j for j in range(m) if j not in pivset]
     basis = []
-    for f in free:
-        x = [field.zero] * m
-        x[f] = field.one
-        for row, col in zip(ech, pivots):
-            y = row.get(f)
-            if y is not None:
-                x[col] = -y
-        basis.append(x)
+    for f in range(ncols):
+        if f not in pivset:
+            x = {f: field.one}
+            for row, col in zip(ech, pivots):
+                y = row.get(f)
+                if y is not None:
+                    x[col] = -y
+            basis.append(x)
     return basis
 
 
-def kernel_left(a, field, ncols=None):
+def kernel_left(a, field, ncols):
     """Basis of the left kernel {y : y a = 0}; rows as in kernel_right."""
-    cols = row_entries([entries(r) for r in a], row_width(a, ncols))
+    cols = row_entries([r.items() for r in a], ncols)
     return kernel_right([dict(c) for c in cols], field, len(a))
 
 

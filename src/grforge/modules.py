@@ -3,7 +3,8 @@
 A ModuleRep of rank m stores the action of each algebra basis element b_i by
 sparse columns (see linalg): acts[i][k] holds the (row, entry) pairs of
 b_i . e_k, so the matrices act on column coordinates.  Module elements are
-coordinate rows in O^m (level O) or F^m (levels K, k).  Submodules are spans
+the {index: entry} dicts of their coordinates in O^m (level O) or F^m
+(levels K, k).  Submodules are spans
 in the module's own coordinates (see `StructureAlgebra.span`): Lattices in
 O^m at level O (the module lattice itself is O^m), linalg.Subspaces of F^m at
 field level.
@@ -52,16 +53,11 @@ class ModuleRep:
         return linalg.apply(self.acts[i], v)
 
     def act_matrix(self, x):
-        """Sparse columns of the action of the element x, dense or a dict."""
+        """Sparse columns of the action of the element x."""
         return linalg.combine_columns(x, self.acts)
 
-    def zero_vec(self):
-        return [self.fld.zero] * self.rank
-
     def basis_vec(self, i):
-        v = self.zero_vec()
-        v[i] = self.fld.one
-        return v
+        return {i: self.fld.one}
 
     def full_lattice(self):
         return Lattice.full(self.algebra.ring, self.rank)
@@ -93,7 +89,7 @@ class ModuleRep:
                for m in self.acts):
             raise ModuleError(f"action matrices must be {n} x {n}")
         one = self.fld.one
-        if self.act_matrix(list(alg.unit)) != [((k, one),) for k in range(n)]:
+        if self.act_matrix(alg.unit) != [((k, one),) for k in range(n)]:
             raise ModuleError("unit does not act as identity")
         if alg.level == "O":
             val = alg.ring.valuation
@@ -388,20 +384,21 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     """The module homomorphism src -> dst sending each generator to its image.
 
     `gens` must generate src, so the hom (h, as a dst.rank x src.rank matrix
-    on column coordinates) is unique if it exists; returns None when no such
-    homomorphism exists.  Equivariance is re-verified exactly: a solution
+    on column coordinates, by its {column: entry} rows) is unique if it
+    exists; returns None when no such homomorphism exists.  Equivariance is
+    re-verified exactly: a solution
     that fails it is a fault of the solver, not a verdict, and raises
     InternalCheckError.
     """
     fld = src.fld
     ns, nd = src.rank, dst.rank
     rows = hom_equations(src, dst)
-    rhs = [fld.zero] * len(rows)
+    rhs = {}
     for g, img in zip(gens, images):
-        g, img = linalg.entries(g), linalg.sparse(img)
         for r in range(nd):
-            rows.append({r * ns + c: x for c, x in g})
-            rhs.append(img.get(r, fld.zero))
+            if r in img:
+                rhs[len(rows)] = img[r]
+            rows.append({r * ns + c: x for c, x in g.items()})
     sol = linalg.solve_right(rows, rhs, fld, ns * nd)
     if sol is None:
         return None
@@ -409,7 +406,7 @@ def hom_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     for a_s, a_d in zip(src.acts, dst.acts):
         if linalg.compose(h_cols, a_s) != linalg.compose(a_d, h_cols):
             raise InternalCheckError("hom solve returned a non-equivariant map")
-    return [sol[r * ns:(r + 1) * ns] for r in range(nd)]
+    return [dict(r) for r in linalg.row_entries(h_cols, nd)]
 
 
 def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
@@ -426,13 +423,15 @@ def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     h = hom_with_generator_images(src, dst, gens, images)
     if h is None:
         return None
+    n = src.rank
     if src.level != "O":
-        return h if linalg.rank(h, src.fld) == src.rank else None
+        return h if linalg.rank(h, src.fld, n) == n else None
     ring = src.algebra.ring
-    if not all(ring.in_O(x) for row in h for x in row):
+    if not all(ring.in_O(x) for row in h for x in row.values()):
         return None
-    residues = [[ring.residue(x) for x in row] for row in h]
-    return h if linalg.rank(residues, ring.field_k) == src.rank else None
+    residues = [{c: y for c, x in row.items() if (y := ring.residue(x))}
+                for row in h]
+    return h if linalg.rank(residues, ring.field_k, n) == n else None
 
 
 def standard_iso(mod: ModuleRep, lam):
@@ -464,7 +463,7 @@ class FiltrationStage:
     def __init__(self, label, copies, witness, sub_rows_original):
         self.label = label
         self.copies = copies
-        self.witness = witness              # matrix Delta^copies -> current stage
+        self.witness = witness  # {column: entry} rows: Delta^copies -> stage
         self.sub_rows_original = sub_rows_original  # chain lattice in original coords
 
     def __repr__(self):
@@ -504,9 +503,12 @@ def peel_standard_power(cur: ModuleRep, lam, rows):
     if h is None:
         raise FiltrationFailure(lam, "no homomorphism extends the weight basis")
     integral = cur.level == "O"
-    if integral and not all(alg.ring.in_O(x) for row in h for x in row):
+    if integral and not all(alg.ring.in_O(x) for row in h
+                            for x in row.values()):
         raise FiltrationFailure(lam, "witness map does not preserve the lattice")
-    img = cur.span([dict(c) for c in linalg.columns(h)])
+    # the image is spanned by the columns of h
+    img = cur.span([dict(c) for c in
+                    linalg.row_entries([r.items() for r in h], big.rank)])
     if img.rank != big.rank:
         raise FiltrationFailure(lam, "peeled map is not injective")
     sub = cur.submodule_generated(rows)

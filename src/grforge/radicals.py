@@ -74,8 +74,8 @@ def _subspace_powers(alg, rows, n):
 # ---------------------------------------------------------------------------
 
 def trace_gram(alg):
-    """The trace form tr(L_i L_j) on the basis, from the sparse columns of
-    the left multiplication matrices."""
+    """The trace form tr(L_i L_j) on the basis, as {column: entry} rows,
+    from the sparse columns of the left multiplication matrices."""
     return linalg.trace_form([alg.left_mult_matrix(i) for i in range(alg.rank)],
                              alg.fld)
 
@@ -104,7 +104,7 @@ def _radical_proof(alg):
         raise AlgebraError("radical_field expects a K- or k-level algebra")
     fld = alg.fld
     # the trace form is symmetric: its right kernel is its left kernel
-    candidate = linalg.kernel_right(trace_gram(alg), fld)
+    candidate = linalg.kernel_right(trace_gram(alg), fld, alg.rank)
     power = 1
     while True:
         # spanned once here: is_ideal and _subspace_powers pass it through
@@ -124,7 +124,7 @@ def _radical_proof(alg):
         candidate = [linalg.combine(c, ideal.rows) for c in ker]
     if fld.char == 0:
         quot, _, _ = alg.quotient_by_ideal(chain[0].rows)
-        if linalg.rank(trace_gram(quot), fld) < quot.rank:
+        if linalg.rank(trace_gram(quot), fld, quot.rank) < quot.rank:
             raise AlgebraError("trace form degenerate on the quotient")
     return chain
 
@@ -163,25 +163,29 @@ def center_rows(alg):
     stacked = []
     for g in alg.generating_set():
         commutator = linalg.combine_columns(
-            [fld.one, -fld.one], [alg.left_mult_of(g), alg.right_mult_of(g)])
+            {0: fld.one, 1: -fld.one},
+            [alg.left_mult_of(g), alg.right_mult_of(g)])
         stacked += [dict(r) for r in linalg.row_entries(commutator, alg.rank)]
-    return linalg.rref(linalg.kernel_right(stacked, fld, alg.rank), fld)[0]
+    return linalg.rref(linalg.kernel_right(stacked, fld, alg.rank), fld,
+                       alg.rank)[0]
 
 
-def central_character(center, acts, fld):
+def central_character(center, acts):
     """The scalars by which the center rows act on a nonzero module with
-    action matrices `acts` (sparse columns), or None when one of them acts
-    as a non-scalar (or the module is zero)."""
+    action matrices `acts` (sparse columns), as the {row index: scalar} dict
+    of the nonzero ones, or None when one of them acts as a non-scalar (or
+    the module is zero)."""
     dim = len(acts[0]) if acts else 0
     if not dim:
         return None
-    chi = []
-    for zb in center:
+    chi = {}
+    for s, zb in enumerate(center):
         a = linalg.combine_columns(zb, acts)
-        scal = dict(a[0]).get(0, fld.zero)
-        if a != [((k, scal),) if a[0] else () for k in range(dim)]:
+        scal = dict(a[0]).get(0)
+        if a != [() if scal is None else ((k, scal),) for k in range(dim)]:
             return None
-        chi.append(scal)
+        if scal is not None:
+            chi[s] = scal
     return chi
 
 
@@ -218,11 +222,11 @@ def split_semisimple(alg, modules):
     chars = []
     for label, acts in modules:
         acts = getattr(acts, "acts", acts)  # ModuleRep or raw matrices
-        vec = central_character(z, acts, fld)
+        vec = central_character(z, acts)
         if vec is None:
             # zero, or not simple: unusable for splitting
             continue
-        if tuple(vec) not in {tuple(c) for (c, _, _) in chars}:
+        if vec not in [c for (c, _, _) in chars]:
             chars.append((vec, label, acts))
             if len(chars) == m:
                 break  # distinct characters are independent: at most m
@@ -233,15 +237,13 @@ def split_semisimple(alg, modules):
     # chi_b(e) = sum_s coef_s chi_b(z_s) = [b == idx]: coef is the coordinate
     # vector of the unit vector at idx in the rows (chi_b(z_s))_b, one per s
     try:
-        coords = coord_solver([[c[s] for (c, _, _) in chars]
-                               for s in range(m)], fld)
+        coords = coord_solver([{b: c[s] for b, (c, _, _) in enumerate(chars)
+                                if s in c} for s in range(m)], fld, m)
     except LatticeError as exc:
         raise NonSplitError(
             "central characters are linearly dependent") from exc
     for idx, (vec, label, acts) in enumerate(chars):
-        target = [fld.one if t == idx else fld.zero for t in range(m)]
-        e = linalg.combine(coords(target), z)  # an algebra element: dense
-        e = [e.get(t, fld.zero) for t in range(alg.rank)]
+        e = linalg.combine(coords({idx: fld.one}), z)
         if alg.mul(e, e) != e:
             raise NonSplitError("central idempotent solve failed")
         dim = len(acts[0])
@@ -249,14 +251,10 @@ def split_semisimple(alg, modules):
     # orthogonality + completeness
     for a in range(len(blocks)):
         for b in range(a + 1, len(blocks)):
-            prod = alg.mul(list(blocks[a].central_idempotent),
-                           list(blocks[b].central_idempotent))
-            if any(prod):
+            if alg.mul(blocks[a].central_idempotent,
+                       blocks[b].central_idempotent):
                 raise NonSplitError("central idempotents not orthogonal")
-    total = [fld.zero] * alg.rank
-    for b in blocks:
-        total = [x + y for x, y in zip(total, b.central_idempotent)]
-    if list(alg.unit) != total:
+    if linalg.total(b.central_idempotent for b in blocks) != alg.unit:
         raise NonSplitError("central idempotents do not sum to 1")
     # dimension audit: sum of (dim simple)^2 must be the algebra dimension
     if sum(b.simple_dim ** 2 for b in blocks) != alg.rank:
@@ -274,7 +272,7 @@ def _block_matrix_units(alg, block: Block):
     """
     fld = alg.fld
     d = block.simple_dim
-    e = list(block.central_idempotent)
+    e = block.central_idempotent
     sub = alg.corner(e).rows
     if len(sub) != d * d:
         raise NonSplitError(
@@ -285,13 +283,12 @@ def _block_matrix_units(alg, block: Block):
     flat = [linalg.flatten(linalg.combine_columns(v, block.module_acts))
             for v in sub]
     try:
-        coords = coord_solver(flat, fld, ncols=d * d)
+        coords = coord_solver(flat, fld, d * d)
     except LatticeError as exc:
         raise NonSplitError(
             "module action is not surjective on the block") from exc
-    units = {(i, j): [u.get(t, fld.zero) for t in range(alg.rank)]
-             for i in range(d) for j in range(d)
-             for u in [linalg.combine(coords({i * d + j: fld.one}), sub)]}
+    units = {(i, j): linalg.combine(coords({i * d + j: fld.one}), sub)
+             for i in range(d) for j in range(d)}
     if not matrix_units_hold(
             alg, {(0, i, j): u for (i, j), u in units.items()}, e):
         raise NonSplitError("matrix unit relations fail")
@@ -302,16 +299,13 @@ def matrix_units_hold(alg, units, total) -> bool:
     """Do the units, keyed (block, i, j), multiply as matrix units
     (u_bij u_bkl = u_bil if j == k, else 0, and 0 across blocks), with the
     diagonal units summing to `total`?"""
-    zero = [alg.fld.zero] * alg.rank
-    diag = zero
     for (b, i, j), u in units.items():
         for (c, k, l), v in units.items():
-            expect = units[(b, i, l)] if b == c and j == k else zero
-            if alg.mul(list(u), list(v)) != list(expect):
+            expect = units[(b, i, l)] if b == c and j == k else {}
+            if alg.mul(u, v) != expect:
                 return False
-        if i == j:
-            diag = [x + y for x, y in zip(diag, u)]
-    return diag == list(total)
+    return linalg.total(u for (_, i, j), u in units.items()
+                        if i == j) == total
 
 
 def matrix_units(alg, modules):
@@ -339,26 +333,25 @@ def matrix_units(alg, modules):
 
 def _newton_idempotent(alg, x):
     """Iterate x <- 3x^2 - 2x^3 until exactly idempotent (defect nilpotent)."""
+    three, minus_two = alg.fld.of(3), alg.fld.of(-2)
     for _ in range(alg.rank + 2):
         sq = alg.mul(x, x)
         if sq == x:
             return x
-        cube = alg.mul(sq, x)
-        x = [a * 3 - b * 2 for a, b in zip(sq, cube)]
+        x = linalg.combine({0: three, 1: minus_two}, [sq, alg.mul(sq, x)])
     raise AlgebraError("idempotent iteration did not converge")
 
 
 def _corner_inverse(alg, e, x):
     """Inverse of x inside the corner algebra e A e (unit e); x = e - j, j nilpotent."""
-    j = linalg.combine([alg.fld.one, -alg.fld.one], [e, x])
-    out = list(e)
-    term = list(e)
+    j = _difference(alg, e, x)
+    out = term = e
     for _ in range(alg.rank + 1):
         term = alg.mul(term, j)
-        if not any(term):
+        if not term:
             break
-        out = [a + b for a, b in zip(out, term)]
-    if alg.mul(out, x) != list(e):
+        out = linalg.total([out, term])
+    if alg.mul(out, x) != e:
         raise InternalCheckError("corner inverse failed")
     return out
 
@@ -370,22 +363,20 @@ def _lift_matrix_units(alg, lifts, blocks):
     that quotient.  Returns a dict (block_index, i, j) -> algebra coordinate
     vector of exactly orthogonal lifted units spanning a Wedderburn complement.
     """
-    fld = alg.fld
-
     def lift_vec(qv):
         return linalg.combine(qv, lifts)
 
     # 1. lift all diagonal units to orthogonal idempotents, sequentially
     diag = {}
-    done = [fld.zero] * alg.rank  # sum of lifted idempotents so far
+    done = {}  # sum of lifted idempotents so far
     for bi, blk in enumerate(blocks):
         for i in range(blk.simple_dim):
             y = lift_vec(blk.matrix_units[(i, i)])
-            comp = [a - b for a, b in zip(alg.unit, done)]
+            comp = _difference(alg, alg.unit, done)
             y = alg.mul(comp, alg.mul(y, comp))
             e = _newton_idempotent(alg, y)
             diag[(bi, i)] = e
-            done = [a + b for a, b in zip(done, e)]
+            done = linalg.total([done, e])
 
     # 2. lift off-diagonal units within each block and correct exactly
     units = {}
@@ -414,6 +405,11 @@ def _lift_matrix_units(alg, lifts, blocks):
     if not matrix_units_hold(alg, units, alg.unit):
         raise InternalCheckError("lifted matrix unit relations fail")
     return units
+
+
+def _difference(alg, x, y):
+    """The element x - y."""
+    return linalg.combine({0: alg.fld.one, 1: -alg.fld.one}, [x, y])
 
 
 def wedderburn_complement(alg, modules, contain=None):
@@ -447,7 +443,7 @@ def _verify_complement(alg, s_rows, rad):
         raise InternalCheckError("complement meets the radical")
     if not span.contains_lattice(alg.product_span(span.rows, span.rows)):
         raise InternalCheckError("complement is not closed under multiplication")
-    if not span.contains_vector(list(alg.unit)):
+    if not span.contains_vector(alg.unit):
         raise InternalCheckError("complement does not contain the unit")
 
 
@@ -481,7 +477,7 @@ def _malcev_enlarge(alg, s_rows, contain):
         s_ech = alg.span(s_rows).rows
         full = [*s_ech, *rad]
         try:
-            coords = coord_solver(full, fld, ncols=alg.rank)
+            coords = coord_solver(full, fld, alg.rank)
         except LatticeError:
             coords = None
         if coords is None or len(full) != alg.rank:
@@ -489,8 +485,9 @@ def _malcev_enlarge(alg, s_rows, contain):
 
         def decompose(v):
             c = coords(v)
-            sig = linalg.combine(c[: len(s_ech)], s_ech)
-            return sig, linalg.combine([fld.one, -fld.one], [v, sig])
+            sig = linalg.combine({i: x for i, x in c.items()
+                                  if i < len(s_ech)}, s_ech)
+            return sig, _difference(alg, v, sig)
 
         pairs = [decompose(s) for s in s0_rows]
         deltas = [d for (_, d) in pairs]
@@ -509,22 +506,21 @@ def _malcev_enlarge(alg, s_rows, contain):
         # unknown h over basis_m; equations h sig - sig h = delta mod J^(2m),
         # one {hi: entry} row per sig and coordinate t of the remainders
         big = []
-        big_rhs = []
+        big_rhs = {}
         for sig, delta in pairs:
-            cols = []
-            for hb in basis_m:
-                comm = [a - b for a, b in zip(alg.mul(hb, sig),
-                                              alg.mul(sig, hb))]
-                cols.append(mod_j2m(comm))
+            cols = [mod_j2m(_difference(alg, alg.mul(hb, sig),
+                                        alg.mul(sig, hb)))
+                    for hb in basis_m]
             r = mod_j2m(delta)
             for t in range(alg.rank):
+                if t in r:
+                    big_rhs[len(big)] = r[t]
                 big.append({hi: c[t] for hi, c in enumerate(cols) if t in c})
-                big_rhs.append(r.get(t, fld.zero))
         sol = linalg.solve_right(big, big_rhs, fld, len(basis_m))
         if sol is None:
             raise AlgebraError("Malcev correction unsolvable (is S0 semisimple?)")
         h = linalg.combine(sol, basis_m)
-        one_minus = linalg.combine([fld.one, -fld.one], [alg.unit, h])
+        one_minus = _difference(alg, alg.unit, h)
         inv = _corner_inverse(alg, alg.unit, one_minus)
         s_rows = [alg.mul(inv, alg.mul(s, one_minus)) for s in s_ech]
     raise AlgebraError("Malcev iteration did not converge")

@@ -46,15 +46,16 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
         rows = inv.rows
         if not rows:
             continue
-        coeffs = []
-        for _ in rows:
+        coeffs = {}
+        for k in range(len(rows)):
             c = rng.randint(-2, 2)
             if rng.random() < 0.25:
                 c *= alg.ring.p
-            coeffs.append(fld.of(c))
+            if c:
+                coeffs[k] = fld.of(c)
         v = linalg.combine(coeffs, rows)
         stats["trials"] += 1
-        key = (i, lam, tuple(sorted(v.items())))  # v is a dict
+        key = (i, lam, tuple(sorted(v.items())))
         if key not in reports:
             reports[key] = forced.primitivity_test(mod, v, lam, inv)
         rep = reports[key]
@@ -90,14 +91,14 @@ def prop52_campaign(alg, datum, trials: int, seed: int):
         ngens = rng.randint(1, copies + 1)
         gens = []
         for _ in range(ngens):
-            v = [sub.fld.zero] * big.rank
+            v = {}
             for t in range(big.rank):
                 c = rng.randint(-1, 1)
                 if c and rng.random() < 0.4:
                     if rng.random() < 0.3:
                         c *= alg.ring.p
-                    v[t] = v[t] + sub.fld.of(c)
-            if any(v):
+                    v[t] = sub.fld.of(c)
+            if v:
                 gens.append(v)
         if not gens:
             continue

@@ -356,5 +356,5 @@ def field_case_suite(alg_field: StructureAlgebra, gamma,
 def _projective_generator(alg: StructureAlgebra, g):
     """e_g in the coordinates of weight_projective(alg, g), the span of the
     b_i e_g."""
-    e = list(alg.weights.idempotents[g])
+    e = alg.weights.idempotents[g]
     return alg.left_ideal([e]).coords(e)

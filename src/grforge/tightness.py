@@ -78,15 +78,15 @@ class GradedSubalgebraDatum:
 
 def subalgebra_of(alg: StructureAlgebra, rows) -> StructureAlgebra:
     """The subalgebra on the basis `rows` (ambient coordinates, in this
-    order, dense or dicts), built once per algebra and rows: it is kept in
-    the ambient algebra's memo, keyed by the rows' nonzero entries."""
+    order), built once per algebra and rows: it is kept in the ambient
+    algebra's memo, keyed by the rows' nonzero entries."""
     return alg._derived(_subalgebra_of, _row_key(rows))
 
 
 def _row_key(rows):
-    """Each row's nonzero (index, entry) pairs: one key for a row dense or
-    as a dict, whose tuple would be its indices alone."""
-    return tuple(tuple(linalg.entries(r)) for r in rows)
+    """Each row's (index, entry) pairs, index increasing: one key for equal
+    rows, whatever order their dicts were filled in."""
+    return tuple(tuple(sorted(r.items())) for r in rows)
 
 
 def _subalgebra_of(alg, rows):
@@ -267,7 +267,7 @@ def conditions_51_check(alg: StructureAlgebra, datum: GradedSubalgebraDatum,
     if wedd is not None:
         out["c4_complement_contains"] = ak.span(wedd).contains_lattice(ak.span(
             [linalg.combine(c, sub_rows) for c in sub_grade_rows.get(0, [])]
-            + [list(w.idempotents[nu]) for nu in w.X]))
+            + list(w.idempotents.values())))
     else:
         out["c4_complement_contains"] = None
     # (5) K a_r = a_K,r (by construction of the datum) plus the Prop 5.2(a)
@@ -332,11 +332,11 @@ def field_pim(alg_field, lam):
     else:
         raise TightnessError(f"no block labeled {lam!r}")
     reg = regular_module(alg_field)
-    sub = reg.submodule_generated([list(f)])
+    sub = reg.submodule_generated([f])
     mod = reg.restrict_to(sub)
     mod.name = f"P_K({lam})"
     mod.ambient_span = sub
-    return mod, list(f)
+    return mod, f
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +435,9 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
                 raise TightnessError("ambiguous weight generator; supply v")
             v = lifts[0]
     # (i) dagger = A v with v a lam-weight vector
-    e = list(w.idempotents[lam])
+    e = w.idempotents[lam]
     res.hypotheses["h1_cyclic"] = (
-        linalg.apply(dagger.act_matrix(e), v) == linalg.sparse(v)
+        linalg.apply(dagger.act_matrix(e), v) == v
         and dagger.submodule_generated([v]) == dagger.full_lattice())
     # (ii) dagger = P0 (+) (dagger ∩ rad P_K) with K P0 + E_K stable; once
     # P0 + rad = dagger, P0 ∩ rad = 0 iff their ranks add up to dagger's
@@ -487,7 +487,7 @@ def _h2_stability(alg, datum, lam, dagger, p0_rows):
     h = hom_with_generator_images(daggerK, deltaK, [gen], [target])
     if h is None:
         return False
-    ker = linalg.kernel_right(h, deltaK.fld)
+    ker = linalg.kernel_right(h, deltaK.fld, daggerK.rank)
     span = daggerK.span(ker + list(p0_rows))
     return span.contains_lattice(daggerK.image(wedd, span.rows))
 
@@ -503,7 +503,7 @@ def _wedderburn_rows(alg, datum):
     try:
         return radicals.wedderburn_complement(
             ak, weight_simples(ak),
-            contain=[list(w.idempotents[nu]) for nu in w.X]), None
+            contain=list(w.idempotents.values())), None
     except (radicals.NonSplitError, AlgebraError) as exc:
         return None, str(exc)
 

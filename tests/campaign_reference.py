@@ -5,8 +5,7 @@ each distinct draw was decided once, kept for the tests.
 included, and `primitivity_test` rebuilds the weight projector, the
 saturations and the footnote-7 verdict on every call; they are the package
 loops and test verbatim, apart from calling the `primitivity_test` of this
-file and reading span rows, now {index: entry} dicts, in that form (a
-drawn v is written out dense, as the loop drew it).  `endo_direct_check`
+file and reading vectors, now {index: entry} dicts, in that form.  `endo_direct_check`
 builds every cyclic candidate module before the splitting reads any of
 them.  The package's campaigns must return the same
 stats, and its lazy check the same verdicts.
@@ -14,6 +13,7 @@ stats, and its lazy check the same verdicts.
 
 import random
 
+from dense_reference import vec
 from grforge import forced, linalg, radicals, tightness
 from grforge.algebra import AlgebraError, StructureAlgebra, structure_constants
 from grforge.certify import recognize_matrix_algebra
@@ -37,16 +37,16 @@ def primitivity_test(mod: ModuleRep, v, lam, chain=None,
         raise ForcedError("primitivity is an integral-level notion")
     alg = mod.algebra
     w = alg.weights
-    e = list(w.idempotents[lam])
-    v = list(v)
-    if linalg.apply(mod.act_matrix(e), v) != linalg.sparse(v):
+    e = w.idempotents[lam]
+    v = vec(v)
+    if linalg.apply(mod.act_matrix(e), v) != v:
         raise ForcedError("vector is not a lam-weight vector")
     if n_prime is None:
         n_prime = n_prime_lattice(mod, lam)
     nprime, nprime_K = n_prime
     full = mod.full_lattice()
     detail = {}
-    if not any(v):
+    if not v:
         return PrimitivityReport(False, False, None, None, detail)
     in_nprime = nprime.contains_vector(v)
     if in_nprime:
@@ -111,8 +111,7 @@ def primitivity_campaign(alg, mods, trials: int, seed: int):
             if rng.random() < 0.25:
                 c *= alg.ring.p
             coeffs.append(fld.of(c))
-        v = linalg.dense(linalg.combine(coeffs, rows).items(), mod.rank,
-                         fld.zero)
+        v = linalg.combine(dict(enumerate(coeffs)), rows)
         stats["trials"] += 1
         if i not in chains:
             chains[i] = module_rad_chain(mod)
@@ -156,7 +155,7 @@ def prop52_campaign(alg, datum, trials: int, seed: int):
                         c *= alg.ring.p
                     v[t] = v[t] + sub.fld.of(c)
             if any(v):
-                gens.append(v)
+                gens.append(vec(v))
         if not gens:
             continue
         lat = big.submodule_generated(gens)

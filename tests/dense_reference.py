@@ -14,14 +14,20 @@ dense worklist echelon it replaced (`lattice_from_rows`, with
 `_normalize_pivot` and `_back_reduce`) is kept verbatim as the oracle.
 `linalg.rref` returns each echelon row as the {index: entry} dict of its
 nonzero entries; the dense output loop it dropped is kept verbatim in
-`rref_dense`, the oracle for the sparse spans, and `dense_rows` writes
-vectors of either form as dense lists for the dense checks.
+`rref_dense`, the oracle for the sparse spans.
+Every vector of the package is an {index: entry} dict: `vec` makes one from
+a dense list (a dict passes through), `vecs` does so for rows, and `dense_vec` and `dense_rows`
+write vectors as dense lists for the dense checks.  `dense_mul` is the
+dense product from the structure constants that `StructureAlgebra.mul`
+replaced, the oracle for the dict product.
 A char-p radical stage reads a linear functional off one charpoly per
 basis row of the candidate ideal; the pairwise Friedl-Ronyai form it
 replaced, one product L_x L_y and one charpoly per pair of rows
 (`fr_form_pairwise`, `fr_stage_pairwise`), is kept verbatim as the oracle,
 with the radical it reaches (`radical_pairwise`).
 """
+
+from collections.abc import Mapping
 
 from grforge import linalg, radicals
 from grforge.algebra import AlgebraError
@@ -96,8 +102,8 @@ def coords_in_row_space(v, ech, pivots):
 def invert(a, field):
     """Inverse matrix, or None if singular."""
     n = len(a)
-    aug = [list(r) + e for r, e in zip(a, identity(field, n))]
-    ech, pivots = linalg.rref(aug, field)
+    aug = [vec(list(r) + e) for r, e in zip(a, identity(field, n))]
+    ech, pivots = linalg.rref(aug, field, 2 * n)
     ech = dense_rows(ech, 2 * n, field.zero)
     if len(ech) < n or pivots[:n] != list(range(n)):
         return None
@@ -154,9 +160,43 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def vec(v):
+    """The {index: entry} dict of the nonzero entries of a dense vector; a
+    dict (or a read-only view of one) passes through as a copy."""
+    if isinstance(v, Mapping):
+        return dict(v)
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def vecs(rows):
+    """Rows, dense or dicts, as {index: entry} dicts."""
+    return [vec(r) for r in rows]
+
+
+def dense_vec(v, n, zero):
+    """A vector, dense or an {index: entry} dict, as a dense list of
+    length n."""
+    out = [zero] * n
+    for j, x in vec(v).items():
+        out[j] = x
+    return out
+
+
 def dense_rows(rows, n, zero):
     """Vectors, dense or {index: entry} dicts, as dense lists of length n."""
-    return [linalg.dense(linalg.entries(r), n, zero) for r in rows]
+    return [dense_vec(r, n, zero) for r in rows]
+
+
+def dense_mul(alg, x, y):
+    """The dense product x y of dense coordinate vectors, straight from the
+    structure constants."""
+    out = [alg.fld.zero] * alg.rank
+    for (i, j), row in alg.sc.items():
+        if x[i] and y[j]:
+            c = x[i] * y[j]
+            for t, v in row.items():
+                out[t] = out[t] + c * v
+    return out
 
 
 def rref_dense(rows, field, ncols=None):
@@ -167,7 +207,7 @@ def rref_dense(rows, field, ncols=None):
     for r in rows:
         if ncols is None:
             width = len(r)
-        s = linalg.sparse(r)
+        s = vec(r)
         for c in s.keys() & piv.keys():
             linalg.sub_multiple(s, s.pop(c), piv[c])
         if not s:
@@ -254,7 +294,9 @@ def fr_stage_pairwise(alg, basis_rows, power):
     """Kernel of the Friedl-Ronyai form c_power on the span of the rows."""
     fld = alg.fld
     basis_rows, _ = linalg.rref(basis_rows, fld, alg.rank)
-    ker = linalg.kernel_right(fr_form_pairwise(alg, basis_rows, power), fld)
+    ker = linalg.kernel_right(
+        [vec(r) for r in fr_form_pairwise(alg, basis_rows, power)], fld,
+        len(basis_rows))
     return linalg.rref([linalg.combine(c, basis_rows) for c in ker], fld,
                        alg.rank)[0]
 
@@ -263,7 +305,7 @@ def radical_pairwise(alg):
     """Radical rows (rref) of a field algebra of char p through the
     pairwise stages: the first candidate that is a nilpotent ideal."""
     fld = alg.fld
-    candidate = linalg.kernel_right(radicals.trace_gram(alg), fld)
+    candidate = linalg.kernel_right(radicals.trace_gram(alg), fld, alg.rank)
     power = 1
     while True:
         if radicals.is_ideal(alg, candidate):

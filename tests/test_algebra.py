@@ -33,7 +33,7 @@ def test_broken_associativity_is_rejected(z5):
 
 def test_unit_failure_is_reported(z5):
     bad = StructureAlgebra(z5.ring, "O", 5, z5.labels,
-                           (F(1), F(0), F(0), F(0), F(0)), z5.sc, None)
+                           {0: F(1)}, z5.sc, None)
     with pytest.raises(ValidationError) as exc:
         bad.validate()
     assert any("unit" in p for p in exc.value.problems)
@@ -43,7 +43,7 @@ def test_idempotent_axioms_checked(z5):
     w = z5.weights
     broken = WeightDatum(w.X, w.Lambda, w.less, {
         "1": w.idempotents["1"],
-        "2": tuple(F(2) * x for x in w.idempotents["2"]),
+        "2": {t: F(2) * x for t, x in w.idempotents["2"].items()},
     })
     bad = StructureAlgebra(z5.ring, "O", 5, z5.labels, z5.unit, z5.sc, broken)
     with pytest.raises(ValidationError) as exc:
@@ -54,7 +54,7 @@ def test_idempotent_axioms_checked(z5):
 def test_scalar_outside_O_rejected():
     ring = RingSpec(RATIONAL, 3)
     sc = {(0, 0): {0: F(1, 3)}}
-    bad = StructureAlgebra(ring, "O", 1, None, (F(1),), sc)
+    bad = StructureAlgebra(ring, "O", 1, None, {0: F(1)}, sc)
     with pytest.raises(ValidationError) as exc:
         bad.validate()
     assert any("outside O" in p for p in exc.value.problems)
@@ -62,7 +62,7 @@ def test_scalar_outside_O_rejected():
 
 def test_rank_one_algebra_loads():
     ring = RingSpec(RATIONAL, 3)
-    alg = StructureAlgebra(ring, "O", 1, ["1"], (F(1),), {(0, 0): {0: F(1)}})
+    alg = StructureAlgebra(ring, "O", 1, ["1"], {0: F(1)}, {(0, 0): {0: F(1)}})
     assert alg.validate()["associativity"] == "basis"
 
 
@@ -88,10 +88,7 @@ def test_poset_cycle_rejected():
 def test_subalgebra_closure_check(z5_K):
     # span{1, alpha} is not closed? alpha^2 = 0 so it is; span{alpha, beta} has
     # no unit and beta*alpha = gamma escapes -> must raise
-    fld = z5_K.fld
-    rows = [[fld.zero] * 5, [fld.zero] * 5]
-    rows[0][2] = fld.one
-    rows[1][3] = fld.one
+    rows = [z5_K.basis_vec(2), z5_K.basis_vec(3)]
     with pytest.raises(Exception):
         z5_K.subalgebra_on(rows)
     # with alpha as the unit the unit test passes; the closure test names
@@ -104,7 +101,7 @@ def test_quotient_by_nonpure_ideal_rejected(z5):
     from grforge.lattices import Lattice
 
     # span{3*gamma} is an ideal but not pure
-    rows = [[F(0), F(0), F(0), F(0), F(3)]]
+    rows = [{4: F(3)}]
     lat = Lattice.from_rows(z5.ring, 5, rows)
     with pytest.raises(Exception):
         z5.quotient_by_ideal(lat)
@@ -157,6 +154,11 @@ class TestDerivedMemo:
             with pytest.raises(AlgebraError):
                 setattr(alg, name, getattr(alg, name))
         assert alg.unit == z5.unit and alg.weights is z5.weights
+        # the stored vectors are read-only views
+        for v in (alg.unit, alg.weights.idempotents["1"],
+                  z5.generators["e1"]):
+            with pytest.raises(TypeError):
+                v[0] = F(2)
         alg.source_hash = "annotation"
         alg.metadata = {"fixture": "z5"}
         assert alg.source_hash == "annotation"

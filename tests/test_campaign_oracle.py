@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import campaign_reference as ref
-from dense_reference import dense_rows
-from grforge import certify, fixtures, forced, linalg, modules, radicals, \
+from dense_reference import dense_rows, vec
+from grforge import certify, fixtures, forced, modules, radicals, \
     randomized, tightness
 
 ALGEBRAS = ["z5@3", "z5@5", "qschur2@3"]
@@ -69,8 +69,7 @@ def test_primitivity_campaign_matches_the_loop_it_replaced(case, seed,
     drawn, decided = [], []
 
     def key(mod, v, lam, *rest):
-        # v is dense in the loop and a dict in the campaign
-        return id(mod), lam, tuple(sorted(linalg.sparse(v).items()))
+        return id(mod), lam, tuple(sorted(v.items()))
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ref, "primitivity_test",
@@ -119,7 +118,7 @@ def test_primitivity_test_builds_the_weight_invariants_once(sp_z5,
             built, getattr(forced, name), lambda *args, name=name: name))
     p1 = sp_z5["1"]["P"]
     rows = dense_rows(p1.weight_space_rows("1"), p1.rank, p1.fld.zero)
-    vectors = [[a * x + b * y for x, y in zip(*rows)]
+    vectors = [vec([a * x + b * y for x, y in zip(*rows)])
                for a in range(-3, 4) for b in range(-3, 4)]
     inv = forced.WeightInvariants(p1, "1")
     reports = [forced.primitivity_test(p1, v, "1", inv) for v in vectors]

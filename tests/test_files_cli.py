@@ -204,6 +204,10 @@ class TestCLI:
          "prop52"),
         ({"basis": [0, ["0", "1", "0", "0", "0"], 2, 3, 4],
           "grades": [0, 0, 1, 1, 2]}, "conds51"),
+        ({"basis": [["1", "0", "0", "0", "0"], ["0", "1"],
+                    ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"],
+                    ["0", "0", "0", "0", "1"]],
+          "grades": [0, 0, 1, 1, 2]}, "thm53"),
         ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1, 1, 2],
           "wedderburn": [1, 2]}, "conds51"),
         ({"basis": [0, 1, 2, 3, 4], "grades": [0, 0, 1, 1, 2],
@@ -211,13 +215,14 @@ class TestCLI:
     ], ids=["no-grades", "not-an-object", "basis-not-a-list", "index-9",
             "3-grades-conds51", "3-grades-thm53", "3-grades-prop52",
             "6-grades-conds51", "6-grades-thm53", "string-grades",
-            "indices-and-rows", "wedderburn-not-rows", "short-wedderburn-row"])
+            "indices-and-rows", "short-basis-row", "wedderburn-not-rows",
+            "short-wedderburn-row"])
     def test_malformed_datum_shape_exits_2(self, tmp_path, capsys, datum,
                                            suite):
         # a datum that is no object, lacks grades, names an index outside
         # the algebra, has one grade too few, one too many or a string,
-        # mixes indices with rows or gives wedderburn rows that are not lists
-        # or are too short
+        # mixes indices with rows, gives a basis row that is too short, or
+        # gives wedderburn rows that are not lists or are too short
         cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
         path = tmp_path / "d.json"
         path.write_text(json.dumps(datum))

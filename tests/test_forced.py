@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dense_reference import dense_rows
+from dense_reference import dense_rows, vec
 
 from grforge import forced, graded, modules
 from grforge.algebra import StructureAlgebra, WeightDatum
@@ -49,7 +49,7 @@ class TestPrimitivity:
 
     def test_non_weight_vector_rejected(self, sp_z5):
         p1 = sp_z5["1"]["P"]
-        v = [F(1)] * p1.rank
+        v = {t: F(1) for t in range(p1.rank)}
         with pytest.raises(forced.ForcedError):
             forced.primitivity_test(p1, v, "1")
 
@@ -71,7 +71,7 @@ class TestPrimitivity:
                 for t in range(mod.rank):
                     if r[t]:
                         v[t] = v[t] + fld.of(c) * r[t]
-            rep = forced.primitivity_test(mod, v, lam)
+            rep = forced.primitivity_test(mod, vec(v), lam)
             if rep.strongly_primitive:
                 assert rep.primitive
             if rep.primitive:
@@ -201,7 +201,7 @@ class TestGradedDeltaFiltration:
         if case == "scaled_lattice":
             # span{3e2, beta} in Delta(2)
             n = sp_z5["2"]["Delta"].restrict_to(
-                Lattice.from_rows(z5.ring, 2, [[F(3), F(0)], [F(0), F(1)]]))
+                Lattice.from_rows(z5.ring, 2, [{0: F(3)}, {1: F(1)}]))
             gr, expect = gr_z5, ("2", "peeled submodule is not pure")
         else:
             # one weight whose idempotent is the unit: Delta(a)_a = A
@@ -253,5 +253,5 @@ class TestPrimitiveEqualsStronglyPrimitiveOnGr:
                                 v[t] = v[t] + gmod.fld.of(c) * r[t]
                 if not any(v):
                     continue
-                rep = forced.primitivity_test(gmod, v, lam)
+                rep = forced.primitivity_test(gmod, vec(v), lam)
                 assert rep.primitive == rep.strongly_primitive, (lam, v)

@@ -60,11 +60,11 @@ class TestGrAlgebra:
         z5s = build_z5s(3)
         gr = graded.gr_algebra(z5s)
         assert gr.grade_ranks() == (2, 2, 1)
-        beta_sym = gr.symbol([0, 0, 0, F(1), 0])
-        alpha_sym = gr.symbol([0, 0, F(1), 0, 0])
-        gamma_sym = gr.symbol([0, 0, 0, 0, F(1)])
+        beta_sym = gr.symbol({3: F(1)})
+        alpha_sym = gr.symbol({2: F(1)})
+        gamma_sym = gr.symbol({4: F(1)})
         prod = gr.algebra.mul(beta_sym, alpha_sym)
-        assert prod == [x * 3 for x in gamma_sym]
+        assert prod == {t: x * 3 for t, x in gamma_sym.items()}
 
     def test_semisimple_concentrated_in_grade_zero(self):
         from grforge.algebra import StructureAlgebra
@@ -72,7 +72,7 @@ class TestGrAlgebra:
 
         ring = RingSpec(RATIONAL, 3)
         sc = {(0, 0): {0: F(1)}, (1, 1): {1: F(1)}}
-        a = StructureAlgebra(ring, "O", 2, None, (F(1), F(1)), sc)
+        a = StructureAlgebra(ring, "O", 2, None, {0: F(1), 1: F(1)}, sc)
         gr = graded.gr_algebra(a)
         assert gr.grade_ranks() == (2,)
 

@@ -3,9 +3,11 @@
 `dense_rref`, `dense_mat_vec` and `dense_charpoly` are the dense kernels
 that `rref`, `mat_vec` and `charpoly_mod_p` replaced, and `dense_mat_mul`
 the dense product that the sparse-column kernels replaced, kept verbatim as
-the reference.  Kernels, solves and ranks are compared with the same functions
-run on `dense_rref`, and `lattices.coord_solver` with the inverse matrix
-that `dense_reference.invert` computes on it.  Invertibility as a rank (over
+the reference.  The kernels take and return {index: entry} dicts; the
+draws are dense rows, as the references read them, and `vecs` hands them
+to the kernels.  Kernels, solves and ranks are compared with the same
+functions run on `dense_rref`, and `lattices.coord_solver` with the inverse
+matrix that `dense_reference.invert` computes on it.  Invertibility as a rank (over
 the field, of the residues over k, and the pivot valuations of the Hermite
 form over O) is compared with the determinant `dense_reference.det`.
 """
@@ -15,11 +17,14 @@ from fractions import Fraction
 import pytest
 from dense_reference import (
     dense_rows,
+    dense_vec,
     det,
     identity,
     invert,
     mat_copy,
     transpose,
+    vec,
+    vecs,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -170,17 +175,17 @@ def as_dicts(echelon):
     """(rows, pivots) with each row the dict of its nonzero entries, the form
     of linalg.rref's echelon rows."""
     rows, pivots = echelon
-    return [linalg.sparse(r) for r in rows], pivots
+    return vecs(rows), pivots
 
 
 def on_dense_rref(fn, *args):
     """fn(*args) with linalg.rref replaced by the dense reference."""
-    sparse = linalg.rref
+    kernel = linalg.rref
     linalg.rref = lambda *a: as_dicts(dense_rref(*a))
     try:
         return fn(*args)
     finally:
-        linalg.rref = sparse
+        linalg.rref = kernel
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +209,9 @@ def draw_rows(data, fld, nrows, ncols):
     rows = []
     for _ in range(nrows):
         if rows and data.draw(st.integers(0, 3)) == 0:
-            v = linalg.combine([draw_scalar(data, fld) for _ in rows], rows)
-            rows.append(linalg.dense(v.items(), ncols, fld.zero))
+            v = linalg.combine(vec([draw_scalar(data, fld) for _ in rows]),
+                               vecs(rows))
+            rows.append(dense_vec(v, ncols, fld.zero))
         else:
             rows.append([draw_scalar(data, fld) for _ in range(ncols)])
     return rows
@@ -242,7 +248,7 @@ def test_rref_matches_dense(kind, data):
     fld = FIELDS[kind]
     nrows, ncols = shape(data)
     rows = draw_rows(data, fld, nrows, ncols)
-    got = linalg.rref(rows, fld)
+    got = linalg.rref(vecs(rows), fld, ncols)
     want = dense_rref(rows, fld)
     assert got == as_dicts(want)
     # the echelon rows are the nonzero entries, pivot first, keys increasing
@@ -250,9 +256,9 @@ def test_rref_matches_dense(kind, data):
                for r, c in zip(*got))
     assert (dense_rows(got[0], ncols, fld.zero), got[1]) == want
     assert types(dense_rows(got[0], ncols, fld.zero)) == types(want[0])
-    assert linalg.rank(rows, fld) == len(want[0])
-    # rows given as a generator of tuples
-    assert linalg.rref((tuple(r) for r in rows), fld) == got
+    assert linalg.rank(vecs(rows), fld, ncols) == len(want[0])
+    # rows given as a generator
+    assert linalg.rref(iter(vecs(rows)), fld, ncols) == got
 
 
 @SETTINGS
@@ -260,14 +266,14 @@ def test_rref_matches_dense(kind, data):
 def test_kernel_and_solve_match_dense(kind, data):
     fld = FIELDS[kind]
     nrows, ncols = shape(data)
-    a = draw_rows(data, fld, max(nrows, 1), ncols)
-    assert linalg.kernel_right(a, fld) == on_dense_rref(linalg.kernel_right,
-                                                        a, fld)
-    assert linalg.kernel_left(a, fld) == on_dense_rref(linalg.kernel_left,
-                                                       a, fld)
-    b = [draw_scalar(data, fld) for _ in a]
-    got = linalg.solve_right(a, b, fld)
-    assert got == on_dense_rref(linalg.solve_right, a, b, fld)
+    a = vecs(draw_rows(data, fld, max(nrows, 1), ncols))
+    assert linalg.kernel_right(a, fld, ncols) == on_dense_rref(
+        linalg.kernel_right, a, fld, ncols)
+    assert linalg.kernel_left(a, fld, ncols) == on_dense_rref(
+        linalg.kernel_left, a, fld, ncols)
+    b = vec([draw_scalar(data, fld) for _ in a])
+    got = linalg.solve_right(a, b, fld, ncols)
+    assert got == on_dense_rref(linalg.solve_right, a, b, fld, ncols)
     if got is not None:
         assert linalg.mat_vec(a, got, fld) == b
 
@@ -282,7 +288,7 @@ def test_full_rank_iff_the_dense_determinant_is_nonzero(kind, data):
     fld = FIELDS[kind]
     n = data.draw(st.integers(1, 5))
     a = draw_rows(data, fld, n, n)
-    assert (linalg.rank(a, fld) == n) == bool(det(a, fld))
+    assert (linalg.rank(vecs(a), fld, n) == n) == bool(det(a, fld))
 
 
 @SETTINGS
@@ -295,15 +301,16 @@ def test_residue_rank_and_hermite_pivots_give_the_determinant(kind, data):
     a = []
     for _ in range(n):
         if a and not data.draw(st.integers(0, 3)):
-            v = linalg.combine([draw_integral(data, ring) for _ in a], a)
-            a.append(linalg.dense(v.items(), n, ring.zero()))
+            v = linalg.combine(vec([draw_integral(data, ring) for _ in a]),
+                               vecs(a))
+            a.append(dense_vec(v, n, ring.zero()))
         else:
             a.append([draw_integral(data, ring) for _ in range(n)])
     d = det(a, ring.field_K)
     residues = [[ring.residue(x) for x in row] for row in a]
-    assert (linalg.rank(residues, ring.field_k) == n) == \
+    assert (linalg.rank(vecs(residues), ring.field_k, n) == n) == \
         (bool(d) and ring.valuation(d) == 0)
-    hermite = Lattice.from_rows(ring, n, a)
+    hermite = Lattice.from_rows(ring, n, vecs(a))
     assert (hermite.rank == n) == bool(d)
     if d:
         assert sum(hermite.pivot_vals) == ring.valuation(d)
@@ -326,10 +333,11 @@ def test_coord_solver_gives_the_dense_inverse(kind, data):
     want = on_dense_rref(invert, a, fld)
     if want is None:
         with pytest.raises(LatticeError):
-            coord_solver(transpose(a), fld)
+            coord_solver(vecs(transpose(a)), fld, n)
         return
-    coords = coord_solver(transpose(a), fld)
-    got = transpose([coords(e) for e in identity(fld, n)])
+    coords = coord_solver(vecs(transpose(a)), fld, n)
+    got = transpose([dense_vec(coords(vec(e)), n, fld.zero)
+                     for e in identity(fld, n)])
     assert got == want
     assert dense_mat_mul(a, got, fld) == identity(fld, n)
 
@@ -338,15 +346,16 @@ def test_coord_solver_gives_the_dense_inverse(kind, data):
 def test_rref_edge_cases(kind):
     fld = FIELDS[kind]
     z, o = fld.zero, fld.one
-    assert linalg.rref([], fld) == ([], [])
-    assert linalg.rref(iter([]), fld) == ([], [])
-    assert linalg.rref([[z] * 3, [z] * 3], fld) == ([], [])
-    assert linalg.kernel_right([[z] * 2], fld) == [[o, z], [z, o]]
+    assert linalg.rref([], fld, 3) == ([], [])
+    assert linalg.rref(iter([]), fld, 3) == ([], [])
+    assert linalg.rref([{}, {}], fld, 3) == ([], [])
+    assert linalg.kernel_right([{}], fld, 2) == [{0: o}, {1: o}]
     rows = [[z, z, z], [z, o, o], [z] * 3, [z, o + o, o]]
-    for given_rows in (rows, (r for r in rows)):
-        assert linalg.rref(given_rows, fld) == as_dicts(dense_rref(rows, fld))
+    for given_rows in (vecs(rows), iter(vecs(rows))):
+        assert linalg.rref(given_rows, fld, 3) == \
+            as_dicts(dense_rref(rows, fld))
     # full rank early: the remaining rows change nothing
-    assert linalg.rref([[o, z], [z, o], [o, o]], fld) == \
+    assert linalg.rref([{0: o}, {1: o}, {0: o, 1: o}], fld, 2) == \
         ([{0: o}, {1: o}], [0, 1])
 
 
@@ -354,7 +363,7 @@ def test_rref_edge_cases(kind):
 def test_dict_rows_without_a_width_raise(kind):
     """A dict row's length is its number of nonzero entries, not its width:
     read as the width it gave rank 1 for [{0: 1}, {1: 1}] and an empty
-    kernel.  Every elimination refuses dict rows without ncols."""
+    kernel.  Every elimination needs ncols: it has no default."""
     fld = FIELDS[kind]
     o = fld.one
     rows = [{0: o}, {1: o}]
@@ -362,14 +371,14 @@ def test_dict_rows_without_a_width_raise(kind):
                  lambda: linalg.rank(rows, fld),
                  lambda: linalg.kernel_right(rows, fld),
                  lambda: linalg.kernel_left(rows, fld),
-                 lambda: linalg.solve_right(rows, [o, o], fld),
+                 lambda: linalg.solve_right(rows, {0: o, 1: o}, fld),
                  lambda: coord_solver(rows, fld)):
-        with pytest.raises(ValueError, match="ncols"):
+        with pytest.raises(TypeError, match="ncols"):
             call()
     assert linalg.rank(rows, fld, 2) == 2
-    assert linalg.kernel_right(rows, fld, 3) == [[fld.zero, fld.zero, o]]
-    assert linalg.solve_right(rows, [o, o], fld, 2) == [o, o]
-    assert coord_solver(rows, fld, ncols=2)({1: o}) == [fld.zero, o]
+    assert linalg.kernel_right(rows, fld, 3) == [{2: o}]
+    assert linalg.solve_right(rows, {0: o, 1: o}, fld, 2) == {0: o, 1: o}
+    assert coord_solver(rows, fld, 2)({1: o}) == {1: o}
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +392,11 @@ def test_mat_vec_matches_dense(kind, data):
     nrows, ncols = shape(data)
     a = draw_rows(data, fld, nrows, ncols)
     v = [draw_scalar(data, fld) for _ in range(ncols)]
-    got = linalg.mat_vec(a, v, fld)
-    want = dense_mat_vec(a, v, fld)
+    got = linalg.mat_vec(vecs(a), vec(v), fld)
+    want = vec(dense_mat_vec(a, v, fld))
     assert got == want
-    assert [type(x) for x in got] == [type(x) for x in want]
+    assert [type(x) for x in got.values()] == \
+        [type(x) for x in want.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +437,8 @@ def test_columns_round_trip(kind, data):
         [{j: x for j, x in enumerate(r) if x} for r in a]
     flat = [x for r in a for x in r]
     if len(a) == ncols:
-        assert linalg.flatten(cols) == linalg.sparse(flat)
-    assert linalg.unflatten(flat, ncols) == cols
+        assert linalg.flatten(cols) == vec(flat)
+    assert linalg.unflatten(vec(flat), ncols) == cols
 
 
 @SETTINGS
@@ -438,9 +448,8 @@ def test_apply_matches_dense_mat_vec(kind, data):
     n = data.draw(st.integers(0, 6))
     a = draw_square(data, fld, n)
     v = [draw_scalar(data, fld) for _ in range(n)]
-    want = linalg.sparse(dense_mat_vec(a, v, fld))
-    assert linalg.apply(linalg.columns(a), v) == want
-    assert linalg.apply(linalg.columns(a), linalg.sparse(v)) == want
+    want = vec(dense_mat_vec(a, v, fld))
+    assert linalg.apply(linalg.columns(a), vec(v)) == want
 
 
 @SETTINGS
@@ -455,7 +464,8 @@ def test_combine_columns_matches_dense_combination(kind, data):
         # a combination that cancels: mats[0] - mats[0]
         mats.append(mats[0])
         coeffs = [fld.one] + [fld.zero] * (len(mats) - 2) + [-fld.one]
-    got = linalg.combine_columns(coeffs, [linalg.columns(m) for m in mats])
+    got = linalg.combine_columns(vec(coeffs),
+                                 [linalg.columns(m) for m in mats])
     assert got == linalg.columns(dense_combine_matrices(coeffs, mats, fld.zero))
 
 
@@ -480,7 +490,7 @@ def test_trace_form_is_the_trace_of_the_dense_product(kind, data):
     got = linalg.trace_form([linalg.columns(m) for m in mats], fld)
     want = [[sum((dense_mat_mul(a, b, fld)[t][t] for t in range(n)), fld.zero)
              for b in mats] for a in mats]
-    assert got == want
+    assert got == vecs(want)
 
 
 @SETTINGS
@@ -489,16 +499,17 @@ def test_dict_rows_eliminate_like_dense_rows(kind, data):
     fld = FIELDS[kind]
     nrows, ncols = shape(data)
     a = draw_rows(data, fld, max(nrows, 1), ncols)
-    sparse = [{j: x for j, x in enumerate(r) if x} for r in a]
-    assert linalg.rref(sparse, fld, ncols) == linalg.rref(a, fld)
-    assert linalg.rank(sparse, fld, ncols) == linalg.rank(a, fld)
-    assert linalg.kernel_right(sparse, fld, ncols) == \
-        linalg.kernel_right(a, fld)
-    b = [draw_scalar(data, fld) for _ in a]
-    assert linalg.solve_right(sparse, b, fld, ncols) == \
-        linalg.solve_right(a, b, fld)
+    rows = vecs(a)
+    want = dense_rref(a, fld)
+    assert linalg.rref(rows, fld, ncols) == as_dicts(want)
+    assert linalg.rank(rows, fld, ncols) == len(want[0])
+    b = vec([draw_scalar(data, fld) for _ in a])
+    got = linalg.solve_right(rows, b, fld, ncols)
+    assert got == on_dense_rref(linalg.solve_right, rows, b, fld, ncols)
+    for x in linalg.kernel_right(rows, fld, ncols):
+        assert not any(dense_mat_vec(a, dense_vec(x, ncols, fld.zero), fld))
     # the dict rows are not consumed
-    assert sparse == [{j: x for j, x in enumerate(r) if x} for r in a]
+    assert rows == vecs(a)
 
 
 # ---------------------------------------------------------------------------

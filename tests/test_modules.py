@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dense_reference import dense_rows
+from dense_reference import dense_rows, vec
 
 from grforge import graded, linalg, modules, radicals
 from grforge.algebra import StructureAlgebra, WeightDatum
@@ -44,7 +44,7 @@ class TestSubmoduleGenerated:
 
     def test_zero(self, sp_z5):
         p1 = sp_z5["1"]["P"]
-        assert p1.submodule_generated([p1.zero_vec()]).rank == 0
+        assert p1.submodule_generated([{}]).rank == 0
 
     def test_delta2_weight_generator(self, sp_z5):
         d2 = sp_z5["2"]["Delta"]
@@ -68,8 +68,8 @@ class TestStandardsAndProjectives:
         from grforge.scalars import RATIONAL, RingSpec
 
         ring = RingSpec(RATIONAL, 3)
-        w = WeightDatum.build(("*",), ("*",), [], {"*": (F(1),)})
-        a = StructureAlgebra(ring, "O", 1, None, (F(1),),
+        w = WeightDatum.build(("*",), ("*",), [], {"*": {0: F(1)}})
+        a = StructureAlgebra(ring, "O", 1, None, {0: F(1)},
                              {(0, 0): {0: F(1)}}, w)
         sp = standard_and_projectives(a)
         assert sp["*"]["P"].rank == 1
@@ -180,7 +180,7 @@ def composition_series_bruteforce(mod: ModuleRep, rad_rows, blocks):
         head, _, sub = head_module(cur, rad_rows)
         for (lbl, z, d) in blocks:
             # the rank of z on the head: the rank of its columns
-            zcols = [dict(col) for col in head.act_matrix(list(z))]
+            zcols = [dict(col) for col in head.act_matrix(z)]
             tr_rank = linalg.rank(zcols, head.fld, head.rank)
             if tr_rank % d:
                 raise modules.ModuleError(
@@ -218,12 +218,13 @@ class TestComposition:
         blk_data = []
         for blk in blocks:
             z = [z5_k.fld.zero] * z5_k.rank
-            for c, row in zip(blk.central_idempotent, lift_rows):
+            for c, row in zip(dense_rows([blk.central_idempotent], len(lifts),
+                                         z5_k.fld.zero)[0], lift_rows):
                 if c:
                     for t in range(z5_k.rank):
                         if row[t]:
                             z[t] = z[t] + c * row[t]
-            blk_data.append((blk.label, z, blk.simple_dim))
+            blk_data.append((blk.label, vec(z), blk.simple_dim))
         for lam in ("1", "2"):
             for kind in ("P", "Delta"):
                 mk = sp_z5[lam][kind].base_change("k")
@@ -262,7 +263,7 @@ class TestDeltaFiltration:
     def test_failure_witness_on_scaled_lattice(self, z5, sp_z5):
         # the sublattice span{3e2, beta} of Delta(2) admits no Delta-filtration
         d2 = sp_z5["2"]["Delta"]
-        rows = [[F(3), F(0)], [F(0), F(1)]]
+        rows = [{0: F(3)}, {1: F(1)}]
         sub = Lattice.from_rows(z5.ring, 2, rows)
         n = d2.restrict_to(sub)
         with pytest.raises(FiltrationFailure):
@@ -279,7 +280,7 @@ def morita_reduce(alg: StructureAlgebra):
     if w is None:
         raise modules.ModuleError("no weight datum")
     for lam in w.Lambda:
-        if not any(w.idempotents[lam]):
+        if not w.idempotents[lam]:
             raise modules.ModuleError(f"idempotent e[{lam!r}] is zero")
     # the e_lam are orthogonal, so the sum of the e_lam B e_mu is e B e
     e = alg.weight_idempotent(w.Lambda)
@@ -287,11 +288,11 @@ def morita_reduce(alg: StructureAlgebra):
     coords = alg.coord_solver(sub_basis)
     idems = {}
     for lam in w.Lambda:
-        c = coords(list(w.idempotents[lam]))
+        c = coords(w.idempotents[lam])
         if c is None:
             raise modules.ModuleError(
                 "weight idempotent escaped the Morita cut")
-        idems[lam] = tuple(c)
+        idems[lam] = c
     weights = WeightDatum(tuple(w.Lambda), tuple(w.Lambda),
                           frozenset((a, b) for (a, b) in w.less
                                     if a in w.Lambda and b in w.Lambda),
@@ -328,11 +329,10 @@ class TestMorita:
         sc = {k: dict(v) for k, v in z5.sc.items()}
         sc[(5, 5)] = {5: F(1)}
         w = z5.weights
-        idems = {lbl: tuple(list(v) + [F(0)])
-                 for lbl, v in w.idempotents.items()}
-        idems["extra"] = tuple([F(0)] * 5 + [F(1)])
+        idems = dict(w.idempotents)
+        idems["extra"] = {5: F(1)}
         big = StructureAlgebra(
-            z5.ring, "O", 6, None, tuple(list(z5.unit) + [F(1)]), sc,
+            z5.ring, "O", 6, None, {**z5.unit, 5: F(1)}, sc,
             WeightDatum.build(("1", "2", "extra"), ("1", "2"),
                               [("1", "2")], idems))
         big.validate()
@@ -344,9 +344,8 @@ class TestMorita:
 
         w = z5.weights
         idems = dict(w.idempotents)
-        idems["1"] = tuple([F(0)] * 5)
-        idems["2"] = tuple(a + b for a, b in
-                           zip(w.idempotents["1"], w.idempotents["2"]))
+        idems["1"] = {}
+        idems["2"] = {**w.idempotents["1"], **w.idempotents["2"]}
         bad = StructureAlgebra(z5.ring, "O", 5, None, z5.unit, z5.sc,
                                WeightDatum(w.X, w.Lambda, w.less, idems))
         with pytest.raises(Exception):
@@ -379,8 +378,8 @@ class TestLambdaStandard:
         from grforge.scalars import RATIONAL, RingSpec
 
         ring = RingSpec(RATIONAL, 3)
-        w = WeightDatum.build(("*",), ("*",), [], {"*": (F(1),)})
-        a = StructureAlgebra(ring, "O", 1, None, (F(1),),
+        w = WeightDatum.build(("*",), ("*",), [], {"*": {0: F(1)}})
+        a = StructureAlgebra(ring, "O", 1, None, {0: F(1)},
                              {(0, 0): {0: F(1)}}, w)
         assert is_lambda_standard(a)["ok"]
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 import pytest
+from dense_reference import vec
 from hypothesis import given, settings, strategies as st
 
 from grforge import fixtures, linalg, radicals
@@ -59,21 +60,21 @@ def basis_center(alg):
         ri = linalg.dense_rows(alg.right_mult_of(alg.basis_vec(i)), alg.rank,
                                fld.zero)
         for r in range(alg.rank):
-            stacked.append([li[r][c] - ri[r][c] for c in range(alg.rank)])
-    ker = linalg.kernel_right(stacked, fld)
-    ker, _ = linalg.rref(ker, fld)
+            stacked.append(vec([li[r][c] - ri[r][c] for c in range(alg.rank)]))
+    ker = linalg.kernel_right(stacked, fld, alg.rank)
+    ker, _ = linalg.rref(ker, fld, alg.rank)
     return ker
 
 
-def intersect(rows1, rows2, fld):
+def intersect(rows1, rows2, fld, n):
     # subspace intersection via the kernel of the stacked matrix
-    r1 = [list(r) for r in rows1]
-    r2 = [list(r) for r in rows2]
+    r1, r2 = list(rows1), list(rows2)
     if not r1 or not r2:
         return []
-    ker = linalg.kernel_left(r1 + r2, fld)
-    out = [linalg.combine(z[:len(r1)], r1) for z in ker]
-    out, _ = linalg.rref(out, fld, len(r1[0]))
+    ker = linalg.kernel_left(r1 + r2, fld, n)
+    out = [linalg.combine({i: c for i, c in z.items() if i < len(r1)}, r1)
+           for z in ker]
+    out, _ = linalg.rref(out, fld, n)
     return out
 
 
@@ -111,7 +112,7 @@ def draw_scalar(data, fld, integral):
 
 
 def draw_rows(data, fld, ambient, integral, lo=1, hi=3):
-    return [[draw_scalar(data, fld, integral) for _ in range(ambient)]
+    return [vec([draw_scalar(data, fld, integral) for _ in range(ambient)])
             for _ in range(data.draw(st.integers(lo, hi)))]
 
 
@@ -126,7 +127,7 @@ def draw_map(data, fld, n, integral):
         if data.draw(st.booleans()):
             m[i][data.draw(st.integers(0, i - 1))] = \
                 draw_scalar(data, fld, integral)
-    return m
+    return [vec(r) for r in m]
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +155,9 @@ def test_closure_of_the_qschur_generators_is_the_algebra(qschur23):
     alg = qschur23
     gens = alg.generating_set()
     assert len(gens) == len(alg.generators)
-    span = alg.stable_span([list(alg.unit)], [partial(alg.mul, g) for g in gens])
+    span = alg.stable_span([alg.unit], [partial(alg.mul, g) for g in gens])
     assert span == all_rows_stable_span(
-        [list(alg.unit)], [partial(alg.mul, g) for g in gens], alg.rank,
+        [alg.unit], [partial(alg.mul, g) for g in gens], alg.rank,
         alg.fld, alg.ring)
     assert span.rank == alg.rank
 
@@ -196,11 +197,11 @@ def test_center_membership_matches_commuting_with_the_basis(case, data):
     alg = center_case(case)
     fld = alg.fld
     center = radicals.center_rows(alg)
-    x = linalg.combine([draw_scalar(data, fld, False) for _ in center],
+    x = linalg.combine(vec([draw_scalar(data, fld, False) for _ in center]),
                        center)
-    x = linalg.dense(x.items(), alg.rank, fld.zero)
     if data.draw(st.booleans()):
-        x[data.draw(st.integers(0, alg.rank - 1))] += fld.one
+        x = linalg.total([x, alg.basis_vec(
+            data.draw(st.integers(0, alg.rank - 1)))])
     commutes = all(alg.mul(x, alg.basis_vec(i)) == alg.mul(alg.basis_vec(i), x)
                    for i in range(alg.rank))
     assert alg.span(center).contains_vector(x) == commutes
@@ -220,6 +221,6 @@ def test_subspace_intersection_matches_the_stacked_kernel(name, data):
     a = linalg.Subspace.from_rows(fld, n, rows1)
     b = linalg.Subspace.from_rows(fld, n, rows2)
     got = a.intersection(b)
-    assert got.rows == intersect(rows1, rows2, fld)
+    assert got.rows == intersect(rows1, rows2, fld, n)
     assert got == b.intersection(a)
     assert a.contains_lattice(got) and b.contains_lattice(got)

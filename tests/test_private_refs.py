@@ -29,11 +29,12 @@ dense determinant is left, and only the Smith form and the Hessenberg
 reduction swap rows in place.  Every reduction of a vector against echelon
 rows (`Subspace.reduce`, `contains_vector` and `coords`, `Lattice.coords`
 and the closure of `coord_solver`) calls `linalg.eliminate` and has no
-loop of its own that writes into the vector.  Vectors pass between the
-kernels as {index: entry} dicts: no span is handed a vector made dense by
-hand, `flatten` gives a dict, one `unflatten` reads a flat vector back as
-columns, and only the lifts of `Subspace.lifts_over` are made with
-`linalg.dense`: the canonical rows of a span stay dicts.
+loop of its own that writes into the vector.  Every vector is an
+{index: entry} dict: the routines that served a second, dense form
+(`entries`, `sparse`, `row_width`, `dense`, `zero_vec`) are gone, no module
+but the document boundary (`files`, `cli`) asks whether a value is a dict,
+no span is handed a vector made dense by hand, `flatten` gives a dict, and
+one `unflatten` reads a flat vector back as columns.
 """
 
 import ast
@@ -947,11 +948,13 @@ def test_reduction_check_sees_a_hand_made_loop():
         ("coord_solver.coords", "has its own reduction loop")]
 
 
-# vectors pass between the kernels as {index: entry} dicts: only what is kept
-# dense is made dense from one, the lifts of a quotient basis over a field,
-# which are algebra elements; the canonical rows of a span stay dicts
-DENSE_VECTOR_CALLERS = {"linalg.Subspace.lifts_over"}
-REMOVED_DENSE_ROUTINES = {"_sparse_span", "_column_vectors", "_back_reduce"}
+# every vector is an {index: entry} dict: the routines of a second, dense
+# form are gone, and only the modules that read JSON documents ask whether
+# a value is a dict
+REMOVED_DENSE_ROUTINES = {"_sparse_span", "_column_vectors", "_back_reduce",
+                          "entries", "sparse", "row_width", "dense",
+                          "zero_vec"}
+DOCUMENT_MODULES = {"files", "cli"}
 SPAN_MAKERS = {"span", "span_of", "from_rows", "product_span", "left_ideal",
                "right_ideal", "stable_span", "image", "submodule_generated",
                "rref", "rank", "coord_solver"}
@@ -971,12 +974,21 @@ def _densify(node):
             and any(_call_name(g.iter) == "range" for g in node.generators))
 
 
+def _is_dict_test(node):
+    """An `isinstance(x, dict)` call (dict alone or in a tuple of types)."""
+    if not (_call_name(node) == "isinstance" and len(node.args) == 2):
+        return False
+    types = node.args[1]
+    elts = types.elts if isinstance(types, ast.Tuple) else [types]
+    return any(isinstance(t, ast.Name) and t.id == "dict" for t in elts)
+
+
 def _dense_vector_problems(stem, tree):
     """(line, what) for each definition or use of a removed dense routine,
     each `flatten` defined or called with more than the columns, each
     unflatten by hand (`column(v[c::n])`) outside `linalg.unflatten`, each
-    call of `dense` outside DENSE_VECTOR_CALLERS and each dense vector made
-    by hand (see `_densify`) in the arguments of a call that spans."""
+    `isinstance(x, dict)` outside DOCUMENT_MODULES and each dense vector
+    made by hand (see `_densify`) in the arguments of a call that spans."""
     owner = {id(node): f"{stem}.{name}"
              for name, fn in _functions(tree).items()
              for node in _own_nodes(fn)}
@@ -996,9 +1008,8 @@ def _dense_vector_problems(stem, tree):
                         and isinstance(a.slice, ast.Slice) and a.slice.step
                         for a in node.args):
             yield node.lineno, "unflatten by hand"
-        if called == "dense" and owner.get(id(node)) not in \
-                DENSE_VECTOR_CALLERS:
-            yield node.lineno, "dense vector"
+        if _is_dict_test(node) and stem not in DOCUMENT_MODULES:
+            yield node.lineno, "isinstance dict"
         if called in SPAN_MAKERS and any(
                 _densify(n) for a in node.args for n in ast.walk(a)):
             yield node.lineno, f"dense vector to {called}"
@@ -1036,12 +1047,30 @@ def test_dense_vector_check_sees_a_densify_in_front_of_a_span():
         "    return [[linalg.column(b[c::n]) for c in range(n)] for b in rows]\n"
         "class Subspace:\n"
         "    def lifts_over(self, sub):\n"
-        "        return [dense(r.items(), 3, 0) for r in sub]\n")
-    assert sorted(_dense_vector_problems("linalg", tree)) == [
-        (2, "_column_vectors"), (3, "dense vector"), (9, "dense vector"),
+        "        return [dense(r.items(), 3, 0) for r in sub]\n"
+        "def entries(v):\n"
+        "    if isinstance(v, dict):\n"
+        "        return v.items()\n"
+        "    return [(j, x) for j, x in enumerate(v) if x]\n"
+        "def mul(x, y):\n"
+        "    at = y.get if isinstance(y, (dict, list)) else y.__getitem__\n"
+        "    return [at(j) for j, _ in linalg.entries(x)] + sparse(y)\n"
+        "def row_width(rows, ncols=None):\n"
+        "    return ncols or len(rows[0])\n"
+        "class ModuleRep:\n"
+        "    def zero_vec(self):\n"
+        "        return [self.fld.zero] * self.rank\n")
+    got = sorted(_dense_vector_problems("linalg", tree))
+    assert got == [
+        (2, "_column_vectors"), (3, "dense"), (9, "dense"),
         (9, "dense vector to span"), (11, "dense vector to span"),
         (15, "dense flatten"), (17, "dense vector to from_rows"),
-        (19, "unflatten by hand")]
+        (19, "unflatten by hand"), (22, "dense"), (23, "entries"),
+        (24, "isinstance dict"), (28, "isinstance dict"), (29, "entries"),
+        (29, "sparse"), (30, "row_width"), (33, "zero_vec")]
+    # the document boundary may ask whether a JSON value is an object
+    assert [w for _, w in _dense_vector_problems("files", tree)
+            if w == "isinstance dict"] == []
 
 
 def _is_dataclass(node):

@@ -1,9 +1,11 @@
 """The radical's proof chain and the fast paths it runs on.
 
 Each property checks a fast path against the slow reference it replaced,
-kept here verbatim: the full rank + 1 power loop and the dense double loop
-of `StructureAlgebra.mul`.  The algebras are z5 over Q and F_3 and q-Schur
-S(2,2) over Q(zeta_3) and F_3.  The Friedl-Ronyai stage form, one charpoly
+kept here verbatim: the full rank + 1 power loop, and the dense product
+from the structure constants (`dense_reference.dense_mul`) for the dict
+product `StructureAlgebra.mul`.  The algebras are z5 over Q and F_3 and
+q-Schur S(2,2) over Q(zeta_3) and F_3; the product is also checked on the
+small quantum sl2 at p = 3.  The Friedl-Ronyai stage form, one charpoly
 per row of the candidate ideal, is checked on the inputs the radical proof
 actually gives it, against one charpoly per product z_k b_j and against the
 pairwise form of `dense_reference`, on z5, z5s, the small quantum sl2 and
@@ -19,7 +21,13 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import dense_rows, fr_form_pairwise, radical_pairwise
+from dense_reference import (
+    dense_mul,
+    dense_rows,
+    fr_form_pairwise,
+    radical_pairwise,
+    vec,
+)
 from grforge import cli, fixtures, linalg, radicals, suites
 from grforge.algebra import StructureAlgebra
 from grforge.scalars import Cyc, CycField, RatField
@@ -27,35 +35,22 @@ from grforge.scalars import Cyc, CycField, RatField
 SETTINGS = settings(max_examples=40, deadline=None)
 ALGEBRAS = ["z5@O", "z5@K", "z5@k", "qschur23@O", "qschur23@K", "qschur23@k"]
 FIELD_ALGEBRAS = [a for a in ALGEBRAS if not a.endswith("@O")]
+MUL_ALGEBRAS = ALGEBRAS + ["usl2@O", "usl2@K", "usl2@k"]
+BUILDERS = {"z5": lambda: fixtures.build_z5(3),
+            "qschur23": lambda: fixtures.build_qschur(2, 3),
+            "usl2": lambda: fixtures.build_usl2(3)}
 
 
 @cache
 def algebra(case):
     name, level = case.split("@")
-    alg = fixtures.build_z5(3) if name == "z5" else fixtures.build_qschur(2, 3)
+    alg = BUILDERS[name]()
     return alg if level == "O" else alg.base_change(level)
 
 
 # ---------------------------------------------------------------------------
 # the slow references
 # ---------------------------------------------------------------------------
-
-def dense_mul(alg, x, y):
-    out = alg.zero_vec()
-    sc = alg.sc
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            row = sc.get((i, j))
-            if row:
-                c = xi * yj
-                for t, v in row.items():
-                    out[t] = out[t] + c * v
-    return out
-
 
 def full_powers(alg, rows):
     """[S, S^2, ..., S^(rank + 1)], cut only after a power that is 0."""
@@ -64,7 +59,7 @@ def full_powers(alg, rows):
     zero = alg.fld.zero
     while len(powers) < alg.rank + 1 and powers[-1].rank:
         powers.append(alg.span([
-            dense_mul(alg, v, w)
+            vec(dense_mul(alg, v, w))
             for v in dense_rows(powers[-1].rows, alg.rank, zero)
             for w in dense_rows(base.rows, alg.rank, zero)]))
     return powers
@@ -120,10 +115,9 @@ def draw_span(data, alg):
     for _ in range(data.draw(st.integers(1, 4))):
         if rad and data.draw(st.booleans()):
             coeffs = [draw_scalar(data, alg.fld) for _ in rad]
-            rows.append(linalg.dense(linalg.combine(coeffs, rad).items(),
-                                     alg.rank, alg.fld.zero))
+            rows.append(linalg.combine(vec(coeffs), rad))
         else:
-            rows.append(draw_vec(data, alg))
+            rows.append(vec(draw_vec(data, alg)))
     return rows
 
 
@@ -132,14 +126,16 @@ def draw_span(data, alg):
 # ---------------------------------------------------------------------------
 
 @SETTINGS
-@given(st.sampled_from(ALGEBRAS), st.data())
+@given(st.sampled_from(MUL_ALGEBRAS), st.data())
 def test_indexed_mul_matches_dense_loop(case, data):
+    """The dict product is the dense product of the dense vectors, entry
+    types included, over Q (z5), Q(zeta_3) (qschur(2,3), usl2) and F_3."""
     alg = algebra(case)
     x, y = draw_vec(data, alg), draw_vec(data, alg)
-    got = alg.mul(x, y)
-    want = dense_mul(alg, x, y)
+    got = alg.mul(vec(x), vec(y))
+    want = vec(dense_mul(alg, x, y))
     assert got == want
-    assert [type(c) for c in got] == [type(c) for c in want]
+    assert all(type(got[t]) is type(c) for t, c in want.items())
 
 
 @SETTINGS
@@ -174,7 +170,8 @@ def test_trace_gram_is_the_trace_of_the_dense_products(case):
     alg = algebra(case)
     fld = alg.fld
     mats = dense_left_mult(alg)
-    want = [[trace(dense_product(a, b, fld), fld) for b in mats] for a in mats]
+    want = [vec([trace(dense_product(a, b, fld), fld) for b in mats])
+            for a in mats]
     assert radicals.trace_gram(alg) == want
 
 
@@ -280,8 +277,7 @@ def test_each_candidate_is_spanned_once(monkeypatch):
     def counted(self, rows, ambient=None):
         if not isinstance(rows, linalg.Subspace):
             rows = list(rows)
-            spanned[tuple(tuple(sorted(r.items())) if isinstance(r, dict)
-                          else tuple(r) for r in rows)] += 1
+            spanned[tuple(tuple(sorted(r.items())) for r in rows)] += 1
         return span(self, rows, ambient)
 
     monkeypatch.setattr(StructureAlgebra, "span", counted)
@@ -303,9 +299,7 @@ def test_non_ideal_candidate_gives_no_verdict(tmp_path, monkeypatch, capsys):
     assert not radicals.is_ideal(alg, [alg.basis_vec(e)])
 
     def gram(alg):
-        fld = alg.fld
-        return [[fld.one if i == j != e else fld.zero
-                 for j in range(alg.rank)] for i in range(alg.rank)]
+        return [{} if i == e else {i: alg.fld.one} for i in range(alg.rank)]
 
     monkeypatch.setattr(radicals, "trace_gram", gram)
     rep = tmp_path / "report.json"

@@ -17,7 +17,7 @@ def upper_triangular_2x2():
         (2, 2): {2: F(1)},
     }
     return StructureAlgebra(R3, "O", 3, ["E11", "E12", "E22"],
-                            (F(1), F(0), F(1)), sc)
+                            {0: F(1), 2: F(1)}, sc)
 
 
 def full_2x2():
@@ -30,7 +30,7 @@ def full_2x2():
                 for l in range(2):
                     if j == k:
                         sc[(ui(i, j), ui(k, l))] = {ui(i, l): F(1)}
-    return StructureAlgebra(R3, "O", 4, None, (F(1), F(0), F(0), F(1)), sc)
+    return StructureAlgebra(R3, "O", 4, None, {0: F(1), 3: F(1)}, sc)
 
 
 class TestRadicalCharZero:
@@ -65,7 +65,7 @@ class TestRadicalCharP:
             for j in range(3):
                 sc[(i, j)] = {(i + j) % 3: F(1)}
         a = StructureAlgebra(R3, "O", 3, ["1", "g", "g2"],
-                             (F(1), F(0), F(0)), sc).base_change("k")
+                             {0: F(1)}, sc).base_change("k")
         rad = radicals.radical_field(a)
         assert len(rad) == 2  # augmentation ideal of a totally ramified algebra
 
@@ -78,8 +78,7 @@ class TestRadicalCharP:
         # and no stage may start from it
         a = full_2x2().base_change("k")
         fld = a.fld
-        gram = [[fld.one if i == j != 1 else fld.zero for j in range(4)]
-                for i in range(4)]
+        gram = [{i: fld.one} if i != 1 else {} for i in range(4)]
         monkeypatch.setattr(radicals, "trace_gram", lambda alg: gram)
         with pytest.raises(InternalCheckError, match="not an ideal"):
             radicals.radical_field(a)
@@ -124,18 +123,14 @@ class TestSplitting:
         blocks, units = radicals.matrix_units(alg, mods)
         assert sorted(b.simple_dim for b in blocks) == sizes
         assert radicals.matrix_units_hold(alg, units, alg.unit)
-        diag = [alg.fld.zero] * alg.rank
-        for (_, i, j), u in units.items():
-            if i == j:
-                diag = [a + b for a, b in zip(diag, u)]
-        assert diag == list(alg.unit)
+        diag = linalg.total(u for (_, i, j), u in units.items() if i == j)
+        assert diag == alg.unit
         assert alg.span(list(units.values()) + list(rad)).rank == alg.rank
         # every single flipped entry breaks the relations
         for key, u in units.items():
             for t in range(alg.rank):
                 bad = dict(units)
-                bad[key] = list(u)
-                bad[key][t] = bad[key][t] + alg.fld.one
+                bad[key] = linalg.total([u, alg.basis_vec(t)])
                 assert not radicals.matrix_units_hold(alg, bad, alg.unit), \
                     (key, t)
 
@@ -150,12 +145,12 @@ class TestWedderburn:
         assert span.rank == 2
         # contains both idempotents
         for lbl in ("1", "2"):
-            assert span.contains_vector(list(z5_K.weights.idempotents[lbl]))
+            assert span.contains_vector(z5_K.weights.idempotents[lbl])
 
     def test_nilpotent_extension_of_scalars(self):
         # Q[x]/x^2: complement is the scalars
         sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
-        a = StructureAlgebra(R3, "O", 2, ["1", "x"], (F(1), F(0)), sc)
+        a = StructureAlgebra(R3, "O", 2, ["1", "x"], {0: F(1)}, sc)
         ak = a.base_change("K")
         # trivial module: scalars acting through the augmentation
         triv = [linalg.columns([[ak.fld.one]]), linalg.columns([[ak.fld.zero]])]
@@ -176,13 +171,11 @@ class TestWedderburn:
         # (1 + n) e1 (1 - n) with n = gamma nilpotent central in e1 A e1:
         # gamma central => conjugation trivial; use n = beta instead
         fld = z5_K.fld
-        n = [fld.zero] * 5
-        n[3] = fld.one  # beta
-        one = list(z5_K.unit)
-        u = [a + b for a, b in zip(one, n)]
-        uinv = [a - b for a, b in zip(one, n)]
-        e1 = list(z5_K.weights.idempotents["1"])
-        e2 = list(z5_K.weights.idempotents["2"])
+        one = z5_K.unit
+        u = {**one, 3: fld.one}  # 1 + beta
+        uinv = {**one, 3: -fld.one}
+        e1 = z5_K.weights.idempotents["1"]
+        e2 = z5_K.weights.idempotents["2"]
         s0 = [z5_K.mul(u, z5_K.mul(e, uinv)) for e in (e1, e2)]
         s = radicals.wedderburn_complement(z5_K, mods, contain=s0)
         span = z5_K.span(s)
@@ -212,12 +205,11 @@ def subalgebra_radical_check(alg, a_rows, b_rows=None):
     """
     if alg.fld.char != 0:
         raise AlgebraError("the nested-radical check runs over K")
-    fld = alg.fld
     if b_rows is None:
         b_rows = [alg.basis_vec(i) for i in range(alg.rank)]
 
     def sub_and_rad(rows):
-        sub, basis = alg.subalgebra_on([list(r) for r in rows], labels=None)
+        sub, basis = alg.subalgebra_on(rows, labels=None)
         return alg.span([linalg.combine(c, basis)
                          for c in radicals.radical_field(sub)])
 
@@ -246,48 +238,28 @@ def subalgebra_radical_check(alg, a_rows, b_rows=None):
 
 class TestSubalgebraRadicalCheck:
     def test_full_radical_subalgebra(self, z5_K):
-        fld = z5_K.fld
-        one = list(z5_K.unit)
-        rows = [one]
-        for i in (2, 3, 4):  # alpha, beta, gamma
-            v = [fld.zero] * 5
-            v[i] = fld.one
-            rows.append(v)
+        # the unit, alpha, beta, gamma
+        rows = [z5_K.unit] + [z5_K.basis_vec(i) for i in (2, 3, 4)]
         rep = subalgebra_radical_check(z5_K, rows)
         assert rep["ok"] and rep["dim_rad_a"] == 3
 
     def test_scalars_only(self, z5_K):
-        rep = subalgebra_radical_check(z5_K, [list(z5_K.unit)])
+        rep = subalgebra_radical_check(z5_K, [z5_K.unit])
         assert rep["ok"] and rep["dim_rad_a"] == 0
 
     def test_one_and_gamma(self, z5_K):
-        fld = z5_K.fld
-        gamma = [fld.zero] * 5
-        gamma[4] = fld.one
-        rep = subalgebra_radical_check(
-            z5_K, [list(z5_K.unit), gamma])
+        gamma = z5_K.basis_vec(4)
+        rep = subalgebra_radical_check(z5_K, [z5_K.unit, gamma])
         assert rep["ok"]
         assert rep["dim_rad_a"] == 1 and rep["dim_a_cap_rad_A"] == 1
 
     def test_intermediate_b(self, z5_K):
-        fld = z5_K.fld
-        gamma = [fld.zero] * 5
-        gamma[4] = fld.one
-        b_rows = [list(z5_K.unit)]
-        for i in (2, 3, 4):
-            v = [fld.zero] * 5
-            v[i] = fld.one
-            b_rows.append(v)
-        rep = subalgebra_radical_check(
-            z5_K, [list(z5_K.unit), gamma], b_rows)
+        gamma = z5_K.basis_vec(4)
+        b_rows = [z5_K.unit] + [z5_K.basis_vec(i) for i in (2, 3, 4)]
+        rep = subalgebra_radical_check(z5_K, [z5_K.unit, gamma], b_rows)
         assert rep["ok"]
 
     def test_unclosed_span_rejected(self, z5_K):
-        fld = z5_K.fld
-        alpha = [fld.zero] * 5
-        alpha[2] = fld.one
-        beta = [fld.zero] * 5
-        beta[3] = fld.one
+        alpha, beta = z5_K.basis_vec(2), z5_K.basis_vec(3)
         with pytest.raises(Exception):
-            subalgebra_radical_check(
-                z5_K, [list(z5_K.unit), alpha, beta])
+            subalgebra_radical_check(z5_K, [z5_K.unit, alpha, beta])

@@ -13,9 +13,12 @@ import copy
 from dense_reference import (
     coords_in_row_space,
     dense_rows,
+    dense_vec,
     in_row_space,
     lattice_from_rows,
     rref_dense,
+    vec,
+    vecs,
 )
 from hypothesis import given, settings, strategies as st
 from test_lattices import dense_coords
@@ -80,8 +83,9 @@ def draw_inside(data, ring, rows):
     zero = ring.zero()
     out = []
     for _ in range(data.draw(st.integers(0, len(rows)))):
-        v = linalg.combine([draw_entry(data, ring) for _ in rows], rows)
-        out.append(linalg.dense(v.items(), len(rows[0]), zero))
+        v = linalg.combine(vec([draw_entry(data, ring) for _ in rows]),
+                           vecs(rows))
+        out.append(dense_vec(v, len(rows[0]), zero))
     return out
 
 
@@ -100,10 +104,8 @@ def test_lattice_rows_add_and_coords_match_the_dense_echelon(kind, data):
     ring = RINGS[kind]
     amb = data.draw(st.integers(1, 5))
     rows1, rows2 = draw_rows(data, ring, amb), draw_rows(data, ring, amb)
-    given1 = [linalg.sparse(r) if data.draw(st.booleans()) else r
-              for r in rows1]
-    l1 = Lattice.from_rows(ring, amb, given1)
-    l2 = Lattice.from_rows(ring, amb, rows2)
+    l1 = Lattice.from_rows(ring, amb, vecs(rows1))
+    l2 = Lattice.from_rows(ring, amb, vecs(rows2))
     for lat, rows in ((l1, rows1), (l2, rows2)):
         want = lattice_from_rows(ring, amb, rows)
         assert (lat.rows, lat.pivots, lat.pivot_vals) == \
@@ -114,8 +116,7 @@ def test_lattice_rows_add_and_coords_match_the_dense_echelon(kind, data):
     assert total == lattice_from_rows(ring, amb, dense(l1) + dense(l2))
     free = [draw_entry(data, ring, -1) for _ in range(amb)]
     for v in dense(l2) + draw_inside(data, ring, dense(l1)) + [free]:
-        for w in (v, linalg.sparse(v)):
-            assert untouched(lambda: l1.coords(w), l1) == dense_coords(l1, v)
+        assert untouched(lambda: l1.coords(vec(v)), l1) == dense_coords(l1, v)
 
 
 @SETTINGS
@@ -128,8 +129,8 @@ def test_lattice_meets_and_closures_match_dense_checks(kind, data):
     ring = RINGS[kind]
     fld = ring.field_K
     amb = data.draw(st.integers(1, 5))
-    l1 = Lattice.from_rows(ring, amb, draw_rows(data, ring, amb))
-    l2 = Lattice.from_rows(ring, amb, draw_rows(data, ring, amb))
+    l1 = Lattice.from_rows(ring, amb, vecs(draw_rows(data, ring, amb)))
+    l2 = Lattice.from_rows(ring, amb, vecs(draw_rows(data, ring, amb)))
     meet = untouched(lambda: l1.intersection(l2), l1, l2)
     assert is_canonical_form(meet)
     assert meet.rank == l1.rank + l2.rank - field_rank(
@@ -143,20 +144,22 @@ def test_lattice_meets_and_closures_match_dense_checks(kind, data):
                 assert dense_coords(meet, v) is not None
     # the saturation of rows over K (entries down to valuation -1)
     rows = draw_rows(data, ring, amb, -1)
-    sat = saturate_rows(ring, amb, [linalg.sparse(r) for r in rows])
-    assert is_canonical_form(sat) and sat == saturate_rows(ring, amb, rows)
+    sat = saturate_rows(ring, amb, vecs(rows))
+    assert is_canonical_form(sat)
     assert rref_dense(dense(sat), fld, amb) == rref_dense(rows, fld, amb)
     assert residue_rank(ring, dense(sat), amb) == sat.rank
     # the pure closure of a sublattice n of l1
     if l1.rank:
-        n = Lattice.from_rows(ring, amb, draw_inside(data, ring, dense(l1)))
+        n = Lattice.from_rows(ring, amb,
+                              vecs(draw_inside(data, ring, dense(l1))))
         closure = untouched(lambda: pure_closure(n, l1), n, l1)
         assert is_canonical_form(closure)
         assert rref_dense(dense(closure), fld, amb) == \
             rref_dense(dense(n), fld, amb)
         coords = [dense_coords(l1, r) for r in dense(closure)]
         assert None not in coords
-        assert residue_rank(ring, coords, l1.rank) == closure.rank
+        assert residue_rank(ring, dense_rows(coords, l1.rank, ring.zero()),
+                            l1.rank) == closure.rank
 
 
 @SETTINGS
@@ -169,24 +172,25 @@ def test_lattice_quotients_match_dense_indices(kind, data):
     ring = RINGS[kind]
     amb = data.draw(st.integers(1, 5))
     zero = ring.zero()
-    m = Lattice.from_rows(ring, amb, draw_rows(data, ring, amb))
+    m = Lattice.from_rows(ring, amb, vecs(draw_rows(data, ring, amb)))
     lifts, torsion, project = untouched(m.quotient, m)
     dense_lifts = dense_rows(lifts, amb, zero)
     both = lattice_from_rows(ring, amb, dense(m) + dense_lifts)
     assert both.rank == amb and sum(both.pivot_vals) == sum(torsion)
     c = [draw_entry(data, ring) for _ in lifts]
     inside = draw_inside(data, ring, dense(m)) if m.rank else []
-    v = linalg.combine(c + [ring.one()] * len(inside), dense_lifts + inside)
-    assert untouched(lambda: project(v), m) == c
+    v = linalg.combine(vec(c + [ring.one()] * len(inside)),
+                       vecs(dense_lifts + inside))
+    assert untouched(lambda: project(v), m) == vec(c)
     if not m.rank:
         return
-    n = Lattice.from_rows(ring, amb, draw_inside(data, ring, dense(m)))
+    n = Lattice.from_rows(ring, amb, vecs(draw_inside(data, ring, dense(m))))
     free, tors = untouched(lambda: m.lifts_over(n), m, n)
     assert len(free) == m.rank - n.rank
     coords = [dense_coords(m, r)
               for r in dense(n) + dense_rows(free, amb, zero)]
     assert None not in coords
-    gen = lattice_from_rows(ring, m.rank, coords)
+    gen = lattice_from_rows(ring, m.rank, dense_rows(coords, m.rank, zero))
     assert gen.rank == m.rank and sum(gen.pivot_vals) == sum(tors)
 
 
@@ -202,10 +206,8 @@ def test_subspace_rows_match_the_dense_rref(kind, data):
 
     rows1 = [draw_vector() for _ in range(data.draw(st.integers(0, n + 1)))]
     rows2 = [draw_vector() for _ in range(data.draw(st.integers(0, n + 1)))]
-    s1 = linalg.Subspace.from_rows(
-        fld, n, [linalg.sparse(r) if data.draw(st.booleans()) else r
-                 for r in rows1])
-    s2 = linalg.Subspace.from_rows(fld, n, rows2)
+    s1 = linalg.Subspace.from_rows(fld, n, vecs(rows1))
+    s2 = linalg.Subspace.from_rows(fld, n, vecs(rows2))
     for s, rows in ((s1, rows1), (s2, rows2)):
         assert (dense(s), s.pivots) == rref_dense(rows, fld, n)
         assert is_canonical_form(s)
@@ -219,14 +221,16 @@ def test_subspace_rows_match_the_dense_rref(kind, data):
         assert not any(in_row_space(r, ech1, piv1))
         assert not any(in_row_space(r, ech2, piv2))
     v = draw_vector()
-    for w in (v, linalg.sparse(v)):
-        assert untouched(lambda: s1.coords(w), s1) == \
-            coords_in_row_space(v, ech1, piv1)
+    want = coords_in_row_space(v, ech1, piv1)
+    assert untouched(lambda: s1.coords(vec(v)), s1) == \
+        (None if want is None else vec(want))
     lifts, torsion, project = untouched(s1.quotient, s1)
     assert torsion == [] and field_rank(
         fld, ech1 + dense_rows(lifts, n, fld.zero), n) == n
-    back = linalg.combine(untouched(lambda: project(v), s1), lifts)
-    assert s1.contains_vector(linalg.combine([fld.one, -fld.one], [v, back]))
+    back = linalg.combine(untouched(lambda: project(vec(v)), s1), lifts)
+    assert s1.contains_vector(
+        linalg.combine({0: fld.one, 1: -fld.one}, [vec(v), back]))
     free, tors = untouched(lambda: s1.lifts_over(meet), s1, meet)
     assert tors == [] and len(free) == s1.rank - meet.rank
-    assert rref_dense(dense(meet) + free, fld, n) == (ech1, piv1)
+    assert rref_dense(dense(meet) + dense_rows(free, n, fld.zero), fld, n) \
+        == (ech1, piv1)

@@ -25,7 +25,7 @@ class TestIsTight:
 
     def test_scaled_sublattice_not_tight(self, z5, sp_z5):
         d2 = sp_z5["2"]["Delta"]
-        sub = Lattice.from_rows(z5.ring, 2, [[F(3), F(0)], [F(0), F(1)]])
+        sub = Lattice.from_rows(z5.ring, 2, [{0: F(3)}, {1: F(1)}])
         n = d2.restrict_to(sub)
         tight, first = tightness.is_tight(z5, path_datum(z5).rows, n)
         assert not tight and first == 1
@@ -53,7 +53,7 @@ class TestTightGrading:
 
         ring = RingSpec(RATIONAL, 3)
         sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
-        a = StructureAlgebra(ring, "O", 2, None, (F(1), F(0)), sc)
+        a = StructureAlgebra(ring, "O", 2, None, {0: F(1)}, sc)
         ak = a.base_change("K")
         ok, reasons = tightness.is_tightly_graded(
             ak, {0: [ak.basis_vec(0), ak.basis_vec(1)]})
@@ -66,7 +66,7 @@ class TestTightGrading:
         ring = RingSpec(RATIONAL, 3)
         sc = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)},
               (0, 2): {2: F(1)}, (2, 0): {2: F(1)}, (1, 1): {2: F(1)}}
-        a = StructureAlgebra(ring, "O", 3, None, (F(1), F(0), F(0)), sc)
+        a = StructureAlgebra(ring, "O", 3, None, {0: F(1)}, sc)
         ak = a.base_change("K")
         ok, reasons = tightness.is_tightly_graded(
             ak, {0: [ak.basis_vec(0)], 1: [ak.basis_vec(1)],
@@ -82,7 +82,7 @@ class TestConditions51:
 
     def test_small_subalgebra_fails_c2(self, z5):
         # a = span{1, gamma}: (1) passes, (2) fails
-        rows = [[F(1), F(1), 0, 0, 0], [0, 0, 0, 0, F(1)]]
+        rows = [{0: F(1), 1: F(1)}, {4: F(1)}]
         d = tightness.GradedSubalgebraDatum(rows, (0, 1))
         conds, _ = tightness.conditions_51_check(z5, d, None)
         assert conds["c1_tight_grading"]
@@ -92,8 +92,7 @@ class TestConditions51:
         # a_1 = span{3 alpha, 3 beta}: K a_1 still equals a_K,1 but the
         # integral piece is not a ∩ a_K,1 -> reported under (5)
         rows = [z5.basis_vec(0), z5.basis_vec(1),
-                [0, 0, F(3), 0, 0], [0, 0, 0, F(3), 0],
-                [0, 0, 0, 0, F(3)]]
+                {2: F(3)}, {3: F(3)}, {4: F(3)}]
         d = tightness.GradedSubalgebraDatum(rows, (0, 0, 1, 1, 2))
         with pytest.raises(tightness.TightnessError):
             # the span is not even pure in the ambient algebra: validation
@@ -133,22 +132,20 @@ def e_k_lambda(alg_field, lam):
         w = linalg.apply(delta.act_matrix(f), delta.basis_vec(i))
         if not w:
             continue
-        cand = modules.hom_with_generator_images(
-            pim, delta, [gen], [linalg.dense(w.items(), delta.rank,
-                                             delta.fld.zero)])
+        cand = modules.hom_with_generator_images(pim, delta, [gen], [w])
         if cand is None:
             continue
-        img = [[cand[r][c] for r in range(delta.rank)] for c in range(pim.rank)]
-        if linalg.rank(img, delta.fld) == delta.rank:
+        # onto: the rows of the matrix have full rank
+        if linalg.rank(cand, delta.fld, pim.rank) == delta.rank:
             h = cand
             break
     if h is None:
         raise tightness.TightnessError(
             f"no surjection P_K({lam!r}) -> Delta_K({lam!r}) found "
             "(weight datum corrupted?)")
-    ker = linalg.kernel_right([list(r) for r in h], delta.fld)
     # kernel of h as a map on column coordinates: solve h x = 0
-    ker_rows, _ = linalg.rref(ker, delta.fld)
+    ker = linalg.kernel_right(h, delta.fld, pim.rank)
+    ker_rows, _ = linalg.rref(ker, delta.fld, pim.rank)
     if len(ker_rows) != pim.rank - delta.rank:
         raise tightness.TightnessError(
             f"kernel of P_K({lam!r}) -> Delta_K({lam!r}) has rank "
@@ -177,7 +174,7 @@ class TestThm53:
     def test_bad_generator_fails_h1(self, z5, sp_z5):
         d = modules.weight_projective(z5, "1")
         res = tightness.thm_53_pipeline(
-            z5, path_datum(z5), "1", dagger=d, v=[F(3), 0, 0],
+            z5, path_datum(z5), "1", dagger=d, v={0: F(3)},
             delta_gradings=DELTA_GRADINGS)
         assert res.hypotheses["h1_cyclic"] is False
         assert not res.falsification
@@ -234,7 +231,7 @@ class TestProp52:
 
     def test_non_tight_agreement(self, z5, sp_z5):
         d2 = sp_z5["2"]["Delta"]
-        sub = Lattice.from_rows(z5.ring, 2, [[F(3), F(0)], [F(0), F(1)]])
+        sub = Lattice.from_rows(z5.ring, 2, [{0: F(3)}, {1: F(1)}])
         n = d2.restrict_to(sub)
         v = tightness.prop_52_verdicts(z5, path_datum(z5), n)
         assert v["tight"] is False
@@ -304,16 +301,16 @@ class TestBuiltOnce:
     def test_subalgebra_is_kept_by_rows(self, z5):
         rows = path_datum(z5).rows
         sub = tightness.subalgebra_of(z5, rows)
-        assert tightness.subalgebra_of(z5, [tuple(r) for r in rows]) is sub
+        assert tightness.subalgebra_of(z5, [dict(r) for r in rows]) is sub
         other = tightness.subalgebra_of(z5, list(reversed(rows)))
         assert other is not sub and other.rank == sub.rank
         gr = tightness.gr_subalgebra_of(z5, rows)
         assert gr.base is sub
-        assert tightness.gr_subalgebra_of(z5, [tuple(r) for r in rows]) is gr
-        # a row as the dict of its nonzero entries is the same row
-        dicts = [linalg.sparse(r) for r in rows]
-        assert tightness.subalgebra_of(z5, dicts) is sub
-        assert tightness.gr_subalgebra_of(z5, dicts) is gr
+        # a row filled in another order is the same row
+        unit_first = [z5.unit] + rows[1:]
+        unit_last = [dict(reversed(list(z5.unit.items())))] + rows[1:]
+        assert tightness.gr_subalgebra_of(z5, unit_first) is \
+            tightness.gr_subalgebra_of(z5, unit_last)
 
     def test_subalgebra_keeps_dict_rows_apart_by_their_entries(self, z5):
         """Span rows are dicts; two bases of the whole algebra with the same
@@ -324,9 +321,9 @@ class TestBuiltOnce:
         sub = tightness.subalgebra_of(ak, rows)
         other = tightness.subalgebra_of(ak, doubled)
         assert other is not sub
-        assert (sub.unit, sub.sc) == (tuple(ak.unit), ak.sc)
+        assert (sub.unit, sub.sc) == (ak.unit, ak.sc)
         two = ak.fld.one + ak.fld.one
-        assert other.unit == tuple(x / two for x in ak.unit)
+        assert other.unit == {t: x / two for t, x in ak.unit.items()}
 
 
 class TestLambdaStandardCache:

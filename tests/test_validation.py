@@ -8,6 +8,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from dense_reference import dense_vec
 from hypothesis import given, settings, strategies as st
 
 from grforge import algebra, cli, files, fixtures, linalg, modules
@@ -26,8 +27,7 @@ def square_zero(rank, products=(), generators=None):
     sc.update({(j, 0): {j: ONE} for j in range(1, rank)})
     sc.update({(i, j): {t: ONE} for i, j, t in products})
     labels = [f"x{i}" for i in range(rank)]
-    basis = [tuple(ONE if t == i else ZERO for t in range(rank))
-             for i in range(rank)]
+    basis = [{i: ONE} for i in range(rank)]
     gens = None if generators is None else \
         {labels[i]: basis[i] for i in generators}
     return StructureAlgebra(RingSpec(RATIONAL, 3), "O", rank, labels,
@@ -146,7 +146,7 @@ def rebuilt(alg, sc, with_generators):
 
 def literal_unit_ok(alg):
     basis = [alg.basis_vec(i) for i in range(alg.rank)]
-    u = list(alg.unit)
+    u = alg.unit
     return all(alg.mul(u, b) == b and alg.mul(b, u) == b for b in basis)
 
 
@@ -166,6 +166,7 @@ def literal_product(a, b, zero):
 
 def literal_combination(coeffs, mats, zero):
     m = len(mats[0])
+    coeffs = dense_vec(coeffs, len(mats), zero)
     terms = [(x, mat) for x, mat in zip(coeffs, mats) if x]
     return [[sum((x * mat[r][c] for x, mat in terms), zero)
              for c in range(m)] for r in range(m)]
