@@ -399,8 +399,6 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
         verdicts["free_quotient"] = not torsion
         if torsion:
             detail["torsion"] = torsion
-            detail["torsion_witnesses"] = [
-                r for r in closure.rows if not J.contains_vector(r)]
     else:
         verdicts["free_quotient"] = True
     verdicts["idempotent_ideal"] = alg.product_span(J.rows, J.rows) == J

@@ -200,19 +200,18 @@ class Series:
 
     def inverse(self) -> "Series":
         """1/self truncated at order N, by Newton's iteration x <- x + x (1 -
-        a x) on a = self / c0: a step from an x exact below order n is exact
+        self x) from x = 1/c0: a step from an x exact below order n is exact
         below 2n, so the steps run at orders 2, 4, ... up to N."""
         c0 = self.constant_term()
         if not c0:
             raise ZeroDivisionError("series has no constant term")
-        inv0 = self.ring.one() / c0
-        a = self * inv0
-        x, n = Series.const(self.ring, self.nvars, 1, 1), 1
+        x = Series.const(self.ring, self.nvars, 1, self.ring.one() / c0)
+        n = 1
         while n < self.order:
             n = min(2 * n, self.order)
             x = x._truncated(n)
-            x = x + x * (1 - a._truncated(n) * x)
-        return x * inv0
+            x = x + x * (1 - self._truncated(n) * x)
+        return x
 
     def coeffs_in_O(self) -> bool:
         return all(map(self.ring.in_O, self.c.values()))

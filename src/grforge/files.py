@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -66,9 +67,118 @@ def _inline_refs(node, root):
     return {k: _inline_refs(v, root) for k, v in node.items()}
 
 
+@functools.cache
+def _accepts(name):
+    """The accept check of a package schema, compiled once per name from the
+    `$ref`-inlined schema of `_validator(name)`."""
+    return _compile(_validator(name).schema)
+
+
+# the draft-7 type names that hold for every instance of an exact JSON type;
+# an integral float is also an "integer" there, which the accept check
+# leaves to jsonschema
+_JSON_TYPES = {dict: {"object"}, list: {"array"}, str: {"string"},
+               int: {"integer", "number"}, float: {"number"},
+               bool: {"boolean"}, type(None): {"null"}}
+_KEYWORDS = {"type", "const", "enum", "minimum", "pattern", "required",
+             "properties", "additionalProperties", "items", "minItems",
+             "maxItems"}
+_ANNOTATIONS = {"$schema", "$id", "definitions"}
+
+
+def _accept(x):
+    return True
+
+
+def _reject(x):
+    return False
+
+
+def _all(checks):
+    if not checks:
+        return _accept
+    if len(checks) == 1:
+        return checks[0]
+    return lambda x: all(c(x) for c in checks)
+
+
+def _compile(schema):
+    """A check that returns True only for an instance the draft-7 schema
+    accepts; where it returns False, jsonschema decides.  It knows the
+    keywords of the package schemas, each applied only to the instances
+    jsonschema applies it to.  It rejects an instance whose type is not
+    exactly a JSON type, a float where "integer" is asked, and every
+    instance at a schema node with another keyword."""
+    if schema is True:
+        return _accept
+    if type(schema) is not dict or \
+            not schema.keys() <= _KEYWORDS | _ANNOTATIONS:
+        return _reject
+    named = schema.get("type")
+    if named is None:
+        kinds = set(_JSON_TYPES)
+    else:
+        named = {named} if isinstance(named, str) else set(named)
+        kinds = {t for t, names in _JSON_TYPES.items() if names & named}
+    # a constant is compared with its type too (True is not 1), and only
+    # as a scalar: == on containers would equate nested True and 1
+    if "const" in schema:
+        const = schema["const"]
+        kinds &= {type(const)} - {dict, list}
+    if "enum" in schema:
+        enum = schema["enum"]
+        kinds &= {type(e) for e in enum} - {dict, list}
+    checks = {t: [] for t in kinds}
+
+    def add(t, check):
+        if t in checks:
+            checks[t].append(check)
+
+    for t in kinds:
+        if "const" in schema:
+            add(t, lambda x: x == const)
+        if "enum" in schema:
+            add(t, lambda x: any(type(x) is type(e) and x == e
+                                 for e in enum))
+    if "minimum" in schema:
+        low = schema["minimum"]
+        add(int, lambda x: x >= low)
+        add(float, lambda x: x >= low)
+    if "pattern" in schema:
+        add(str, re.compile(schema["pattern"]).search)
+    if "required" in schema:
+        required = schema["required"]
+        add(dict, lambda x: all(k in x for k in required))
+    if "properties" in schema or "additionalProperties" in schema:
+        props = {k: _compile(s)
+                 for k, s in schema.get("properties", {}).items()}
+        extra = _compile(schema.get("additionalProperties", True))
+        add(dict, lambda x: all(props.get(k, extra)(v) for k, v in x.items()))
+    if "items" in schema:
+        items = schema["items"]
+        if isinstance(items, list):
+            each = [_compile(s) for s in items]
+            add(list, lambda x: all(c(y) for c, y in zip(each, x)))
+        else:
+            item = _compile(items)
+            add(list, lambda x: all(map(item, x)))
+    if "minItems" in schema:
+        least = schema["minItems"]
+        add(list, lambda x: len(x) >= least)
+    if "maxItems" in schema:
+        most = schema["maxItems"]
+        add(list, lambda x: len(x) <= most)
+    by_type = {t: _all(cs) for t, cs in checks.items()}.get
+    return lambda x: by_type(type(x), _reject)(x)
+
+
 def validate_schema(doc, name):
-    """Validate doc against a package schema; the error reported is the one
+    """Validate doc against a package schema.  The compiled accept check
+    passes the documents the package writes; a document it does not accept
+    goes to jsonschema, and the error reported is the one
     jsonschema.validate would raise."""
+    if _accepts(name)(doc):
+        return
     exc = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path)

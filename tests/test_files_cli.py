@@ -34,11 +34,20 @@ class TestDocuments:
             files.doc_to_algebra({"schema": "grforge/v1/algebra", "rank": 1})
         assert "schema violation" in str(exc.value)
 
-    def test_schema_read_and_checked_once(self, z5_doc):
+    def test_schema_read_and_checked_once(self, z5_doc, monkeypatch):
+        """Three loads open algebra.json once, build its validator once and
+        compile its accept check once."""
         files._validator.cache_clear()
+        files._accepts.cache_clear()
+        opened = []
+        package_files = files.resources.files
+        monkeypatch.setattr(files.resources, "files", lambda package: (
+            opened.append(package) or package_files(package)))
         for _ in range(3):
             files.doc_to_algebra(z5_doc)
-        info = files._validator.cache_info()
+        assert opened == ["grforge.schemas"]
+        assert files._validator.cache_info().misses == 1
+        info = files._accepts.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     @pytest.mark.parametrize("mutate", [
