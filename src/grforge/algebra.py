@@ -330,7 +330,7 @@ class StructureAlgebra:
         return self if self._span_ring is None else self.base_change("K")
 
     # -- subquotients -----------------------------------------------------------------
-    def subalgebra_on(self, rows, labels=None, unit=None):
+    def subalgebra_on(self, rows, unit=None):
         """The algebra structure on an O-lattice / subspace closed under product.
 
         `rows` are coordinate vectors forming a basis (lattice canonical rows at
@@ -347,8 +347,7 @@ class StructureAlgebra:
         n = len(basis)
         sc = structure_constants(self.products(basis, basis), n, coords)
         return StructureAlgebra(self.ring, self.level, n,
-                                labels or [f"s{i}" for i in range(n)],
-                                unit_c, sc, None, None), basis
+                                [f"s{i}" for i in range(n)], unit_c, sc)
 
     @property
     def _span_ring(self):

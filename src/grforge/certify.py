@@ -361,7 +361,9 @@ class ChainCertificate:
 
 
 def _corner_simple_modules(alg, e, e_basis, corner, labels):
-    """Simple modules of the corner e A_K e through the weight simples."""
+    """Simple modules of the corner e A_K e through the weight simples; None
+    (then `generic_simples` splits the corner) without weight data, when
+    `weight_simples` refuses, or when e kills each weight simple of labels."""
     ak = alg.field_algebra()
     if alg.weights is None:
         return None
@@ -403,7 +405,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
         verdicts["free_quotient"] = True
     verdicts["idempotent_ideal"] = alg.product_span(J.rows, J.rows) == J
     cbasis = alg.corner(e).rows
-    corner, _ = alg.subalgebra_on(cbasis, unit=e)
+    corner = alg.subalgebra_on(cbasis, unit=e)
     witness = recognize_matrix_algebra(corner, _corner_simple_modules(
         alg, e, cbasis, corner.field_algebra(), labels))
     verdicts["corner_split"] = witness.ok

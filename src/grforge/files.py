@@ -76,7 +76,7 @@ def _accepts(name):
 
 # the draft-7 type names that hold for every instance of an exact JSON type;
 # an integral float is also an "integer" there, which the accept check
-# leaves to jsonschema
+# refuses all the same
 _JSON_TYPES = {dict: {"object"}, list: {"array"}, str: {"string"},
                int: {"integer", "number"}, float: {"number"},
                bool: {"boolean"}, type(None): {"null"}}
@@ -104,7 +104,7 @@ def _all(checks):
 
 def _compile(schema):
     """A check that returns True only for an instance the draft-7 schema
-    accepts; where it returns False, jsonschema decides.  It knows the
+    accepts; where it returns False, jsonschema explains.  It knows the
     keywords of the package schemas, each applied only to the instances
     jsonschema applies it to.  It rejects an instance whose type is not
     exactly a JSON type, a float where "integer" is asked, and every
@@ -176,14 +176,17 @@ def validate_schema(doc, name):
     """Validate doc against a package schema.  The compiled accept check
     passes the documents the package writes; a document it does not accept
     goes to jsonschema, and the error reported is the one
-    jsonschema.validate would raise."""
+    jsonschema.validate would raise; one that jsonschema accepts (an
+    integral float where an integer is asked) is refused all the same."""
     if _accepts(name)(doc):
         return
     exc = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        msg = f"schema violation at /{path}: {exc.message}"
-        raise DocumentError(msg) from exc
+    if exc is None:
+        raise DocumentError(f"schema violation: {name} refuses the document "
+                            "(an integer written as a float?)")
+    path = "/".join(str(p) for p in exc.absolute_path)
+    msg = f"schema violation at /{path}: {exc.message}"
+    raise DocumentError(msg) from exc
 
 
 # ---------------------------------------------------------------------------

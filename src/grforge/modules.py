@@ -91,10 +91,9 @@ class ModuleRep:
         one = self.fld.one
         if self.act_matrix(alg.unit) != [((k, one),) for k in range(n)]:
             raise ModuleError("unit does not act as identity")
-        if alg.level == "O":
-            val = alg.ring.valuation
-            if any(val(x) < 0 for m in self.acts for col in m for _, x in col):
-                raise ModuleError("action entry outside O")
+        values = (x for m in self.acts for col in m for _, x in col)
+        if alg.level == "O" and not all(map(alg.ring.in_O, values)):
+            raise ModuleError("action entry outside O")
         problems = alg.representation_problems(self.acts, "the module axiom")
         if problems:
             raise ModuleError("; ".join(problems))

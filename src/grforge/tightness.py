@@ -90,8 +90,7 @@ def _row_key(rows):
 
 
 def _subalgebra_of(alg, rows):
-    sub, _ = alg.subalgebra_on([dict(r) for r in rows])
-    return sub
+    return alg.subalgebra_on([dict(r) for r in rows])
 
 
 def gr_subalgebra_of(alg: StructureAlgebra, rows):
@@ -393,7 +392,7 @@ def prop_52_verdicts(alg, datum: GradedSubalgebraDatum, mod: ModuleRep,
 
 def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
                     dagger: ModuleRep | None = None, v=None, p0_rows=None,
-                    delta_gradings=None, conditions=None):
+                    delta_gradings=None):
     """Verify hypotheses (i)-(iii) for P(lam)-dagger, then test the predicted
     conclusions directly: Delta(lam) restricted to the subalgebra is tight,
     and head(gr Delta(lam) mod pi) is the simple of weight lam.
@@ -404,11 +403,8 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
     """
     res = SuiteResult("thm53")
     w = alg.weights
-    if conditions is None:  # conditions_51_check validates the datum
-        conditions, cond_notes = conditions_51_check(alg, datum, delta_gradings)
-        res.notes["conditions_notes"] = cond_notes
-    else:
-        datum.validate(alg)
+    conditions, cond_notes = conditions_51_check(alg, datum, delta_gradings)
+    res.notes["conditions_notes"] = cond_notes
     for key, val in conditions.items():
         res.hypotheses[key] = bool(val) if val is not None else True
     ls = is_lambda_standard(alg)

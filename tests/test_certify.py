@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from grforge import certify, linalg
-from grforge.algebra import StructureAlgebra
+from grforge.algebra import StructureAlgebra, WeightDatum
 from grforge.fixtures import inflate, perturb
+from grforge.modules import weight_simples
+from grforge.radicals import NonSplitError
 from grforge.scalars import RATIONAL, InternalCheckError, RingSpec
 
 
@@ -103,6 +105,27 @@ class TestChains:
         builds.clear()
         assert certify.verify_chain(alg, cert)
         assert len(builds) == len(cert.steps)
+
+    @pytest.mark.parametrize("level", ["O", "K", "k"])
+    def test_generic_simples_split_a_corner_with_a_square_head(self, level):
+        # M2(O) (+) O with weights m = E11 + E22 < o = f: the head of
+        # Delta(m) is L(m)^2, so weight_simples refuses and each corner is
+        # split by generic_simples
+        ring = RingSpec(RATIONAL, 3)
+        sc = {(2 * i + j, 2 * j + l): {2 * i + l: F(1)}
+              for i in range(2) for j in range(2) for l in range(2)}
+        sc[(4, 4)] = {4: F(1)}
+        w = WeightDatum.build(("m", "o"), ("m", "o"), [("m", "o")],
+                              {"m": {0: F(1), 3: F(1)}, "o": {4: F(1)}})
+        alg = StructureAlgebra(ring, "O", 5, None, {0: F(1), 3: F(1), 4: F(1)},
+                               sc, w)
+        alg = alg if level == "O" else alg.base_change(level)
+        with pytest.raises(NonSplitError):
+            weight_simples(alg.field_algebra())
+        cert = certify.certify_qha(alg)
+        assert cert.ok and certify.verify_chain(alg, cert)
+        assert [s.labels for s in cert.steps] == [("o",), ("m",)]
+        assert [s.corner.block_sizes for s in cert.steps] == [(1,), (2,)]
 
     def test_verify_chain_ignores_prover_ideal(self, z5):
         # the checker quotients by the ideal it built itself

@@ -240,6 +240,25 @@ class TestCLI:
                          "--datum", str(path)]) == 2
         self._one_error_line(capsys)
 
+    @pytest.mark.parametrize("path, value", [
+        (("rank",), 5.0), (("ring", "p"), 3.0),
+        (("structure_constants", 0, 0), 0.0)],
+        ids=["rank", "ring-p", "sc-index"])
+    def test_integral_float_exits_2(self, tmp_path, capsys, path, value):
+        # draft-7 counts 5.0 as an integer, but no loader can use it: the
+        # document is malformed input, not a traceback
+        cli.main(["gen", "z5", "--p", "3", "-o", str(tmp_path)])
+        alg = tmp_path / "z5@3.alg.json"
+        doc = json.loads(alg.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        alg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["certify", str(alg)]) == 2
+        assert "integer written as a float" in self._one_error_line(capsys)
+
     @pytest.mark.parametrize("suite", ["thm417", "appendix1"])
     def test_failed_report_exits_1(self, tmp_path, suite):
         # z5s@3 is not quasi-hereditary over O: the report does not pass

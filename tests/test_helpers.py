@@ -846,7 +846,7 @@ def test_corner_simple_modules_match_the_restricted_modules(product_algebras,
     cuts += [(Lambda, alg.weight_idempotent(Lambda)), (Lambda, alg.unit)]
     for labels, e in cuts:
         cbasis = alg.corner(e).rows
-        corner = alg.subalgebra_on(cbasis, unit=e)[0].field_algebra()
+        corner = alg.subalgebra_on(cbasis, unit=e).field_algebra()
         got = certify._corner_simple_modules(alg, e, cbasis, corner, labels)
         want = [(mu, restricted_module_reference(corner, cbasis, lmod, e))
                 for mu, lmod in simples if mu in labels]

@@ -284,7 +284,8 @@ def morita_reduce(alg: StructureAlgebra):
             raise modules.ModuleError(f"idempotent e[{lam!r}] is zero")
     # the e_lam are orthogonal, so the sum of the e_lam B e_mu is e B e
     e = alg.weight_idempotent(w.Lambda)
-    sub, sub_basis = alg.subalgebra_on(alg.corner(e).rows, unit=e)
+    sub_basis = alg.corner(e).rows
+    sub = alg.subalgebra_on(sub_basis, unit=e)
     coords = alg.coord_solver(sub_basis)
     idems = {}
     for lam in w.Lambda:

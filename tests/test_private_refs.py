@@ -1,44 +1,31 @@
 """Static checks over the package source.
 
-Every function, class and method in the package is reachable by name from
-a command (`cli.main`) or from a name the benchmark scripts read from
-grforge (a method only through an attribute read): code that only tests
-run lives in tests/.  And every attribute the package stores is read
-somewhere.  No check may rest
-on an `assert`, which `python -O` strips: internal checks raise
-`InternalCheckError`.  And no module but `lattices` asks which kind of span it holds:
-spans come from `StructureAlgebra.span`.  Spans of products come from the
-product helpers, outside the modules that define them, and "S is stable
-under X" is one containment of such a span in S.  And no verdict rests on a
-sample: only the seeded campaigns and fixture generators draw at random.
-The routines that build spans and structure constants of products read them
-off the multiplication columns, not through the dense `mul`, and a product
-with the whole algebra is a one-sided ideal (`left_ideal`, `right_ideal`),
-never a list of all basis vectors; a module element acts through the
-columns of `act_matrix`.
-Linear actions stay sparse columns: outside `linalg` and `files` nothing
-multiplies or combines dense matrices or transposes columns back into them.
-And rational K-values are `scalars.Rat`: outside `scalars`, `cyclo` and the
-rational-root candidates of `certify` no module builds a plain `Fraction`.
-And membership in O is `RingSpec.in_O`: no valuation is compared with 0.
-And every change of basis is `lattices.coord_solver`: the dense inverse and
-row-space reducers it replaced are gone, and nothing else runs `rref` on
-rows augmented with an identity.  Invertibility is a rank, over K or over
-k = O/pi, and a discriminant the pivot valuations of a Hermite form: no
-dense determinant is left, and only the Smith form and the Hessenberg
-reduction swap rows in place.  Every reduction of a vector against echelon
-rows (`Subspace.reduce`, `contains_vector` and `coords`, `Lattice.coords`
-and the closure of `coord_solver`) calls `linalg.eliminate` and has no
-loop of its own that writes into the vector.  Every vector is an
-{index: entry} dict: the routines that served a second, dense form
-(`entries`, `sparse`, `row_width`, `dense`, `zero_vec`) are gone, no module
-but the document boundary (`files`, `cli`) asks whether a value is a dict,
-no span is handed a vector made dense by hand, `flatten` gives a dict, and
-one `unflatten` reads a flat vector back as columns.
+Three checks read the whole package.  Every function, class and method is
+reachable by name from a command (`cli.main`) or from a name the benchmark
+scripts read from grforge (a method only through an attribute read): code
+that only tests run lives in tests/.  Every attribute the package stores is
+read somewhere: state that nothing reads is work and memory for no verdict.
+Every reduction of a vector against echelon rows
+(`Subspace.reduce`, `contains_vector` and `coords`, `Lattice.coords` and
+the closure of `coord_solver`) calls `linalg.eliminate` and has no loop of
+its own that writes into the vector.
+
+The other checks are one table, `RULES`.  Each row is a predicate over an
+`ast` node, an allowlist of `module` or `module.qualname` labels, a message
+that says what the rule keeps out and why, and a hand-made violation with
+the exact (line, what) findings the predicate must give on it.  Each
+package module is parsed once; one walker labels each node with the
+`module.qualname` of the innermost definition around it and runs the rows
+over the nodes.  A finding is allowed when its label is an allowlist entry
+or lies in a module the allowlist names, and each entry must allow at least
+one finding, so a stale entry fails.  The rows of one check share its two
+tests, the package test and the snippet test, whose names the rows carry.
+Adding a check means adding one row and its snippet.
 """
 
 import ast
 import pathlib
+from collections import namedtuple
 
 import grforge
 
@@ -46,6 +33,32 @@ PKG = pathlib.Path(grforge.__file__).resolve().parent
 BENCH = PKG.parent.parent / "bench"
 TESTS = PKG.parent.parent / "tests"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(PKG.glob("*.py"))}
+
+
+def _sites(tree, stem):
+    """(node, label, top) for every node of a module: label is the
+    `stem.qualname` of the innermost function or class around the node (a
+    definition counts as around itself; the stem alone at module level),
+    top the outermost function around it, else the module."""
+    stack = [(tree, stem, tree)]
+    while stack:
+        node, label, top = stack.pop()
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            label = f"{label}.{node.name}"
+            if top is tree and isinstance(node, FUNCTIONS):
+                top = node
+        yield node, label, top
+        stack += [(child, label, top) for child in ast.iter_child_nodes(node)]
+
+
+SITES = {stem: list(_sites(tree, stem)) for stem, tree in TREES.items()}
+
+
+def _functions(sites):
+    """{qualname: node} of the functions of a module: `f`, `C.m`, `f.g`."""
+    return {label.partition(".")[2]: node for node, label, _ in sites
+            if isinstance(node, FUNCTIONS)}
 
 
 def _getattr_constant(node):
@@ -58,89 +71,70 @@ def _getattr_constant(node):
     return None
 
 
-def _attributes_read(node):
+def _attributes_read(node, stored=frozenset()):
     """The attribute names read inside node: `x.name` and the constant of
-    `getattr(x, "name")`."""
-    found = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Attribute):
-            found.add(n.attr)
-        elif _getattr_constant(n) is not None:
-            found.add(_getattr_constant(n))
-    return found
+    `getattr(x, "name")`, but not the attributes whose id is in stored."""
+    return {n.attr if isinstance(n, ast.Attribute) else _getattr_constant(n)
+            for n in ast.walk(node) if id(n) not in stored} - {None}
 
 
-def _names_read(node):
-    """(names, attributes) read inside node: every identifier and attribute
-    name, and the attribute names alone (see `_attributes_read`)."""
-    attrs = _attributes_read(node)
-    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | attrs,
-            attrs)
+def _names_read(*nodes):
+    """(names, attributes) read inside the nodes: every identifier and
+    attribute name, and the attribute names alone (see `_attributes_read`)."""
+    attrs = set().union(*map(_attributes_read, nodes))
+    return ({n.id for node in nodes for n in ast.walk(node)
+             if isinstance(n, ast.Name)} | attrs, attrs)
 
 
-def _definitions(sources):
-    """The definitions of the modules {stem: source}: (name, label, is a
+def _definitions(trees):
+    """The definitions of the modules {stem: tree}: (name, label, is a
     method, reads) for each top-level function and class and each method
     that is not a dunder, reads a pair (names, attributes) as
     `_names_read` gives it; and the reads of module-level code, which runs
     on import.  A class reads the names in its bases, decorators, body and
     dunder methods, which run without being named."""
-    defs, on_import = [], (set(), set())
-    for stem, text in sorted(sources.items()):
-        for stmt in ast.parse(text).body:
+    defs, loose = [], []
+    for stem, tree in sorted(trees.items()):
+        for stmt in tree.body:
             if isinstance(stmt, FUNCTIONS):
                 defs.append((stmt.name, f"{stem}.{stmt.name}", False,
                              _names_read(stmt)))
             elif isinstance(stmt, ast.ClassDef):
-                reads = (set(), set())
-                for node in stmt.bases + stmt.keywords + stmt.decorator_list:
-                    _merge(reads, _names_read(node))
-                for sub in stmt.body:
-                    if isinstance(sub, FUNCTIONS) and not (
-                            sub.name.startswith("__")
-                            and sub.name.endswith("__")):
-                        label = f"{stem}.{stmt.name}.{sub.name}"
-                        defs.append((sub.name, label, True, _names_read(sub)))
-                    else:
-                        _merge(reads, _names_read(sub))
-                defs.append((stmt.name, f"{stem}.{stmt.name}", False, reads))
+                methods = [s for s in stmt.body if isinstance(s, FUNCTIONS)
+                           and not (s.name.startswith("__")
+                                    and s.name.endswith("__"))]
+                defs += [(m.name, f"{stem}.{stmt.name}.{m.name}", True,
+                          _names_read(m)) for m in methods]
+                rest = [s for s in stmt.body if s not in methods]
+                defs.append((stmt.name, f"{stem}.{stmt.name}", False,
+                             _names_read(*stmt.bases, *stmt.keywords,
+                                         *stmt.decorator_list, *rest)))
             else:
-                _merge(on_import, _names_read(stmt))
-    return defs, on_import
-
-
-def _merge(into, reads):
-    into[0].update(reads[0])
-    into[1].update(reads[1])
+                loose.append(stmt)
+    return defs, _names_read(*loose)
 
 
 def _names_taken_from_grforge(script):
     """The names a script reads from grforge: each name it imports from a
     grforge module, and each attribute of a grforge module it imports."""
-    tree = ast.parse(script)
-    names, modules = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and \
-                (node.module or "").split(".")[0] == "grforge":
-            for alias in node.names:
-                if node.module == "grforge":
-                    modules.add(alias.asname or alias.name)
-                else:
-                    names.add(alias.name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and node.value.id in modules:
-            names.add(node.attr)
-    return names
+    nodes = list(ast.walk(ast.parse(script)))
+    imports = [n for n in nodes if isinstance(n, ast.ImportFrom)
+               and (n.module or "").split(".")[0] == "grforge"]
+    modules = {a.asname or a.name for n in imports if n.module == "grforge"
+               for a in n.names}
+    names = {a.name for n in imports if n.module != "grforge"
+             for a in n.names}
+    return names | {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                    and getattr(n.value, "id", None) in modules}
 
 
-def _unreachable(sources, roots):
+def _unreachable(trees, roots):
     """Labels of the definitions that no chain of reads leads to from the
     roots and module-level code: a function or class is reached when a
     reached definition reads its name, a method only when one reads it as
     an attribute (`x.name` or `getattr(x, "name")`), so a local variable
     of the same name does not reach it."""
-    defs, on_import = _definitions(sources)
+    defs, on_import = _definitions(trees)
     names, attrs = set(roots) | on_import[0], set(on_import[1])
     done = set()
     changed = True
@@ -156,15 +150,14 @@ def _unreachable(sources, roots):
 
 
 def test_every_definition_is_reachable_from_a_command():
-    sources = {p.stem: p.read_text() for p in sorted(PKG.glob("*.py"))}
-    assert "def main(" in sources["cli"]
+    assert "main" in _functions(SITES["cli"])
     scripts = [p for p in sorted(BENCH.glob("*.py"))
                if not p.name.startswith("test_")]
     assert scripts, f"no benchmark scripts under {BENCH}"
     roots = {"main"}
     for path in scripts:
         roots |= _names_taken_from_grforge(path.read_text())
-    unreached = _unreachable(sources, roots)
+    unreached = _unreachable(TREES, roots)
     assert not unreached, f"definitions no command reaches: {unreached}"
 
 
@@ -193,30 +186,65 @@ def test_reachability_check_sees_an_unreached_definition():
                 "def timed():\n"
                 "    return 3\n",
     }
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
     script = "from grforge import core\nfrom grforge.cli import main\n" \
              "core.timed()\n"
     assert _names_taken_from_grforge(script) == {"main", "timed"}
     # a local variable `scale` does not reach the method `scale`; the
     # getattr constant reaches `factor`
-    assert _unreachable(sources, {"main"}) == [
+    assert _unreachable(trees, {"main"}) == [
         "core.Job.scale", "core.Job.unused", "core.orphan", "core.timed"]
-    assert _unreachable(sources, {"main", "timed"}) == [
+    assert _unreachable(trees, {"main", "timed"}) == [
         "core.Job.scale", "core.Job.unused", "core.orphan"]
 
 
-# modules whose remaining asserts have not yet become explicit raises
-ASSERT_ALLOWLIST = set()
+# The predicates of the rule table: each takes a node and the outermost
+# function around it (see `_sites`) and gives what it finds at the node.
+
+def _call_name(node):
+    """The name a call `f(...)` or `x.f(...)` calls, else None."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.attr if isinstance(f, ast.Attribute) else \
+            getattr(f, "id", None)
+    return None
 
 
-def test_no_assert_outside_allowlist():
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        if path.stem in ASSERT_ALLOWLIST:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"asserts outside the allowlist: {found}"
+def _method(node):
+    """The name a call `x.f(...)` calls, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def _identifiers(node):
+    """The identifiers a node defines, imports, reads or passes: the `name`
+    of a definition, import alias or exception, an alias's `asname`, the
+    `id` of a name, the `attr` of an attribute, the `arg` of an argument or
+    keyword."""
+    return [v for v in (getattr(node, a, None)
+                        for a in ("name", "asname", "id", "attr", "arg"))
+            if isinstance(v, str)]
+
+
+def _banned(match, called=False):
+    """The predicate that finds each identifier of a node (only the name a
+    call calls, when `called`) that `match` accepts."""
+    def predicate(node, top):
+        names = [_call_name(node)] if called else _identifiers(node)
+        return [name for name in names if name and match(name)]
+    return predicate
+
+
+def _flag(test, what):
+    """The predicate that finds `what` at each node that `test` accepts."""
+    return lambda node, top: [what] if test(node) else []
+
+
+def _bound(top, test):
+    """The names assigned, inside top, a value that `test` accepts."""
+    return {t.id for n in ast.walk(top) if isinstance(n, ast.Assign)
+            and test(n.value) for t in n.targets if isinstance(t, ast.Name)}
 
 
 def _span_probe(node):
@@ -234,109 +262,13 @@ def _span_probe(node):
     return False
 
 
-def test_no_span_kind_probes_outside_lattices():
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        if path.stem == "lattices":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if _span_probe(node):
-                found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"span-kind probes outside lattices.py: {found}"
-
-
-# modules that define the product helpers, and the one function elsewhere
-# that keeps its own products: the independent re-checker of certificates
-PRODUCT_HELPER_MODULES = {"algebra", "modules"}
-OWN_PRODUCTS = {("certify", "verify_chain")}
-
-
-def _is_product(node):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("mul", "act"))
-
-
-def _spans_of_products(tree):
-    """Line numbers of `.span(...)` calls whose first argument is a
-    comprehension of `.mul(...)` or `.act(...)` products."""
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "span" and node.args
-                and isinstance(node.args[0], (ast.ListComp, ast.GeneratorExp))
-                and any(_is_product(n) for n in ast.walk(node.args[0].elt))):
-            yield node.lineno
-
-
-def test_products_of_spans_go_through_the_helpers():
-    """Spans of products are built by StructureAlgebra.product_span,
-    StructureAlgebra.corner and ModuleRep.image, not by hand."""
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        if path.stem in PRODUCT_HELPER_MODULES:
-            continue
-        tree = ast.parse(path.read_text())
-        exempt = set()
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.FunctionDef)
-                    and (path.stem, node.name) in OWN_PRODUCTS):
-                exempt.update(_spans_of_products(node))
-        found += [f"{path.name}:{line}" for line in _spans_of_products(tree)
-                  if line not in exempt]
-    assert not found, f"spans of hand-rolled products: {found}"
-
-
-def test_span_of_products_check_sees_a_hand_rolled_product():
-    tree = ast.parse("def f(alg, xs, ys):\n"
-                     "    return alg.span([alg.mul(x, y) for x in xs for y in ys])\n")
-    assert list(_spans_of_products(tree)) == [2]
-
-
-# the routines that read their products off the multiplication columns
-# (StructureAlgebra.products, left_mult_of, right_mult_of), never `mul`
-COLUMN_PRODUCTS = {
-    "algebra": {"product_span", "left_ideal", "right_ideal", "ideal_generated",
-                "corner", "subalgebra_on", "quotient_by_ideal",
-                "representation_problems"},
-    "graded": {"gr_algebra"},
-    "certify": {"_mult_map_bijective"},
-}
-
-
-def _mul_calls(tree, names):
-    """(line, function) for each `.mul(...)` call inside a function whose
-    name is in `names`."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in names:
-            for n in ast.walk(node):
-                if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                        and n.func.attr == "mul"):
-                    yield n.lineno, node.name
-
-
-def test_products_come_from_the_columns():
-    """Spans and structure constants of products go through the column
-    kernel; `mul` is the dense reference, which the independent re-checker
-    `certify.verify_chain` keeps for its own products."""
-    found = []
-    for module, names in sorted(COLUMN_PRODUCTS.items()):
-        tree = ast.parse((PKG / f"{module}.py").read_text())
-        defined = {n.name for n in ast.walk(tree)
-                   if isinstance(n, ast.FunctionDef)}
-        assert names <= defined, f"{module}.py lost {names - defined}"
-        found += [f"{module}.py:{line} {fn}"
-                  for line, fn in _mul_calls(tree, names)]
-    assert not found, f"products by mul in the column routines: {found}"
-    certify = ast.parse((PKG / "certify.py").read_text())
-    assert list(_mul_calls(certify, {"verify_chain"}))
-
-
-def test_column_product_check_sees_a_hand_written_mul():
-    tree = ast.parse("def corner(alg, e):\n"
-                     "    bs = [alg.basis_vec(i) for i in range(alg.rank)]\n"
-                     "    return alg.product_span([e], [alg.mul(b, e) for b in bs])\n"
-                     "def other(alg, x):\n"
-                     "    return alg.mul(x, x)\n")
-    assert list(_mul_calls(tree, {"corner"})) == [(3, "corner")]
+def _span_of_products(node):
+    """A `.span(...)` call whose first argument is a comprehension of
+    `.mul(...)` or `.act(...)` products."""
+    return (_method(node) == "span" and node.args
+            and isinstance(node.args[0], (ast.ListComp, ast.GeneratorExp))
+            and any(_method(n) in PRODUCTS
+                    for n in ast.walk(node.args[0].elt)))
 
 
 def _is_basis_list(node):
@@ -353,334 +285,75 @@ def _is_basis_list(node):
             and _call_name(node.args[1]) == "range")
 
 
-def _dense_whole_algebra_products(tree):
-    """(line, what) for each `act` method, each `.act` read (a call or a
-    bound method such as `partial(mod.act, x)`), and each
-    `product_span` or `products` call with a factor that is the list of all
-    basis vectors, inline or through a name bound to it in the same
-    function: products with the whole algebra by a dense path."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, FUNCTIONS) and sub.name == "act":
-                    yield sub.lineno, "act method"
-        if isinstance(node, ast.Attribute) and node.attr == "act":
-            yield node.lineno, ".act read"
-        if not isinstance(node, FUNCTIONS):
-            continue
-        bases = {t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
-                 and _is_basis_list(n.value)
-                 for t in n.targets if isinstance(t, ast.Name)}
-        for n in ast.walk(node):
-            if _call_name(n) in ("product_span", "products") and any(
-                    _is_basis_list(a) or getattr(a, "id", None) in bases
-                    for a in n.args):
-                yield n.lineno, f"basis list to {_call_name(n)}"
+def _whole_algebra_product(node, top):
+    """An `act` method, an `.act` read (a call or a bound method such as
+    `partial(mod.act, x)`), and a `product_span` or `products` call with a
+    factor that is the list of all basis vectors, inline or through a name
+    bound to it in the same function: products with the whole algebra by a
+    dense path."""
+    if isinstance(node, FUNCTIONS) and node.name == "act":
+        yield "act method"
+    if isinstance(node, ast.Attribute) and node.attr == "act":
+        yield ".act read"
+    called = _call_name(node)
+    if called in ("product_span", "products") and any(
+            _is_basis_list(a) or getattr(a, "id", None)
+            in _bound(top, _is_basis_list) for a in node.args):
+        yield f"basis list to {called}"
 
 
-def test_products_with_the_algebra_are_one_sided_ideals():
-    """A ys and xs A come from StructureAlgebra.left_ideal and right_ideal,
-    which read the multiplication columns; a module element acts through
-    the sparse columns of `act_matrix`."""
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        found += [f"{path.name}:{line} {what}" for line, what
-                  in _dense_whole_algebra_products(ast.parse(path.read_text()))]
-    assert not found, f"dense products with the whole algebra: {found}"
+def _vector_test_of_products(node):
+    """A `.contains_vector(...)` call with a `.mul(...)` or `.act(...)` call
+    inside its argument."""
+    return _method(node) == "contains_vector" and any(
+        _method(n) in PRODUCTS for arg in node.args for n in ast.walk(arg))
 
 
-def test_whole_algebra_check_sees_basis_lists_and_act():
-    tree = ast.parse(
-        "class ModuleRep:\n"
-        "    def act(self, x, v):\n"
-        "        return v\n"
-        "def is_ideal(alg, span):\n"
-        "    basis = [alg.basis_vec(i) for i in range(alg.rank)]\n"
-        "    return alg.product_span(basis, span.rows) == \\\n"
-        "        alg.product_span(span.rows, basis)\n"
-        "def projective(alg, e, mod, v):\n"
-        "    mod.act(e, v), partial(mod.act, e)\n"
-        "    alg.products(list(map(alg.basis_vec, range(alg.rank))), [e])\n"
-        "    return alg.product_span((alg.basis_vec(j) for j in range(3)), [e])\n"
-        "def fine(alg, basis, e):\n"
-        "    rows = [alg.basis_vec(i) for i in range(alg.rank)]\n"
-        "    return alg.products(basis, basis), alg.span(rows), \\\n"
-        "        alg.product_span([e], [alg.basis_vec(0)])\n")
-    assert sorted(_dense_whole_algebra_products(tree)) == [
-        (2, "act method"), (6, "basis list to product_span"),
-        (7, "basis list to product_span"), (9, ".act read"), (9, ".act read"),
-        (10, "basis list to products"), (11, "basis list to product_span")]
+def _sampling(node, top):
+    """Each identifier containing "sampl" and each import of `random`."""
+    yield from _banned(lambda name: "sampl" in name.lower())(node, top)
+    if isinstance(node, ast.Import) and any(
+            a.name.split(".")[0] == "random" for a in node.names):
+        yield "import random"
+    if isinstance(node, ast.ImportFrom) and \
+            (node.module or "").split(".")[0] == "random":
+        yield "from random import"
 
 
-def _vector_tests_of_products(tree):
-    """Line numbers of `.contains_vector(...)` calls with a `.mul(...)` or
-    `.act(...)` call inside their argument."""
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "contains_vector"
-                and any(_is_product(n) for arg in node.args
-                        for n in ast.walk(arg))):
-            yield node.lineno
-
-
-def test_stability_is_one_containment():
-    """S is stable under X when S.contains_lattice(product_span(...)) or
-    S.contains_lattice(mod.image(X, S.rows)), not through a loop that tests
-    each product with contains_vector."""
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        found += [f"{path.name}:{line}" for line
-                  in _vector_tests_of_products(ast.parse(path.read_text()))]
-    assert not found, f"stability tested product by product: {found}"
-
-
-def test_stability_check_sees_a_hand_rolled_loop():
-    tree = ast.parse("def f(alg, mod, span, xs):\n"
-                     "    for v in span.rows:\n"
-                     "        if not span.contains_vector(alg.mul(v, v)):\n"
-                     "            return False\n"
-                     "    return all(span.contains_vector(list(mod.act(x, v)))\n"
-                     "               for x in xs for v in span.rows)\n")
-    assert list(_vector_tests_of_products(tree)) == [3, 5]
-
-
-# the seeded randomized campaigns and the fixture generators (perturb)
-RANDOM_MODULES = {"randomized", "fixtures"}
-
-
-def _sampling(tree):
-    """(line, what) for each identifier containing "sampl" and each import
-    of `random`."""
-    for node in ast.walk(tree):
-        names = []
-        if isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.arg):
-            names = [node.arg]
-        elif isinstance(node, ast.keyword) and node.arg:
-            names = [node.arg]
-        elif isinstance(node, ast.alias):
-            names = [node.name, node.asname or ""]
-        for name in names:
-            if "sampl" in name.lower():
-                yield node.lineno, name
-        if isinstance(node, ast.Import) and any(
-                a.name.split(".")[0] == "random" for a in node.names):
-            yield node.lineno, "import random"
-        if isinstance(node, ast.ImportFrom) and \
-                (node.module or "").split(".")[0] == "random":
-            yield node.lineno, "from random import"
-
-
-def test_no_verdict_rests_on_a_sample():
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        if path.stem in RANDOM_MODULES:
-            continue
-        found += [f"{path.name}:{line} {what}"
-                  for line, what in _sampling(ast.parse(path.read_text()))]
-    assert not found, f"sampling outside the campaigns: {found}"
-
-
-def test_sampling_check_sees_a_sampler_and_an_import():
-    tree = ast.parse("import random\n"
-                     "_SAMPLED = 4\n"
-                     "def _sample_pairs(n):\n"
-                     "    return random.sample(range(n), _SAMPLED)\n")
-    assert sorted(_sampling(tree)) == [
-        (1, "import random"), (2, "_SAMPLED"), (3, "_sample_pairs"),
-        (4, "_SAMPLED"), (4, "sample")]
-
-
-# linalg defines the dense forms and files converts documents
-DENSE_MODULES = {"linalg", "files"}
-DENSE_KERNELS = {"mat_mul", "combine_matrices", "transpose"}
-
-
-def _is_zero(node):
-    """`x.zero`, `zero`, `z` or `x.zero()`."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    return (isinstance(node, ast.Attribute) and node.attr == "zero") or \
-        (isinstance(node, ast.Name) and node.id in ("zero", "z"))
-
-
-def _dense_actions(tree):
-    """(line, what) for each call of `mat_mul`, `combine_matrices` or
-    `transpose` (as a name or an attribute), and each dense zero matrix
-    `[[zero] * n for ...]`: the ways an action was built or used densely."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else \
-                getattr(f, "id", None)
-            if name in DENSE_KERNELS:
-                yield node.lineno, name
-        elif (isinstance(node, ast.ListComp)
-              and isinstance(node.elt, ast.BinOp)
-              and isinstance(node.elt.op, ast.Mult)
-              and isinstance(node.elt.left, ast.List)
-              and len(node.elt.left.elts) == 1
-              and _is_zero(node.elt.left.elts[0])):
-            yield node.lineno, "dense zero matrix"
-
-
-def test_actions_stay_sparse_columns():
-    """Action and multiplication matrices are built, combined, composed and
-    traced on their sparse columns (linalg.combine_columns, compose,
-    trace_form); dense lists stay at the document boundary."""
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        if path.stem in DENSE_MODULES:
-            continue
-        found += [f"{path.name}:{line} {what}"
-                  for line, what in _dense_actions(ast.parse(path.read_text()))]
-    assert not found, f"dense action matrices: {found}"
-
-
-def test_dense_action_check_sees_a_hand_written_loop():
-    tree = ast.parse(
-        "def quotient_acts(mod, lifts, project):\n"
-        "    acts = []\n"
-        "    for i in range(mod.algebra.rank):\n"
-        "        cols = [project(mod.act_basis(i, lift)) for lift in lifts]\n"
-        "        acts.append(linalg.transpose(cols))\n"
-        "    return acts\n"
-        "def direct_sum(mod, m, fld):\n"
-        "    big = [[fld.zero] * m for _ in range(m)]\n"
-        "    return linalg.combine_matrices([fld.one], [big], fld.zero)\n"
-        "def square(a, fld):\n"
-        "    return mat_mul(a, a, fld)\n")
-    assert sorted(_dense_actions(tree)) == [
-        (5, "transpose"), (8, "dense zero matrix"), (9, "combine_matrices"),
-        (11, "mat_mul")]
-
-
-# scalars defines Rat, cyclo keeps exact series coefficients, and the
-# rational-root candidates of certify are tried before `fld.of` takes them
-# into K
-FRACTION_MODULES = {"scalars", "cyclo"}
-FRACTION_CALLERS = {("certify", "_poly_roots")}
-
-
-def _fraction_calls(tree):
-    """Line numbers of calls `Fraction(...)` or `fractions.Fraction(...)`."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else \
-                getattr(f, "id", None)
-            if name == "Fraction":
-                yield node.lineno
-
-
-def test_no_plain_fraction_outside_scalars():
-    """A plain Fraction built outside scalars would re-enter the K path
-    without Rat's arithmetic; K-values come from the ring (`ring.of`,
-    `parse_scalar`, `one`, `zero`)."""
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        if path.stem in FRACTION_MODULES:
-            continue
-        tree = ast.parse(path.read_text())
-        exempt = set()
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.FunctionDef)
-                    and (path.stem, node.name) in FRACTION_CALLERS):
-                exempt.update(_fraction_calls(node))
-        found += [f"{path.name}:{line}" for line in _fraction_calls(tree)
-                  if line not in exempt]
-    assert not found, f"plain Fraction values built: {found}"
-
-
-def test_fraction_check_sees_a_constructor_call():
-    tree = ast.parse("import fractions\n"
-                     "from fractions import Fraction\n"
-                     "def unit(n):\n"
-                     "    one = Fraction(1)\n"
-                     "    return [one] + [fractions.Fraction(0)] * (n - 1)\n"
-                     "def is_rational(x):\n"
-                     "    return isinstance(x, Fraction)\n")
-    assert sorted(_fraction_calls(tree)) == [4, 5]
+def _dense_action(node, top):
+    """A call of a dense kernel, and a dense zero matrix `[[zero] * n for
+    ...]` (zero `x.zero`, `zero`, `z` or `x.zero()`)."""
+    yield from _banned(lambda name: name in DENSE_KERNELS, True)(node, top)
+    if (isinstance(node, ast.ListComp) and isinstance(node.elt, ast.BinOp)
+            and isinstance(node.elt.op, ast.Mult)
+            and isinstance(node.elt.left, ast.List)
+            and len(node.elt.left.elts) == 1):
+        zero = node.elt.left.elts[0]
+        zero = zero.func if isinstance(zero, ast.Call) else zero
+        if getattr(zero, "attr", None) == "zero" or \
+                getattr(zero, "id", None) in ("zero", "z"):
+            yield "dense zero matrix"
 
 
 # a valuation compared with 0 on the side that asks "in O?" (v < 0, v >= 0)
 _MEMBERSHIP_OPS = {False: (ast.Lt, ast.GtE), True: (ast.Gt, ast.LtE)}
 
 
-def _valuation_memberships(tree):
-    """Line numbers of comparisons `valuation(x) < 0` and `valuation(x) >= 0`
-    (or `0 > valuation(x)`, `0 <= valuation(x)`), whatever the valuation
-    is called through."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-            continue
-        sides = (node.left, node.comparators[0])
-        for flipped in (False, True):
-            call, other = sides[::-1] if flipped else sides
-            if (_call_name(call) == "valuation"
-                    and isinstance(other, ast.Constant) and other.value == 0
-                    and isinstance(node.ops[0], _MEMBERSHIP_OPS[flipped])):
-                yield node.lineno
-
-
-def test_membership_in_O_is_in_O():
-    """`RingSpec.in_O` reads membership in O off one denominator; a
-    valuation runs repeated pi-divisions for the same answer."""
-    found = [f"{path.name}:{line}" for path in sorted(PKG.glob("*.py"))
-             for line in _valuation_memberships(ast.parse(path.read_text()))]
-    assert not found, f"valuation compared with 0: {found}"
-
-
-def test_membership_check_sees_valuation_comparisons():
-    tree = ast.parse("def f(ring, xs, a):\n"
-                     "    valuation = ring.valuation\n"
-                     "    if any(ring.valuation(x) < 0 for x in xs):\n"
-                     "        return all(valuation(x) >= 0 for x in xs)\n"
-                     "    if 0 > ring.valuation(xs[0]) or 0 <= valuation(a):\n"
-                     "        return ring.valuation(a) < 2\n"
-                     "    return min(map(valuation, xs)) >= 0 or "
-                     "ring.valuation(a) > 0\n")
-    assert sorted(_valuation_memberships(tree)) == [3, 4, 5, 5]
-
-
-# the one routine that builds a change of basis, and the dense routines it
-# replaced
-COORD_SOLVER = ("lattices", "coord_solver")
-REMOVED_COORDINATE_ROUTINES = {"invert", "coords_matrix", "in_row_space",
-                               "coords_in_row_space"}
-
-
-def _call_name(node):
-    if isinstance(node, ast.Call):
-        f = node.func
-        return f.attr if isinstance(f, ast.Attribute) else \
-            getattr(f, "id", None)
-    return None
-
-
-def _removed_coordinate_routines(tree):
-    """(line, name) for each definition, import or use of a removed dense
-    coordinate routine."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.alias):
-            names = [node.name, node.asname or ""]
-        else:
-            continue
-        for name in names:
-            if name in REMOVED_COORDINATE_ROUTINES:
-                yield node.lineno, name
+def _valuation_membership(node, top):
+    """A comparison `valuation(x) < 0` or `valuation(x) >= 0` (or
+    `0 > valuation(x)`, `0 <= valuation(x)`), the valuation called as
+    `valuation` or through a name bound to a `.valuation` attribute in the
+    same function."""
+    if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+        return
+    sides = (node.left, node.comparators[0])
+    for flipped in (False, True):
+        call, other = sides[::-1] if flipped else sides
+        if (isinstance(other, ast.Constant) and other.value == 0
+                and isinstance(node.ops[0], _MEMBERSHIP_OPS[flipped])
+                and _call_name(call) in {"valuation"} | _bound(
+                    top, lambda v: getattr(v, "attr", None) == "valuation")):
+            yield "valuation"
 
 
 def _identity_block(node):
@@ -697,60 +370,14 @@ def _identity_block(node):
         for k in node.keys)
 
 
-def _augmented_rrefs(tree, module):
-    """(line, function) for each function other than `coord_solver` that
-    calls `rref` and builds an identity block: a change of basis by hand."""
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                or (module, node.name) == COORD_SOLVER:
-            continue
+def _augmented_rref(node, top):
+    """A function that calls `rref` and builds an identity block: a change
+    of basis by hand."""
+    if isinstance(node, FUNCTIONS):
         inner = list(ast.walk(node))
         if any(_call_name(n) == "rref" for n in inner) and \
                 any(_identity_block(n) for n in inner):
-            yield node.lineno, node.name
-
-
-def test_every_change_of_basis_is_coord_solver():
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        found += [f"{path.name}:{line} {what}" for line, what
-                  in _removed_coordinate_routines(tree)]
-        found += [f"{path.name}:{line} {fn} augments rows for rref"
-                  for line, fn in _augmented_rrefs(tree, path.stem)]
-    assert not found, f"changes of basis outside coord_solver: {found}"
-
-
-def test_change_of_basis_check_sees_an_inverse_by_hand():
-    tree = ast.parse(
-        "from .linalg import coords_in_row_space\n"
-        "def invert(a, field):\n"
-        "    n = len(a)\n"
-        "    aug = [list(r) + e for r, e in zip(a, identity(field, n))]\n"
-        "    return linalg.rref(aug, field)\n"
-        "def solve(rows, fld):\n"
-        "    n, one = len(rows[0]), fld.one\n"
-        "    aug = [{**dict(enumerate(r)), n + i: one}\n"
-        "           for i, r in enumerate(rows)]\n"
-        "    return linalg.rref(aug, fld, n + len(rows))\n"
-        "def unit_rows(rows, k, one, zero):\n"
-        "    return rref([r + [one if i == j else zero for j in range(k)]\n"
-        "                 for i, r in enumerate(rows)], one)\n"
-        "def quotient(span, fld):\n"
-        "    return linalg.coords_matrix(span.rows, fld)\n")
-    assert sorted(_removed_coordinate_routines(tree)) == [
-        (1, "coords_in_row_space"), (2, "invert"), (15, "coords_matrix")]
-    assert sorted(_augmented_rrefs(tree, "linalg")) == [
-        (2, "invert"), (6, "solve"), (11, "unit_rows")]
-    # coord_solver itself is seen, and allowed only in lattices
-    tree = ast.parse((PKG / "lattices.py").read_text())
-    assert [fn for _, fn in _augmented_rrefs(tree, "other")] == ["coord_solver"]
-    assert list(_augmented_rrefs(tree, "lattices")) == []
-
-
-# the routines that permute rows or columns in place: the Smith form with
-# its tracked basis, and the Hessenberg reduction of the char-p charpolys
-ROW_SWAPPERS = {"lattices.smith_track", "linalg.charpoly_mod_p"}
+            yield node.name
 
 
 def _is_swap(node):
@@ -767,47 +394,346 @@ def _is_swap(node):
             == [ast.unparse(x) for x in reversed(right.elts)])
 
 
-def _row_swaps(stem, tree):
-    """The labels `stem.function` or `stem.Class.method` of the top-level
-    functions and methods that swap two subscripted entries."""
-    found = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            fns = [(f"{stmt.name}.{f.name}", f) for f in stmt.body
-                   if isinstance(f, FUNCTIONS)]
-        else:
-            fns = [(stmt.name, stmt)] if isinstance(stmt, FUNCTIONS) else []
-        found |= {f"{stem}.{name}" for name, fn in fns
-                  if any(_is_swap(n) for n in ast.walk(fn))}
-    return found
+def _is_dict_test(node):
+    """An `isinstance(x, dict)` call (dict alone or in a tuple of types)."""
+    if not (_call_name(node) == "isinstance" and len(node.args) == 2):
+        return False
+    types = node.args[1]
+    elts = types.elts if isinstance(types, ast.Tuple) else [types]
+    return any(isinstance(t, ast.Name) and t.id == "dict" for t in elts)
 
 
-def test_only_smith_and_hessenberg_swap_rows():
-    found = set()
-    for path in sorted(PKG.glob("*.py")):
-        found |= _row_swaps(path.stem, ast.parse(path.read_text()))
-    assert found - ROW_SWAPPERS == set(), \
-        f"dense eliminations by row swaps: {sorted(found - ROW_SWAPPERS)}"
-    assert ROW_SWAPPERS <= found, "the allowed swappers have moved"
+def _densify(node):
+    """A dense vector made by hand: a call of `dense`, a repeated list
+    (`[zero] * n`), or a comprehension over a range whose element reads a
+    dict with a default (`v.get(t, zero)`)."""
+    if _call_name(node) == "dense":
+        return True
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.List)):
+        return True
+    return (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+            and _call_name(node.elt) == "get" and len(node.elt.args) == 2
+            and any(_call_name(g.iter) == "range" for g in node.generators))
 
 
-def test_row_swap_check_sees_a_determinant_by_pivoting():
-    tree = ast.parse(
-        "def det(a, field):\n"
-        "    m = [list(r) for r in a]\n"
-        "    for col, piv in pivots(m):\n"
-        "        m[col], m[piv] = m[piv], m[col]\n"
-        "    return m\n"
-        "class Form:\n"
-        "    def permute(self, i, j):\n"
-        "        for r in self.rows:\n"
-        "            r[i], r[j] = r[j], r[i]\n"
-        "def rotate(a, b, v):\n"
-        "    a, b = b, a\n"
-        "    v[0], v[1] = v[1], v[2]\n"
-        "    v[0], v[1] = 0, v[0]\n"
-        "    return a, b\n")
-    assert _row_swaps("core", tree) == {"core.det", "core.Form.permute"}
+def _dense_vector(node, top):
+    """A `flatten` defined or called with more than the columns, an
+    unflatten by hand (`column(v[c::n])`), and a dense vector made by hand
+    (see `_densify`) in the arguments of a call that spans."""
+    if isinstance(node, FUNCTIONS) and node.name == "flatten" \
+            and len(node.args.args) != 1:
+        yield "dense flatten"
+    called = _call_name(node)
+    if called == "flatten" and len(node.args) != 1:
+        yield "dense flatten"
+    if called == "column" and any(
+            isinstance(a, ast.Subscript) and isinstance(a.slice, ast.Slice)
+            and a.slice.step for a in node.args):
+        yield "unflatten by hand"
+    if called in SPAN_MAKERS and any(
+            _densify(n) for a in node.args for n in ast.walk(a)):
+        yield f"dense vector to {called}"
+
+
+# the routines that read their products off the multiplication columns
+# (StructureAlgebra.products, left_mult_of, right_mult_of), never `mul`
+COLUMN_PRODUCTS = {"product_span", "left_ideal", "right_ideal",
+                   "ideal_generated", "corner", "subalgebra_on",
+                   "quotient_by_ideal", "representation_problems",
+                   "gr_algebra", "_mult_map_bijective"}
+PRODUCTS = {"mul", "act"}
+DENSE_KERNELS = {"mat_mul", "combine_matrices", "transpose"}
+REMOVED_COORDINATE_ROUTINES = {"invert", "coords_matrix", "in_row_space",
+                               "coords_in_row_space"}
+REMOVED_DENSE_ROUTINES = {"_sparse_span", "_column_vectors", "_back_reduce",
+                          "entries", "sparse", "row_width", "dense",
+                          "zero_vec"}
+SPAN_MAKERS = {"span", "span_of", "from_rows", "product_span", "left_ideal",
+               "right_ideal", "stable_span", "image", "submodule_generated",
+               "rref", "rank", "coord_solver"}
+
+# The rule table.  test, sees: the names of the package test and the snippet
+# test of the check; scope: when given, the rule looks only inside the
+# definitions of these names (and what they define).
+Rule = namedtuple("Rule", "test sees predicate allow message snippet "
+                          "expected scope", defaults=((),))
+
+COORDINATES = ("test_every_change_of_basis_is_coord_solver",
+               "test_change_of_basis_check_sees_an_inverse_by_hand")
+CHANGE_OF_BASIS = (
+    "from .linalg import coords_in_row_space\n"
+    "def invert(a, field):\n"
+    "    n = len(a)\n"
+    "    aug = [list(r) + e for r, e in zip(a, identity(field, n))]\n"
+    "    return linalg.rref(aug, field)\n"
+    "def solve(rows, fld):\n"
+    "    n, one = len(rows[0]), fld.one\n"
+    "    aug = [{**dict(enumerate(r)), n + i: one}\n"
+    "           for i, r in enumerate(rows)]\n"
+    "    return linalg.rref(aug, fld, n + len(rows))\n"
+    "def unit_rows(rows, k, one, zero):\n"
+    "    return rref([r + [one if i == j else zero for j in range(k)]\n"
+    "                 for i, r in enumerate(rows)], one)\n"
+    "def quotient(span, fld):\n"
+    "    return linalg.coords_matrix(span.rows, fld)\n")
+
+VECTORS = ("test_vectors_between_kernels_stay_dicts",
+           "test_dense_vector_check_sees_a_densify_in_front_of_a_span")
+DENSE_VECTORS = (
+    "class StructureAlgebra:\n"
+    "    def _column_vectors(self, cols):\n"
+    "        return [linalg.dense(c, self.rank, self.fld.zero)\n"
+    "                for c in cols if c]\n"
+    "    def corner(self, e):\n"
+    "        cols = self.right_mult_of(e)\n"
+    "        rows = [[c.get(t, self.fld.zero) for t in range(self.rank)]\n"
+    "                for c in map(dict, cols)]\n"
+    "        return self.span([dense(c, self.rank, 0) for c in cols])\n"
+    "    def ideal(self, e):\n"
+    "        return self.span([dict(c).get(t, 0) for t in range(3)]\n"
+    "                         for c in self.left_mult_of(e))\n"
+    "    def fine(self, e):\n"
+    "        return self.span([dict(c) for c in self.left_mult_of(e)])\n"
+    "def flatten(cols, zero):\n"
+    "    out = [zero] * len(cols) ** 2\n"
+    "    return Lattice.from_rows(ring, 4, [[zero] * 4, flatten(cols)])\n"
+    "def matb(rows, n):\n"
+    "    return [[linalg.column(b[c::n]) for c in range(n)] for b in rows]\n"
+    "class Subspace:\n"
+    "    def lifts_over(self, sub):\n"
+    "        return [dense(r.items(), 3, 0) for r in sub]\n"
+    "def entries(v):\n"
+    "    if isinstance(v, dict):\n"
+    "        return v.items()\n"
+    "    return [(j, x) for j, x in enumerate(v) if x]\n"
+    "def mul(x, y):\n"
+    "    at = y.get if isinstance(y, (dict, list)) else y.__getitem__\n"
+    "    return [at(j) for j, _ in linalg.entries(x)] + sparse(y)\n"
+    "def row_width(rows, ncols=None):\n"
+    "    return ncols or len(rows[0])\n"
+    "class ModuleRep:\n"
+    "    def zero_vec(self):\n"
+    "        return [self.fld.zero] * self.rank\n")
+
+RULES = [
+    Rule("test_no_assert_outside_allowlist",
+         "test_assert_check_sees_an_assert",
+         _flag(lambda n: isinstance(n, ast.Assert), "assert"), (),
+         "asserts, which python -O strips (raise InternalCheckError)",
+         "def check(x):\n"
+         "    assert x, 'x'\n"
+         "    if not x:\n"
+         "        raise InternalCheckError('x')\n",
+         [(2, "assert")]),
+    Rule("test_no_span_kind_probes_outside_lattices",
+         "test_span_kind_check_sees_a_probe",
+         _flag(_span_probe, "probe"), ("lattices",),
+         "span-kind probes outside lattices (spans come from alg.span)",
+         "def rows_of(x):\n"
+         "    if isinstance(x, (Lattice, Subspace)) or hasattr(x, 'rows'):\n"
+         "        return isinstance(x, lattices.Lattice), hasattr(x, 'rank')\n"
+         "    return isinstance(x, dict), hasattr(x, 'ring')\n",
+         [(2, "probe"), (2, "probe"), (3, "probe"), (3, "probe")]),
+    Rule("test_products_of_spans_go_through_the_helpers",
+         "test_span_of_products_check_sees_a_hand_rolled_product",
+         _flag(_span_of_products, "span of products"),
+         ("certify.verify_chain",),
+         "spans of products by hand, outside the independent re-checker",
+         "def f(alg, xs, ys):\n"
+         "    return alg.span([alg.mul(x, y) for x in xs for y in ys])\n",
+         [(2, "span of products")]),
+    Rule("test_products_come_from_the_columns",
+         "test_column_product_check_sees_a_hand_written_mul",
+         _flag(lambda n: _method(n) == "mul", "mul"), (),
+         "products by the dense mul in the routines that read columns",
+         "def corner(alg, e):\n"
+         "    bs = [alg.basis_vec(i) for i in range(alg.rank)]\n"
+         "    return alg.product_span([e], [alg.mul(b, e) for b in bs])\n"
+         "def other(alg, x):\n"
+         "    return alg.mul(x, x)\n",
+         [(3, "mul")], COLUMN_PRODUCTS),
+    Rule("test_products_with_the_algebra_are_one_sided_ideals",
+         "test_whole_algebra_check_sees_basis_lists_and_act",
+         _whole_algebra_product, (), "dense products with the whole algebra",
+         "class ModuleRep:\n"
+         "    def act(self, x, v):\n"
+         "        return v\n"
+         "def is_ideal(alg, span):\n"
+         "    basis = [alg.basis_vec(i) for i in range(alg.rank)]\n"
+         "    return alg.product_span(basis, span.rows) == \\\n"
+         "        alg.product_span(span.rows, basis)\n"
+         "def projective(alg, e, mod, v):\n"
+         "    mod.act(e, v), partial(mod.act, e)\n"
+         "    alg.products(list(map(alg.basis_vec, range(alg.rank))), [e])\n"
+         "    return alg.product_span((alg.basis_vec(j) for j in range(3)), [e])\n"
+         "def fine(alg, basis, e):\n"
+         "    rows = [alg.basis_vec(i) for i in range(alg.rank)]\n"
+         "    return alg.products(basis, basis), alg.span(rows), \\\n"
+         "        alg.product_span([e], [alg.basis_vec(0)])\n",
+         [(2, "act method"), (6, "basis list to product_span"),
+          (7, "basis list to product_span"), (9, ".act read"),
+          (9, ".act read"), (10, "basis list to products"),
+          (11, "basis list to product_span")]),
+    Rule("test_stability_is_one_containment",
+         "test_stability_check_sees_a_hand_rolled_loop",
+         _flag(_vector_test_of_products, "contains_vector"), (),
+         "stability tested product by product",
+         "def f(alg, mod, span, xs):\n"
+         "    for v in span.rows:\n"
+         "        if not span.contains_vector(alg.mul(v, v)):\n"
+         "            return False\n"
+         "    return all(span.contains_vector(list(mod.act(x, v)))\n"
+         "               for x in xs for v in span.rows)\n",
+         [(3, "contains_vector"), (5, "contains_vector")]),
+    Rule("test_no_verdict_rests_on_a_sample",
+         "test_sampling_check_sees_a_sampler_and_an_import",
+         _sampling, ("randomized", "fixtures"),
+         "samples outside the seeded campaigns and fixture generators",
+         "import random\n"
+         "_SAMPLED = 4\n"
+         "def _sample_pairs(n):\n"
+         "    return random.sample(range(n), _SAMPLED)\n",
+         [(1, "import random"), (2, "_SAMPLED"), (3, "_sample_pairs"),
+          (4, "_SAMPLED"), (4, "sample")]),
+    Rule("test_actions_stay_sparse_columns",
+         "test_dense_action_check_sees_a_hand_written_loop",
+         _dense_action, ("linalg",),
+         "dense action matrices outside linalg, which defines the forms",
+         "def quotient_acts(mod, lifts, project):\n"
+         "    acts = []\n"
+         "    for i in range(mod.algebra.rank):\n"
+         "        cols = [project(mod.act_basis(i, lift)) for lift in lifts]\n"
+         "        acts.append(linalg.transpose(cols))\n"
+         "    return acts\n"
+         "def direct_sum(mod, m, fld):\n"
+         "    big = [[fld.zero] * m for _ in range(m)]\n"
+         "    return linalg.combine_matrices([fld.one], [big], fld.zero)\n"
+         "def square(a, fld):\n"
+         "    return mat_mul(a, a, fld)\n",
+         [(5, "transpose"), (8, "dense zero matrix"), (9, "combine_matrices"),
+          (11, "mat_mul")]),
+    Rule("test_no_plain_fraction_outside_scalars",
+         "test_fraction_check_sees_a_constructor_call",
+         _banned(lambda name: name == "Fraction", called=True),
+         ("scalars", "cyclo", "certify._poly_roots"),
+         "plain Fractions outside Rat's module, the exact series of cyclo "
+         "and the rational-root candidates of certify (K-values are Rat)",
+         "import fractions\n"
+         "from fractions import Fraction\n"
+         "def unit(n):\n"
+         "    one = Fraction(1)\n"
+         "    return [one] + [fractions.Fraction(0)] * (n - 1)\n"
+         "def is_rational(x):\n"
+         "    return isinstance(x, Fraction)\n",
+         [(4, "Fraction"), (5, "Fraction")]),
+    Rule("test_membership_in_O_is_in_O",
+         "test_membership_check_sees_valuation_comparisons",
+         _valuation_membership, (),
+         "a valuation compared with 0 (membership in O is RingSpec.in_O)",
+         "def f(ring, xs, a):\n"
+         "    valuation = ring.valuation\n"
+         "    if any(ring.valuation(x) < 0 for x in xs):\n"
+         "        return all(valuation(x) >= 0 for x in xs)\n"
+         "    if 0 > ring.valuation(xs[0]) or 0 <= valuation(a):\n"
+         "        return ring.valuation(a) < 2\n"
+         "    return min(map(valuation, xs)) >= 0 or "
+         "ring.valuation(a) > 0\n"
+         "def g(alg, m):\n"
+         "    val = alg.ring.valuation\n"
+         "    if any(val(x) < 0 for x in m):\n"
+         "        return val(m[0]) > 0 or valid(m[0]) < 0\n",
+         [(3, "valuation"), (4, "valuation"), (5, "valuation"),
+          (5, "valuation"), (10, "valuation")]),
+    Rule(*COORDINATES,
+         _banned(lambda name: name in REMOVED_COORDINATE_ROUTINES), (),
+         "the dense routines coord_solver replaced", CHANGE_OF_BASIS,
+         [(1, "coords_in_row_space"), (2, "invert"), (15, "coords_matrix")]),
+    Rule(*COORDINATES,
+         _augmented_rref, ("lattices.coord_solver",),
+         "a change of basis outside coord_solver", CHANGE_OF_BASIS,
+         [(2, "invert"), (6, "solve"), (11, "unit_rows")]),
+    Rule("test_only_smith_and_hessenberg_swap_rows",
+         "test_row_swap_check_sees_a_determinant_by_pivoting",
+         _flag(_is_swap, "row swap"),
+         ("lattices.smith_track", "linalg.charpoly_mod_p"),
+         "row swaps outside the Smith form and the Hessenberg reduction "
+         "(invertibility is a rank)",
+         "def det(a, field):\n"
+         "    m = [list(r) for r in a]\n"
+         "    for col, piv in pivots(m):\n"
+         "        m[col], m[piv] = m[piv], m[col]\n"
+         "    return m\n"
+         "class Form:\n"
+         "    def permute(self, i, j):\n"
+         "        for r in self.rows:\n"
+         "            r[i], r[j] = r[j], r[i]\n"
+         "def rotate(a, b, v):\n"
+         "    a, b = b, a\n"
+         "    v[0], v[1] = v[1], v[2]\n"
+         "    v[0], v[1] = 0, v[0]\n"
+         "    return a, b\n",
+         [(4, "row swap"), (9, "row swap")]),
+    Rule(*VECTORS,
+         _banned(lambda name: name in REMOVED_DENSE_ROUTINES), (),
+         "the routines of a dense vector form", DENSE_VECTORS,
+         [(2, "_column_vectors"), (3, "dense"), (9, "dense"), (22, "dense"),
+          (23, "entries"), (29, "entries"), (29, "sparse"), (30, "row_width"),
+          (33, "zero_vec")]),
+    Rule(*VECTORS,
+         _flag(_is_dict_test, "isinstance dict"), ("files", "cli"),
+         "isinstance dict outside the document boundary", DENSE_VECTORS,
+         [(24, "isinstance dict"), (28, "isinstance dict")]),
+    Rule(*VECTORS,
+         _dense_vector, (), "vectors made dense by hand", DENSE_VECTORS,
+         [(9, "dense vector to span"), (11, "dense vector to span"),
+          (15, "dense flatten"), (17, "dense vector to from_rows"),
+          (19, "unflatten by hand")]),
+]
+
+
+def _findings(rule, sites):
+    """(line, what, label) for each finding of rule among sites, allowed or
+    not; a rule with a scope looks only inside the definitions it names."""
+    for node, label, top in sites:
+        if rule.scope and not rule.scope & set(label.split(".")[1:]):
+            continue
+        for what in rule.predicate(node, top):
+            yield node.lineno, what, label
+
+
+def _tests(rules):
+    """The package test and the snippet test of the rules of one check."""
+    def holds():
+        defined = {node.name for sites in SITES.values()
+                   for node, _, _ in sites if isinstance(node, FUNCTIONS)}
+        for rule in rules:
+            assert set(rule.scope) <= defined, \
+                f"{rule.message}: lost {set(rule.scope) - defined}"
+            found, used = [], set()
+            for sites in SITES.values():
+                for line, what, label in _findings(rule, sites):
+                    allowed = {a for a in rule.allow if label == a
+                               or "." not in a and label.startswith(a + ".")}
+                    used |= allowed
+                    if not allowed:
+                        found.append(f"{label}:{line} {what}")
+            assert not found, f"{rule.message}: {found}"
+            assert used == set(rule.allow), \
+                f"{rule.message}: stale {sorted(set(rule.allow) - used)}"
+
+    def sees():
+        for rule in rules:
+            sites = list(_sites(ast.parse(rule.snippet), "snippet"))
+            got = sorted((line, what) for line, what, _
+                         in _findings(rule, sites))
+            assert got == sorted(rule.expected), rule.message
+    return holds, sees
+
+
+for _name in dict.fromkeys(rule.test for rule in RULES):
+    _rules = [rule for rule in RULES if rule.test == _name]
+    globals()[_name], globals()[_rules[0].sees] = _tests(_rules)
 
 
 # the routines that reduce a vector against echelon rows: each goes through
@@ -817,21 +743,6 @@ ELIMINATORS = {
                "Subspace.coords"),
     "lattices": ("Lattice.coords", "coord_solver.coords"),
 }
-
-
-def _functions(tree):
-    """{name: node} of the functions of a module, with the class or the
-    enclosing function as a dotted prefix: `f`, `C.m`, `f.closure`."""
-    out = {}
-    stack = [(node, "") for node in tree.body]
-    while stack:
-        node, prefix = stack.pop()
-        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
-            if isinstance(node, FUNCTIONS):
-                out[prefix + node.name] = node
-            prefix = f"{prefix}{node.name}."
-        stack += [(child, prefix) for child in ast.iter_child_nodes(node)]
-    return out
 
 
 def _own_nodes(fn):
@@ -848,36 +759,25 @@ def _own_nodes(fn):
 def _writes_in_a_loop(fn):
     """Whether a `for` or `while` loop of fn itself assigns into or deletes
     a subscripted entry: a reduction loop of its own."""
-    for loop in _own_nodes(fn):
-        if isinstance(loop, (ast.For, ast.While)):
-            for node in ast.walk(loop):
-                if isinstance(node, (ast.Assign, ast.Delete)):
-                    targets = node.targets
-                elif isinstance(node, ast.AugAssign):
-                    targets = [node.target]
-                else:
-                    continue
-                if any(isinstance(t, ast.Subscript) for t in targets):
-                    return True
-    return False
+    kinds = (ast.Assign, ast.AugAssign, ast.Delete)
+    return any(isinstance(t, ast.Subscript) for loop in _own_nodes(fn)
+               if isinstance(loop, (ast.For, ast.While))
+               for t in _stores(loop, kinds))
 
 
-def _elimination_problems(tree, names):
-    """(name, problem) for each named routine that is missing, reaches no
-    call of `eliminate` (itself or through the `self.` methods it calls)
-    or has a reduction loop of its own."""
-    fns = _functions(tree)
+def _elimination_problems(sites, names):
+    """(name, problem) for each named routine of a module (see `_functions`)
+    that is missing, reaches no call of `eliminate` (itself or through the
+    `self.` methods it calls) or has a reduction loop of its own."""
+    fns = _functions(sites)
 
     def reaches(name, seen):
         own = list(_own_nodes(fns[name]))
         if any(_call_name(n) == "eliminate" for n in own):
             return True
         cls = name.rpartition(".")[0]
-        called = {f"{cls}.{n.func.attr}" for n in own
-                  if isinstance(n, ast.Call)
-                  and isinstance(n.func, ast.Attribute)
-                  and isinstance(n.func.value, ast.Name)
-                  and n.func.value.id == "self"}
+        called = {f"{cls}.{_method(n)}" for n in own if _method(n)
+                  and getattr(n.func.value, "id", None) == "self"}
         return any(reaches(m, seen | {name}) for m in called
                    if m in fns and m not in seen)
 
@@ -892,11 +792,9 @@ def _elimination_problems(tree, names):
 
 
 def test_every_reduction_goes_through_eliminate():
-    found = []
-    for stem, names in ELIMINATORS.items():
-        tree = ast.parse((PKG / f"{stem}.py").read_text())
-        found += [f"{stem}.{name} {problem}" for name, problem
-                  in _elimination_problems(tree, names)]
+    found = [f"{stem}.{name} {problem}" for stem, names in ELIMINATORS.items()
+             for name, problem
+             in _elimination_problems(SITES[stem], names)]
     assert not found, f"reductions outside linalg.eliminate: {found}"
 
 
@@ -938,7 +836,7 @@ def test_reduction_check_sees_a_hand_made_loop():
     names = ("Subspace.reduce", "Subspace.contains_vector", "Subspace.coords",
              "Lattice.contains_vector", "Lattice.coords",
              "coord_solver.coords", "Lattice.intersection")
-    assert sorted(_elimination_problems(tree, names)) == [
+    assert sorted(_elimination_problems(_sites(tree, "core"), names)) == [
         ("Lattice.coords", "has its own reduction loop"),
         ("Lattice.intersection", "is missing"),
         ("Subspace.contains_vector", "does not call linalg.eliminate"),
@@ -948,139 +846,12 @@ def test_reduction_check_sees_a_hand_made_loop():
         ("coord_solver.coords", "has its own reduction loop")]
 
 
-# every vector is an {index: entry} dict: the routines of a second, dense
-# form are gone, and only the modules that read JSON documents ask whether
-# a value is a dict
-REMOVED_DENSE_ROUTINES = {"_sparse_span", "_column_vectors", "_back_reduce",
-                          "entries", "sparse", "row_width", "dense",
-                          "zero_vec"}
-DOCUMENT_MODULES = {"files", "cli"}
-SPAN_MAKERS = {"span", "span_of", "from_rows", "product_span", "left_ideal",
-               "right_ideal", "stable_span", "image", "submodule_generated",
-               "rref", "rank", "coord_solver"}
-
-
-def _densify(node):
-    """A dense vector made by hand: a call of `dense`, a repeated list
-    (`[zero] * n`), or a comprehension over a range whose element reads a
-    dict with a default (`v.get(t, zero)`)."""
-    if _call_name(node) == "dense":
-        return True
-    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and isinstance(node.left, ast.List)):
-        return True
-    return (isinstance(node, (ast.ListComp, ast.GeneratorExp))
-            and _call_name(node.elt) == "get" and len(node.elt.args) == 2
-            and any(_call_name(g.iter) == "range" for g in node.generators))
-
-
-def _is_dict_test(node):
-    """An `isinstance(x, dict)` call (dict alone or in a tuple of types)."""
-    if not (_call_name(node) == "isinstance" and len(node.args) == 2):
-        return False
-    types = node.args[1]
-    elts = types.elts if isinstance(types, ast.Tuple) else [types]
-    return any(isinstance(t, ast.Name) and t.id == "dict" for t in elts)
-
-
-def _dense_vector_problems(stem, tree):
-    """(line, what) for each definition or use of a removed dense routine,
-    each `flatten` defined or called with more than the columns, each
-    unflatten by hand (`column(v[c::n])`) outside `linalg.unflatten`, each
-    `isinstance(x, dict)` outside DOCUMENT_MODULES and each dense vector
-    made by hand (see `_densify`) in the arguments of a call that spans."""
-    owner = {id(node): f"{stem}.{name}"
-             for name, fn in _functions(tree).items()
-             for node in _own_nodes(fn)}
-    for node in ast.walk(tree):
-        name = getattr(node, "name", getattr(node, "id", getattr(
-            node, "attr", None)))
-        if name in REMOVED_DENSE_ROUTINES:
-            yield node.lineno, name
-        if isinstance(node, FUNCTIONS) and node.name == "flatten" \
-                and len(node.args.args) != 1:
-            yield node.lineno, "dense flatten"
-        called = _call_name(node)
-        if called == "flatten" and len(node.args) != 1:
-            yield node.lineno, "dense flatten"
-        if called == "column" and owner.get(id(node)) != "linalg.unflatten" \
-                and any(isinstance(a, ast.Subscript)
-                        and isinstance(a.slice, ast.Slice) and a.slice.step
-                        for a in node.args):
-            yield node.lineno, "unflatten by hand"
-        if _is_dict_test(node) and stem not in DOCUMENT_MODULES:
-            yield node.lineno, "isinstance dict"
-        if called in SPAN_MAKERS and any(
-                _densify(n) for a in node.args for n in ast.walk(a)):
-            yield node.lineno, f"dense vector to {called}"
-
-
-def test_vectors_between_kernels_stay_dicts():
-    found = []
-    for path in sorted(PKG.glob("*.py")):
-        found += [f"{path.name}:{line} {what}" for line, what
-                  in _dense_vector_problems(path.stem,
-                                            ast.parse(path.read_text()))]
-    assert not found, f"dense vectors between the kernels: {found}"
-
-
-def test_dense_vector_check_sees_a_densify_in_front_of_a_span():
-    tree = ast.parse(
-        "class StructureAlgebra:\n"
-        "    def _column_vectors(self, cols):\n"
-        "        return [linalg.dense(c, self.rank, self.fld.zero)\n"
-        "                for c in cols if c]\n"
-        "    def corner(self, e):\n"
-        "        cols = self.right_mult_of(e)\n"
-        "        rows = [[c.get(t, self.fld.zero) for t in range(self.rank)]\n"
-        "                for c in map(dict, cols)]\n"
-        "        return self.span([dense(c, self.rank, 0) for c in cols])\n"
-        "    def ideal(self, e):\n"
-        "        return self.span([dict(c).get(t, 0) for t in range(3)]\n"
-        "                         for c in self.left_mult_of(e))\n"
-        "    def fine(self, e):\n"
-        "        return self.span([dict(c) for c in self.left_mult_of(e)])\n"
-        "def flatten(cols, zero):\n"
-        "    out = [zero] * len(cols) ** 2\n"
-        "    return Lattice.from_rows(ring, 4, [[zero] * 4, flatten(cols)])\n"
-        "def matb(rows, n):\n"
-        "    return [[linalg.column(b[c::n]) for c in range(n)] for b in rows]\n"
-        "class Subspace:\n"
-        "    def lifts_over(self, sub):\n"
-        "        return [dense(r.items(), 3, 0) for r in sub]\n"
-        "def entries(v):\n"
-        "    if isinstance(v, dict):\n"
-        "        return v.items()\n"
-        "    return [(j, x) for j, x in enumerate(v) if x]\n"
-        "def mul(x, y):\n"
-        "    at = y.get if isinstance(y, (dict, list)) else y.__getitem__\n"
-        "    return [at(j) for j, _ in linalg.entries(x)] + sparse(y)\n"
-        "def row_width(rows, ncols=None):\n"
-        "    return ncols or len(rows[0])\n"
-        "class ModuleRep:\n"
-        "    def zero_vec(self):\n"
-        "        return [self.fld.zero] * self.rank\n")
-    got = sorted(_dense_vector_problems("linalg", tree))
-    assert got == [
-        (2, "_column_vectors"), (3, "dense"), (9, "dense"),
-        (9, "dense vector to span"), (11, "dense vector to span"),
-        (15, "dense flatten"), (17, "dense vector to from_rows"),
-        (19, "unflatten by hand"), (22, "dense"), (23, "entries"),
-        (24, "isinstance dict"), (28, "isinstance dict"), (29, "entries"),
-        (29, "sparse"), (30, "row_width"), (33, "zero_vec")]
-    # the document boundary may ask whether a JSON value is an object
-    assert [w for _, w in _dense_vector_problems("files", tree)
-            if w == "isinstance dict"] == []
-
-
 def _is_dataclass(node):
     """A class decorated with `dataclass`, `dataclass(...)` or
     `dataclasses.dataclass`."""
-    for dec in node.decorator_list:
-        f = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
-            return True
-    return False
+    return any(getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
+               for f in (d.func if isinstance(d, ast.Call) else d
+                         for d in node.decorator_list))
 
 
 def _targets(node):
@@ -1094,18 +865,22 @@ def _targets(node):
         yield node
 
 
+def _stores(tree, kinds=(ast.Assign, ast.AnnAssign)):
+    """The targets of the statements of `kinds` in tree, unpacked."""
+    for node in ast.walk(tree):
+        if isinstance(node, kinds):
+            for target in getattr(node, "targets", None) or [node.target]:
+                yield from _targets(target)
+
+
 def _attributes_stored(tree):
     """(line, name) for each attribute the source stores: each `x.name = ...`
     target and each field of a dataclass."""
+    for t in _stores(tree):
+        if isinstance(t, ast.Attribute):
+            yield t.lineno, t.attr
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                for t in _targets(target):
-                    if isinstance(t, ast.Attribute):
-                        yield t.lineno, t.attr
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and \
                         isinstance(stmt.target, ast.Name):
@@ -1115,56 +890,44 @@ def _attributes_stored(tree):
 def _attributes_loaded(tree):
     """The attribute names a source reads: `x.name` outside a plain store
     (an augmented assignment reads its target) and getattr constants."""
-    stored = {id(t) for node in ast.walk(tree)
-              if isinstance(node, (ast.Assign, ast.AnnAssign))
-              for target in (node.targets if isinstance(node, ast.Assign)
-                             else [node.target])
-              for t in _targets(target)}
-    stored |= {id(t) for node in ast.walk(tree) if isinstance(node, ast.Delete)
-               for target in node.targets for t in _targets(target)}
-    return {name for node in ast.walk(tree) if id(node) not in stored
-            for name in ([node.attr] if isinstance(node, ast.Attribute)
-                         else [_getattr_constant(node)])
-            if name is not None}
+    kinds = (ast.Assign, ast.AnnAssign, ast.Delete)
+    return _attributes_read(tree, {id(t) for t in _stores(tree, kinds)})
 
 
 def _write_only(package, readers):
-    """(module:line, name) for each attribute that the package sources
-    {stem: source} store and that no source in `readers` reads."""
-    read = set()
-    for text in readers:
-        read |= _attributes_loaded(ast.parse(text))
+    """(module:line, name) for each attribute that the package modules
+    {stem: tree} store and that no tree in `readers` reads."""
+    read = set().union(*map(_attributes_loaded, readers))
     return sorted(f"{stem}:{line} {name}"
-                  for stem, text in sorted(package.items())
-                  for line, name in _attributes_stored(ast.parse(text))
+                  for stem, tree in sorted(package.items())
+                  for line, name in _attributes_stored(tree)
                   if name not in read)
 
 
 def test_every_stored_attribute_is_read():
-    """State that nothing reads is work and memory for no verdict: every
-    attribute the package stores is read in the package, the benchmark
-    scripts or the tests."""
-    package = {p.stem: p.read_text() for p in sorted(PKG.glob("*.py"))}
-    readers = list(package.values()) + [
-        p.read_text() for d in (BENCH, TESTS) for p in sorted(d.glob("*.py"))]
-    found = _write_only(package, readers)
+    # read in the package, the benchmark scripts or the tests
+    readers = list(TREES.values()) + [
+        ast.parse(p.read_text()) for d in (BENCH, TESTS)
+        for p in sorted(d.glob("*.py"))]
+    found = _write_only(TREES, readers)
     assert not found, f"attributes stored and never read: {found}"
 
 
 def test_write_only_check_sees_a_stored_attribute_nobody_reads():
-    package = {"core": "from dataclasses import dataclass, field\n"
-                       "@dataclass(frozen=True)\n"
-                       "class Report:\n"
-                       "    ok: bool\n"
-                       "    notes: dict = field(default_factory=dict)\n"
-                       "class Job:\n"
-                       "    def __init__(self, doc):\n"
-                       "        self.doc = doc\n"
-                       "        self.hits, (self.seen, self.log) = 0, ([], [])\n"
-                       "        self.count = 0\n"
-                       "    def run(self, report):\n"
-                       "        self.count += 1\n"
-                       "        del self.doc\n"
-                       "        return report.ok and getattr(self, 'seen')\n"}
+    package = {"core": ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    ok: bool\n"
+        "    notes: dict = field(default_factory=dict)\n"
+        "class Job:\n"
+        "    def __init__(self, doc):\n"
+        "        self.doc = doc\n"
+        "        self.hits, (self.seen, self.log) = 0, ([], [])\n"
+        "        self.count = 0\n"
+        "    def run(self, report):\n"
+        "        self.count += 1\n"
+        "        del self.doc\n"
+        "        return report.ok and getattr(self, 'seen')\n")}
     assert _write_only(package, package.values()) == [
         "core:5 notes", "core:8 doc", "core:9 hits", "core:9 log"]

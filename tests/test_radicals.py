@@ -209,8 +209,8 @@ def subalgebra_radical_check(alg, a_rows, b_rows=None):
         b_rows = [alg.basis_vec(i) for i in range(alg.rank)]
 
     def sub_and_rad(rows):
-        sub, basis = alg.subalgebra_on(rows, labels=None)
-        return alg.span([linalg.combine(c, basis)
+        sub = alg.subalgebra_on(rows)
+        return alg.span([linalg.combine(c, rows)
                          for c in radicals.radical_field(sub)])
 
     a_span, b_span = alg.span(a_rows), alg.span(b_rows)

@@ -199,26 +199,17 @@ class TestThm53:
 
         monkeypatch.setattr(tightness.GradedSubalgebraDatum, "validate",
                             counted)
-        conds, _ = tightness.conditions_51_check(z5, path_datum(z5),
-                                                 DELTA_GRADINGS)
-        calls.clear()
-        for supplied in (None, conds):
-            tightness.thm_53_pipeline(z5, path_datum(z5), "1",
-                                      delta_gradings=DELTA_GRADINGS,
-                                      conditions=supplied)
-            assert len(calls) == 1
-            calls.clear()
+        tightness.thm_53_pipeline(z5, path_datum(z5), "1",
+                                  delta_gradings=DELTA_GRADINGS)
+        assert len(calls) == 1
 
-    @pytest.mark.parametrize("supplied", [None, {"c1_tight_grading": True}],
-                             ids=["checked", "supplied"])
-    def test_bad_datum_raises(self, z5, supplied):
+    def test_bad_datum_raises(self, z5):
         # alpha * beta = gamma lands in grade 2, not in the declared grade 1
         rows = [z5.basis_vec(i) for i in range(5)]
         bad = tightness.GradedSubalgebraDatum(rows, (0, 0, 1, 1, 1))
         with pytest.raises(tightness.TightnessError):
             tightness.thm_53_pipeline(z5, bad, "1",
-                                      delta_gradings=DELTA_GRADINGS,
-                                      conditions=supplied)
+                                      delta_gradings=DELTA_GRADINGS)
 
 
 class TestProp52:
