@@ -479,6 +479,23 @@ def structure_constants(products, n, coords, row=None):
     return sc
 
 
+def matrix_algebra_constants(lat, n):
+    """`structure_constants` of the basis of a lattice of flattened n x n
+    matrices closed under products (not checked).  Cut to its pivots the
+    basis is triangular, so coordinates follow from the entries there: b_i
+    b_j is formed only at each pivot (r, c), row r of b_i times column c."""
+    at = {p: t for t, p in enumerate(lat.pivots)}
+    coords = coord_solver(({at[p]: x for p, x in b.items() if p in at}
+                           for b in lat.rows), lat.ring.field_K, lat.rank)
+    cols = [linalg.unflatten(b, n) for b in lat.rows]
+    rows = [list(map(dict, linalg.row_entries(m, n))) for m in cols]
+    cells = [divmod(p, n) for p in lat.pivots]
+    return structure_constants(
+        (linalg.total({t: x * y} for t, (r, c) in enumerate(cells)
+                      for k, y in col[c] if (x := row[r].get(k)) is not None)
+         for row in rows for col in cols), lat.rank, coords)
+
+
 def _sc_by_left(alg):
     """For each i, [(j, items of sc[(i, j)])] over the nonzero rows, j
     increasing and the items sorted: the products b_i b_j that `mul` may

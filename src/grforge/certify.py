@@ -26,7 +26,7 @@ from functools import reduce
 from math import gcd
 
 from . import linalg, radicals
-from .algebra import AlgebraError, StructureAlgebra, structure_constants
+from .algebra import AlgebraError, StructureAlgebra, matrix_algebra_constants
 from .lattices import (
     Lattice,
     LatticeError,
@@ -452,6 +452,7 @@ def _endo_direct_check(alg, J, expected_sizes):
 
     Returns True/False for a conclusive verdict, None when the independent
     splitting route cannot decide (the structural route remains binding).
+    The saturated kernel End_{A_K}(J_K) meet M_n(O) is an O-algebra.
     """
     fld = alg.fld
     mod = regular_module(alg).restrict_to(J)
@@ -466,13 +467,8 @@ def _endo_direct_check(alg, J, expected_sizes):
     unit_c = sat.coords({k * n + k: fld.one for k in range(n)})
     if unit_c is None:
         return False
-    try:
-        sc = structure_constants(
-            (linalg.flatten(linalg.compose(x, y)) for x in matb for y in matb),
-            len(matb), sat.coords)
-    except AlgebraError:
-        return False
-    endo = StructureAlgebra(alg.ring, "O", len(matb), None, unit_c, sc)
+    endo = StructureAlgebra(alg.ring, "O", len(matb), None, unit_c,
+                            matrix_algebra_constants(sat, n))
     # simple endo-modules sit inside J itself: End . v for module vectors v,
     # built lazily: the splitting stops at one per central character
     endo_k = endo.base_change("K")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, certify, cyclo, files, fixtures, forced, modules
 from . import randomized, suites, tightness
-from .algebra import AlgebraError, ValidationError
+from .algebra import AlgebraError
 from .graded import gr_algebra, gr_module
 from .lattices import LatticeError
 from .scalars import InternalCheckError, ScalarError
@@ -518,12 +518,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, files.DocumentError, ValidationError, ScalarError,
+    except (UsageError, files.DocumentError, AlgebraError, ScalarError,
             LatticeError, json.JSONDecodeError, FileNotFoundError,
             cyclo.CycloError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except InternalCheckError as exc:

@@ -27,7 +27,7 @@ from .algebra import (
     AlgebraError,
     StructureAlgebra,
     WeightDatum,
-    structure_constants,
+    matrix_algebra_constants,
 )
 from .lattices import stable_span
 from .scalars import CYCLOTOMIC, RATIONAL, Cyc, InternalCheckError, RingSpec
@@ -264,12 +264,14 @@ def _cartan_binomial(m, t, p):
 def build_qschur(d: int, p: int):
     """The integral q-Schur algebra S(2, d) over Z_(p)[zeta].
 
-    Built as the O-span closure of the divided-power generators (written in
-    closed form at zeta, see `_qschur_generators`) acting on the d-th tensor
-    power of the rank-2 free module; weight idempotents are the content
-    projectors, Lambda the partitions with dominance order.  A matrix on
-    the 2^d words is a vector of the closure row by row: entry (r, c) at
-    r * 2^d + c (linalg.flatten, linalg.unflatten).
+    Built as the O-span (not the saturation) of the words in the
+    divided-power generators (closed form at zeta, `_qschur_generators`)
+    applied to 1 on the d-th tensor power of the rank-2 free module: the
+    O-algebra they generate, so closed under products (`validate` proves
+    associativity when a document loads).  Weight idempotents are the
+    content projectors, Lambda the partitions with dominance order.  A
+    matrix on the 2^d words is a vector of the closure row by row: entry
+    (r, c) at r * 2^d + c (linalg.flatten, linalg.unflatten).
     """
     if not (1 <= d <= 6):
         raise AlgebraError("supported range: 1 <= d <= 6")
@@ -291,13 +293,7 @@ def build_qschur(d: int, p: int):
     if rank != expected:
         raise AlgebraError(
             f"q-Schur closure has rank {rank}, expected {expected}")
-    try:
-        basis = [linalg.unflatten(r, n) for r in lat.rows]
-        sc = structure_constants(
-            (linalg.flatten(linalg.compose(x, y)) for x in basis for y in basis),
-            len(basis), lat.coords)
-    except AlgebraError as exc:
-        raise InternalCheckError("algebra not closed") from exc
+    sc = matrix_algebra_constants(lat, n)
     unit = lat.coords(ident)
     # weight idempotents: the projectors onto the words with b ones, of
     # content (d - b, b); Lambda the two-row partitions under dominance

@@ -25,12 +25,17 @@ basis row of the candidate ideal; the pairwise Friedl-Ronyai form it
 replaced, one product L_x L_y and one charpoly per pair of rows
 (`fr_form_pairwise`, `fr_stage_pairwise`), is kept verbatim as the oracle,
 with the radical it reaches (`radical_pairwise`).
+`algebra.matrix_algebra_constants` forms each product of a basis of
+matrices only at the pivot entries of the lattice; the route it replaced
+in the q-Schur builder and the direct End_A(J) check, every product formed
+in full and read by `Lattice.coords` (`matrix_algebra_constants_full`), is
+kept as the oracle.
 """
 
 from collections.abc import Mapping
 
 from grforge import linalg, radicals
-from grforge.algebra import AlgebraError
+from grforge.algebra import AlgebraError, structure_constants
 from grforge.lattices import Lattice, LatticeError
 
 
@@ -316,3 +321,13 @@ def radical_pairwise(alg):
             raise AlgebraError("radical candidate is not a nilpotent ideal")
         power *= fld.char
         candidate = fr_stage_pairwise(alg, candidate, power)
+
+
+def matrix_algebra_constants_full(lat, n):
+    """The structure constants of the basis lat.rows of a lattice of n x n
+    matrices, each product formed in full and read by `Lattice.coords`:
+    AlgebraError names a product outside the lattice."""
+    basis = [linalg.unflatten(r, n) for r in lat.rows]
+    return structure_constants(
+        (linalg.flatten(linalg.compose(x, y)) for x in basis for y in basis),
+        len(basis), lat.coords)

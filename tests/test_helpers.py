@@ -497,6 +497,26 @@ def test_a_wrong_hom_solution_is_an_internal_error(sp_z5, monkeypatch):
     assert not issubclass(InternalCheckError, AlgebraError)
 
 
+def test_a_doubled_peel_witness_is_an_internal_error(z5_K, monkeypatch):
+    """2 h is equivariant and has the image of h, so only the check of the
+    generator images tells it from h: peel_standard_power must not hand it
+    on as the witness of Delta(2) = A . (its generator)."""
+    delta = modules.standard_module(z5_K, "2")
+    rows = delta.weight_space_rows("2")
+    h, sub = modules.peel_standard_power(delta, "2", rows)
+    assert sub.rank == delta.rank
+    assert dense_rows(h, delta.rank, z5_K.fld.zero) == \
+        identity(z5_K.fld, delta.rank)
+    solve = linalg.solve_right
+
+    def doubled(a, b, field, ncols):
+        return {k: x + x for k, x in solve(a, b, field, ncols).items()}
+
+    monkeypatch.setattr(linalg, "solve_right", doubled)
+    with pytest.raises(InternalCheckError, match="generator image"):
+        modules.peel_standard_power(delta, "2", rows)
+
+
 def test_standard_iso_rejects_a_projective(sp_z5):
     assert standard_iso(sp_z5["1"]["P"], "1") is None
 

@@ -228,11 +228,23 @@ def _identifiers(node):
 
 
 def _banned(match, called=False):
-    """The predicate that finds each identifier of a node (only the name a
-    call calls, when `called`) that `match` accepts."""
+    """The predicate that finds each identifier of a node that `match`
+    accepts; when `called`, only the name a call calls, found also when
+    that name is bound to an accepted name in the same function (see
+    `_bound`)."""
+    def alias(value):
+        return any(map(match, _identifiers(value)))
+
     def predicate(node, top):
-        names = [_call_name(node)] if called else _identifiers(node)
-        return [name for name in names if name and match(name)]
+        if not called:
+            return [name for name in _identifiers(node) if match(name)]
+        name = _call_name(node)
+        if name is None:
+            return []
+        if match(name) or isinstance(node.func, ast.Name) \
+                and name in _bound(top, alias):
+            return [name]
+        return []
     return predicate
 
 
@@ -300,6 +312,16 @@ def _whole_algebra_product(node, top):
             _is_basis_list(a) or getattr(a, "id", None)
             in _bound(top, _is_basis_list) for a in node.args):
         yield f"basis list to {called}"
+
+
+def _full_product(node, top):
+    """`flatten(compose(...))`, the compose called inline or through a name
+    bound to it in the same function: a product formed in full."""
+    if _call_name(node) == "flatten" and any(
+            _call_name(a) == "compose" or getattr(a, "id", None)
+            in _bound(top, lambda v: _call_name(v) == "compose")
+            for a in node.args):
+        yield "flatten(compose)"
 
 
 def _vector_test_of_products(node):
@@ -586,6 +608,17 @@ RULES = [
          "    return all(span.contains_vector(list(mod.act(x, v)))\n"
          "               for x in xs for v in span.rows)\n",
          [(3, "contains_vector"), (5, "contains_vector")]),
+    Rule("test_no_full_matrix_products",
+         "test_full_product_check_sees_a_flattened_compose",
+         _full_product, (),
+         "full products of flattened matrices (matrix_algebra_constants "
+         "reads a product at the pivot entries alone)",
+         "def sc(basis, lat):\n"
+         "    z = [linalg.flatten(linalg.compose(x, y)) for x in basis\n"
+         "         for y in basis]\n"
+         "    prod = compose(basis[0], basis[1])\n"
+         "    return z, lat.coords(flatten(prod)), flatten(basis[0])\n",
+         [(2, "flatten(compose)"), (5, "flatten(compose)")]),
     Rule("test_no_verdict_rests_on_a_sample",
          "test_sampling_check_sees_a_sampler_and_an_import",
          _sampling, ("randomized", "fixtures"),
@@ -610,9 +643,12 @@ RULES = [
          "    big = [[fld.zero] * m for _ in range(m)]\n"
          "    return linalg.combine_matrices([fld.one], [big], fld.zero)\n"
          "def square(a, fld):\n"
-         "    return mat_mul(a, a, fld)\n",
+         "    return mat_mul(a, a, fld)\n"
+         "def flip(a):\n"
+         "    new = linalg.transpose\n"
+         "    return new(a), len(a)\n",
          [(5, "transpose"), (8, "dense zero matrix"), (9, "combine_matrices"),
-          (11, "mat_mul")]),
+          (11, "mat_mul"), (14, "new")]),
     Rule("test_no_plain_fraction_outside_scalars",
          "test_fraction_check_sees_a_constructor_call",
          _banned(lambda name: name == "Fraction", called=True),
@@ -625,8 +661,11 @@ RULES = [
          "    one = Fraction(1)\n"
          "    return [one] + [fractions.Fraction(0)] * (n - 1)\n"
          "def is_rational(x):\n"
-         "    return isinstance(x, Fraction)\n",
-         [(4, "Fraction"), (5, "Fraction")]),
+         "    return isinstance(x, Fraction)\n"
+         "def half():\n"
+         "    new = Fraction\n"
+         "    return new(1) / new(2), str(1)\n",
+         [(4, "Fraction"), (5, "Fraction"), (10, "new"), (10, "new")]),
     Rule("test_membership_in_O_is_in_O",
          "test_membership_check_sees_valuation_comparisons",
          _valuation_membership, (),
