@@ -465,8 +465,8 @@ def _endo_direct_check(alg, J, expected_sizes):
     # each basis endomorphism h (h[r][c] at r * n + c) by its sparse columns
     matb = [linalg.unflatten(b, n) for b in sat.rows]
     unit_c = sat.coords({k * n + k: fld.one for k in range(n)})
-    if unit_c is None:
-        return False
+    if unit_c is None:  # 1 lies in End_{A_K}(J_K) and in M_n(O), so in sat
+        raise InternalCheckError("identity outside End_{A_K}(J_K) meet M_n(O)")
     endo = StructureAlgebra(alg.ring, "O", len(matb), None, unit_c,
                             matrix_algebra_constants(sat, n))
     # simple endo-modules sit inside J itself: End . v for module vectors v,

@@ -221,19 +221,25 @@ def _normalize_pivot(ring, row, col, val):
 # ---------------------------------------------------------------------------
 
 def saturate_rows(ring: RingSpec, ambient: int, rows) -> Lattice:
-    """Smallest pure sublattice of O^ambient containing O^ambient ∩ K·span.
+    """O^ambient ∩ V for V the K-span of the {index: entry} rows over K
+    (denominators allowed): the pure sublattice of O^ambient with K-span V.
 
-    Accepts {index: entry} rows over K (denominators allowed); the result
-    depends only on the K-span of the input.
+    From the K-rref r_1..r_k of the rows, pivots c_1..c_k: each v in V is
+    sum v[c_i] r_i.  So if every r_i lies in O^ambient, O^ambient ∩ V is
+    the sum of the O r_i, and the r_i, unit pivots with zeros above each
+    pivot, are its canonical Hermite form (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).  Otherwise the echelon rows, denominators
+    cleared, go through smith_track, whose leading rows span the saturation.
     """
+    ech, pivots = linalg.rref(rows, ring.field_K, ambient)
+    if all(ring.in_O(x) for r in ech for x in r.values()):
+        return Lattice(ring, ambient, tuple(ech), tuple(pivots),
+                       (0,) * len(ech))
     cleared = []
-    for r in rows:
-        if r:
-            mv = min(map(ring.valuation, r.values()))
-            f = ring.pi_power(-mv)
-            cleared.append({j: f * x for j, x in r.items()} if mv else r)
-    if not cleared:
-        return Lattice.zero(ring, ambient)
+    for r in ech:
+        mv = min(map(ring.valuation, r.values()))
+        cleared.append({j: ring.pi_power(-mv) * x for j, x in r.items()}
+                       if mv else r)
     vals, track = smith_track(ring, ambient, cleared)
     return Lattice.from_rows(ring, ambient, track[: len(vals)])
 

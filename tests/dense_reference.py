@@ -30,13 +30,18 @@ matrices only at the pivot entries of the lattice; the route it replaced
 in the q-Schur builder and the direct End_A(J) check, every product formed
 in full and read by `Lattice.coords` (`matrix_algebra_constants_full`), is
 kept as the oracle.
+`lattices.saturate_rows` returns the K-echelon of the rows when it is
+integral and sends only the rest through `smith_track`; the route it
+replaced, every saturation through the Smith form
+(`saturate_rows_smith`), is kept verbatim as the oracle.
 """
 
 from collections.abc import Mapping
 
 from grforge import linalg, radicals
 from grforge.algebra import AlgebraError, structure_constants
-from grforge.lattices import Lattice, LatticeError
+from grforge.lattices import Lattice, LatticeError, smith_track
+from grforge.scalars import RingSpec
 
 
 def mat_copy(m):
@@ -331,3 +336,21 @@ def matrix_algebra_constants_full(lat, n):
     return structure_constants(
         (linalg.flatten(linalg.compose(x, y)) for x in basis for y in basis),
         len(basis), lat.coords)
+
+
+def saturate_rows_smith(ring: RingSpec, ambient: int, rows) -> Lattice:
+    """Smallest pure sublattice of O^ambient containing O^ambient ∩ K·span.
+
+    Accepts {index: entry} rows over K (denominators allowed); the result
+    depends only on the K-span of the input.
+    """
+    cleared = []
+    for r in rows:
+        if r:
+            mv = min(map(ring.valuation, r.values()))
+            f = ring.pi_power(-mv)
+            cleared.append({j: f * x for j, x in r.items()} if mv else r)
+    if not cleared:
+        return Lattice.zero(ring, ambient)
+    vals, track = smith_track(ring, ambient, cleared)
+    return Lattice.from_rows(ring, ambient, track[: len(vals)])

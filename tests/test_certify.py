@@ -6,6 +6,7 @@ import pytest
 from grforge import certify, linalg
 from grforge.algebra import StructureAlgebra, WeightDatum
 from grforge.fixtures import inflate, perturb
+from grforge.lattices import Lattice
 from grforge.modules import weight_simples
 from grforge.radicals import NonSplitError
 from grforge.scalars import RATIONAL, InternalCheckError, RingSpec
@@ -73,6 +74,24 @@ class TestHeredityStep:
         monkeypatch.setattr(certify, "recognize_matrix_algebra", spy)
         assert certify._endo_direct_check(z5, J, (1, 1, 1, 1)) is False
         assert [(w.ok, w.block_sizes) for w in seen] == [(True, (2,))]
+
+    def test_an_endo_lattice_without_the_identity_is_an_internal_error(
+            self, z5, monkeypatch):
+        # the identity lies in End_{A_K}(J_K) and in M_n(O), so in their
+        # saturated meet: a meet that misses it is a fault of the program,
+        # not a False cross-check verdict
+        J = z5.ideal_generated(z5.weights.idempotents["2"])
+        saturate = certify.saturate_rows
+
+        def times_pi(ring, ambient, rows):
+            sat = saturate(ring, ambient, rows)
+            return Lattice.from_rows(ring, ambient, [
+                {j: ring.uniformizer * x for j, x in r.items()}
+                for r in sat.rows])
+
+        monkeypatch.setattr(certify, "saturate_rows", times_pi)
+        with pytest.raises(InternalCheckError, match="identity"):
+            certify._endo_direct_check(z5, J, (2,))
 
 
 class TestChains:

@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from grforge import graded, modules, radicals
-from grforge.fixtures import build_z5s
+from grforge import graded, lattices, modules, radicals
+from grforge.fixtures import build_z5, build_z5s
 from grforge.lattices import Lattice
 
 
@@ -36,6 +36,23 @@ class TestOneFiltration:
             if level != "O":
                 assert chain == radicals.radical_chain(a)
             assert chain[0].rank == a.rank and chain[-1].rank == 0
+
+    def test_z5_chain_steps_are_their_field_echelons(self, monkeypatch):
+        # every step of both z5 chains has an integral K-rref, which is
+        # then the saturation itself: smith_track never runs
+        z5 = build_z5(3)
+        smith_track = lattices.smith_track
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return smith_track(*args)
+
+        monkeypatch.setattr(lattices, "smith_track", counting)
+        chain = graded.algebra_rad_chain(z5)
+        assert chain == graded.module_rad_chain(modules.regular_module(z5))
+        assert [s.rank for s in chain] == [5, 3, 1, 0]
+        assert calls == []
 
     def test_integral_chain_saturates_the_field_chain(self, z5):
         chain_K = radicals.radical_chain(z5.base_change("K"))

@@ -4,11 +4,13 @@ dense references: `Lattice.from_rows`, `add`, `intersection`, `coords`,
 `quotient`, `lifts_over`, `saturate_rows` and `pure_closure` over Z_(3),
 Z_(5), Z_(3)[zeta_3] and Z_(5)[zeta_5] against the dense worklist echelon
 `dense_reference.lattice_from_rows` and the dense reduction
-`test_lattices.dense_coords`, and `linalg.Subspace` over Q, F_3 and F_5
-against the dense `dense_reference.rref_dense`.  No operation writes into
-the rows of its operand spans or changes their hash."""
+`test_lattices.dense_coords`, `saturate_rows` also against the Smith-only
+route `dense_reference.saturate_rows_smith`, and `linalg.Subspace` over Q,
+F_3 and F_5 against the dense `dense_reference.rref_dense`.  No operation
+writes into the rows of its operand spans or changes their hash."""
 
 import copy
+from unittest import mock
 
 from dense_reference import (
     coords_in_row_space,
@@ -17,14 +19,15 @@ from dense_reference import (
     in_row_space,
     lattice_from_rows,
     rref_dense,
+    saturate_rows_smith,
     vec,
     vecs,
 )
 from hypothesis import given, settings, strategies as st
 from test_lattices import dense_coords
 
-from grforge import linalg
-from grforge.lattices import Lattice, pure_closure, saturate_rows
+from grforge import lattices, linalg
+from grforge.lattices import Lattice, pure_closure, saturate_rows, smith_track
 from grforge.scalars import CYCLOTOMIC, RATIONAL, Cyc, RingSpec
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -160,6 +163,84 @@ def test_lattice_meets_and_closures_match_dense_checks(kind, data):
         assert None not in coords
         assert residue_rank(ring, dense_rows(coords, l1.rank, ring.zero()),
                             l1.rank) == closure.rank
+
+
+def draw_echelon(data, ring, amb, integral):
+    """Rows of a K-rref: unit pivots, zeros at the other pivot columns, O
+    entries elsewhere.  Not integral: the last column is no pivot, and a
+    row with its pivot left of it has an entry of valuation -1 there."""
+    k = data.draw(st.integers(0 if integral else 1, amb - (not integral)))
+    pivots = sorted(data.draw(st.lists(
+        st.integers(0, amb - 1 - (not integral)), min_size=k, max_size=k,
+        unique=True)))
+    rows = []
+    for c in pivots:
+        rows.append([ring.one() if j == c else ring.zero()
+                     if j < c or j in pivots else draw_entry(data, ring)
+                     for j in range(amb)])
+    if not integral:
+        unit = ring.of(data.draw(st.integers(1, ring.p - 1)))
+        rows[data.draw(st.integers(0, k - 1))][-1] = unit * ring.pi_power(-1)
+    return rows
+
+
+def saturate_counting(ring, amb, rows):
+    """saturate_rows(ring, amb, rows) and the number of smith_track calls it
+    made."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return smith_track(*args)
+
+    with mock.patch.object(lattices, "smith_track", counting):
+        return saturate_rows(ring, amb, rows), len(calls)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(RINGS)), st.booleans(), st.data())
+def test_saturation_from_the_echelon_matches_the_smith_route(kind, integral,
+                                                              data):
+    """The rows span the K-span of a drawn echelon: each is a nonzero K
+    multiple (valuation -1 to 2) of an echelon row plus O-combinations of
+    the later rows, plus O-combinations of all rows, shuffled.  An integral
+    echelon is the saturation itself, with no smith_track call; any other
+    takes one.  Both routes give the same rows, entry for entry and in the
+    same order."""
+    ring = RINGS[kind]
+    amb = data.draw(st.integers(1 if integral else 2, 5))
+    ech = draw_echelon(data, ring, amb, integral)
+    rows = []
+    for i in range(len(ech)):
+        scale = ring.of(data.draw(st.integers(1, ring.p - 1))) \
+            * ring.pi_power(data.draw(st.integers(-1, 2)))
+        c = [ring.zero()] * i + [scale] + [
+            scale * draw_entry(data, ring) for _ in ech[i + 1:]]
+        rows.append(dense_vec(linalg.combine(vec(c), vecs(ech)), amb,
+                              ring.zero()))
+    if ech:
+        rows += draw_inside(data, ring, ech)
+    rows = data.draw(st.permutations(rows))
+    sat, calls = saturate_counting(ring, amb, vecs(rows))
+    want = saturate_rows_smith(ring, amb, vecs(rows))
+    assert calls == (0 if integral else 1)
+    assert repr((sat.rows, sat.pivots, sat.pivot_vals)) == \
+        repr((want.rows, want.pivots, want.pivot_vals))
+    assert sat == want and hash(sat) == hash(want)
+    if integral:
+        assert list(sat.rows) == vecs(ech)
+
+
+def test_the_span_of_one_and_one_over_p_takes_the_smith_route():
+    """K(1, 1/p) meets O^2 in O(p, 1): its rref (1, 1/p) is not integral,
+    so the saturation takes the one smith_track call."""
+    for ring in RINGS.values():
+        row = {0: ring.one(), 1: ring.pi_power(-1)}
+        sat, calls = saturate_counting(ring, 2, [row])
+        assert calls == 1
+        assert sat == Lattice.from_rows(
+            ring, 2, [{0: ring.uniformizer, 1: ring.one()}])
+        assert sat == saturate_rows_smith(ring, 2, [row])
 
 
 @SETTINGS
