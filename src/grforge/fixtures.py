@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import partial
 
 from . import linalg, radicals
 from .algebra import (
@@ -29,7 +28,7 @@ from .algebra import (
     WeightDatum,
     matrix_algebra_constants,
 )
-from .lattices import stable_span
+from .lattices import Lattice
 from .scalars import CYCLOTOMIC, RATIONAL, Cyc, InternalCheckError, RingSpec
 
 # basis order for the zigzag fixtures
@@ -264,61 +263,60 @@ def _cartan_binomial(m, t, p):
 def build_qschur(d: int, p: int):
     """The integral q-Schur algebra S(2, d) over Z_(p)[zeta].
 
-    Built as the O-span (not the saturation) of the words in the
-    divided-power generators (closed form at zeta, `_qschur_generators`)
-    applied to 1 on the d-th tensor power of the rank-2 free module: the
-    O-algebra they generate, so closed under products (`validate` proves
-    associativity when a document loads).  Weight idempotents are the
-    content projectors, Lambda the partitions with dominance order.  A
-    matrix on the 2^d words is a vector of the closure row by row: entry
-    (r, c) at r * 2^d + c (linalg.flatten, linalg.unflatten).
+    The nonzero images of Lusztig's canonical basis of the modified
+    quantum group of sl2, E^(a) 1_(-n) F^(c) and F^(c) 1_n E^(a) for
+    n >= a + c (equal when n = a + c), are a basis of S(2, d), the
+    O-algebra that the divided-power generators (`_qschur_generators`)
+    generate on the d-th tensor power of O^2 (Lusztig, Introduction to
+    Quantum Groups, 1993, 25.3; Beilinson-Lusztig-MacPherson, Duke Math.
+    J. 61, 1990).  With P_b the projector onto the words with b ones, of
+    weight m = d - 2b, the rows are E^(a) P_b F^(c) for m <= 0 and
+    a + c <= -m, and F^(c) P_b E^(a) for m > 0 and a + c < m.  The P_b are
+    the weight idempotents, Lambda the partitions under dominance.  A
+    matrix on the 2^d words is a vector row by row (linalg.flatten).
     """
-    if not (1 <= d <= 6):
-        raise AlgebraError("supported range: 1 <= d <= 6")
+    if not (1 <= d <= 8):
+        raise AlgebraError("supported range: 1 <= d <= 8")
     ring = RingSpec(CYCLOTOMIC, p)
     one = ring.one()
     n = 2 ** d
     gens = _qschur_generators(d, p)
-
-    # g X for a flattened X is the columns of g (x) 1 applied to it
-    ident = linalg.flatten([((k, one),) for k in range(n)])
-    lat = stable_span([ident],
-                      [partial(linalg.apply,
-                               [tuple((r * n + c, x) for r, x in g[m])
-                                for m in range(n) for c in range(n)])
-                       for g in gens.values()],
-                      n * n, ring.field_K, ring)
+    ident = [((k, one),) for k in range(n)]
+    projs = [[((k, one),) if bin(k).count("1") == b else () for k in range(n)]
+             for b in range(d + 1)]
+    e, f = ([ident] + [gens[f"{x}({a})"] for a in range(1, d + 1)]
+            for x in "EF")
+    rows = []
+    for b, proj in enumerate(projs):
+        m = d - 2 * b
+        x, y, top = (e, f, -m) if m <= 0 else (f, e, m - 1)
+        rows += [linalg.flatten(linalg.compose(x[a],
+                                               linalg.compose(proj, y[c])))
+                 for a in range(top + 1) for c in range(top + 1 - a)]
+    lat = Lattice.from_rows(ring, n * n, rows)
     rank = lat.rank
-    expected = math.comb(3 + d, 3)
-    if rank != expected:
-        raise AlgebraError(
-            f"q-Schur closure has rank {rank}, expected {expected}")
-    sc = matrix_algebra_constants(lat, n)
-    unit = lat.coords(ident)
-    # weight idempotents: the projectors onto the words with b ones, of
-    # content (d - b, b); Lambda the two-row partitions under dominance
-    ones = [bin(k).count("1") for k in range(n)]
-    labels = [f"{d - b},{b}" for b in range(d + 1)]
-    idems = {}
-    for b, lbl in enumerate(labels):
-        proj = [((k, one),) if ones[k] == b else () for k in range(n)]
-        c = lat.coords(linalg.flatten(proj))
+    if rank != math.comb(3 + d, 3):
+        raise AlgebraError(f"q-Schur canonical basis has rank {rank}, "
+                           f"expected {math.comb(3 + d, 3)}")
+
+    def coords(what, cols):
+        c = lat.coords(linalg.flatten(cols))
         if c is None:
-            raise AlgebraError(
-                f"weight projector {(d - b, b)} is not in the integral "
-                "closure")
-        idems[lbl] = c
+            raise InternalCheckError(f"{what} is not in the algebra")
+        return c
+
+    sc = matrix_algebra_constants(lat, n)
+    labels = [f"{d - b},{b}" for b in range(d + 1)]
+    idems = {lbl: coords(f"weight projector ({lbl})", proj)
+             for lbl, proj in zip(labels, projs)}
     parts = range(d // 2 + 1)  # b ones: the partition (d - b, b)
     relations = [(labels[a], labels[b]) for a in parts for b in parts if a > b]
     weights = WeightDatum.build(labels, labels[:len(parts)], relations, idems)
-    gen_coords = {}
-    for name, g in gens.items():
-        c = lat.coords(linalg.flatten(g))
-        if c is None:
-            raise InternalCheckError(f"generator {name} is not in the algebra")
-        gen_coords[name] = c
+    gen_coords = {name: coords(f"generator {name}", g)
+                  for name, g in gens.items()}
     alg = StructureAlgebra(ring, "O", rank, [f"x{i}" for i in range(rank)],
-                           unit, sc, weights, generators=gen_coords)
+                           coords("unit", ident), sc, weights,
+                           generators=gen_coords)
     alg.p_regular = {labels[b]: (d - 2 * b + 1) % p != 0 for b in parts}
     return alg
 

@@ -34,13 +34,18 @@ kept as the oracle.
 integral and sends only the rest through `smith_track`; the route it
 replaced, every saturation through the Smith form
 (`saturate_rows_smith`), is kept verbatim as the oracle.
+`fixtures.build_qschur` spans its lattice by Lusztig's canonical basis;
+the route it replaced, the O-algebra that matrices generate found as the
+closure of the identity under left multiplication by them on flattened
+matrices (`flat_closure`), is kept as the oracle.
 """
 
 from collections.abc import Mapping
+from functools import partial
 
 from grforge import linalg, radicals
 from grforge.algebra import AlgebraError, structure_constants
-from grforge.lattices import Lattice, LatticeError, smith_track
+from grforge.lattices import Lattice, LatticeError, smith_track, stable_span
 from grforge.scalars import RingSpec
 
 
@@ -354,3 +359,16 @@ def saturate_rows_smith(ring: RingSpec, ambient: int, rows) -> Lattice:
         return Lattice.zero(ring, ambient)
     vals, track = smith_track(ring, ambient, cleared)
     return Lattice.from_rows(ring, ambient, track[: len(vals)])
+
+
+def flat_closure(gens, n, ring):
+    """The O-algebra that n x n matrices given by sparse columns generate:
+    the `stable_span` of the flattened identity under left multiplication by
+    each of them, where g X for a flattened X is the columns of g (x) 1
+    applied to it (entry (r, c) at r * n + c, see linalg.flatten)."""
+    one = ring.one()
+    maps = [partial(linalg.apply, [tuple((r * n + c, x) for r, x in g[m])
+                                   for m in range(n) for c in range(n)])
+            for g in gens]
+    return stable_span([{k * n + k: one for k in range(n)}], maps, n * n,
+                       ring.field_K, ring)

@@ -165,7 +165,7 @@ class TestCLI:
 
     def test_gen_qschur_out_of_range_exits_2(self, tmp_path, capsys):
         # the range of d is the builder's own check, reported as an error
-        assert cli.main(["gen", "qschur", "--d", "7", "--p", "3",
+        assert cli.main(["gen", "qschur", "--d", "9", "--p", "3",
                          "-o", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,6 +1,7 @@
 import pytest
 
 from grforge import certify, files, fixtures, linalg
+from grforge.algebra import AlgebraError
 from grforge.scalars import Cyc, Rat
 
 
@@ -75,8 +76,9 @@ class TestQSchur:
         ak.validate()
 
     def test_out_of_range(self):
-        with pytest.raises(Exception):
-            fixtures.build_qschur(7, 3)
+        for d in (0, 9):
+            with pytest.raises(AlgebraError, match="1 <= d <= 8"):
+                fixtures.build_qschur(d, 3)
 
 
 def _qint(p, m):

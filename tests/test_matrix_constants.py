@@ -2,16 +2,19 @@
 of matrices only at the pivot entries of its lattice, against the route it
 replaced, every product formed in full
 (`dense_reference.matrix_algebra_constants_full`): the same structure
-constants on the q-Schur closures, on the End_A(J) lattices of the thm417
+constants on the q-Schur lattices, on the End_A(J) lattices of the thm417
 suite, and on drawn matrix algebras over Z_(p) and Z_(p)[zeta]."""
 
 import pytest
-from dense_reference import invert, matrix_algebra_constants_full
+from dense_reference import (
+    flat_closure,
+    invert,
+    matrix_algebra_constants_full,
+)
 from hypothesis import given, settings, strategies as st
 
 from grforge import certify, fixtures, linalg, suites
 from grforge.algebra import matrix_algebra_constants
-from grforge.lattices import stable_span
 from grforge.scalars import CYCLOTOMIC, RATIONAL, Cyc, RingSpec
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -88,11 +91,6 @@ def test_drawn_matrix_algebra_constants_are_the_full_products(data):
         g = [[draw_entry(data, ring) for _ in range(n)] for _ in range(n)]
         gens.append(linalg.columns(
             dense_product(dense_product(u, g, zero), u_inv, zero)))
-    # g X for a flattened X is the columns of g (x) 1 applied to it
-    maps = [lambda v, g=g: linalg.apply(
-        [tuple((r * n + c, x) for r, x in g[m])
-         for m in range(n) for c in range(n)], v) for g in gens]
-    lat = stable_span([{k * n + k: one for k in range(n)}], maps, n * n, fld,
-                      ring)
+    lat = flat_closure(gens, n, ring)
     assert matrix_algebra_constants(lat, n) == \
         matrix_algebra_constants_full(lat, n)

@@ -610,7 +610,7 @@ RULES = [
          [(3, "contains_vector"), (5, "contains_vector")]),
     Rule("test_no_full_matrix_products",
          "test_full_product_check_sees_a_flattened_compose",
-         _full_product, (),
+         _full_product, ("fixtures.build_qschur",),
          "full products of flattened matrices (matrix_algebra_constants "
          "reads a product at the pivot entries alone)",
          "def sc(basis, lat):\n"
