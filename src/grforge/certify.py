@@ -31,8 +31,7 @@ from .lattices import (
     Lattice,
     LatticeError,
     coord_solver,
-    pure_closure,
-    quotient_free_basis,
+    residue_echelon,
     saturate_rows,
 )
 from .modules import (
@@ -394,10 +393,7 @@ def is_split_heredity_ideal(alg: StructureAlgebra, e, labels=("e",)) -> Heredity
     if J.rank == 0:
         return HeredityStep(tuple(labels), False, {"nonzero": False}, e)
     if alg.level == "O":
-        ring = alg.ring
-        full = Lattice.full(ring, alg.rank)
-        closure = pure_closure(J, full)
-        _, torsion = quotient_free_basis(closure, J)
+        _, torsion = Lattice.full(alg.ring, alg.rank).lifts_over(J)
         verdicts["free_quotient"] = not torsion
         if torsion:
             detail["torsion"] = torsion
@@ -541,9 +537,8 @@ def verify_chain(alg: StructureAlgebra, cert: ChainCertificate) -> bool:
             return False
         if cur.level == "O":
             # purity via residue ranks (Lemma 2.3(b) only)
-            red = [{j: y for j, x in r.items() if (y := cur.ring.residue(x))}
-                   for r in J.rows]
-            pure = linalg.rank(red, cur.ring.field_k, cur.rank) == J.rank
+            pure = len(residue_echelon(cur.ring, J.rows, cur.rank)[1]) \
+                == J.rank
             if pure != step.verdicts.get("free_quotient"):
                 return False
         J2 = cur.span([cur.mul(a, b) for a in J.rows for b in J.rows])

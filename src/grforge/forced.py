@@ -19,7 +19,7 @@ from functools import cached_property
 from . import linalg
 from .algebra import AlgebraError
 from .graded import GradedModule, gr_module, module_rad_chain
-from .lattices import Lattice, is_pure, quotient_free_basis, saturate_rows
+from .lattices import Lattice, is_pure, saturate_rows
 from .modules import (
     FiltrationFailure,
     ModuleRep,
@@ -227,7 +227,7 @@ def gr_delta_filtration(grmod: GradedModule):
                 chain[m1 + 1].contains_lattice(wlat):
             m1 += 1
         deeper = wlat.intersection(chain[min(m1 + 1, len(chain) - 1)])
-        stratum_lifts, tors = quotient_free_basis(wlat, deeper)
+        stratum_lifts, tors = wlat.lifts_over(deeper)
         d = len(stratum_lifts)
         h, r_lat = peel_standard_power(cur, lam, stratum_lifts)
         # A guard that cannot fire.  wlat = e.M is pure in M: if pi x lies in

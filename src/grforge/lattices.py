@@ -8,12 +8,15 @@ pivots are normalized to pi^a and entries above a pivot are reduced to
 canonical residues mod pi^a.  Two lattices are equal iff their rows are.
 
 All entries live in K (Rat or Cyc); membership in O means valuation >= 0.
+
+Purity has one test, `residue_echelon` (Lemma 2.3(b)); `Lattice.lifts_over`
+runs the Smith form only when it fails, that is when M/N has torsion.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .scalars import RingSpec
+from .scalars import InternalCheckError, RingSpec
 
 
 class LatticeError(ValueError):
@@ -155,13 +158,14 @@ class Lattice:
     def quotient(self):
         """(lifts, torsion_vals, project) of O^ambient / self: the lifts map
         to a basis of the free part of the quotient and torsion_vals are the
-        elementary divisors of its torsion (see quotient_free_basis; empty
-        iff self is pure), and project(v) gives the coordinates of the image
-        of v in that basis."""
-        lifts, torsion = quotient_free_basis(
-            Lattice.full(self.ring, self.ambient), self)
+        elementary divisors of its torsion (see `lifts_over`; empty iff self
+        is pure), and project(v) gives the coordinates of the image of v in
+        that basis."""
+        lifts, torsion = Lattice.full(self.ring, self.ambient).lifts_over(self)
         if self.rank + len(lifts) != self.ambient:
-            raise LatticeError("span basis plus lifts do not span")
+            raise InternalCheckError(
+                "span basis plus lifts do not span: both routes of lifts_over "
+                "give ambient - rank lifts")
         coords = coord_solver(self.rows + tuple(lifts), self.ring.field_K,
                               self.ambient)
 
@@ -173,8 +177,24 @@ class Lattice:
         return lifts, torsion, project
 
     def lifts_over(self, sub: "Lattice"):
-        """(free_lifts, torsion_vals) of self / sub; see quotient_free_basis."""
-        return quotient_free_basis(self, sub)
+        """(free_lifts, torsion_vals) of M/N, M = self, N = sub: M/N is the
+        direct sum of the free module on the images of free_lifts and of
+        O/pi^a for each a in torsion_vals (all a >= 1, none iff N is pure).
+
+        When the coordinates C of N in M are independent mod pi
+        (`residue_echelon`), C is invertible over O at the residue pivot
+        columns, so M's rows at the other columns lift a basis of M/N.
+        Otherwise smith_track gives the elementary divisors."""
+        coords = _coords_matrix(sub, self)
+        if self.rank == 0:
+            return [], []
+        pivots = set(residue_echelon(self.ring, coords, self.rank)[1])
+        if len(pivots) == len(coords):
+            return [dict(r) for j, r in enumerate(self.rows)
+                    if j not in pivots], []
+        vals, track = smith_track(self.ring, self.rank, coords)
+        return [linalg.combine(c, self.rows) for c in track[len(vals):]], \
+            sorted(v for v in vals if v > 0)
 
     # -- lattice arithmetic -------------------------------------------------------
     def add(self, other: "Lattice") -> "Lattice":
@@ -331,36 +351,25 @@ def is_pure(n: Lattice, m: Lattice) -> bool:
 
     Route (a): pure_closure(N, M) == N.
     Route (b): N_k -> M_k stays injective, i.e. the coordinate matrix of N in
-    a basis of M has full rank modulo pi.
+    a basis of M has full rank modulo pi (`residue_echelon`).
     """
     coords = _coords_matrix(n, m)
     if n.rank == 0:
         return True
     a = _pure_closure(n, m, coords) == n
-    residue = n.ring.residue
-    red = [{j: y for j, x in row.items() if (y := residue(x))}
-           for row in coords]
-    b = linalg.rank(red, n.ring.field_k, m.rank) == n.rank
+    b = len(residue_echelon(n.ring, coords, m.rank)[1]) == n.rank
     if a != b:
         raise LatticeError("purity cross-check disagreement (Lemma 2.3 routes)")
     return a
 
 
-def quotient_free_basis(m: Lattice, n: Lattice):
-    """Free-part basis lifts and torsion elementary divisors of M/N.
-
-    Returns (free_lifts, torsion_vals): M/N is a direct sum of a free module
-    with basis the images of free_lifts and of cyclic summands O/pi^a for each
-    a in torsion_vals (all a >= 1).  torsion_vals is empty iff N is pure in M.
-    """
-    coords = _coords_matrix(n, m)
-    if m.rank == 0:
-        return [], []
-    ring = m.ring
-    vals, track = smith_track(ring, m.rank, coords)
-    torsion = sorted(v for v in vals if v > 0)
-    free_lifts = [linalg.combine(c, m.rows) for c in track[len(vals):]]
-    return free_lifts, torsion
+def residue_echelon(ring: RingSpec, rows, ncols: int):
+    """linalg.rref over k = O/pi of the {index: entry} rows (entries in O)
+    reduced mod pi: (echelon_rows, pivot_columns).  The rows are
+    independent mod pi iff there are as many pivots as rows, the test of
+    Lemma 2.3(b) for purity."""
+    return linalg.rref([{j: y for j, x in r.items() if (y := ring.residue(x))}
+                        for r in rows], ring.field_k, ncols)
 
 
 def _coords_matrix(n: Lattice, m: Lattice):

@@ -16,12 +16,7 @@ from functools import partial
 
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
-from .lattices import (
-    Lattice,
-    is_pure,
-    pure_closure,
-    quotient_free_basis,
-)
+from .lattices import Lattice, is_pure, pure_closure, residue_echelon
 from .scalars import InternalCheckError
 
 
@@ -214,7 +209,7 @@ def truncate_to_ideal(mod: ModuleRep, gamma):
     torsion = []
     if mod.level == "O":
         sub = pure_closure(killed, mod.full_lattice())
-        _, torsion = quotient_free_basis(sub, killed)
+        _, torsion = sub.lifts_over(killed)
     quot, project, _ = mod.quotient_by(sub)
     quot.name = f"{mod.name}|{gamma}"
     return quot, torsion, project, killed
@@ -429,9 +424,7 @@ def iso_with_generator_images(src: ModuleRep, dst: ModuleRep, gens, images):
     ring = src.algebra.ring
     if not all(ring.in_O(x) for row in h for x in row.values()):
         return None
-    residues = [{c: y for c, x in row.items() if (y := ring.residue(x))}
-                for row in h]
-    return h if linalg.rank(residues, ring.field_k, n) == n else None
+    return h if len(residue_echelon(ring, h, n)[1]) == n else None
 
 
 def standard_iso(mod: ModuleRep, lam):

@@ -15,12 +15,7 @@ from types import MappingProxyType
 from . import linalg, radicals
 from .algebra import AlgebraError, StructureAlgebra
 from .graded import algebra_rad_chain, gr_algebra, gr_module, module_rad_chain
-from .lattices import (
-    Lattice,
-    is_pure,
-    quotient_free_basis,
-    saturate_rows,
-)
+from .lattices import Lattice, is_pure, saturate_rows
 from .modules import (
     ModuleRep,
     head_info,
@@ -421,7 +416,7 @@ def thm_53_pipeline(alg: StructureAlgebra, datum: GradedSubalgebraDatum, lam,
         # default degree-0 part: the depth-0 stratum of the lam-weight space
         wlat = dagger.span(dagger.weight_space_rows(lam))
         deeper = wlat.intersection(rad_part)
-        lifts, tors = quotient_free_basis(wlat, deeper)
+        lifts, tors = wlat.lifts_over(deeper)
         if tors:
             raise TightnessError("weight space stratum is not pure; supply v")
         if p0_rows is None:

@@ -34,6 +34,10 @@ kept as the oracle.
 integral and sends only the rest through `smith_track`; the route it
 replaced, every saturation through the Smith form
 (`saturate_rows_smith`), is kept verbatim as the oracle.
+`Lattice.lifts_over` takes its free lifts from the residue echelon when
+the sublattice is pure and sends only the rest through `smith_track`; the
+route it replaced, every quotient through the Smith form
+(`lifts_over_smith`), is kept verbatim as the oracle.
 `fixtures.build_qschur` spans its lattice by Lusztig's canonical basis;
 the route it replaced, the O-algebra that matrices generate found as the
 closure of the identity under left multiplication by them on flattened
@@ -45,7 +49,13 @@ from functools import partial
 
 from grforge import linalg, radicals
 from grforge.algebra import AlgebraError, structure_constants
-from grforge.lattices import Lattice, LatticeError, smith_track, stable_span
+from grforge.lattices import (
+    Lattice,
+    LatticeError,
+    _coords_matrix,
+    smith_track,
+    stable_span,
+)
 from grforge.scalars import RingSpec
 
 
@@ -359,6 +369,23 @@ def saturate_rows_smith(ring: RingSpec, ambient: int, rows) -> Lattice:
         return Lattice.zero(ring, ambient)
     vals, track = smith_track(ring, ambient, cleared)
     return Lattice.from_rows(ring, ambient, track[: len(vals)])
+
+
+def lifts_over_smith(m: Lattice, n: Lattice):
+    """Free-part basis lifts and torsion elementary divisors of M/N.
+
+    Returns (free_lifts, torsion_vals): M/N is a direct sum of a free module
+    with basis the images of free_lifts and of cyclic summands O/pi^a for each
+    a in torsion_vals (all a >= 1).  torsion_vals is empty iff N is pure in M.
+    """
+    coords = _coords_matrix(n, m)
+    if m.rank == 0:
+        return [], []
+    ring = m.ring
+    vals, track = smith_track(ring, m.rank, coords)
+    torsion = sorted(v for v in vals if v > 0)
+    free_lifts = [linalg.combine(c, m.rows) for c in track[len(vals):]]
+    return free_lifts, torsion
 
 
 def flat_closure(gens, n, ring):

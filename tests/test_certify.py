@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from grforge import certify, linalg
+from test_span_rows import smith_calls
+
+from grforge import certify, fixtures, graded, linalg, modules
 from grforge.algebra import StructureAlgebra, WeightDatum
 from grforge.fixtures import inflate, perturb
 from grforge.lattices import Lattice
@@ -107,6 +109,25 @@ class TestChains:
         assert cert.steps[0].labels == ("2",)
         assert cert.steps[0].verdicts["free_quotient"] is False
         assert certify.verify_chain(z5s, cert)
+
+    def test_pure_quotients_run_no_smith_form(self):
+        """On z5 every quotient taken is pure, so gr, gr of the regular
+        module and the chain certificate make no smith_track call.  On z5s
+        the one quotient with torsion, A / A e_2 A, still fails with it.
+        Fresh algebras, so that no memo hides a call."""
+        z5, z5s = fixtures.build_z5(3), fixtures.build_z5s(3)
+
+        def run():
+            gr = graded.gr_algebra(z5)
+            graded.gr_module(gr, modules.regular_module(z5))
+            return certify.certify_qha(z5).ok
+
+        assert smith_calls(run) == (True, 0)
+        cert, calls = smith_calls(lambda: certify.certify_qha(z5s))
+        step = cert.steps[0]
+        assert not cert.ok and step.labels == ("2",) and calls >= 1
+        assert step.verdicts["free_quotient"] is False
+        assert step.detail["torsion"] == [1]
 
     @pytest.mark.parametrize("level", ["O", "K", "k"])
     def test_one_ideal_build_per_step(self, z5, z5_K, z5_k, monkeypatch, level):

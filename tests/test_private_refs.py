@@ -378,6 +378,29 @@ def _valuation_membership(node, top):
             yield "valuation"
 
 
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _residue_comprehension(node, top):
+    """A comprehension whose element or condition, outside the
+    comprehensions nested in it, calls `residue`, as `.residue` or through
+    a name bound to a `.residue` attribute in the same function: entries
+    mapped mod pi by hand."""
+    if not isinstance(node, COMPREHENSIONS):
+        return
+    names = {"residue"} | _bound(
+        top, lambda v: getattr(v, "attr", None) == "residue")
+    stack = [getattr(node, f) for f in ("elt", "key", "value")
+             if hasattr(node, f)] + [c for g in node.generators for c in g.ifs]
+    while stack:
+        part = stack.pop()
+        if _call_name(part) in names:
+            yield "residue"
+            return
+        if not isinstance(part, COMPREHENSIONS):
+            stack += ast.iter_child_nodes(part)
+
+
 def _identity_block(node):
     """An identity block: a call of `identity`, a Kronecker delta
     `one if i == j else zero`, or a dict entry of a tag column `n + i`."""
@@ -684,6 +707,31 @@ RULES = [
          "        return val(m[0]) > 0 or valid(m[0]) < 0\n",
          [(3, "valuation"), (4, "valuation"), (5, "valuation"),
           (5, "valuation"), (10, "valuation")]),
+    Rule("test_rows_are_reduced_mod_pi_in_one_place",
+         "test_residue_check_sees_rows_reduced_by_hand",
+         _residue_comprehension,
+         ("lattices.residue_echelon", "algebra._base_change.reduce",
+          "modules.ModuleRep.base_change"),
+         "entries mapped mod pi by hand outside the base changes to k (the "
+         "residue rows of Lemma 2.3(b) come from lattices.residue_echelon)",
+         "def is_pure(n, m, coords):\n"
+         "    residue = n.ring.residue\n"
+         "    red = [{j: y for j, x in row.items() if (y := residue(x))}\n"
+         "           for row in coords]\n"
+         "    return linalg.rank(red, n.ring.field_k, m.rank) == n.rank\n"
+         "def verify_chain(cur, J):\n"
+         "    red = [{j: y for j, x in r.items()\n"
+         "            if (y := cur.ring.residue(x))} for r in J.rows]\n"
+         "    return linalg.rank(red, cur.ring.field_k, cur.rank) == J.rank\n"
+         "def iso_with_generator_images(ring, h, n):\n"
+         "    red = [{c: y for c, x in row.items()\n"
+         "            if (y := ring.residue(x))} for row in h]\n"
+         "    return linalg.rank(red, ring.field_k, n) == n\n"
+         "def fine(ring, rows, n):\n"
+         "    pivots = residue_echelon(ring, rows, n)[1]\n"
+         "    return pivots, ring.residue(rows[0]), \\\n"
+         "        [ring.valuation(x) for x in rows[0].values()]\n",
+         [(3, "residue"), (7, "residue"), (11, "residue")]),
     Rule(*COORDINATES,
          _banned(lambda name: name in REMOVED_COORDINATE_ROUTINES), (),
          "the dense routines coord_solver replaced", CHANGE_OF_BASIS,

@@ -4,8 +4,9 @@ dense references: `Lattice.from_rows`, `add`, `intersection`, `coords`,
 `quotient`, `lifts_over`, `saturate_rows` and `pure_closure` over Z_(3),
 Z_(5), Z_(3)[zeta_3] and Z_(5)[zeta_5] against the dense worklist echelon
 `dense_reference.lattice_from_rows` and the dense reduction
-`test_lattices.dense_coords`, `saturate_rows` also against the Smith-only
-route `dense_reference.saturate_rows_smith`, and `linalg.Subspace` over Q,
+`test_lattices.dense_coords`, `saturate_rows` and `lifts_over` also
+against the Smith-only routes `dense_reference.saturate_rows_smith` and
+`dense_reference.lifts_over_smith`, and `linalg.Subspace` over Q,
 F_3 and F_5 against the dense `dense_reference.rref_dense`.  No operation
 writes into the rows of its operand spans or changes their hash."""
 
@@ -18,6 +19,7 @@ from dense_reference import (
     dense_vec,
     in_row_space,
     lattice_from_rows,
+    lifts_over_smith,
     rref_dense,
     saturate_rows_smith,
     vec,
@@ -184,9 +186,8 @@ def draw_echelon(data, ring, amb, integral):
     return rows
 
 
-def saturate_counting(ring, amb, rows):
-    """saturate_rows(ring, amb, rows) and the number of smith_track calls it
-    made."""
+def smith_calls(op):
+    """op() and the number of smith_track calls it made."""
     calls = []
 
     def counting(*args):
@@ -194,7 +195,7 @@ def saturate_counting(ring, amb, rows):
         return smith_track(*args)
 
     with mock.patch.object(lattices, "smith_track", counting):
-        return saturate_rows(ring, amb, rows), len(calls)
+        return op(), len(calls)
 
 
 @SETTINGS
@@ -221,7 +222,7 @@ def test_saturation_from_the_echelon_matches_the_smith_route(kind, integral,
     if ech:
         rows += draw_inside(data, ring, ech)
     rows = data.draw(st.permutations(rows))
-    sat, calls = saturate_counting(ring, amb, vecs(rows))
+    sat, calls = smith_calls(lambda: saturate_rows(ring, amb, vecs(rows)))
     want = saturate_rows_smith(ring, amb, vecs(rows))
     assert calls == (0 if integral else 1)
     assert repr((sat.rows, sat.pivots, sat.pivot_vals)) == \
@@ -236,7 +237,7 @@ def test_the_span_of_one_and_one_over_p_takes_the_smith_route():
     so the saturation takes the one smith_track call."""
     for ring in RINGS.values():
         row = {0: ring.one(), 1: ring.pi_power(-1)}
-        sat, calls = saturate_counting(ring, 2, [row])
+        sat, calls = smith_calls(lambda: saturate_rows(ring, 2, [row]))
         assert calls == 1
         assert sat == Lattice.from_rows(
             ring, 2, [{0: ring.uniformizer, 1: ring.one()}])
@@ -273,6 +274,66 @@ def test_lattice_quotients_match_dense_indices(kind, data):
     assert None not in coords
     gen = lattice_from_rows(ring, m.rank, dense_rows(coords, m.rank, zero))
     assert gen.rank == m.rank and sum(gen.pivot_vals) == sum(tors)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(RINGS)), st.data())
+def test_lifts_over_matches_the_smith_route(kind, data):
+    """M is nonzero (a row of ones is among its generators) and N is
+    spanned by one to rank M combinations of M's rows, each coefficient a
+    small integer times pi^0 or pi^1.  lifts_over gives the oracle's
+    torsion; without torsion N and the lifts span M over O, with no
+    smith_track call, and with torsion it makes the one call and gives the
+    oracle's lifts."""
+    ring = RINGS[kind]
+    amb = data.draw(st.integers(1, 5))
+    m = Lattice.from_rows(ring, amb, vecs(draw_rows(data, ring, amb)
+                                          + [[ring.one()] * amb]))
+    coeffs = [[ring.of(data.draw(st.integers(-2, 2)))
+               * ring.pi_power(data.draw(st.integers(0, 1))) for _ in m.rows]
+              for _ in range(data.draw(st.integers(1, m.rank)))]
+    n = Lattice.from_rows(ring, amb,
+                          [linalg.combine(vec(c), m.rows) for c in coeffs])
+    (free, tors), calls = untouched(lambda: smith_calls(
+        lambda: m.lifts_over(n)), m, n)
+    want_free, want_tors = lifts_over_smith(m, n)
+    assert tors == want_tors and len(free) == len(want_free)
+    if tors:
+        assert calls == 1 and free == want_free
+    else:
+        assert calls == 0
+        assert Lattice.from_rows(ring, amb, n.rows + tuple(free)) == m
+
+
+def test_pi_times_m_has_an_integral_k_rref_and_takes_the_smith_route():
+    """N = pi M: the coordinates of N in M are pi times the identity, whose
+    K-rref, the identity, is integral; yet M/N = (O/pi)^r is all torsion,
+    and the residues are zero, so smith_track runs."""
+    for ring in RINGS.values():
+        m = Lattice.from_rows(ring, 3, [{0: ring.one(), 1: ring.of(2)},
+                                        {2: ring.one()}])
+        n = Lattice.from_rows(ring, 3, [linalg.combine(
+            {0: ring.uniformizer}, [r]) for r in m.rows])
+        coords = [m.coords(r) for r in n.rows]
+        ech, _ = linalg.rref(coords, ring.field_K, m.rank)
+        assert all(ring.in_O(x) for r in ech for x in r.values())
+        (free, tors), calls = smith_calls(lambda: m.lifts_over(n))
+        assert (free, tors) == ([], [1, 1]) == lifts_over_smith(m, n)
+        assert calls == 1
+
+
+def test_a_pivot_of_valuation_one_can_be_pure():
+    """N = O(3, 1) in Z_(3)^2: its Hermite pivot 3 has valuation 1, yet its
+    residue (0, 1) is nonzero, so N is pure, e_0 lifts O^2 / N and
+    smith_track does not run."""
+    ring = RINGS["Z_(3)"]
+    m = Lattice.full(ring, 2)
+    n = Lattice.from_rows(ring, 2, [{0: ring.of(3), 1: ring.one()}])
+    assert n.pivot_vals == (1,)
+    (free, tors), calls = smith_calls(lambda: m.lifts_over(n))
+    assert (free, tors, calls) == ([{0: ring.one()}], [], 0)
+    assert lifts_over_smith(m, n)[1] == []
+    assert Lattice.from_rows(ring, 2, n.rows + tuple(free)) == m
 
 
 @SETTINGS
